@@ -47,6 +47,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/gateway"
 	"repro/internal/gateway/client"
+	"repro/internal/ingest"
 	"repro/internal/mapreduce"
 	"repro/internal/metadata"
 	"repro/internal/mrpc"
@@ -624,20 +625,18 @@ func (c *ctl) ingest(args []string) error {
 			return err
 		}
 		dst := "/data/" + filepath.Base(src)
-		n, sum, err := c.layer.WriteChecksummed(dst, f)
+		r := ingest.StoreBatch(c.layer, c.meta, []*ingest.Object{{
+			Project: *project,
+			Path:    dst,
+			Data:    f,
+			Basic:   map[string]string{"source": src},
+			Tags:    []string{"raw"},
+		}})[0]
 		f.Close()
-		if err != nil {
-			return fmt.Errorf("storing %s: %w", src, err)
+		if r.Err != nil {
+			return fmt.Errorf("%s: %w", src, r.Err)
 		}
-		ds, err := c.meta.Create(*project, dst, n, sum, map[string]string{"source": src})
-		if err != nil {
-			_ = c.layer.Remove(dst)
-			return fmt.Errorf("registering %s: %w", src, err)
-		}
-		if err := c.meta.Tag(ds.ID, "raw"); err != nil {
-			return err
-		}
-		fmt.Printf("%s  %s  %s\n", ds.ID, n.SI(), dst)
+		fmt.Printf("%s  %s  %s\n", r.Dataset.ID, r.Dataset.Size.SI(), dst)
 	}
 	return c.save()
 }

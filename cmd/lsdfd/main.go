@@ -155,10 +155,7 @@ func run(c daemonConfig) error {
 		}
 	}
 
-	srv, err := gateway.ForFacility(fac, gateway.Config{
-		Tenants: tenants,
-		Jobs:    gateway.BuiltinJobs(),
-	})
+	srv, err := gateway.ForFacility(fac, gateway.Config{Tenants: tenants})
 	if err != nil {
 		return err
 	}

@@ -68,6 +68,16 @@ type MemFS struct {
 type memFile struct {
 	data    []byte
 	modTime time.Time
+	// pending marks a name reserved by Create whose writer has not
+	// closed yet: it collides with other creators but is invisible to
+	// readers, who must never see an object before its bytes.
+	pending bool
+}
+
+// committed looks up a file readers may see. Callers hold m.mu.
+func (m *MemFS) committed(path string) (*memFile, bool) {
+	f, ok := m.files[path]
+	return f, ok && !f.pending
 }
 
 // NewMemFS creates an empty in-memory backend.
@@ -93,7 +103,7 @@ func (m *MemFS) Create(path string) (io.WriteCloser, error) {
 		return nil, fmt.Errorf("%w: %s:%s", ErrExists, m.name, path)
 	}
 	// Reserve the name so concurrent creators collide here, not at Close.
-	m.files[path] = &memFile{modTime: m.clock()}
+	m.files[path] = &memFile{modTime: m.clock(), pending: true}
 	return &memWriter{fs: m, path: path}, nil
 }
 
@@ -126,7 +136,7 @@ func (w *memWriter) Close() error {
 func (m *MemFS) Open(path string) (io.ReadCloser, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	f, ok := m.files[path]
+	f, ok := m.committed(path)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s:%s", ErrNotFound, m.name, path)
 	}
@@ -137,7 +147,7 @@ func (m *MemFS) Open(path string) (io.ReadCloser, error) {
 func (m *MemFS) Stat(path string) (FileInfo, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	f, ok := m.files[path]
+	f, ok := m.committed(path)
 	if !ok {
 		return FileInfo{}, fmt.Errorf("%w: %s:%s", ErrNotFound, m.name, path)
 	}
@@ -150,7 +160,7 @@ func (m *MemFS) List(prefix string) ([]FileInfo, error) {
 	defer m.mu.RUnlock()
 	var out []FileInfo
 	for p, f := range m.files {
-		if strings.HasPrefix(p, prefix) {
+		if strings.HasPrefix(p, prefix) && !f.pending {
 			out = append(out, FileInfo{Path: p, Size: units.Bytes(len(f.data)), ModTime: f.modTime})
 		}
 	}

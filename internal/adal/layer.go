@@ -220,7 +220,9 @@ func PooledCopy(dst io.Writer, src io.Reader) (int64, error) {
 }
 
 // WriteChecksummed streams r into path, returning the byte count and
-// hex SHA-256 — the ingest pipeline's canonical write primitive.
+// hex SHA-256 — the ingest pipeline's canonical write primitive. When
+// the copy fails, the part already written is removed (if Close
+// committed it): a half-written object is never left behind.
 func (l *Layer) WriteChecksummed(path string, r io.Reader) (units.Bytes, string, error) {
 	w, err := l.Create(path)
 	if err != nil {
@@ -229,7 +231,9 @@ func (l *Layer) WriteChecksummed(path string, r io.Reader) (units.Bytes, string,
 	h := sha256.New()
 	n, err := pooledCopy(io.MultiWriter(w, h), r)
 	if err != nil {
-		w.Close()
+		if w.Close() == nil {
+			_ = l.Remove(path)
+		}
 		return 0, "", fmt.Errorf("adal: writing %s: %w", path, err)
 	}
 	if err := w.Close(); err != nil {
@@ -241,6 +245,8 @@ func (l *Layer) WriteChecksummed(path string, r io.Reader) (units.Bytes, string,
 // NewChecksumWriter wraps w so every written byte is SHA-256-hashed
 // in passing; Close closes w and then hands (bytes, hex digest,
 // close error) to commit, whose return value becomes Close's result.
+// A failed Write is sticky: Close reports it to commit in place of the
+// close error, so a stream that lost bytes is never committed as whole.
 // It is the streaming-writer dual of WriteChecksummed, used by
 // backends that must register a content hash at commit time.
 func NewChecksumWriter(w io.WriteCloser, commit func(n units.Bytes, sum string, err error) error) io.WriteCloser {
@@ -251,6 +257,7 @@ type checksumWriter struct {
 	w      io.WriteCloser
 	h      hash.Hash
 	n      int64
+	werr   error // first failed Write
 	commit func(units.Bytes, string, error) error
 	closed bool
 }
@@ -259,6 +266,9 @@ func (cw *checksumWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	cw.h.Write(p[:n])
 	cw.n += int64(n)
+	if err != nil && cw.werr == nil {
+		cw.werr = err
+	}
 	return n, err
 }
 
@@ -268,6 +278,9 @@ func (cw *checksumWriter) Close() error {
 	}
 	cw.closed = true
 	err := cw.w.Close()
+	if cw.werr != nil {
+		err = cw.werr
+	}
 	return cw.commit(units.Bytes(cw.n), hex.EncodeToString(cw.h.Sum(nil)), err)
 }
 

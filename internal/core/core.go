@@ -75,82 +75,30 @@ func (fc *Facility) Ingest(ctx context.Context, prod ingest.Producer, workers in
 }
 
 // IngestWith is Ingest with full pipeline configuration — batch
-// size, error observer. Config.BatchSize > 1 registers objects
-// through the metadata store's batched API (one shard-lock round
-// per shard).
+// size, error observer.
 func (fc *Facility) IngestWith(ctx context.Context, prod ingest.Producer, cfg ingest.Config) (ingest.Stats, error) {
 	pipe := ingest.New(fc.f.Layer, fc.f.Meta, cfg)
 	return pipe.Run(ctx, prod)
 }
 
-// Store writes one object and registers it — the single-file
-// convenience over Ingest.
+// Store writes one object and registers it, tags included — the
+// single-file convenience over StoreBatch.
 func (fc *Facility) Store(project, path string, data io.Reader, basic map[string]string, tags ...string) (metadata.Dataset, error) {
-	n, sum, err := fc.f.Layer.WriteChecksummed(path, data)
-	if err != nil {
-		return metadata.Dataset{}, err
-	}
-	ds, err := fc.f.Meta.Create(project, path, n, sum, basic)
-	if err != nil {
-		_ = fc.f.Layer.Remove(path)
-		return metadata.Dataset{}, err
-	}
-	for _, tag := range tags {
-		if err := fc.f.Meta.Tag(ds.ID, tag); err != nil {
-			return ds, err
-		}
-	}
-	out, _ := fc.f.Meta.Get(ds.ID)
-	return out, nil
+	r := fc.StoreBatch([]ingest.Object{{Project: project, Path: path, Data: data, Basic: basic, Tags: tags}})[0]
+	return r.Dataset, r.Err
 }
 
 // StoreBatch writes a group of objects and registers them in one
-// batched metadata round per touched shard. Results are per-item and
-// aligned with the input; a failed item's stored bytes are rolled
-// back so the facility never holds unregistered data. The rollback
-// can never delete another dataset's bytes: Layer.Create fails with
-// ErrExists on an occupied path, so a write that succeeded — the
-// only case that reaches the rollback — was to a previously empty
-// path this call owns.
+// batched metadata round per touched shard (ingest.StoreBatch).
+// Results are per-item and aligned with the input; a failed item's
+// stored bytes are rolled back so the facility never holds
+// unregistered data.
 func (fc *Facility) StoreBatch(objs []ingest.Object) []metadata.CreateResult {
-	specs := make([]metadata.CreateSpec, len(objs))
-	results := make([]metadata.CreateResult, len(objs))
-	written := make([]bool, len(objs))
+	ptrs := make([]*ingest.Object, len(objs))
 	for i := range objs {
-		n, sum, err := fc.f.Layer.WriteChecksummed(objs[i].Path, objs[i].Data)
-		if err != nil {
-			results[i].Err = err
-			continue
-		}
-		written[i] = true
-		specs[i] = metadata.CreateSpec{
-			Project:  objs[i].Project,
-			Path:     objs[i].Path,
-			Size:     n,
-			Checksum: sum,
-			Basic:    objs[i].Basic,
-			Tags:     objs[i].Tags,
-		}
+		ptrs[i] = &objs[i]
 	}
-	// Failed writes keep their zero spec; an empty path never collides
-	// with a real claim, but filter them anyway to avoid phantom
-	// datasets.
-	toCreate := make([]metadata.CreateSpec, 0, len(objs))
-	idx := make([]int, 0, len(objs))
-	for i := range specs {
-		if written[i] {
-			toCreate = append(toCreate, specs[i])
-			idx = append(idx, i)
-		}
-	}
-	for j, r := range fc.f.Meta.CreateBatch(toCreate) {
-		i := idx[j]
-		results[i] = r
-		if r.Err != nil {
-			_ = fc.f.Layer.Remove(objs[i].Path)
-		}
-	}
-	return results
+	return ingest.StoreBatch(fc.f.Layer, fc.f.Meta, ptrs)
 }
 
 // Flush blocks until every metadata event published so far has been

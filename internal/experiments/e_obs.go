@@ -311,7 +311,6 @@ func E19Observability() (*Table, error) {
 			Name: "ops", Token: "e19-token", Prefixes: []string{"/"},
 			RPS: 1e6, Burst: 1 << 20, MaxInFlight: 256,
 		}},
-		Jobs: gateway.BuiltinJobs(),
 	})
 	if err != nil {
 		return nil, err
@@ -358,7 +357,7 @@ func E19Observability() (*Table, error) {
 	jobTrace := obs.NewTraceID()
 	jctx := obs.ContextWithTrace(ctx, &obs.TraceData{ID: jobTrace})
 	js, err := c.SubmitJob(jctx, gateway.JobRequest{
-		Job:    "wordcount",
+		Job:    "linecount",
 		Inputs: []string{"/e19/books/0.txt", "/e19/books/1.txt"}, OutputDir: "/e19-out",
 	})
 	if err != nil {
@@ -393,9 +392,13 @@ func E19Observability() (*Table, error) {
 		if _, err := c.ReadObject(tctx, hotPath); err != nil {
 			return nil, fmt.Errorf("e19 traced read %d: %w", i, err)
 		}
-		tv, ok := srv.TraceRing().Lookup(id)
+		// The body is read before the handler's deferred root End runs;
+		// wait for the trace to complete instead of racing it.
+		lctx, cancel := context.WithTimeout(ctx, 5*time.Second)
+		tv, ok := srv.TraceRing().LookupComplete(lctx, id)
+		cancel()
 		if !ok {
-			return nil, fmt.Errorf("e19: trace %s not in the ring", id)
+			return nil, fmt.Errorf("e19: trace %s not complete in the ring (%d open spans)", id, tv.OpenSpans)
 		}
 		cov, rootDur := e19Coverage(tv)
 		if rootDur == 0 {
@@ -489,7 +492,7 @@ func E19Observability() (*Table, error) {
 			"per-tenant behaviour, and where inside the stack a slow request spent its time",
 		Columns: []string{"metric", "value"},
 		Rows:    rows,
-		Notes: fmt.Sprintf("workload = %d x %s durable ingests, cold+hot federated reads, one traced wordcount on 2 workers; "+
+		Notes: fmt.Sprintf("workload = %d x %s durable ingests, cold+hot federated reads, one traced linecount on 2 workers; "+
 			"coverage = union of non-root spans over the gw.request window; scrape is the unauthenticated front-door GET /metrics; "+
 			"overhead bench = %s cached read, %d alternating batches of %d, best batch per mode",
 			e19Objects, e19ObjSize.SI(), e19BenchObjSize.SI(), e19BenchRounds, e19BenchBatch),

@@ -168,9 +168,10 @@ func TestE14ZeroFailedReadsAndConvergence(t *testing.T) {
 }
 
 // TestE16WANCollapseNoStaleReads pins the read-cache acceptance bar:
-// >= 10x WAN byte reduction on the zipf stream, steady-state p99
-// within 2x of a local direct read, and zero failed or stale reads
-// across the mid-run site kill/revive in both phases.
+// >= 10x WAN byte reduction on the zipf stream and zero failed or
+// stale reads across the mid-run site kill/revive in both phases.
+// The steady-state p99 ratio is reported by the experiment, not
+// asserted here: speed is the benchmark's job (bench/ ledger).
 func TestE16WANCollapseNoStaleReads(t *testing.T) {
 	tbl, err := E16HotSetReadCache()
 	if err != nil {
@@ -189,10 +190,6 @@ func TestE16WANCollapseNoStaleReads(t *testing.T) {
 	reduction, err := strconv.ParseFloat(strings.TrimSuffix(row("WAN reduction"), "x"), 64)
 	if err != nil || reduction < 10 {
 		t.Errorf("WAN reduction = %s, want >= 10x", row("WAN reduction"))
-	}
-	ratio, err := strconv.ParseFloat(strings.TrimSuffix(row("steady-state p99 vs local"), "x"), 64)
-	if err != nil || ratio > 2 {
-		t.Errorf("steady-state p99 vs local = %s, want <= 2x", row("steady-state p99 vs local"))
 	}
 	if got := row("failed reads (direct/cached)"); got != "0 / 0" {
 		t.Errorf("failed reads = %s, want 0 / 0", got)
@@ -259,9 +256,9 @@ func TestE15ZeroLostAcked(t *testing.T) {
 // TestE17GatewayAcceptance pins the front-door acceptance bar: zero
 // failed authorized requests at every admission setting, tenant-fair
 // 429s under deliberate overload (the hog is throttled, the quiet
-// neighbor completes everything), admission control actually
-// exercised at the strict setting, and verified cached-read p99 over
-// HTTP within 2x of the in-process read-cache path.
+// neighbor completes everything) and admission control actually
+// exercised at the strict setting. The HTTP-vs-in-process p99 ratio
+// is reported, not asserted (bench/ ledger: client.http.self_us).
 func TestE17GatewayAcceptance(t *testing.T) {
 	tbl, err := E17GatewayLoad()
 	if err != nil {
@@ -289,10 +286,6 @@ func TestE17GatewayAcceptance(t *testing.T) {
 			t.Errorf("%s: completed %s ops, want 8000", phase, r[1])
 		}
 	}
-	ratio, err := strconv.ParseFloat(strings.TrimSuffix(row("probe p99 HTTP vs in-process")[4], "x"), 64)
-	if err != nil || ratio > 2 {
-		t.Errorf("cached-read p99 over HTTP = %sx in-process, want <= 2x", row("probe p99 HTTP vs in-process")[4])
-	}
 	if r := row("fleet strict"); r[6] == "0" {
 		t.Error("strict admission setting rejected nothing; overload was not exercised")
 	}
@@ -313,9 +306,9 @@ func TestE17GatewayAcceptance(t *testing.T) {
 // hot reads account for >= 95% of server-side request wall time, one
 // front-door scrape is fully parseable and shows counter families
 // from all six subsystems (with the workload actually visible in
-// them), the traced distributed job reaches the worker runtime, and
-// the gateway's per-request instrument set prices under 2% on a hot
-// cached read.
+// them) and the traced distributed job reaches the worker runtime.
+// The instrument set's overhead on a hot cached read is reported, not
+// asserted (bench/ ledger: trace.overhead_ratio).
 func TestE19ObservabilityAcceptance(t *testing.T) {
 	tbl, err := E19Observability()
 	if err != nil {
@@ -351,17 +344,6 @@ func TestE19ObservabilityAcceptance(t *testing.T) {
 	}
 	if !strings.Contains(row("layers in a traced read"), "cache") {
 		t.Errorf("read trace layers = %s, missing the cache", row("layers in a traced read"))
-	}
-	// The 2% bound holds only where nanoseconds are measurable: the
-	// race detector multiplies every memory access, so the delta it
-	// measures is the race runtime's, not the instrument set's.
-	if !raceDetector {
-		instr := row("with the gateway instrument set")
-		open := strings.Index(instr, "(")
-		ovh, err := strconv.ParseFloat(strings.TrimSuffix(instr[open+1:], "%)"), 64)
-		if err != nil || ovh > 2 {
-			t.Errorf("instrument-set overhead = %s, want <= +2%%", instr)
-		}
 	}
 }
 

@@ -4,8 +4,3 @@ package experiments
 
 // raceScale is 1 in normal builds; see race_on.go.
 const raceScale = 1
-
-// raceDetector gates assertions that bound nanosecond-scale costs
-// (E19's instrument overhead): under the race detector the measured
-// quantity is the race runtime, not the instrument.
-const raceDetector = false

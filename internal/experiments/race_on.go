@@ -11,6 +11,3 @@ package experiments
 // not of the system under test. Stretching the cadence keeps the
 // same protocol behaviour at a load the instrumented build can carry.
 const raceScale = 16
-
-// raceDetector mirrors race_off.go; see there.
-const raceDetector = true

@@ -42,19 +42,11 @@ import (
 type Options struct {
 	// DFSNodes is the analysis cluster size (paper: 60).
 	DFSNodes int
-	// DFSRacks spreads nodes across racks (paper-era: 4 racks).
-	DFSRacks int
 	// DFSBlockSize is the HDFS block size (paper-era default 64 MiB;
 	// tests use smaller).
 	DFSBlockSize units.Bytes
-	// DFSNodeCapacity bounds each datanode (110 TB / 60 at full scale).
-	DFSNodeCapacity units.Bytes
 	// Replication is the HDFS replication factor (default 3).
 	Replication int
-	// DFSReplicaStreams bounds concurrent block replica transfers
-	// across the cluster — the write-pipeline fan-out (default
-	// 4×GOMAXPROCS).
-	DFSReplicaStreams int
 	// ShuffleMemory is the default per-map-task intermediate buffer
 	// for MapReduce jobs run through the facility: tasks exceeding it
 	// spill sorted runs to the analysis cluster's DFS and reducers
@@ -76,13 +68,6 @@ type Options struct {
 	// ("" = loopback ephemeral). Set it to a routable address to let
 	// out-of-process lsdf-worker runtimes join the facility's fleet.
 	ComputeAddr string
-	// JobTemplates is the named-job registry shared by the master and
-	// every worker (default mapreduce.Builtin). Operators register
-	// community analyses here.
-	JobTemplates mapreduce.Registry
-	// TenantWeights sets per-tenant fair-share weights on the compute
-	// master (unlisted tenants weigh 1).
-	TenantWeights map[string]int
 	// AsyncWorkflows > 0 runs triggered workflows on that many workers.
 	AsyncWorkflows int
 	// MetadataShards overrides the metadata store's shard count
@@ -93,9 +78,6 @@ type Options struct {
 	// goroutine. Deterministic consumers should call Meta.Flush
 	// before inspecting trigger/rule effects.
 	AsyncEvents bool
-	// EventQueue bounds each subscriber's event queue when
-	// AsyncEvents is set (default 256).
-	EventQueue int
 	// WALDir enables durable metadata when non-empty: every mutation
 	// is journaled to a per-shard write-ahead log under this
 	// directory before it is acknowledged, compacted snapshots are
@@ -141,12 +123,6 @@ type Options struct {
 	// MinReplicas is the replication target per object (default 2,
 	// capped at len(Sites)).
 	MinReplicas int
-	// ReplicaStreams sizes the replication engine's transfer worker
-	// pool (default 4).
-	ReplicaStreams int
-	// ReplicaWAN, when set, paces inter-site transfers by per-pair
-	// bandwidth/latency (degraded-link experiments); nil = LAN speed.
-	ReplicaWAN *replication.WAN
 
 	// ReadCacheMemory enables the hot-set read cache in front of the
 	// /sites federation when > 0: a byte-budgeted in-memory tier with
@@ -162,25 +138,21 @@ type Options struct {
 	// at startup are re-admitted (a restarted facility keeps its
 	// warmed set).
 	ReadCacheDir string
-	// ReadCacheNegTTL enables the cache's negative tier: not-found
-	// lookups are remembered this long (invalidated early by created
-	// events on the bus), so polling for an object that hasn't arrived
-	// yet stops probing every federation site on each poll.
-	ReadCacheNegTTL time.Duration
 }
+
+// The analysis cluster's fixed shape: datanodes alternate between two
+// racks and hold up to 4 GiB each.
+const (
+	dfsRacks        = 2
+	dfsNodeCapacity = 4 * units.GiB
+)
 
 func (o Options) withDefaults() Options {
 	if o.DFSNodes <= 0 {
 		o.DFSNodes = 8
 	}
-	if o.DFSRacks <= 0 {
-		o.DFSRacks = 2
-	}
 	if o.DFSBlockSize <= 0 {
 		o.DFSBlockSize = 4 * units.MiB
-	}
-	if o.DFSNodeCapacity <= 0 {
-		o.DFSNodeCapacity = 4 * units.GiB
 	}
 	if o.Replication <= 0 {
 		o.Replication = 3
@@ -252,14 +224,13 @@ func New(opts Options) (*Facility, error) {
 	tracer := obs.NewTracer(512)
 
 	cluster := dfs.NewCluster(dfs.Config{
-		BlockSize:         opts.DFSBlockSize,
-		Replication:       opts.Replication,
-		Seed:              1,
-		MaxReplicaStreams: opts.DFSReplicaStreams,
+		BlockSize:   opts.DFSBlockSize,
+		Replication: opts.Replication,
+		Seed:        1,
 	})
 	for i := 0; i < opts.DFSNodes; i++ {
-		rack := fmt.Sprintf("rack%d", i%opts.DFSRacks)
-		if _, err := cluster.AddDataNode(fmt.Sprintf("dn%03d", i), rack, opts.DFSNodeCapacity); err != nil {
+		rack := fmt.Sprintf("rack%d", i%dfsRacks)
+		if _, err := cluster.AddDataNode(fmt.Sprintf("dn%03d", i), rack, dfsNodeCapacity); err != nil {
 			return nil, err
 		}
 	}
@@ -279,7 +250,6 @@ func New(opts Options) (*Facility, error) {
 	meta, err := metadata.Open(metadata.Options{
 		Shards:              opts.MetadataShards,
 		Async:               opts.AsyncEvents,
-		QueueLen:            opts.EventQueue,
 		WALDir:              opts.WALDir,
 		SnapshotEvery:       opts.SnapshotEvery,
 		GroupCommitInterval: opts.GroupCommitInterval,
@@ -333,8 +303,6 @@ func New(opts Options) (*Facility, error) {
 			Catalog:     repCatalog,
 			Sites:       fedSites,
 			MinReplicas: opts.MinReplicas,
-			Streams:     opts.ReplicaStreams,
-			WAN:         opts.ReplicaWAN,
 			Meta:        meta,
 			MountPrefix: "/sites",
 		})
@@ -364,7 +332,6 @@ func New(opts Options) (*Facility, error) {
 			Memory:      opts.ReadCacheMemory,
 			Disk:        diskTier,
 			DiskBudget:  opts.ReadCacheDisk,
-			NegTTL:      opts.ReadCacheNegTTL,
 			Meta:        meta,
 			MountPrefix: "/sites",
 			Obs:         reg,
@@ -415,10 +382,7 @@ func New(opts Options) (*Facility, error) {
 	f.Orchestrator = workflow.NewOrchestrator(layer, meta, opts.AsyncWorkflows)
 	f.Rules = rules.NewEngine(layer, meta)
 
-	f.templates = opts.JobTemplates
-	if f.templates == nil {
-		f.templates = mapreduce.Builtin()
-	}
+	f.templates = mapreduce.Builtin()
 	if opts.ComputeWorkers > 0 {
 		master, err := mapreduce.NewMaster(mapreduce.MasterConfig{
 			Cluster:       cluster,
@@ -432,9 +396,6 @@ func New(opts Options) (*Facility, error) {
 			return nil, err
 		}
 		f.Compute = master
-		for tenant, w := range opts.TenantWeights {
-			master.SetTenantWeight(tenant, w)
-		}
 		nodes := cluster.DataNodes()
 		for i := 0; i < opts.ComputeWorkers; i++ {
 			w, err := mapreduce.StartWorker(mapreduce.WorkerConfig{

@@ -12,13 +12,8 @@ import (
 func ForFacility(f *facility.Facility, cfg Config) (*Server, error) {
 	cfg.Layer = f.Layer
 	cfg.Meta = f.Meta
-	if cfg.RunJob == nil {
-		cfg.RunJob = f.RunJob
-	}
-	if cfg.RunSpec == nil {
-		cfg.RunSpec = f.SubmitNamedJob
-		cfg.HasJob = f.HasJobTemplate
-	}
+	cfg.RunSpec = f.SubmitNamedJob
+	cfg.HasJob = f.HasJobTemplate
 	// The gateway instruments into the facility's shared registry and
 	// trace ring, so GET /metrics is one scrape for the whole stack
 	// and a request's trace carries spans from every layer it crossed.

@@ -29,9 +29,8 @@
 package gateway
 
 import (
+	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -45,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/adal"
+	"repro/internal/ingest"
 	"repro/internal/mapreduce"
 	"repro/internal/metadata"
 	"repro/internal/mrpc"
@@ -60,39 +60,17 @@ type Config struct {
 	// Meta is the project metadata DB (required).
 	Meta *metadata.Store
 	// Tenants declares the communities and their limits. The gateway
-	// builds a TokenAuth and ACL from them unless Auth/ACL are set.
+	// builds its TokenAuth and ACL from them.
 	Tenants []Tenant
-	// Auth overrides the tenant-built authenticator (pluggable
-	// mechanisms, per the paper). Principals authenticated by a
-	// custom Auth are metered under default tenant limits.
-	Auth adal.Authenticator
-	// ACL overrides the tenant-built ACL.
-	ACL *adal.ACL
-	// RunJob executes a MapReduce job (facility.RunJob); nil disables
-	// the /v1/jobs endpoints with 501.
-	RunJob func(mapreduce.Config) (*mapreduce.Result, error)
-	// RunSpec, when set, takes precedence over RunJob+Jobs for job
-	// submission: requests become wire-level job specs resolved and
-	// executed by the facility (facility.SubmitNamedJob) — on its
-	// distributed compute plane when one runs, with the submitting
-	// tenant carried through to the master's fair-share scheduler.
+	// RunSpec submits a job: the request becomes a wire-level job spec
+	// resolved and executed by the facility (facility.SubmitNamedJob)
+	// — on its distributed compute plane when one runs, with the
+	// submitting tenant carried through to the master's fair-share
+	// scheduler. nil disables the /v1/jobs endpoints with 501.
 	RunSpec func(spec mrpc.JobSpec, tenant string) (func() (*mapreduce.Result, error), error)
 	// HasJob reports whether the RunSpec registry knows a template —
 	// the pre-authorization 404 check (facility.HasJobTemplate).
 	HasJob func(name string) bool
-	// Jobs maps submittable job names to builders (default
-	// BuiltinJobs).
-	Jobs map[string]JobBuilder
-	// MaxJSONBody caps JSON request bodies — ingest batches, job
-	// submissions (default 8 MiB).
-	MaxJSONBody units.Bytes
-	// StreamChunkTimeout is the per-chunk socket deadline on streamed
-	// bodies: a client that reads (or writes) nothing for this long
-	// loses its connection (default 30s).
-	StreamChunkTimeout time.Duration
-	// DrainRetryAfter is the Retry-After hint on drain/admission 503s
-	// (default 1s).
-	DrainRetryAfter time.Duration
 	// Obs is the metrics registry the gateway instruments into and
 	// serves at GET /metrics. The facility passes its shared registry
 	// here so one scrape covers every subsystem; nil builds a private
@@ -104,27 +82,23 @@ type Config struct {
 	Tracer *obs.Tracer
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxJSONBody <= 0 {
-		c.MaxJSONBody = 8 * units.MiB
-	}
-	if c.StreamChunkTimeout <= 0 {
-		c.StreamChunkTimeout = 30 * time.Second
-	}
-	if c.DrainRetryAfter <= 0 {
-		c.DrainRetryAfter = time.Second
-	}
-	if c.Jobs == nil {
-		c.Jobs = BuiltinJobs()
-	}
-	return c
-}
+const (
+	// maxJSONBody caps JSON request bodies — ingest batches, job
+	// submissions.
+	maxJSONBody = 8 * units.MiB
+	// streamChunkTimeout is the per-chunk socket deadline on streamed
+	// bodies: a client that reads (or writes) nothing for this long
+	// loses its connection.
+	streamChunkTimeout = 30 * time.Second
+	// drainRetryAfter is the Retry-After hint on drain/admission 503s.
+	drainRetryAfter = time.Second
+)
 
 // Server is the lsdfd HTTP front door. It implements http.Handler;
 // wrap it in an http.Server (or httptest) to serve.
 type Server struct {
 	cfg   Config
-	authn adal.Authenticator
+	authn *adal.TokenAuth
 	acl   *adal.ACL
 	al    *adal.AuthLayer
 	mux   *http.ServeMux
@@ -137,8 +111,7 @@ type Server struct {
 	draining atomic.Bool
 	inFlight atomic.Int64
 
-	mu      sync.Mutex
-	tenants map[string]*tenantState
+	tenants map[string]*tenantState // fixed at New; read-only after
 
 	jobsMu sync.Mutex
 	jobSeq int64
@@ -167,35 +140,14 @@ func newGWMetrics(reg *obs.Registry) gwMetrics {
 	}
 }
 
-// New builds a gateway. Layer and Meta are required; Tenants (or a
-// custom Auth/ACL pair) define who may call it.
+// New builds a gateway. Layer and Meta are required; Tenants define
+// who may call it.
 func New(cfg Config) (*Server, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Layer == nil || cfg.Meta == nil {
 		return nil, fmt.Errorf("gateway: Layer and Meta are required")
 	}
-	authn := cfg.Auth
-	acl := cfg.ACL
-	if authn == nil {
-		ta := adal.NewTokenAuth()
-		for _, t := range cfg.Tenants {
-			t = t.withDefaults()
-			ta.Register(t.Token, adal.Principal{User: t.Name, Groups: []string{t.Name}})
-		}
-		authn = ta
-	}
-	if acl == nil {
-		acl = adal.NewACL()
-		for _, t := range cfg.Tenants {
-			t = t.withDefaults()
-			for _, p := range t.Prefixes {
-				acl.Allow(t.Name, p, adal.PermRead|adal.PermWrite)
-			}
-			for _, p := range t.ReadPrefixes {
-				acl.Allow(t.Name, p, adal.PermRead)
-			}
-		}
-	}
+	authn := adal.NewTokenAuth()
+	acl := adal.NewACL()
 	reg := cfg.Obs
 	if reg == nil {
 		reg = obs.New()
@@ -225,6 +177,13 @@ func New(cfg Config) (*Server, error) {
 	})
 	for _, t := range cfg.Tenants {
 		t = t.withDefaults()
+		authn.Register(t.Token, adal.Principal{User: t.Name, Groups: []string{t.Name}})
+		for _, p := range t.Prefixes {
+			acl.Allow(t.Name, p, adal.PermRead|adal.PermWrite)
+		}
+		for _, p := range t.ReadPrefixes {
+			acl.Allow(t.Name, p, adal.PermRead)
+		}
 		s.tenants[t.Name] = newTenantState(t, s.met)
 	}
 	mux := http.NewServeMux()
@@ -300,27 +259,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // Stats snapshots every tenant's traffic counters.
 func (s *Server) Stats() map[string]TenantStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	out := make(map[string]TenantStats, len(s.tenants))
 	for name, ts := range s.tenants {
 		out[name] = ts.stats()
 	}
 	return out
-}
-
-// tenantFor returns the limit/metering state for an authenticated
-// principal, creating a default-limits entry for principals minted
-// by a custom Authenticator.
-func (s *Server) tenantFor(p adal.Principal) *tenantState {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ts, ok := s.tenants[p.User]
-	if !ok {
-		ts = newTenantState(Tenant{Name: p.User}, s.met)
-		s.tenants[p.User] = ts
-	}
-	return ts
 }
 
 // authInfo rides the request context from the front-door middleware
@@ -387,7 +330,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.inFlight.Add(1)
 	defer s.inFlight.Add(-1)
 	if s.draining.Load() {
-		retryAfter(ew, s.cfg.DrainRetryAfter)
+		retryAfter(ew, drainRetryAfter)
 		writeErr(ew, http.StatusServiceUnavailable, "draining", "lsdfd is draining; retry against another instance")
 		return
 	}
@@ -415,7 +358,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeErr(ew, http.StatusUnauthorized, "unauthenticated", err.Error())
 		return
 	}
-	tenant := s.tenantFor(principal)
+	tenant := s.tenants[principal.User] // every token names a declared tenant
 	if ok, retry := tenant.allow(time.Now()); !ok {
 		tenant.throttled.Add(1)
 		retryAfter(ew, retry)
@@ -425,7 +368,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	if !tenant.admit() {
 		tenant.rejected.Add(1)
-		retryAfter(ew, s.cfg.DrainRetryAfter)
+		retryAfter(ew, drainRetryAfter)
 		writeErr(ew, http.StatusServiceUnavailable, "overloaded",
 			fmt.Sprintf("tenant %s at its in-flight limit", tenant.name))
 		return
@@ -535,7 +478,7 @@ func (s *Server) getObject(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
 	w.Header().Set("X-LSDF-Object-Size", strconv.FormatInt(size, 10))
 	w.WriteHeader(status)
-	n, _ := s.copyStream(w, io.LimitReader(rc, length), writeDeadline(w, s.cfg.StreamChunkTimeout))
+	n, _ := s.copyStream(w, io.LimitReader(rc, length), writeDeadline(w))
 	ai.tenant.bytesOut.Add(n)
 }
 
@@ -546,46 +489,32 @@ func (s *Server) putObject(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	wc, err := s.cfg.Layer.Create(fp)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	h := sha256.New()
-	n, err := s.copyStream(io.MultiWriter(wc, h), r.Body, readDeadline(w, s.cfg.StreamChunkTimeout))
-	ai.tenant.bytesIn.Add(n)
-	if err == nil {
-		err = wc.Close()
-	} else {
-		wc.Close()
-	}
-	if err != nil {
-		_ = s.cfg.Layer.Remove(fp) // never leave a half-written object
-		writeErr(w, http.StatusBadRequest, "write_failed", err.Error())
-		return
-	}
-	res := PutResult{Path: fp, Size: units.Bytes(n), SHA256: hex.EncodeToString(h.Sum(nil))}
-
+	body := &bodyReader{r: r.Body, arm: readDeadline(w)}
+	res := PutResult{Path: fp}
+	var err error
 	// ?project= registers the stored object as a dataset in the same
 	// request — tags atomically, and durably when the store journals
 	// (the response is the registration's group-commit ack).
 	if project := r.URL.Query().Get("project"); project != "" {
-		spec := metadata.CreateSpec{
-			Project:  project,
-			Path:     fp,
-			Size:     res.Size,
-			Checksum: res.SHA256,
-			Tags:     splitList(r.URL.Query().Get("tags")),
-		}
-		cr := s.cfg.Meta.CreateBatch([]metadata.CreateSpec{spec})[0]
-		if cr.Err != nil {
-			_ = s.cfg.Layer.Remove(fp)
-			s.fail(w, cr.Err)
-			return
-		}
-		res.DatasetID = cr.Dataset.ID
+		cr := ingest.StoreBatch(s.cfg.Layer, s.cfg.Meta, []*ingest.Object{{
+			Project: project,
+			Path:    fp,
+			Data:    body,
+			Tags:    splitList(r.URL.Query().Get("tags")),
+		}})[0]
+		res.Size, res.SHA256, res.DatasetID, err = cr.Dataset.Size, cr.Dataset.Checksum, cr.Dataset.ID, cr.Err
+	} else {
+		res.Size, res.SHA256, err = s.cfg.Layer.WriteChecksummed(fp, body)
 	}
-	writeJSON(w, http.StatusCreated, res)
+	ai.tenant.bytesIn.Add(body.n)
+	switch {
+	case body.err != nil:
+		writeErr(w, http.StatusBadRequest, "write_failed", body.err.Error())
+	case err != nil:
+		s.fail(w, err)
+	default:
+		writeJSON(w, http.StatusCreated, res)
+	}
 }
 
 func (s *Server) deleteObject(w http.ResponseWriter, r *http.Request) {
@@ -757,14 +686,11 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", "empty ingest batch")
 		return
 	}
+	// The handler authorizes and meters; ingest.StoreBatch stores,
+	// registers and rolls back the authorized objects as one batch.
 	results := make([]IngestObjectResult, len(req.Objects))
-	// Store every authorized object first, then register the stored
-	// ones in one CreateBatch — the PR 1 bulk path, one shard-lock
-	// round (and with a WAL, one group commit) per touched shard.
-	// Registration failures remove their stored object: no object is
-	// ever stored-but-unregistered ("invisible data is lost data").
-	var specs []metadata.CreateSpec
-	var specIdx []int
+	var objs []*ingest.Object
+	var objIdx []int
 	for i, obj := range req.Objects {
 		fp := path.Clean("/" + strings.TrimPrefix(obj.Path, "/"))
 		results[i].Path = fp
@@ -772,49 +698,30 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 			results[i].Error = err.Error()
 			continue
 		}
-		wc, err := s.cfg.Layer.Create(fp)
-		if err != nil {
-			results[i].Error = err.Error()
-			continue
-		}
-		h := sha256.New()
-		h.Write(obj.Data)
-		_, werr := wc.Write(obj.Data)
-		if cerr := wc.Close(); werr == nil {
-			werr = cerr
-		}
-		if werr != nil {
-			_ = s.cfg.Layer.Remove(fp)
-			results[i].Error = werr.Error()
-			continue
-		}
-		ai.tenant.bytesIn.Add(int64(len(obj.Data)))
-		results[i].Size = units.Bytes(len(obj.Data))
-		results[i].SHA256 = hex.EncodeToString(h.Sum(nil))
-		specs = append(specs, metadata.CreateSpec{
-			Project:  obj.Project,
-			Path:     fp,
-			Size:     results[i].Size,
-			Checksum: results[i].SHA256,
-			Basic:    obj.Basic,
-			Tags:     obj.Tags,
+		objs = append(objs, &ingest.Object{
+			Project: obj.Project,
+			Path:    fp,
+			Data:    bytes.NewReader(obj.Data),
+			Basic:   obj.Basic,
+			Tags:    obj.Tags,
 		})
-		specIdx = append(specIdx, i)
+		objIdx = append(objIdx, i)
 	}
 	registered := 0
-	if len(specs) > 0 {
-		for j, cr := range s.cfg.Meta.CreateBatch(specs) {
-			i := specIdx[j]
-			if cr.Err != nil {
-				_ = s.cfg.Layer.Remove(results[i].Path)
-				results[i].Error = cr.Err.Error()
-				results[i].Size = 0
-				results[i].SHA256 = ""
-				continue
-			}
-			results[i].DatasetID = cr.Dataset.ID
-			registered++
+	for j, cr := range ingest.StoreBatch(s.cfg.Layer, s.cfg.Meta, objs) {
+		i := objIdx[j]
+		// Bytes the store consumed: all of a stored payload, none of one
+		// whose path was already taken.
+		unread := objs[j].Data.(*bytes.Reader).Len()
+		ai.tenant.bytesIn.Add(int64(len(req.Objects[i].Data) - unread))
+		if cr.Err != nil {
+			results[i].Error = cr.Err.Error()
+			continue
 		}
+		results[i].Size = cr.Dataset.Size
+		results[i].SHA256 = cr.Dataset.Checksum
+		results[i].DatasetID = cr.Dataset.ID
+		registered++
 	}
 	writeJSON(w, http.StatusOK, IngestResult{Results: results, Registered: registered})
 }
@@ -833,13 +740,13 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 // decodeJSON reads a bounded JSON body into v, writing the error
 // envelope itself when it fails.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	body := http.MaxBytesReader(w, r.Body, int64(s.cfg.MaxJSONBody))
+	body := http.MaxBytesReader(w, r.Body, int64(maxJSONBody))
 	dec := json.NewDecoder(body)
 	if err := dec.Decode(v); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeErr(w, http.StatusRequestEntityTooLarge, "payload_too_large",
-				fmt.Sprintf("JSON body over %s", s.cfg.MaxJSONBody.SI()))
+				fmt.Sprintf("JSON body over %s", maxJSONBody.SI()))
 			return false
 		}
 		writeErr(w, http.StatusBadRequest, "bad_json", err.Error())
@@ -863,17 +770,42 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	}
 }
 
+// bodyReader is a streamed request body as the store reads it: the
+// socket read deadline is armed before every chunk, so a client that
+// sends nothing for streamChunkTimeout loses its connection. It keeps
+// the byte count for the tenant's meter and the body's own failure for
+// the wire mapping (a client's broken upload is a 400, not a 500).
+type bodyReader struct {
+	r   io.Reader
+	arm func() error
+	n   int64
+	err error
+}
+
+func (b *bodyReader) Read(p []byte) (int, error) {
+	if err := b.arm(); err != nil {
+		b.err = err
+		return 0, err
+	}
+	n, err := b.r.Read(p)
+	b.n += int64(n)
+	if err != nil && err != io.EOF {
+		b.err = err
+	}
+	return n, err
+}
+
 // copyStream moves a body chunk by chunk through a pooled buffer,
 // arming the socket deadline before every chunk: the transfer runs
 // at the slower end's pace (connection-level backpressure), but a
-// peer that stalls completely is cut off after StreamChunkTimeout.
+// peer that stalls completely is cut off after streamChunkTimeout.
 func (s *Server) copyStream(dst io.Writer, src io.Reader, deadline func() error) (int64, error) {
 	bp := streamBufPool.Get().(*[]byte)
 	defer streamBufPool.Put(bp)
 	buf := *bp
 	var total int64
 	for {
-		if err := deadline(); err != nil && !errors.Is(err, http.ErrNotSupported) {
+		if err := deadline(); err != nil {
 			return total, err
 		}
 		n, rerr := src.Read(buf)
@@ -900,14 +832,24 @@ var streamBufPool = sync.Pool{
 	},
 }
 
-func writeDeadline(w http.ResponseWriter, d time.Duration) func() error {
-	rc := http.NewResponseController(w)
-	return func() error { return rc.SetWriteDeadline(time.Now().Add(d)) }
+// writeDeadline and readDeadline return the function that arms the
+// connection's per-chunk deadline, streamChunkTimeout from now. A
+// writer without deadlines (a test recorder) streams unguarded.
+func writeDeadline(w http.ResponseWriter) func() error {
+	return chunkDeadline(http.NewResponseController(w).SetWriteDeadline)
 }
 
-func readDeadline(w http.ResponseWriter, d time.Duration) func() error {
-	rc := http.NewResponseController(w)
-	return func() error { return rc.SetReadDeadline(time.Now().Add(d)) }
+func readDeadline(w http.ResponseWriter) func() error {
+	return chunkDeadline(http.NewResponseController(w).SetReadDeadline)
+}
+
+func chunkDeadline(set func(time.Time) error) func() error {
+	return func() error {
+		if err := set(time.Now().Add(streamChunkTimeout)); !errors.Is(err, http.ErrNotSupported) {
+			return err
+		}
+		return nil
+	}
 }
 
 // parseRange interprets a single-range "bytes=a-b" header against

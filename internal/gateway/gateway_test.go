@@ -291,8 +291,12 @@ func TestErrorContract(t *testing.T) {
 		{"denied path", errOnly(c.Stat(ctx, "/ddn/other/x")), 403, "denied"},
 		{"missing object", errOnly(c.Stat(ctx, "/ddn/bio/nope")), 404, "not_found"},
 		{"missing dataset", errOnly(c.Dataset(ctx, "/ddn/bio/nope")), 404, "not_found"},
+		// /x and /y are outside the tenant's grant: an unknown template
+		// 404s before authorization, a known one reaches it.
 		{"unknown job template", errOnly(c.SubmitJob(ctx, gateway.JobRequest{
 			Job: "no-such", Inputs: []string{"/x"}, OutputDir: "/y"})), 404, "unknown_job"},
+		{"known job, foreign paths", errOnly(c.SubmitJob(ctx, gateway.JobRequest{
+			Job: "wordcount", Inputs: []string{"/x"}, OutputDir: "/y"})), 403, "denied"},
 	}
 	for _, tc := range checks {
 		if tc.status == 0 {

@@ -1,12 +1,10 @@
 package gateway
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -15,85 +13,6 @@ import (
 	"repro/internal/mrpc"
 	"repro/internal/obs"
 )
-
-// Map and reduce functions are Go code — they cannot cross the wire.
-// What crosses the wire is a job *name* resolved against a server-side
-// template registry, Hadoop-streaming style: the operator registers
-// the community's analysis programs once, and experiments submit
-// (name, inputs, output, args) tuples. JobBuilder turns one request
-// into a runnable config; the server then fills in Inputs/OutputDir/
-// NumReducers from the request and hands it to Config.RunJob.
-type JobBuilder func(req JobRequest) (mapreduce.Config, error)
-
-// BuiltinJobs is the default template registry: the generic text
-// analyses every facility offers. Facility-specific jobs (k-mer
-// counting, MIP visualization) are registered alongside by the
-// operator.
-func BuiltinJobs() map[string]JobBuilder {
-	return map[string]JobBuilder{
-		"wordcount": func(JobRequest) (mapreduce.Config, error) {
-			return mapreduce.Config{
-				Mapper: mapreduce.MapperFunc(func(_ string, value []byte, emit mapreduce.Emit) error {
-					for _, f := range bytes.Fields(value) {
-						emit(string(f), one)
-					}
-					return nil
-				}),
-				Combiner: sumReducer(),
-				Reducer:  sumReducer(),
-				Format:   mapreduce.TextInput,
-				Locality: true,
-			}, nil
-		},
-		"linecount": func(JobRequest) (mapreduce.Config, error) {
-			return mapreduce.Config{
-				Mapper: mapreduce.MapperFunc(func(_ string, _ []byte, emit mapreduce.Emit) error {
-					emit("lines", one)
-					return nil
-				}),
-				Combiner: sumReducer(),
-				Reducer:  sumReducer(),
-				Format:   mapreduce.TextInput,
-				Locality: true,
-			}, nil
-		},
-		"grep": func(req JobRequest) (mapreduce.Config, error) {
-			pattern := req.Args["pattern"]
-			if pattern == "" {
-				return mapreduce.Config{}, fmt.Errorf("grep needs args.pattern")
-			}
-			pat := []byte(pattern)
-			return mapreduce.Config{
-				Mapper: mapreduce.MapperFunc(func(key string, value []byte, emit mapreduce.Emit) error {
-					if bytes.Contains(value, pat) {
-						emit(key, value)
-					}
-					return nil
-				}),
-				Format:   mapreduce.TextInput,
-				MapOnly:  true,
-				Locality: true,
-			}, nil
-		},
-	}
-}
-
-var one = []byte("1")
-
-func sumReducer() mapreduce.Reducer {
-	return mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-		total := 0
-		for _, v := range values {
-			n, err := strconv.Atoi(string(bytes.TrimSpace(v)))
-			if err != nil {
-				return fmt.Errorf("non-numeric count for %q: %w", key, err)
-			}
-			total += n
-		}
-		emit(key, []byte(strconv.Itoa(total)))
-		return nil
-	})
-}
 
 // jobState tracks one submitted job; mutated only under Server.jobsMu.
 type jobState struct {
@@ -121,7 +40,7 @@ func (j *jobState) status() JobStatus {
 
 func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	ai := reqAuth(r)
-	if s.cfg.RunJob == nil && s.cfg.RunSpec == nil {
+	if s.cfg.RunSpec == nil {
 		writeErr(w, http.StatusNotImplemented, "jobs_disabled", "this lsdfd has no analysis cluster")
 		return
 	}
@@ -133,15 +52,12 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "bad_request", "job needs inputs and output_dir")
 		return
 	}
-	// Unknown templates 404 before authorization (name existence is
-	// not path-private); the spec path asks its registry through
-	// Config.HasJob, the legacy path its builder map.
-	if s.cfg.RunSpec != nil {
-		if s.cfg.HasJob != nil && !s.cfg.HasJob(req.Job) {
-			writeErr(w, http.StatusNotFound, "unknown_job", fmt.Sprintf("no job template %q", req.Job))
-			return
-		}
-	} else if _, ok := s.cfg.Jobs[req.Job]; !ok {
+	// Map and reduce functions are Go code — they cannot cross the
+	// wire. What crosses it is a job *name* resolved against the
+	// facility's template registry (mapreduce.Registry). Unknown
+	// templates 404 before authorization: name existence is not
+	// path-private.
+	if s.cfg.HasJob != nil && !s.cfg.HasJob(req.Job) {
 		writeErr(w, http.StatusNotFound, "unknown_job", fmt.Sprintf("no job template %q", req.Job))
 		return
 	}
@@ -159,45 +75,24 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Resolve the execution path: RunSpec hands the request to the
-	// facility as a wire-level spec (distributed master when one
-	// runs); the legacy RunJob path builds the config gateway-side.
-	var run func() (*mapreduce.Result, error)
-	if s.cfg.RunSpec != nil {
-		// The request's trace ID rides the spec, so the master's job
-		// span and the workers' attempt spans land in the same trace
-		// as the gateway's gw.submit_job.
-		wait, err := s.cfg.RunSpec(mrpc.JobSpec{
-			Name:        req.Job,
-			Inputs:      req.Inputs,
-			OutputDir:   req.OutputDir,
-			NumReducers: req.NumReducers,
-			Args:        req.Args,
-			Trace:       obs.TraceID(r.Context()),
-		}, ai.tenant.name)
-		if err != nil {
-			if errors.Is(err, mapreduce.ErrUnknownTemplate) {
-				writeErr(w, http.StatusNotFound, "unknown_job", err.Error())
-			} else {
-				writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-			}
-			return
-		}
-		run = wait
-	} else {
-		builder := s.cfg.Jobs[req.Job]
-		cfg, err := builder(req)
-		if err != nil {
+	// The request's trace ID rides the spec, so the master's job span
+	// and the workers' attempt spans land in the same trace as the
+	// gateway's gw.submit_job.
+	run, err := s.cfg.RunSpec(mrpc.JobSpec{
+		Name:        req.Job,
+		Inputs:      req.Inputs,
+		OutputDir:   req.OutputDir,
+		NumReducers: req.NumReducers,
+		Args:        req.Args,
+		Trace:       obs.TraceID(r.Context()),
+	}, ai.tenant.name)
+	if err != nil {
+		if errors.Is(err, mapreduce.ErrUnknownTemplate) {
+			writeErr(w, http.StatusNotFound, "unknown_job", err.Error())
+		} else {
 			writeErr(w, http.StatusBadRequest, "bad_request", err.Error())
-			return
 		}
-		cfg.Name = req.Job
-		cfg.Inputs = req.Inputs
-		cfg.OutputDir = req.OutputDir
-		if req.NumReducers > 0 {
-			cfg.NumReducers = req.NumReducers
-		}
-		run = func() (*mapreduce.Result, error) { return s.cfg.RunJob(cfg) }
+		return
 	}
 
 	s.jobsMu.Lock()

@@ -104,7 +104,7 @@ type IngestResult struct {
 
 // JobRequest submits a named analysis job over DFS paths.
 type JobRequest struct {
-	// Job names a server-side job template ("wordcount", ...).
+	// Job names a server-side job template (mapreduce.Registry).
 	Job string `json:"job"`
 	// Inputs are analysis-cluster (DFS) paths.
 	Inputs []string `json:"inputs"`

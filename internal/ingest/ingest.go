@@ -9,13 +9,12 @@
 // every stored object becomes a metadata dataset, optionally tagged
 // so rule engines and workflow triggers can react.
 //
-// Registration exploits the metadata store's sharding: with
-// Config.BatchSize > 1 each worker accumulates stored objects and
-// registers them through metadata.CreateBatch, which takes one
-// shard-lock round per touched shard (tags included) instead of one
-// lock round per dataset — the bulk path for high-rate DAQ streams.
-// BatchSize 1 preserves the original object-at-a-time behavior and
-// its error timing exactly.
+// StoreBatch is the facility's one store-and-register rule: store
+// checksummed, register every stored object (tags included) in one
+// metadata.CreateBatch, remove the bytes of any object whose
+// registration failed. The pipeline, core.Store/StoreBatch, the
+// gateway's ingest and PUT ?project= handlers and lsdfctl ingest all
+// call it; none of them re-implements the rollback.
 package ingest
 
 import (
@@ -38,11 +37,7 @@ type Object struct {
 	Path    string // target federated path
 	Data    io.Reader
 	Basic   map[string]string // experiment-specific basic metadata
-	Tags    []string          // applied after registration
-
-	// checksum carries the stored object's digest between the write
-	// and the deferred batched registration.
-	checksum string
+	Tags    []string          // applied atomically with the registration
 }
 
 // Producer yields objects until io.EOF. Implementations need not be
@@ -79,9 +74,9 @@ type Premigrater interface {
 // Config tunes a pipeline.
 type Config struct {
 	Workers int // parallel store+register workers; default 4
-	// BatchSize > 1 makes each worker register stored objects in
-	// groups of up to BatchSize through metadata.CreateBatch (one
-	// shard-lock round per shard). Default 1: register per object.
+	// BatchSize is how many objects a worker hands to StoreBatch at
+	// once: one shard-lock round (and, on a durable store, one group
+	// commit) per touched shard per batch. Default 1.
 	BatchSize int
 	// Premigrate switches the pipeline from write-through (default:
 	// bytes land on the hot tier only) to premigrate-on-ingest: after
@@ -159,24 +154,32 @@ func (p *Pipeline) Run(ctx context.Context, prod Producer) (Stats, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if p.cfg.BatchSize > 1 {
-				p.runBatched(cctx, jobs, &stats, fail)
-				return
+			batch := make([]*Object, 0, p.cfg.BatchSize)
+			flush := func() {
+				for i, r := range StoreBatch(p.layer, p.meta, batch) {
+					if r.Err != nil {
+						fail(batch[i], r.Err)
+						continue
+					}
+					atomic.AddInt64(&stats.Objects, 1)
+					atomic.AddInt64((*int64)(&stats.Bytes), int64(r.Dataset.Size))
+					p.premigrate(batch[i])
+				}
+				batch = batch[:0]
 			}
+			// After cancellation, drain without starting new stores:
+			// objects not yet handed to StoreBatch are neither stored nor
+			// registered, so the store/metadata invariant holds.
 			for obj := range jobs {
-				// After cancellation, drain without starting new
-				// stores: unprocessed objects are neither stored nor
-				// registered, so the store/metadata invariant holds.
 				if cctx.Err() != nil {
 					continue
 				}
-				n, err := p.ingestOne(obj)
-				if err != nil {
-					fail(obj, err)
-					continue
+				if batch = append(batch, obj); len(batch) >= p.cfg.BatchSize {
+					flush()
 				}
-				atomic.AddInt64(&stats.Objects, 1)
-				atomic.AddInt64((*int64)(&stats.Bytes), int64(n))
+			}
+			if cctx.Err() == nil {
+				flush()
 			}
 		}()
 	}
@@ -209,92 +212,48 @@ feed:
 	return stats, nil
 }
 
-// runBatched is one worker's loop in batched mode: store each
-// object's bytes immediately, then register up to BatchSize of them
-// in one metadata.CreateBatch round. A registration failure rolls
-// back that object's stored bytes, so the facility never holds
-// invisible data, batched or not. On cancellation the worker stops
-// storing new objects but still flushes the batch it has already
-// stored — those bytes are on disk, so they must become visible.
-func (p *Pipeline) runBatched(ctx context.Context, jobs <-chan *Object, stats *Stats, fail func(*Object, error)) {
-	type pending struct {
-		obj  *Object
-		size units.Bytes
-	}
-	buf := make([]pending, 0, p.cfg.BatchSize)
-	specs := make([]metadata.CreateSpec, 0, p.cfg.BatchSize)
-	flush := func() {
-		if len(buf) == 0 {
-			return
-		}
-		specs = specs[:0]
-		for _, pd := range buf {
-			specs = append(specs, metadata.CreateSpec{
-				Project:  pd.obj.Project,
-				Path:     pd.obj.Path,
-				Size:     pd.size,
-				Checksum: pd.obj.checksum,
-				Basic:    pd.obj.Basic,
-				Tags:     pd.obj.Tags,
-			})
-		}
-		for i, r := range p.meta.CreateBatch(specs) {
-			if r.Err != nil {
-				_ = p.layer.Remove(buf[i].obj.Path)
-				fail(buf[i].obj, fmt.Errorf("ingest: register %s: %w", buf[i].obj.Path, r.Err))
-				continue
-			}
-			atomic.AddInt64(&stats.Objects, 1)
-			atomic.AddInt64((*int64)(&stats.Bytes), int64(buf[i].size))
-			p.premigrate(buf[i].obj)
-		}
-		buf = buf[:0]
-	}
-	for obj := range jobs {
-		if ctx.Err() != nil {
-			continue // cancelled: drain without storing
-		}
+// StoreBatch writes a group of objects and registers the stored ones
+// in one metadata.CreateBatch — tags folded into the creation, one
+// shard-lock round and, on a durable store, one WAL commit per touched
+// shard. Results are per-item and aligned with the input; a failed
+// item's stored bytes are removed, so the facility never holds
+// invisible data. The rollback can never delete another dataset's
+// bytes: Layer.Create fails with ErrExists on an occupied path, so a
+// write that succeeded — the only case that reaches the rollback — was
+// to a previously empty path this call owns.
+func StoreBatch(layer *adal.Layer, meta *metadata.Store, objs []*Object) []metadata.CreateResult {
+	results := make([]metadata.CreateResult, len(objs))
+	specs := make([]metadata.CreateSpec, 0, len(objs))
+	stored := make([]int, 0, len(objs)) // specs[j] describes objs[stored[j]]
+	for i, obj := range objs {
 		if obj.Data == nil {
-			fail(obj, errors.New("ingest: object without data"))
+			results[i].Err = errors.New("ingest: object without data")
 			continue
 		}
-		n, sum, err := p.layer.WriteChecksummed(obj.Path, obj.Data)
+		n, sum, err := layer.WriteChecksummed(obj.Path, obj.Data)
 		if err != nil {
-			fail(obj, fmt.Errorf("ingest: store %s: %w", obj.Path, err))
+			results[i].Err = fmt.Errorf("ingest: store %s: %w", obj.Path, err)
 			continue
 		}
-		obj.checksum = sum
-		buf = append(buf, pending{obj: obj, size: n})
-		if len(buf) >= p.cfg.BatchSize {
-			flush()
+		specs = append(specs, metadata.CreateSpec{
+			Project:  obj.Project,
+			Path:     obj.Path,
+			Size:     n,
+			Checksum: sum,
+			Basic:    obj.Basic,
+			Tags:     obj.Tags,
+		})
+		stored = append(stored, i)
+	}
+	for j, r := range meta.CreateBatch(specs) {
+		i := stored[j]
+		if r.Err != nil {
+			_ = layer.Remove(objs[i].Path)
+			r.Err = fmt.Errorf("ingest: register %s: %w", objs[i].Path, r.Err)
 		}
+		results[i] = r
 	}
-	flush()
-}
-
-// ingestOne stores and registers a single object.
-func (p *Pipeline) ingestOne(obj *Object) (units.Bytes, error) {
-	if obj.Data == nil {
-		return 0, errors.New("ingest: object without data")
-	}
-	n, sum, err := p.layer.WriteChecksummed(obj.Path, obj.Data)
-	if err != nil {
-		return 0, fmt.Errorf("ingest: store %s: %w", obj.Path, err)
-	}
-	ds, err := p.meta.Create(obj.Project, obj.Path, n, sum, obj.Basic)
-	if err != nil {
-		// Storage succeeded but registration failed: remove the orphan
-		// so the facility never holds invisible data.
-		_ = p.layer.Remove(obj.Path)
-		return 0, fmt.Errorf("ingest: register %s: %w", obj.Path, err)
-	}
-	for _, tag := range obj.Tags {
-		if err := p.meta.Tag(ds.ID, tag); err != nil {
-			return 0, fmt.Errorf("ingest: tag %s: %w", obj.Path, err)
-		}
-	}
-	p.premigrate(obj)
-	return n, nil
+	return results
 }
 
 // premigrate asks the backend serving a stored-and-registered

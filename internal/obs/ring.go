@@ -1,10 +1,12 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"net/http"
 	"strconv"
 	"sync"
+	"time"
 )
 
 // Tracer owns the bounded ring of recent traces. Memory is capped:
@@ -92,7 +94,12 @@ func (tr *Tracer) Attach(id string, spans []SpanData) {
 	}
 }
 
-// Lookup returns a snapshot of one trace, or false.
+// Lookup returns a snapshot of one trace, or false. The ring holds a
+// trace from its first span on, so the snapshot may be of a trace
+// still in progress: it is complete when OpenSpans is 0 — every span
+// started on it, the root included, has ended — and open otherwise (a
+// client that has read a response body can get here before the
+// handler's deferred root End). Use LookupComplete to wait for it.
 func (tr *Tracer) Lookup(id string) (TraceView, bool) {
 	if tr == nil {
 		return TraceView{}, false
@@ -104,6 +111,22 @@ func (tr *Tracer) Lookup(id string) (TraceView, bool) {
 		return TraceView{}, false
 	}
 	return t.snapshot(), true
+}
+
+// LookupComplete is Lookup that waits until the trace is complete. It
+// returns false, with the last view it saw, when ctx ends first.
+func (tr *Tracer) LookupComplete(ctx context.Context, id string) (TraceView, bool) {
+	for wait := 50 * time.Microsecond; ; wait *= 2 {
+		v, ok := tr.Lookup(id)
+		if ok && v.OpenSpans == 0 {
+			return v, true
+		}
+		select {
+		case <-ctx.Done():
+			return v, false
+		case <-time.After(wait):
+		}
+	}
 }
 
 // Recent returns snapshots of the most recent n traces, newest

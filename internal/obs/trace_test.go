@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestTraceRingProperties is the property test from the issue:
@@ -185,5 +186,59 @@ func TestTracerConcurrent(t *testing.T) {
 	wg.Wait()
 	if n := tr.Len(); n > 32 {
 		t.Errorf("ring overflow: %d", n)
+	}
+}
+
+// TestLookupCompleteWaitsForRootEnd pins the ring's completion
+// semantic (the E19 race): a trace is visible from its first span on,
+// Lookup marks it open while any span — the handler's deferred root
+// included — has not ended, and LookupComplete returns only a view
+// with no open spans that holds the root. Run under -race at 4 procs.
+func TestLookupCompleteWaitsForRootEnd(t *testing.T) {
+	tr := NewTracer(64)
+	var wg sync.WaitGroup
+	for i := 0; i < 32; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			td := tr.StartTrace("req")
+			root := StartSpanOn(td, "gw.request")
+			StartSpanOn(td, "gw.op").End()
+			// The "response" is out: a client may look the trace up now,
+			// before the deferred root End below.
+			if v, ok := tr.Lookup(td.ID); !ok || v.OpenSpans != 1 {
+				t.Errorf("open trace: ok=%v open=%d, want visible with 1 open span", ok, v.OpenSpans)
+			}
+			released := make(chan struct{})
+			go func() {
+				<-released
+				root.End()
+			}()
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+			defer cancel()
+			close(released)
+			v, ok := tr.LookupComplete(ctx, td.ID)
+			if !ok || v.OpenSpans != 0 {
+				t.Errorf("LookupComplete: ok=%v open=%d", ok, v.OpenSpans)
+				return
+			}
+			hasRoot := false
+			for _, sp := range v.Spans {
+				hasRoot = hasRoot || sp.Name == "gw.request"
+			}
+			if !hasRoot {
+				t.Errorf("complete view has no gw.request root: %+v", v.Spans)
+			}
+		}()
+	}
+	wg.Wait()
+
+	// A trace that never completes ends the wait with the context.
+	td := tr.StartTrace("stuck")
+	StartSpanOn(td, "gw.request")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	if v, ok := tr.LookupComplete(ctx, td.ID); ok || v.OpenSpans != 1 {
+		t.Errorf("stuck trace: ok=%v open=%d, want false with 1 open span", ok, v.OpenSpans)
 	}
 }

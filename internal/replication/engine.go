@@ -390,7 +390,9 @@ func (e *Engine) process(j job) {
 		e.catalog.Set(j.path, Replica{Site: j.dst, State: Pending})
 	}
 	if dst.IsDown() {
-		e.catalog.Mark(j.path, j.dst, Pending, ErrSiteDown.Error())
+		// The replica keeps its state: a Stale one still holds its
+		// bytes, and a reader may need them as the last resort once
+		// the site is back.
 		e.failures.Add(1)
 		return
 	}
@@ -402,11 +404,20 @@ func (e *Engine) process(j job) {
 	// world). A checksum match revalidates without moving a byte —
 	// this is what makes revive-convergence transfer-free.
 	if known {
-		if ok, sum, n := e.verifySite(dst, j.path, wantSum); ok {
+		sum, n, err := e.verifySite(dst, j.path)
+		if err == nil && sum == wantSum {
 			e.catalog.Set(j.path, Replica{
 				Site: j.dst, State: Valid, Size: n, Checksum: sum,
 			})
 			e.reverifies.Add(1)
+			return
+		}
+		if errors.Is(err, ErrSiteDown) {
+			// The site died under the verify, which proves nothing
+			// about its bytes: do not overwrite what may be an intact
+			// replica (a reader could be streaming it); the next Ensure
+			// verifies again.
+			e.failures.Add(1)
 			return
 		}
 	}
@@ -427,27 +438,30 @@ func (e *Engine) process(j job) {
 	st := Pending
 	if errors.Is(lastErr, ErrChecksum) {
 		st = Stale
+	} else if rep, _ := e.catalog.Get(j.path, j.dst); rep.State == Stale {
+		// copyOnce marks Copying once it has cleared the destination;
+		// still Stale means no attempt got that far and the old bytes
+		// are in place, so the replica stays readable as a last resort.
+		st = Stale
 	}
 	e.catalog.Mark(j.path, j.dst, st, lastErr.Error())
 	e.failures.Add(1)
 }
 
-// verifySite re-hashes the site's copy of path and compares it with
-// want. A failed open or read simply reports false — the caller
-// falls back to a fresh copy.
-func (e *Engine) verifySite(s *Site, path, want string) (bool, string, units.Bytes) {
+// verifySite re-hashes the site's copy of path and returns its
+// checksum and size, or the open/read error that stopped it.
+func (e *Engine) verifySite(s *Site, path string) (string, units.Bytes, error) {
 	r, err := s.open(path)
 	if err != nil {
-		return false, "", 0
+		return "", 0, err
 	}
 	defer r.Close()
 	h := sha256.New()
 	n, err := adal.PooledCopy(h, r)
 	if err != nil {
-		return false, "", 0
+		return "", 0, err
 	}
-	sum := hex.EncodeToString(h.Sum(nil))
-	return sum == want, sum, units.Bytes(n)
+	return hex.EncodeToString(h.Sum(nil)), units.Bytes(n), nil
 }
 
 // pairSlot returns the semaphore bounding concurrent transfers on
@@ -666,8 +680,8 @@ func (e *Engine) Verify(path string) (int, error) {
 		if rep.State != Valid && rep.State != Stale {
 			continue
 		}
-		ok2, sum, n := e.verifySite(s, path, wantSum)
-		if ok2 {
+		sum, n, err := e.verifySite(s, path)
+		if err == nil && sum == wantSum {
 			e.catalog.Set(path, Replica{Site: rep.Site, State: Valid, Size: n, Checksum: sum})
 			valid++
 		} else {

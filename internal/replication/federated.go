@@ -97,6 +97,9 @@ func (f *FederatedBackend) noteFailure(s *Site, path string, err error) {
 // readCandidates orders the sites worth trying for a read of path:
 // valid replicas nearest first, then stale ones (their bytes are
 // suspect but better than failing), skipping sites already tried.
+// tried is one read's record of the sites it has used up; the value
+// says the site was given up on only because it was down, so readmit
+// may offer it again once it is back.
 // Sites whose health gate is already down are returned separately —
 // dialing them is pointless, but the caller still owes them the
 // read-triggered bookkeeping (stale mark, failover count) so outage
@@ -104,7 +107,7 @@ func (f *FederatedBackend) noteFailure(s *Site, path string, err error) {
 func (f *FederatedBackend) readCandidates(path string, tried map[string]bool) (cands, down []*Site) {
 	var valid, stale []*Site
 	for _, rep := range f.catalog.Replicas(path) {
-		if tried[rep.Site] {
+		if _, seen := tried[rep.Site]; seen {
 			continue
 		}
 		s, ok := f.engine.Site(rep.Site)
@@ -142,11 +145,6 @@ func (f *FederatedBackend) noteDown(s *Site, path string, tried map[string]bool)
 	return err
 }
 
-// Open implements adal.Backend: nearest valid replica, transparent
-// failover, and a reader that keeps failing over mid-stream. Sites
-// already marked down are skipped without a dial attempt — and,
-// being added to tried, are never revisited within this call even
-// when a concurrent noteFailure re-shuffles the candidate set.
 // OpenCtx implements adal.CtxOpener: traced reads get a fed.open
 // span annotated with the replica site that won, so a trace shows
 // whether bytes came from the local site or crossed the WAN.
@@ -160,6 +158,28 @@ func (f *FederatedBackend) OpenCtx(ctx context.Context, path string) (io.ReadClo
 	return r, err
 }
 
+// readmit is called when a read has run out of candidates: it puts
+// back every site the read gave up on for being down that is up again
+// — under a kill/revive schedule the site seen down first is often
+// back by the time the last one fails — and reports whether there is
+// one. A read therefore fails only if no replica is reachable when it
+// gives up. Every retry needs a site to have come back, so the loop
+// ends when the outage does; it never sleeps.
+func (f *FederatedBackend) readmit(tried map[string]bool) bool {
+	back := false
+	for name, wasDown := range tried {
+		if s, ok := f.engine.Site(name); ok && wasDown && !s.IsDown() {
+			delete(tried, name)
+			back = true
+		}
+	}
+	return back
+}
+
+// Open implements adal.Backend: nearest valid replica, transparent
+// failover, and a reader that keeps failing over mid-stream. Sites
+// already marked down are skipped without a dial attempt and, being
+// added to tried, are not revisited while other candidates remain.
 func (f *FederatedBackend) Open(path string) (io.ReadCloser, error) {
 	if !f.catalog.Known(path) {
 		return nil, fmt.Errorf("%w: %s:%s", adal.ErrNotFound, f.name, path)
@@ -173,14 +193,17 @@ func (f *FederatedBackend) Open(path string) (io.ReadCloser, error) {
 			f.failovers.Add(1)
 		}
 		if len(cands) == 0 {
+			if f.readmit(tried) {
+				continue
+			}
 			if lastErr == nil {
 				lastErr = fmt.Errorf("%w: %s:%s (no readable replica)", adal.ErrNotFound, f.name, path)
 			}
 			return nil, lastErr
 		}
 		s := cands[0]
-		tried[s.Name] = true
 		r, err := s.open(path)
+		tried[s.Name] = errors.Is(err, ErrSiteDown)
 		if err != nil {
 			f.noteFailure(s, path, err)
 			f.failovers.Add(1)
@@ -215,6 +238,7 @@ func (r *failoverReader) Read(p []byte) (int, error) {
 			return n, err
 		}
 		r.fb.noteFailure(r.site, r.path, err)
+		r.tried[r.site.Name] = errors.Is(err, ErrSiteDown)
 		if !r.switchSource() {
 			return n, err
 		}
@@ -227,6 +251,7 @@ func (r *failoverReader) Read(p []byte) (int, error) {
 
 // switchSource opens the next untried candidate and fast-forwards it
 // to the current offset; known-down sites are skipped without a dial.
+// Like Open, it gives up only when readmit finds no site back.
 func (r *failoverReader) switchSource() bool {
 	for {
 		cands, down := r.fb.readCandidates(r.path, r.tried)
@@ -234,11 +259,14 @@ func (r *failoverReader) switchSource() bool {
 			_ = r.fb.noteDown(s, r.path, r.tried)
 		}
 		if len(cands) == 0 {
+			if r.fb.readmit(r.tried) {
+				continue
+			}
 			return false
 		}
 		s := cands[0]
-		r.tried[s.Name] = true
 		nr, err := s.openAt(r.path, r.offset)
+		r.tried[s.Name] = errors.Is(err, ErrSiteDown)
 		if err != nil {
 			r.fb.noteFailure(s, r.path, err)
 			continue

@@ -243,6 +243,43 @@ func TestFailoverReadMarksStaleAndReReplicates(t *testing.T) {
 	}
 }
 
+// flipBackend fails every Open as a site that died at the dial, after
+// running onOpen — the hook a test uses to move the outage on.
+type flipBackend struct {
+	adal.Backend
+	onOpen func()
+}
+
+func (f flipBackend) Open(string) (io.ReadCloser, error) {
+	f.onOpen()
+	return nil, fmt.Errorf("%w: at the dial", ErrSiteDown)
+}
+
+// TestOpenRevisitsSiteThatCameBack is the alternating kill/revive
+// schedule made deterministic: the reader skips kit (down), then loses
+// gridka at the dial — by which time kit is back and holds a valid
+// copy. A read fails only if no replica is reachable when it gives
+// up, so this one must succeed, from kit.
+func TestOpenRevisitsSiteThatCameBack(t *testing.T) {
+	fb, eng, cat, sites, _ := testFed(t, Config{})
+	data := bytes.Repeat([]byte("y"), 8*1024)
+	writeObject(t, fb, "/exp/alt", data)
+	eng.Wait()
+	kit, gridka := sites[0], sites[1]
+	if valid := cat.ValidSites("/exp/alt"); len(valid) != 2 || valid[0] != "gridka" || valid[1] != "kit" {
+		t.Fatalf("valid = %v, want gridka and kit", valid)
+	}
+	kit.SetDown(true)
+	gridka.Backend = flipBackend{Backend: gridka.Backend, onOpen: func() {
+		kit.SetDown(false)
+		gridka.SetDown(true)
+	}}
+	if got := readAll(t, fb, "/exp/alt"); !bytes.Equal(got, data) {
+		t.Fatal("read after the outage moved on returned wrong bytes")
+	}
+	eng.Wait()
+}
+
 func TestMidStreamFailover(t *testing.T) {
 	fb, eng, cat, sites, _ := testFed(t, Config{})
 	data := make([]byte, 256*1024)

@@ -876,6 +876,14 @@ func (t *TierBackend) Scan() {
 	}
 	var cands []cand
 	for p, e := range t.files {
+		if e.migrating && e.state != Migrated {
+			// Already queued by an earlier pass (or a forced Migrate)
+			// and not yet subtracted from hotUsed: its bytes are as
+			// good as freed. Counting them again would make overlapping
+			// passes migrate past the low watermark, newest files
+			// included.
+			toFree -= e.size
+		}
 		if e.writing || e.migrating || e.pinned || e.state == Migrated {
 			continue
 		}

@@ -197,7 +197,11 @@ func TestConcurrentRecallSingleflight(t *testing.T) {
 
 func TestWatermarkMigrationOldestFirst(t *testing.T) {
 	clock := newFakeClock()
-	pol := Policy{HighWatermark: 0.85, LowWatermark: 0.60, MinAge: 0}
+	// Only the tenth write crosses the high watermark, so the pass it
+	// wakes and the explicit Scan below plan from the same 100% — a mark
+	// the ninth write crossed would let its pass finish first and
+	// leave the tier, correctly, at 70% between the marks.
+	pol := Policy{HighWatermark: 0.95, LowWatermark: 0.60, MinAge: 0}
 	tier, _, _ := newTier(t, Config{
 		Policy: pol, HotCapacity: 100 * units.KiB, Clock: clock.Now,
 	})
@@ -216,6 +220,12 @@ func TestWatermarkMigrationOldestFirst(t *testing.T) {
 	}
 	if st.HotUtilization > pol.LowWatermark+0.001 {
 		t.Fatalf("utilization = %.2f, want <= low watermark %.2f", st.HotUtilization, pol.LowWatermark)
+	}
+	// The write-triggered pass and the explicit one overlap; files one
+	// of them has queued count as freed for the other, so together
+	// they move exactly the four files that reach the low watermark.
+	if st.Migrations != 4 {
+		t.Fatalf("migrations = %d, want 4", st.Migrations)
 	}
 	// Oldest files migrated first: f0..f3 gone cold, newest still hot.
 	if s, _ := tier.State("/d/f0"); s != Migrated {
