@@ -318,3 +318,39 @@ func TestGrowthReaches6PBIn2012(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactionDebtAndCostAreScrapable: an operator sees from the
+// registry how many WAL records a restart would replay and what the
+// snapshots so far have cost, and a checkpoint moves both.
+func TestCompactionDebtAndCostAreScrapable(t *testing.T) {
+	f, err := New(Options{WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for i := 0; i < 20; i++ {
+		if _, err := f.Meta.Create("p", fmt.Sprintf("/ddn/obs/%02d", i), 1, "", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func() map[string]int64 {
+		out := make(map[string]int64)
+		for _, p := range f.Obs.Snapshot() {
+			if strings.HasPrefix(p.Name, "lsdf_meta_") {
+				out[p.Name] = int64(p.Value)
+			}
+		}
+		return out
+	}
+	before := read()
+	if before["lsdf_meta_wal_tail_records"] != 20 || before["lsdf_meta_snapshot_bytes_total"] != 0 {
+		t.Fatalf("before the checkpoint: %v, want a tail of 20 records and no snapshot bytes", before)
+	}
+	if err := f.Meta.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	after := read()
+	if after["lsdf_meta_wal_tail_records"] != 0 || after["lsdf_meta_snapshot_bytes_total"] <= 0 {
+		t.Fatalf("after the checkpoint: %v, want no tail and the snapshots' bytes", after)
+	}
+}

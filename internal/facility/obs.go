@@ -32,6 +32,8 @@ func (f *Facility) registerObs() {
 		return 0
 	})
 	reg.CounterFunc("lsdf_meta_snapshots_total", "Compacted WAL snapshots written since open.", f.Meta.Snapshots)
+	reg.CounterFunc("lsdf_meta_snapshot_bytes_total", "Bytes those snapshots wrote: the cost of compaction.", f.Meta.SnapshotBytes)
+	reg.GaugeFunc("lsdf_meta_wal_tail_records", "WAL records no snapshot covers yet: what a restart would replay.", f.Meta.WALTailRecords)
 	reg.CounterFunc("lsdf_meta_wal_errors_total", "WAL append/sync failures.", f.Meta.WALErrors)
 
 	// Hot-set read cache (nil unless enabled). The fill-latency

@@ -5,10 +5,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
+	"path"
 	"reflect"
-	"sync/atomic"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/adal"
 	"repro/internal/core"
@@ -18,6 +22,7 @@ import (
 	"repro/internal/ingest"
 	"repro/internal/metadata"
 	"repro/internal/metadata/durafs"
+	"repro/internal/replication"
 )
 
 // obj is one object handed to a front door.
@@ -40,27 +45,51 @@ type rig struct {
 	breakWAL   func()
 }
 
-// syncCountFS counts WAL fsyncs on their way to the wrapped FS.
-type syncCountFS struct {
+// shardSyncFS counts WAL fsyncs per metadata shard, and can fail every
+// sync from the n-th on.
+type shardSyncFS struct {
 	durafs.FS
-	syncs atomic.Int64
+	fault     *durafs.Fault
+	mu        sync.Mutex
+	syncs     map[int]int // WAL shard -> fsyncs
+	total     int
+	failAfter int // > 0: the disk dies after this many WAL fsyncs
 }
 
-func (c *syncCountFS) OpenAppend(name string) (durafs.File, error) {
+func newShardSyncFS(fault *durafs.Fault) *shardSyncFS {
+	return &shardSyncFS{FS: fault, fault: fault, syncs: make(map[int]int)}
+}
+
+func (c *shardSyncFS) totalSyncs() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.total
+}
+
+func (c *shardSyncFS) OpenAppend(name string) (durafs.File, error) {
 	f, err := c.FS.OpenAppend(name)
-	if err != nil {
-		return nil, err
+	var shard int
+	if _, perr := fmt.Sscanf(path.Base(name), "shard-%d", &shard); err != nil || perr != nil {
+		return f, err
 	}
-	return &syncCountFile{File: f, fs: c}, nil
+	return &shardSyncFile{File: f, fs: c, shard: shard}, nil
 }
 
-type syncCountFile struct {
+type shardSyncFile struct {
 	durafs.File
-	fs *syncCountFS
+	fs    *shardSyncFS
+	shard int
 }
 
-func (f *syncCountFile) Sync() error {
-	f.fs.syncs.Add(1)
+func (f *shardSyncFile) Sync() error {
+	c := f.fs
+	c.mu.Lock()
+	c.syncs[f.shard]++
+	c.total++
+	if c.total == c.failAfter {
+		c.fault.FailSyncs(1 << 20)
+	}
+	c.mu.Unlock()
 	return f.File.Sync()
 }
 
@@ -77,12 +106,12 @@ func parts(t *testing.T, durable bool) *rig {
 	opts := metadata.Options{}
 	if durable {
 		fault := durafs.NewFault(durafs.NewMem(), nil)
-		counter := &syncCountFS{FS: fault}
+		counter := newShardSyncFS(fault)
 		opts.WALDir, opts.FS = "wal", counter
 		r.breakWAL = func() { fault.FailSyncs(1 << 20) }
 		defer func() { // after Open: its own syncs are not ingest's
-			base := counter.syncs.Load()
-			r.walCommits = func() int { return int(counter.syncs.Load() - base) }
+			base := counter.totalSyncs()
+			r.walCommits = func() int { return counter.totalSyncs() - base }
 		}()
 	}
 	meta, err := metadata.Open(opts)
@@ -314,5 +343,151 @@ func TestEveryFrontDoorStoresAndRegistersAlike(t *testing.T) {
 			}
 			noInvisibleData(t, r, "/ddn/fd")
 		})
+	}
+	// What a batch of more than one adds to the rule: its objects are
+	// written together.
+	t.Run("batch/shares-group-commits", batchSharesGroupCommits)
+	t.Run("batch/duplicate-path-first-wins", batchDuplicatePathFirstWins)
+	t.Run("batch/wal-fault-mid-batch", batchWALFaultMidBatch)
+}
+
+// replicatedParts is the stack a production ingest batch runs on: a
+// federated backend on /ddn whose catalog journals a home-replica note
+// per stored object into the same durable store that registers it. One
+// site, so nothing replicates in the background and every fsync seen
+// is the batch's own.
+func replicatedParts(t *testing.T, opts metadata.Options) (*rig, *shardSyncFS) {
+	t.Helper()
+	fault := durafs.NewFault(durafs.NewMem(), nil)
+	counter := newShardSyncFS(fault)
+	opts.WALDir, opts.FS = "wal", counter
+	meta, err := metadata.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(meta.Close)
+	catalog := replication.NewCatalog(replication.CatalogConfig{Meta: meta, MountPrefix: "/ddn"})
+	engine, err := replication.NewEngine(replication.Config{
+		Catalog: catalog,
+		Sites:   []*replication.Site{replication.NewSite("kit", adal.NewMemFS("kit"), 0)},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(engine.Close)
+	layer := adal.NewLayer()
+	if err := layer.Mount("/ddn", replication.NewFederated("ddn", engine)); err != nil {
+		t.Fatal(err)
+	}
+	return &rig{layer: layer, meta: meta}, counter
+}
+
+func batchOf(n int, pathOf func(i int) string) []*ingest.Object {
+	objs := make([]*ingest.Object, n)
+	for i := range objs {
+		objs[i] = &ingest.Object{Project: "p", Path: pathOf(i), Data: strings.NewReader(fmt.Sprintf("payload %02d", i)), Tags: []string{"raw"}}
+	}
+	return objs
+}
+
+// batchSharesGroupCommits: each object of a batch journals a
+// home-replica note as it is stored; one after the other, sixteen
+// objects would pay sixteen fsyncs for them. Written together the
+// notes meet in the WAL's group commit, so a touched shard pays one
+// fsync for its notes and one for its registrations.
+func batchSharesGroupCommits(t *testing.T) {
+	// The commit window is what makes "together" observable without a
+	// clock in the assertion: a leader waits this long for company, and
+	// sixteen small writes take far less.
+	r, counter := replicatedParts(t, metadata.Options{Shards: 4, GroupCommitInterval: 100 * time.Millisecond})
+	objs := batchOf(16, func(i int) string { return fmt.Sprintf("/ddn/gc/%02d", i) })
+	for i, cr := range ingest.StoreBatch(r.layer, r.meta, objs) {
+		if cr.Err != nil {
+			t.Fatalf("object %d: %v", i, cr.Err)
+		}
+		if cr.Dataset.Path != objs[i].Path {
+			t.Fatalf("result %d is for %s, want %s", i, cr.Dataset.Path, objs[i].Path)
+		}
+		if got := r.meta.Replicas(objs[i].Path)["kit"]; got != "valid" {
+			t.Errorf("%s: home replica noted as %q, want valid", objs[i].Path, got)
+		}
+	}
+	counter.mu.Lock()
+	defer counter.mu.Unlock()
+	if len(counter.syncs) == 0 {
+		t.Fatal("no WAL fsync seen")
+	}
+	for shard, n := range counter.syncs {
+		if n > 2 {
+			t.Errorf("WAL shard %d paid %d fsyncs for one batch, want <= 2 (notes, registrations)", shard, n)
+		}
+	}
+}
+
+// batchDuplicatePathFirstWins: two objects of one batch name the
+// same path; whichever comes first in the input is stored and
+// registered, the other fails, however the writes are scheduled.
+func batchDuplicatePathFirstWins(t *testing.T) {
+	for round := 0; round < 10; round++ {
+		r := parts(t, false)
+		const first, second = 3, 11
+		objs := batchOf(16, func(i int) string {
+			if i == second {
+				i = first
+			}
+			return fmt.Sprintf("/fw/%02d", i)
+		})
+		res := ingest.StoreBatch(r.layer, r.meta, objs)
+		for i, cr := range res {
+			if (cr.Err != nil) != (i == second) {
+				t.Fatalf("round %d: object %d: err = %v", round, i, cr.Err)
+			}
+		}
+		if !errors.Is(res[second].Err, adal.ErrExists) {
+			t.Errorf("the repeated path failed with %v, want ErrExists", res[second].Err)
+		}
+		rd, err := r.layer.Open(objs[first].Path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, _ := io.ReadAll(rd)
+		rd.Close()
+		if want := fmt.Sprintf("payload %02d", first); string(data) != want {
+			t.Fatalf("round %d: %s holds %q, want the first object's %q", round, objs[first].Path, data, want)
+		}
+		if ds, ok := r.meta.ByPath(objs[first].Path); !ok || ds.ID != res[first].Dataset.ID {
+			t.Fatalf("round %d: %s registered as %v, want the first object's dataset", round, objs[first].Path, ds.ID)
+		}
+	}
+}
+
+// batchWALFaultMidBatch: the disk starts refusing fsyncs part-way
+// through a batch — some notes and registrations are durable, the rest
+// are not. Every object then either is registered or is gone.
+func batchWALFaultMidBatch(t *testing.T) {
+	// Sixteen notes and sixteen registrations over four shards are at
+	// least eight fsyncs, so each of these points is inside the batch.
+	for failAfter := 1; failAfter <= 8; failAfter++ {
+		r, counter := replicatedParts(t, metadata.Options{Shards: 4})
+		counter.failAfter = failAfter
+		objs := batchOf(16, func(i int) string { return fmt.Sprintf("/ddn/wf/%02d", i) })
+		failed := 0
+		for i, cr := range ingest.StoreBatch(r.layer, r.meta, objs) {
+			_, statErr := r.layer.Stat(objs[i].Path)
+			_, registered := r.meta.ByPath(objs[i].Path)
+			switch {
+			case cr.Err == nil && (statErr != nil || !registered):
+				t.Errorf("failAfter=%d: %s acknowledged but stored=%v registered=%v", failAfter, objs[i].Path, statErr == nil, registered)
+			case cr.Err != nil && !errors.Is(statErr, adal.ErrNotFound):
+				t.Errorf("failAfter=%d: %s failed (%v) but its bytes remain: %v", failAfter, objs[i].Path, cr.Err, statErr)
+			}
+			if cr.Err != nil {
+				failed++
+			}
+		}
+		if failed == 0 {
+			t.Errorf("failAfter=%d: a dead WAL failed no registration", failAfter)
+		}
+		noInvisibleData(t, r, "/ddn/wf")
 	}
 }

@@ -68,10 +68,25 @@ func (w *crashWorkload) indeterminate(path string) {
 	w.mu.Unlock()
 }
 
+// compactionsCrossed returns how many times the least-compacted shard
+// has cut its log: every cut is one segment number.
+func compactionsCrossed(s *Store) int {
+	least := -1
+	for _, w := range s.wal.shards {
+		w.mu.Lock()
+		if least < 0 || w.seg < least {
+			least = w.seg
+		}
+		w.mu.Unlock()
+	}
+	return least
+}
+
 // runCrashSeed executes one seed: ingest until the injected crash
 // (or completion), reopen from the surviving bytes, and check the
-// contract. Returns the recovery stats for aggregation.
-func runCrashSeed(t *testing.T, seed int64) RecoveryStats {
+// contract. Returns the recovery stats for aggregation and how many
+// compactions every shard had behind it when the run ended.
+func runCrashSeed(t *testing.T, seed int64) (RecoveryStats, int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	mem := durafs.NewMem()
@@ -86,8 +101,9 @@ func runCrashSeed(t *testing.T, seed int64) RecoveryStats {
 	if err != nil {
 		t.Fatalf("seed %d: open: %v", seed, err)
 	}
-	// Arm the crash point somewhere inside the workload's I/O span.
-	fault.CrashAfterOps(int64(1 + rng.Intn(1500)))
+	// Arm the crash point somewhere inside the workload's I/O span
+	// (a run to completion is about crashSpan operations).
+	fault.CrashAfterOps(int64(1 + rng.Intn(crashSpan)))
 
 	w := &crashWorkload{
 		ackedPresent: make(map[string][]string),
@@ -95,7 +111,11 @@ func runCrashSeed(t *testing.T, seed int64) RecoveryStats {
 		submitted:    make(map[string]bool),
 	}
 
-	const goroutines, batches, batchSize = 4, 8, 8
+	// Long enough that, with the amortised trigger, every shard
+	// compacts at least twice while the other goroutines keep
+	// committing: the cut, the new segment's creation and the old
+	// one's deletion all happen with commits in flight.
+	const goroutines, batches, batchSize = 4, 16, 8
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
@@ -140,6 +160,7 @@ func runCrashSeed(t *testing.T, seed int64) RecoveryStats {
 		}(g)
 	}
 	wg.Wait()
+	crossed := compactionsCrossed(s)
 
 	// The "machine" is dead (or the workload completed). Recover from
 	// exactly what the disk holds.
@@ -176,8 +197,12 @@ func runCrashSeed(t *testing.T, seed int64) RecoveryStats {
 			t.Fatalf("seed %d: %s recovered without its create-time tags: %v", seed, d.Path, d.Tags)
 		}
 	}
-	return r.RecoveryStats()
+	return r.RecoveryStats(), crossed
 }
+
+// crashSpan is roughly the I/O operations one fault-free run of the
+// property workload performs; crash points are drawn from it.
+const crashSpan = 700
 
 // TestCrashRecoveryProperty is the headline crash-injection property
 // test: >= 100 seeds, each with a random crash point injected during
@@ -188,10 +213,14 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		seeds = 20
 	}
 	var agg RecoveryStats
+	twice := 0 // seeds that ended with two compactions behind every shard
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%03d", seed), func(t *testing.T) {
-			st := runCrashSeed(t, int64(seed))
+			st, crossed := runCrashSeed(t, int64(seed))
+			if crossed >= 2 {
+				twice++
+			}
 			agg.RecordsReplayed += st.RecordsReplayed
 			agg.SnapshotsLoaded += st.SnapshotsLoaded
 			agg.TornTails += st.TornTails
@@ -205,8 +234,11 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	if agg.SnapshotsLoaded == 0 {
 		t.Error("no seed recovered through a snapshot")
 	}
-	t.Logf("aggregate: %d records replayed, %d snapshots loaded, %d torn tails, %d path conflicts",
-		agg.RecordsReplayed, agg.SnapshotsLoaded, agg.TornTails, agg.PathConflictsDropped)
+	if twice < seeds/4 {
+		t.Errorf("only %d of %d seeds got every shard past two compactions", twice, seeds)
+	}
+	t.Logf("aggregate: %d records replayed, %d snapshots loaded, %d torn tails, %d path conflicts, %d seeds past two compactions",
+		agg.RecordsReplayed, agg.SnapshotsLoaded, agg.TornTails, agg.PathConflictsDropped, twice)
 }
 
 // TestCrashPointSweep is the exhaustive single-threaded matrix: a
@@ -224,6 +256,13 @@ func TestCrashPointSweep(t *testing.T) {
 		}
 		defer s.Close()
 		sweepWorkload(t, s, false)
+		// Every I/O index of a compaction — segment create, dir sync,
+		// cut commit, snapshot write, old-segment delete — is in the
+		// span only if the workload compacts; twice, so that a cut from
+		// a numbered segment is swept as well as the first one.
+		if n := compactionsCrossed(s); n < 2 {
+			t.Fatalf("sweep workload took the least-compacted shard through %d compactions, want >= 2", n)
+		}
 		return probe.Ops()
 	}()
 	if total < 50 {

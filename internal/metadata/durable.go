@@ -5,8 +5,10 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/metadata/durafs"
 )
@@ -15,7 +17,9 @@ import (
 // slot per shard, all rooted in one directory on the injected
 // filesystem.
 //
-// Layout: <dir>/MANIFEST, <dir>/shard-NNN.wal, <dir>/shard-NNN.snap
+// Layout: <dir>/MANIFEST, <dir>/shard-NNN.snap and the shard's log
+// segments: <dir>/shard-NNN.wal is segment 0 (the whole log in the
+// layout before segments), <dir>/shard-NNN-SSSSSS.wal segment S > 0
 // (plus transient .snap.tmp files that recovery ignores).
 type walSet struct {
 	fs            durafs.FS
@@ -24,11 +28,37 @@ type walSet struct {
 	snapMu        []sync.Mutex // per-shard snapshot serialization
 	snapshotEvery int
 	snapshots     atomic.Int64 // snapshots written since open
+	snapBytes     atomic.Int64 // bytes of those snapshots
 }
 
-func (ws *walSet) walPath(i int) string  { return fmt.Sprintf("%s/shard-%03d.wal", ws.dir, i) }
 func (ws *walSet) snapPath(i int) string { return fmt.Sprintf("%s/shard-%03d.snap", ws.dir, i) }
-func (ws *walSet) noteSnapshot()         { ws.snapshots.Add(1) }
+
+func (ws *walSet) segPath(i, seg int) string {
+	if seg == 0 {
+		return fmt.Sprintf("%s/shard-%03d.wal", ws.dir, i)
+	}
+	return fmt.Sprintf("%s/shard-%03d-%06d.wal", ws.dir, i, seg)
+}
+
+// listSegments returns, per shard, the numbers of the log segments
+// present in the directory, ascending.
+func (ws *walSet) listSegments(shards int) ([][]int, error) {
+	names, err := ws.fs.ReadDir(ws.dir)
+	if err != nil {
+		return nil, fmt.Errorf("metadata: wal dir: %w", err)
+	}
+	segs := make([][]int, shards)
+	for _, name := range names {
+		var i, seg int // "shard-NNN.wal" scans one number: segment 0
+		if n, _ := fmt.Sscanf(name, "shard-%d-%d", &i, &seg); n > 0 && strings.HasSuffix(name, ".wal") && uint(i) < uint(shards) {
+			segs[i] = append(segs[i], seg)
+		}
+	}
+	for _, s := range segs {
+		sort.Ints(s) // not name order: segment 0 is "shard-NNN.wal"
+	}
+	return segs, nil
+}
 
 // manifest pins the WAL directory to a shard count; reopening with a
 // different count would hash records to the wrong logs.
@@ -69,6 +99,28 @@ func (s *Store) Snapshots() int64 {
 		return 0
 	}
 	return s.wal.snapshots.Load()
+}
+
+// SnapshotBytes returns the bytes those snapshots wrote.
+func (s *Store) SnapshotBytes() int64 {
+	if s.wal == nil {
+		return 0
+	}
+	return s.wal.snapBytes.Load()
+}
+
+// WALTailRecords returns the committed records no durable snapshot
+// covers, summed over shards: what a restart now would replay.
+func (s *Store) WALTailRecords() (n int64) {
+	if s.wal == nil {
+		return 0
+	}
+	for _, w := range s.wal.shards {
+		w.mu.Lock()
+		n += int64(w.recordsSinceSnap)
+		w.mu.Unlock()
+	}
+	return n
 }
 
 // Placement returns the last journaled storage-tier placement noted
@@ -120,17 +172,21 @@ func (s *Store) openWAL(opts Options) error {
 	}
 	s.wal = ws
 
+	segs, err := ws.listSegments(len(s.shards))
+	if err != nil {
+		return err
+	}
 	maxSeq := s.seq.Load()
 	ws.shards = make([]*walShard, len(s.shards))
 	for i := range s.shards {
-		lsn, seq, err := s.recoverShard(i)
+		w, seq, err := s.recoverShard(i, segs[i], opts.GroupCommitInterval)
 		if err != nil {
 			return err
 		}
 		if seq > maxSeq {
 			maxSeq = seq
 		}
-		ws.shards[i] = newWALShard(fs, ws.walPath(i), opts.GroupCommitInterval, lsn)
+		ws.shards[i] = w
 	}
 	s.seq.Store(maxSeq)
 	s.rebuildPaths()
@@ -191,22 +247,24 @@ func (ws *walSet) writeManifest(path string, shards int) error {
 	return ws.fs.SyncDir(ws.dir)
 }
 
-// recoverShard loads shard i's snapshot, replays its WAL tail
-// (truncating at the first torn record), and returns the highest LSN
-// seen plus the ID-sequence watermark.
-func (s *Store) recoverShard(i int) (lastLSN uint64, maxSeq int64, err error) {
+// recoverShard loads shard i's snapshot and replays its log segments
+// in order, skipping what the snapshot covers and truncating a torn
+// tail. It returns the shard's log, positioned to append to the
+// newest segment with its compaction trigger restored, plus the
+// ID-sequence watermark.
+func (s *Store) recoverShard(i int, segs []int, interval time.Duration) (w *walShard, maxSeq int64, err error) {
 	sh := s.shards[i]
 	ps := s.pathShards[i]
 
 	snap, haveSnap, err := s.loadSnapshot(i)
 	if err != nil {
-		return 0, 0, err
+		return nil, 0, err
 	}
+	lastLSN := snap.LastLSN
 	if haveSnap {
 		s.recovered.SnapshotsLoaded++
 		s.recovered.SnapshotDatasets += len(snap.Datasets)
 		maxSeq = snap.Seq
-		lastLSN = snap.LastLSN
 		for idx := range snap.Datasets {
 			d := snap.Datasets[idx].clone()
 			sh.insert(&d)
@@ -221,50 +279,68 @@ func (s *Store) recoverShard(i int) (lastLSN uint64, maxSeq int64, err error) {
 		}
 	}
 
-	f, err := s.wal.fs.Open(s.wal.walPath(i))
+	segPath := func(seg int) string { return s.wal.segPath(i, seg) }
+	tail := 0
+	for _, seg := range segs {
+		recs, err := s.readSegment(segPath(seg))
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, rec := range recs {
+			if rec.Seq > maxSeq {
+				maxSeq = rec.Seq
+			}
+			if rec.LSN <= lastLSN && haveSnap {
+				s.recovered.RecordsSkipped++
+				continue
+			}
+			if rec.LSN > lastLSN {
+				lastLSN = rec.LSN
+			}
+			s.applyRecord(sh, ps, rec)
+			s.recovered.RecordsReplayed++
+			tail++
+		}
+	}
+	w = newWALShard(s.wal.fs, segPath, interval, lastLSN)
+	w.recordsSinceSnap, w.snapItems = tail, snap.items()
+	if len(segs) > 0 {
+		w.firstSeg, w.seg = segs[0], segs[len(segs)-1]
+	}
+	return w, maxSeq, nil
+}
+
+// readSegment decodes one log segment, dropping a torn tail so that
+// appends resume on a clean boundary.
+func (s *Store) readSegment(path string) ([]walRecord, error) {
+	f, err := s.wal.fs.Open(path)
 	if err != nil {
-		return lastLSN, maxSeq, nil // no WAL yet
+		return nil, fmt.Errorf("metadata: wal read: %w", err)
 	}
 	data, rerr := io.ReadAll(f)
 	f.Close()
 	if rerr != nil {
-		return 0, 0, fmt.Errorf("metadata: wal read: %w", rerr)
+		return nil, fmt.Errorf("metadata: wal read: %w", rerr)
 	}
 	recs, valid, derr := decodeWALStream(data)
 	if derr != nil {
-		return 0, 0, derr // ErrWALCorrupt: checksum-valid frame that won't decode
+		return nil, derr // ErrWALCorrupt: checksum-valid frame that won't decode
 	}
 	if valid < len(data) {
-		// Torn tail: drop it so appends resume on a clean boundary.
 		s.recovered.TornTails++
 		s.recovered.TornTailBytes += int64(len(data) - valid)
-		wf, terr := s.wal.fs.OpenAppend(s.wal.walPath(i))
+		wf, terr := s.wal.fs.OpenAppend(path)
 		if terr != nil {
-			return 0, 0, fmt.Errorf("metadata: wal truncate: %w", terr)
+			return nil, fmt.Errorf("metadata: wal truncate: %w", terr)
 		}
 		terr = wf.Truncate(int64(valid))
 		wf.Close()
 		if terr != nil {
-			return 0, 0, fmt.Errorf("metadata: wal truncate: %w", terr)
+			return nil, fmt.Errorf("metadata: wal truncate: %w", terr)
 		}
 	}
 	s.recovered.WALBytesReplayed += int64(valid)
-
-	for _, rec := range recs {
-		if rec.Seq > maxSeq {
-			maxSeq = rec.Seq
-		}
-		if rec.LSN <= lastLSN && haveSnap {
-			s.recovered.RecordsSkipped++
-			continue
-		}
-		if rec.LSN > lastLSN {
-			lastLSN = rec.LSN
-		}
-		s.applyRecord(sh, ps, rec)
-		s.recovered.RecordsReplayed++
-	}
-	return lastLSN, maxSeq, nil
+	return recs, nil
 }
 
 // applyRecord replays one journaled mutation into shard memory.
@@ -391,9 +467,9 @@ func (s *Store) journal(wi uint32, rec walRecord) (uint64, error) {
 }
 
 // journalWait makes the staged record durable (group-committing with
-// concurrent mutators) and triggers a compaction when the shard's
-// log has grown past SnapshotEvery records. Called with the
-// structure lock released.
+// concurrent mutators) and compacts the shard when its uncompacted
+// tail has reached max(SnapshotEvery, items in the last snapshot).
+// Called with the structure lock released.
 func (s *Store) journalWait(wi uint32, lsn uint64, stageErr error) error {
 	if s.wal == nil {
 		return nil
@@ -406,7 +482,7 @@ func (s *Store) journalWait(wi uint32, lsn uint64, stageErr error) error {
 		return err
 	}
 	w.mu.Lock()
-	due := w.recordsSinceSnap >= s.wal.snapshotEvery
+	due := w.recordsSinceSnap >= max(s.wal.snapshotEvery, w.snapItems)
 	w.mu.Unlock()
 	if due {
 		if err := s.snapshotShard(int(wi), false); err != nil {

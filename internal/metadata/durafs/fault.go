@@ -212,7 +212,14 @@ func (ff *faultFile) Sync() error {
 	if fail {
 		return ErrInjectedSync
 	}
-	return ff.h.Sync()
+	err := ff.h.Sync()
+	if ff.f.Crashed() {
+		// The crash point fired on another goroutine while this sync was
+		// in flight, and may have dropped the bytes before they were
+		// promoted: the dead process never learns the outcome.
+		return ErrCrashed
+	}
+	return err
 }
 
 func (ff *faultFile) Truncate(size int64) error {

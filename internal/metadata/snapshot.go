@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+
+	"repro/internal/metadata/durafs"
 )
 
 // ErrSnapshotCorrupt reports a snapshot file whose frame checksum or
@@ -34,20 +36,33 @@ type shardSnapshot struct {
 	LastLSN uint64 `json:"last_lsn"`
 }
 
-// captureShard clones shard i's state at a consistent LSN. It holds
-// the dataset-shard and path-shard locks together — mutators never
-// hold both, so this cannot deadlock — which freezes staging on the
-// shard's WAL and makes (datasets, placements, replicas, stagedLSN)
-// one consistent cut.
-func (s *Store) captureShard(i int) shardSnapshot {
+// items is how many entries the snapshot holds: what it cost, and so
+// how many records must pass before the shard compacts again.
+func (snap *shardSnapshot) items() int {
+	return len(snap.Datasets) + len(snap.Placements) + len(snap.Replicas)
+}
+
+// captureShard clones shard i's state and cuts its WAL at the same
+// LSN. It holds the dataset-shard and path-shard locks together —
+// mutators never hold both, so this cannot deadlock — which freezes
+// staging on the shard's WAL: the cut and the clone see one consistent
+// (datasets, placements, replicas, LSN). It returns the snapshot and
+// the number of committed records it covers.
+func (s *Store) captureShard(i int, next durafs.File) (shardSnapshot, int, error) {
 	sh := s.shards[i]
 	ps := s.pathShards[i]
-	w := s.wal.shards[i]
 
 	sh.mu.RLock()
+	defer sh.mu.RUnlock()
 	ps.mu.RLock()
-	snap := shardSnapshot{}
+	defer ps.mu.RUnlock()
+	lsn, records, err := s.wal.shards[i].cut(next)
+	if err != nil {
+		return shardSnapshot{}, 0, err
+	}
+	snap := shardSnapshot{LastLSN: lsn}
 	snap.Seq = s.seq.Load()
+	snap.Datasets = make([]Dataset, 0, len(sh.datasets))
 	for _, d := range sh.datasets {
 		snap.Datasets = append(snap.Datasets, d.clone())
 	}
@@ -67,20 +82,20 @@ func (s *Store) captureShard(i int) shardSnapshot {
 			snap.Replicas[k] = cp
 		}
 	}
-	w.mu.Lock()
-	snap.LastLSN = w.stagedLSN
-	w.mu.Unlock()
-	ps.mu.RUnlock()
-	sh.mu.RUnlock()
-
-	sort.Slice(snap.Datasets, func(a, b int) bool { return snap.Datasets[a].ID < snap.Datasets[b].ID })
-	return snap
+	return snap, records, nil
 }
 
-// snapshotShard writes shard i's compacted snapshot and rotates its
-// WAL. force (Checkpoint) blocks on the per-shard snapshot mutex;
-// the inline trigger path uses TryLock so at most one mutator pays
-// the snapshot cost while the rest keep committing.
+// snapshotShard compacts shard i: it cuts the WAL onto a fresh
+// segment at the LSN it captures, writes the snapshot, and deletes
+// the segments the snapshot supersedes — so a snapshot always
+// truncates, however many commits land while it is being written.
+// force (Checkpoint) blocks on the per-shard snapshot mutex; the
+// inline trigger path uses TryLock so at most one mutator pays the
+// snapshot cost while the rest keep committing.
+//
+// Crash ordering (DESIGN.md §9): the new segment exists durably before
+// a record can be acknowledged in it; the old ones are deleted only
+// after the snapshot's rename is durable.
 func (s *Store) snapshotShard(i int, force bool) error {
 	mu := &s.wal.snapMu[i]
 	if force {
@@ -90,14 +105,22 @@ func (s *Store) snapshotShard(i int, force bool) error {
 	}
 	defer mu.Unlock()
 
-	snap := s.captureShard(i)
-	// Everything the snapshot contains must be durable in the WAL
-	// before the snapshot can supersede it: a crash after the rename
-	// but before a (hypothetical) later sync would otherwise recover
-	// state the log cannot re-derive.
-	if err := s.wal.shards[i].syncThrough(snap.LastLSN); err != nil {
+	fs := s.wal.fs
+	w := s.wal.shards[i]
+	next, err := fs.OpenAppend(w.segPath(w.seg + 1)) // seg moves only under snapMu
+	if err != nil {
+		return fmt.Errorf("metadata: snapshot: %w", err)
+	}
+	if err := fs.SyncDir(s.wal.dir); err != nil {
+		next.Close()
+		return fmt.Errorf("metadata: snapshot: %w", err)
+	}
+	snap, records, err := s.captureShard(i, next)
+	if err != nil {
+		next.Close()
 		return err
 	}
+	sort.Slice(snap.Datasets, func(a, b int) bool { return snap.Datasets[a].ID < snap.Datasets[b].ID })
 
 	payload, err := json.Marshal(snap)
 	if err != nil {
@@ -105,7 +128,6 @@ func (s *Store) snapshotShard(i int, force bool) error {
 	}
 	frame := appendFrame(nil, payload)
 
-	fs := s.wal.fs
 	tmp := s.wal.snapPath(i) + ".tmp"
 	f, err := fs.Create(tmp)
 	if err != nil {
@@ -131,8 +153,10 @@ func (s *Store) snapshotShard(i int, force bool) error {
 	if err := fs.SyncDir(s.wal.dir); err != nil {
 		return fmt.Errorf("metadata: snapshot: %w", err)
 	}
-	s.wal.noteSnapshot()
-	return s.wal.shards[i].rotate(snap.LastLSN)
+	s.wal.snapshots.Add(1)
+	s.wal.snapBytes.Add(int64(len(frame)))
+	w.compacted(records, snap.items())
+	return nil
 }
 
 // loadSnapshot reads and decodes shard i's snapshot file; ok=false
@@ -158,9 +182,9 @@ func (s *Store) loadSnapshot(i int) (shardSnapshot, bool, error) {
 	return snap, true, nil
 }
 
-// Checkpoint forces a compacted snapshot of every shard, rotating
-// each WAL that is quiescent. A clean shutdown that Checkpoints
-// first recovers instantly (no replay).
+// Checkpoint forces a compacted snapshot of every shard, leaving each
+// WAL with only what commits after it. A clean shutdown that
+// Checkpoints first recovers instantly (no replay).
 func (s *Store) Checkpoint() error {
 	if s.wal == nil {
 		return nil

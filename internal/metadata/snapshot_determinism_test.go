@@ -54,16 +54,20 @@ func buildDeterministic(t *testing.T) (*Store, *durafs.MemFS) {
 	return s, mem
 }
 
+// readFSFile returns name's bytes. A failure is an Errorf and no
+// bytes, not a Fatalf: the compaction test calls it off the test
+// goroutine.
 func readFSFile(t *testing.T, fsys durafs.FS, name string) []byte {
 	t.Helper()
 	f, err := fsys.Open(name)
 	if err != nil {
-		t.Fatalf("open %s: %v", name, err)
+		t.Errorf("open %s: %v", name, err)
+		return nil
 	}
 	defer f.Close()
 	data, err := io.ReadAll(f)
 	if err != nil {
-		t.Fatalf("read %s: %v", name, err)
+		t.Errorf("read %s: %v", name, err)
 	}
 	return data
 }

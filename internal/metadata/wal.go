@@ -138,31 +138,39 @@ func decodeWALStream(b []byte) (recs []walRecord, valid int, err error) {
 // Sync, and wakes every waiter. Concurrent mutators therefore share
 // fsyncs instead of paying one each, and a CreateBatch's per-shard
 // group commits in a single sync.
+//
+// The log is a run of numbered segment files; appends go to the
+// newest. A snapshot cuts the log onto a fresh segment at the LSN it
+// captures (cut) and, once durable, deletes the older ones (compacted).
 type walShard struct {
 	fs       durafs.FS
-	path     string
+	segPath  func(seg int) string
 	interval time.Duration
 
 	mu         sync.Mutex
-	file       durafs.File
-	nextLSN    uint64 // next LSN to hand out
-	stagedLSN  uint64 // highest LSN staged (== nextLSN-1)
-	durableLSN uint64 // highest LSN on disk
-	pending    []byte // encoded frames awaiting commit
+	file       durafs.File // append handle on segment seg, opened lazily
+	firstSeg   int         // oldest segment still on disk
+	seg        int         // segment appends go to
+	nextLSN    uint64      // next LSN to hand out
+	stagedLSN  uint64      // highest LSN staged (== nextLSN-1)
+	durableLSN uint64      // highest LSN on disk
+	pending    []byte      // encoded frames awaiting commit
 	committing bool
 	commitDone chan struct{} // closed when the current leader finishes
 	err        error         // sticky fail-stop cause
 
-	// recordsSinceSnap counts committed records since the last
-	// snapshot; the store checks it against SnapshotEvery.
+	// recordsSinceSnap counts the committed records no durable
+	// snapshot covers — what a restart would replay. The shard compacts
+	// when it reaches max(SnapshotEvery, snapItems): a snapshot's cost
+	// is spread over at least as many records as it wrote items.
 	recordsSinceSnap int
-	walBytes         int64 // bytes appended since open/rotate
+	snapItems        int
 }
 
-func newWALShard(fs durafs.FS, path string, interval time.Duration, startLSN uint64) *walShard {
+func newWALShard(fs durafs.FS, segPath func(int) string, interval time.Duration, startLSN uint64) *walShard {
 	return &walShard{
 		fs:         fs,
-		path:       path,
+		segPath:    segPath,
 		interval:   interval,
 		nextLSN:    startLSN + 1,
 		stagedLSN:  startLSN,
@@ -240,7 +248,6 @@ func (w *walShard) waitDurable(lsn uint64) error {
 		} else {
 			w.durableLSN = batchLSN
 			w.recordsSinceSnap += countFrames(batch)
-			w.walBytes += int64(len(batch))
 		}
 		w.committing = false
 		ch := w.commitDone
@@ -269,12 +276,12 @@ func (w *walShard) commit(batch []byte) error {
 // openFile lazily opens the append handle (leader-only).
 func (w *walShard) openFile() (durafs.File, error) {
 	w.mu.Lock()
-	f := w.file
+	f, path := w.file, w.segPath(w.seg)
 	w.mu.Unlock()
 	if f != nil {
 		return f, nil
 	}
-	f, err := w.fs.OpenAppend(w.path)
+	f, err := w.fs.OpenAppend(path)
 	if err != nil {
 		return nil, err
 	}
@@ -298,37 +305,45 @@ func (w *walShard) syncThrough(lsn uint64) error {
 	return w.waitDurable(lsn)
 }
 
-// rotate truncates the log after a successful snapshot at snapLSN.
-// It only proceeds while no leader is mid-write and nothing beyond
-// snapLSN has reached the file — a commit that landed after the
-// snapshot was cut holds records the snapshot does not cover, and
-// truncating those would lose acknowledged data. A skipped rotation
-// costs only replay time, never correctness: stale LSNs are skipped
-// on recovery.
-func (w *walShard) rotate(snapLSN uint64) error {
+// cut commits everything staged to the active segment and switches
+// appends to next, a segment the caller has already created and made
+// durable in the directory. The caller holds the shard's dataset and
+// path locks, so nothing can stage meanwhile and the returned LSN is
+// an exact boundary: every older segment holds only records at or
+// below it, next only records above it. records is how many
+// committed records a snapshot at that LSN covers. That one commit —
+// a GroupCommitInterval's wait included, when one is set — is the only
+// I/O done under the shard locks.
+func (w *walShard) cut(next durafs.File) (lsn uint64, records int, err error) {
+	if err := w.syncThrough(0); err != nil {
+		return 0, 0, err
+	}
+	// Staging is frozen and durable == staged: no leader is running
+	// and none can start, so the handle is ours to swap.
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
+	if w.file != nil {
+		w.file.Close()
 	}
-	if w.committing || w.durableLSN > snapLSN {
-		return nil
+	w.file = next
+	w.seg++
+	return w.stagedLSN, w.recordsSinceSnap, nil
+}
+
+// compacted is called once the snapshot taken at the last cut is
+// durable: the segments before the cut go, and what the snapshot
+// covered comes off the compaction trigger. A segment that survives
+// its Remove is harmless: replay skips its records by LSN.
+func (w *walShard) compacted(records, items int) {
+	w.mu.Lock()
+	first, seg := w.firstSeg, w.seg
+	w.firstSeg = seg
+	w.recordsSinceSnap -= records
+	w.snapItems = items
+	w.mu.Unlock()
+	for n := first; n < seg; n++ {
+		_ = w.fs.Remove(w.segPath(n))
 	}
-	if w.file == nil {
-		f, err := w.fs.OpenAppend(w.path)
-		if err != nil {
-			w.err = fmt.Errorf("%w: %v", ErrWALFailed, err)
-			return w.err
-		}
-		w.file = f
-	}
-	if err := w.file.Truncate(0); err != nil {
-		w.err = fmt.Errorf("%w: %v", ErrWALFailed, err)
-		return w.err
-	}
-	w.recordsSinceSnap = 0
-	w.walBytes = 0
-	return nil
 }
 
 // close commits anything pending, releases the file handle and

@@ -2,6 +2,7 @@ package metadata
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -527,5 +528,86 @@ func TestDurableCorruptSnapshotTyped(t *testing.T) {
 
 	if _, err := Open(Options{Shards: 1, WALDir: "/wal", FS: fs}); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
+// TestDurableSingleFileLayoutOpens builds a WAL directory the way the
+// store laid it out before log segments — one shard-NNN.wal per shard
+// that a snapshot truncated only when it could, so it may still hold
+// records the snapshot covers — and opens it, with and without a tail
+// past the snapshot's LastLSN. The next compaction moves the shard
+// onto numbered segments and retires the old file.
+func TestDurableSingleFileLayoutOpens(t *testing.T) {
+	dataset := func(n int) Dataset {
+		return Dataset{ID: fmt.Sprintf("ds-%06d", n), Project: "p", Path: fmt.Sprintf("/old/%03d", n), Size: 1, Version: 1}
+	}
+	const inSnapshot = 5
+	for _, tail := range []int{0, 3} {
+		t.Run(fmt.Sprintf("tail=%d", tail), func(t *testing.T) {
+			fs := durafs.NewMem()
+			write := func(name string, data []byte) {
+				f, err := fs.Create("/wal/" + name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Write(data)
+				f.Sync()
+				f.Close()
+			}
+			manifest, _ := json.Marshal(walManifest{Version: 1, Shards: 1})
+			write("MANIFEST", appendFrame(nil, manifest))
+			snap := shardSnapshot{LastLSN: inSnapshot}
+			snap.Seq = inSnapshot
+			var log []byte
+			for n := 1; n <= inSnapshot+tail; n++ {
+				d := dataset(n)
+				if n <= inSnapshot {
+					snap.Datasets = append(snap.Datasets, d)
+				}
+				// The skipped rotation: records 1..inSnapshot are still in
+				// the log beside the snapshot that holds them.
+				frame, err := encodeRecord(walRecord{LSN: uint64(n), Seq: int64(n), Op: opCreate, Dataset: &d})
+				if err != nil {
+					t.Fatal(err)
+				}
+				log = append(log, frame...)
+			}
+			payload, _ := json.Marshal(snap)
+			write("shard-000.snap", appendFrame(nil, payload))
+			write("shard-000.wal", log)
+
+			s := openMem(t, fs, Options{Shards: 1})
+			st := s.RecoveryStats()
+			if st.SnapshotDatasets != inSnapshot || st.RecordsSkipped != inSnapshot || st.RecordsReplayed != tail {
+				t.Fatalf("recovery stats = %+v, want %d from the snapshot, %d skipped, %d replayed", st, inSnapshot, inSnapshot, tail)
+			}
+			if s.Count() != inSnapshot+tail {
+				t.Fatalf("recovered %d datasets, want %d", s.Count(), inSnapshot+tail)
+			}
+			// Appends resume on the old file, past every LSN in it.
+			d, err := s.Create("p", "/old/new", 1, "", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := dataset(inSnapshot + tail + 1).ID; d.ID != want {
+				t.Fatalf("ID sequence resumed at %s, want %s", d.ID, want)
+			}
+			if err := s.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := fs.Open("/wal/shard-000.wal"); err == nil {
+				t.Error("the single-file log survived the compaction that superseded it")
+			}
+			if _, err := s.Create("p", "/old/newer", 1, "", nil); err != nil {
+				t.Fatal(err)
+			}
+			s.Close()
+
+			r := openMem(t, fs, Options{Shards: 1})
+			defer r.Close()
+			if st := r.RecoveryStats(); r.Count() != inSnapshot+tail+2 || st.RecordsReplayed != 1 || st.RecordsSkipped != 0 {
+				t.Fatalf("after the move to segments: %d datasets, stats %+v", r.Count(), st)
+			}
+		})
 	}
 }

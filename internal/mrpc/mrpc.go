@@ -22,6 +22,7 @@ import (
 	"io"
 	"net"
 	"net/http"
+	"sync"
 	"time"
 
 	"repro/internal/obs"
@@ -403,6 +404,13 @@ func WriteError(w http.ResponseWriter, status int, code, msg string) {
 type Server struct {
 	ln  net.Listener
 	srv *http.Server
+
+	// fresh holds the connections accepted but never used — a peer's
+	// transport dials ahead of need. http.Server.Shutdown waits on one
+	// as if a request were in flight, so Close drops them first.
+	mu      sync.Mutex
+	fresh   map[net.Conn]struct{}
+	closing bool
 }
 
 // Serve starts handler on addr ("" = 127.0.0.1:0) and returns once
@@ -415,7 +423,19 @@ func Serve(addr string, handler http.Handler) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &Server{ln: ln, srv: &http.Server{Handler: handler}}
+	s := &Server{ln: ln, srv: &http.Server{Handler: handler}, fresh: make(map[net.Conn]struct{})}
+	s.srv.ConnState = func(c net.Conn, st http.ConnState) {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		switch {
+		case st != http.StateNew:
+			delete(s.fresh, c)
+		case s.closing:
+			c.Close()
+		default:
+			s.fresh[c] = struct{}{}
+		}
+	}
 	go func() { _ = s.srv.Serve(ln) }()
 	return s, nil
 }
@@ -428,8 +448,20 @@ func (s *Server) URL() string { return "http://" + s.Addr() }
 
 // Close stops the listener and in-flight handlers.
 func (s *Server) Close() {
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	_ = s.srv.Shutdown(ctx)
+	_ = s.shutdown(2 * time.Second)
 	_ = s.srv.Close()
+}
+
+// shutdown drops the never-used connections, then drains the rest for
+// at most timeout; it returns what http.Server.Shutdown returned.
+func (s *Server) shutdown(timeout time.Duration) error {
+	s.mu.Lock()
+	s.closing = true
+	for c := range s.fresh {
+		c.Close()
+	}
+	s.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), timeout)
+	defer cancel()
+	return s.srv.Shutdown(ctx)
 }
