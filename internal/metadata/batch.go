@@ -1,9 +1,10 @@
 package metadata
 
 import (
-	"errors"
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"repro/internal/units"
 )
@@ -27,214 +28,208 @@ type CreateResult struct {
 	Err     error
 }
 
-// CreateBatch registers many datasets in one pass: path claims are
-// grouped by path shard and dataset inserts by dataset shard, so a
-// bulk ingest takes one lock round per touched shard instead of one
-// global lock per dataset. Results are per-item — a duplicate path
-// (against the store or within the batch) fails only that item.
-// Dataset IDs are assigned in shard-group order, not spec order.
-// Events (Created, then Tagged per spec tag) are published per
-// dataset in commit order.
+// CreateBatch registers many datasets in one pass. Results are
+// per-item — a duplicate path (against the store or within the batch)
+// fails only that item. Events (Created, then Tagged per spec tag) are
+// published per dataset in commit order.
+//
+// The paths are claimed first, each under its path shard's lock alone;
+// the creations are then one commit, which locks each touched dataset
+// shard once. No mutator ever holds a dataset-shard and a path-shard
+// lock together — captureShard, which does, relies on that.
 func (s *Store) CreateBatch(specs []CreateSpec) []CreateResult {
 	results := make([]CreateResult, len(specs))
-	ids := make([]string, len(specs))
-
-	// Round 1: claim every path, one lock round per path shard.
-	pathGroups := make([][]int, len(s.pathShards))
+	recs := make([]walRecord, 0, len(specs))
+	at := make([]int, 0, len(specs)) // recs[k] registers specs[at[k]]
 	for i, sp := range specs {
-		psi := fnv32a(sp.Path) & s.mask
-		pathGroups[psi] = append(pathGroups[psi], i)
+		id, err := s.claimPath(sp.Path, "")
+		if err != nil {
+			results[i].Err = err
+			continue
+		}
+		// One create record per dataset, its spec tags folded in: apply
+		// adds them in this order and leaves the record holding the
+		// dataset it produced.
+		recs = append(recs, walRecord{Op: opCreate, Seq: s.seq.Load(), Dataset: &Dataset{
+			ID:        id,
+			Project:   sp.Project,
+			Path:      sp.Path,
+			Size:      sp.Size,
+			Checksum:  sp.Checksum,
+			Basic:     cloneMap(sp.Basic),
+			Tags:      append([]string(nil), sp.Tags...),
+			CreatedAt: s.now(),
+			Version:   1 + len(sp.Tags),
+		}})
+		at = append(at, i)
 	}
-	for psi, idxs := range pathGroups {
-		if len(idxs) == 0 {
+	errs := s.commit(recs, s.bus.hasSubscribers())
+	for k, i := range at {
+		if errs != nil && errs[k] != nil {
+			results[i].Err = errs[k]
 			continue
 		}
-		ps := s.pathShards[psi]
-		ps.mu.Lock()
-		for _, i := range idxs {
-			path := specs[i].Path
-			if _, dup := ps.byPath[path]; dup {
-				results[i].Err = fmt.Errorf("%w: %q", ErrDuplicate, path)
-				continue
-			}
-			id := s.nextID()
-			ps.byPath[path] = id
-			ids[i] = id
-		}
-		ps.mu.Unlock()
-	}
-
-	// Round 2: insert the claimed datasets, one lock round per shard.
-	// On a durable store every dataset stages one create record (its
-	// spec tags folded in) while the shard lock is held, and the
-	// whole shard group rides a single group commit — one fsync per
-	// touched shard, paid in parallel across shards.
-	shardGroups := make([][]int, len(s.shards))
-	for i := range specs {
-		if ids[i] == "" {
-			continue
-		}
-		shi := fnv32a(ids[i]) & s.mask
-		shardGroups[shi] = append(shardGroups[shi], i)
-	}
-	observed := s.bus.hasSubscribers()
-	lsns := make([]uint64, len(s.shards))
-	pendingEvs := make([][]Event, len(s.shards))
-	for shi, idxs := range shardGroups {
-		if len(idxs) == 0 {
-			continue
-		}
-		sh := s.shards[shi]
-		var evs []Event
-		var jerr error
-		sh.mu.Lock()
-		for _, i := range idxs {
-			sp := specs[i]
-			d := &Dataset{
-				ID:        ids[i],
-				Project:   sp.Project,
-				Path:      sp.Path,
-				Size:      sp.Size,
-				Checksum:  sp.Checksum,
-				Basic:     cloneMap(sp.Basic),
-				CreatedAt: s.now(),
-				Version:   1,
-			}
-			sh.datasets[d.ID] = d
-			if sh.byProject[d.Project] == nil {
-				sh.byProject[d.Project] = make(map[string]bool)
-			}
-			sh.byProject[d.Project][d.ID] = true
-			if observed {
-				evs = append(evs, Event{Type: EventCreated, Dataset: d.clone()})
-			}
-			for _, tag := range sp.Tags {
-				if d.HasTag(tag) {
-					continue
-				}
-				d.Tags = append(d.Tags, tag)
-				sort.Strings(d.Tags)
-				d.Version++
-				if sh.byTag[tag] == nil {
-					sh.byTag[tag] = make(map[string]bool)
-				}
-				sh.byTag[tag][d.ID] = true
-				if observed {
-					evs = append(evs, Event{Type: EventTagged, Dataset: d.clone(), Tag: tag})
-				}
-			}
-			results[i].Dataset = d.clone()
-			rec := results[i].Dataset.clone()
-			var lsn uint64
-			lsn, jerr = s.journal(uint32(shi), walRecord{Op: opCreate, Dataset: &rec, Seq: s.seq.Load()})
-			if jerr != nil {
-				break
-			}
-			if lsn > lsns[shi] {
-				lsns[shi] = lsn
-			}
-		}
-		s.stage(evs...)
-		sh.mu.Unlock()
-		if jerr != nil {
-			for _, i := range idxs {
-				results[i] = CreateResult{Err: jerr}
-			}
-			lsns[shi] = 0
-			continue
-		}
-		pendingEvs[shi] = evs
-	}
-	walErrs := s.journalWaitAll(lsns)
-	for shi, idxs := range shardGroups {
-		if len(idxs) == 0 {
-			continue
-		}
-		if walErrs != nil && walErrs[shi] != nil {
-			for _, i := range idxs {
-				results[i] = CreateResult{Err: walErrs[shi]}
-			}
-			continue
-		}
-		s.publish(pendingEvs[shi]...)
+		results[i].Dataset = *recs[k].Dataset
 	}
 	return results
 }
 
-// TagSpec names one tag application for TagBatch.
-type TagSpec struct {
-	ID  string
-	Tag string
+// claimPath registers path → id, minting the ID when id is empty. The
+// claim is what makes duplicate detection race-free without a global
+// lock; it is never journaled (see rebuildPaths).
+func (s *Store) claimPath(path, id string) (string, error) {
+	ps := s.pathShardFor(path)
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if _, dup := ps.byPath[path]; dup {
+		return "", fmt.Errorf("%w: %q", ErrDuplicate, path)
+	}
+	if id == "" {
+		id = fmt.Sprintf("ds-%06d", s.seq.Add(1))
+	}
+	ps.byPath[path] = id
+	return id, nil
 }
 
-// TagBatch applies many tags, grouped so each touched shard is
-// locked once. Like Tag it is idempotent per (ID, Tag) and publishes
-// EventTagged only on first application. The returned error joins
-// every per-item failure (errors.Is(err, ErrNotFound) matches when
-// any ID was unknown); successful items are applied regardless.
-func (s *Store) TagBatch(specs []TagSpec) error {
-	groups := make([][]int, len(s.shards))
-	for i, sp := range specs {
-		shi := fnv32a(sp.ID) & s.mask
-		groups[shi] = append(groups[shi], i)
-	}
-	var errs []error
-	observed := s.bus.hasSubscribers()
-	lsns := make([]uint64, len(s.shards))
-	pendingEvs := make([][]Event, len(s.shards))
-	for shi, idxs := range groups {
-		if len(idxs) == 0 {
-			continue
+// commitRun is one lock round of a commit: the records recs[order[lo:hi]]
+// share a shard and a lock kind.
+type commitRun struct {
+	wi     uint32
+	lo, hi int
+	lsn    uint64  // highest LSN staged; 0 when nothing was
+	evs    []Event // what the round's records publish, in commit order
+	err    error   // a WAL failure: fails the whole round
+}
+
+// commit is the one write path: every mutation, single or batched,
+// live or imported, is a record that goes through here. It groups the
+// records by shard; per shard it takes the lock the records need,
+// applies each record, journals it if it changed anything and stages
+// its events, and unlocks; it then waits for all the shards' logs at
+// once and, per shard in commit order, publishes. With observed false
+// the events are not built at all (no subscriber, or Import).
+//
+// It returns nil when every record committed, else one error per
+// record: what apply refused (ErrNotFound), or the WAL failure of the
+// record's shard.
+func (s *Store) commit(recs []walRecord, observed bool) (errs []error) {
+	fail := func(i int, err error) {
+		if errs == nil {
+			errs = make([]error, len(recs))
 		}
-		sh := s.shards[shi]
-		var evs []Event
-		var jerr error
-		sh.mu.Lock()
-		for _, i := range idxs {
-			sp := specs[i]
-			d, ok := sh.datasets[sp.ID]
-			if !ok {
-				errs = append(errs, fmt.Errorf("%w: %q", ErrNotFound, sp.ID))
-				continue
-			}
-			if d.HasTag(sp.Tag) {
-				continue
-			}
-			d.Tags = append(d.Tags, sp.Tag)
-			sort.Strings(d.Tags)
-			d.Version++
-			if sh.byTag[sp.Tag] == nil {
-				sh.byTag[sp.Tag] = make(map[string]bool)
-			}
-			sh.byTag[sp.Tag][d.ID] = true
-			var lsn uint64
-			lsn, jerr = s.journal(uint32(shi), walRecord{Op: opTag, ID: sp.ID, Tag: sp.Tag})
-			if jerr != nil {
+		errs[i] = err
+	}
+	// Stable order by shard: one lock round per touched shard and lock
+	// kind, records of one shard in the order given. A single record —
+	// Tag, a note, a Create — is its own order and allocates nothing here.
+	var one [1]int
+	order := one[:min(len(recs), 1)]
+	if len(recs) > 1 {
+		order = make([]int, len(recs))
+		shard := make([]uint32, len(recs))
+		for i := range recs {
+			order[i] = i
+			shard[i], _ = s.route(&recs[i])
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(shard[a], shard[b]) })
+	}
+
+	var first [1]commitRun
+	runs := first[:0]
+	for lo := 0; lo < len(recs); {
+		wi, onPath := s.route(&recs[order[lo]])
+		run := commitRun{wi: wi, lo: lo, hi: lo + 1}
+		for ; run.hi < len(recs); run.hi++ {
+			if w, p := s.route(&recs[order[run.hi]]); w != wi || p != onPath {
 				break
 			}
-			if lsn > lsns[shi] {
-				lsns[shi] = lsn
+		}
+		lo = run.hi
+		var evs *[]Event
+		if observed {
+			evs = &run.evs
+		}
+		mu := &s.shards[wi].mu
+		if onPath {
+			mu = &s.pathShards[wi].mu
+		}
+		mu.Lock()
+		for _, i := range order[run.lo:run.hi] {
+			rec := &recs[i]
+			changed, err := s.apply(wi, rec, evs)
+			if err != nil {
+				fail(i, err)
 			}
-			if observed {
-				evs = append(evs, Event{Type: EventTagged, Dataset: d.clone(), Tag: sp.Tag})
+			if !changed || s.wal == nil {
+				continue
+			}
+			// Staged under the lock, so LSN order is apply order.
+			if run.lsn, run.err = s.wal.shards[wi].stage(*rec); run.err != nil {
+				break
 			}
 		}
-		s.stage(evs...)
-		sh.mu.Unlock()
-		if jerr != nil {
-			errs = append(errs, jerr)
-			lsns[shi] = 0
+		s.stage(run.evs...)
+		mu.Unlock()
+		runs = append(runs, run)
+	}
+
+	s.journalWaitAll(runs)
+	for _, run := range runs {
+		if run.err != nil {
+			for _, i := range order[run.lo:run.hi] {
+				fail(i, run.err)
+			}
 			continue
 		}
-		pendingEvs[shi] = evs
+		s.publish(run.evs...)
 	}
-	walErrs := s.journalWaitAll(lsns)
-	for shi := range groups {
-		if walErrs != nil && walErrs[shi] != nil {
-			errs = append(errs, walErrs[shi])
-			continue
-		}
-		s.publish(pendingEvs[shi]...)
+	return errs
+}
+
+// commitOne commits a single record for a live mutator.
+func (s *Store) commitOne(rec walRecord) error {
+	if errs := s.commit([]walRecord{rec}, s.bus.hasSubscribers()); errs != nil {
+		return errs[0]
 	}
-	return errors.Join(errs...)
+	return nil
+}
+
+// route names the shard a record mutates and which of its two locks
+// guards that state: notes live in the path shard their path hashes
+// to, everything else in the dataset shard its ID hashes to — and both
+// journal to that shard's log.
+func (s *Store) route(rec *walRecord) (wi uint32, onPath bool) {
+	switch {
+	case rec.Op == opPlacement || rec.Op == opReplica:
+		return fnv32a(rec.Path) & s.mask, true
+	case rec.Dataset != nil:
+		return fnv32a(rec.Dataset.ID) & s.mask, false
+	}
+	return fnv32a(rec.ID) & s.mask, false
+}
+
+// journalWaitAll makes every round's staged records durable, the
+// rounds' fsyncs in parallel.
+func (s *Store) journalWaitAll(runs []commitRun) {
+	if s.wal == nil {
+		return
+	}
+	if len(runs) == 1 { // a single record starts no goroutine
+		s.journalWait(&runs[0])
+		return
+	}
+	// On a copy: commit's own rounds then stay on its stack.
+	waits := slices.Clone(runs)
+	var wg sync.WaitGroup
+	for k := range waits {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.journalWait(&waits[k])
+		}()
+	}
+	wg.Wait()
+	for k := range runs {
+		runs[k].err = waits[k].err
+	}
 }

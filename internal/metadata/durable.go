@@ -2,8 +2,10 @@ package metadata
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"sort"
 	"strings"
 	"sync"
@@ -58,6 +60,36 @@ func (ws *walSet) listSegments(shards int) ([][]int, error) {
 		sort.Ints(s) // not name order: segment 0 is "shard-NNN.wal"
 	}
 	return segs, nil
+}
+
+// readFile returns name's bytes. Only fs.ErrNotExist means absent; any
+// other error must fail Open — an unreadable snapshot or manifest read
+// as "none yet" opens the store without its history.
+func (ws *walSet) readFile(name string) ([]byte, error) {
+	f, err := ws.fs.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	return io.ReadAll(f)
+}
+
+// writeFile creates name holding data and syncs it; the caller makes
+// the directory entry durable.
+func (ws *walSet) writeFile(name string, data []byte) error {
+	f, err := ws.fs.Create(name)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // manifest pins the WAL directory to a shard count; reopening with a
@@ -140,29 +172,24 @@ func (s *Store) Replicas(path string) map[string]string {
 	ps := s.pathShardFor(path)
 	ps.mu.RLock()
 	defer ps.mu.RUnlock()
-	sites := ps.replicas[path]
-	if len(sites) == 0 {
+	if len(ps.replicas[path]) == 0 {
 		return nil
 	}
-	out := make(map[string]string, len(sites))
-	for site, st := range sites {
-		out[site] = st
-	}
-	return out
+	return cloneMap(ps.replicas[path])
 }
 
 // openWAL attaches the durability plane to a freshly constructed
 // (empty) store and recovers any prior state from dir.
 func (s *Store) openWAL(opts Options) error {
-	fs := opts.FS
-	if fs == nil {
-		fs = durafs.OS()
+	fsys := opts.FS
+	if fsys == nil {
+		fsys = durafs.OS()
 	}
-	if err := fs.MkdirAll(opts.WALDir); err != nil {
+	if err := fsys.MkdirAll(opts.WALDir); err != nil {
 		return fmt.Errorf("metadata: wal dir: %w", err)
 	}
 	ws := &walSet{
-		fs:            fs,
+		fs:            fsys,
 		dir:           opts.WALDir,
 		snapMu:        make([]sync.Mutex, len(s.shards)),
 		snapshotEvery: opts.SnapshotEvery,
@@ -193,35 +220,36 @@ func (s *Store) openWAL(opts Options) error {
 	return nil
 }
 
-// checkManifest validates or creates <dir>/MANIFEST.
+// checkManifest validates <dir>/MANIFEST, creating it only when the
+// directory has none: a manifest that exists but cannot be opened must
+// not be overwritten.
 func (ws *walSet) checkManifest(shards int) error {
 	manifestPath := ws.dir + "/MANIFEST"
-	if f, err := ws.fs.Open(manifestPath); err == nil {
-		data, rerr := io.ReadAll(f)
-		f.Close()
-		if rerr != nil {
-			return fmt.Errorf("metadata: manifest: %w", rerr)
-		}
-		payload, _, ok := decodeFrame(data)
-		var m walManifest
-		if !ok || json.Unmarshal(payload, &m) != nil {
-			// A torn manifest can only be the remains of a first-open
-			// crash: it is written and synced before any WAL record
-			// can exist. With data files present it is corruption.
-			names, _ := ws.fs.ReadDir(ws.dir)
-			for _, n := range names {
-				if n != "MANIFEST" {
-					return fmt.Errorf("%w: manifest unreadable but %q exists", ErrWALConfig, n)
-				}
-			}
-			return ws.writeManifest(manifestPath, shards)
-		}
-		if m.Shards != shards {
-			return fmt.Errorf("%w: directory has %d shards, store wants %d", ErrWALConfig, m.Shards, shards)
-		}
-		return nil
+	data, err := ws.readFile(manifestPath)
+	if errors.Is(err, fs.ErrNotExist) {
+		return ws.writeManifest(manifestPath, shards)
 	}
-	return ws.writeManifest(manifestPath, shards)
+	if err != nil {
+		return fmt.Errorf("metadata: manifest: %w", err)
+	}
+	payload, _, ok := decodeFrame(data)
+	var m walManifest
+	if !ok || json.Unmarshal(payload, &m) != nil {
+		// A torn manifest can only be the remains of a first-open
+		// crash: it is written and synced before any WAL record
+		// can exist. With data files present it is corruption.
+		names, _ := ws.fs.ReadDir(ws.dir)
+		for _, n := range names {
+			if n != "MANIFEST" {
+				return fmt.Errorf("%w: manifest unreadable but %q exists", ErrWALConfig, n)
+			}
+		}
+		return ws.writeManifest(manifestPath, shards)
+	}
+	if m.Shards != shards {
+		return fmt.Errorf("%w: directory has %d shards, store wants %d", ErrWALConfig, m.Shards, shards)
+	}
+	return nil
 }
 
 func (ws *walSet) writeManifest(path string, shards int) error {
@@ -229,19 +257,7 @@ func (ws *walSet) writeManifest(path string, shards int) error {
 	if err != nil {
 		return err
 	}
-	f, err := ws.fs.Create(path)
-	if err != nil {
-		return fmt.Errorf("metadata: manifest: %w", err)
-	}
-	if _, err := f.Write(appendFrame(nil, payload)); err != nil {
-		f.Close()
-		return fmt.Errorf("metadata: manifest: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("metadata: manifest: %w", err)
-	}
-	if err := f.Close(); err != nil {
+	if err := ws.writeFile(path, appendFrame(nil, payload)); err != nil {
 		return fmt.Errorf("metadata: manifest: %w", err)
 	}
 	return ws.fs.SyncDir(ws.dir)
@@ -253,9 +269,6 @@ func (ws *walSet) writeManifest(path string, shards int) error {
 // newest segment with its compaction trigger restored, plus the
 // ID-sequence watermark.
 func (s *Store) recoverShard(i int, segs []int, interval time.Duration) (w *walShard, maxSeq int64, err error) {
-	sh := s.shards[i]
-	ps := s.pathShards[i]
-
 	snap, haveSnap, err := s.loadSnapshot(i)
 	if err != nil {
 		return nil, 0, err
@@ -265,17 +278,9 @@ func (s *Store) recoverShard(i int, segs []int, interval time.Duration) (w *walS
 		s.recovered.SnapshotsLoaded++
 		s.recovered.SnapshotDatasets += len(snap.Datasets)
 		maxSeq = snap.Seq
-		for idx := range snap.Datasets {
-			d := snap.Datasets[idx].clone()
-			sh.insert(&d)
-		}
-		for p, st := range snap.Placements {
-			ps.setPlacement(p, st)
-		}
-		for p, sites := range snap.Replicas {
-			for site, st := range sites {
-				ps.setReplica(p, site, st)
-			}
+		// Installing a dump is applying its records, as Import does.
+		for _, rec := range snap.records() {
+			s.apply(uint32(i), &rec, nil)
 		}
 	}
 
@@ -297,7 +302,7 @@ func (s *Store) recoverShard(i int, segs []int, interval time.Duration) (w *walS
 			if rec.LSN > lastLSN {
 				lastLSN = rec.LSN
 			}
-			s.applyRecord(sh, ps, rec)
+			s.apply(uint32(i), &rec, nil)
 			s.recovered.RecordsReplayed++
 			tail++
 		}
@@ -313,14 +318,9 @@ func (s *Store) recoverShard(i int, segs []int, interval time.Duration) (w *walS
 // readSegment decodes one log segment, dropping a torn tail so that
 // appends resume on a clean boundary.
 func (s *Store) readSegment(path string) ([]walRecord, error) {
-	f, err := s.wal.fs.Open(path)
+	data, err := s.wal.readFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("metadata: wal read: %w", err)
-	}
-	data, rerr := io.ReadAll(f)
-	f.Close()
-	if rerr != nil {
-		return nil, fmt.Errorf("metadata: wal read: %w", rerr)
 	}
 	recs, valid, derr := decodeWALStream(data)
 	if derr != nil {
@@ -343,35 +343,76 @@ func (s *Store) readSegment(path string) ([]walRecord, error) {
 	return recs, nil
 }
 
-// applyRecord replays one journaled mutation into shard memory.
-// Recovery is single-threaded; locks are not needed but the shard
-// helpers it reuses keep index maintenance identical to the live
-// paths. Path claims are not applied here — rebuildPaths derives the
-// whole namespace from the surviving datasets afterwards.
-func (s *Store) applyRecord(sh *shard, ps *pathShard, rec walRecord) {
+// apply is the one transition function of the store: it performs the
+// mutation rec describes on shard wi. The live mutators call it (from
+// commit) under the lock of the structure the record mutates, just
+// before they journal that same record; recovery calls it to replay
+// the log and to install a snapshot; Import's records reach it through
+// commit. What recovery rebuilds is therefore what the live path
+// acknowledged, by construction.
+//
+// changed reports whether the state moved — only then is the record
+// journaled; err is a record that cannot apply (ErrNotFound). With
+// evs non-nil the events the mutation publishes are appended to it, in
+// order, each with the dataset as it stood at that step.
+//
+// Two fields only the state can decide are filled in on the record, so
+// that what is journaled replays to the same state: a processing's ID,
+// and a create's final tags and version. Path claims are not applied
+// here — they are derived from the datasets, never journaled: the
+// mutators take them in a round of their own and recovery rebuilds
+// them (rebuildPaths).
+func (s *Store) apply(wi uint32, rec *walRecord, evs *[]Event) (changed bool, err error) {
+	sh, ps := s.shards[wi], s.pathShards[wi]
+	emit := func(t EventType, d *Dataset, tag string) {
+		if evs != nil {
+			*evs = append(*evs, Event{Type: t, Dataset: d.clone(), Tag: tag})
+		}
+	}
+	// Every dataset op but create addresses an existing dataset.
+	var d *Dataset
+	switch rec.Op {
+	case opTag, opUntag, opProc, opDelete:
+		if d = sh.datasets[rec.ID]; d == nil {
+			return false, fmt.Errorf("%w: %q", ErrNotFound, rec.ID)
+		}
+	}
+	addTag := func(tag string) bool {
+		if d.HasTag(tag) {
+			return false
+		}
+		d.Tags = append(d.Tags, tag)
+		sort.Strings(d.Tags)
+		d.Version++
+		sh.index(tag, d.ID)
+		emit(EventTagged, d, tag)
+		return true
+	}
+
 	switch rec.Op {
 	case opCreate:
 		if rec.Dataset == nil {
-			return
+			return false, nil
 		}
-		d := rec.Dataset.clone()
-		sh.insert(&d)
+		// A create with tags is a create followed by its tags, in the
+		// record's order: the dataset goes in as it was before them.
+		bare := *rec.Dataset
+		bare.Tags, bare.Version = nil, bare.Version-len(rec.Dataset.Tags)
+		stored := bare.clone()
+		d = &stored
+		sh.insert(d)
+		emit(EventCreated, d, "")
+		for _, tag := range rec.Dataset.Tags {
+			addTag(tag)
+		}
+		rec.Dataset.Tags = append(rec.Dataset.Tags[:0], d.Tags...)
+		rec.Dataset.Version = d.Version
+		return true, nil
 	case opTag:
-		d := sh.datasets[rec.ID]
-		if d == nil || d.HasTag(rec.Tag) {
-			return
-		}
-		d.Tags = append(d.Tags, rec.Tag)
-		sort.Strings(d.Tags)
-		d.Version++
-		if sh.byTag[rec.Tag] == nil {
-			sh.byTag[rec.Tag] = make(map[string]bool)
-		}
-		sh.byTag[rec.Tag][d.ID] = true
+		return addTag(rec.Tag), nil
 	case opUntag:
-		d := sh.datasets[rec.ID]
-		if d == nil || !d.HasTag(rec.Tag) {
-			return
+		if !d.HasTag(rec.Tag) {
+			return false, nil
 		}
 		keep := d.Tags[:0]
 		for _, t := range d.Tags {
@@ -382,29 +423,37 @@ func (s *Store) applyRecord(sh *shard, ps *pathShard, rec walRecord) {
 		d.Tags = keep
 		d.Version++
 		delete(sh.byTag[rec.Tag], d.ID)
+		emit(EventUntagged, d, rec.Tag)
+		return true, nil
 	case opProc:
-		d := sh.datasets[rec.ID]
-		if d == nil || rec.Proc == nil {
-			return
+		if rec.Proc == nil {
+			return false, nil
+		}
+		if rec.Proc.ID == "" {
+			rec.Proc.ID = fmt.Sprintf("%s-p%03d", d.ID, len(d.Processings)+1)
 		}
 		d.Processings = append(d.Processings, *rec.Proc)
 		d.Version++
+		emit(EventProcessingAdded, d, "")
+		return true, nil
 	case opDelete:
-		d := sh.datasets[rec.ID]
-		if d == nil {
-			return
-		}
-		delete(sh.datasets, rec.ID)
-		delete(sh.byProject[d.Project], rec.ID)
-		for _, t := range d.Tags {
-			delete(sh.byTag[t], rec.ID)
-		}
+		sh.remove(d)
+		emit(EventDeleted, d, "")
+		return true, nil
 	case opPlacement:
 		ps.setPlacement(rec.Path, rec.State)
+		return true, nil
 	case opReplica:
 		ps.setReplica(rec.Path, rec.Site, rec.State)
+		return true, nil
 	}
+	return false, fmt.Errorf("%w: %q", errNoTransition, rec.Op)
 }
+
+// errNoTransition is apply's answer to an op it has no case for.
+// Replay skips such a record, as it always has; the op table test
+// fails on it, so a new op cannot be journaled without a transition.
+var errNoTransition = errors.New("metadata: no transition for op")
 
 // rebuildPaths derives the logical-path namespace from the surviving
 // datasets. When two live datasets claim one path — possible only
@@ -414,34 +463,26 @@ func (s *Store) applyRecord(sh *shard, ps *pathShard, rec walRecord) {
 // dropped.
 func (s *Store) rebuildPaths() {
 	type claim struct {
-		id    string
-		shard *shard
+		d  *Dataset
+		sh *shard
 	}
 	byPath := make(map[string]claim)
 	for _, sh := range s.shards {
-		for id, d := range sh.datasets {
-			prev, dup := byPath[d.Path]
-			if !dup {
-				byPath[d.Path] = claim{id, sh}
-				continue
+		for _, d := range sh.datasets {
+			win := claim{d, sh}
+			if prev, dup := byPath[d.Path]; dup {
+				lose := prev
+				if idLess(d.ID, prev.d.ID) {
+					win, lose = prev, win
+				}
+				lose.sh.remove(lose.d)
+				s.recovered.PathConflictsDropped++
 			}
-			loserID, loserShard := id, sh
-			if idLess(prev.id, id) {
-				loserID, loserShard = prev.id, prev.shard
-				byPath[d.Path] = claim{id, sh}
-			}
-			ld := loserShard.datasets[loserID]
-			delete(loserShard.datasets, loserID)
-			delete(loserShard.byProject[ld.Project], loserID)
-			for _, t := range ld.Tags {
-				delete(loserShard.byTag[t], loserID)
-			}
-			s.recovered.PathConflictsDropped++
+			byPath[d.Path] = win
 		}
 	}
 	for p, c := range byPath {
-		ps := s.pathShardFor(p)
-		ps.byPath[p] = c.id
+		s.pathShardFor(p).byPath[p] = c.d.ID
 	}
 }
 
@@ -454,69 +495,32 @@ func idLess(a, b string) bool {
 	return a < b
 }
 
-// --- journaling hooks (no-ops when s.wal == nil) ---
+// --- journaling hooks ---
 
-// journal stages rec on WAL shard wi. Callers hold the lock of the
-// structure the record mutates, which pins the record's LSN to its
-// apply order.
-func (s *Store) journal(wi uint32, rec walRecord) (uint64, error) {
-	if s.wal == nil {
-		return 0, nil
+// journalWait makes the records a lock round staged durable
+// (group-committing with concurrent mutators), recording a failure on
+// the round, and compacts the shard when its uncompacted tail has
+// reached max(SnapshotEvery, items in the last snapshot). Called with
+// the structure lock released.
+func (s *Store) journalWait(run *commitRun) {
+	if run.err != nil || run.lsn == 0 {
+		return // nothing staged: no change, or an in-memory store
 	}
-	return s.wal.shards[wi].stage(rec)
-}
-
-// journalWait makes the staged record durable (group-committing with
-// concurrent mutators) and compacts the shard when its uncompacted
-// tail has reached max(SnapshotEvery, items in the last snapshot).
-// Called with the structure lock released.
-func (s *Store) journalWait(wi uint32, lsn uint64, stageErr error) error {
-	if s.wal == nil {
-		return nil
-	}
-	if stageErr != nil {
-		return stageErr
-	}
-	w := s.wal.shards[wi]
-	if err := w.waitDurable(lsn); err != nil {
-		return err
+	w := s.wal.shards[run.wi]
+	if run.err = w.waitDurable(run.lsn); run.err != nil {
+		return
 	}
 	w.mu.Lock()
 	due := w.recordsSinceSnap >= max(s.wal.snapshotEvery, w.snapItems)
 	w.mu.Unlock()
 	if due {
-		if err := s.snapshotShard(int(wi), false); err != nil {
+		if err := s.snapshotShard(int(run.wi), false); err != nil {
 			// A failed snapshot loses no data (the WAL still has
 			// everything); surface it on the error counter and keep
 			// serving.
 			s.walErrs.Add(1)
 		}
 	}
-	return nil
-}
-
-// journalWaitAll waits for per-shard LSNs in parallel — the batched
-// mutation paths stage across many shards and should not pay the
-// shards' fsyncs serially. lsns maps WAL-shard index to the highest
-// staged LSN; a zero entry is skipped. Returns the per-shard errors.
-func (s *Store) journalWaitAll(lsns []uint64) []error {
-	if s.wal == nil {
-		return nil
-	}
-	errs := make([]error, len(lsns))
-	var wg sync.WaitGroup
-	for wi, lsn := range lsns {
-		if lsn == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func(wi int, lsn uint64) {
-			defer wg.Done()
-			errs[wi] = s.journalWait(uint32(wi), lsn, nil)
-		}(wi, lsn)
-	}
-	wg.Wait()
-	return errs
 }
 
 // closeWAL flushes and closes every shard log.

@@ -19,9 +19,13 @@
 // different datasets proceed without contending on a global lock.
 // Find fans out across shards in parallel and merges the per-shard
 // results in deterministic ID order, so query results are identical
-// for any shard count. Batched mutations (CreateBatch, TagBatch)
-// group their work by shard and take one lock round per shard
-// instead of one lock per dataset.
+// for any shard count. A batched mutation (CreateBatch, Import) groups
+// its work by shard and takes one lock round per shard instead of one
+// lock per dataset.
+//
+// A mutation is a walRecord and nothing else: every mutator builds
+// records for commit (batch.go), which runs each through apply
+// (durable.go) — the function recovery replays the log through.
 //
 // # Event delivery
 //
@@ -272,8 +276,7 @@ type Store struct {
 	pathShards []*pathShard
 	mask       uint32
 	seq        atomic.Int64
-	clockMu    sync.RWMutex
-	clock      func() time.Time
+	now        func() time.Time
 	bus        *bus
 
 	// Durability plane (nil for pure in-memory stores): per-shard
@@ -287,12 +290,6 @@ type Store struct {
 // NewStore creates an empty repository with default options:
 // 16 shards, wall-clock time, synchronous event delivery.
 func NewStore() *Store { return NewStoreWith(Options{}) }
-
-// NewStoreWithClock creates a repository with an injected clock, so
-// simulations can register datasets in virtual time.
-func NewStoreWithClock(clock func() time.Time) *Store {
-	return NewStoreWith(Options{Clock: clock})
-}
 
 // NewStoreWith creates a repository from explicit options. It panics
 // if recovery fails, which can only happen when Options.WALDir is
@@ -319,7 +316,7 @@ func Open(opts Options) (*Store, error) {
 		shards:     make([]*shard, opts.Shards),
 		pathShards: make([]*pathShard, opts.Shards),
 		mask:       uint32(opts.Shards - 1),
-		clock:      opts.Clock,
+		now:        opts.Clock,
 		bus:        newBus(opts.Async, opts.QueueLen),
 	}
 	for i := range s.shards {
@@ -342,19 +339,6 @@ func Open(opts Options) (*Store, error) {
 // Shards returns the shard count (always a power of two).
 func (s *Store) Shards() int { return len(s.shards) }
 
-// SetClock replaces the timestamp source (for tests and simulation).
-func (s *Store) SetClock(clock func() time.Time) {
-	s.clockMu.Lock()
-	defer s.clockMu.Unlock()
-	s.clock = clock
-}
-
-func (s *Store) now() time.Time {
-	s.clockMu.RLock()
-	defer s.clockMu.RUnlock()
-	return s.clock()
-}
-
 // fnv32a is the 32-bit FNV-1a hash, inlined to avoid the hash.Hash
 // allocation on every shard lookup.
 func fnv32a(s string) uint32 {
@@ -369,10 +353,6 @@ func fnv32a(s string) uint32 {
 func (s *Store) shardFor(id string) *shard           { return s.shards[fnv32a(id)&s.mask] }
 func (s *Store) pathShardFor(path string) *pathShard { return s.pathShards[fnv32a(path)&s.mask] }
 
-func (s *Store) nextID() string {
-	return fmt.Sprintf("ds-%06d", s.seq.Add(1))
-}
-
 // insert registers d in the shard's maps. Callers hold sh.mu.
 func (sh *shard) insert(d *Dataset) {
 	sh.datasets[d.ID] = d
@@ -381,10 +361,23 @@ func (sh *shard) insert(d *Dataset) {
 	}
 	sh.byProject[d.Project][d.ID] = true
 	for _, t := range d.Tags {
-		if sh.byTag[t] == nil {
-			sh.byTag[t] = make(map[string]bool)
-		}
-		sh.byTag[t][d.ID] = true
+		sh.index(t, d.ID)
+	}
+}
+
+func (sh *shard) index(tag, id string) {
+	if sh.byTag[tag] == nil {
+		sh.byTag[tag] = make(map[string]bool)
+	}
+	sh.byTag[tag][id] = true
+}
+
+// remove is insert's inverse. Callers hold sh.mu.
+func (sh *shard) remove(d *Dataset) {
+	delete(sh.datasets, d.ID)
+	delete(sh.byProject[d.Project], d.ID)
+	for _, t := range d.Tags {
+		delete(sh.byTag[t], d.ID)
 	}
 }
 
@@ -414,45 +407,14 @@ func (s *Store) stage(evs ...Event) {
 	}
 }
 
-// Create registers a dataset. The basic map is copied and immutable
-// afterwards. The logical path must be unique. On a durable store
-// Create returns only after the creation is journaled; a WAL failure
-// returns ErrWALFailed and the shard goes fail-stop.
+// Create registers a dataset: a CreateBatch of one. The basic map is
+// copied and immutable afterwards. The logical path must be unique.
+// On a durable store Create returns only after the creation is
+// journaled; a WAL failure returns ErrWALFailed and the shard goes
+// fail-stop.
 func (s *Store) Create(project, path string, size units.Bytes, checksum string, basic map[string]string) (Dataset, error) {
-	ps := s.pathShardFor(path)
-	ps.mu.Lock()
-	if _, dup := ps.byPath[path]; dup {
-		ps.mu.Unlock()
-		return Dataset{}, fmt.Errorf("%w: %q", ErrDuplicate, path)
-	}
-	id := s.nextID()
-	ps.byPath[path] = id
-	ps.mu.Unlock()
-
-	d := &Dataset{
-		ID:        id,
-		Project:   project,
-		Path:      path,
-		Size:      size,
-		Checksum:  checksum,
-		Basic:     cloneMap(basic),
-		CreatedAt: s.now(),
-		Version:   1,
-	}
-	sh := s.shardFor(id)
-	wi := fnv32a(id) & s.mask
-	sh.mu.Lock()
-	sh.insert(d)
-	snap := d.clone()
-	lsn, jerr := s.journal(wi, walRecord{Op: opCreate, Dataset: &snap, Seq: s.seq.Load()})
-	ev := Event{Type: EventCreated, Dataset: snap}
-	s.stage(ev)
-	sh.mu.Unlock()
-	if err := s.journalWait(wi, lsn, jerr); err != nil {
-		return Dataset{}, err
-	}
-	s.publish(ev)
-	return snap, nil
+	res := s.CreateBatch([]CreateSpec{{Project: project, Path: path, Size: size, Checksum: checksum, Basic: basic}})[0]
+	return res.Dataset, res.Err
 }
 
 // Get returns a snapshot of a dataset by ID.
@@ -495,133 +457,44 @@ func (s *Store) Count() int {
 // Tag adds a tag; it is idempotent. Subscribers observe EventTagged
 // only on the first application.
 func (s *Store) Tag(id, tag string) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	d, ok := sh.datasets[id]
-	if !ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	if d.HasTag(tag) {
-		sh.mu.Unlock()
-		return nil
-	}
-	d.Tags = append(d.Tags, tag)
-	sort.Strings(d.Tags)
-	d.Version++
-	if sh.byTag[tag] == nil {
-		sh.byTag[tag] = make(map[string]bool)
-	}
-	sh.byTag[tag][id] = true
-	snap := d.clone()
-	wi := fnv32a(id) & s.mask
-	lsn, jerr := s.journal(wi, walRecord{Op: opTag, ID: id, Tag: tag})
-	ev := Event{Type: EventTagged, Dataset: snap, Tag: tag}
-	s.stage(ev)
-	sh.mu.Unlock()
-	if err := s.journalWait(wi, lsn, jerr); err != nil {
-		return err
-	}
-	s.publish(ev)
-	return nil
+	return s.commitOne(walRecord{Op: opTag, ID: id, Tag: tag})
 }
 
 // Untag removes a tag if present.
 func (s *Store) Untag(id, tag string) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	d, ok := sh.datasets[id]
-	if !ok {
-		sh.mu.Unlock()
-		return fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	if !d.HasTag(tag) {
-		sh.mu.Unlock()
-		return nil
-	}
-	keep := d.Tags[:0]
-	for _, t := range d.Tags {
-		if t != tag {
-			keep = append(keep, t)
-		}
-	}
-	d.Tags = keep
-	d.Version++
-	delete(sh.byTag[tag], id)
-	snap := d.clone()
-	wi := fnv32a(id) & s.mask
-	lsn, jerr := s.journal(wi, walRecord{Op: opUntag, ID: id, Tag: tag})
-	ev := Event{Type: EventUntagged, Dataset: snap, Tag: tag}
-	s.stage(ev)
-	sh.mu.Unlock()
-	if err := s.journalWait(wi, lsn, jerr); err != nil {
-		return err
-	}
-	s.publish(ev)
-	return nil
+	return s.commitOne(walRecord{Op: opUntag, ID: id, Tag: tag})
 }
 
 // AddProcessing appends a processing record, returning its ID.
 func (s *Store) AddProcessing(id string, p Processing) (string, error) {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	d, ok := sh.datasets[id]
-	if !ok {
-		sh.mu.Unlock()
-		return "", fmt.Errorf("%w: %q", ErrNotFound, id)
-	}
-	p.ID = fmt.Sprintf("%s-p%03d", d.ID, len(d.Processings)+1)
-	p.Params = cloneMap(p.Params)
-	p.Results = cloneMap(p.Results)
-	p.Outputs = append([]string(nil), p.Outputs...)
-	d.Processings = append(d.Processings, p)
-	d.Version++
-	snap := d.clone()
-	wi := fnv32a(id) & s.mask
-	proc := p
-	lsn, jerr := s.journal(wi, walRecord{Op: opProc, ID: id, Proc: &proc})
-	ev := Event{Type: EventProcessingAdded, Dataset: snap}
-	s.stage(ev)
-	sh.mu.Unlock()
-	if err := s.journalWait(wi, lsn, jerr); err != nil {
+	p = p.clone()
+	p.ID = "" // apply numbers it under the shard lock
+	if err := s.commitOne(walRecord{Op: opProc, ID: id, Proc: &p}); err != nil {
 		return "", err
 	}
-	s.publish(ev)
 	return p.ID, nil
 }
 
-// Delete removes a dataset.
+// Delete removes a dataset and, once it is gone, gives its path back:
+// the claim is taken and released outside the dataset shard's lock
+// round, like CreateBatch's, and is not journaled — recovery derives
+// the namespace from the datasets that survive (rebuildPaths).
 func (s *Store) Delete(id string) error {
-	sh := s.shardFor(id)
-	sh.mu.Lock()
-	d, ok := sh.datasets[id]
+	d, ok := s.Get(id) // for the path, which never changes
 	if !ok {
-		sh.mu.Unlock()
 		return fmt.Errorf("%w: %q", ErrNotFound, id)
 	}
-	delete(sh.datasets, id)
-	delete(sh.byProject[d.Project], id)
-	for _, t := range d.Tags {
-		delete(sh.byTag[t], id)
+	err := s.commitOne(walRecord{Op: opDelete, ID: id})
+	if errors.Is(err, ErrNotFound) {
+		return err // a concurrent Delete won, and releases the path
 	}
-	snap := d.clone()
-	wi := fnv32a(id) & s.mask
-	lsn, jerr := s.journal(wi, walRecord{Op: opDelete, ID: id})
-	ev := Event{Type: EventDeleted, Dataset: snap}
-	s.stage(ev)
-	sh.mu.Unlock()
-
 	ps := s.pathShardFor(d.Path)
 	ps.mu.Lock()
 	if ps.byPath[d.Path] == id {
 		delete(ps.byPath, d.Path)
 	}
 	ps.mu.Unlock()
-	if err := s.journalWait(wi, lsn, jerr); err != nil {
-		return err
-	}
-	s.publish(ev)
-	return nil
+	return err
 }
 
 // NotePlacement publishes an EventPlacement on the store's bus for
@@ -637,22 +510,8 @@ func (s *Store) Delete(id string) error {
 // Journaling failures cannot be returned on this void path; they
 // land on the WALErrors counter and the owning shard goes fail-stop.
 func (s *Store) NotePlacement(path, placement string) {
-	wi := fnv32a(path) & s.mask
-	ps := s.pathShards[wi]
-	ps.mu.Lock()
-	ps.setPlacement(path, placement)
-	lsn, jerr := s.journal(wi, walRecord{Op: opPlacement, Path: path, State: placement})
-	ps.mu.Unlock()
-	if err := s.journalWait(wi, lsn, jerr); err != nil {
-		s.walErrs.Add(1)
-	}
-	snap, ok := s.ByPath(path)
-	if !ok {
-		snap = Dataset{Path: path}
-	}
-	ev := Event{Type: EventPlacement, Dataset: snap, Placement: placement}
-	s.stage(ev)
-	s.publish(ev)
+	s.note(walRecord{Op: opPlacement, Path: path, State: placement},
+		Event{Type: EventPlacement, Placement: placement})
 }
 
 // NoteReplica publishes an EventReplica on the store's bus for the
@@ -666,20 +525,21 @@ func (s *Store) NotePlacement(path, placement string) {
 // recovers without re-scanning site directories. Journaling failures
 // land on the WALErrors counter, like NotePlacement.
 func (s *Store) NoteReplica(path, site, state string) {
-	wi := fnv32a(path) & s.mask
-	ps := s.pathShards[wi]
-	ps.mu.Lock()
-	ps.setReplica(path, site, state)
-	lsn, jerr := s.journal(wi, walRecord{Op: opReplica, Path: path, Site: site, State: state})
-	ps.mu.Unlock()
-	if err := s.journalWait(wi, lsn, jerr); err != nil {
+	s.note(walRecord{Op: opReplica, Path: path, Site: site, State: state},
+		Event{Type: EventReplica, Placement: state, Site: site})
+}
+
+// note commits a path note and then publishes ev for it. The event's
+// dataset snapshot lives on another shard, so it is taken after the
+// commit, with no lock held, and not by apply.
+func (s *Store) note(rec walRecord, ev Event) {
+	if err := s.commitOne(rec); err != nil {
 		s.walErrs.Add(1)
 	}
-	snap, ok := s.ByPath(path)
-	if !ok {
-		snap = Dataset{Path: path}
+	var ok bool
+	if ev.Dataset, ok = s.ByPath(rec.Path); !ok {
+		ev.Dataset = Dataset{Path: rec.Path}
 	}
-	ev := Event{Type: EventReplica, Dataset: snap, Placement: state, Site: site}
 	s.stage(ev)
 	s.publish(ev)
 }
@@ -734,13 +594,16 @@ func (d *Dataset) clone() Dataset {
 	out.Tags = append([]string(nil), d.Tags...)
 	out.Processings = make([]Processing, len(d.Processings))
 	for i, p := range d.Processings {
-		cp := p
-		cp.Params = cloneMap(p.Params)
-		cp.Results = cloneMap(p.Results)
-		cp.Outputs = append([]string(nil), p.Outputs...)
-		out.Processings[i] = cp
+		out.Processings[i] = p.clone()
 	}
 	return out
+}
+
+func (p Processing) clone() Processing {
+	p.Params = cloneMap(p.Params)
+	p.Results = cloneMap(p.Results)
+	p.Outputs = append([]string(nil), p.Outputs...)
+	return p
 }
 
 // Query selects datasets. Zero fields match everything; set fields
@@ -875,43 +738,26 @@ func matches(d *Dataset, q Query) bool {
 // consistent dump is required.
 func (s *Store) Export(w io.Writer) error {
 	dump := storeDump{Seq: s.seq.Load()}
-	for _, sh := range s.shards {
+	for i, sh := range s.shards {
+		ps := s.pathShards[i]
 		sh.mu.RLock()
-		for _, d := range sh.datasets {
-			dump.Datasets = append(dump.Datasets, d.clone())
-		}
+		ps.mu.RLock()
+		dump.add(sh, ps)
+		ps.mu.RUnlock()
 		sh.mu.RUnlock()
 	}
-	sort.Slice(dump.Datasets, func(i, j int) bool { return dump.Datasets[i].ID < dump.Datasets[j].ID })
-	for _, ps := range s.pathShards {
-		ps.mu.RLock()
-		for p, st := range ps.placement {
-			if dump.Placements == nil {
-				dump.Placements = make(map[string]string)
-			}
-			dump.Placements[p] = st
-		}
-		for p, sites := range ps.replicas {
-			if dump.Replicas == nil {
-				dump.Replicas = make(map[string]map[string]string)
-			}
-			cp := make(map[string]string, len(sites))
-			for site, st := range sites {
-				cp[site] = st
-			}
-			dump.Replicas[p] = cp
-		}
-		ps.mu.RUnlock()
-	}
+	dump.sort()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(dump)
 }
 
-// Import loads a repository dump into an empty store. It publishes
-// no events and must not run concurrently with mutations. On a
-// durable store every imported dataset and note is journaled, so the
-// import survives a crash like any other mutation.
+// Import loads a repository dump into an empty store. The dump's
+// records — the ones recovery applies to install a snapshot — go
+// through commit, so on a durable store every imported dataset and
+// note is journaled and the import survives a crash like any other
+// mutation. It publishes no events and must not run concurrently with
+// mutations.
 func (s *Store) Import(r io.Reader) error {
 	var dump storeDump
 	if err := json.NewDecoder(r).Decode(&dump); err != nil {
@@ -921,63 +767,11 @@ func (s *Store) Import(r io.Reader) error {
 		return errors.New("metadata: import into non-empty store")
 	}
 	s.seq.Store(dump.Seq)
-	lsns := make([]uint64, len(s.shards))
 	for i := range dump.Datasets {
-		d := dump.Datasets[i]
-		cp := d.clone()
-		ps := s.pathShardFor(d.Path)
-		ps.mu.Lock()
-		ps.byPath[d.Path] = d.ID
-		ps.mu.Unlock()
-		sh := s.shardFor(d.ID)
-		wi := fnv32a(d.ID) & s.mask
-		sh.mu.Lock()
-		sh.insert(&cp)
-		rec := cp.clone()
-		lsn, jerr := s.journal(wi, walRecord{Op: opCreate, Dataset: &rec, Seq: dump.Seq})
-		sh.mu.Unlock()
-		if jerr != nil {
-			return jerr
-		}
-		if lsn > lsns[wi] {
-			lsns[wi] = lsn
+		d := &dump.Datasets[i]
+		if _, err := s.claimPath(d.Path, d.ID); err != nil {
+			return fmt.Errorf("metadata: import: %w", err)
 		}
 	}
-	for p, st := range dump.Placements {
-		wi := fnv32a(p) & s.mask
-		ps := s.pathShards[wi]
-		ps.mu.Lock()
-		ps.setPlacement(p, st)
-		lsn, jerr := s.journal(wi, walRecord{Op: opPlacement, Path: p, State: st})
-		ps.mu.Unlock()
-		if jerr != nil {
-			return jerr
-		}
-		if lsn > lsns[wi] {
-			lsns[wi] = lsn
-		}
-	}
-	for p, sites := range dump.Replicas {
-		wi := fnv32a(p) & s.mask
-		ps := s.pathShards[wi]
-		ps.mu.Lock()
-		for site, st := range sites {
-			ps.setReplica(p, site, st)
-			lsn, jerr := s.journal(wi, walRecord{Op: opReplica, Path: p, Site: site, State: st})
-			if jerr != nil {
-				ps.mu.Unlock()
-				return jerr
-			}
-			if lsn > lsns[wi] {
-				lsns[wi] = lsn
-			}
-		}
-		ps.mu.Unlock()
-	}
-	for _, err := range s.journalWaitAll(lsns) {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return errors.Join(s.commit(dump.records(), false)...)
 }

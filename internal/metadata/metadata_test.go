@@ -171,10 +171,10 @@ func TestFindByProjectAndTag(t *testing.T) {
 func TestFindByBasicAndTime(t *testing.T) {
 	now := time.Date(2011, 5, 20, 12, 0, 0, 0, time.UTC)
 	i := 0
-	s := NewStoreWithClock(func() time.Time {
+	s := NewStoreWith(Options{Clock: func() time.Time {
 		i++
 		return now.Add(time.Duration(i) * time.Hour)
-	})
+	}})
 	for j := 0; j < 5; j++ {
 		if _, err := s.Create("p", fmt.Sprintf("/t/%d", j), 1, "",
 			map[string]string{"well": fmt.Sprintf("A%d", j%2)}); err != nil {

@@ -237,36 +237,3 @@ func TestCreateBatchEvents(t *testing.T) {
 		t.Fatalf("events for /e/1: %+v", perDS["/e/1"])
 	}
 }
-
-// TestTagBatch: grouped tagging is idempotent, reports unknown IDs,
-// and updates the index fragments.
-func TestTagBatch(t *testing.T) {
-	s := NewStore()
-	var ids []string
-	for i := 0; i < 10; i++ {
-		d, err := s.Create("p", fmt.Sprintf("/t/%d", i), 1, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, d.ID)
-	}
-	specs := make([]TagSpec, 0, len(ids)+2)
-	for _, id := range ids {
-		specs = append(specs, TagSpec{ID: id, Tag: "bulk"})
-	}
-	specs = append(specs, TagSpec{ID: ids[0], Tag: "bulk"}) // idempotent repeat
-	specs = append(specs, TagSpec{ID: "ghost", Tag: "bulk"})
-	err := s.TagBatch(specs)
-	if !errors.Is(err, ErrNotFound) {
-		t.Fatalf("err = %v, want ErrNotFound in join", err)
-	}
-	if got := s.Find(Query{Tags: []string{"bulk"}}); len(got) != 10 {
-		t.Fatalf("tagged = %d", len(got))
-	}
-	if d, _ := s.Get(ids[0]); d.Version != 2 {
-		t.Fatalf("idempotent repeat bumped version: %d", d.Version)
-	}
-	if err := s.TagBatch(nil); err != nil {
-		t.Fatalf("empty batch: %v", err)
-	}
-}

@@ -4,7 +4,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
+	"io/fs"
+	"slices"
 	"sort"
 
 	"repro/internal/metadata/durafs"
@@ -25,6 +26,54 @@ type storeDump struct {
 	Datasets   []Dataset                    `json:"datasets"`
 	Placements map[string]string            `json:"placements,omitempty"`
 	Replicas   map[string]map[string]string `json:"replicas,omitempty"`
+}
+
+// add appends one shard's state to the dump: clones of its datasets,
+// unsorted, and its placement and replica notes. Callers hold sh.mu
+// and ps.mu, both — which only dumps may (see captureShard).
+func (dump *storeDump) add(sh *shard, ps *pathShard) {
+	dump.Datasets = slices.Grow(dump.Datasets, len(sh.datasets))
+	for _, d := range sh.datasets {
+		dump.Datasets = append(dump.Datasets, d.clone())
+	}
+	if dump.Placements == nil && len(ps.placement) > 0 {
+		dump.Placements = make(map[string]string, len(ps.placement))
+	}
+	for p, st := range ps.placement {
+		dump.Placements[p] = st
+	}
+	if dump.Replicas == nil && len(ps.replicas) > 0 {
+		dump.Replicas = make(map[string]map[string]string, len(ps.replicas))
+	}
+	for p, sites := range ps.replicas {
+		dump.Replicas[p] = cloneMap(sites)
+	}
+}
+
+// sort puts the datasets in ID order, which (JSON map keys being
+// ordered) makes the encoded dump a pure function of the state.
+func (dump *storeDump) sort() {
+	sort.Slice(dump.Datasets, func(i, j int) bool { return dump.Datasets[i].ID < dump.Datasets[j].ID })
+}
+
+// records is the dump as mutations: one create per dataset, one note
+// per placement and per replica. Applying them to an empty store is
+// installing the dump — recovery does that with a snapshot; Import
+// commits them, so they are journaled as well.
+func (dump *storeDump) records() []walRecord {
+	recs := make([]walRecord, 0, len(dump.Datasets)+len(dump.Placements)+len(dump.Replicas))
+	for i := range dump.Datasets {
+		recs = append(recs, walRecord{Op: opCreate, Seq: dump.Seq, Dataset: &dump.Datasets[i]})
+	}
+	for p, st := range dump.Placements {
+		recs = append(recs, walRecord{Op: opPlacement, Path: p, State: st})
+	}
+	for p, sites := range dump.Replicas {
+		for site, st := range sites {
+			recs = append(recs, walRecord{Op: opReplica, Path: p, Site: site, State: st})
+		}
+	}
+	return recs
 }
 
 // shardSnapshot is one shard's compacted state: every live dataset
@@ -62,26 +111,7 @@ func (s *Store) captureShard(i int, next durafs.File) (shardSnapshot, int, error
 	}
 	snap := shardSnapshot{LastLSN: lsn}
 	snap.Seq = s.seq.Load()
-	snap.Datasets = make([]Dataset, 0, len(sh.datasets))
-	for _, d := range sh.datasets {
-		snap.Datasets = append(snap.Datasets, d.clone())
-	}
-	if len(ps.placement) > 0 {
-		snap.Placements = make(map[string]string, len(ps.placement))
-		for k, v := range ps.placement {
-			snap.Placements[k] = v
-		}
-	}
-	if len(ps.replicas) > 0 {
-		snap.Replicas = make(map[string]map[string]string, len(ps.replicas))
-		for k, sites := range ps.replicas {
-			cp := make(map[string]string, len(sites))
-			for site, st := range sites {
-				cp[site] = st
-			}
-			snap.Replicas[k] = cp
-		}
-	}
+	snap.add(sh, ps)
 	return snap, records, nil
 }
 
@@ -105,13 +135,13 @@ func (s *Store) snapshotShard(i int, force bool) error {
 	}
 	defer mu.Unlock()
 
-	fs := s.wal.fs
+	fsys := s.wal.fs
 	w := s.wal.shards[i]
-	next, err := fs.OpenAppend(w.segPath(w.seg + 1)) // seg moves only under snapMu
+	next, err := fsys.OpenAppend(w.segPath(w.seg + 1)) // seg moves only under snapMu
 	if err != nil {
 		return fmt.Errorf("metadata: snapshot: %w", err)
 	}
-	if err := fs.SyncDir(s.wal.dir); err != nil {
+	if err := fsys.SyncDir(s.wal.dir); err != nil {
 		next.Close()
 		return fmt.Errorf("metadata: snapshot: %w", err)
 	}
@@ -120,7 +150,7 @@ func (s *Store) snapshotShard(i int, force bool) error {
 		next.Close()
 		return err
 	}
-	sort.Slice(snap.Datasets, func(a, b int) bool { return snap.Datasets[a].ID < snap.Datasets[b].ID })
+	snap.sort()
 
 	payload, err := json.Marshal(snap)
 	if err != nil {
@@ -129,28 +159,16 @@ func (s *Store) snapshotShard(i int, force bool) error {
 	frame := appendFrame(nil, payload)
 
 	tmp := s.wal.snapPath(i) + ".tmp"
-	f, err := fs.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("metadata: snapshot: %w", err)
-	}
-	if _, err := f.Write(frame); err != nil {
-		f.Close()
-		return fmt.Errorf("metadata: snapshot: %w", err)
-	}
-	// Sync before rename: the rename must never make an unsynced
+	// Synced before the rename: the rename must never make an unsynced
 	// snapshot the authoritative one (see durafs: renamed files keep
 	// their unsynced tails volatile).
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err := s.wal.writeFile(tmp, frame); err != nil {
 		return fmt.Errorf("metadata: snapshot: %w", err)
 	}
-	if err := f.Close(); err != nil {
+	if err := fsys.Rename(tmp, s.wal.snapPath(i)); err != nil {
 		return fmt.Errorf("metadata: snapshot: %w", err)
 	}
-	if err := fs.Rename(tmp, s.wal.snapPath(i)); err != nil {
-		return fmt.Errorf("metadata: snapshot: %w", err)
-	}
-	if err := fs.SyncDir(s.wal.dir); err != nil {
+	if err := fsys.SyncDir(s.wal.dir); err != nil {
 		return fmt.Errorf("metadata: snapshot: %w", err)
 	}
 	s.wal.snapshots.Add(1)
@@ -160,14 +178,14 @@ func (s *Store) snapshotShard(i int, force bool) error {
 }
 
 // loadSnapshot reads and decodes shard i's snapshot file; ok=false
-// means no snapshot exists (a fresh shard).
+// means no snapshot exists (a fresh shard). A snapshot that exists but
+// cannot be opened is an error: the segments it covers are gone, so
+// opening without it would drop the shard's compacted history.
 func (s *Store) loadSnapshot(i int) (shardSnapshot, bool, error) {
-	f, err := s.wal.fs.Open(s.wal.snapPath(i))
-	if err != nil {
+	data, err := s.wal.readFile(s.wal.snapPath(i))
+	if errors.Is(err, fs.ErrNotExist) {
 		return shardSnapshot{}, false, nil // no snapshot yet
 	}
-	defer f.Close()
-	data, err := io.ReadAll(f)
 	if err != nil {
 		return shardSnapshot{}, false, fmt.Errorf("metadata: snapshot read: %w", err)
 	}

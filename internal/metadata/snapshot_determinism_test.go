@@ -26,11 +26,10 @@ func fixedClock() func() time.Time {
 func buildDeterministic(t *testing.T) (*Store, *durafs.MemFS) {
 	t.Helper()
 	mem := durafs.NewMem()
-	s, err := Open(Options{Shards: 4, SnapshotEvery: 1 << 20, WALDir: "/wal", FS: mem})
+	s, err := Open(Options{Shards: 4, SnapshotEvery: 1 << 20, WALDir: "/wal", FS: mem, Clock: fixedClock()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.SetClock(fixedClock())
 	specs := make([]CreateSpec, 24)
 	for i := range specs {
 		specs[i] = CreateSpec{

@@ -291,17 +291,11 @@ func (w *walShard) openFile() (durafs.File, error) {
 	return f, nil
 }
 
-// syncThrough ensures durability through lsn (used by snapshots); a
-// zero lsn syncs whatever is staged.
-func (w *walShard) syncThrough(lsn uint64) error {
+// syncStaged makes whatever is staged durable.
+func (w *walShard) syncStaged() error {
 	w.mu.Lock()
-	if lsn == 0 {
-		lsn = w.stagedLSN
-	}
+	lsn := w.stagedLSN
 	w.mu.Unlock()
-	if lsn == 0 {
-		return nil
-	}
 	return w.waitDurable(lsn)
 }
 
@@ -315,7 +309,7 @@ func (w *walShard) syncThrough(lsn uint64) error {
 // a GroupCommitInterval's wait included, when one is set — is the only
 // I/O done under the shard locks.
 func (w *walShard) cut(next durafs.File) (lsn uint64, records int, err error) {
-	if err := w.syncThrough(0); err != nil {
+	if err := w.syncStaged(); err != nil {
 		return 0, 0, err
 	}
 	// Staging is frozen and durable == staged: no leader is running
@@ -350,7 +344,7 @@ func (w *walShard) compacted(records, items int) {
 // marks the shard closed: further mutations on it return
 // ErrWALFailed rather than silently journaling to a reopened log.
 func (w *walShard) close() error {
-	err := w.syncThrough(0)
+	err := w.syncStaged()
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.file != nil {
@@ -361,13 +355,6 @@ func (w *walShard) close() error {
 		w.err = fmt.Errorf("%w: store closed", ErrWALFailed)
 	}
 	return err
-}
-
-// failErr returns the sticky error, if any.
-func (w *walShard) failErr() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.err
 }
 
 // countFrames counts the records in an encoded batch.

@@ -5,7 +5,14 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
+	"io/fs"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -145,23 +152,18 @@ func TestDurableSnapshotCompaction(t *testing.T) {
 	r2.Close()
 }
 
-// TestDurableBatchRecovery: CreateBatch + TagBatch survive reopen.
+// TestDurableBatchRecovery: a CreateBatch and its tags survive reopen.
 func TestDurableBatchRecovery(t *testing.T) {
 	fs := durafs.NewMem()
 	s := openMem(t, fs, Options{})
 	specs := make([]CreateSpec, 64)
 	for i := range specs {
-		specs[i] = CreateSpec{Project: "p", Path: fmt.Sprintf("/b/%03d", i), Size: 1, Tags: []string{"raw"}}
+		specs[i] = CreateSpec{Project: "p", Path: fmt.Sprintf("/b/%03d", i), Size: 1, Tags: []string{"raw", "verified"}}
 	}
-	var tagSpecs []TagSpec
 	for _, res := range s.CreateBatch(specs) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		tagSpecs = append(tagSpecs, TagSpec{ID: res.Dataset.ID, Tag: "verified"})
-	}
-	if err := s.TagBatch(tagSpecs); err != nil {
-		t.Fatal(err)
 	}
 	s.Close()
 
@@ -295,61 +297,144 @@ func TestDurableGroupCommit(t *testing.T) {
 	r.Close()
 }
 
-// TestDurableExportImportEquivalence: Export of a recovered store is
-// byte-identical to the pre-crash Export, and Importing an Export
-// into a fresh durable store journals it (surviving its own reopen).
-func TestDurableExportImportEquivalence(t *testing.T) {
-	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
-	tick := 0
-	clock := func() time.Time { tick++; return base.Add(time.Duration(tick) * time.Second) }
-
-	fs := durafs.NewMem()
-	s := openMem(t, fs, Options{Clock: clock})
-	for i := 0; i < 40; i++ {
-		d, err := s.Create("p", fmt.Sprintf("/e/%03d", i), units.Bytes(i), "", nil)
+// equivalenceWorkload drives a seeded mix of every mutation the store
+// has: each op at least once, then forty more drawn by rng.
+func equivalenceWorkload(t *testing.T, s *Store, rng *rand.Rand) {
+	t.Helper()
+	check := func(err error) {
+		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if i%3 == 0 {
-			if err := s.Tag(d.ID, "every3"); err != nil {
-				t.Fatal(err)
+	}
+	tags := []string{"raw", "hot", "cal", "done"}
+	sites := []string{"kit", "desy", "gridka"}
+	states := []string{"pending", "copying", "valid", "stale"}
+	pick := func(from []string) string { return from[rng.Intn(len(from))] }
+	var live []Dataset // registered and not deleted
+	var freed []string // paths of deleted datasets
+	n := 0
+	ops := []func(){
+		func() { // CreateBatch with tags (unsorted, repeated) and an in-batch duplicate
+			specs := make([]CreateSpec, 2+rng.Intn(4))
+			for i := range specs {
+				n++
+				specs[i] = CreateSpec{Project: pick([]string{"p", "q"}), Path: fmt.Sprintf("/e/%03d", n), Size: units.Bytes(n),
+					Basic: map[string]string{"n": fmt.Sprint(n)}, Tags: []string{pick(tags), pick(tags), pick(tags)}[:rng.Intn(4)]}
 			}
+			specs = append(specs, specs[0])
+			res := s.CreateBatch(specs)
+			if last := res[len(res)-1]; !errors.Is(last.Err, ErrDuplicate) {
+				t.Fatalf("in-batch duplicate: err = %v", last.Err)
+			}
+			for _, r := range res[:len(res)-1] {
+				check(r.Err)
+				live = append(live, r.Dataset)
+			}
+		},
+		func() { // Tag, then the same Tag again: the second changes nothing
+			d, tag := live[rng.Intn(len(live))], pick(tags)
+			check(s.Tag(d.ID, tag))
+			before, _ := s.Get(d.ID)
+			check(s.Tag(d.ID, tag))
+			if after, _ := s.Get(d.ID); after.Version != before.Version {
+				t.Fatalf("re-Tag moved version %d -> %d", before.Version, after.Version)
+			}
+		},
+		func() { check(s.Untag(live[rng.Intn(len(live))].ID, pick(tags))) },
+		func() {
+			_, err := s.AddProcessing(live[rng.Intn(len(live))].ID, Processing{Tool: pick(tags), Params: map[string]string{"k": pick(tags)}, Outputs: []string{"/out"}})
+			check(err)
+		},
+		func() { // Delete, and later re-Create of the same path
+			if len(live) < 2 {
+				return
+			}
+			i := rng.Intn(len(live))
+			check(s.Delete(live[i].ID))
+			freed = append(freed, live[i].Path)
+			live = append(live[:i], live[i+1:]...)
+		},
+		func() {
+			if len(freed) == 0 {
+				return
+			}
+			d, err := s.Create("p", freed[0], 7, "sum", nil)
+			check(err)
+			live, freed = append(live, d), freed[1:]
+		},
+		func() { s.NotePlacement("/ddn"+live[rng.Intn(len(live))].Path, pick(states)) },
+		func() { s.NoteReplica(live[rng.Intn(len(live))].Path, pick(sites), pick(states)) }, // few sites: states get overwritten
+	}
+	for _, op := range ops {
+		op()
+	}
+	for i := 0; i < 40; i++ {
+		ops[rng.Intn(len(ops))]()
+	}
+}
+
+// TestDurableExportImportEquivalence: over a seeded mix of every op,
+// what recovery rebuilds is what the live path acknowledged — Export
+// of the recovered store is byte-identical to the Export before the
+// close, through a snapshot plus a tail (SnapshotEvery 4) and through
+// pure replay (the default) — and Importing that Export into a fresh
+// durable store journals it: its own reopen Exports the same bytes.
+func TestDurableExportImportEquivalence(t *testing.T) {
+	export := func(s *Store) []byte {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := s.Export(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	for _, every := range []int{4, 0} {
+		for seed := int64(0); seed < 20; seed++ {
+			t.Run(fmt.Sprintf("every=%d/seed=%d", every, seed), func(t *testing.T) {
+				base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+				tick := 0
+				clock := func() time.Time { tick++; return base.Add(time.Duration(tick) * time.Second) }
+				opts := Options{Shards: 4, SnapshotEvery: every}
+
+				fs := durafs.NewMem()
+				opts.Clock = clock
+				s := openMem(t, fs, opts)
+				equivalenceWorkload(t, s, rand.New(rand.NewSource(seed)))
+				before := export(s)
+				snapshots := s.Snapshots()
+				s.Close()
+				if (snapshots > 0) != (every > 0) {
+					t.Fatalf("SnapshotEvery %d: %d snapshots", every, snapshots)
+				}
+
+				r := openMem(t, fs, opts)
+				if after := export(r); !bytes.Equal(before, after) {
+					t.Fatalf("Export changed across recovery:\nbefore: %s\nafter:  %s", before, after)
+				}
+				if st := r.RecoveryStats(); st.RecordsReplayed == 0 || (st.SnapshotsLoaded > 0) != (every > 0) {
+					t.Fatalf("recovery did not take the intended route: %+v", st)
+				}
+				r.Close()
+
+				// Import into a fresh durable store, reopen, Export again.
+				fs2 := durafs.NewMem()
+				s2 := openMem(t, fs2, opts)
+				if err := s2.Import(bytes.NewReader(before)); err != nil {
+					t.Fatal(err)
+				}
+				if imported := export(s2); !bytes.Equal(before, imported) {
+					t.Fatal("Import -> Export is not the identity")
+				}
+				s2.Close()
+				r2 := openMem(t, fs2, opts)
+				if roundTrip := export(r2); !bytes.Equal(before, roundTrip) {
+					t.Fatal("Import -> reopen -> Export is not the identity")
+				}
+				r2.Close()
+			})
 		}
 	}
-	s.NotePlacement("/ddn/e/000", "migrated")
-	s.NoteReplica("/e/001", "desy", "valid")
-	var before bytes.Buffer
-	if err := s.Export(&before); err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-
-	r := openMem(t, fs, Options{})
-	var after bytes.Buffer
-	if err := r.Export(&after); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before.Bytes(), after.Bytes()) {
-		t.Fatalf("Export changed across recovery:\nbefore: %s\nafter:  %s", before.String(), after.String())
-	}
-	r.Close()
-
-	// Import into a fresh durable store, reopen, Export again.
-	fs2 := durafs.NewMem()
-	s2 := openMem(t, fs2, Options{})
-	if err := s2.Import(bytes.NewReader(before.Bytes())); err != nil {
-		t.Fatal(err)
-	}
-	s2.Close()
-	r2 := openMem(t, fs2, Options{})
-	var roundTrip bytes.Buffer
-	if err := r2.Export(&roundTrip); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before.Bytes(), roundTrip.Bytes()) {
-		t.Fatal("Import -> reopen -> Export is not the identity")
-	}
-	r2.Close()
 }
 
 // TestDurableOSFilesystem runs the basic recovery loop against the
@@ -413,6 +498,45 @@ func TestWALRecordRoundTrip(t *testing.T) {
 			got[i].Path != recs[i].Path || got[i].Site != recs[i].Site || got[i].State != recs[i].State {
 			t.Fatalf("record %d: got %+v, want %+v", i, got[i], recs[i])
 		}
+	}
+}
+
+// TestEveryOpHasATransition walks the op* constants declared in wal.go
+// and fails if apply has no case for one: an op that can be journaled
+// but not applied would be acknowledged live and dropped by replay.
+func TestEveryOpHasATransition(t *testing.T) {
+	file, err := parser.ParseFile(token.NewFileSet(), "wal.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ops []string
+	ast.Inspect(file, func(n ast.Node) bool {
+		spec, ok := n.(*ast.ValueSpec)
+		if !ok {
+			return true
+		}
+		for i, name := range spec.Names {
+			if i >= len(spec.Values) {
+				break
+			}
+			if lit, ok := spec.Values[i].(*ast.BasicLit); ok && strings.HasPrefix(name.Name, "op") && lit.Kind == token.STRING {
+				op, _ := strconv.Unquote(lit.Value)
+				ops = append(ops, op)
+			}
+		}
+		return false
+	})
+	if len(ops) < 7 {
+		t.Fatalf("found only %v in wal.go", ops)
+	}
+	s := NewStoreWith(Options{Shards: 1})
+	for _, op := range ops {
+		if _, err := s.apply(0, &walRecord{Op: op}, nil); errors.Is(err, errNoTransition) {
+			t.Errorf("op %q is declared but apply has no case for it", op)
+		}
+	}
+	if _, err := s.apply(0, &walRecord{Op: "no-such-op"}, nil); !errors.Is(err, errNoTransition) {
+		t.Fatalf("an unknown op applied: err = %v", err)
 	}
 }
 
@@ -528,6 +652,66 @@ func TestDurableCorruptSnapshotTyped(t *testing.T) {
 
 	if _, err := Open(Options{Shards: 1, WALDir: "/wal", FS: fs}); !errors.Is(err, ErrSnapshotCorrupt) {
 		t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
+	}
+}
+
+// unreadableFS fails Open on every name with the suffix deny — the
+// file is there, it cannot be read — and notes the files created.
+type unreadableFS struct {
+	durafs.FS
+	deny    string
+	created []string
+}
+
+func (u *unreadableFS) Open(name string) (durafs.File, error) {
+	if strings.HasSuffix(name, u.deny) {
+		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrPermission}
+	}
+	return u.FS.Open(name)
+}
+
+func (u *unreadableFS) Create(name string) (durafs.File, error) {
+	u.created = append(u.created, name)
+	return u.FS.Create(name)
+}
+
+// TestDurableUnreadableIsNotAbsent: a snapshot or manifest that exists
+// but cannot be opened fails Open with the cause, and is not written
+// over. Read as "absent", the snapshot's shard would open without the
+// history it compacted — its segments are deleted — and acknowledge
+// new writes on top.
+func TestDurableUnreadableIsNotAbsent(t *testing.T) {
+	mem := durafs.NewMem()
+	s := openMem(t, mem, Options{Shards: 1, SnapshotEvery: 4})
+	for i := 0; i < 12; i++ {
+		if _, err := s.Create("p", fmt.Sprintf("/u/%d", i), 1, "", nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.Snapshots() == 0 {
+		t.Fatal("no compacted shard to lose")
+	}
+	s.Close()
+
+	for _, deny := range []string{".snap", "MANIFEST"} {
+		ufs := &unreadableFS{FS: mem, deny: deny}
+		r, err := Open(Options{Shards: 1, SnapshotEvery: 4, WALDir: "/wal", FS: ufs})
+		if err == nil {
+			n := r.Count()
+			r.Close()
+			t.Fatalf("unreadable %s: Open succeeded with %d of 12 datasets", deny, n)
+		}
+		if !errors.Is(err, fs.ErrPermission) {
+			t.Errorf("unreadable %s: err = %v, want the open error wrapped", deny, err)
+		}
+		if len(ufs.created) > 0 {
+			t.Errorf("unreadable %s: Open rewrote %v", deny, ufs.created)
+		}
+	}
+	r := openMem(t, mem, Options{Shards: 1, SnapshotEvery: 4})
+	defer r.Close()
+	if r.Count() != 12 {
+		t.Fatalf("readable again: recovered %d datasets, want 12", r.Count())
 	}
 }
 
