@@ -132,7 +132,8 @@ func (w *memWriter) Close() error {
 	return nil
 }
 
-// Open implements Backend.
+// Open implements Backend. The reader seeks (and writes itself out
+// without a staging buffer), so SkipTo on it is O(1).
 func (m *MemFS) Open(path string) (io.ReadCloser, error) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -140,8 +141,12 @@ func (m *MemFS) Open(path string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s:%s", ErrNotFound, m.name, path)
 	}
-	return io.NopCloser(bytes.NewReader(f.data)), nil
+	return memReader{bytes.NewReader(f.data)}, nil
 }
+
+type memReader struct{ *bytes.Reader }
+
+func (memReader) Close() error { return nil }
 
 // Stat implements Backend.
 func (m *MemFS) Stat(path string) (FileInfo, error) {

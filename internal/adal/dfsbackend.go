@@ -53,14 +53,17 @@ func (b *DFSBackend) Open(path string) (io.ReadCloser, error) {
 	return r, nil
 }
 
-// OpenCtx implements CtxOpener: a traced caller gets a dfs.open span
-// timing replica selection and stream setup.
-func (b *DFSBackend) OpenCtx(ctx context.Context, path string) (io.ReadCloser, error) {
+// OpenRange implements RangeOpener: a traced caller gets a dfs.open
+// span timing replica selection, stream setup and the seek.
+func (b *DFSBackend) OpenRange(ctx context.Context, path string, off, n int64) (io.ReadCloser, error) {
 	sp := obs.StartSpan(ctx, "dfs.open")
 	sp.Annotate("%s:%s", b.name, path)
+	defer sp.End()
 	r, err := b.Open(path)
-	sp.End()
-	return r, err
+	if err != nil {
+		return nil, err
+	}
+	return ranged(r, off, n)
 }
 
 // Stat implements Backend, including the file's modification time —

@@ -5,7 +5,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"hash"
 	"io"
 	"sort"
 	"strings"
@@ -119,35 +118,74 @@ func (l *Layer) Create(path string) (io.WriteCloser, error) {
 
 // Open reads an object at the federated path.
 func (l *Layer) Open(path string) (io.ReadCloser, error) {
-	b, rel, err := l.Resolve(path)
-	if err != nil {
-		return nil, err
-	}
-	return b.Open(rel)
+	return l.OpenRange(context.Background(), path, 0, -1)
 }
 
-// CtxOpener is the structural upgrade a backend implements to see
-// the caller's context (trace spans, cancellation) on reads. The
-// Backend interface itself stays context-free — most backends are
-// local and synchronous — but the read cache and the federated
-// replica backend record where WAN time goes.
-type CtxOpener interface {
-	OpenCtx(ctx context.Context, path string) (io.ReadCloser, error)
-}
-
-// OpenCtx is Open with a context: backends that implement CtxOpener
-// receive it (and with it the request's trace), others are opened
-// plainly. Untraced callers can keep using Open — the two paths
-// return identical bytes.
+// OpenCtx is Open carrying the caller's context.
 func (l *Layer) OpenCtx(ctx context.Context, path string) (io.ReadCloser, error) {
+	return l.OpenRange(ctx, path, 0, -1)
+}
+
+// OpenRange reads bytes [off, off+n) of the object at the federated
+// path, to its end when n < 0 — the one read entry of the layer.
+func (l *Layer) OpenRange(ctx context.Context, path string, off, n int64) (io.ReadCloser, error) {
 	b, rel, err := l.Resolve(path)
 	if err != nil {
 		return nil, err
 	}
-	if co, ok := b.(CtxOpener); ok {
-		return co.OpenCtx(ctx, rel)
+	return OpenRange(ctx, b, rel, off, n)
+}
+
+// RangeOpener is the structural upgrade a backend implements to serve
+// a byte range itself and to see the caller's context (trace spans,
+// cancellation). The Backend interface stays context-free and
+// whole-object — most backends are local and their readers seek.
+type RangeOpener interface {
+	OpenRange(ctx context.Context, path string, off, n int64) (io.ReadCloser, error)
+}
+
+// OpenRange opens bytes [off, off+n) of path on b (to the end when
+// n < 0): through the backend's own OpenRange when it has one,
+// otherwise by Open, SkipTo and a limit.
+func OpenRange(ctx context.Context, b Backend, path string, off, n int64) (io.ReadCloser, error) {
+	if ro, ok := b.(RangeOpener); ok {
+		return ro.OpenRange(ctx, path, off, n)
 	}
-	return b.Open(rel)
+	r, err := b.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	return ranged(r, off, n)
+}
+
+// ranged positions a freshly opened reader at off and caps it at n
+// bytes (n < 0: no cap), closing it when the skip fails.
+func ranged(r io.ReadCloser, off, n int64) (io.ReadCloser, error) {
+	if err := SkipTo(r, off); err != nil {
+		r.Close()
+		return nil, err
+	}
+	if n < 0 {
+		return r, nil
+	}
+	return struct {
+		io.Reader
+		io.Closer
+	}{io.LimitReader(r, n), r}, nil
+}
+
+// SkipTo advances r by off bytes: a Seek when the reader can (MemFS,
+// LocalFS and DFS readers do: O(1)), a read-and-discard otherwise.
+func SkipTo(r io.Reader, off int64) error {
+	if off <= 0 {
+		return nil
+	}
+	if s, ok := r.(io.Seeker); ok {
+		_, err := s.Seek(off, io.SeekCurrent)
+		return err
+	}
+	_, err := io.CopyN(io.Discard, r, off)
+	return err
 }
 
 // Stat describes an object; the returned Path is the federated one.
@@ -192,9 +230,7 @@ func (l *Layer) Remove(path string) error {
 }
 
 // copyBufPool recycles transfer buffers across concurrent ingest
-// workers and audits. io.CopyBuffer skips the buffer entirely when
-// the source implements io.WriterTo (the DFS reader does, streaming
-// block by block), so the pool only pays for backends without one.
+// workers, federated reads and verify hashes.
 var copyBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 256*1024)
@@ -202,21 +238,16 @@ var copyBufPool = sync.Pool{
 	},
 }
 
-func pooledCopy(dst io.Writer, src io.Reader) (int64, error) {
+// PooledCopy is io.Copy through the shared transfer-buffer pool: when
+// neither end short-circuits the buffer (src is a WriterTo — the DFS
+// reader is — or dst a ReaderFrom), the 256 KiB staging buffer is
+// recycled instead of allocated per copy, so sustained traffic stops
+// churning the allocator.
+func PooledCopy(dst io.Writer, src io.Reader) (int64, error) {
 	bp := copyBufPool.Get().(*[]byte)
 	n, err := io.CopyBuffer(dst, src, *bp)
 	copyBufPool.Put(bp)
 	return n, err
-}
-
-// PooledCopy is io.Copy through the shared transfer-buffer pool: when
-// neither end short-circuits the buffer (src is a WriterTo or dst a
-// ReaderFrom), the 256 KiB staging buffer is recycled instead of
-// allocated per copy. Read-path consumers (federated reads, cache
-// fills, verify hashes) use it so sustained read traffic stops
-// churning the allocator.
-func PooledCopy(dst io.Writer, src io.Reader) (int64, error) {
-	return pooledCopy(dst, src)
 }
 
 // WriteChecksummed streams r into path, returning the byte count and
@@ -228,51 +259,62 @@ func (l *Layer) WriteChecksummed(path string, r io.Reader) (units.Bytes, string,
 	if err != nil {
 		return 0, "", err
 	}
-	h := sha256.New()
-	n, err := pooledCopy(io.MultiWriter(w, h), r)
-	if err != nil {
-		if w.Close() == nil {
+	d, werr, cerr := copyHashed(w, r)
+	if werr != nil {
+		if cerr == nil {
 			_ = l.Remove(path)
 		}
-		return 0, "", fmt.Errorf("adal: writing %s: %w", path, err)
+		return 0, "", fmt.Errorf("adal: writing %s: %w", path, werr)
 	}
-	if err := w.Close(); err != nil {
-		return 0, "", err
+	if cerr != nil {
+		return 0, "", cerr
 	}
-	return units.Bytes(n), hex.EncodeToString(h.Sum(nil)), nil
+	return d.Size, d.Sum, nil
+}
+
+// copyHashed copies r into w and closes it, reporting the copy's and
+// Close's errors apart. Every stored byte is hashed once: a mount that
+// hands out a ChecksumWriter (the federation's) has done it, and only a
+// plain writer is wrapped in one here.
+func copyHashed(w io.WriteCloser, r io.Reader) (d Digest, werr, cerr error) {
+	cw, ok := w.(*ChecksumWriter)
+	if !ok {
+		cw = NewChecksumWriter(w, nil)
+	}
+	_, werr = PooledCopy(cw, r)
+	cerr = cw.Close()
+	return cw.Digest(), werr, cerr
 }
 
 // NewChecksumWriter wraps w so every written byte is SHA-256-hashed
-// in passing; Close closes w and then hands (bytes, hex digest,
-// close error) to commit, whose return value becomes Close's result.
-// A failed Write is sticky: Close reports it to commit in place of the
-// close error, so a stream that lost bytes is never committed as whole.
-// It is the streaming-writer dual of WriteChecksummed, used by
-// backends that must register a content hash at commit time.
-func NewChecksumWriter(w io.WriteCloser, commit func(n units.Bytes, sum string, err error) error) io.WriteCloser {
-	return &checksumWriter{w: w, h: sha256.New(), commit: commit}
+// in passing, checkpoint chain included; Close closes w and then hands
+// the digest and the close error to commit (when not nil), whose return
+// value becomes Close's result. A failed Write is sticky: Close reports
+// it to commit in place of the close error, so a stream that lost bytes
+// is never committed as whole. Backends that must register a content
+// hash at commit time hand this writer out.
+func NewChecksumWriter(w io.WriteCloser, commit func(d Digest, err error) error) *ChecksumWriter {
+	return &ChecksumWriter{w: w, h: NewChainHasher(), commit: commit}
 }
 
-type checksumWriter struct {
+type ChecksumWriter struct {
 	w      io.WriteCloser
-	h      hash.Hash
-	n      int64
+	h      *ChainHasher
 	werr   error // first failed Write
-	commit func(units.Bytes, string, error) error
+	commit func(Digest, error) error
 	closed bool
 }
 
-func (cw *checksumWriter) Write(p []byte) (int, error) {
+func (cw *ChecksumWriter) Write(p []byte) (int, error) {
 	n, err := cw.w.Write(p)
 	cw.h.Write(p[:n])
-	cw.n += int64(n)
 	if err != nil && cw.werr == nil {
 		cw.werr = err
 	}
 	return n, err
 }
 
-func (cw *checksumWriter) Close() error {
+func (cw *ChecksumWriter) Close() error {
 	if cw.closed {
 		return nil
 	}
@@ -281,8 +323,15 @@ func (cw *checksumWriter) Close() error {
 	if cw.werr != nil {
 		err = cw.werr
 	}
-	return cw.commit(units.Bytes(cw.n), hex.EncodeToString(cw.h.Sum(nil)), err)
+	if cw.commit != nil {
+		err = cw.commit(cw.h.Digest(), err)
+	}
+	return err
 }
+
+// Digest reports what the writer hashed: the bytes the wrapped writer
+// accepted. It is final once Close has returned.
+func (cw *ChecksumWriter) Digest() Digest { return cw.h.Digest() }
 
 // Checksum reads an object and returns its hex SHA-256, used by the
 // rule engine's integrity audits.
@@ -293,7 +342,7 @@ func (l *Layer) Checksum(path string) (string, error) {
 	}
 	defer r.Close()
 	h := sha256.New()
-	if _, err := pooledCopy(h, r); err != nil {
+	if _, err := PooledCopy(h, r); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
@@ -322,18 +371,15 @@ func (l *Layer) CopyObjectChecksummed(src, dst string) (units.Bytes, string, err
 	if err != nil {
 		return 0, "", err
 	}
-	h := sha256.New()
-	n, err := pooledCopy(io.MultiWriter(w, h), r)
-	if err == nil {
-		err = w.Close()
-	} else {
-		w.Close()
+	d, werr, cerr := copyHashed(w, r)
+	if werr == nil {
+		werr = cerr
 	}
-	if err != nil {
+	if werr != nil {
 		_ = l.Remove(dst) // best effort: never leave a partial replica
-		return 0, "", fmt.Errorf("adal: copying %s -> %s: %w", src, dst, err)
+		return 0, "", fmt.Errorf("adal: copying %s -> %s: %w", src, dst, werr)
 	}
-	return units.Bytes(n), hex.EncodeToString(h.Sum(nil)), nil
+	return d.Size, d.Sum, nil
 }
 
 // ParseURI splits "lsdf://host/path" into its host and federated

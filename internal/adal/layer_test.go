@@ -265,8 +265,8 @@ func TestNewChecksumWriter(t *testing.T) {
 	}
 	var gotN units.Bytes
 	var gotSum string
-	w := NewChecksumWriter(inner, func(n units.Bytes, sum string, cerr error) error {
-		gotN, gotSum = n, sum
+	w := NewChecksumWriter(inner, func(d Digest, cerr error) error {
+		gotN, gotSum = d.Size, d.Sum
 		return cerr
 	})
 	io.WriteString(w, "check")

@@ -442,16 +442,12 @@ func (s *Server) getObject(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	rc, err := s.cfg.Layer.OpenCtx(r.Context(), fp)
-	if err != nil {
-		s.fail(w, err)
-		return
-	}
-	defer rc.Close()
-
+	// The range is parsed and a 416 answered before anything is opened:
+	// an open is a cache fill and a federated dial, and a request that
+	// cannot be served must not pay for one.
 	size := int64(info.Size)
 	start, length := int64(0), size
-	status := http.StatusOK
+	status, contentRange := http.StatusOK, ""
 	if rng := r.Header.Get("Range"); rng != "" {
 		st, ln, ok := parseRange(rng, size)
 		if !ok {
@@ -462,23 +458,26 @@ func (s *Server) getObject(w http.ResponseWriter, r *http.Request) {
 		if st >= 0 { // -1 = malformed, ignored per RFC 7233: serve the full body
 			start, length = st, ln
 			status = http.StatusPartialContent
-			w.Header().Set("Content-Range", fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, size))
+			contentRange = fmt.Sprintf("bytes %d-%d/%d", start, start+length-1, size)
 		}
 	}
-	// The reader comes out of the mount stack (read cache, federation,
-	// tier) positioned at 0; a range read discards up to the offset —
-	// cache hits make that a memory skip, not a WAN one.
-	if start > 0 {
-		if _, err := io.CopyN(io.Discard, rc, start); err != nil {
-			s.fail(w, err)
-			return
-		}
+	// The mount stack (read cache, federation, site) positions the
+	// stream itself; the request's context goes with it, so a client
+	// that hangs up stops the cache's fill between blocks.
+	rc, err := s.cfg.Layer.OpenRange(r.Context(), fp, start, length)
+	if err != nil {
+		s.fail(w, err)
+		return
+	}
+	defer rc.Close()
+	if contentRange != "" {
+		w.Header().Set("Content-Range", contentRange)
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
 	w.Header().Set("X-LSDF-Object-Size", strconv.FormatInt(size, 10))
 	w.WriteHeader(status)
-	n, _ := s.copyStream(w, io.LimitReader(rc, length), writeDeadline(w))
+	n, _ := s.copyStream(w, rc, writeDeadline(w))
 	ai.tenant.bytesOut.Add(n)
 }
 

@@ -12,9 +12,11 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/adal"
 	"repro/internal/facility"
 	"repro/internal/gateway"
 	"repro/internal/gateway/client"
@@ -439,5 +441,78 @@ func assertEnvelope(t *testing.T, resp *http.Response) {
 	}
 	if env.Error.Status != resp.StatusCode || env.Error.Code == "" {
 		t.Errorf("envelope %+v does not match status %d", env.Error, resp.StatusCode)
+	}
+}
+
+// openCounter counts the Opens of a site's backend.
+type openCounter struct {
+	adal.Backend
+	opens atomic.Int64
+}
+
+func (o *openCounter) Open(path string) (io.ReadCloser, error) {
+	o.opens.Add(1)
+	return o.Backend.Open(path)
+}
+
+// TestRangeIsValidatedBeforeAnythingIsOpened: an open is a cache fill
+// and a federated dial, so a request answered 416 must open nothing at
+// any site — and a satisfiable range opens the nearest site once and
+// is then served from the cache.
+func TestRangeIsValidatedBeforeAnythingIsOpened(t *testing.T) {
+	fac, _, hs := startGateway(t,
+		facility.Options{Sites: []string{"near", "far"}, MinReplicas: 2, ReadCacheMemory: 8 * units.MiB},
+		gateway.Config{Tenants: []gateway.Tenant{{Name: "bio", Token: "tkn", Prefixes: []string{"/sites/bio"}, RPS: 10000}}})
+	c := newClient(t, hs, "tkn")
+	ctx := context.Background()
+	data := bytes.Repeat([]byte("0123456789abcdef"), 40_000) // 640 000 bytes: three blocks
+	if _, err := c.PutObject(ctx, "/sites/bio/vol", data, ""); err != nil {
+		t.Fatal(err)
+	}
+	fac.Replicator.Wait()
+	var sites []*openCounter
+	for _, s := range fac.FedSites {
+		oc := &openCounter{Backend: s.Backend}
+		s.Backend = oc
+		sites = append(sites, oc)
+	}
+	opens := func() (n int64) {
+		for _, oc := range sites {
+			n += oc.opens.Load()
+		}
+		return n
+	}
+
+	req, _ := http.NewRequest("GET", hs.URL+"/v1/objects/sites/bio/vol", nil)
+	req.Header.Set("Authorization", "Bearer tkn")
+	req.Header.Set("Range", "bytes=640000-640099")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable || resp.Header.Get("Content-Range") != "bytes */640000" {
+		t.Fatalf("unsatisfiable range: %d, Content-Range %q", resp.StatusCode, resp.Header.Get("Content-Range"))
+	}
+	assertEnvelope(t, resp)
+	if n := opens(); n != 0 {
+		t.Fatalf("a 416 opened the object at a site %d time(s)", n)
+	}
+
+	for round, wantOpens := range []int64{1, 1} {
+		rc, err := c.GetRange(ctx, "/sites/bio/vol", 639_000, 5_000) // clamped to the last 1000 bytes
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := io.ReadAll(rc)
+		rc.Close()
+		if err != nil || !bytes.Equal(got, data[639_000:]) {
+			t.Fatalf("round %d: ranged read returned %d bytes (err %v), want the last 1000", round, len(got), err)
+		}
+		if n := opens(); n != wantOpens {
+			t.Fatalf("round %d: %d site opens, want %d", round, n, wantOpens)
+		}
+	}
+	if st := fac.ReadCache.Stats(); st.FillBytes != 640_000-2*256*1024 || st.MemHits != 1 {
+		t.Fatalf("cache fetched %d bytes and served %d hits; want the last block alone, then a hit", st.FillBytes, st.MemHits)
 	}
 }

@@ -2,6 +2,7 @@ package readcache
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -64,6 +65,35 @@ func BenchmarkColdFill(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		benchRead(b, c, fmt.Sprintf("/b/cold-%07d", i))
+	}
+}
+
+// BenchmarkRangeMiss is the ranged miss path: 256 KiB at a random
+// 64 KiB-aligned offset of a 64 MiB object that is never admitted
+// whole — seek, fetch and verify the one or two blocks touched, insert,
+// evict.
+func BenchmarkRangeMiss(b *testing.B) {
+	const size, span = 64 << 20, 256 << 10
+	c, site := patternFed(b, size, Config{Memory: 4 * units.MiB})
+	rng := rand.New(rand.NewSource(17))
+	b.SetBytes(span)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := rng.Int63n((size-span)/(64<<10)+1) * (64 << 10)
+		r, err := c.OpenRange(context.Background(), "/vol", off, span)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n, err := io.Copy(io.Discard, r)
+		r.Close()
+		if err != nil || n != span {
+			b.Fatalf("read %d bytes: %v", n, err)
+		}
+	}
+	b.StopTimer()
+	if read := site.read.Load(); read > int64(b.N)*2*blockSize {
+		b.Fatalf("site delivered %d bytes for %d ranged reads: more than two blocks each", read, b.N)
 	}
 }
 

@@ -1,34 +1,32 @@
 // Package readcache is the per-site hot-set cache in front of the
-// federation: a read-through adal.Backend wrapper with a
-// byte-budgeted in-memory tier and a local-disk tier, sitting between
-// callers and (typically) replication.FederatedBackend so repeated
-// reads of remote objects stop re-crossing the WAN — the caching
-// proxies the AAA federation pairs with its redirector.
+// federation: a read-through adal.Backend wrapper with a byte-budgeted
+// in-memory tier and a local-disk tier, sitting between callers and
+// (typically) replication.FederatedBackend so repeated reads of remote
+// objects stop re-crossing the WAN — the caching proxies the AAA
+// federation pairs with its redirector, which hold partial files at
+// block granularity because analysis jobs read a fraction of each file.
 //
-// The cache is scan-resistant and size-aware: each tier is a
-// segmented (2Q-style) LRU whose probationary segment absorbs
-// one-touch traffic, and an admission gate rejects objects larger
-// than a fraction of the tier budget, so one cold huge object cannot
-// evict the working set. Concurrent misses of the same object
-// coalesce onto a single fill (the PR 4 recall op-map, generalized),
-// every fill is SHA-256-verified against the replica catalog's
-// recorded content hash, and invalidation rides the metadata event
-// bus: a dropped/deleted object is evicted everywhere, while
-// stale/lost replica transitions evict only entries whose bytes were
-// never checksum-verified — verified entries of immutable objects
-// stay correct no matter which site died, which is what lets the
-// cache keep serving the hot set straight through a site outage.
+// Both tiers hold 256 KiB blocks keyed by (path, block index); a ranged
+// read fetches only the blocks it lacks. Each tier is a segmented
+// (2Q-style) LRU whose probationary segment absorbs one-touch traffic,
+// behind an admission gate on the span a request touches. Concurrent
+// misses of a block coalesce onto one fetch, every fetched block is
+// SHA-256-verified against the replica catalog's digest through its
+// checkpoint chain, and invalidation rides the metadata event bus: a
+// dropped/deleted object is evicted everywhere, while stale/lost
+// replica transitions evict only blocks that were never verified —
+// verified blocks of immutable objects stay correct no matter which
+// site died, which is what lets the cache keep serving the hot set
+// straight through a site outage.
 package readcache
 
 import (
-	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -50,8 +48,8 @@ type Config struct {
 	// production, a MemFS in tests); DiskBudget is its byte budget.
 	Disk       adal.Backend
 	DiskBudget units.Bytes
-	// AdmitFraction caps a single object at this fraction of a tier's
-	// budget (default 0.25): anything larger bypasses the tier.
+	// AdmitFraction caps the span one request touches at this fraction
+	// of a tier's budget (default 0.25): a wider one bypasses the tier.
 	AdmitFraction float64
 	// ProtectedFraction is the share of a tier's budget reserved for
 	// the protected (re-referenced) segment (default 0.75).
@@ -81,12 +79,12 @@ type Config struct {
 	Obs *obs.Registry
 }
 
-// checksumReporter is implemented by backends that can report an
-// object's recorded content hash and size without reading it
-// (FederatedBackend delegates to the replica catalog). The cache
-// discovers it structurally, like the DataBrowser's reporters.
-type checksumReporter interface {
-	ObjectChecksum(rel string) (sum string, size units.Bytes, ok bool)
+// digestReporter is implemented by backends that can report an
+// object's recorded size, content hash and checkpoint chain without
+// reading it (FederatedBackend asks the replica catalog); discovered
+// structurally, like the DataBrowser's reporters.
+type digestReporter interface {
+	ObjectDigest(rel string) (adal.Digest, bool)
 }
 
 type placementReporter interface {
@@ -97,26 +95,40 @@ type replicaReporter interface {
 	ReplicaSites(rel string) ([]string, bool)
 }
 
-// fillOp is one in-flight miss fill; concurrent readers of the same
-// path wait on done instead of opening their own WAN stream.
+// blockSize is the unit both tiers cache: the spacing of the catalog's
+// SHA-256 checkpoints, so any one block can be verified alone.
+const blockSize = adal.ChainBlock
+
+// blockFile is the disk tier's name for a block (recoverDisk parses it).
+func blockFile(k blockKey) string { return k.path + "#" + strconv.FormatInt(k.idx, 10) }
+
+// fillOp is one in-flight fetch, entered in Cache.ops under each block
+// it claimed; readers that need one wait on done instead of opening
+// their own WAN stream.
 type fillOp struct {
 	done        chan struct{}
 	err         error
-	invalidated bool // remove/delete arrived mid-fill: do not insert
+	invalidated bool // remove/delete/evict arrived mid-fill: do not insert
 }
 
-// Cache is a two-tier read-through cache over any adal.Backend.
+type negEntry struct {
+	path string
+	exp  time.Time
+}
+
+// Cache is a two-tier read-through block cache over any adal.Backend.
 // All methods are safe for concurrent use.
 type Cache struct {
 	inner adal.Backend
 	cfg   Config
+	now   func() time.Time // time.Now; tests inject a clock
 
 	mu   sync.Mutex
 	mem  *segLRU // nil when the memory tier is disabled
 	disk *segLRU // nil when the disk tier is disabled
-	ops  map[string]*fillOp
+	ops  map[blockKey]*fillOp
 	neg  map[string]time.Time // not-found paths -> expiry (nil when NegTTL is 0)
-	negQ []string             // insertion order, for bounded FIFO eviction
+	negQ []negEntry           // recordings, oldest first; never longer than NegEntries
 
 	unsub func()
 
@@ -138,11 +150,14 @@ type Cache struct {
 	fillHist *obs.Histogram
 }
 
-var _ adal.Backend = (*Cache)(nil)
+var (
+	_ adal.Backend     = (*Cache)(nil)
+	_ adal.RangeOpener = (*Cache)(nil)
+)
 
 // New wraps inner with a read-through cache. When the disk tier's
-// backend already holds objects (a restarted lsdfctl state dir), they
-// are re-admitted as unverified entries — served until the first
+// backend already holds block files (a restarted lsdfctl state dir),
+// they are re-admitted as unverified blocks — served until the first
 // replica event casts doubt on them.
 func New(inner adal.Backend, cfg Config) *Cache {
 	if cfg.AdmitFraction <= 0 || cfg.AdmitFraction > 1 {
@@ -154,7 +169,7 @@ func New(inner adal.Backend, cfg Config) *Cache {
 	if cfg.NegEntries <= 0 {
 		cfg.NegEntries = 1024
 	}
-	c := &Cache{inner: inner, cfg: cfg, ops: make(map[string]*fillOp)}
+	c := &Cache{inner: inner, cfg: cfg, now: time.Now, ops: make(map[blockKey]*fillOp)}
 	if cfg.Obs != nil {
 		c.fillHist = cfg.Obs.Histogram("lsdf_cache_fill_ns",
 			"Miss fill duration: inner (often WAN) read, hash, tier insert.")
@@ -175,9 +190,9 @@ func New(inner adal.Backend, cfg Config) *Cache {
 	return c
 }
 
-// recoverDisk re-admits objects left in the disk backend by a prior
-// process. They enter probation unverified: usable immediately, but
-// the first stale/lost event on their path evicts them.
+// recoverDisk re-admits block files left in the disk backend by a
+// prior process, as unverified blocks: usable immediately, evicted by
+// the first stale/lost event on their path. Anything else is removed.
 func (c *Cache) recoverDisk() {
 	infos, err := c.cfg.Disk.List("/")
 	if err != nil {
@@ -186,12 +201,14 @@ func (c *Cache) recoverDisk() {
 	var stray []string
 	c.mu.Lock()
 	for _, info := range infos {
-		if !c.disk.admits(info.Size) {
+		cut := strings.LastIndexByte(info.Path, '#')
+		idx, err := strconv.ParseInt(info.Path[cut+1:], 10, 64)
+		if cut <= 0 || err != nil || idx < 0 || info.Size > blockSize || !c.disk.admits(info.Size) {
 			stray = append(stray, info.Path)
 			continue
 		}
-		for _, e := range c.disk.add(&centry{path: info.Path, size: info.Size}) {
-			stray = append(stray, e.path)
+		for _, e := range c.disk.add(&centry{key: blockKey{info.Path[:cut], idx}, size: info.Size}) {
+			stray = append(stray, blockFile(e.key))
 		}
 	}
 	c.mu.Unlock()
@@ -225,34 +242,42 @@ func (c *Cache) negLookup(path string) bool {
 	if !ok {
 		return false
 	}
-	if time.Now().After(exp) {
+	if c.now().After(exp) {
 		delete(c.neg, path)
 		return false
 	}
 	return true
 }
 
-// negStore records a not-found path; a re-recorded path just renews
-// its TTL, a fresh one may push the oldest recording out of the
-// bounded set.
+// negStore records a not-found path until the TTL. A recording in negQ
+// is live while the map still holds its expiry; dead ones (expired,
+// dropped, superseded) leave from the head, and a queue full of live
+// ones pushes its oldest out — so it never outgrows NegEntries however
+// long a client polls rotating absent paths.
 func (c *Cache) negStore(path string) {
 	if c.neg == nil {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, ok := c.neg[path]; !ok {
-		for len(c.neg) >= c.cfg.NegEntries && len(c.negQ) > 0 {
-			delete(c.neg, c.negQ[0])
-			c.negQ = c.negQ[1:]
+	for len(c.negQ) > 0 {
+		h := c.negQ[0]
+		live := c.neg[h.path].Equal(h.exp)
+		if live && len(c.negQ) < c.cfg.NegEntries {
+			break
 		}
-		c.negQ = append(c.negQ, path)
+		if live {
+			delete(c.neg, h.path)
+		}
+		c.negQ = c.negQ[1:]
 	}
-	c.neg[path] = time.Now().Add(c.cfg.NegTTL)
+	exp := c.now().Add(c.cfg.NegTTL)
+	c.neg[path] = exp
+	c.negQ = append(c.negQ, negEntry{path, exp})
 }
 
-// negDrop forgets a cached not-found (the object exists now). The
-// path stays in negQ; its map entry is what answers lookups.
+// negDrop forgets a cached not-found (the object exists now). Its
+// recording in negQ is dead from here on.
 func (c *Cache) negDrop(path string) {
 	if c.neg == nil {
 		return
@@ -308,273 +333,442 @@ func (c *Cache) Remove(path string) error {
 	return err
 }
 
-// Open implements adal.Backend: memory hit, coalesce onto an
-// in-flight fill, disk hit (with promotion), or fill/bypass.
+// Open implements adal.Backend.
 func (c *Cache) Open(path string) (io.ReadCloser, error) {
-	return c.open(context.Background(), path)
+	return c.OpenRange(context.Background(), path, 0, -1)
 }
 
-// OpenCtx is Open carrying the caller's trace: a cache.open span
-// brackets the lookup, a nested cache.fill span (and the fill
-// histogram) times misses, and the context reaches the inner
-// backend's CtxOpener so federated reads record where WAN time went.
+// OpenCtx is Open carrying the caller's context.
 func (c *Cache) OpenCtx(ctx context.Context, path string) (io.ReadCloser, error) {
-	sp := obs.StartSpan(ctx, "cache.open")
-	r, err := c.open(ctx, path)
-	sp.End()
+	return c.OpenRange(ctx, path, 0, -1)
+}
+
+// innerOpen is a ranged read of the inner backend, through its own
+// OpenRange when it has one so spans and cancellation continue below
+// the cache.
+func (c *Cache) innerOpen(ctx context.Context, path string, off, n int64) (io.ReadCloser, error) {
+	r, err := adal.OpenRange(ctx, c.inner, path, off, n)
+	if err != nil && errors.Is(err, adal.ErrNotFound) {
+		c.negStore(path)
+	}
 	return r, err
 }
 
-// innerOpen routes an inner read through the backend's CtxOpener
-// when it has one, so spans continue below the cache.
-func (c *Cache) innerOpen(ctx context.Context, path string) (io.ReadCloser, error) {
-	if co, ok := c.inner.(adal.CtxOpener); ok {
-		return co.OpenCtx(ctx, path)
-	}
-	return c.inner.Open(path)
+// lookup is one attempt to serve an object's bytes up to end out of
+// its blocks, b0 onwards.
+type lookup struct {
+	path          string
+	d             adal.Digest
+	end, b0       int64
+	toMem, toDisk bool // the tiers whose admission gate the span passes
+	// blocks[j-b0] is block j in hand: a memory hit, a promoted disk
+	// hit, or just fetched. nil is a block left on the disk tier, read
+	// when the reader gets there.
+	blocks [][]byte
 }
 
-func (c *Cache) open(ctx context.Context, path string) (io.ReadCloser, error) {
+// span points the lookup at blocks b0..b1 and asks each tier's gate
+// about that span — not the object: a slice of a huge volume is cacheable.
+func (lk *lookup) span(c *Cache, b0, b1 int64) {
+	bytes := units.Bytes(min((b1+1)*blockSize, int64(lk.d.Size)) - b0*blockSize)
+	lk.b0, lk.blocks = b0, make([][]byte, b1-b0+1)
+	lk.toMem, lk.toDisk = c.mem.admits(bytes), c.disk.admits(bytes)
+}
+
+// OpenRange implements adal.RangeOpener, the cache's one read path:
+// bytes [off, off+n) of path (to the end when n < 0), from cached
+// blocks where it has them and by fetching only the blocks it lacks.
+// A cache.open span brackets the lookup, a nested cache.fill span (and
+// the fill histogram) times what a miss fetches; the context reaches
+// the fetch.
+func (c *Cache) OpenRange(ctx context.Context, path string, off, n int64) (io.ReadCloser, error) {
+	sp := obs.StartSpan(ctx, "cache.open")
+	defer sp.End()
 	if c.negLookup(path) {
 		return nil, c.negErr(path)
 	}
+	var missed, waited bool
 	for attempt := 0; ; attempt++ {
-		c.mu.Lock()
-		if e := c.mem.get(path); e != nil {
-			c.mem.touch(e)
-			data := e.data
-			c.mu.Unlock()
-			c.memHits.Add(1)
-			return io.NopCloser(bytes.NewReader(data)), nil
+		d, sized := c.objectMeta(path)
+		lk := &lookup{path: path, d: d, end: int64(d.Size)}
+		if n >= 0 && n < lk.end-off {
+			lk.end = off + n
 		}
-		if op := c.ops[path]; op != nil {
-			c.mu.Unlock()
-			c.dedups.Add(1)
-			<-op.done
-			if op.err != nil {
-				return nil, op.err
-			}
-			continue // the leader's fill is cached now
+		if sized && off >= 0 && off < lk.end {
+			lk.span(c, off/blockSize, (lk.end-1)/blockSize)
 		}
-		if e := c.disk.get(path); e != nil {
-			c.disk.touch(e)
-			size, verified := e.size, e.verified
-			c.mu.Unlock()
-			if r, ok := c.serveDisk(path, size, verified); ok {
-				c.diskHits.Add(1)
-				return r, nil
-			}
-			continue // disk entry vanished under us; refill
-		}
-		c.mu.Unlock()
-
-		// Miss. Size the object (catalog first, Stat fallback) to
-		// decide admission before claiming the fill.
-		sum, size, sized := c.objectMeta(path)
-		admitMem := c.mem.admits(size)
-		admitDisk := c.disk.admits(size)
-		if !sized || (!admitMem && !admitDisk) || attempt >= 3 {
-			// Inadmissible (or unsizeable, or losing repeated races):
-			// stream straight through. No coalescing — each bypass
-			// reader needs its own stream anyway.
+		if !(lk.toMem || lk.toDisk) || attempt >= 3 {
+			// Unsizeable, empty, inadmissible, or losing repeated races:
+			// stream straight through, uncoalesced.
 			c.bypasses.Add(1)
-			r, err := c.innerOpen(ctx, path)
-			if err != nil && errors.Is(err, adal.ErrNotFound) {
-				c.negStore(path)
-			}
-			return r, err
+			return c.innerOpen(ctx, path, off, n)
+		}
+		// A digest without a chain cannot vouch for one block: a miss
+		// reads an admissible object whole once, deriving the chain as it
+		// checks the digest (its cached blocks carry it from then on);
+		// an inadmissible one is cached as unverified blocks.
+		derive := d.Sum != "" && !d.Chained()
+		if derive && !c.mem.admits(d.Size) && !c.disk.admits(d.Size) {
+			derive, lk.d.Sum = false, ""
 		}
 
+		var mine, onDisk []int64
+		var wait []*fillOp
+		var op *fillOp
+		classify := func(refetch bool) {
+			mine, onDisk, wait = mine[:0], onDisk[:0], wait[:0]
+			for i := range lk.blocks {
+				j := lk.b0 + int64(i)
+				if e := c.mem.get(path, j); e != nil && !refetch {
+					c.mem.touch(e)
+					lk.blocks[i] = e.data
+				} else if o := c.ops[blockKey{path, j}]; o != nil {
+					wait = append(wait, o)
+				} else if e := c.disk.get(path, j); e != nil && !refetch && int64(e.size) == lk.d.BlockLen(j) {
+					c.disk.touch(e)
+					onDisk = append(onDisk, j)
+				} else {
+					mine = append(mine, j)
+				}
+			}
+		}
 		c.mu.Lock()
-		if c.mem.get(path) != nil || c.disk.get(path) != nil || c.ops[path] != nil {
+		if derive {
+			if chain := c.derivedChain(path); chain != nil {
+				derive, lk.d.Chain = false, chain
+			}
+		}
+		classify(false)
+		if derive && len(mine) > 0 {
+			lk.span(c, 0, d.Blocks()-1)
+			if classify(true); len(wait) > 0 {
+				mine = nil // another reader is deriving; its chain will do
+			}
+		}
+		if len(mine) > 0 {
+			op = &fillOp{done: make(chan struct{})}
+			for _, j := range mine {
+				c.ops[blockKey{path, j}] = op
+			}
+		}
+		c.mu.Unlock()
+
+		if op != nil {
+			missed = true
+			err := c.fill(ctx, lk, mine, op, derive)
+			c.mu.Lock()
+			// A fill its own request cancelled is no verdict on the
+			// object: its waiters see no error and fetch for themselves.
+			// The op leaves the map before they wake.
+			if ctx.Err() == nil {
+				op.err = err
+			}
+			for _, j := range mine {
+				delete(c.ops, blockKey{path, j})
+			}
 			c.mu.Unlock()
-			continue // lost the leadership race; loop re-serves
-		}
-		op := &fillOp{done: make(chan struct{})}
-		c.ops[path] = op
-		c.mu.Unlock()
-		c.misses.Add(1)
-
-		r, err := c.fill(ctx, path, size, sum, admitMem, admitDisk, op)
-		c.finishOp(path, op, err)
-		if err != nil {
-			if errors.Is(err, adal.ErrNotFound) {
-				c.negStore(path)
+			close(op.done)
+			if err != nil {
+				return nil, err
 			}
-			return nil, err
 		}
-		return r, nil
+		for _, o := range wait {
+			if !waited {
+				waited = true
+				c.dedups.Add(1)
+			}
+			select {
+			case <-o.done:
+			case <-ctx.Done():
+				return nil, ctx.Err()
+			}
+			if o.err != nil {
+				return nil, o.err
+			}
+		}
+		retry := len(wait) > 0 // what the leaders fetched is cached now
+		for _, j := range onDisk {
+			if lk.toMem && !retry {
+				lk.blocks[j-lk.b0] = c.diskBlock(lk, j)
+				retry = lk.blocks[j-lk.b0] == nil
+			}
+		}
+		if retry {
+			continue
+		}
+		switch {
+		case missed:
+			c.misses.Add(1)
+		case len(onDisk) > 0:
+			c.diskHits.Add(1)
+		default:
+			c.memHits.Add(1)
+		}
+		return &spanReader{c: c, ctx: ctx, lk: lk, pos: off}, nil
 	}
 }
 
-// serveDisk opens a disk-tier hit, promoting it into the memory tier
-// when admitted there (its disk hit is the re-reference that earns
-// promotion). Reports ok=false when the disk bytes are gone — the
-// caller drops the entry and refills.
-func (c *Cache) serveDisk(path string, size units.Bytes, verified bool) (io.ReadCloser, bool) {
-	r, err := c.cfg.Disk.Open(path)
-	if err != nil {
-		c.mu.Lock()
-		c.disk.remove(path)
-		c.mu.Unlock()
-		return nil, false
-	}
-	if !c.mem.admits(size) {
-		return r, true
-	}
-	data := make([]byte, size)
-	_, err = io.ReadFull(r, data)
-	r.Close()
-	if err != nil {
-		c.mu.Lock()
-		c.disk.remove(path)
-		c.mu.Unlock()
-		return nil, false
-	}
-	c.mu.Lock()
-	// Only promote while the disk entry is still live: an
-	// invalidation that raced the read must not be resurrected.
-	if c.disk.get(path) != nil && c.mem.get(path) == nil {
-		ev := c.mem.add(&centry{path: path, size: size, data: data, verified: verified})
-		c.evictions.Add(uint64(len(ev)))
-	}
-	c.mu.Unlock()
-	return io.NopCloser(bytes.NewReader(data)), true
-}
-
-// objectMeta resolves an object's recorded content hash and size —
-// from the inner backend's catalog when it has one, else a Stat.
-func (c *Cache) objectMeta(path string) (sum string, size units.Bytes, ok bool) {
-	if cr, has := c.inner.(checksumReporter); has {
-		if sum, size, ok := cr.ObjectChecksum(path); ok && size > 0 {
-			return sum, size, true
+// objectMeta resolves an object's size and recorded digest — from the
+// inner backend's catalog when it has one, else a Stat (size only).
+func (c *Cache) objectMeta(path string) (adal.Digest, bool) {
+	if dr, has := c.inner.(digestReporter); has {
+		if d, ok := dr.ObjectDigest(path); ok && d.Size > 0 {
+			return d, true
 		}
 	}
 	info, err := c.inner.Stat(path)
-	if err != nil || info.Size <= 0 {
-		return "", 0, false
-	}
-	return "", info.Size, true
+	return adal.Digest{Size: info.Size}, err == nil && info.Size > 0
 }
 
-// fill streams the object from the inner backend once, hashing in
-// passing (the WriteChecksummed discipline), lands it in the admitted
-// tiers, and returns the leader's reader. A hash or length mismatch —
-// possible when a mid-stream failover spliced bytes from a stale
-// replica — keeps the object out of the cache but still serves the
-// leader exactly what a direct read would have returned.
-func (c *Cache) fill(ctx context.Context, path string, size units.Bytes, sum string, admitMem, admitDisk bool, op *fillOp) (io.ReadCloser, error) {
+// derivedChain is the chain a whole read of path derived, found on any
+// of its cached blocks. Callers hold c.mu.
+func (c *Cache) derivedChain(path string) []byte {
+	for _, s := range []*segLRU{c.mem, c.disk} {
+		if s != nil {
+			for _, e := range s.idx[path] {
+				return e.chain
+			}
+		}
+	}
+	return nil
+}
+
+// fill fetches the claimed blocks (ascending), one inner ranged stream
+// per run of neighbours, and admits those that check out. With a chain
+// each block is checked on its own against the catalog's digest;
+// deriving, the one run is the whole object and nothing is admitted
+// unless its hash ends on the digest. A block that fails, or that the
+// stream ends inside (a mid-stream failover can splice in a stale
+// replica), is never cached but stays in hand when memory holds the
+// span: the reader gets what a direct read would have returned. The
+// context is checked between blocks; a cancelled fill keeps what it had
+// verified.
+func (c *Cache) fill(ctx context.Context, lk *lookup, mine []int64, op *fillOp, derive bool) (err error) {
 	start := time.Now()
 	sp := obs.StartSpan(ctx, "cache.fill")
-	sp.Annotate("%s (%d bytes)", path, size)
+	sp.Annotate("%s (%d blocks)", lk.path, len(mine))
 	defer func() {
 		sp.End()
 		c.fillHist.ObserveSince(start)
 	}()
-	src, err := c.innerOpen(ctx, path)
-	if err != nil {
-		return nil, err
+	var dh *adal.ChainHasher
+	if derive {
+		dh = adal.NewChainHasher()
 	}
-	defer src.Close()
-
-	h := sha256.New()
-	writers := []io.Writer{h}
-	var buf *bytes.Buffer
-	if admitMem {
-		buf = bytes.NewBuffer(make([]byte, 0, size))
-		writers = append(writers, buf)
-	}
-	var dw io.WriteCloser
-	if admitDisk {
-		dw, err = c.cfg.Disk.Create(path)
-		if err != nil {
-			// A leftover file from a crashed fill: clear and retry.
-			_ = c.cfg.Disk.Remove(path)
-			dw, err = c.cfg.Disk.Create(path)
+	var toMem, toDisk []*centry
+	var src io.ReadCloser
+	defer func() {
+		if src != nil {
+			src.Close()
 		}
-		if err != nil {
-			if !admitMem {
-				return nil, err
+	}()
+	for i, j := range mine {
+		if i == 0 || mine[i-1] != j-1 { // a new run: one stream to its last block
+			last := i
+			for last+1 < len(mine) && mine[last+1] == mine[last]+1 {
+				last++
 			}
-			admitDisk = false
-		} else {
-			writers = append(writers, dw)
+			if src != nil {
+				src.Close()
+			}
+			if src, err = c.innerOpen(ctx, lk.path, j*blockSize, (mine[last]-j)*blockSize+lk.d.BlockLen(mine[last])); err != nil {
+				break
+			}
+			c.fills.Add(1)
+		}
+		if err = ctx.Err(); err != nil {
+			break
+		}
+		buf := make([]byte, lk.d.BlockLen(j))
+		k, rerr := io.ReadFull(src, buf)
+		c.fillBytes.Add(uint64(k))
+		if lk.toMem {
+			lk.blocks[j-lk.b0] = buf[:k]
+		}
+		if err = rerr; err != nil {
+			c.fillErrors.Add(1)
+			break
+		}
+		e := centry{key: blockKey{lk.path, j}, size: units.Bytes(k)}
+		if derive {
+			dh.Write(buf)
+		} else if lk.d.Sum != "" {
+			if e.verified = lk.d.VerifyBlock(j, buf); !e.verified {
+				c.fillErrors.Add(1)
+				continue
+			}
+		}
+		if lk.toDisk && c.writeDisk(blockFile(e.key), buf) {
+			onDisk := e
+			toDisk = append(toDisk, &onDisk)
+		}
+		if lk.toMem {
+			e.data = buf
+			toMem = append(toMem, &e)
 		}
 	}
-
-	n, err := adal.PooledCopy(io.MultiWriter(writers...), src)
-	if dw != nil {
-		if cerr := dw.Close(); err == nil {
-			err = cerr
+	keep := true
+	if derive {
+		got := dh.Digest()
+		if keep = err == nil && got.Sum == lk.d.Sum && got.Size == lk.d.Size; !keep && err == nil {
+			c.fillErrors.Add(1)
+		}
+		for _, tier := range [][]*centry{toMem, toDisk} {
+			for _, e := range tier {
+				e.verified, e.chain = true, got.Chain
+			}
 		}
 	}
-	if err != nil {
-		if admitDisk {
-			_ = c.cfg.Disk.Remove(path)
-		}
-		c.fillErrors.Add(1)
-		return nil, err
-	}
-
-	verified := sum != "" && hex.EncodeToString(h.Sum(nil)) == sum
-	if units.Bytes(n) != size || (sum != "" && !verified) {
-		// Suspect bytes: never cache them, but a direct read would
-		// have returned this very stream, so the leader still gets it.
-		if admitDisk {
-			_ = c.cfg.Disk.Remove(path)
-		}
-		c.fillErrors.Add(1)
-		if buf != nil {
-			return io.NopCloser(bytes.NewReader(buf.Bytes())), nil
-		}
-		return c.inner.Open(path)
-	}
-	c.fills.Add(1)
-	c.fillBytes.Add(uint64(n))
-
-	var evicted []string
+	// Admit, unless the object was dropped under the fill; whatever is
+	// not kept, or is pushed out, loses its disk file.
+	var files []*centry
 	c.mu.Lock()
-	if op.invalidated {
-		c.mu.Unlock()
-		if admitDisk {
-			_ = c.cfg.Disk.Remove(path)
+	if keep = keep && !op.invalidated; keep {
+		for _, e := range toMem {
+			c.evictions.Add(uint64(len(c.mem.add(e))))
 		}
+		for _, e := range toDisk {
+			files = append(files, c.disk.add(e)...)
+		}
+		c.evictions.Add(uint64(len(files)))
 	} else {
-		var nev int
-		if admitMem {
-			ev := c.mem.add(&centry{path: path, size: size, data: buf.Bytes(), verified: verified})
-			nev += len(ev)
-		}
-		if admitDisk {
-			for _, e := range c.disk.add(&centry{path: path, size: size, verified: verified}) {
-				evicted = append(evicted, e.path)
-			}
-			nev += len(evicted)
-		}
-		c.mu.Unlock()
-		c.evictions.Add(uint64(nev))
-		for _, p := range evicted {
-			_ = c.cfg.Disk.Remove(p)
-		}
+		files = toDisk
 	}
-
-	if buf != nil {
-		return io.NopCloser(bytes.NewReader(buf.Bytes())), nil
+	c.mu.Unlock()
+	for _, e := range files {
+		_ = c.cfg.Disk.Remove(blockFile(e.key))
 	}
-	if r, err := c.cfg.Disk.Open(path); err == nil {
-		return r, nil
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = nil // a stream that ran out is served as far as it went
 	}
-	return c.inner.Open(path)
+	return err
 }
 
-// finishOp publishes the fill outcome: the op leaves the map first,
-// so a waiter that wakes and loops re-examines fresh state.
-func (c *Cache) finishOp(path string, op *fillOp, err error) {
+// writeDisk stores one block file on the disk tier, in place of any
+// leftover, reporting whether it is there; a block that cannot be
+// written is simply not cached.
+func (c *Cache) writeDisk(name string, data []byte) bool {
+	_ = c.cfg.Disk.Remove(name)
+	w, err := c.cfg.Disk.Create(name)
+	if err != nil {
+		return false
+	}
+	_, err = w.Write(data)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = c.cfg.Disk.Remove(name)
+	}
+	return err == nil
+}
+
+// diskBlock reads block j of lk's object from the disk tier, promoting
+// it when memory admits the span (the disk hit is the re-reference that
+// earns it). A block that is gone or cut short is dropped from the tier
+// and nil returned.
+func (c *Cache) diskBlock(lk *lookup, j int64) []byte {
+	if c.disk == nil {
+		return nil
+	}
+	name := blockFile(blockKey{lk.path, j})
+	data := make([]byte, lk.d.BlockLen(j))
+	f, err := c.cfg.Disk.Open(name)
+	if err == nil {
+		_, err = io.ReadFull(f, data)
+		f.Close()
+	}
 	c.mu.Lock()
-	op.err = err
-	delete(c.ops, path)
+	e := c.disk.get(lk.path, j)
+	switch {
+	case e == nil:
+	case err != nil:
+		c.disk.removeEntry(e)
+	case lk.toMem && c.mem.get(lk.path, j) == nil:
+		// Only while the disk entry is live: an invalidation that raced
+		// the read must not be resurrected.
+		up := *e
+		up.data = data
+		c.evictions.Add(uint64(len(c.mem.add(&up))))
+	}
 	c.mu.Unlock()
-	close(op.done)
+	if err != nil {
+		_ = c.cfg.Disk.Remove(name)
+		return nil
+	}
+	return data
+}
+
+// spanReader serves a lookup's byte range: blocks in hand by reference,
+// disk-tier blocks read one at a time as the reader reaches them.
+type spanReader struct {
+	c   *Cache
+	ctx context.Context
+	lk  *lookup
+	pos int64
+
+	cur    []byte // the disk-tier block pos is in
+	curIdx int64
+	tail   io.ReadCloser // set once the rest comes from the inner backend
+}
+
+func (r *spanReader) Read(p []byte) (int, error) {
+	lk := r.lk
+	if r.tail != nil {
+		return r.tail.Read(p)
+	}
+	if r.pos >= lk.end {
+		return 0, io.EOF
+	}
+	j, in := r.pos/blockSize, r.pos%blockSize
+	blk := lk.blocks[j-lk.b0]
+	if blk == nil {
+		if r.cur == nil || r.curIdx != j {
+			r.cur, r.curIdx = r.c.diskBlock(lk, j), j
+		}
+		blk = r.cur
+	}
+	if int64(len(blk)) <= in {
+		// Not cached after all (evicted since the lookup, or fetched
+		// short): the rest comes straight from the inner backend.
+		tail, err := r.c.innerOpen(r.ctx, lk.path, r.pos, lk.end-r.pos)
+		if err != nil {
+			return 0, err
+		}
+		r.tail = tail
+		return tail.Read(p)
+	}
+	k := copy(p, blk[in:min(int64(len(blk)), in+lk.end-r.pos)])
+	r.pos += int64(k)
+	return k, nil
+}
+
+// WriteTo hands the blocks in hand to w by reference, with no staging
+// copy, and streams whatever is not in hand through Read.
+func (r *spanReader) WriteTo(w io.Writer) (total int64, err error) {
+	for lk := r.lk; r.tail == nil && r.pos < lk.end; {
+		blk, in := lk.blocks[r.pos/blockSize-lk.b0], r.pos%blockSize
+		if int64(len(blk)) <= in {
+			break
+		}
+		k, err := w.Write(blk[in:min(int64(len(blk)), in+lk.end-r.pos)])
+		r.pos += int64(k)
+		if total += int64(k); err != nil {
+			return total, err
+		}
+	}
+	if r.tail == nil && r.pos >= r.lk.end {
+		return total, nil
+	}
+	k, err := adal.PooledCopy(w, struct{ io.Reader }{r})
+	return total + k, err
+}
+
+func (r *spanReader) Close() error {
+	if r.tail != nil {
+		return r.tail.Close()
+	}
+	return nil
 }
 
 // onEvent drives invalidation from the metadata bus. Replica
@@ -618,53 +812,43 @@ func (c *Cache) onEvent(ev metadata.Event) {
 	c.invalidate(path, state == "dropped")
 }
 
-// invalidate evicts path from both tiers; force evicts even
-// checksum-verified entries and poisons an in-flight fill.
+// invalidate evicts path's blocks from both tiers; force evicts even
+// checksum-verified ones.
 func (c *Cache) invalidate(path string, force bool) {
-	dropDisk := false
+	c.invalidations.Add(uint64(c.dropPath(path, force)))
+}
+
+// dropPath removes path's blocks — only the unverified unless all —
+// from both tiers, disk files included, and reports how many went. With
+// all it also poisons the path's in-flight fills.
+func (c *Cache) dropPath(path string, all bool) int {
 	c.mu.Lock()
-	if e := c.mem.get(path); e != nil && (force || !e.verified) {
-		c.mem.removeEntry(e)
-		c.invalidations.Add(1)
-	}
-	if e := c.disk.get(path); e != nil && (force || !e.verified) {
-		c.disk.removeEntry(e)
-		c.invalidations.Add(1)
-		dropDisk = true
-	}
-	if op := c.ops[path]; op != nil && force {
-		op.invalidated = true
+	n := len(c.mem.drop(path, all))
+	files := c.disk.drop(path, all)
+	if all {
+		for k, op := range c.ops {
+			if k.path == path {
+				op.invalidated = true
+			}
+		}
 	}
 	c.mu.Unlock()
-	if dropDisk {
-		_ = c.cfg.Disk.Remove(path)
+	for _, e := range files {
+		_ = c.cfg.Disk.Remove(blockFile(e.key))
 	}
+	return n + len(files)
 }
 
 // Evict drops path from every tier (the lsdfctl verb), reporting
 // whether anything was cached.
 func (c *Cache) Evict(path string) bool {
-	dropDisk := false
-	had := false
-	c.mu.Lock()
-	if e := c.mem.remove(path); e != nil {
-		had = true
-	}
-	if e := c.disk.remove(path); e != nil {
-		had, dropDisk = true, true
-	}
-	c.mu.Unlock()
-	if dropDisk {
-		_ = c.cfg.Disk.Remove(path)
-	}
-	if had {
-		c.evictions.Add(1)
-	}
-	return had
+	n := c.dropPath(path, true)
+	c.evictions.Add(uint64(n))
+	return n > 0
 }
 
 // Warm pre-fills the cache with every inner object under prefix that
-// the tiers admit, returning how many objects are now cached.
+// the tiers admit whole, returning how many objects are now cached.
 func (c *Cache) Warm(prefix string) (int, error) {
 	infos, err := c.inner.List(prefix)
 	if err != nil {
@@ -688,15 +872,15 @@ func (c *Cache) Warm(prefix string) (int, error) {
 	return warmed, nil
 }
 
-// CacheTier reports which tier currently holds rel ("memory" wins
-// over "disk"); the DataBrowser discovers this structurally.
+// CacheTier reports which tier currently holds blocks of rel ("memory"
+// wins over "disk"); the DataBrowser discovers this structurally.
 func (c *Cache) CacheTier(rel string) (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.mem.get(rel) != nil {
+	if c.mem.has(rel) {
 		return "memory", true
 	}
-	if c.disk.get(rel) != nil {
+	if c.disk.has(rel) {
 		return "disk", true
 	}
 	return "", false
@@ -719,17 +903,13 @@ func (c *Cache) ReplicaSites(rel string) ([]string, bool) {
 	return nil, false
 }
 
-// ObjectChecksum forwards the inner backend's checksum reporter, so
-// stacked caches (or audits) see through this one.
-func (c *Cache) ObjectChecksum(rel string) (string, units.Bytes, bool) {
-	if cr, ok := c.inner.(checksumReporter); ok {
-		return cr.ObjectChecksum(rel)
-	}
-	return "", 0, false
-}
-
 // Stats is a point-in-time snapshot of the cache counters and tier
-// occupancy.
+// occupancy. MemHits, DiskHits, Misses and Dedups count lookups: a hit
+// fetched nothing (DiskHits: at least one block came from the disk
+// tier), a miss fetched at least one block, a dedup waited on another
+// reader's fetch. Fills and FillBytes count what was fetched from the
+// inner backend — streams and bytes; Evictions and Invalidations count
+// blocks; MemObjects and DiskObjects count objects with a block cached.
 type Stats struct {
 	MemHits, DiskHits        uint64
 	Misses, Bypasses         uint64
@@ -806,13 +986,13 @@ func (c *Cache) CacheCounters() map[string]uint64 {
 	}
 }
 
-// Entry describes one cached object for listings.
+// Entry describes what one tier holds of one object, for listings.
 type Entry struct {
 	Path     string
-	Tier     string // "memory" or "disk"
-	Size     units.Bytes
-	Verified bool
-	Hot      bool // protected segment (re-referenced)
+	Tier     string      // "memory" or "disk"
+	Size     units.Bytes // bytes of the object cached in the tier
+	Verified bool        // every cached block is
+	Hot      bool        // some block is in the protected segment (re-referenced)
 }
 
 // Entries lists every cached object, memory tier first, each tier
@@ -825,23 +1005,19 @@ func (c *Cache) Entries() []Entry {
 		if s == nil {
 			return
 		}
-		paths := s.paths()
-		sort.Strings(paths)
-		for _, p := range paths {
-			e := s.idx[p]
-			out = append(out, Entry{Path: p, Tier: tier, Size: e.size, Verified: e.verified, Hot: e.prot})
+		from := len(out)
+		for p, blocks := range s.idx {
+			ent := Entry{Path: p, Tier: tier, Verified: true}
+			for _, e := range blocks {
+				ent.Size += e.size
+				ent.Verified = ent.Verified && e.verified
+				ent.Hot = ent.Hot || e.prot
+			}
+			out = append(out, ent)
 		}
+		sort.Slice(out[from:], func(i, j int) bool { return out[from+i].Path < out[from+j].Path })
 	}
 	collect(c.mem, "memory")
 	collect(c.disk, "disk")
 	return out
-}
-
-// String summarizes the cache for logs.
-func (c *Cache) String() string {
-	st := c.Stats()
-	return fmt.Sprintf("readcache{mem %s/%s (%d obj) disk %s/%s (%d obj) hit %.0f%%}",
-		st.MemUsed.SI(), st.MemBudget.SI(), st.MemObjects,
-		st.DiskUsed.SI(), st.DiskBudget.SI(), st.DiskObjects,
-		100*st.HitRate())
 }

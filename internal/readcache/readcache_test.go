@@ -290,7 +290,7 @@ func TestDiskTierAndPromotion(t *testing.T) {
 	writeBackend(t, inner, small, smallData)
 	readCache(t, c, small)
 	c.mu.Lock()
-	c.mem.remove(small) // strand it on disk only
+	c.mem.drop(small, true) // strand it on disk only
 	c.mu.Unlock()
 	readCache(t, c, small) // disk hit → promote
 	if tier, _ := c.CacheTier(small); tier != "memory" {
@@ -399,7 +399,7 @@ func TestStaleKeepsVerifiedEntry(t *testing.T) {
 	}
 }
 
-// reportingBackend adds an ObjectChecksum reporter over
+// reportingBackend adds an ObjectDigest reporter over
 // countingBackend, simulating the federated backend's catalog.
 type reportingBackend struct {
 	countingBackend
@@ -407,12 +407,9 @@ type reportingBackend struct {
 	sizes map[string]units.Bytes
 }
 
-func (b *reportingBackend) ObjectChecksum(rel string) (string, units.Bytes, bool) {
+func (b *reportingBackend) ObjectDigest(rel string) (adal.Digest, bool) {
 	sum, ok := b.sums[rel]
-	if !ok {
-		return "", 0, false
-	}
-	return sum, b.sizes[rel], true
+	return adal.Digest{Size: b.sizes[rel], Sum: sum}, ok
 }
 
 // TestFillChecksumMismatch: a fill whose bytes don't match the
@@ -446,15 +443,25 @@ func TestFillChecksumMismatch(t *testing.T) {
 }
 
 // TestDiskRecovery: a cache built over a disk backend that already
-// holds objects serves them without re-crossing the inner backend.
+// holds block files serves them without re-crossing the inner backend
+// — as unverified blocks, which the first doubt about the object
+// evicts — and clears out anything that is not a block file.
 func TestDiskRecovery(t *testing.T) {
+	meta := metadata.NewStore()
 	inner := &countingBackend{Backend: adal.NewMemFS("inner")}
 	disk := adal.NewMemFS("cachedisk")
 	path, data := obj(10, 2048)
+	big := bytes.Repeat([]byte("recovered"), (blockSize+5000)/9)
 	writeBackend(t, inner, path, data)
-	writeBackend(t, disk, path, data) // left over from a prior process
+	writeBackend(t, inner, "/data/big", big)
+	// Left over from a prior process: two objects' block files, and a
+	// whole-object file from before the tier held blocks.
+	writeBackend(t, disk, blockFile(blockKey{path, 0}), data)
+	writeBackend(t, disk, blockFile(blockKey{"/data/big", 0}), big[:blockSize])
+	writeBackend(t, disk, blockFile(blockKey{"/data/big", 1}), big[blockSize:])
+	writeBackend(t, disk, "/data/legacy-whole-object", data)
 
-	c := New(inner, Config{Disk: disk, DiskBudget: 64 * 1024})
+	c := New(inner, Config{Disk: disk, DiskBudget: 4 * units.MiB, Meta: meta, MountPrefix: "/sites"})
 	defer c.Close()
 
 	if tier, ok := c.CacheTier(path); !ok || tier != "disk" {
@@ -463,8 +470,29 @@ func TestDiskRecovery(t *testing.T) {
 	if got := readCache(t, c, path); !bytes.Equal(got, data) {
 		t.Fatal("recovered entry mismatch")
 	}
+	if got := readCache(t, c, "/data/big"); !bytes.Equal(got, big) {
+		t.Fatal("recovered two-block entry mismatch")
+	}
 	if n := inner.opens.Load(); n != 0 {
 		t.Fatalf("recovered entry refilled from inner (%d opens)", n)
+	}
+	if st := c.Stats(); st.DiskHits != 2 || st.DiskObjects != 2 {
+		t.Fatalf("stats = %+v, want 2 disk hits on 2 objects", st)
+	}
+	if _, err := disk.Stat("/data/legacy-whole-object"); !errors.Is(err, adal.ErrNotFound) {
+		t.Fatal("a file that is no block file survived recovery")
+	}
+	for _, e := range c.Entries() {
+		if e.Verified {
+			t.Fatalf("recovered blocks of %s are marked verified", e.Path)
+		}
+	}
+	meta.NoteReplica("/sites/data/big", "kit", "stale")
+	if _, ok := c.CacheTier("/data/big"); ok {
+		t.Fatal("recovered (unverified) blocks survived a stale event")
+	}
+	if infos, _ := disk.List("/"); len(infos) != 1 {
+		t.Fatalf("disk tier holds %d files after the invalidation, want 1", len(infos))
 	}
 }
 
@@ -511,14 +539,14 @@ func TestEvictAndWarm(t *testing.T) {
 func TestSegLRUDemotion(t *testing.T) {
 	s := newSegLRU(1000, 0.5, 1.0)
 	for i := 0; i < 10; i++ {
-		e := &centry{path: fmt.Sprintf("/o%d", i), size: 100}
+		e := &centry{key: blockKey{path: fmt.Sprintf("/o%d", i)}, size: 100}
 		if ev := s.add(e); len(ev) != 0 {
 			t.Fatalf("unexpected eviction at %d", i)
 		}
 	}
 	// Promote all ten: protected cap is 500, so at most 5 stay.
 	for i := 0; i < 10; i++ {
-		s.touch(s.get(fmt.Sprintf("/o%d", i)))
+		s.touch(s.get(fmt.Sprintf("/o%d", i), 0))
 	}
 	if s.protUsed > s.protCap {
 		t.Fatalf("protected %d exceeds cap %d", s.protUsed, s.protCap)

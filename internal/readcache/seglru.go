@@ -6,7 +6,14 @@ import (
 	"repro/internal/units"
 )
 
-// centry is one cached object's bookkeeping record. The same type
+// blockKey names one cached block: block idx (adal.ChainBlock bytes,
+// the object's last one possibly shorter) of the object at path.
+type blockKey struct {
+	path string
+	idx  int64
+}
+
+// centry is one cached block's bookkeeping record. The same type
 // serves both tiers: the memory tier carries the bytes inline, the
 // disk tier leaves data nil and keeps the bytes in its backend.
 // Records are owned by exactly one segLRU and are only touched under
@@ -14,16 +21,17 @@ import (
 // readers may hold it after the lock is released (and even after the
 // entry is evicted).
 type centry struct {
-	path     string
+	key      blockKey
 	size     units.Bytes
 	data     []byte // memory tier only
-	verified bool   // bytes matched the catalog content hash at fill time
+	verified bool   // bytes were SHA-256-checked against the catalog's digest
+	chain    []byte // the object's checkpoint chain, when the cache derived it itself
 	elem     *list.Element
 	prot     bool // protected segment (vs probationary)
 }
 
 // segLRU is a byte-budgeted segmented LRU (the 2Q-flavoured eviction
-// the tiers share): new objects enter a probationary segment and are
+// the tiers share): new blocks enter a probationary segment and are
 // promoted to the protected segment on their second touch. Eviction
 // drains the probationary tail first, so a one-pass scan churns only
 // probation and cannot flush the established hot set; the protected
@@ -34,13 +42,13 @@ type centry struct {
 type segLRU struct {
 	budget   units.Bytes
 	protCap  units.Bytes // ceiling on protected bytes (protectedFraction * budget)
-	admitCap units.Bytes // largest admissible object (admitFraction * budget)
+	admitCap units.Bytes // largest admissible span (admitFraction * budget)
 
 	used     units.Bytes
 	protUsed units.Bytes
 	prob     *list.List // front = most recent
 	protSeg  *list.List
-	idx      map[string]*centry
+	idx      map[string]map[int64]*centry // path -> block index -> entry
 }
 
 func newSegLRU(budget units.Bytes, protFrac, admitFrac float64) *segLRU {
@@ -50,23 +58,27 @@ func newSegLRU(budget units.Bytes, protFrac, admitFrac float64) *segLRU {
 		admitCap: units.Bytes(admitFrac * float64(budget)),
 		prob:     list.New(),
 		protSeg:  list.New(),
-		idx:      make(map[string]*centry),
+		idx:      make(map[string]map[int64]*centry),
 	}
 }
 
-// admits reports whether an object of the given size may enter the
-// tier at all — the size-aware admission gate that keeps one huge
-// cold object from evicting the entire hot set.
+// admits reports whether a span of the given size — the blocks one
+// request touches — may enter the tier at all: the size-aware
+// admission gate that keeps one huge cold read from evicting the
+// entire hot set.
 func (s *segLRU) admits(size units.Bytes) bool {
 	return s != nil && size > 0 && size <= s.admitCap
 }
 
-func (s *segLRU) get(path string) *centry {
+func (s *segLRU) get(path string, idx int64) *centry {
 	if s == nil {
 		return nil
 	}
-	return s.idx[path]
+	return s.idx[path][idx]
 }
+
+// has reports whether any block of path is cached here.
+func (s *segLRU) has(path string) bool { return s != nil && len(s.idx[path]) > 0 }
 
 // touch records a hit: probationary entries are promoted to the
 // protected segment (their second touch proves re-use), protected
@@ -94,19 +106,21 @@ func (s *segLRU) touch(e *centry) {
 	}
 }
 
-// add inserts a new entry into probation and returns the entries
-// evicted to stay within budget (probationary tail first, then the
-// protected tail). The new entry itself is never a victim: admits
-// guarantees it is smaller than the budget, so space can always be
-// reclaimed from older entries.
+// add inserts a new entry into probation, in place of an older one
+// under the same key, and returns the entries evicted to stay within
+// budget (probationary tail first, then the protected tail). The new
+// entry itself is never a victim: admits guarantees it is smaller
+// than the budget, so space can always be reclaimed from older entries.
 func (s *segLRU) add(e *centry) (evicted []*centry) {
-	if old := s.idx[e.path]; old != nil {
+	if old := s.get(e.key.path, e.key.idx); old != nil {
 		s.removeEntry(old)
-		evicted = append(evicted, old)
 	}
 	e.prot = false
 	e.elem = s.prob.PushFront(e)
-	s.idx[e.path] = e
+	if s.idx[e.key.path] == nil {
+		s.idx[e.key.path] = make(map[int64]*centry)
+	}
+	s.idx[e.key.path][e.key.idx] = e
 	s.used += e.size
 	for s.used > s.budget {
 		victim := s.prob.Back()
@@ -126,17 +140,19 @@ func (s *segLRU) add(e *centry) (evicted []*centry) {
 	return evicted
 }
 
-// remove drops path's entry, reporting it (nil when absent).
-func (s *segLRU) remove(path string) *centry {
+// drop removes path's blocks — every one, or only the unverified —
+// and returns them.
+func (s *segLRU) drop(path string, all bool) (dropped []*centry) {
 	if s == nil {
 		return nil
 	}
-	e := s.idx[path]
-	if e == nil {
-		return nil
+	for _, e := range s.idx[path] {
+		if all || !e.verified {
+			s.removeEntry(e)
+			dropped = append(dropped, e)
+		}
 	}
-	s.removeEntry(e)
-	return e
+	return dropped
 }
 
 func (s *segLRU) removeEntry(e *centry) {
@@ -146,19 +162,11 @@ func (s *segLRU) removeEntry(e *centry) {
 	} else {
 		s.prob.Remove(e.elem)
 	}
-	delete(s.idx, e.path)
+	blocks := s.idx[e.key.path]
+	delete(blocks, e.key.idx)
+	if len(blocks) == 0 {
+		delete(s.idx, e.key.path)
+	}
 	s.used -= e.size
 	e.elem = nil
-}
-
-// paths returns every cached path (unordered); callers sort.
-func (s *segLRU) paths() []string {
-	if s == nil {
-		return nil
-	}
-	out := make([]string, 0, len(s.idx))
-	for p := range s.idx {
-		out = append(out, p)
-	}
-	return out
 }

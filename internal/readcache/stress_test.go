@@ -2,6 +2,7 @@ package readcache
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -198,26 +199,91 @@ func TestCacheStressKillRevive(t *testing.T) {
 	t.Logf("reads=%d notFound=%d stats=%+v", reads.Load(), notFounds.Load(), st)
 }
 
+// propertySizes are the object sizes the property test holds: empty,
+// one byte, around one block boundary, a ragged multi-block object and
+// an exact multiple of the block size.
+var propertySizes = []int64{0, 1, blockSize - 1, blockSize, blockSize + 1, 3*blockSize + 17, 8 * blockSize}
+
+// tierShapes are the cache configurations it rotates through. Budgets
+// are a few blocks, so blocks are evicted throughout; the admit cap
+// lets the largest object in whole on the big tiers, while the small
+// memory tier of "both" admits two blocks, so wider spans are served
+// from disk-tier blocks alone.
+var tierShapes = []struct {
+	name string
+	cfg  func() Config
+}{
+	{"memory", func() Config { return Config{Memory: 3 * units.MiB, AdmitFraction: 0.7} }},
+	{"disk", func() Config {
+		return Config{Disk: adal.NewMemFS("cachedisk"), DiskBudget: 3 * units.MiB, AdmitFraction: 0.7}
+	}},
+	{"both", func() Config {
+		return Config{Memory: 768 * units.KiB, Disk: adal.NewMemFS("cachedisk"), DiskBudget: 3 * units.MiB, AdmitFraction: 0.7}
+	}},
+}
+
+// drawRange picks a seeded (off, n) over an object of the given size:
+// whole-object and to-the-end reads (n < 0), the empty read at
+// off == size, ranges inside one block, across one boundary (also the
+// one past the object's end), across several, and anything else.
+func drawRange(rng *rand.Rand, size int64) (off, n int64) {
+	switch rng.Intn(7) {
+	case 0:
+		return 0, -1
+	case 1:
+		return size, int64(rng.Intn(3)) - 1
+	case 2:
+		return rng.Int63n(size + 1), -1
+	case 3: // inside one block
+		off = rng.Int63n(size + 1)
+		return off, rng.Int63n(blockSize - off%blockSize)
+	case 4: // across the boundary after a random block
+		edge := (1 + rng.Int63n(size/blockSize+1)) * blockSize
+		off = max(0, edge-1-rng.Int63n(1000))
+		return off, edge - off + 1 + rng.Int63n(1000)
+	case 5: // across several
+		off = rng.Int63n(size + 1)
+		return off, 2*blockSize + rng.Int63n(3*blockSize)
+	}
+	off = rng.Int63n(size + 1)
+	return off, rng.Int63n(size - off + 1)
+}
+
+func readRange(t *testing.T, b adal.RangeOpener, path string, off, n int64) []byte {
+	t.Helper()
+	r, err := b.OpenRange(context.Background(), path, off, n)
+	if err != nil {
+		t.Fatalf("open %s [%d,+%d): %v", path, off, n, err)
+	}
+	defer r.Close()
+	got, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatalf("read %s [%d,+%d): %v", path, off, n, err)
+	}
+	return got
+}
+
 // TestCachedMatchesDirectUnderKillSchedules is the property test: for
-// seeded random kill/revive schedules, a read through the cache and a
-// direct federated read must both return the object's original bytes
-// — the cache may never serve anything a direct read would not.
+// seeded random kill/revive schedules and seeded (path, off, n) draws
+// over objects of every interesting size, with a memory-only, a
+// disk-only and a two-tier cache, a ranged read through the cache and
+// the same ranged read of the federation must both return exactly
+// those bytes of the original — the cache may never serve anything a
+// direct read would not.
 func TestCachedMatchesDirectUnderKillSchedules(t *testing.T) {
 	for seed := int64(0); seed < 12; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			c, fb, eng, sites, _ := testFedCache(t, Config{
-				Memory: 32 * units.KiB,
-				Disk:   adal.NewMemFS("cachedisk"), DiskBudget: 64 * units.KiB,
-			})
+			shape := tierShapes[seed%int64(len(tierShapes))]
+			c, fb, eng, sites, _ := testFedCache(t, shape.cfg())
 			rng := rand.New(rand.NewSource(seed))
 
-			const objects = 8
-			want := make([][]byte, objects)
-			paths := make([]string, objects)
-			for i := range paths {
+			want := make([][]byte, len(propertySizes))
+			paths := make([]string, len(propertySizes))
+			for i, size := range propertySizes {
 				paths[i] = fmt.Sprintf("/exp/obj-%d", i)
-				want[i] = bytes.Repeat([]byte{byte(seed), byte(i)}, 2048)
+				want[i] = make([]byte, size)
+				rng.Read(want[i])
 				fedWrite(t, fb, paths[i], want[i])
 			}
 			eng.Wait()
@@ -231,36 +297,36 @@ func TestCachedMatchesDirectUnderKillSchedules(t *testing.T) {
 				if rng.Intn(4) > 0 {
 					sites[rng.Intn(len(sites))].SetDown(true)
 				}
-				i := rng.Intn(objects)
-				cached, err := c.Open(paths[i])
-				if err != nil {
-					t.Fatalf("step %d: cached open %s: %v", step, paths[i], err)
+				i := rng.Intn(len(paths))
+				size := int64(len(want[i]))
+				off, n := drawRange(rng, size)
+				lo, end := min(off, size), size // a draw may start past the end: an empty read
+				if n >= 0 {
+					end = min(size, off+n)
 				}
-				got, err := io.ReadAll(cached)
-				cached.Close()
-				if err != nil {
-					t.Fatalf("step %d: cached read: %v", step, err)
+				end = max(lo, end)
+				got := readRange(t, c, paths[i], off, n)
+				direct := readRange(t, fb, paths[i], off, n)
+				if !bytes.Equal(got, want[i][lo:end]) {
+					t.Fatalf("%s step %d: cached %s [%d,+%d) = %d bytes, diverges from the original's %d", shape.name, step, paths[i], off, n, len(got), end-off)
 				}
-				direct, err := fb.Open(paths[i])
-				if err != nil {
-					t.Fatalf("step %d: direct open: %v", step, err)
-				}
-				dgot, err := io.ReadAll(direct)
-				direct.Close()
-				if err != nil {
-					t.Fatalf("step %d: direct read: %v", step, err)
-				}
-				if !bytes.Equal(got, want[i]) {
-					t.Fatalf("step %d: cached bytes diverge from original", step)
-				}
-				if !bytes.Equal(got, dgot) {
-					t.Fatalf("step %d: cached read differs from direct read", step)
+				if !bytes.Equal(got, direct) {
+					t.Fatalf("%s step %d: cached read of %s [%d,+%d) differs from the direct read", shape.name, step, paths[i], off, n)
 				}
 			}
 			for _, s := range sites {
 				s.SetDown(false)
 			}
 			eng.Wait()
+			st := c.Stats()
+			if st.MemHits+st.DiskHits == 0 || st.Misses == 0 || st.Evictions == 0 || st.FillErrors != 0 {
+				t.Fatalf("%s: the schedule did not exercise hits, fills and evictions, or a fill failed: %+v", shape.name, st)
+			}
+			for _, e := range c.Entries() {
+				if !e.Verified {
+					t.Fatalf("%s: %s cached unverified although the catalog holds its chain", shape.name, e.Path)
+				}
+			}
 		})
 	}
 }

@@ -1,8 +1,6 @@
 package replication
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -397,18 +395,16 @@ func (e *Engine) process(j job) {
 		return
 	}
 
-	wantSum, wantSize, known := e.catalog.Checksum(j.path)
+	want, known := e.catalog.Digest(j.path)
 
 	// Cheap path: the destination may already hold the bytes (a
 	// stale replica that survived an outage, a recovered partial
 	// world). A checksum match revalidates without moving a byte —
 	// this is what makes revive-convergence transfer-free.
 	if known {
-		sum, n, err := e.verifySite(dst, j.path)
-		if err == nil && sum == wantSum {
-			e.catalog.Set(j.path, Replica{
-				Site: j.dst, State: Valid, Size: n, Checksum: sum,
-			})
+		got, err := e.verifySite(dst, j.path)
+		if err == nil && got.Sum == want.Sum {
+			e.catalog.Set(j.path, validReplica(j.dst, got))
 			e.reverifies.Add(1)
 			return
 		}
@@ -427,7 +423,7 @@ func (e *Engine) process(j job) {
 		if attempt > 0 {
 			e.retries.Add(1)
 		}
-		lastErr = e.copyOnce(j.path, dst, wantSum, wantSize, attempt)
+		lastErr = e.copyOnce(j.path, dst, want.Sum, want.Size, attempt)
 		if lastErr == nil {
 			return
 		}
@@ -448,20 +444,24 @@ func (e *Engine) process(j job) {
 	e.failures.Add(1)
 }
 
+// validReplica is the catalog record of a copy whose hash pass gave d.
+func validReplica(site string, d adal.Digest) Replica {
+	return Replica{Site: site, State: Valid, Size: d.Size, Checksum: d.Sum, Chain: d.Chain}
+}
+
 // verifySite re-hashes the site's copy of path and returns its
-// checksum and size, or the open/read error that stopped it.
-func (e *Engine) verifySite(s *Site, path string) (string, units.Bytes, error) {
+// digest, or the open/read error that stopped it.
+func (e *Engine) verifySite(s *Site, path string) (adal.Digest, error) {
 	r, err := s.open(path)
 	if err != nil {
-		return "", 0, err
+		return adal.Digest{}, err
 	}
 	defer r.Close()
-	h := sha256.New()
-	n, err := adal.PooledCopy(h, r)
-	if err != nil {
-		return "", 0, err
+	h := adal.NewChainHasher()
+	if _, err := adal.PooledCopy(h, r); err != nil {
+		return adal.Digest{}, err
 	}
-	return hex.EncodeToString(h.Sum(nil)), units.Bytes(n), nil
+	return h.Digest(), nil
 }
 
 // pairSlot returns the semaphore bounding concurrent transfers on
@@ -571,7 +571,7 @@ func (e *Engine) copyOnce(path string, dst *Site, wantSum string, wantSize units
 		return err
 	}
 
-	h := sha256.New()
+	h := adal.NewChainHasher()
 	bp := chunkPool.Get().(*[]byte)
 	defer chunkPool.Put(bp)
 	var buf []byte
@@ -621,27 +621,23 @@ func (e *Engine) copyOnce(path string, dst *Site, wantSum string, wantSize units
 		return fmt.Errorf("replication: committing %s on %s: %w", path, dst.Name, err)
 	}
 
-	sum := hex.EncodeToString(h.Sum(nil))
-	if wantSum != "" && sum != wantSum {
+	got := h.Digest()
+	if wantSum != "" && got.Sum != wantSum {
 		_ = dst.remove(path)
-		return fmt.Errorf("%w: %s on %s: got %.12s want %.12s", ErrChecksum, path, dst.Name, sum, wantSum)
+		return fmt.Errorf("%w: %s on %s: got %.12s want %.12s", ErrChecksum, path, dst.Name, got.Sum, wantSum)
 	}
 	if wantSize > 0 && units.Bytes(copied) != wantSize {
 		_ = dst.remove(path)
 		return fmt.Errorf("%w: %s on %s: got %d bytes want %d", ErrChecksum, path, dst.Name, copied, wantSize)
 	}
-	e.catalog.Set(path, Replica{
-		Site: dst.Name, State: Valid, Size: units.Bytes(copied), Checksum: sum,
-	})
+	e.catalog.Set(path, validReplica(dst.Name, got))
 	e.transfers.Add(1)
 	e.transferBytes.Add(copied)
 	// A verified single-source copy also proved the source's bytes:
 	// if that source was a stale replica, it just revalidated itself.
 	if srcIdx == 0 && wantSum != "" {
 		if rep, ok := e.catalog.Get(path, src.Name); ok && rep.State == Stale {
-			e.catalog.Set(path, Replica{
-				Site: src.Name, State: Valid, Size: units.Bytes(copied), Checksum: sum,
-			})
+			e.catalog.Set(path, validReplica(src.Name, got))
 			e.reverifies.Add(1)
 		}
 	}
@@ -666,7 +662,7 @@ func (e *Engine) failoverSource(path, dst string, srcs []*Site, idx *int, offset
 // checksum, marking mismatches Stale and scheduling their refresh.
 // It returns the number of replicas confirmed valid.
 func (e *Engine) Verify(path string) (int, error) {
-	wantSum, _, known := e.catalog.Checksum(path)
+	want, known := e.catalog.Digest(path)
 	if !known {
 		return 0, fmt.Errorf("replication: no recorded checksum for %s", path)
 	}
@@ -680,9 +676,9 @@ func (e *Engine) Verify(path string) (int, error) {
 		if rep.State != Valid && rep.State != Stale {
 			continue
 		}
-		sum, n, err := e.verifySite(s, path)
-		if err == nil && sum == wantSum {
-			e.catalog.Set(path, Replica{Site: rep.Site, State: Valid, Size: n, Checksum: sum})
+		got, err := e.verifySite(s, path)
+		if err == nil && got.Sum == want.Sum {
+			e.catalog.Set(path, validReplica(rep.Site, got))
 			valid++
 		} else {
 			e.catalog.Mark(path, rep.Site, Stale, "verify: checksum mismatch or unreadable")

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/adal"
 	"repro/internal/obs"
-	"repro/internal/units"
 )
 
 // FederatedBackend exposes the whole federation through the plain
@@ -74,12 +73,12 @@ func (f *FederatedBackend) ReplicaSites(rel string) ([]string, bool) {
 	return f.catalog.ValidSites(rel), true
 }
 
-// ObjectChecksum reports the catalog's recorded content hash and
-// logical size for the backend-relative path. The read cache
-// discovers this structurally to size admission and verify fills
-// without an extra WAN round trip.
-func (f *FederatedBackend) ObjectChecksum(rel string) (string, units.Bytes, bool) {
-	return f.catalog.Checksum(rel)
+// ObjectDigest reports the catalog's recorded size, content hash and
+// checkpoint chain for the backend-relative path. The read cache
+// discovers this structurally to size admission and verify the blocks
+// it fetches without an extra WAN round trip.
+func (f *FederatedBackend) ObjectDigest(rel string) (adal.Digest, bool) {
+	return f.catalog.Digest(rel)
 }
 
 // noteFailure records a failed site read: the replica is marked
@@ -145,19 +144,6 @@ func (f *FederatedBackend) noteDown(s *Site, path string, tried map[string]bool)
 	return err
 }
 
-// OpenCtx implements adal.CtxOpener: traced reads get a fed.open
-// span annotated with the replica site that won, so a trace shows
-// whether bytes came from the local site or crossed the WAN.
-func (f *FederatedBackend) OpenCtx(ctx context.Context, path string) (io.ReadCloser, error) {
-	sp := obs.StartSpan(ctx, "fed.open")
-	r, err := f.Open(path)
-	if fr, ok := r.(*failoverReader); ok && err == nil {
-		sp.Annotate("site=%s", fr.site.Name)
-	}
-	sp.End()
-	return r, err
-}
-
 // readmit is called when a read has run out of candidates: it puts
 // back every site the read gave up on for being down that is up again
 // — under a kill/revive schedule the site seen down first is often
@@ -176,42 +162,37 @@ func (f *FederatedBackend) readmit(tried map[string]bool) bool {
 	return back
 }
 
-// Open implements adal.Backend: nearest valid replica, transparent
-// failover, and a reader that keeps failing over mid-stream. Sites
+// Open implements adal.Backend.
+func (f *FederatedBackend) Open(path string) (io.ReadCloser, error) {
+	return f.OpenRange(context.Background(), path, 0, -1)
+}
+
+// OpenCtx is Open carrying the caller's context.
+func (f *FederatedBackend) OpenCtx(ctx context.Context, path string) (io.ReadCloser, error) {
+	return f.OpenRange(ctx, path, 0, -1)
+}
+
+// OpenRange implements adal.RangeOpener, the backend's one read path:
+// bytes [off, off+n) (to the end when n < 0) from the nearest valid
+// replica, positioned at off on the site itself, with transparent
+// failover and a reader that keeps failing over mid-stream. Sites
 // already marked down are skipped without a dial attempt and, being
 // added to tried, are not revisited while other candidates remain.
-func (f *FederatedBackend) Open(path string) (io.ReadCloser, error) {
+// Traced reads get a fed.open span annotated with the site that won,
+// so a trace shows whether bytes came from the local site or crossed
+// the WAN.
+func (f *FederatedBackend) OpenRange(ctx context.Context, path string, off, n int64) (io.ReadCloser, error) {
+	sp := obs.StartSpan(ctx, "fed.open")
+	defer sp.End()
 	if !f.catalog.Known(path) {
 		return nil, fmt.Errorf("%w: %s:%s", adal.ErrNotFound, f.name, path)
 	}
-	tried := make(map[string]bool)
-	var lastErr error
-	for {
-		cands, down := f.readCandidates(path, tried)
-		for _, s := range down {
-			lastErr = f.noteDown(s, path, tried)
-			f.failovers.Add(1)
-		}
-		if len(cands) == 0 {
-			if f.readmit(tried) {
-				continue
-			}
-			if lastErr == nil {
-				lastErr = fmt.Errorf("%w: %s:%s (no readable replica)", adal.ErrNotFound, f.name, path)
-			}
-			return nil, lastErr
-		}
-		s := cands[0]
-		r, err := s.open(path)
-		tried[s.Name] = errors.Is(err, ErrSiteDown)
-		if err != nil {
-			f.noteFailure(s, path, err)
-			f.failovers.Add(1)
-			lastErr = err
-			continue
-		}
-		return &failoverReader{fb: f, path: path, site: s, cur: r, tried: tried}, nil
+	r := &failoverReader{fb: f, path: path, offset: off, remain: n, tried: make(map[string]bool)}
+	if err := r.switchSource(); err != nil {
+		return nil, err
 	}
+	sp.Annotate("site=%s", r.site.Name)
+	return r, nil
 }
 
 // failoverReader streams one replica and, when a site dies under it,
@@ -221,8 +202,9 @@ type failoverReader struct {
 	fb     *FederatedBackend
 	path   string
 	site   *Site
-	cur    io.ReadCloser
+	cur    io.ReadCloser // nil until the first source is open
 	offset int64
+	remain int64 // bytes still to serve; negative: to the object's end
 	tried  map[string]bool
 	closed bool
 }
@@ -231,49 +213,74 @@ func (r *failoverReader) Read(p []byte) (int, error) {
 	if r.closed {
 		return 0, fmt.Errorf("replication: read after close: %s", r.path)
 	}
+	if r.remain == 0 {
+		return 0, io.EOF
+	}
+	if r.remain > 0 && int64(len(p)) > r.remain {
+		p = p[:r.remain]
+	}
 	for {
 		n, err := r.cur.Read(p)
 		r.offset += int64(n)
+		if r.remain > 0 {
+			r.remain -= int64(n)
+		}
 		if err == nil || err == io.EOF {
 			return n, err
 		}
 		r.fb.noteFailure(r.site, r.path, err)
 		r.tried[r.site.Name] = errors.Is(err, ErrSiteDown)
-		if !r.switchSource() {
+		if r.switchSource() != nil {
 			return n, err
 		}
-		r.fb.midStream.Add(1)
 		if n > 0 {
 			return n, nil
 		}
 	}
 }
 
-// switchSource opens the next untried candidate and fast-forwards it
-// to the current offset; known-down sites are skipped without a dial.
-// Like Open, it gives up only when readmit finds no site back.
-func (r *failoverReader) switchSource() bool {
+// switchSource opens the next untried candidate at the current offset:
+// a read's first source (every candidate given up on counts as a
+// failover) or the replacement for one that died mid-stream. Known-down
+// sites are skipped without a dial. It gives up, with the last site's
+// error, only when readmit finds no site back.
+func (r *failoverReader) switchSource() error {
+	opening := r.cur == nil
+	var lastErr error
+	gaveUp := func(err error) {
+		lastErr = err
+		if opening {
+			r.fb.failovers.Add(1)
+		}
+	}
 	for {
 		cands, down := r.fb.readCandidates(r.path, r.tried)
 		for _, s := range down {
-			_ = r.fb.noteDown(s, r.path, r.tried)
+			gaveUp(r.fb.noteDown(s, r.path, r.tried))
 		}
 		if len(cands) == 0 {
 			if r.fb.readmit(r.tried) {
 				continue
 			}
-			return false
+			if lastErr == nil {
+				lastErr = fmt.Errorf("%w: %s:%s (no readable replica)", adal.ErrNotFound, r.fb.name, r.path)
+			}
+			return lastErr
 		}
 		s := cands[0]
 		nr, err := s.openAt(r.path, r.offset)
 		r.tried[s.Name] = errors.Is(err, ErrSiteDown)
 		if err != nil {
 			r.fb.noteFailure(s, r.path, err)
+			gaveUp(err)
 			continue
 		}
-		r.cur.Close()
+		if !opening {
+			r.cur.Close()
+			r.fb.midStream.Add(1)
+		}
 		r.cur, r.site = nr, s
-		return true
+		return nil
 	}
 }
 
@@ -317,7 +324,7 @@ func (f *FederatedBackend) Create(path string) (io.WriteCloser, error) {
 			}
 			continue
 		}
-		return adal.NewChecksumWriter(w, func(n units.Bytes, sum string, werr error) error {
+		return adal.NewChecksumWriter(w, func(d adal.Digest, werr error) error {
 			if werr != nil {
 				// Gated cleanup: a home site that died mid-write keeps
 				// its partial bytes, like a site behind a severed link.
@@ -325,7 +332,7 @@ func (f *FederatedBackend) Create(path string) (io.WriteCloser, error) {
 				return werr
 			}
 			f.catalog.Set(path, Replica{
-				Site: s.Name, State: Valid, Size: n, Checksum: sum,
+				Site: s.Name, State: Valid, Size: d.Size, Checksum: d.Sum, Chain: d.Chain,
 			})
 			f.engine.Ensure(path)
 			return nil
@@ -344,7 +351,8 @@ func (f *FederatedBackend) Stat(path string) (adal.FileInfo, error) {
 	if !f.catalog.Known(path) {
 		return adal.FileInfo{}, fmt.Errorf("%w: %s:%s", adal.ErrNotFound, f.name, path)
 	}
-	if _, size, ok := f.catalog.Checksum(path); ok && size > 0 {
+	if d, ok := f.catalog.Digest(path); ok && d.Size > 0 {
+		size := d.Size
 		for _, rep := range f.catalog.Replicas(path) {
 			if rep.State != Valid {
 				continue

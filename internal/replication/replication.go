@@ -38,6 +38,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/adal"
 	"repro/internal/metadata"
 	"repro/internal/units"
 )
@@ -83,6 +84,7 @@ type Replica struct {
 	State      State
 	Size       units.Bytes
 	Checksum   string // hex SHA-256 of the content
+	Chain      []byte // its checkpoint chain (adal.Digest), from the same hash pass
 	LastVerify time.Time
 	LastError  string
 }
@@ -232,18 +234,19 @@ func (c *Catalog) CountValid(path string) int {
 	return n
 }
 
-// Checksum returns the recorded content hash and logical size of
-// path, taken from any replica that knows them (the home copy records
-// both at write time; transfers propagate them).
-func (c *Catalog) Checksum(path string) (string, units.Bytes, bool) {
+// Digest returns the recorded size, content hash and checkpoint chain
+// of path, taken from any replica that knows them (the home copy
+// records all three at write time; transfers and re-verifies propagate
+// them) — one that has the chain before one that has only the hash.
+func (c *Catalog) Digest(path string) (d adal.Digest, ok bool) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	for _, r := range c.paths[path] {
-		if r.Checksum != "" {
-			return r.Checksum, r.Size, true
+		if r.Checksum != "" && (!ok || len(r.Chain) > len(d.Chain)) {
+			d, ok = adal.Digest{Size: r.Size, Sum: r.Checksum, Chain: r.Chain}, true
 		}
 	}
-	return "", 0, false
+	return d, ok
 }
 
 // Paths returns every cataloged path, sorted.

@@ -426,9 +426,10 @@ func (fr *flakyReader) Close() error { return fr.r.Close() }
 func TestTransferResumesAcrossSourceFailure(t *testing.T) {
 	meta := metadata.NewStore()
 	flaky := &flakyBackend{Backend: adal.NewMemFS("a"), failAfter: 10 * 1024}
+	resumed := newOffsetFS(adal.NewMemFS("b"))
 	sites := []*Site{
 		NewSite("a", flaky, 0),
-		NewSite("b", adal.NewMemFS("b"), 1),
+		NewSite("b", resumed, 1),
 		NewSite("c", adal.NewMemFS("c"), 2),
 	}
 	cat := NewCatalog(CatalogConfig{Meta: meta})
@@ -467,6 +468,7 @@ func TestTransferResumesAcrossSourceFailure(t *testing.T) {
 	}
 	cat.Set("/big", Replica{Site: "a", State: Valid, Size: units.Bytes(len(data)), Checksum: sum})
 	cat.Set("/big", Replica{Site: "b", State: Valid, Size: units.Bytes(len(data)), Checksum: sum})
+	resumed.reset()
 
 	eng.Ensure("/big")
 	eng.Wait()
@@ -475,6 +477,14 @@ func TestTransferResumesAcrossSourceFailure(t *testing.T) {
 	}
 	if eng.Stats().SourceFailovers == 0 {
 		t.Fatal("expected a mid-copy source failover")
+	}
+	// The resume seeks: b serves the tail and not one byte before it.
+	if _, read, lowest := resumed.snapshot(); lowest != int64(flaky.failAfter) || read != int64(len(data)-flaky.failAfter) {
+		t.Fatalf("resume source read %d bytes from offset %d, want %d from %d", read, lowest, len(data)-flaky.failAfter, flaky.failAfter)
+	}
+	// The transfer's own hash pass gave the new replica its chain.
+	if rep, _ := cat.Get("/big", "c"); rep.Checksum != sum || len(rep.Chain) != 0 {
+		t.Fatalf("replica on c: sum %.12s, chain of %d bytes for a one-block object", rep.Checksum, len(rep.Chain))
 	}
 	if got := readAll(t, fb, "/big"); !bytes.Equal(got, data) {
 		t.Fatal("resumed copy corrupted the object")

@@ -45,14 +45,25 @@ func (s *Site) errDown() error {
 	return fmt.Errorf("%w: %s", ErrSiteDown, s.Name)
 }
 
-// open gates Backend.Open and wraps the stream so a kill mid-read
-// surfaces as ErrSiteDown on the next Read.
-func (s *Site) open(path string) (io.ReadCloser, error) {
+// open is openAt from the start.
+func (s *Site) open(path string) (io.ReadCloser, error) { return s.openAt(path, 0) }
+
+// openAt gates Backend.Open, positions the stream at offset (a seek
+// wherever the site's reader can, so resuming costs O(1), not
+// O(offset)) and wraps it so a kill mid-read surfaces as ErrSiteDown
+// on the next Read. It is the one way a site is read: federated opens,
+// the reader's mid-stream switch and the engine's mid-copy source
+// failover all resume through it.
+func (s *Site) openAt(path string, offset int64) (io.ReadCloser, error) {
 	if s.IsDown() {
 		return nil, s.errDown()
 	}
 	r, err := s.Backend.Open(path)
 	if err != nil {
+		return nil, err
+	}
+	if err := adal.SkipTo(r, offset); err != nil {
+		r.Close()
 		return nil, err
 	}
 	return &gatedReader{site: s, r: r}, nil
@@ -71,23 +82,6 @@ func (g *gatedReader) Read(p []byte) (int, error) {
 }
 
 func (g *gatedReader) Close() error { return g.r.Close() }
-
-// openAt opens the site's copy of path fast-forwarded to offset —
-// the resume primitive shared by the engine's mid-copy source
-// failover and the federated reader's mid-stream switch.
-func (s *Site) openAt(path string, offset int64) (io.ReadCloser, error) {
-	r, err := s.open(path)
-	if err != nil {
-		return nil, err
-	}
-	if offset > 0 {
-		if _, err := io.CopyN(io.Discard, r, offset); err != nil {
-			r.Close()
-			return nil, err
-		}
-	}
-	return r, nil
-}
 
 // create gates Backend.Create; a kill mid-write fails the Write/Close.
 func (s *Site) create(path string) (io.WriteCloser, error) {
