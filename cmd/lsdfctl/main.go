@@ -108,6 +108,7 @@ commands:
                               on a transient cluster; remote: async unless -wait)
   jobs status [ID]            show one job, or list all submitted jobs
   jobs wait ID                block until a job finishes and print its result
+                              (remote: one long-poll, answered when the job ends)
   export                      dump the metadata DB as JSON to stdout
   tier                        show per-object tier placement and counters
   tier migrate PATH           move an object to the cold tier (stub stays)
@@ -322,7 +323,7 @@ func newJobSubmitFlags() *jobSubmitFlags {
 	f.job = f.fs.String("job", "", "job template name (wordcount, linecount, grep, ...)")
 	f.out = f.fs.String("out", "", "output directory for reducer part files")
 	f.reducers = f.fs.Int("reducers", 0, "reducer count (default: template's)")
-	f.wait = f.fs.Bool("wait", false, "block until the job finishes (remote mode; local jobs always run to completion)")
+	f.wait = f.fs.Bool("wait", false, "block until the job finishes (remote mode: a long-poll on the gateway; local jobs always run to completion)")
 	f.fs.Func("arg", "template argument KEY=VALUE (repeatable)", func(s string) error {
 		k, v, ok := strings.Cut(s, "=")
 		if !ok || k == "" {

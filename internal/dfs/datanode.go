@@ -80,12 +80,20 @@ func (dn *DataNode) hasSpace(sz units.Bytes) bool {
 }
 
 // putBlock stores a replica. The data slice is copied into a pooled
-// buffer (callers keep ownership of data); sum is the writer-computed
-// CRC-32C of data, stored verbatim so the node never re-hashes the
-// block it was just handed. The copy happens before the mutex is
-// taken so concurrent replica streams to one node overlap.
+// buffer (callers keep ownership of data) — or, for a block no longer
+// than half a block, into an exact-size one that the pool drops on
+// retire: a 20 KiB file must not hold a whole block per replica. sum
+// is the writer-computed CRC-32C of data, stored verbatim so the node
+// never re-hashes the block it was just handed. The copy happens
+// before the mutex is taken so concurrent replica streams to one node
+// overlap.
 func (dn *DataNode) putBlock(id BlockID, data []byte, sum uint32) error {
-	cp := append(dn.pool.get(len(data)), data...)
+	var cp []byte
+	if len(data) <= dn.pool.size/2 {
+		cp = append(make([]byte, 0, len(data)), data...)
+	} else {
+		cp = append(dn.pool.get(len(data)), data...)
+	}
 	sz := units.Bytes(len(data))
 	dn.mu.Lock()
 	defer dn.mu.Unlock()

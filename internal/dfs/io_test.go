@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -364,6 +365,35 @@ func TestUnreadBuffersRecycleOnDelete(t *testing.T) {
 		}
 	}
 	t.Fatal("pool did not return any buffer retired by Delete")
+}
+
+// A block much shorter than BlockSize must not hold a whole pooled
+// block per replica: spill runs and part files are tens of KiB. 200
+// one-KiB files at replication 3 cost 150 MiB at a block each; the
+// bar is a tenth of that.
+func TestShortBlocksAreRightSized(t *testing.T) {
+	const files, blockSize = 200, 256 * 1024
+	c := newTestCluster(t, 4, 2, blockSize)
+	data := pattern(1024)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < files; i++ {
+		if err := c.WriteFile(fmt.Sprintf("/short/%03d", i), "", data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	grown := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	t.Logf("%d one-KiB files at replication 3 grew the heap by %d B", files, grown)
+	if whole := int64(files * 3 * blockSize); grown >= whole/10 {
+		t.Fatalf("%d one-KiB files grew the heap by %d B, want under a tenth of %d (a block per replica)", files, grown, whole)
+	}
+	got, err := c.ReadFile("/short/199", "")
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("short block read back wrong: %v", err)
+	}
 }
 
 // A reader whose replica snapshot went entirely stale (every original

@@ -297,14 +297,18 @@ func (c *Client) Jobs(ctx context.Context) ([]gateway.JobStatus, error) {
 	return res.Jobs, err
 }
 
-// WaitJob polls until the job leaves the running state.
+// WaitJob returns once the job leaves the running state. Each ask
+// long-polls (GET /v1/jobs/{id}?wait=): the gateway answers when the
+// job finishes, or "running" after gateway.MaxJobWait or when it
+// drains; poll is the pause before asking again.
 func (c *Client) WaitJob(ctx context.Context, id string, poll time.Duration) (gateway.JobStatus, error) {
 	if poll <= 0 {
 		poll = 10 * time.Millisecond
 	}
+	q := url.Values{"wait": {strconv.FormatInt(gateway.MaxJobWait.Milliseconds(), 10)}}
 	for {
-		st, err := c.Job(ctx, id)
-		if err != nil {
+		var st gateway.JobStatus
+		if err := c.doJSON(ctx, http.MethodGet, "/v1/jobs/"+id, q, nil, "", &st); err != nil {
 			return st, err
 		}
 		if st.State != gateway.JobRunning {

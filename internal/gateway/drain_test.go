@@ -21,6 +21,7 @@ import (
 	"repro/internal/facility"
 	"repro/internal/gateway"
 	"repro/internal/gateway/client"
+	"repro/internal/mapreduce"
 	"repro/internal/metadata"
 )
 
@@ -90,6 +91,41 @@ func TestDrainInProcess(t *testing.T) {
 	}
 	if err := <-drained; err != nil {
 		t.Fatalf("drain: %v", err)
+	}
+}
+
+// TestDrainEndsParkedJobWait: a job wait parked at the gateway holds
+// an in-flight slot, so Drain must end it — it answers the job's
+// status as it stands, running, with 200 — rather than wait it out.
+func TestDrainEndsParkedJobWait(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	srv, hs := startJobGateway(t, func() (*mapreduce.Result, error) {
+		<-release
+		return &mapreduce.Result{}, nil
+	})
+	js, err := newClient(t, hs, "tb").SubmitJob(context.Background(), bioJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		code int
+		st   gateway.JobStatus
+		err  error
+	}
+	parked := make(chan answer, 1)
+	go func() {
+		code, st, err := askJob(hs, "tb", js.ID, "3600000")
+		parked <- answer{code, st, err}
+	}()
+	waitInFlight(t, srv, "bio", 1)
+	dctx, cancel := context.WithTimeout(context.Background(), gateway.MaxJobWait/2)
+	defer cancel()
+	if err := srv.Drain(dctx); err != nil {
+		t.Fatalf("drain waited out a parked job wait: %v", err)
+	}
+	if a := <-parked; a.err != nil || a.code != http.StatusOK || a.st.State != gateway.JobRunning {
+		t.Fatalf("parked wait answered %d %+v %v, want 200 running", a.code, a.st, a.err)
 	}
 }
 

@@ -109,13 +109,15 @@ type Server struct {
 	promH  http.Handler
 
 	draining atomic.Bool
+	drainCh  chan struct{} // closed by Drain: ends every parked job wait
 	inFlight atomic.Int64
 
 	tenants map[string]*tenantState // fixed at New; read-only after
 
-	jobsMu sync.Mutex
-	jobSeq int64
-	jobs   map[string]*jobState
+	jobsMu   sync.Mutex
+	jobSeq   int64
+	jobs     map[string]*jobState // running jobs and the last JobHistory finished
+	finished []string             // finished job IDs, oldest first
 }
 
 // gwMetrics holds the gateway's obs series handles: per-tenant
@@ -167,6 +169,7 @@ func New(cfg Config) (*Server, error) {
 		promH:   reg.Handler(),
 		tenants: make(map[string]*tenantState),
 		jobs:    make(map[string]*jobState),
+		drainCh: make(chan struct{}),
 	}
 	reg.GaugeFunc("lsdf_gateway_in_flight", "Requests currently admitted across all tenants.", s.inFlight.Load)
 	reg.GaugeFunc("lsdf_gateway_draining", "1 while the front door is draining.", func() int64 {
@@ -231,11 +234,14 @@ func (s *Server) TraceRing() *obs.Tracer { return s.tracer }
 
 // Drain flips the server into shutdown: every new request — on new
 // or kept-alive connections — is rejected with a 503 envelope and
-// Retry-After, while requests already admitted run to completion.
-// It returns once the last in-flight request finishes, or with the
+// Retry-After, while requests already admitted run to completion (a
+// parked job wait answers at once, with the job still running). It
+// returns once the last in-flight request finishes, or with the
 // context's error if they outlast it.
 func (s *Server) Drain(ctx context.Context) error {
-	s.draining.Store(true)
+	if s.draining.CompareAndSwap(false, true) {
+		close(s.drainCh)
+	}
 	// Poll the in-flight count rather than Wait on a WaitGroup: new
 	// requests keep arriving (to be 503ed) while we wait, and
 	// WaitGroup forbids Add concurrent with Wait across a zero

@@ -20,6 +20,8 @@ import (
 	"repro/internal/facility"
 	"repro/internal/gateway"
 	"repro/internal/gateway/client"
+	"repro/internal/mapreduce"
+	"repro/internal/mrpc"
 	"repro/internal/units"
 )
 
@@ -55,6 +57,132 @@ func newClient(t testing.TB, hs *httptest.Server, token string, opts ...client.O
 		t.Fatal(err)
 	}
 	return c
+}
+
+// startJobGateway serves a gateway whose analysis cluster is the
+// test's own: every submitted job runs run, so a test decides when a
+// job ends and how. Tenant "bio" (token "tb") owns /hdfs/bio.
+func startJobGateway(t testing.TB, run func() (*mapreduce.Result, error), more ...gateway.Tenant) (*gateway.Server, *httptest.Server) {
+	t.Helper()
+	fac, err := facility.New(facility.Options{DFSNodes: 4, DFSBlockSize: 256 * units.KiB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fac.Close)
+	srv, err := gateway.New(gateway.Config{
+		Layer: fac.Layer, Meta: fac.Meta,
+		Tenants: append([]gateway.Tenant{{Name: "bio", Token: "tb", Prefixes: []string{"/hdfs/bio"}, RPS: 1e6}}, more...),
+		RunSpec: func(mrpc.JobSpec, string) (func() (*mapreduce.Result, error), error) { return run, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	t.Cleanup(hs.Close)
+	return srv, hs
+}
+
+var bioJob = gateway.JobRequest{Job: "any", Inputs: []string{"/bio/in"}, OutputDir: "/bio/out"}
+
+// askJob is one GET /v1/jobs/{id} with a raw wait parameter, bounded
+// well inside gateway.MaxJobWait: an ask that parks when it must not
+// (or is not released when it must be) ends in the context's error.
+func askJob(hs *httptest.Server, token, id, wait string) (int, gateway.JobStatus, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), gateway.MaxJobWait/2)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, hs.URL+"/v1/jobs/"+id+"?wait="+wait, nil)
+	req.Header.Set("Authorization", "Bearer "+token)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return 0, gateway.JobStatus{}, err
+	}
+	defer resp.Body.Close()
+	var st gateway.JobStatus
+	_ = json.NewDecoder(resp.Body).Decode(&st)
+	return resp.StatusCode, st, nil
+}
+
+// waitInFlight blocks until the tenant holds exactly n admitted
+// requests — a parked job wait is one.
+func waitInFlight(t *testing.T, srv *gateway.Server, tenant string, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for srv.Stats()[tenant].InFlight != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("tenant %s holds %d requests, want %d", tenant, srv.Stats()[tenant].InFlight, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestWaitJobLongPoll: WaitJob parks at the gateway and is answered by
+// the job's end — here a failure, whose error it must carry — while a
+// malformed or negative wait is ignored and answers at once.
+func TestWaitJobLongPoll(t *testing.T) {
+	release := make(chan struct{})
+	srv, hs := startJobGateway(t, func() (*mapreduce.Result, error) {
+		<-release
+		return nil, errors.New("reducer exploded")
+	})
+	c := newClient(t, hs, "tb", client.Options{MaxRetries: -1})
+	js, err := c.SubmitJob(context.Background(), bioJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, wait := range []string{"soon", "-5", "0", ""} {
+		if code, st, err := askJob(hs, "tb", js.ID, wait); err != nil || code != 200 || st.State != gateway.JobRunning {
+			t.Fatalf("wait=%q on a running job: %d %+v %v, want 200 running at once", wait, code, st, err)
+		}
+	}
+	type outcome struct {
+		st  gateway.JobStatus
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		st, err := c.WaitJob(context.Background(), js.ID, time.Hour) // one ask must do
+		done <- outcome{st, err}
+	}()
+	waitInFlight(t, srv, "bio", 1)
+	select {
+	case o := <-done:
+		t.Fatalf("WaitJob returned %+v, %v while the job was running", o.st, o.err)
+	default:
+	}
+	close(release)
+	o := <-done
+	if o.err != nil || o.st.State != gateway.JobFailed || !strings.Contains(o.st.Error, "reducer exploded") {
+		t.Fatalf("WaitJob = %+v, %v; want failed with the job's error", o.st, o.err)
+	}
+}
+
+// TestJobHistoryIsBounded: the gateway answers for the last JobHistory
+// finished jobs and forgets older ones.
+func TestJobHistoryIsBounded(t *testing.T) {
+	_, hs := startJobGateway(t, func() (*mapreduce.Result, error) { return &mapreduce.Result{}, nil })
+	c := newClient(t, hs, "tb", client.Options{MaxRetries: -1})
+	ctx := context.Background()
+	var ids []string
+	for i := 0; i < gateway.JobHistory+40; i++ {
+		js, err := c.SubmitJob(ctx, bioJob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st, err := c.WaitJob(ctx, js.ID, time.Millisecond); err != nil || st.State != gateway.JobDone {
+			t.Fatalf("job %s: %+v %v", js.ID, st, err)
+		}
+		ids = append(ids, js.ID)
+	}
+	jobs, err := c.Jobs(ctx)
+	if err != nil || len(jobs) != gateway.JobHistory {
+		t.Fatalf("gateway lists %d jobs (%v), want %d", len(jobs), err, gateway.JobHistory)
+	}
+	if _, err := c.Job(ctx, ids[0]); !client.IsNotFound(err) {
+		t.Errorf("oldest job still answered: %v", err)
+	}
+	if st, err := c.Job(ctx, ids[len(ids)-1]); err != nil || st.State != gateway.JobDone {
+		t.Errorf("newest job: %+v %v", st, err)
+	}
 }
 
 // TestConformanceEndToEnd drives the whole facility through the real

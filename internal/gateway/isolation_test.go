@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"net/http"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"repro/internal/facility"
 	"repro/internal/gateway"
 	"repro/internal/gateway/client"
+	"repro/internal/mapreduce"
 )
 
 // TestNamespaceIsolation pins the multi-tenant confidentiality
@@ -90,8 +92,32 @@ func TestNamespaceIsolation(t *testing.T) {
 	if _, err := bob.Job(ctx, js.ID); !client.IsNotFound(err) {
 		t.Fatalf("bob sees alice's job: %v", err)
 	}
+	if _, err := bob.WaitJob(ctx, js.ID, time.Millisecond); !client.IsNotFound(err) {
+		t.Fatalf("bob waits on alice's job: %v", err)
+	}
 	if jobs, err := bob.Jobs(ctx); err != nil || len(jobs) != 0 {
 		t.Fatalf("bob's job list: %v %+v", err, jobs)
+	}
+}
+
+// TestJobWaitIsTenantPrivate: asking to wait on another tenant's
+// running job answers 404 at once — it never parks, so how long the
+// answer takes says nothing about whether the job exists.
+func TestJobWaitIsTenantPrivate(t *testing.T) {
+	release := make(chan struct{})
+	defer close(release)
+	_, hs := startJobGateway(t, func() (*mapreduce.Result, error) {
+		<-release
+		return &mapreduce.Result{}, nil
+	}, gateway.Tenant{Name: "bob", Token: "tbob"})
+	js, err := newClient(t, hs, "tb").SubmitJob(context.Background(), bioJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{js.ID, "j-999999"} {
+		if code, _, err := askJob(hs, "tbob", id, "3600000"); err != nil || code != http.StatusNotFound {
+			t.Fatalf("bob's wait on %s: %d %v, want 404 at once", id, code, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -12,6 +13,15 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/mrpc"
 	"repro/internal/obs"
+)
+
+const (
+	// JobHistory is how many finished jobs stay answerable at /v1/jobs;
+	// past it the oldest is forgotten (404). Running jobs always stay.
+	JobHistory = 256
+	// MaxJobWait caps GET /v1/jobs/{id}?wait=: a job still running
+	// after it is answered "running", and the client asks again.
+	MaxJobWait = 10 * time.Second
 )
 
 // jobState tracks one submitted job; mutated only under Server.jobsMu.
@@ -24,6 +34,7 @@ type jobState struct {
 	finished time.Time
 	errMsg   string
 	result   *mapreduce.Result
+	done     chan struct{} // closed when state leaves JobRunning
 }
 
 func (j *jobState) status() JobStatus {
@@ -103,6 +114,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 		tenant:  ai.tenant.name,
 		state:   JobRunning,
 		started: time.Now(),
+		done:    make(chan struct{}),
 	}
 	s.jobs[js.id] = js
 	s.jobsMu.Unlock()
@@ -111,6 +123,11 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 		res, err := run()
 		s.jobsMu.Lock()
 		defer s.jobsMu.Unlock()
+		defer close(js.done)
+		if s.finished = append(s.finished, js.id); len(s.finished) > JobHistory {
+			delete(s.jobs, s.finished[0])
+			s.finished = s.finished[1:]
+		}
 		js.finished = time.Now()
 		if err != nil {
 			js.state = JobFailed
@@ -123,22 +140,35 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, JobStatus{ID: js.id, Job: js.job, Tenant: js.tenant, State: JobRunning})
 }
 
+// jobStatus answers one job's status. With ?wait=<ms> a running job
+// parks the request until it finishes, the wait (capped at MaxJobWait)
+// runs out, the client goes away or the server drains; the answer is
+// the status as it then stands.
 func (s *Server) jobStatus(w http.ResponseWriter, r *http.Request) {
 	ai := reqAuth(r)
 	id := r.PathValue("id")
 	s.jobsMu.Lock()
 	js, ok := s.jobs[id]
-	var st JobStatus
-	if ok {
-		st = js.status()
-	}
 	s.jobsMu.Unlock()
-	// Another tenant's job ID behaves like a missing one: job
-	// existence is tenant-private.
-	if !ok || st.Tenant != ai.tenant.name {
+	// Another tenant's job ID behaves like a missing one, before any
+	// wait: job existence is tenant-private.
+	if !ok || js.tenant != ai.tenant.name {
 		writeErr(w, http.StatusNotFound, "not_found", "no job "+id)
 		return
 	}
+	if ms, err := strconv.ParseInt(r.URL.Query().Get("wait"), 10, 64); err == nil && ms > 0 {
+		timer := time.NewTimer(min(time.Duration(ms)*time.Millisecond, MaxJobWait))
+		defer timer.Stop()
+		select {
+		case <-js.done:
+		case <-timer.C:
+		case <-r.Context().Done():
+		case <-s.drainCh:
+		}
+	}
+	s.jobsMu.Lock()
+	st := js.status()
+	s.jobsMu.Unlock()
 	writeJSON(w, http.StatusOK, st)
 }
 

@@ -36,6 +36,18 @@ func BenchmarkWordCount(b *testing.B) {
 	}
 }
 
+// BenchmarkMapSort sorts one map-side partition of the benchmark
+// workload's shape: 10k records under 24-byte Zipf-distributed keys.
+func BenchmarkMapSort(b *testing.B) {
+	src := sortInputs(10_000, 1)["zipf"]
+	pairs := make([]kv, len(src))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		copy(pairs, src)
+		stableSortByKey(pairs)
+	}
+}
+
 // shuffleBench runs one wordcount with a configurable spill budget
 // and reduce interface — the spill-vs-in-memory measurement pair.
 func shuffleBench(b *testing.B, mem units.Bytes, streaming bool) {

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -373,8 +373,7 @@ func (e *engine) speculationMonitor(stop <-chan struct{}) {
 }
 
 func medianDuration(ds []time.Duration) time.Duration {
-	cp := make([]time.Duration, len(ds))
-	copy(cp, ds)
-	sort.Slice(cp, func(i, j int) bool { return cp[i] < cp[j] })
+	cp := slices.Clone(ds)
+	slices.Sort(cp)
 	return cp[len(cp)/2]
 }

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -30,6 +31,11 @@ import (
 // to the runnable job with the smallest running-slots/weight ratio,
 // weights being per-tenant — PR 8's tenant fairness, applied to
 // compute.
+//
+// Dispatch does not wait for a clock: a heartbeat with free slots and
+// nothing to take parks (handleHeartbeat) until wakeLocked, for at
+// most one Heartbeat interval. State is bounded by the work in flight:
+// settle folds a finished job's counters into settled and drops it.
 type Master struct {
 	cfg   MasterConfig
 	store Store
@@ -37,9 +43,12 @@ type Master struct {
 
 	mu      sync.Mutex
 	workers map[string]*mWorker
-	jobs    map[string]*Job
-	jobSeq  int
-	weights map[string]int // tenant → fair-share weight (default 1)
+	jobs    map[string]*Job // unsettled jobs only
+	jobSeq  int             // jobs ever submitted
+	settled MasterStats     // cumulative counters of the jobs settle dropped
+	wake    chan struct{}   // closed and replaced by wakeLocked
+	parked  int             // heartbeat polls waiting on wake
+	weights map[string]int  // tenant → fair-share weight (default 1)
 	stopMon chan struct{}
 	monWG   sync.WaitGroup
 	closed  bool
@@ -129,7 +138,6 @@ type mAttempt struct {
 	started  time.Time
 	progress float64
 	spec     bool
-	local    bool
 }
 
 // mTask is one task's state machine: pending → running attempts →
@@ -186,6 +194,7 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		store:   NewDFSStore(cfg.Cluster),
 		workers: make(map[string]*mWorker),
 		jobs:    make(map[string]*Job),
+		wake:    make(chan struct{}),
 		weights: make(map[string]int),
 		stopMon: make(chan struct{}),
 	}
@@ -207,7 +216,9 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 // URL is the master's control-plane base URL.
 func (m *Master) URL() string { return m.srv.URL() }
 
-// Close stops the monitor and the server. Running jobs fail.
+// Close stops the monitor and the server. Running jobs fail, and
+// every parked poll is answered first, so the server's shutdown finds
+// no handler to wait out.
 func (m *Master) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -216,10 +227,9 @@ func (m *Master) Close() {
 	}
 	m.closed = true
 	for _, j := range m.jobs {
-		if j.failed == nil && !j.isDone() {
-			j.fail(errors.New("mapreduce: master closed"))
-		}
+		j.fail(errMasterClosed)
 	}
+	m.wakeLocked()
 	m.mu.Unlock()
 	close(m.stopMon)
 	m.monWG.Wait()
@@ -254,6 +264,8 @@ func (m *Master) LiveWorkers() []string {
 // MasterStats is a point-in-time aggregate across every job the
 // master has seen, for metrics exposition: the facility samples it
 // at scrape time, so the scheduler's hot path carries no new cost.
+// The task and byte counters are cumulative over the master's life;
+// a scrape walks only the jobs still running.
 type MasterStats struct {
 	Workers      int // registered workers
 	LiveWorkers  int
@@ -273,34 +285,34 @@ type MasterStats struct {
 func (m *Master) Stats() MasterStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var s MasterStats
+	s := m.settled
 	s.Workers = len(m.workers)
 	for _, w := range m.workers {
 		if w.alive {
 			s.LiveWorkers++
 		}
 	}
-	s.Jobs = len(m.jobs)
+	s.Jobs = m.jobSeq
+	s.RunningJobs = len(m.jobs)
 	for _, j := range m.jobs {
-		if !j.isDone() {
-			s.RunningJobs++
-			s.RunningSlots += j.runningSlots
-		}
-		c := j.ctr.snapshot()
-		s.MapTasks += c.MapTasks
-		s.ReduceTasks += c.ReduceTasks
-		s.Retries += c.Retries
-		s.SpecLaunched += c.SpecLaunched
-		s.SpecWon += c.SpecWon
-		s.ShuffleBytes += c.ShuffleBytes
-		s.RemoteBytes += c.RemoteShuffleBytes
+		s.RunningSlots += j.runningSlots
+		s.addCounters(j.ctr.snapshot())
 	}
 	return s
 }
 
+func (s *MasterStats) addCounters(c Counters) {
+	s.MapTasks += c.MapTasks
+	s.ReduceTasks += c.ReduceTasks
+	s.Retries += c.Retries
+	s.SpecLaunched += c.SpecLaunched
+	s.SpecWon += c.SpecWon
+	s.ShuffleBytes += c.ShuffleBytes
+	s.RemoteBytes += c.RemoteShuffleBytes
+}
+
 // Submit admits a job: resolves its template, builds splits, and
-// queues every map task. Workers pick tasks up on their next
-// heartbeat.
+// queues every map task. Parked polls are answered with them at once.
 func (m *Master) Submit(spec mrpc.JobSpec, tenant string) (*Job, error) {
 	cfg, err := m.cfg.Registry.Resolve(spec)
 	if err != nil {
@@ -322,7 +334,7 @@ func (m *Master) Submit(spec mrpc.JobSpec, tenant string) (*Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return nil, errors.New("mapreduce: master closed")
+		return nil, errMasterClosed
 	}
 	m.jobSeq++
 	j := &Job{
@@ -367,6 +379,7 @@ func (m *Master) Submit(spec mrpc.JobSpec, tenant string) (*Job, error) {
 			j.enqueueReduces()
 		}
 	}
+	m.wakeLocked()
 	return j, nil
 }
 
@@ -380,30 +393,14 @@ func (j *Job) Wait() (*Result, error) {
 	}
 	return &Result{
 		Counters:    j.ctr.snapshot(),
-		Duration:    j.durationLocked(),
+		Duration:    j.dur,
 		OutputFiles: append([]string(nil), j.outputs...),
 	}, nil
 }
 
-func (j *Job) durationLocked() time.Duration {
-	if j.dur != 0 {
-		return j.dur
-	}
-	return time.Since(j.start)
-}
-
-func (j *Job) isDone() bool {
-	select {
-	case <-j.doneCh:
-		return true
-	default:
-		return false
-	}
-}
-
 // ---- protocol handlers ----
 
-func (m *Master) handleRegister(req *mrpc.RegisterRequest) (*mrpc.RegisterReply, error) {
+func (m *Master) handleRegister(_ context.Context, req *mrpc.RegisterRequest) (*mrpc.RegisterReply, error) {
 	if req.Worker == "" || req.Slots <= 0 {
 		return nil, errors.New("mapreduce: register needs worker id and slots")
 	}
@@ -427,36 +424,85 @@ func (m *Master) handleRegister(req *mrpc.RegisterRequest) (*mrpc.RegisterReply,
 	}, nil
 }
 
-func (m *Master) handleHeartbeat(req *mrpc.HeartbeatRequest) (*mrpc.HeartbeatReply, error) {
+// handleHeartbeat renews the worker's lease and answers with kill
+// orders and up to Free assignments. A heartbeat that offers free
+// slots and gets neither parks until wakeLocked or one Heartbeat
+// interval — the worker then beats again at once, so it is heard from
+// as often as its ticker had it and lease arithmetic is unchanged. A
+// caller that hung up while parked is handed nothing: tasks assigned
+// into a closed connection would sit out a full lease.
+func (m *Master) handleHeartbeat(ctx context.Context, req *mrpc.HeartbeatRequest) (*mrpc.HeartbeatReply, error) {
+	var timeout <-chan time.Time
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	w, ok := m.workers[req.Worker]
-	if !ok || !w.alive {
-		// Presumed dead (or never registered): the lease machinery
-		// already re-queued its work; make it start over.
-		return &mrpc.HeartbeatReply{Unknown: true}, nil
-	}
-	w.lastBeat = time.Now()
-	rep := &mrpc.HeartbeatReply{Kill: w.kill}
-	w.kill = nil
-	for _, p := range req.Running {
-		if att, ok := w.attempts[p.ID]; ok {
-			att.progress = p.Fraction
-		} else {
-			// The worker is running something the master no longer
-			// tracks (superseded while a kill was in flight).
-			rep.Kill = append(rep.Kill, p.ID)
+	report := req.Running // read once, on arrival
+	for expired := false; ; {
+		w, ok := m.workers[req.Worker]
+		if !ok || !w.alive {
+			// Presumed dead (or never registered): the lease machinery
+			// already re-queued its work; make it start over.
+			return &mrpc.HeartbeatReply{Unknown: true}, nil
 		}
-	}
-	for n := req.Free; n > 0; n-- {
-		a, ok := m.assignLocked(w)
-		if !ok {
-			break
+		if m.closed {
+			return nil, errMasterClosed
 		}
-		rep.Assign = append(rep.Assign, a)
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		w.lastBeat = time.Now()
+		rep := &mrpc.HeartbeatReply{Kill: w.kill}
+		w.kill = nil
+		for _, p := range report {
+			if att, ok := w.attempts[p.ID]; ok {
+				att.progress = p.Fraction
+			} else {
+				// The worker is running something the master no longer
+				// tracks (superseded while a kill was in flight).
+				rep.Kill = append(rep.Kill, p.ID)
+			}
+		}
+		report = nil
+		for n := req.Free; n > 0; n-- {
+			a, ok := m.assignLocked(w)
+			if !ok {
+				break
+			}
+			rep.Assign = append(rep.Assign, a)
+		}
+		if req.Free == 0 || len(rep.Assign) > 0 || len(rep.Kill) > 0 || expired {
+			return rep, nil
+		}
+		if timeout == nil {
+			timer := time.NewTimer(m.cfg.Heartbeat)
+			defer timer.Stop()
+			timeout = timer.C
+		}
+		wake := m.wake
+		m.parked++
+		m.mu.Unlock()
+		select {
+		case <-wake:
+		case <-timeout:
+			expired = true
+		case <-ctx.Done():
+		}
+		m.mu.Lock()
+		m.parked--
 	}
-	return rep, nil
 }
+
+// wakeLocked answers the parked polls; each re-runs its assignment and
+// parks again if it still has nothing. Everything that can make a task
+// runnable or raise a kill order ends in it: Submit, handleComplete,
+// a worker declared dead, a speculative backup queued, Close.
+func (m *Master) wakeLocked() {
+	if m.parked > 0 {
+		close(m.wake)
+		m.wake = make(chan struct{})
+	}
+}
+
+var errMasterClosed = errors.New("mapreduce: master closed")
 
 // assignLocked picks one task for worker w: the runnable job with the
 // smallest running-slots/weight ratio, then that job's best task
@@ -475,7 +521,7 @@ func (m *Master) assignLocked(w *mWorker) (mrpc.Assignment, bool) {
 		var best *Job
 		var bestRatio float64
 		for _, j := range m.jobs {
-			if tried[j.ID] || j.failed != nil || j.isDone() || !j.hasWorkLocked() {
+			if tried[j.ID] || !j.hasWorkLocked() {
 				continue
 			}
 			weight := m.weights[j.tenant]
@@ -582,7 +628,6 @@ func (j *Job) takeLocked(w *mWorker, others bool) (mrpc.Assignment, bool) {
 		worker:  w.id,
 		started: time.Now(),
 		spec:    spec,
-		local:   local,
 	}
 	t.nextAttempt++
 	t.running[att.id.Attempt] = att
@@ -646,11 +691,15 @@ func (j *Job) task(phase string, idx int) *mTask {
 	return &j.reduces[idx]
 }
 
-func (m *Master) handleComplete(req *mrpc.CompleteRequest) (*mrpc.CompleteReply, error) {
+func (m *Master) handleComplete(_ context.Context, req *mrpc.CompleteRequest) (*mrpc.CompleteReply, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// Commit and enqueue reduces, kill siblings, re-queue, settle, or
+	// only free this worker to take a reduce it had yielded: whatever
+	// happens below, someone may have work or orders now.
+	defer m.wakeLocked()
 	j, ok := m.jobs[req.ID.Job]
-	if !ok {
+	if !ok { // never existed, or settled and dropped
 		return &mrpc.CompleteReply{}, nil
 	}
 	t := j.task(req.ID.Phase, req.ID.Task)
@@ -662,9 +711,9 @@ func (m *Master) handleComplete(req *mrpc.CompleteRequest) (*mrpc.CompleteReply,
 			delete(w.attempts, req.ID)
 		}
 	}
-	if !tracked || t.committed || j.failed != nil || j.isDone() {
-		// Superseded, orphaned, or arriving after the job settled: the
-		// worker must discard the attempt's files.
+	if !tracked || t.committed {
+		// Superseded or orphaned: the worker must discard the attempt's
+		// files.
 		return &mrpc.CompleteReply{}, nil
 	}
 	if req.Err != "" {
@@ -706,15 +755,8 @@ func (m *Master) handleComplete(req *mrpc.CompleteRequest) (*mrpc.CompleteReply,
 	if att.spec {
 		j.ctr.add(&j.ctr.SpecWon, 1)
 	}
-	// Losing sibling attempts get kill orders on their next heartbeat.
-	for _, sib := range t.running {
-		if w, ok := m.workers[sib.worker]; ok {
-			w.kill = append(w.kill, sib.id)
-			delete(w.attempts, sib.id)
-		}
-		j.runningSlots--
-	}
-	clear(t.running)
+	// Losing sibling attempts get kill orders.
+	j.killRunningLocked(t)
 	if req.ID.Phase == mrpc.PhaseMap {
 		j.mapsDone++
 		j.mapDur = append(j.mapDur, time.Since(att.started))
@@ -809,9 +851,6 @@ func (j *Job) foldCounters(c mrpc.TaskCounters) {
 
 // fail settles the job as failed. Callers hold m.mu.
 func (j *Job) fail(err error) {
-	if j.failed != nil || j.isDone() {
-		return
-	}
 	j.failed = err
 	j.settle()
 }
@@ -832,9 +871,11 @@ func (j *Job) finalize() {
 	j.settle()
 }
 
-// settle kills stragglers, cleans committed shuffle state and closes
-// doneCh. Running attempts clean their own spills when the kill
-// lands; their completes arrive after settle and are rejected.
+// settle kills stragglers, cleans committed shuffle state, closes
+// doneCh and drops the job from the master, whose lifetime totals keep
+// its counters; Wait reads the result from the *Job. Running attempts
+// clean their own spills when the kill lands; their completes arrive
+// after settle, find no such job and are rejected.
 func (j *Job) settle() {
 	j.dur = time.Since(j.start)
 	if j.span != nil {
@@ -855,8 +896,12 @@ func (j *Job) settle() {
 		j.killRunningLocked(&j.reduces[ti])
 	}
 	close(j.doneCh)
+	j.master.settled.addCounters(j.ctr.snapshot())
+	delete(j.master.jobs, j.ID)
 }
 
+// killRunningLocked strikes a task's running attempts and raises their
+// kill orders, which ride the workers' next heartbeat replies.
 func (j *Job) killRunningLocked(t *mTask) {
 	for _, att := range t.running {
 		if w, ok := j.master.workers[att.worker]; ok {
@@ -900,7 +945,8 @@ func (m *Master) monitor() {
 // pointed at its shuffle server.
 func (m *Master) declareDeadLocked(w *mWorker) {
 	w.alive = false
-	for id, att := range w.attempts {
+	m.wakeLocked() // reduces yielded to it are the survivors' now
+	for id := range w.attempts {
 		j, ok := m.jobs[id.Job]
 		if !ok {
 			continue
@@ -908,11 +954,10 @@ func (m *Master) declareDeadLocked(w *mWorker) {
 		t := j.task(id.Phase, id.Task)
 		delete(t.running, id.Attempt)
 		j.runningSlots--
-		if !t.committed && j.failed == nil && !j.isDone() {
+		if !t.committed {
 			j.ctr.add(&j.ctr.Retries, 1)
 			j.requeue(id.Phase, id.Task)
 		}
-		_ = att
 	}
 	w.attempts = make(map[mrpc.AttemptID]*mAttempt)
 }
@@ -923,7 +968,7 @@ func (m *Master) declareDeadLocked(w *mWorker) {
 // progress is unknown) to run well past the median committed
 // duration, a duplicate is queued. First finisher wins.
 func (j *Job) speculateLocked(now time.Time) {
-	if !j.cfg.Speculative || j.failed != nil || j.isDone() || j.specLaunched >= j.specCap {
+	if !j.cfg.Speculative || j.specLaunched >= j.specCap {
 		return
 	}
 	if len(j.pendingMaps) > 0 || len(j.pendingReds) > 0 || len(j.specQ) > 0 {
@@ -936,7 +981,10 @@ func (j *Job) speculateLocked(now time.Time) {
 		}
 		phase, tasks, durs = mrpc.PhaseReduce, j.reduces, j.redDur
 	}
-	if len(durs) == 0 {
+	if 2*len(durs) < len(tasks) {
+		// A phase's tasks start together, so the first finisher is no
+		// median: its healthy siblings on a loaded box take 2-3x as
+		// long and would burn the backup budget. Wait for half.
 		return
 	}
 	med := medianDuration(durs)
@@ -962,6 +1010,7 @@ func (j *Job) speculateLocked(now time.Time) {
 		}
 		t.specStarted = true
 		j.specQ = append(j.specQ, mrpc.TaskKey{Job: j.ID, Phase: phase, Task: i})
+		j.master.wakeLocked()
 		j.specLaunched++
 		j.ctr.add(&j.ctr.SpecLaunched, 1)
 		if j.specLaunched >= j.specCap {
@@ -974,7 +1023,7 @@ func (j *Job) speculateLocked(now time.Time) {
 
 func (m *Master) mountProxy(mux *http.ServeMux) {
 	c := m.cfg.Cluster
-	mrpc.Handle(mux, mrpc.PathProxyStat, func(req *struct {
+	mrpc.Handle(mux, mrpc.PathProxyStat, func(_ context.Context, req *struct {
 		Name string `json:"name"`
 	}) (*mrpc.StatReply, error) {
 		info, err := c.Stat(req.Name)
@@ -983,7 +1032,7 @@ func (m *Master) mountProxy(mux *http.ServeMux) {
 		}
 		return &mrpc.StatReply{Size: int64(info.Size), Complete: info.Complete}, nil
 	})
-	mrpc.Handle(mux, mrpc.PathProxyDelete, func(req *struct {
+	mrpc.Handle(mux, mrpc.PathProxyDelete, func(_ context.Context, req *struct {
 		Name string `json:"name"`
 	}) (*struct{}, error) {
 		if err := c.Delete(req.Name); err != nil {
@@ -991,7 +1040,7 @@ func (m *Master) mountProxy(mux *http.ServeMux) {
 		}
 		return &struct{}{}, nil
 	})
-	mrpc.Handle(mux, mrpc.PathProxyRename, func(req *struct {
+	mrpc.Handle(mux, mrpc.PathProxyRename, func(_ context.Context, req *struct {
 		Old string `json:"old"`
 		New string `json:"new"`
 	}) (*struct{}, error) {

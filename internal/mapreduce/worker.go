@@ -21,6 +21,11 @@ import (
 // attempts through a per-attempt taskRuntime, and serves its spill
 // files' segments to reducers over HTTP. One worker maps onto one
 // TaskTracker of the paper's Hadoop deployment.
+//
+// It beats on a ticker for liveness and progress, and at once (kick)
+// whenever it has a slot to offer: when an attempt ends, and when a
+// reply left slots free. The master parks a beat it cannot serve, so a
+// worker with a free slot always has one waiting there.
 type Worker struct {
 	cfg    WorkerConfig
 	client *mrpc.Client
@@ -45,6 +50,7 @@ type Worker struct {
 	dead    bool // Kill()ed: no more RPCs of any kind
 
 	stop chan struct{}
+	kick chan struct{}  // beat now; buffered, one pending kick is enough
 	hbWG sync.WaitGroup // heartbeat loop
 	atWG sync.WaitGroup // attempt goroutines
 }
@@ -106,6 +112,7 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		cancel:  cancel,
 		running: make(map[mrpc.AttemptID]*wAttempt),
 		stop:    make(chan struct{}),
+		kick:    make(chan struct{}, 1),
 	}
 	if w.store == nil {
 		w.store = NewProxyStore(ctx, cfg.Master)
@@ -121,6 +128,7 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		srv.Close()
 		return nil, err
 	}
+	w.beatNow() // every slot is free: offer them before the first tick
 	w.hbWG.Add(1)
 	go w.heartbeatLoop()
 	return w, nil
@@ -214,6 +222,7 @@ func (w *Worker) heartbeatLoop() {
 		case <-w.stop:
 			return
 		case <-ticker.C:
+		case <-w.kick:
 		}
 		w.mu.Lock()
 		if w.dead {
@@ -225,6 +234,9 @@ func (w *Worker) heartbeatLoop() {
 			Free:   w.cfg.Slots - len(w.running),
 		}
 		for id, att := range w.running {
+			if att.cancel.Load() {
+				continue // killed and winding down: holds its slot, reports nothing
+			}
 			req.Running = append(req.Running, mrpc.Progress{
 				ID:       id,
 				Fraction: math.Float64frombits(att.progress.Load()),
@@ -265,6 +277,16 @@ func (w *Worker) heartbeatLoop() {
 		for _, a := range rep.Assign {
 			w.launch(a)
 		}
+		if len(rep.Assign) < req.Free {
+			w.beatNow()
+		}
+	}
+}
+
+func (w *Worker) beatNow() {
+	select {
+	case w.kick <- struct{}{}:
+	default:
 	}
 }
 
@@ -284,6 +306,7 @@ func (w *Worker) launch(a mrpc.Assignment) {
 		w.mu.Lock()
 		delete(w.running, a.ID)
 		w.mu.Unlock()
+		w.beatNow()
 	}()
 }
 

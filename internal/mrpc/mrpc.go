@@ -240,40 +240,25 @@ var ErrNotFound = errors.New("mrpc: not found")
 type Client struct {
 	Base string // http://host:port
 	HC   *http.Client
-	// CallTimeout caps calls whose context carries no deadline of its
-	// own (0 = DefaultCallTimeout). Streaming calls that must outlive
-	// it pass a context with an explicit deadline or use Put.
-	CallTimeout time.Duration
 }
 
-// DefaultCallTimeout bounds control-plane calls when the caller's
-// context has no deadline.
-const DefaultCallTimeout = 30 * time.Second
+// callTimeout bounds a Call whose context has no deadline of its own.
+// Streaming calls that must outlive it pass a deadline or use Get/Put.
+const callTimeout = 30 * time.Second
 
-// NewClient dials base with a shared transport. Timeouts are
-// per-call (see CallTimeout), not per-client, so one slow streaming
-// read doesn't dictate the control-plane bound.
+// NewClient dials base with a shared transport. Timeouts are per-call,
+// not per-client, so one slow streaming read doesn't dictate the
+// control-plane bound.
 func NewClient(base string) *Client {
 	return &Client{Base: base, HC: &http.Client{}}
 }
 
-func (c *Client) hc() *http.Client {
-	if c.HC != nil {
-		return c.HC
-	}
-	return http.DefaultClient
-}
-
 // withDeadline applies the default call timeout when ctx has none.
-func (c *Client) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+func withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
 	if _, ok := ctx.Deadline(); ok {
 		return ctx, func() {}
 	}
-	d := c.CallTimeout
-	if d <= 0 {
-		d = DefaultCallTimeout
-	}
-	return context.WithTimeout(ctx, d)
+	return context.WithTimeout(ctx, callTimeout)
 }
 
 // Call posts req as JSON to path and decodes the JSON reply into
@@ -284,7 +269,7 @@ func (c *Client) Call(ctx context.Context, path string, req, reply any) error {
 	if err != nil {
 		return err
 	}
-	ctx, cancel := c.withDeadline(ctx)
+	ctx, cancel := withDeadline(ctx)
 	defer cancel()
 	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, c.Base+path, bytes.NewReader(body))
 	if err != nil {
@@ -294,7 +279,7 @@ func (c *Client) Call(ctx context.Context, path string, req, reply any) error {
 	if id := obs.TraceID(ctx); id != "" {
 		hreq.Header.Set(obs.TraceHeader, id)
 	}
-	resp, err := c.hc().Do(hreq)
+	resp, err := c.HC.Do(hreq)
 	if err != nil {
 		return err
 	}
@@ -333,7 +318,7 @@ func (c *Client) Get(ctx context.Context, pathAndQuery string) (io.ReadCloser, e
 	if id := obs.TraceID(ctx); id != "" {
 		hreq.Header.Set(obs.TraceHeader, id)
 	}
-	resp, err := c.hc().Do(hreq)
+	resp, err := c.HC.Do(hreq)
 	if err != nil {
 		return nil, err
 	}
@@ -355,7 +340,7 @@ func (c *Client) Put(ctx context.Context, pathAndQuery string, body io.Reader) e
 	if id := obs.TraceID(ctx); id != "" {
 		hreq.Header.Set(obs.TraceHeader, id)
 	}
-	resp, err := c.hc().Do(hreq)
+	resp, err := c.HC.Do(hreq)
 	if err != nil {
 		return err
 	}
@@ -367,15 +352,20 @@ func (c *Client) Put(ctx context.Context, pathAndQuery string, body io.Reader) e
 	return err
 }
 
-// Handle registers a JSON POST endpoint on mux.
-func Handle[Req, Rep any](mux *http.ServeMux, path string, fn func(*Req) (*Rep, error)) {
+// Handle registers a JSON POST endpoint on mux. fn gets the request's
+// context, which ends when the caller hangs up: a handler that parks
+// (the master's heartbeat poll) selects on it.
+func Handle[Req, Rep any](mux *http.ServeMux, path string, fn func(context.Context, *Req) (*Rep, error)) {
 	mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
 		var req Req
 		if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
 			WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
-		rep, err := fn(&req)
+		// net/http watches the connection for a hang-up only once the
+		// body has been read to its end.
+		_, _ = io.Copy(io.Discard, r.Body)
+		rep, err := fn(r.Context(), &req)
 		if err != nil {
 			WriteError(w, http.StatusInternalServerError, errCode(err), err.Error())
 			return

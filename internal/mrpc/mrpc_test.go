@@ -14,7 +14,7 @@ import (
 // five seconds; Close must not wait its timeout out on it.
 func TestCloseWithDialedIdleConnection(t *testing.T) {
 	mux := http.NewServeMux()
-	Handle(mux, PathHeartbeat, func(*HeartbeatRequest) (*HeartbeatReply, error) {
+	Handle(mux, PathHeartbeat, func(context.Context, *HeartbeatRequest) (*HeartbeatReply, error) {
 		return &HeartbeatReply{Unknown: true}, nil
 	})
 	s, err := Serve("", mux)
