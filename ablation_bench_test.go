@@ -144,7 +144,7 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 					Inputs: []string{"/a/lines"}, OutputDir: "/a/out",
 					Mapper: ablationMapper, Reducer: workloads.SumReducer,
 					SlotsPerNode: 1, Speculative: on,
-					StragglerFactor: 1.5, MonitorInterval: 2 * time.Millisecond,
+					StragglerFactor: 1.5,
 					TaskDelay: func(node string, task int) time.Duration {
 						if node == "dn00" && atomic.AddInt64(&slow, 1) < 4 {
 							return 150 * time.Millisecond

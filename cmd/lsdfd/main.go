@@ -55,7 +55,7 @@ func main() {
 		cacheDir    = flag.String("cache-dir", "", "read cache disk directory (created if missing)")
 		shards      = flag.Int("shards", 0, "metadata shard count (default 16)")
 		dfsNodes    = flag.Int("dfs-nodes", 8, "analysis cluster datanodes")
-		computeN    = flag.Int("compute-workers", 0, "distributed MapReduce: in-process compute workers (0 = single-process engine)")
+		computeN    = flag.Int("compute-workers", 0, "distributed MapReduce: in-process compute workers (0 = each job runs in-process)")
 		computeS    = flag.Int("compute-slots", 0, "distributed MapReduce: task slots per worker (default 2)")
 		computeAddr = flag.String("compute-addr", "", "distributed MapReduce: master control-plane listen address for external lsdf-worker processes (default loopback ephemeral; implies -compute-workers if unset)")
 		drain       = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown budget")

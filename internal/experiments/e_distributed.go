@@ -17,10 +17,10 @@ import (
 //
 // The paper's Hadoop cluster is not one process: it is a JobTracker
 // scheduling TaskTrackers that fail, lag and recover. This experiment
-// drives the reproduction's distributed engine — master, workers,
-// heartbeat leases, network shuffle, speculative execution — through
-// the failure modes that machinery exists for, with the single-process
-// engine as the correctness oracle.
+// drives the reproduction's distributed plane — master, workers over
+// HTTP, heartbeat leases, network shuffle, speculative execution —
+// through the failure modes that machinery exists for, with a quiet
+// in-process Run of the same spec as the correctness oracle.
 //
 // Phase 1 (scale-out): the same IO-emulating wordcount runs on 1, 2,
 // 4 and 8 workers; wall time must fall as workers join while splits
@@ -30,7 +30,7 @@ import (
 // under weighted fair-share (bio 3 : climate 1), with one worker
 // slowed to 10% speed and two healthy workers SIGKILLed mid-job (no
 // goodbye — the master finds out by lease expiry). The bar: both
-// jobs' part files byte-identical to their single-process references
+// jobs' part files byte-identical to their in-process references
 // (zero lost acked results — killed workers' spilled segments are
 // refetched or their maps re-executed), and speculative backups
 // bounded by the per-job cap.
@@ -288,7 +288,7 @@ func E18DistributedCompute() (*Table, error) {
 			return nil, err
 		}
 		if !identical {
-			return nil, fmt.Errorf("job %s output differs from single-process reference", tenant)
+			return nil, fmt.Errorf("job %s output differs from in-process reference", tenant)
 		}
 		if res.Counters.OutputRecords != refs[tenant].Counters.OutputRecords {
 			return nil, fmt.Errorf("job %s output records %d, reference %d",
@@ -336,7 +336,7 @@ func E18DistributedCompute() (*Table, error) {
 		Notes: "every map/reduce attempt crosses the wire (register, heartbeat-leased assignment, " +
 			"explicit completion); reducers fetch spilled segments from worker shuffle servers with " +
 			"DFS fallback, so killed workers cost re-execution only when their segments are gone. " +
-			"Both adversity jobs are byte-identical to the single-process engine — the ordering and " +
+			"Both adversity jobs are byte-identical to an undisturbed in-process Run — the ordering and " +
 			"tie-break invariants survive distribution, failure and speculation.",
 	}, nil
 }

@@ -57,9 +57,9 @@ type Options struct {
 	// the facility runs a job master plus that many worker runtimes
 	// over the analysis cluster, and named-job submissions
 	// (SubmitNamedJob, the gateway's /v1/jobs) execute with scheduling
-	// distributed across them — heartbeat leases, speculative straggler
-	// backups, weighted multi-tenant fair-share. 0 (the default) keeps
-	// named jobs on the single-process engine.
+	// distributed across them over HTTP — heartbeat leases, speculative
+	// straggler backups, weighted multi-tenant fair-share. 0 (the default)
+	// gives each named job a master and workers of its own (mapreduce.Run).
 	ComputeWorkers int
 	// ComputeSlots is each compute worker's concurrent task capacity
 	// (default 2, the Hadoop-era TaskTracker default).
@@ -462,11 +462,12 @@ func (f *Facility) RunJob(cfg mapreduce.Config) (*mapreduce.Result, error) {
 
 // SubmitNamedJob admits a registered job template for execution and
 // returns a wait function for its result. With a compute plane
-// (Options.ComputeWorkers) the job runs distributed under the
-// master's scheduling; otherwise it resolves against the same
-// registry and runs on the single-process engine — byte-identical
-// output either way. Submission errors (unknown template, missing
-// inputs) surface synchronously.
+// (Options.ComputeWorkers) the job goes to its master, whose workers
+// are reached over HTTP; otherwise it resolves against the same
+// registry and RunJob gives it a master and workers of its own, inside
+// the call — the same scheduler and byte-identical output either way.
+// Submission errors (unknown template, missing inputs) surface
+// synchronously.
 func (f *Facility) SubmitNamedJob(spec mrpc.JobSpec, tenant string) (func() (*mapreduce.Result, error), error) {
 	if f.Compute != nil {
 		if spec.ShuffleMemory == 0 {
@@ -482,11 +483,7 @@ func (f *Facility) SubmitNamedJob(spec mrpc.JobSpec, tenant string) (func() (*ma
 	if err != nil {
 		return nil, err
 	}
-	if cfg.ShuffleMemory == 0 {
-		cfg.ShuffleMemory = f.shuffleMemory
-	}
-	c := cfg
-	return func() (*mapreduce.Result, error) { return mapreduce.Run(f.DFS, c) }, nil
+	return func() (*mapreduce.Result, error) { return f.RunJob(cfg) }, nil
 }
 
 // HasJobTemplate reports whether the facility's job registry knows a

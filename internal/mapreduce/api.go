@@ -7,13 +7,23 @@
 // data-local task placement, per-task combiners, hash partitioning,
 // sorted shuffles and speculative execution for stragglers.
 //
+// There is one scheduler, the Master (a JobTracker): it leases tasks to
+// Workers (TaskTrackers) on their heartbeats, re-queues what a dead
+// worker held, backs up stragglers and commits the first finisher.
+// Workers reach it through mrpc.Control, which has two transports: JSON
+// over HTTP (NewMaster + StartWorker, cmd/lsdf-worker, the facility's
+// compute plane) and direct calls inside one process — Run, which gives
+// a job a master without a listener and one worker per datanode. See
+// DESIGN.md §12.
+//
 // The shuffle is an external sort-spill-merge: map tasks accumulate
-// partitioned, sorted runs up to Config.ShuffleMemory and spill
-// overflow runs as length-prefixed segment files into the DFS; reduce
-// tasks k-way heap-merge in-memory runs with DFS spill readers and
-// stream grouped values to the reducer, so intermediate volume is
-// bounded by the configured budget instead of the heap. See DESIGN.md
-// §6 for the spill format and merge invariants.
+// partitioned, sorted runs up to Config.ShuffleMemory, spill overflow
+// runs as length-prefixed segment files into the DFS and write their
+// last run there too; reduce tasks k-way heap-merge the runs' segments,
+// streamed from the DFS or fetched from the mapper's worker, and stream
+// grouped values to the reducer, so intermediate volume is bounded by
+// the configured budget instead of the heap. See DESIGN.md §6 for the
+// spill format and merge invariants.
 package mapreduce
 
 import (
@@ -120,22 +130,24 @@ type Config struct {
 	SlotsPerNode int  // concurrent tasks per node; default 2 (Hadoop default)
 	Locality     bool // prefer scheduling map tasks onto replica holders
 
-	Speculative     bool          // re-launch slow tasks near the end of the map phase
-	StragglerFactor float64       // speculation threshold multiplier; default 1.5
-	MonitorInterval time.Duration // speculation check period; default 5 ms
+	Speculative     bool    // back up slow tasks once a phase has no fresh work left
+	StragglerFactor float64 // speculation threshold multiplier; default 1.5
 
-	MaxAttempts int // per task, counting reruns after errors; default 2
+	// MaxAttempts is each task's error budget: the attempts that may
+	// fail before the job does (default 4, Hadoop's). An attempt lost
+	// with its worker is re-queued without being charged.
+	MaxAttempts int
 
 	// TaskDelay, when non-nil, injects per-(node, task) wall-clock delay
-	// before a map attempt runs. It exists for straggler and failure
-	// experiments; production jobs leave it nil.
+	// at the start of a worker's map attempt. It exists for straggler
+	// and failure experiments; production jobs leave it nil.
 	TaskDelay func(node string, task int) time.Duration
 
-	// Test seams for the reduce phase, set only from package tests.
-	// reduceHook observes one reduce attempt starting on a node and
-	// returns a callback invoked when the attempt finishes (nil to
-	// skip). reduceWriter wraps the attempt's DFS output writer, the
-	// injection point for induced write failures.
+	// Test seams for a worker's reduce attempts (numbered from 1), set
+	// only from package tests. reduceHook observes one starting on a
+	// node and returns a callback invoked when the attempt finishes
+	// (nil to skip). reduceWriter wraps the attempt's DFS output writer,
+	// the injection point for induced write failures.
 	reduceHook   func(part, attempt int, node string) func()
 	reduceWriter func(part, attempt int, node string, w io.Writer) io.Writer
 }
@@ -151,11 +163,8 @@ func (c *Config) withDefaults() Config {
 	if out.StragglerFactor <= 0 {
 		out.StragglerFactor = 1.5
 	}
-	if out.MonitorInterval <= 0 {
-		out.MonitorInterval = 5 * time.Millisecond
-	}
 	if out.MaxAttempts <= 0 {
-		out.MaxAttempts = 2
+		out.MaxAttempts = 4
 	}
 	return out
 }
@@ -191,8 +200,8 @@ type Counters struct {
 	Retries            int64 // attempts re-run after errors (map and reduce)
 	ShuffleBytes       int64 // intermediate volume fed to reducers
 	RemoteShuffleBytes int64 // segment bytes fetched from worker shuffle servers
-	SpillRuns          int64 // sorted runs spilled to the DFS by map tasks
-	SpillBytes         int64 // bytes written into spill segment files
+	SpillRuns          int64 // sorted runs map tasks spilled because ShuffleMemory filled
+	SpillBytes         int64 // bytes of those runs (a task's final run is its output, not a spill)
 	MergeStreams       int64 // run streams opened by shuffle merges
 }
 

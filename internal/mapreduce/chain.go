@@ -38,25 +38,6 @@ func RunChain(cluster *dfs.Cluster, stages []Config) ([]*Result, error) {
 	return results, nil
 }
 
-// runMapOnly writes each map task's output directly as
-// OutputDir/part-m-NNNNN — Hadoop's NumReduceTasks=0 semantics. Each
-// partition's runs (spilled and in-memory) are merged back into one
-// sorted sequence and streamed through a dfs.FileWriter, so a
-// map-only job produces the same bytes whether or not it spilled.
-func (e *engine) runMapOnly() ([]string, error) {
-	outputs := make([]string, len(e.mapOut))
-	for t, out := range e.mapOut {
-		name := fmt.Sprintf("%s/part-m-%05d", trimDir(e.cfg.OutputDir), t)
-		node := e.nodes[t%len(e.nodes)]
-		if err := e.rt.writeMapOutput(name, node, t, out); err != nil {
-			_ = e.rt.store.Delete(name)
-			return nil, err
-		}
-		outputs[t] = name
-	}
-	return outputs, nil
-}
-
 func trimDir(dir string) string {
 	for len(dir) > 0 && dir[len(dir)-1] == '/' {
 		dir = dir[:len(dir)-1]

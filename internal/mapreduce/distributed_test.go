@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/dfs"
 	"repro/internal/mrpc"
+	"repro/internal/units"
 )
 
 // testTemplates is the registry distributed tests share: wordcount
@@ -22,6 +23,15 @@ func testTemplates() Registry {
 				Combiner: sumReducer,
 				Format:   TextInput,
 				Locality: true,
+			}, nil
+		},
+		"wc-once": func(mrpc.JobSpec) (Config, error) { // a task's first failure fails the job
+			return Config{
+				Mapper:      wordCountMapper,
+				Reducer:     sumReducer,
+				Combiner:    sumReducer,
+				Format:      TextInput,
+				MaxAttempts: 1,
 			}, nil
 		},
 		"wc-spec": func(mrpc.JobSpec) (Config, error) {
@@ -49,42 +59,11 @@ func testTemplates() Registry {
 	}
 }
 
-func startMaster(t testing.TB, c *dfs.Cluster) *Master {
+// startMaster is the distributed tests' master: a 5 ms beat, the
+// default 8-beat lease.
+func startMaster(t testing.TB, tr transport, c *dfs.Cluster) *Master {
 	t.Helper()
-	m, err := NewMaster(MasterConfig{
-		Cluster:   c,
-		Registry:  testTemplates(),
-		Heartbeat: 5 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(m.Close)
-	return m
-}
-
-// startWorkers launches n workers bound to the cluster; delays maps a
-// worker index to an injected per-record StepDelay (stragglers).
-func startWorkers(t testing.TB, c *dfs.Cluster, m *Master, n int, delays map[int]time.Duration) []*Worker {
-	t.Helper()
-	ws := make([]*Worker, n)
-	for i := range ws {
-		w, err := StartWorker(WorkerConfig{
-			ID:        fmt.Sprintf("w%d", i),
-			Master:    m.URL(),
-			Store:     NewDFSStore(c),
-			Node:      fmt.Sprintf("dn%02d", i%len(c.DataNodes())),
-			Slots:     2,
-			Registry:  testTemplates(),
-			StepDelay: delays[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(w.Close)
-		ws[i] = w
-	}
-	return ws
+	return tr.startMaster(t, MasterConfig{Cluster: c, Heartbeat: 5 * time.Millisecond})
 }
 
 func waitJob(t *testing.T, j *Job) *Result {
@@ -137,258 +116,211 @@ func wcCorpus(n int) []string {
 }
 
 // TestDistributedByteIdentity is the core acceptance check: the same
-// job, same spill budget, run through the single-process engine and
-// through master + 4 workers, must produce byte-identical part files
-// — the merge tie-break and spill-all invariants crossing the wire
-// intact.
+// job, spilling under a 1 KiB budget and not at all, run through Run
+// and through a master + 4 workers on either transport, must produce
+// the part files the single-process engine wrote before it was deleted
+// (golden_test.go) — the merge tie-break and spill-all invariants
+// crossing the wire intact.
 func TestDistributedByteIdentity(t *testing.T) {
+	for shape, budget := range map[string]int64{"byte-identity": 1024, "unspilled": 0} {
+		t.Run(shape, func(t *testing.T) { byteIdentity(t, shape, budget) })
+	}
+}
+
+func byteIdentity(t *testing.T, shape string, budget int64) {
 	c := testCluster(4, 256)
 	if err := writeCorpus(c, "/in/doc", wcCorpus(300)); err != nil {
 		t.Fatal(err)
 	}
-	// Single-process reference, spilling (1 KiB budget).
 	ref, err := Run(c, Config{
-		Name: "wc", Inputs: []string{"/in/doc"}, OutputDir: "/out/sp",
+		Name: "wc", Inputs: []string{"/in/doc"}, OutputDir: "/out/run",
 		Mapper: wordCountMapper, Reducer: sumReducer, Combiner: sumReducer,
-		NumReducers: 3, Locality: true, ShuffleMemory: 1024,
+		NumReducers: 3, Locality: true, ShuffleMemory: units.Bytes(budget),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	m := startMaster(t, c)
-	startWorkers(t, c, m, 4, nil)
-	j, err := m.Submit(mrpc.JobSpec{
-		Name: "wc", Inputs: []string{"/in/doc"}, OutputDir: "/out/dist",
-		NumReducers: 3, ShuffleMemory: 1024,
-	}, "bio")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := waitJob(t, j)
-
-	want := readParts(t, c, ref.OutputFiles)
-	got := readParts(t, c, res.OutputFiles)
-	if len(got) != len(want) {
-		t.Fatalf("distributed wrote %d parts, reference %d", len(got), len(want))
-	}
-	for name, wb := range want {
-		if string(got[name]) != string(wb) {
-			t.Errorf("%s differs from single-process output", name)
+	checkGolden(t, shape, c, ref.OutputFiles)
+	eachTransport(t, func(t *testing.T, tr transport) {
+		m := startMaster(t, tr, c)
+		tr.startWorkers(t, c, m, 4, nil)
+		out := "/out/" + tr.name
+		res := waitJob(t, submit(t, m, mrpc.JobSpec{
+			Name: "wc", Inputs: []string{"/in/doc"}, OutputDir: out,
+			NumReducers: 3, ShuffleMemory: budget,
+		}))
+		checkGolden(t, shape, c, res.OutputFiles)
+		if res.Counters.InputRecords != ref.Counters.InputRecords || res.Counters.OutputRecords != ref.Counters.OutputRecords {
+			t.Errorf("records in/out %d/%d, Run counted %d/%d", res.Counters.InputRecords,
+				res.Counters.OutputRecords, ref.Counters.InputRecords, ref.Counters.OutputRecords)
 		}
-	}
-	if res.Counters.InputRecords != ref.Counters.InputRecords {
-		t.Errorf("input records %d != reference %d",
-			res.Counters.InputRecords, ref.Counters.InputRecords)
-	}
-	if res.Counters.OutputRecords != ref.Counters.OutputRecords {
-		t.Errorf("output records %d != reference %d",
-			res.Counters.OutputRecords, ref.Counters.OutputRecords)
-	}
-	if res.Counters.SpillRuns == 0 {
-		t.Error("distributed job spilled no runs; spill path untested")
-	}
-	// Shuffle fetches should have come from worker shuffle servers,
-	// not the DFS fallback, while every worker is alive.
-	if res.Counters.RemoteShuffleBytes == 0 {
-		t.Error("no bytes moved through the network shuffle")
-	}
-	// Committed shuffle state must be gone.
-	for _, f := range c.List("/out/dist/_shuffle") {
-		t.Errorf("leftover shuffle file %s", f.Name)
-	}
+		if (res.Counters.SpillRuns > 0) != (budget > 0) || res.Counters.SpillRuns != ref.Counters.SpillRuns {
+			t.Errorf("%d spill runs under a %d B budget (Run: %d)", res.Counters.SpillRuns, budget, ref.Counters.SpillRuns)
+		}
+		// With a shuffle server on every live worker, segments come
+		// from there, not from the DFS; without sockets, never.
+		if remote := res.Counters.RemoteShuffleBytes > 0; remote != (tr.name == "http") {
+			t.Errorf("%d bytes moved through the network shuffle", res.Counters.RemoteShuffleBytes)
+		}
+		// Committed shuffle state must be gone.
+		for _, f := range c.List(out + "/_shuffle") {
+			t.Errorf("leftover shuffle file %s", f.Name)
+		}
+	})
 }
 
 // TestDistributedMapOnly checks the NumReduceTasks=0 path: attempt
-// files renamed into part-m names identical to the engine's.
+// files renamed into the part-m names and bytes the engine wrote.
 func TestDistributedMapOnly(t *testing.T) {
 	c := testCluster(4, 256)
 	if err := writeCorpus(c, "/in/doc", wcCorpus(120)); err != nil {
 		t.Fatal(err)
 	}
-	ref, err := Run(c, Config{
-		Name: "grep", Inputs: []string{"/in/doc"}, OutputDir: "/out/gsp",
-		Mapper: MapperFunc(func(key string, value []byte, emit Emit) error {
-			if strings.Contains(string(value), "the") {
-				emit(key, value)
-			}
-			return nil
-		}),
-		Format: TextInput, MapOnly: true,
+	grep, err := testTemplates().Resolve(mrpc.JobSpec{Name: "grep-the", Inputs: []string{"/in/doc"}, OutputDir: "/out/run"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := Run(c, grep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "map-only-grep", c, ref.OutputFiles)
+	eachTransport(t, func(t *testing.T, tr transport) {
+		m := startMaster(t, tr, c)
+		tr.startWorkers(t, c, m, 3, nil)
+		res := waitJob(t, submit(t, m, mrpc.JobSpec{Name: "grep-the", Inputs: []string{"/in/doc"}, OutputDir: "/out/" + tr.name}))
+		checkGolden(t, "map-only-grep", c, res.OutputFiles)
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := startMaster(t, c)
-	startWorkers(t, c, m, 3, nil)
-	j, err := m.Submit(mrpc.JobSpec{
-		Name: "grep-the", Inputs: []string{"/in/doc"}, OutputDir: "/out/gd",
-	}, "bio")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := waitJob(t, j)
-	want := readParts(t, c, ref.OutputFiles)
-	got := readParts(t, c, res.OutputFiles)
-	if len(got) != len(want) {
-		t.Fatalf("distributed wrote %d parts, reference %d", len(got), len(want))
-	}
-	for name, wb := range want {
-		if string(got[name]) != string(wb) {
-			t.Errorf("%s differs from single-process output", name)
-		}
-	}
 }
 
 // TestDistributedWorkerKill kills half the fleet mid-job. The master
 // must detect the missed heartbeats, re-queue the dead workers' work
 // (re-running committed maps only if their spill files are really
-// unreachable), and finish with output identical to a clean run.
+// unreachable), and finish with the output of a clean run.
 func TestDistributedWorkerKill(t *testing.T) {
-	c := testCluster(4, 128)
-	if err := writeCorpus(c, "/in/doc", wcCorpus(400)); err != nil {
-		t.Fatal(err)
-	}
-	ref, err := Run(c, Config{
-		Name: "wc", Inputs: []string{"/in/doc"}, OutputDir: "/out/ksp",
-		Mapper: wordCountMapper, Reducer: sumReducer, Combiner: sumReducer,
-		NumReducers: 2, Locality: true, ShuffleMemory: 2048,
+	eachTransport(t, func(t *testing.T, tr transport) {
+		c := testCluster(4, 128)
+		if err := writeCorpus(c, "/in/doc", wcCorpus(400)); err != nil {
+			t.Fatal(err)
+		}
+		m := startMaster(t, tr, c)
+		// Slow every record slightly so the job outlives the kills.
+		slow := map[int]time.Duration{}
+		for i := 0; i < 4; i++ {
+			slow[i] = 100 * time.Microsecond
+		}
+		ws := tr.startWorkers(t, c, m, 4, slow)
+		j := submit(t, m, mrpc.JobSpec{
+			Name: "wc", Inputs: []string{"/in/doc"}, OutputDir: "/out/kd",
+			NumReducers: 2, ShuffleMemory: 2048,
+		})
+		time.Sleep(30 * time.Millisecond) // let tasks land on every worker
+		ws[1].Kill()
+		ws[3].Kill()
+		res := waitJob(t, j)
+		checkGolden(t, "worker-kill", c, res.OutputFiles)
+		deadline := time.Now().Add(2 * time.Second)
+		for {
+			if live := m.LiveWorkers(); len(live) == 2 {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("master still counts %v live", m.LiveWorkers())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := startMaster(t, c)
-	// Slow every record slightly so the job outlives the kills.
-	slow := map[int]time.Duration{}
-	for i := 0; i < 4; i++ {
-		slow[i] = 100 * time.Microsecond
-	}
-	ws := startWorkers(t, c, m, 4, slow)
-	j, err := m.Submit(mrpc.JobSpec{
-		Name: "wc", Inputs: []string{"/in/doc"}, OutputDir: "/out/kd",
-		NumReducers: 2, ShuffleMemory: 2048,
-	}, "bio")
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(30 * time.Millisecond) // let tasks land on every worker
-	ws[1].Kill()
-	ws[3].Kill()
-	res := waitJob(t, j)
-	want := readParts(t, c, ref.OutputFiles)
-	got := readParts(t, c, res.OutputFiles)
-	for name, wb := range want {
-		if string(got[name]) != string(wb) {
-			t.Errorf("%s differs from clean run after worker kills", name)
-		}
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		if live := m.LiveWorkers(); len(live) == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("master still counts %v live", m.LiveWorkers())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
 }
 
 // TestDistributedSpeculation runs one worker at ~1% speed. The master
 // must project the straggler from its progress rate, launch a bounded
-// backup, and commit whichever attempt finishes first — with output
-// identical to an unhampered run.
+// backup, and commit whichever attempt finishes first — with the
+// output of an unhampered run.
 func TestDistributedSpeculation(t *testing.T) {
-	c := testCluster(4, 256)
-	if err := writeCorpus(c, "/in/doc", wcCorpus(300)); err != nil {
-		t.Fatal(err)
-	}
-	m := startMaster(t, c)
-	// Three healthy workers plus one single-slot straggler. The
-	// sleep-based delay is sized so the straggler's first map is
-	// still running long after the healthy workers drain the rest of
-	// the queue — even under -race, which slows their compute but
-	// not this sleep — so there is always a committed median to
-	// project against and a straggler alive past it. One slot keeps
-	// the test deterministic the other way too: the straggler cannot
-	// absorb a whole phase, whose siblings then never commit.
-	startWorkers(t, c, m, 3, nil)
-	slow, err := StartWorker(WorkerConfig{
-		ID:        "w-slow",
-		Master:    m.URL(),
-		Store:     NewDFSStore(c),
-		Node:      "dn03",
-		Slots:     1,
-		Registry:  testTemplates(),
-		StepDelay: 30 * time.Millisecond,
+	eachTransport(t, func(t *testing.T, tr transport) {
+		c := testCluster(4, 256)
+		if err := writeCorpus(c, "/in/doc", wcCorpus(300)); err != nil {
+			t.Fatal(err)
+		}
+		m := startMaster(t, tr, c)
+		// Three healthy workers plus one single-slot straggler. The
+		// sleep-based delay is sized so the straggler's first map is
+		// still running long after the healthy workers drain the rest of
+		// the queue — even under -race, which slows their compute but
+		// not this sleep — so there is always a committed median to
+		// project against and a straggler alive past it. One slot keeps
+		// the test deterministic the other way too: the straggler cannot
+		// absorb a whole phase, whose siblings then never commit.
+		tr.startWorkers(t, c, m, 3, nil)
+		slow, err := tr.worker(m, WorkerConfig{
+			ID:        "w-slow",
+			Store:     NewDFSStore(c),
+			Node:      "dn03",
+			Slots:     1,
+			Registry:  testTemplates(),
+			StepDelay: 30 * time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(slow.Close)
+		j := submit(t, m, mrpc.JobSpec{
+			Name: "wc-spec", Inputs: []string{"/in/doc"}, OutputDir: "/out/spec",
+			NumReducers: 2,
+		})
+		res := waitJob(t, j)
+		checkGolden(t, "speculation", c, res.OutputFiles)
+		if res.Counters.SpecLaunched == 0 {
+			t.Error("no speculative attempt launched against a 100x straggler")
+		}
+		specCap := int64(2)
+		if n := int64(len(j.maps)+len(j.reduces)) / 4; n > specCap {
+			specCap = n
+		}
+		if res.Counters.SpecLaunched > specCap {
+			t.Errorf("speculative attempts %d exceed cap %d", res.Counters.SpecLaunched, specCap)
+		}
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(slow.Close)
-	j, err := m.Submit(mrpc.JobSpec{
-		Name: "wc-spec", Inputs: []string{"/in/doc"}, OutputDir: "/out/spec",
-		NumReducers: 2,
-	}, "bio")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := waitJob(t, j)
-	got, err := ReadTextOutput(c, res.OutputFiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got["fish"]) != 1 {
-		t.Fatalf("bad output: %v", got)
-	}
-	if res.Counters.SpecLaunched == 0 {
-		t.Error("no speculative attempt launched against a 100x straggler")
-	}
-	specCap := int64(2)
-	if n := int64(len(j.maps)+len(j.reduces)) / 4; n > specCap {
-		specCap = n
-	}
-	if res.Counters.SpecLaunched > specCap {
-		t.Errorf("speculative attempts %d exceed cap %d", res.Counters.SpecLaunched, specCap)
-	}
 }
 
 // TestDistributedFairShare runs two tenants with 3:1 weights over a
 // saturated fleet and checks the weighted tenant finishes first while
 // both produce correct output.
 func TestDistributedFairShare(t *testing.T) {
-	c := testCluster(4, 128)
-	if err := writeCorpus(c, "/in/a", wcCorpus(200)); err != nil {
-		t.Fatal(err)
-	}
-	if err := writeCorpus(c, "/in/b", wcCorpus(200)); err != nil {
-		t.Fatal(err)
-	}
-	m := startMaster(t, c)
-	startWorkers(t, c, m, 2, map[int]time.Duration{0: 50 * time.Microsecond, 1: 50 * time.Microsecond})
-	m.SetTenantWeight("heavy", 3)
-	m.SetTenantWeight("light", 1)
-	ja, err := m.Submit(mrpc.JobSpec{
-		Name: "wc", Inputs: []string{"/in/a"}, OutputDir: "/out/fa", NumReducers: 2,
-	}, "heavy")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jb, err := m.Submit(mrpc.JobSpec{
-		Name: "wc", Inputs: []string{"/in/b"}, OutputDir: "/out/fb", NumReducers: 2,
-	}, "light")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra := waitJob(t, ja)
-	rb := waitJob(t, jb)
-	if ra.Counters.OutputRecords == 0 || rb.Counters.OutputRecords == 0 {
-		t.Fatal("a tenant produced no output")
-	}
-	if ra.Counters.OutputRecords != rb.Counters.OutputRecords {
-		t.Errorf("identical corpora produced %d vs %d output records",
-			ra.Counters.OutputRecords, rb.Counters.OutputRecords)
-	}
+	eachTransport(t, func(t *testing.T, tr transport) {
+		c := testCluster(4, 128)
+		if err := writeCorpus(c, "/in/a", wcCorpus(200)); err != nil {
+			t.Fatal(err)
+		}
+		if err := writeCorpus(c, "/in/b", wcCorpus(200)); err != nil {
+			t.Fatal(err)
+		}
+		m := startMaster(t, tr, c)
+		tr.startWorkers(t, c, m, 2, map[int]time.Duration{0: 50 * time.Microsecond, 1: 50 * time.Microsecond})
+		m.SetTenantWeight("heavy", 3)
+		m.SetTenantWeight("light", 1)
+		ja, err := m.Submit(mrpc.JobSpec{
+			Name: "wc", Inputs: []string{"/in/a"}, OutputDir: "/out/fa", NumReducers: 2,
+		}, "heavy")
+		if err != nil {
+			t.Fatal(err)
+		}
+		jb, err := m.Submit(mrpc.JobSpec{
+			Name: "wc", Inputs: []string{"/in/b"}, OutputDir: "/out/fb", NumReducers: 2,
+		}, "light")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ra := waitJob(t, ja)
+		rb := waitJob(t, jb)
+		if ra.Counters.OutputRecords == 0 || rb.Counters.OutputRecords == 0 {
+			t.Fatal("a tenant produced no output")
+		}
+		if ra.Counters.OutputRecords != rb.Counters.OutputRecords {
+			t.Errorf("identical corpora produced %d vs %d output records",
+				ra.Counters.OutputRecords, rb.Counters.OutputRecords)
+		}
+	})
 }
 
 // TestProxyStore exercises the out-of-process storage path: create,
@@ -396,7 +328,7 @@ func TestDistributedFairShare(t *testing.T) {
 // proxy endpoints.
 func TestProxyStore(t *testing.T) {
 	c := testCluster(3, 64)
-	m := startMaster(t, c)
+	m := startMaster(t, transports[0], c)
 	ps := NewProxyStore(context.Background(), m.URL())
 
 	w, err := ps.Create("/px/file", "")
@@ -454,7 +386,7 @@ func TestDistributedProxyWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := startMaster(t, c)
+	m := startMaster(t, transports[0], c)
 	for i := 0; i < 2; i++ {
 		w, err := StartWorker(WorkerConfig{
 			ID:       fmt.Sprintf("pw%d", i),

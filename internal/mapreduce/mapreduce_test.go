@@ -370,7 +370,7 @@ func TestSpeculativeExecution(t *testing.T) {
 	res, err := Run(c, Config{
 		Inputs: []string{"/in/s"}, OutputDir: "/out/s",
 		Mapper: wordCountMapper, Reducer: sumReducer,
-		Speculative: true, StragglerFactor: 1.5, MonitorInterval: 2 * time.Millisecond,
+		Speculative: true, StragglerFactor: 1.5,
 		SlotsPerNode: 1,
 		TaskDelay: func(node string, task int) time.Duration {
 			if node == "dn00" {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -18,14 +19,16 @@ import (
 	"repro/internal/units"
 )
 
-// Master is the distributed job tracker: it owns job and task state
-// machines, leases tasks to registered workers over the mrpc plane,
-// detects worker death by missed heartbeats, re-executes lost work,
-// launches speculative backups for stragglers, and arbitrates
+// Master is the job tracker, and the only scheduler: it owns job and
+// task state machines, leases tasks to registered workers, detects
+// worker death by missed heartbeats, re-executes lost work, launches
+// speculative backups for stragglers, and arbitrates
 // first-finisher-wins commits (rename of attempt-scoped output files,
-// so a superseded attempt can never clobber a committed one). It also
-// serves a DFS proxy so out-of-process workers reach the cluster's
-// storage through the same address they heartbeat to.
+// so a superseded attempt can never clobber a committed one). It is an
+// mrpc.Control: workers in its own process call Register, Heartbeat
+// and Complete directly (Run), and NewMaster also serves them over
+// HTTP, beside a DFS proxy so out-of-process workers reach the
+// cluster's storage through the same address they heartbeat to.
 //
 // Scheduling is multi-job fair-share: each heartbeat's free slots go
 // to the runnable job with the smallest running-slots/weight ratio,
@@ -39,7 +42,7 @@ import (
 type Master struct {
 	cfg   MasterConfig
 	store Store
-	srv   *mrpc.Server
+	srv   *mrpc.Server // nil without a listener (Run)
 
 	mu      sync.Mutex
 	workers map[string]*mWorker
@@ -68,9 +71,6 @@ type MasterConfig struct {
 	// presumed dead and its in-flight attempts are re-queued
 	// (default 8× Heartbeat).
 	Lease time.Duration
-	// MaxTaskFailures is the per-task error budget before the job
-	// fails (default 4). Worker deaths re-queue without burning it.
-	MaxTaskFailures int
 	// ShuffleMemory is the default spill budget for jobs that do not
 	// set one.
 	ShuffleMemory units.Bytes
@@ -87,9 +87,6 @@ func (c MasterConfig) withDefaults() MasterConfig {
 	}
 	if c.Lease <= 0 {
 		c.Lease = 8 * c.Heartbeat
-	}
-	if c.MaxTaskFailures <= 0 {
-		c.MaxTaskFailures = 4
 	}
 	if c.Registry == nil {
 		c.Registry = Builtin()
@@ -109,22 +106,11 @@ type mWorker struct {
 	attempts map[mrpc.AttemptID]*mAttempt
 }
 
-// runsPhase reports whether the worker already runs an attempt of
-// the given job's phase.
-func (w *mWorker) runsPhase(job, phase string) bool {
+// runs reports whether the worker already runs an attempt of the
+// job's phase — of that very task, unless task is negative.
+func (w *mWorker) runs(job, phase string, task int) bool {
 	for id := range w.attempts {
-		if id.Job == job && id.Phase == phase {
-			return true
-		}
-	}
-	return false
-}
-
-// runsTask reports whether the worker already runs an attempt of the
-// exact task.
-func (w *mWorker) runsTask(key mrpc.TaskKey) bool {
-	for id := range w.attempts {
-		if id.Job == key.Job && id.Phase == key.Phase && id.Task == key.Task {
+		if id.Job == job && id.Phase == phase && (task < 0 || id.Task == task) {
 			return true
 		}
 	}
@@ -185,6 +171,23 @@ type Job struct {
 
 // NewMaster starts a master and its control-plane server.
 func NewMaster(cfg MasterConfig) (*Master, error) {
+	m, err := newMaster(cfg)
+	if err != nil {
+		return nil, err
+	}
+	mux := http.NewServeMux()
+	mrpc.Mount(mux, m)
+	m.mountProxy(mux)
+	if m.srv, err = mrpc.Serve(m.cfg.Addr, mux); err != nil {
+		m.Close()
+		return nil, err
+	}
+	return m, nil
+}
+
+// newMaster starts a master nobody can dial: the workers of its own
+// process hold it as their mrpc.Control.
+func newMaster(cfg MasterConfig) (*Master, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Cluster == nil {
 		return nil, errors.New("mapreduce: master needs a cluster")
@@ -198,23 +201,15 @@ func NewMaster(cfg MasterConfig) (*Master, error) {
 		weights: make(map[string]int),
 		stopMon: make(chan struct{}),
 	}
-	mux := http.NewServeMux()
-	mrpc.Handle(mux, mrpc.PathRegister, m.handleRegister)
-	mrpc.Handle(mux, mrpc.PathHeartbeat, m.handleHeartbeat)
-	mrpc.Handle(mux, mrpc.PathComplete, m.handleComplete)
-	m.mountProxy(mux)
-	srv, err := mrpc.Serve(cfg.Addr, mux)
-	if err != nil {
-		return nil, err
-	}
-	m.srv = srv
 	m.monWG.Add(1)
 	go m.monitor()
 	return m, nil
 }
 
-// URL is the master's control-plane base URL.
+// URL is the control-plane base URL of a master NewMaster started.
 func (m *Master) URL() string { return m.srv.URL() }
+
+var _ mrpc.Control = (*Master)(nil)
 
 // Close stops the monitor and the server. Running jobs fail, and
 // every parked poll is answered first, so the server's shutdown finds
@@ -233,7 +228,9 @@ func (m *Master) Close() {
 	m.mu.Unlock()
 	close(m.stopMon)
 	m.monWG.Wait()
-	m.srv.Close()
+	if m.srv != nil {
+		m.srv.Close()
+	}
 }
 
 // SetTenantWeight sets a tenant's fair-share weight (default 1);
@@ -322,8 +319,8 @@ func (m *Master) Submit(spec mrpc.JobSpec, tenant string) (*Job, error) {
 		cfg.ShuffleMemory = m.cfg.ShuffleMemory
 	}
 	// Stamp the resolved shape back into the spec so every worker
-	// resolves the identical config (and spill boundaries match the
-	// single-process engine byte for byte).
+	// resolves the identical config (spill boundaries, and with them
+	// the merge order, must not depend on who resolved it).
 	spec.NumReducers = cfg.NumReducers
 	spec.ShuffleMemory = int64(cfg.ShuffleMemory)
 	splits, err := buildSplits(m.cfg.Cluster, cfg.Inputs)
@@ -400,15 +397,23 @@ func (j *Job) Wait() (*Result, error) {
 
 // ---- protocol handlers ----
 
-func (m *Master) handleRegister(_ context.Context, req *mrpc.RegisterRequest) (*mrpc.RegisterReply, error) {
+// Register implements mrpc.Control.
+func (m *Master) Register(_ context.Context, req *mrpc.RegisterRequest) (*mrpc.RegisterReply, error) {
 	if req.Worker == "" || req.Slots <= 0 {
 		return nil, errors.New("mapreduce: register needs worker id and slots")
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Re-registration (fresh worker, or one back from presumed death)
-	// starts clean: any attempts tracked under the old incarnation
-	// were already re-queued when it was declared dead.
+	if m.closed {
+		return nil, errMasterClosed
+	}
+	// Re-registration starts clean. A previous incarnation still inside
+	// its lease (a worker restarted faster than the lease) is dead all
+	// the same: its attempts are struck and re-queued now, or they would
+	// sit in their tasks' running sets for ever.
+	if prev, ok := m.workers[req.Worker]; ok && prev.alive {
+		m.declareDeadLocked(prev)
+	}
 	m.workers[req.Worker] = &mWorker{
 		id:       req.Worker,
 		addr:     req.Addr,
@@ -424,27 +429,29 @@ func (m *Master) handleRegister(_ context.Context, req *mrpc.RegisterRequest) (*
 	}, nil
 }
 
-// handleHeartbeat renews the worker's lease and answers with kill
-// orders and up to Free assignments. A heartbeat that offers free
-// slots and gets neither parks until wakeLocked or one Heartbeat
-// interval — the worker then beats again at once, so it is heard from
-// as often as its ticker had it and lease arithmetic is unchanged. A
-// caller that hung up while parked is handed nothing: tasks assigned
-// into a closed connection would sit out a full lease.
-func (m *Master) handleHeartbeat(ctx context.Context, req *mrpc.HeartbeatRequest) (*mrpc.HeartbeatReply, error) {
+// Heartbeat implements mrpc.Control: it renews the worker's lease and
+// answers with kill orders and up to Free assignments — never past the
+// slots the worker registered with, whatever it claims. A heartbeat
+// that offers free slots and gets neither parks until wakeLocked or one
+// Heartbeat interval — the worker then beats again at once, so it is
+// heard from as often as its ticker had it and lease arithmetic is
+// unchanged. A caller whose context ended while parked (it hung up, or
+// its deadline passed) is handed nothing: tasks assigned to nobody
+// would sit out a full lease.
+func (m *Master) Heartbeat(ctx context.Context, req *mrpc.HeartbeatRequest) (*mrpc.HeartbeatReply, error) {
 	var timeout <-chan time.Time
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	report := req.Running // read once, on arrival
 	for expired := false; ; {
+		if m.closed {
+			return nil, errMasterClosed
+		}
 		w, ok := m.workers[req.Worker]
 		if !ok || !w.alive {
 			// Presumed dead (or never registered): the lease machinery
 			// already re-queued its work; make it start over.
 			return &mrpc.HeartbeatReply{Unknown: true}, nil
-		}
-		if m.closed {
-			return nil, errMasterClosed
 		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -462,7 +469,7 @@ func (m *Master) handleHeartbeat(ctx context.Context, req *mrpc.HeartbeatRequest
 			}
 		}
 		report = nil
-		for n := req.Free; n > 0; n-- {
+		for n := min(req.Free, w.slots-len(w.attempts)); n > 0; n-- {
 			a, ok := m.assignLocked(w)
 			if !ok {
 				break
@@ -493,7 +500,7 @@ func (m *Master) handleHeartbeat(ctx context.Context, req *mrpc.HeartbeatRequest
 
 // wakeLocked answers the parked polls; each re-runs its assignment and
 // parks again if it still has nothing. Everything that can make a task
-// runnable or raise a kill order ends in it: Submit, handleComplete,
+// runnable or raise a kill order ends in it: Submit, Complete,
 // a worker declared dead, a speculative backup queued, Close.
 func (m *Master) wakeLocked() {
 	if m.parked > 0 {
@@ -594,7 +601,7 @@ func (j *Job) takeLocked(w *mWorker, others bool) (mrpc.Assignment, bool) {
 		// mapOutputsLocked without that map's runs and silently merge
 		// an incomplete input set.
 		idx = j.pendingReds[0]
-		if others && w.runsPhase(j.ID, mrpc.PhaseReduce) {
+		if others && w.runs(j.ID, mrpc.PhaseReduce, -1) {
 			t := &j.reduces[idx]
 			now := time.Now()
 			if t.deferUntil.IsZero() {
@@ -609,7 +616,7 @@ func (j *Job) takeLocked(w *mWorker, others bool) (mrpc.Assignment, bool) {
 		j.reduces[idx].queued = false
 	} else if len(j.specQ) > 0 {
 		key := j.specQ[0]
-		if w.runsTask(key) {
+		if w.runs(key.Job, key.Phase, key.Task) {
 			// A backup raced on the straggler itself is no backup.
 			return mrpc.Assignment{}, false
 		}
@@ -684,16 +691,30 @@ func (j *Job) mapOutputsLocked() []mrpc.MapOutputRef {
 	return out
 }
 
+// task returns the named task, nil when the job has none such — IDs
+// arrive off the wire.
 func (j *Job) task(phase string, idx int) *mTask {
-	if phase == mrpc.PhaseMap {
-		return &j.maps[idx]
+	tasks := j.maps
+	switch phase {
+	case mrpc.PhaseMap:
+	case mrpc.PhaseReduce:
+		tasks = j.reduces
+	default:
+		return nil
 	}
-	return &j.reduces[idx]
+	if idx < 0 || idx >= len(tasks) {
+		return nil
+	}
+	return &tasks[idx]
 }
 
-func (m *Master) handleComplete(_ context.Context, req *mrpc.CompleteRequest) (*mrpc.CompleteReply, error) {
+// Complete implements mrpc.Control.
+func (m *Master) Complete(_ context.Context, req *mrpc.CompleteRequest) (*mrpc.CompleteReply, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closed {
+		return nil, errMasterClosed
+	}
 	// Commit and enqueue reduces, kill siblings, re-queue, settle, or
 	// only free this worker to take a reduce it had yielded: whatever
 	// happens below, someone may have work or orders now.
@@ -703,6 +724,9 @@ func (m *Master) handleComplete(_ context.Context, req *mrpc.CompleteRequest) (*
 		return &mrpc.CompleteReply{}, nil
 	}
 	t := j.task(req.ID.Phase, req.ID.Task)
+	if t == nil {
+		return nil, &mrpc.Error{Code: mrpc.CodeBadRequest, Msg: fmt.Sprintf("%v names no task of its job", req.ID)}
+	}
 	att, tracked := t.running[req.ID.Attempt]
 	if tracked {
 		delete(t.running, req.ID.Attempt)
@@ -718,14 +742,11 @@ func (m *Master) handleComplete(_ context.Context, req *mrpc.CompleteRequest) (*
 	}
 	if req.Err != "" {
 		j.handleLostMaps(req.LostMaps)
-		t.failures++
-		j.ctr.add(&j.ctr.Retries, 1)
-		if t.failures >= m.cfg.MaxTaskFailures {
-			j.fail(fmt.Errorf("mapreduce: %s task %d failed %d times: %s",
-				req.ID.Phase, req.ID.Task, t.failures, req.Err))
-		} else {
-			j.requeue(req.ID.Phase, req.ID.Task)
+		cause := req.Cause
+		if cause == nil {
+			cause = errors.New(req.Err)
 		}
+		j.attemptFailed(req.ID, t, cause)
 		return &mrpc.CompleteReply{}, nil
 	}
 	// First finisher wins. Reduce and map-only output commits by
@@ -734,13 +755,7 @@ func (m *Master) handleComplete(_ context.Context, req *mrpc.CompleteRequest) (*
 	if req.OutFile != "" {
 		final := strings.TrimSuffix(req.OutFile, fmt.Sprintf(".a%d", req.ID.Attempt))
 		if err := m.store.Rename(req.OutFile, final); err != nil {
-			t.failures++
-			j.ctr.add(&j.ctr.Retries, 1)
-			if t.failures >= m.cfg.MaxTaskFailures {
-				j.fail(fmt.Errorf("mapreduce: commit %s: %w", req.OutFile, err))
-			} else {
-				j.requeue(req.ID.Phase, req.ID.Task)
-			}
+			j.attemptFailed(req.ID, t, fmt.Errorf("commit %s: %w", req.OutFile, err))
 			return &mrpc.CompleteReply{}, nil
 		}
 		t.outFile = final
@@ -775,6 +790,19 @@ func (m *Master) handleComplete(_ context.Context, req *mrpc.CompleteRequest) (*
 		}
 	}
 	return &mrpc.CompleteReply{Accepted: true}, nil
+}
+
+// attemptFailed charges one failed attempt to its task's error budget
+// (Config.MaxAttempts; a worker's death re-queues without touching it):
+// the task is re-queued, or the budget is spent and the job fails.
+func (j *Job) attemptFailed(id mrpc.AttemptID, t *mTask, cause error) {
+	t.failures++
+	if t.failures >= j.cfg.MaxAttempts {
+		j.fail(fmt.Errorf("mapreduce: %s task %d failed after %d attempts: %w", id.Phase, id.Task, t.failures, cause))
+		return
+	}
+	j.ctr.add(&j.ctr.Retries, 1)
+	j.requeue(id.Phase, id.Task)
 }
 
 // handleLostMaps resurrects committed map tasks whose spill runs a
@@ -1017,6 +1045,12 @@ func (j *Job) speculateLocked(now time.Time) {
 			return
 		}
 	}
+}
+
+func medianDuration(ds []time.Duration) time.Duration {
+	cp := slices.Clone(ds)
+	slices.Sort(cp)
+	return cp[len(cp)/2]
 }
 
 // ---- DFS proxy: storage access for out-of-process workers ----

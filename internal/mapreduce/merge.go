@@ -1,10 +1,12 @@
 package mapreduce
 
-import "container/heap"
+import "strings"
 
 // The shuffle merge: every committed map task contributes its runs
-// for one partition — spilled segments streamed from the DFS plus the
-// final in-memory run — and a k-way heap merge interleaves them into
+// for one partition — segments streamed from the DFS or fetched from
+// the mapper's worker, plus, for a map-only task merging its own
+// output, the final in-memory run — and a k-way heap merge interleaves
+// them into
 // one key-ordered record stream. Ties on the key break by (task, run)
 // sequence, which makes the merged value order per key exactly
 // (map task index, emission order): the same order the pure in-memory
@@ -13,10 +15,11 @@ import "container/heap"
 
 // kvStream yields one run's records in sorted order. next reports
 // ok=false at end of run; returned slices stay valid after the next
-// call (memory runs point into task arenas, spill cursors decode into
-// chunked arenas).
+// call (memory runs point into task arenas, spill cursors into chunks
+// they never rewrite).
 type kvStream interface {
 	next() (key string, val []byte, ok bool, err error)
+	close() // releases the run file, if the stream holds one
 }
 
 // memStream cursors over an in-memory run.
@@ -34,12 +37,20 @@ func (s *memStream) next() (string, []byte, bool, error) {
 	return p.key, p.val, true, nil
 }
 
+func (s *memStream) close() {}
+
 // mergeSource is one run stream plus its deterministic tie-break
 // position: the owning map task's index and the run's index within
 // that task (spills in spill order, the in-memory run last).
 type mergeSource struct {
 	s         kvStream
 	task, run int
+}
+
+func closeSources(srcs []mergeSource) {
+	for _, sc := range srcs {
+		sc.s.close()
+	}
 }
 
 // mergeItem is a heap entry: the head record of one run stream.
@@ -50,23 +61,10 @@ type mergeItem struct {
 	task, run int
 }
 
-// merger is the k-way merge heap. It is driven single-goroutine by
-// one reduce (or map-only) task.
-type merger struct {
-	items []*mergeItem
-	bytes int64 // key+value bytes popped; the task's shuffle volume
-}
-
-var _ heap.Interface = (*merger)(nil)
-
-// Len implements heap.Interface.
-func (m *merger) Len() int { return len(m.items) }
-
-// Less implements heap.Interface: key order, ties by (task, run).
-func (m *merger) Less(i, j int) bool {
-	a, b := m.items[i], m.items[j]
-	if a.key != b.key {
-		return a.key < b.key
+// before orders heap entries: key order, ties by (task, run).
+func (a *mergeItem) before(b *mergeItem) bool {
+	if c := strings.Compare(a.key, b.key); c != 0 {
+		return c < 0
 	}
 	if a.task != b.task {
 		return a.task < b.task
@@ -74,20 +72,32 @@ func (m *merger) Less(i, j int) bool {
 	return a.run < b.run
 }
 
-// Swap implements heap.Interface.
-func (m *merger) Swap(i, j int) { m.items[i], m.items[j] = m.items[j], m.items[i] }
+// merger is the k-way merge: a binary min-heap of stream heads, sifted
+// directly rather than through container/heap's interface calls — pop
+// runs once per shuffled record. It is driven single-goroutine by one
+// reduce (or map-only) task.
+type merger struct {
+	items []*mergeItem
+	bytes int64 // key+value bytes popped; the task's shuffle volume
+}
 
-// Push implements heap.Interface.
-func (m *merger) Push(x any) { m.items = append(m.items, x.(*mergeItem)) }
-
-// Pop implements heap.Interface.
-func (m *merger) Pop() any {
-	old := m.items
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	m.items = old[:n-1]
-	return it
+// down restores the heap order below slot i.
+func (m *merger) down(i int) {
+	h := m.items
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // newMerger primes the heap with each stream's head record. Streams
@@ -104,7 +114,9 @@ func newMerger(srcs []mergeSource) (*merger, error) {
 		}
 		m.items = append(m.items, &mergeItem{key: k, val: v, src: sc.s, task: sc.task, run: sc.run})
 	}
-	heap.Init(m)
+	for i := len(m.items)/2 - 1; i >= 0; i-- {
+		m.down(i)
+	}
 	return m, nil
 }
 
@@ -127,17 +139,19 @@ func (m *merger) pop() (string, []byte, error) {
 	}
 	if ok {
 		it.key, it.val = k, v
-		heap.Fix(m, 0)
-	} else {
-		heap.Pop(m)
+	} else { // stream exhausted: the last entry takes its slot
+		last := len(m.items) - 1
+		m.items[0], m.items[last] = m.items[last], nil
+		m.items = m.items[:last]
 	}
+	m.down(0)
 	return key, val, nil
 }
 
 // Values streams one key's values to a StreamReducer in merge order.
 // Slices returned by Next remain valid after subsequent calls, so a
 // reducer may retain them (the Reducer adapter does). After the
-// reducer returns, the engine drains any unconsumed values and checks
+// reducer returns, drainGroups drains any unconsumed values and checks
 // Err, so reducers may stop early.
 type Values struct {
 	m   *merger
@@ -165,7 +179,7 @@ func (v *Values) Next() ([]byte, bool) {
 
 // Err reports a merge read failure (a spill segment that could not be
 // streamed). A reducer that sees Next return false should surface
-// Err; the engine checks it regardless.
+// Err; drainGroups checks it regardless.
 func (v *Values) Err() error { return v.err }
 
 // drain consumes the rest of the group so the merge can advance to

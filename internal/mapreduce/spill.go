@@ -1,11 +1,12 @@
 package mapreduce
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"sync/atomic"
+
+	"repro/internal/mrpc"
 )
 
 // Map-side spilling: when a map task's accumulated intermediate pairs
@@ -17,152 +18,118 @@ import (
 //
 //	uvarint keyLen | uvarint valLen | key bytes | value bytes
 //
-// Per-partition geometry (offset, length, record count) is kept in
-// the engine's spillRun index rather than encoded in the file — the
-// engine that wrote a run is the one that merges it, so the index
-// never needs to survive a process.
+// Per-partition geometry (offset, length, record count) is the run's
+// mrpc.RunRef rather than encoded in the file: it reaches the reducers
+// through the master, so the file never has to describe itself.
 
 // kvOverhead is the accounting cost charged per buffered pair on top
 // of its key and value bytes: the string and slice headers plus sort
 // bookkeeping. It keeps tiny-record jobs honest about their footprint.
 const kvOverhead = 48
 
-// spillReadBuf is each merge cursor's streaming read buffer. Reduce
-// merge memory is O(streams × spillReadBuf + current group).
+// spillReadBuf is how much of a segment a merge cursor reads at a
+// time. Merge memory is O(streams × spillReadBuf + what the reducer
+// still holds).
 const spillReadBuf = 32 * 1024
 
-// shuffleEpoch disambiguates the spill directories of engines that
+// shuffleEpoch disambiguates the spill directories of jobs that
 // share an OutputDir across a process's lifetime (reruns into the
 // same directory, back-to-back benchmark iterations).
 var shuffleEpoch atomic.Int64
 
-// spillSeg locates one partition's segment inside a spill file.
-type spillSeg struct {
-	off     int64
-	length  int64
-	records int
-}
-
-// spillRun is one sorted run on the DFS: the file plus each
-// partition's segment geometry.
-type spillRun struct {
-	file string
-	segs []spillSeg
-}
-
-// taskOutput is a committed map task's intermediate output: spilled
-// runs in spill order followed by the final in-memory run. Merge
-// order within a task is (run index, record index), which equals
-// emission order split across runs — what makes spilled and
-// in-memory jobs byte-identical.
+// taskOutput is a map attempt's intermediate output: runs on the store
+// in spill order followed by the final in-memory run (none once
+// spillAll wrote it out). Merge order within a task is (run index,
+// record index), which equals emission order split across runs — what
+// makes spilled and in-memory jobs byte-identical.
 type taskOutput struct {
 	mem    [][]kv // final run, per partition; sorted (and combined)
-	spills []*spillRun
+	spills []mrpc.RunRef
 }
 
 // writeSpill sorts nothing — parts must already be sorted/combined —
 // and streams one run into a new DFS file via the pooled block
 // writer, returning the run's segment index.
-func (rt *taskRuntime) writeSpill(node string, task int, parts [][]kv) (*spillRun, error) {
-	seq := rt.spillSeq.Add(1)
-	name := fmt.Sprintf("%s/spill-%s%05d-%06d", rt.shufDir, rt.spillTag, task, seq)
-	w, err := rt.store.Create(name, node)
+func (rt *taskRuntime) writeSpill(node string, task int, parts [][]kv) (mrpc.RunRef, error) {
+	rt.spillSeq++
+	run := mrpc.RunRef{
+		File: fmt.Sprintf("%s/spill-%s%05d-%06d", rt.shufDir, rt.spillTag, task, rt.spillSeq),
+		Segs: make([]mrpc.SegRef, len(parts)),
+	}
+	w, err := rt.store.Create(run.File, node)
 	if err != nil {
-		return nil, err
+		return run, err
 	}
-	run := &spillRun{file: name, segs: make([]spillSeg, len(parts))}
-	var scratch []byte
+	buf := rt.spillBuf[:0] // one write buffer per attempt, not per run
+	defer func() { rt.spillBuf = buf }()
 	var off int64
-	for p, pairs := range parts {
-		start := off
-		for _, pr := range pairs {
-			scratch = binary.AppendUvarint(scratch[:0], uint64(len(pr.key)))
-			scratch = binary.AppendUvarint(scratch, uint64(len(pr.val)))
-			scratch = append(scratch, pr.key...)
-			if _, err = w.Write(scratch); err == nil {
-				_, err = w.Write(pr.val)
-			}
-			if err != nil {
-				_ = w.Close()
-				_ = rt.store.Delete(name)
-				return nil, fmt.Errorf("mapreduce: spill %s: %w", name, err)
-			}
-			off += int64(len(scratch) + len(pr.val))
+	flush := func() {
+		if err == nil {
+			_, err = w.Write(buf)
 		}
-		run.segs[p] = spillSeg{off: start, length: off - start, records: len(pairs)}
+		off += int64(len(buf))
+		buf = buf[:0]
 	}
-	if err := w.Close(); err != nil {
-		_ = rt.store.Delete(name)
-		return nil, fmt.Errorf("mapreduce: spill %s: %w", name, err)
+	for p, pairs := range parts {
+		start := off + int64(len(buf))
+		for _, pr := range pairs {
+			buf = binary.AppendUvarint(buf, uint64(len(pr.key)))
+			buf = binary.AppendUvarint(buf, uint64(len(pr.val)))
+			buf = append(append(buf, pr.key...), pr.val...)
+			if len(buf) >= spillReadBuf {
+				flush()
+			}
+		}
+		run.Segs[p] = mrpc.SegRef{Off: start, Len: off + int64(len(buf)) - start, Records: len(pairs)}
 	}
-	rt.ctr.add(&rt.ctr.SpillRuns, 1)
-	rt.ctr.add(&rt.ctr.SpillBytes, off)
+	flush()
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		_ = rt.store.Delete(run.File)
+		return run, fmt.Errorf("mapreduce: spill %s: %w", run.File, err)
+	}
 	return run, nil
 }
 
 // discardOutput deletes an uncommitted attempt's spill files — losing
 // speculative attempts and failed attempts clean up after themselves.
 func (rt *taskRuntime) discardOutput(out *taskOutput) {
-	if out == nil {
-		return
-	}
 	for _, run := range out.spills {
-		_ = rt.store.Delete(run.file)
+		_ = rt.store.Delete(run.File)
 	}
 }
 
-// cleanupShuffle deletes every committed task's spill files once the
-// job is over (success or failure). It holds e.mu because straggler
-// attempts of a failed job may still be finishing: they observe
-// e.failed under the same lock and discard their own output instead
-// of committing, so every spill file has exactly one owner.
-func (e *engine) cleanupShuffle() {
-	if e.rt.spillSeq.Load() == 0 {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, out := range e.mapOut {
-		e.rt.discardOutput(out)
-	}
-}
-
-// spillCursor streams one partition's segment of one spill run in
-// sorted order. Decoded values are allocated from a chunked arena, so
-// slices handed to the merge stay valid after the cursor advances —
-// the contract Values.Next exposes to reducers.
+// spillCursor streams one segment's records in sorted order. It reads
+// the segment a chunk at a time and decodes in place: values alias
+// their chunk, which is never rewritten, so slices handed to the merge
+// stay valid after the cursor advances — the contract Values.Next
+// exposes to reducers. A run repeats its keys, so the key string is
+// allocated once per distinct key.
 type spillCursor struct {
-	r      File // nil for in-memory (fetched) segments
-	br     *bufio.Reader
-	file   string
-	left   int
-	arena  byteArena
-	keyBuf []byte
+	r    io.Reader // the rest of the segment; nil once buf holds it all
+	c    io.Closer // the run file; nil for a fetched segment
+	file string
+	left int    // records not yet returned
+	rest int64  // bytes of the segment not yet read from r
+	buf  []byte // undecoded tail of the current chunk
+	key  string
 }
 
-// openSpillCursor positions a streaming reader over run's segment for
-// partition p. Returns nil for an empty segment.
-func openSpillCursor(store Store, run *spillRun, p int, node string) (*spillCursor, error) {
-	seg := run.segs[p]
-	if seg.records == 0 {
+// openSpillCursor positions a streaming reader over one segment of a
+// run file on the store. Returns nil for an empty segment.
+func openSpillCursor(store Store, file string, seg mrpc.SegRef, node string) (*spillCursor, error) {
+	if seg.Records == 0 {
 		return nil, nil
 	}
-	r, err := store.Open(run.file, node)
+	r, err := store.Open(file, node)
 	if err != nil {
-		return nil, fmt.Errorf("mapreduce: open spill %s: %w", run.file, err)
-	}
-	sec := io.NewSectionReader(r, seg.off, seg.length)
-	// Small segments get right-sized buffers: a merge over thousands
-	// of tiny runs should not cost spillReadBuf each.
-	sz := spillReadBuf
-	if seg.length < int64(sz) {
-		sz = int(seg.length)
+		return nil, fmt.Errorf("mapreduce: open spill %s: %w", file, err)
 	}
 	return &spillCursor{
-		r:    r,
-		br:   bufio.NewReaderSize(sec, sz),
-		file: run.file,
-		left: seg.records,
+		r: io.NewSectionReader(r, seg.Off, seg.Len), c: r,
+		file: file, left: seg.Records, rest: seg.Len,
 	}, nil
 }
 
@@ -170,35 +137,49 @@ func (c *spillCursor) next() (string, []byte, bool, error) {
 	if c.left == 0 {
 		return "", nil, false, nil
 	}
-	kl, err := binary.ReadUvarint(c.br)
-	if err != nil {
-		return "", nil, false, c.corrupt(err)
+	for {
+		need := len(c.buf) + 1
+		kl, n1 := binary.Uvarint(c.buf)
+		if n1 > 0 {
+			vl, n2 := binary.Uvarint(c.buf[n1:])
+			if n2 > 0 {
+				k, end := n1+n2, n1+n2+int(kl)+int(vl)
+				if end <= len(c.buf) {
+					if string(c.buf[k:k+int(kl)]) != c.key {
+						c.key = string(c.buf[k : k+int(kl)])
+					}
+					val := c.buf[k+int(kl) : end : end]
+					c.buf = c.buf[end:]
+					c.left--
+					return c.key, val, true, nil
+				}
+				need = end
+			}
+		}
+		if err := c.fill(need); err != nil {
+			return "", nil, false, fmt.Errorf("mapreduce: spill segment %s: %w", c.file, err)
+		}
 	}
-	vl, err := binary.ReadUvarint(c.br)
-	if err != nil {
-		return "", nil, false, c.corrupt(err)
-	}
-	if cap(c.keyBuf) < int(kl) {
-		c.keyBuf = make([]byte, kl)
-	}
-	kb := c.keyBuf[:kl]
-	if _, err := io.ReadFull(c.br, kb); err != nil {
-		return "", nil, false, c.corrupt(err)
-	}
-	val := c.arena.alloc(int(vl))
-	if _, err := io.ReadFull(c.br, val); err != nil {
-		return "", nil, false, c.corrupt(err)
-	}
-	c.left--
-	return string(kb), val, true, nil
 }
 
-func (c *spillCursor) corrupt(err error) error {
-	return fmt.Errorf("mapreduce: spill segment %s: %w", c.file, err)
+// fill starts a new chunk: the undecoded tail, then enough of the
+// segment to hold need bytes and at least spillReadBuf more of it.
+func (c *spillCursor) fill(need int) error {
+	n := min(c.rest, int64(max(spillReadBuf, need-len(c.buf))))
+	if n == 0 {
+		return io.ErrUnexpectedEOF
+	}
+	chunk := make([]byte, len(c.buf)+int(n))
+	copy(chunk, c.buf)
+	if _, err := io.ReadFull(c.r, chunk[len(c.buf):]); err != nil {
+		return err
+	}
+	c.buf, c.rest = chunk, c.rest-n
+	return nil
 }
 
 func (c *spillCursor) close() {
-	if c.r != nil {
-		_ = c.r.Close()
+	if c.c != nil {
+		_ = c.c.Close()
 	}
 }

@@ -83,6 +83,7 @@ func TestSpillMatchesInMemoryProperty(t *testing.T) {
 			t.Fatalf("trial %d (reducers=%d combiner=%v): spill output differs from in-memory\nmem:   %q\nspill: %q",
 				trial, reducers, withCombiner, memOut, spillOut)
 		}
+		checkGoldenBytes(t, fmt.Sprintf("spill-property/%02d", trial), map[string][]byte{"parts": []byte(memOut)})
 	}
 }
 

@@ -99,7 +99,7 @@ func readTextRecords(store Store, s split, node string,
 	if _, err := r.Seek(s.offset, io.SeekStart); err != nil {
 		return err
 	}
-	br := bufio.NewReaderSize(r, 64*1024)
+	br := bufio.NewReaderSize(r, int(min(64*1024, max(4096, s.length)))) // a small split reads through a small buffer
 	pos := s.offset
 	if s.offset > 0 {
 		skipped, err := br.ReadBytes('\n')

@@ -1,8 +1,6 @@
 package mapreduce
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -213,32 +211,23 @@ func (f *proxyFile) Seek(offset int64, whence int) (int64, error) {
 
 func (f *proxyFile) Close() error { return nil }
 
-// fetchSegment reads one spill segment, preferring the shuffle server
-// of the worker that wrote the run and falling back to the store when
-// that worker is unreachable — the network shuffle with DFS as the
-// durable second copy. remote reports whether bytes came over HTTP.
-func fetchSegment(ctx context.Context, store Store, run mrpc.RunRef, p int, hint string) (data []byte, remote bool, err error) {
+// openSegment returns a cursor over partition p's segment of one run,
+// nil when it is empty: fetched whole from the shuffle server of the
+// worker that wrote the run when it has one, streamed from the run file
+// on the store otherwise and when that worker is unreachable — the
+// network shuffle with the DFS as the durable second copy. remote is
+// the bytes that came over HTTP.
+func openSegment(ctx context.Context, store Store, run mrpc.RunRef, p int, hint string) (cur *spillCursor, remote int64, err error) {
 	seg := run.Segs[p]
-	if seg.Records == 0 {
-		return nil, false, nil
-	}
-	if run.Addr != "" {
-		if data, err = fetchRemoteSegment(ctx, run, seg); err == nil {
-			return data, true, nil
+	if run.Addr != "" && seg.Records > 0 {
+		if data, err := fetchRemoteSegment(ctx, run, seg); err == nil {
+			return &spillCursor{buf: data, left: seg.Records, file: run.File}, seg.Len, nil
 		}
 		// Fall through: the serving worker is gone or refused; the
 		// spill file itself may still be readable from the DFS.
 	}
-	f, err := store.Open(run.File, hint)
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	data = make([]byte, seg.Len)
-	if _, err := f.ReadAt(data, seg.Off); err != nil && err != io.EOF {
-		return nil, false, err
-	}
-	return data, false, nil
+	cur, err = openSpillCursor(store, run.File, seg, hint)
+	return cur, 0, err
 }
 
 func fetchRemoteSegment(ctx context.Context, run mrpc.RunRef, seg mrpc.SegRef) ([]byte, error) {
@@ -247,9 +236,6 @@ func fetchRemoteSegment(ctx context.Context, run mrpc.RunRef, seg mrpc.SegRef) (
 		"file": {run.File},
 		"off":  {strconv.FormatInt(seg.Off, 10)},
 		"len":  {strconv.FormatInt(seg.Len, 10)},
-	}
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	ctx, cancel := context.WithTimeout(ctx, proxyReadTimeout)
 	defer cancel()
@@ -263,14 +249,4 @@ func fetchRemoteSegment(ctx context.Context, run mrpc.RunRef, seg mrpc.SegRef) (
 		return nil, err
 	}
 	return data, nil
-}
-
-// newByteCursor streams a fetched segment's records — the remote
-// twin of openSpillCursor.
-func newByteCursor(data []byte, records int, file string) *spillCursor {
-	return &spillCursor{
-		br:   bufio.NewReader(bytes.NewReader(data)),
-		file: file,
-		left: records,
-	}
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"time"
 )
 
@@ -38,28 +37,73 @@ func stableSortByKey(pairs []kv) {
 	}
 }
 
-// taskRuntime is the execution machinery shared by the in-process
-// engine and the distributed worker: running a mapper over a split
-// with sort-spill under the shuffle budget, combining, writing and
-// reading spill runs, and merging runs back into reducers. The engine
-// binds one runtime per job against the cluster directly; a worker
-// binds one per attempt against its Store (local DFS or the master's
-// proxy) with attempt-scoped spill names and progress/cancel hooks.
+// kv is one intermediate pair. Pairs preserve emission order within a
+// map task, which (together with task-index-ordered merging) makes
+// reduce input deterministic regardless of scheduling.
+type kv struct {
+	key string
+	val []byte
+}
+
+// byteArena copies emitted values into chunked backing arrays so the
+// map hot loop does one allocation per chunk of output — chunks double
+// from 1 KiB to 64 KiB, so a small task makes little garbage — instead
+// of one per record. Arenas are per-attempt and never shared across
+// goroutines.
+type byteArena struct {
+	chunk []byte
+}
+
+const arenaChunkSize = 64 * 1024
+
+// alloc returns an n-byte slice carved from the current chunk. A
+// chunk is only ever appended to, never rewritten, so every returned
+// slice stays valid for as long as its holder keeps it; dropped
+// chunks go to the GC wholesale.
+func (a *byteArena) alloc(n int) []byte {
+	if n == 0 {
+		return nil
+	}
+	if n > arenaChunkSize/4 {
+		// Large values get their own allocation rather than wasting
+		// the tail of a chunk.
+		return make([]byte, n)
+	}
+	if cap(a.chunk)-len(a.chunk) < n {
+		a.chunk = make([]byte, 0, min(arenaChunkSize, max(1024, 2*cap(a.chunk), 4*n)))
+	}
+	start := len(a.chunk)
+	a.chunk = a.chunk[:start+n]
+	return a.chunk[start : start+n : start+n]
+}
+
+func (a *byteArena) copy(v []byte) []byte {
+	buf := a.alloc(len(v))
+	copy(buf, v)
+	return buf
+}
+
+// taskRuntime is one attempt's execution machinery: running a mapper
+// over a split with sort-spill under the shuffle budget, combining,
+// writing and reading spill runs, and merging runs back out. A worker
+// binds one per attempt against its Store (the DFS, or the master's
+// proxy) with attempt-scoped spill names.
 type taskRuntime struct {
 	store    Store
 	cfg      Config // defaults applied
 	ctr      *Counters
 	shufDir  string
-	spillSeq *atomic.Int64
-	spillTag string // attempt-scoping prefix in spill names; "" in-process
+	spillSeq int64
+	spillBuf []byte
+	spillTag string // attempt-scoping prefix in spill names
 
-	// spillAll makes finish() spill the final run instead of keeping
-	// it in memory — distributed map output must be entirely on the
-	// DFS so reducers elsewhere can fetch it. Run contents and order
-	// are unchanged, which preserves byte-identical job output.
+	// spillAll makes finish() write the final run to the store instead
+	// of keeping it in memory — a shuffled map's output must be entirely
+	// on the DFS so reducers elsewhere can fetch it (a map-only attempt
+	// merges its own runs and keeps the last one). Run contents and
+	// order are the same either way.
 	spillAll bool
 
-	// Worker-side hooks; nil in-process.
 	stepDelay time.Duration      // injected per-record delay (straggler experiments)
 	progress  func(frac float64) // consumed-input fraction updates
 	cancelled func() bool        // polled in the record loop; true aborts
@@ -72,14 +116,15 @@ var errCancelled = fmt.Errorf("mapreduce: attempt cancelled")
 // the shuffle memory budget, spilling sorted runs to the store when
 // the budget fills. It is per-attempt and single-goroutine.
 type mapCollector struct {
-	rt    *taskRuntime
-	node  string
-	task  int
-	parts [][]kv
-	arena byteArena
-	mem   int64
-	err   error // first spill/combine failure; latched
-	out   taskOutput
+	rt       *taskRuntime
+	node     string
+	task     int
+	parts    [][]kv
+	splitLen int
+	arena    byteArena
+	mem      int64
+	err      error // first spill/combine failure; latched
+	out      taskOutput
 }
 
 func (c *mapCollector) add(key string, value []byte) {
@@ -88,8 +133,9 @@ func (c *mapCollector) add(key string, value []byte) {
 	if len(part) == cap(part) {
 		// Double — append's 1.25x growth past 256 elements allocates
 		// about five times the final slice — starting from 2 Ki records,
-		// or from the partition's share of what the budget lets a run hold.
-		first := 2048
+		// or from the partition's share of what the split (a record per
+		// 8 B of it) or the budget lets a run hold.
+		first := min(2048, c.splitLen/8/len(c.parts)+16)
 		if budget := int(c.rt.cfg.ShuffleMemory); budget > 0 {
 			first = min(first, budget/kvOverhead/len(c.parts)+1)
 		}
@@ -102,9 +148,10 @@ func (c *mapCollector) add(key string, value []byte) {
 	}
 }
 
-// spill sorts+combines the buffered run, writes it to the store and
-// resets the buffer. Errors latch into c.err; the attempt surfaces
-// them after the mapper returns.
+// spill sorts+combines the buffered run, writes it to the store,
+// counts it (SpillRuns and SpillBytes are the budget's doing; finish
+// counts nothing) and resets the buffer. Errors latch into c.err; the
+// attempt surfaces them after the mapper returns.
 func (c *mapCollector) spill() {
 	if c.err != nil {
 		return
@@ -119,6 +166,9 @@ func (c *mapCollector) spill() {
 		c.err = err
 		return
 	}
+	c.rt.ctr.add(&c.rt.ctr.SpillRuns, 1)
+	last := run.Segs[len(run.Segs)-1] // segments lie back to back
+	c.rt.ctr.add(&c.rt.ctr.SpillBytes, last.Off+last.Len)
 	c.out.spills = append(c.out.spills, run)
 	c.parts = make([][]kv, len(c.parts))
 	c.arena = byteArena{}
@@ -126,9 +176,9 @@ func (c *mapCollector) spill() {
 }
 
 // finish sorts+combines the final run. It stays in memory unless the
-// runtime demands everything on the store (distributed mode), in
-// which case it becomes the last spilled run — same contents, same
-// run index, so merge order is unchanged.
+// runtime demands everything on the store (spillAll), in which case it
+// becomes the last run file — same contents, same run index, so merge
+// order is unchanged.
 func (c *mapCollector) finish() error {
 	if c.err != nil {
 		return c.err
@@ -138,15 +188,8 @@ func (c *mapCollector) finish() error {
 		return err
 	}
 	if c.rt.spillAll {
-		empty := true
-		for _, p := range parts {
-			if len(p) > 0 {
-				empty = false
-				break
-			}
-		}
-		if empty {
-			return nil
+		if !slices.ContainsFunc(parts, func(p []kv) bool { return len(p) > 0 }) {
+			return nil // nothing emitted since the last spill: no run
 		}
 		run, err := c.rt.writeSpill(c.node, c.task, parts)
 		if err != nil {
@@ -160,11 +203,11 @@ func (c *mapCollector) finish() error {
 }
 
 // executeMap runs the mapper over one split and returns the task's
-// output: spilled runs plus (in-process) the final in-memory run,
+// output: spilled runs plus (unless spillAll) the final in-memory run,
 // each sorted and combined. On error, spill files already written
 // are deleted.
 func (rt *taskRuntime) executeMap(node string, task int, s split) (out *taskOutput, records, outRecords int64, err error) {
-	col := &mapCollector{rt: rt, node: node, task: task, parts: make([][]kv, rt.cfg.NumReducers)}
+	col := &mapCollector{rt: rt, node: node, task: task, parts: make([][]kv, rt.cfg.NumReducers), splitLen: int(s.length)}
 	emit := func(key string, value []byte) {
 		if col.err != nil {
 			return // a spill failed; drop further output
@@ -178,10 +221,10 @@ func (rt *taskRuntime) executeMap(node string, task int, s split) (out *taskOutp
 		if rt.stepDelay > 0 {
 			time.Sleep(rt.stepDelay)
 		}
-		if rt.cancelled != nil && rt.cancelled() {
+		if rt.cancelled() {
 			return errCancelled
 		}
-		if rt.progress != nil && s.length > 0 {
+		if s.length > 0 {
 			consumed += int64(len(value)) + 1
 			if frac := float64(consumed) / float64(s.length); frac < 1 {
 				rt.progress(frac)
@@ -251,29 +294,26 @@ func (rt *taskRuntime) combine(sorted []kv) ([]kv, error) {
 	return out, nil
 }
 
-// appendTaskSources appends the merge sources for one task's
-// partition p: a streaming cursor per spilled run segment (empty
-// segments skipped), then the final in-memory run, carrying the
-// (task, run) tie-break indexes the merge's determinism relies on —
-// spills in spill order, the in-memory run last. Cursors opened
-// before a failure are still appended so the caller can close them.
-func (rt *taskRuntime) appendTaskSources(srcs []mergeSource, cursors []*spillCursor,
-	out *taskOutput, task, p int, node string) ([]mergeSource, []*spillCursor, error) {
+// taskSources returns the merge sources for one task's partition p: a
+// streaming cursor per run segment on the store (empty segments
+// skipped), then the final in-memory run, carrying the (task, run)
+// tie-break indexes the merge's determinism relies on — spills in spill
+// order, the in-memory run last. Sources opened before a failure are
+// still returned, for the caller to close.
+func (rt *taskRuntime) taskSources(out *taskOutput, task, p int, node string) (srcs []mergeSource, err error) {
 	for ri, run := range out.spills {
-		cur, err := openSpillCursor(rt.store, run, p, node)
+		cur, err := openSpillCursor(rt.store, run.File, run.Segs[p], node)
 		if err != nil {
-			return srcs, cursors, err
+			return srcs, err
 		}
-		if cur == nil {
-			continue // empty segment
+		if cur != nil { // nil: empty segment
+			srcs = append(srcs, mergeSource{s: cur, task: task, run: ri})
 		}
-		cursors = append(cursors, cur)
-		srcs = append(srcs, mergeSource{s: cur, task: task, run: ri})
 	}
 	if p < len(out.mem) && len(out.mem[p]) > 0 {
 		srcs = append(srcs, mergeSource{s: &memStream{pairs: out.mem[p]}, task: task, run: len(out.spills)})
 	}
-	return srcs, cursors, nil
+	return srcs, nil
 }
 
 // writeMapOutput streams one task's partitions, in partition order,
@@ -293,7 +333,7 @@ func (rt *taskRuntime) writeMapOutput(name, node string, task int, out *taskOutp
 		refold = streamAdapter{rt.cfg.Combiner}
 	}
 	for p := 0; p < rt.cfg.NumReducers; p++ {
-		srcs, cursors, err := rt.appendTaskSources(nil, nil, out, task, p, node)
+		srcs, err := rt.taskSources(out, task, p, node)
 		var m *merger
 		if err == nil {
 			rt.ctr.add(&rt.ctr.MergeStreams, int64(len(srcs)))
@@ -302,9 +342,7 @@ func (rt *taskRuntime) writeMapOutput(name, node string, task int, out *taskOutp
 		if err == nil {
 			_, err = drainGroups(m, refold, lw.emit, lw.fail)
 		}
-		for _, c := range cursors {
-			c.close()
-		}
+		closeSources(srcs)
 		if err != nil {
 			_ = w.Close()
 			return err

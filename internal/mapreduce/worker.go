@@ -16,11 +16,14 @@ import (
 	"repro/internal/obs"
 )
 
-// Worker is the distributed task runtime: it registers with a master,
-// heartbeats for leases and assignments, executes map and reduce
-// attempts through a per-attempt taskRuntime, and serves its spill
-// files' segments to reducers over HTTP. One worker maps onto one
-// TaskTracker of the paper's Hadoop deployment.
+// Worker is the task runtime: it registers with a master, heartbeats
+// for leases and assignments, executes map and reduce attempts through
+// a per-attempt taskRuntime, and — when it was started with a dialable
+// master — serves its spill files' segments to reducers over HTTP. One
+// worker maps onto one TaskTracker of the paper's Hadoop deployment;
+// Run starts one per datanode inside the caller's process, holding the
+// master directly and leaving reducers to read spill files from the
+// store.
 //
 // It beats on a ticker for liveness and progress, and at once (kick)
 // whenever it has a slot to offer: when an attempt ends, and when a
@@ -28,9 +31,9 @@ import (
 // worker with a free slot always has one waiting there.
 type Worker struct {
 	cfg    WorkerConfig
-	client *mrpc.Client
+	ctl    mrpc.Control
 	store  Store
-	srv    *mrpc.Server // shuffle segment server
+	srv    *mrpc.Server // shuffle segment server; nil on the direct transport
 	beat   time.Duration
 	reg    *obs.Registry
 	mTasks *obs.CounterVec // lsdf_mr_worker_tasks_total{phase}
@@ -39,17 +42,15 @@ type Worker struct {
 	mHBErr *obs.Counter    // heartbeats failed
 	mDur   *obs.HistogramVec
 
-	// ctx is the worker's lifecycle: cancelled by Close/Kill, it
-	// aborts every in-flight RPC so a hung master can't wedge
-	// shutdown.
+	// ctx is the worker's lifecycle: cancelled by Close/Kill (under
+	// mu), it ends the heartbeat loop, admits no further attempt and
+	// aborts every in-flight RPC so a hung master can't wedge shutdown.
 	ctx    context.Context
 	cancel context.CancelFunc
 
 	mu      sync.Mutex
 	running map[mrpc.AttemptID]*wAttempt
-	dead    bool // Kill()ed: no more RPCs of any kind
 
-	stop chan struct{}
 	kick chan struct{}  // beat now; buffered, one pending kick is enough
 	hbWG sync.WaitGroup // heartbeat loop
 	atWG sync.WaitGroup // attempt goroutines
@@ -78,12 +79,48 @@ type WorkerConfig struct {
 type wAttempt struct {
 	id       mrpc.AttemptID
 	progress atomic.Uint64 // float64 bits
-	cancel   atomic.Bool
+	killed   chan struct{} // closed by kill
 }
 
-// StartWorker registers with the master and starts the heartbeat loop
-// and shuffle server.
+// kill cancels the attempt: its record loop and injected delays see
+// it. Callers hold w.mu, so a second kill finds the first.
+func (a *wAttempt) kill() {
+	if !a.cancelled() {
+		close(a.killed)
+	}
+}
+
+func (a *wAttempt) cancelled() bool {
+	select {
+	case <-a.killed:
+		return true
+	default:
+		return false
+	}
+}
+
+// sleep waits d out; false means the attempt was killed first.
+func (a *wAttempt) sleep(d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+		return true
+	case <-a.killed:
+		return false
+	}
+}
+
+// StartWorker registers with the master at cfg.Master and starts the
+// heartbeat loop and shuffle server.
 func StartWorker(cfg WorkerConfig) (*Worker, error) {
+	return startWorker(cfg, mrpc.NewClient(cfg.Master), true)
+}
+
+// startWorker starts a worker on either transport. Without a shuffle
+// server it registers no address, and reducers take its runs from the
+// store.
+func startWorker(cfg WorkerConfig, ctl mrpc.Control, shuffle bool) (*Worker, error) {
 	if cfg.ID == "" {
 		return nil, errors.New("mapreduce: worker needs an ID")
 	}
@@ -100,7 +137,7 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &Worker{
 		cfg:     cfg,
-		client:  mrpc.NewClient(cfg.Master),
+		ctl:     ctl,
 		store:   cfg.Store,
 		reg:     reg,
 		mTasks:  reg.CounterVec("lsdf_mr_worker_tasks_total", "Task attempts finished by this worker.", "phase"),
@@ -111,21 +148,22 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 		ctx:     ctx,
 		cancel:  cancel,
 		running: make(map[mrpc.AttemptID]*wAttempt),
-		stop:    make(chan struct{}),
 		kick:    make(chan struct{}, 1),
 	}
 	if w.store == nil {
 		w.store = NewProxyStore(ctx, cfg.Master)
 	}
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET "+mrpc.PathSegment, w.serveSegment)
-	srv, err := mrpc.Serve("", mux)
-	if err != nil {
-		return nil, err
+	if shuffle {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET "+mrpc.PathSegment, w.serveSegment)
+		srv, err := mrpc.Serve("", mux)
+		if err != nil {
+			return nil, err
+		}
+		w.srv = srv
 	}
-	w.srv = srv
 	if err := w.register(); err != nil {
-		srv.Close()
+		w.closeShuffle()
 		return nil, err
 	}
 	w.beatNow() // every slot is free: offer them before the first tick
@@ -135,13 +173,12 @@ func StartWorker(cfg WorkerConfig) (*Worker, error) {
 }
 
 func (w *Worker) register() error {
-	var rep mrpc.RegisterReply
-	err := w.client.Call(w.ctx, mrpc.PathRegister, &mrpc.RegisterRequest{
+	rep, err := w.ctl.Register(w.ctx, &mrpc.RegisterRequest{
 		Worker: w.cfg.ID,
-		Addr:   w.srv.Addr(),
+		Addr:   w.Addr(),
 		Node:   w.cfg.Node,
 		Slots:  w.cfg.Slots,
-	}, &rep)
+	})
 	if err != nil {
 		return fmt.Errorf("mapreduce: worker %s register: %w", w.cfg.ID, err)
 	}
@@ -156,58 +193,53 @@ func (w *Worker) register() error {
 // cancelled (they clean up their files and go unreported; the master
 // re-queues them when the lease lapses or reassigns on re-register).
 func (w *Worker) Close() {
-	w.mu.Lock()
-	if w.dead {
-		w.mu.Unlock()
-		return
+	if w.halt() {
+		w.hbWG.Wait()
+		w.atWG.Wait()
+		w.closeShuffle()
 	}
-	w.dead = true
-	for _, att := range w.running {
-		att.cancel.Store(true)
-	}
-	w.mu.Unlock()
-	close(w.stop)
-	// Cancel first: attempts are already marked cancelled and report
-	// nothing, so aborting their in-flight RPCs only unwedges them.
-	w.cancel()
-	w.hbWG.Wait()
-	w.atWG.Wait()
-	w.srv.Close()
 }
 
 // Kill simulates abrupt worker death for failure experiments: the
 // heartbeat stops mid-lease, the shuffle server drops, and in-flight
-// attempts abort without completing or cleaning up — exactly what a
-// crashed process leaves behind.
+// attempts abort without reporting — what a crashed process leaves
+// behind, as far as the master can tell.
 func (w *Worker) Kill() {
+	if w.halt() {
+		w.closeShuffle()
+		w.hbWG.Wait()
+	}
+}
+
+// halt ends the worker's lifecycle: it cancels the attempts and aborts
+// every in-flight RPC (the attempts report nothing any more, so that
+// only unwedges them). It reports false when that was done already.
+func (w *Worker) halt() bool {
 	w.mu.Lock()
-	if w.dead {
-		w.mu.Unlock()
-		return
+	defer w.mu.Unlock()
+	if w.ctx.Err() != nil {
+		return false
 	}
-	w.dead = true
 	for _, att := range w.running {
-		att.cancel.Store(true)
+		att.kill()
 	}
-	w.mu.Unlock()
-	close(w.stop)
 	w.cancel()
-	w.srv.Close()
-	w.hbWG.Wait()
+	return true
 }
 
-// hbTimeout bounds one heartbeat RPC: generous multiples of the
-// cadence so transient stalls ride through, but never unbounded.
-func (w *Worker) hbTimeout() time.Duration {
-	d := 4 * w.beat
-	if d < time.Second {
-		d = time.Second
+func (w *Worker) closeShuffle() {
+	if w.srv != nil {
+		w.srv.Close()
 	}
-	return d
 }
 
-// Addr returns the worker's shuffle server address.
-func (w *Worker) Addr() string { return w.srv.Addr() }
+// Addr returns the worker's shuffle server address, "" without one.
+func (w *Worker) Addr() string {
+	if w.srv == nil {
+		return ""
+	}
+	return w.srv.Addr()
+}
 
 // Obs returns the worker's metrics registry, for mounting on a debug
 // listener (lsdf-worker -debug-addr).
@@ -219,22 +251,18 @@ func (w *Worker) heartbeatLoop() {
 	defer ticker.Stop()
 	for {
 		select {
-		case <-w.stop:
+		case <-w.ctx.Done():
 			return
 		case <-ticker.C:
 		case <-w.kick:
 		}
 		w.mu.Lock()
-		if w.dead {
-			w.mu.Unlock()
-			return
-		}
 		req := &mrpc.HeartbeatRequest{
 			Worker: w.cfg.ID,
 			Free:   w.cfg.Slots - len(w.running),
 		}
 		for id, att := range w.running {
-			if att.cancel.Load() {
+			if att.cancelled() {
 				continue // killed and winding down: holds its slot, reports nothing
 			}
 			req.Running = append(req.Running, mrpc.Progress{
@@ -244,9 +272,10 @@ func (w *Worker) heartbeatLoop() {
 		}
 		w.mu.Unlock()
 
-		hctx, hcancel := context.WithTimeout(w.ctx, w.hbTimeout())
-		var rep mrpc.HeartbeatReply
-		err := w.client.Call(hctx, mrpc.PathHeartbeat, req, &rep)
+		// One heartbeat is bounded by generous multiples of the cadence:
+		// transient stalls ride through, but never unbounded.
+		hctx, hcancel := context.WithTimeout(w.ctx, max(4*w.beat, time.Second))
+		rep, err := w.ctl.Heartbeat(hctx, req)
 		hcancel()
 		w.mHB.Inc()
 		if err != nil {
@@ -261,7 +290,7 @@ func (w *Worker) heartbeatLoop() {
 			// master has already re-queued our old work.
 			w.mu.Lock()
 			for _, att := range w.running {
-				att.cancel.Store(true)
+				att.kill()
 			}
 			w.mu.Unlock()
 			_ = w.register()
@@ -270,7 +299,7 @@ func (w *Worker) heartbeatLoop() {
 		w.mu.Lock()
 		for _, id := range rep.Kill {
 			if att, ok := w.running[id]; ok {
-				att.cancel.Store(true)
+				att.kill()
 			}
 		}
 		w.mu.Unlock()
@@ -291,9 +320,9 @@ func (w *Worker) beatNow() {
 }
 
 func (w *Worker) launch(a mrpc.Assignment) {
-	att := &wAttempt{id: a.ID}
+	att := &wAttempt{id: a.ID, killed: make(chan struct{})}
 	w.mu.Lock()
-	if w.dead {
+	if w.ctx.Err() != nil {
 		w.mu.Unlock()
 		return
 	}
@@ -334,17 +363,16 @@ func (w *Worker) runAttempt(a mrpc.Assignment, att *wAttempt) {
 			cfg:       cfg,
 			ctr:       &Counters{},
 			shufDir:   a.ShufDir,
-			spillSeq:  new(atomic.Int64),
 			spillTag:  fmt.Sprintf("%s-a%d-", w.cfg.ID, a.ID.Attempt),
 			spillAll:  a.ID.Phase == mrpc.PhaseMap && !a.MapOnly,
 			stepDelay: w.cfg.StepDelay,
 			progress: func(frac float64) {
 				att.progress.Store(math.Float64bits(frac))
 			},
-			cancelled: func() bool { return att.cancel.Load() },
+			cancelled: att.cancelled,
 		}
 		if a.ID.Phase == mrpc.PhaseMap {
-			cleanup, err = w.runMap(a, rt, req)
+			cleanup, err = w.runMap(a, rt, att, req)
 		} else {
 			cleanup, err = w.runReduce(a, rt, td, req)
 		}
@@ -353,20 +381,17 @@ func (w *Worker) runAttempt(a mrpc.Assignment, att *wAttempt) {
 		return // killed: files already cleaned, master stopped caring
 	}
 	if err != nil {
-		req.Err = err.Error()
+		req.Err, req.Cause = err.Error(), err
 	}
 	attSpan.End()
 	w.mDur.With(a.ID.Phase).ObserveSince(start)
 	w.mTasks.With(a.ID.Phase).Inc()
 	req.Spans = td.TakeSpans()
-	w.mu.Lock()
-	dead := w.dead
-	w.mu.Unlock()
-	if dead {
+	if w.ctx.Err() != nil {
 		return
 	}
-	var rep mrpc.CompleteReply
-	if cerr := w.client.Call(w.ctx, mrpc.PathComplete, req, &rep); cerr != nil {
+	rep, cerr := w.ctl.Complete(w.ctx, req)
+	if cerr != nil {
 		if w.ctx.Err() != nil {
 			// Shutdown cancelled the report mid-flight: the request may
 			// have reached the master and committed these files, and we
@@ -375,7 +400,7 @@ func (w *Worker) runAttempt(a mrpc.Assignment, att *wAttempt) {
 			// process wouldn't have cleaned up either.
 			return
 		}
-		rep.Accepted = false // unreachable master: assume superseded
+		rep = &mrpc.CompleteReply{} // unreachable master: assume superseded
 	}
 	if !rep.Accepted && cleanup != nil {
 		cleanup()
@@ -386,9 +411,14 @@ func (w *Worker) runAttempt(a mrpc.Assignment, att *wAttempt) {
 // the store (spillAll) and the completion carries the runs' segment
 // geometry; in the map-only path the merged output lands in the
 // attempt-scoped OutFile and the spills are dropped locally.
-func (w *Worker) runMap(a mrpc.Assignment, rt *taskRuntime, req *mrpc.CompleteRequest) (func(), error) {
+func (w *Worker) runMap(a mrpc.Assignment, rt *taskRuntime, att *wAttempt, req *mrpc.CompleteRequest) (func(), error) {
 	if a.Split == nil {
 		return nil, errors.New("mapreduce: map assignment without split")
+	}
+	if rt.cfg.TaskDelay != nil {
+		if d := rt.cfg.TaskDelay(w.cfg.Node, a.ID.Task); d > 0 && !att.sleep(d) {
+			return nil, errCancelled
+		}
 	}
 	out, records, outRecords, err := rt.executeMap(w.cfg.Node, a.ID.Task, fromRef(a.Split))
 	if err != nil {
@@ -404,53 +434,43 @@ func (w *Worker) runMap(a mrpc.Assignment, rt *taskRuntime, req *mrpc.CompleteRe
 		req.Counters = taskCounters(rt.ctr, records, outRecords)
 		return func() { _ = w.store.Delete(a.OutFile) }, nil
 	}
-	for _, run := range out.spills {
-		ref := mrpc.RunRef{File: run.file, Segs: make([]mrpc.SegRef, len(run.segs))}
-		for i, seg := range run.segs {
-			ref.Segs[i] = mrpc.SegRef{Off: seg.off, Len: seg.length, Records: seg.records}
-		}
-		req.Runs = append(req.Runs, ref)
-	}
+	req.Runs = out.spills
 	req.Counters = taskCounters(rt.ctr, records, outRecords)
 	return func() { rt.discardOutput(out) }, nil
 }
 
 // runReduce executes a reduce attempt: fetch every committed map
 // task's segments for the partition (worker shuffle servers first,
-// DFS spill files as fallback), k-way merge with the same (task, run)
-// tie-breaks as the single-process engine, and stream groups through
-// the reducer into the attempt-scoped output file. Map tasks whose
-// segments are unreachable on both paths become LostMaps.
+// DFS spill files as fallback), k-way merge with (task, run)
+// tie-breaks — the order no scheduling can change — and stream groups
+// through the reducer into the attempt-scoped output file. Map tasks
+// whose segments are unreachable on both paths become LostMaps.
 func (w *Worker) runReduce(a mrpc.Assignment, rt *taskRuntime, td *obs.TraceData, req *mrpc.CompleteRequest) (func(), error) {
 	p := a.ID.Task
+	if rt.cfg.reduceHook != nil {
+		if done := rt.cfg.reduceHook(p, a.ID.Attempt+1, w.cfg.Node); done != nil {
+			defer done()
+		}
+	}
 	var srcs []mergeSource
+	defer func() { closeSources(srcs) }()
 	var remoteBytes int64
 	fetchSpan := obs.StartSpanOn(td, "mr.shuffle.fetch")
 	for _, mo := range a.MapOutputs {
-		lost := false
 		for ri, run := range mo.Runs {
 			if p >= len(run.Segs) {
 				continue
 			}
-			data, remote, err := fetchSegment(w.ctx, w.store, run, p, w.cfg.Node)
+			cur, remote, err := openSegment(w.ctx, w.store, run, p, w.cfg.Node)
 			if err != nil {
-				lost = true
+				req.LostMaps = append(req.LostMaps, mo.Task)
 				break
 			}
-			if data == nil {
+			if cur == nil {
 				continue // empty segment
 			}
-			if remote {
-				remoteBytes += int64(len(data))
-			}
-			srcs = append(srcs, mergeSource{
-				s:    newByteCursor(data, run.Segs[p].Records, run.File),
-				task: mo.Task,
-				run:  ri,
-			})
-		}
-		if lost {
-			req.LostMaps = append(req.LostMaps, mo.Task)
+			remoteBytes += remote
+			srcs = append(srcs, mergeSource{s: cur, task: mo.Task, run: ri})
 		}
 	}
 	fetchSpan.Annotate("%d sources, %d remote bytes", len(srcs), remoteBytes)
@@ -468,8 +488,11 @@ func (w *Worker) runReduce(a mrpc.Assignment, rt *taskRuntime, td *obs.TraceData
 		return nil, err
 	}
 	lw := &lineWriter{w: out}
+	if rt.cfg.reduceWriter != nil {
+		lw.w = rt.cfg.reduceWriter(p, a.ID.Attempt+1, w.cfg.Node, out)
+	}
 	check := func() error {
-		if att := rt.cancelled; att != nil && att() {
+		if rt.cancelled() {
 			return errCancelled
 		}
 		return lw.fail()

@@ -8,9 +8,12 @@
 // for a byte range of a spill file, served by the worker that wrote
 // it (or, when that worker is gone, read straight from the DFS).
 //
-// Everything is JSON over HTTP/1.1 on the standard library — small
-// control messages where per-call overhead is dwarfed by task
-// runtimes, and streamed bodies for segment and file bytes.
+// The three control calls are the Control interface, and it has two
+// transports: *Client carries them as JSON over HTTP/1.1 on the
+// standard library to a master that Mount serves — small control
+// messages where per-call overhead is dwarfed by task runtimes, and
+// streamed bodies for segment and file bytes — while a master in the
+// worker's own process is a Control itself and is called directly.
 package mrpc
 
 import (
@@ -195,9 +198,13 @@ type TaskCounters struct {
 // from their worker nor from the DFS — the signal that re-executes
 // completed maps whose output died with their worker.
 type CompleteRequest struct {
-	Worker   string       `json:"worker"`
-	ID       AttemptID    `json:"id"`
-	Err      string       `json:"err,omitempty"`
+	Worker string    `json:"worker"`
+	ID     AttemptID `json:"id"`
+	Err    string    `json:"err,omitempty"`
+	// Cause is Err as a value. It cannot cross the wire; on the direct
+	// transport the master wraps it, so a failed job's error still
+	// answers errors.Is for the mapper's or the store's own.
+	Cause    error        `json:"-"`
 	Runs     []RunRef     `json:"runs,omitempty"`
 	OutFile  string       `json:"out_file,omitempty"`
 	LostMaps []int        `json:"lost_maps,omitempty"`
@@ -221,11 +228,33 @@ type StatReply struct {
 	Complete bool  `json:"complete"`
 }
 
-// Error is a structured protocol error.
+// Control is the worker's side of the control plane: the calls a task
+// runtime makes on its master. A Heartbeat may park at the master until
+// there is work, orders, or its context ends.
+type Control interface {
+	Register(context.Context, *RegisterRequest) (*RegisterReply, error)
+	Heartbeat(context.Context, *HeartbeatRequest) (*HeartbeatReply, error)
+	Complete(context.Context, *CompleteRequest) (*CompleteReply, error)
+}
+
+// Mount serves c's three calls on mux, for Clients to reach.
+func Mount(mux *http.ServeMux, c Control) {
+	Handle(mux, PathRegister, c.Register)
+	Handle(mux, PathHeartbeat, c.Heartbeat)
+	Handle(mux, PathComplete, c.Complete)
+}
+
+// Error is a structured protocol error. One returned by a handler
+// crosses the wire as it is, so both transports hand the caller the
+// same Code.
 type Error struct {
 	Code string `json:"code"`
 	Msg  string `json:"msg"`
 }
+
+// CodeBadRequest marks a request the peer can never accept (an attempt
+// ID that names no task): retrying it is pointless.
+const CodeBadRequest = "bad_request"
 
 func (e *Error) Error() string { return fmt.Sprintf("mrpc: %s: %s", e.Code, e.Msg) }
 
@@ -294,6 +323,27 @@ func (c *Client) Call(ctx context.Context, path string, req, reply any) error {
 	return json.NewDecoder(resp.Body).Decode(reply)
 }
 
+// Register, Heartbeat and Complete make *Client a Control over HTTP.
+func (c *Client) Register(ctx context.Context, req *RegisterRequest) (*RegisterReply, error) {
+	return call[RegisterReply](ctx, c, PathRegister, req)
+}
+
+func (c *Client) Heartbeat(ctx context.Context, req *HeartbeatRequest) (*HeartbeatReply, error) {
+	return call[HeartbeatReply](ctx, c, PathHeartbeat, req)
+}
+
+func (c *Client) Complete(ctx context.Context, req *CompleteRequest) (*CompleteReply, error) {
+	return call[CompleteReply](ctx, c, PathComplete, req)
+}
+
+func call[Rep any](ctx context.Context, c *Client, path string, req any) (*Rep, error) {
+	rep := new(Rep)
+	if err := c.Call(ctx, path, req, rep); err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
 func decodeError(resp *http.Response) error {
 	var pe Error
 	if err := json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&pe); err == nil && pe.Code != "" {
@@ -359,7 +409,7 @@ func Handle[Req, Rep any](mux *http.ServeMux, path string, fn func(context.Conte
 	mux.HandleFunc("POST "+path, func(w http.ResponseWriter, r *http.Request) {
 		var req Req
 		if err := json.NewDecoder(io.LimitReader(r.Body, 64<<20)).Decode(&req); err != nil {
-			WriteError(w, http.StatusBadRequest, "bad_request", err.Error())
+			WriteError(w, http.StatusBadRequest, CodeBadRequest, err.Error())
 			return
 		}
 		// net/http watches the connection for a hang-up only once the
@@ -367,7 +417,8 @@ func Handle[Req, Rep any](mux *http.ServeMux, path string, fn func(context.Conte
 		_, _ = io.Copy(io.Discard, r.Body)
 		rep, err := fn(r.Context(), &req)
 		if err != nil {
-			WriteError(w, http.StatusInternalServerError, errCode(err), err.Error())
+			status, pe := wireError(err)
+			WriteError(w, status, pe.Code, pe.Msg)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -375,11 +426,20 @@ func Handle[Req, Rep any](mux *http.ServeMux, path string, fn func(context.Conte
 	})
 }
 
-func errCode(err error) string {
-	if errors.Is(err, ErrNotFound) {
-		return "not_found"
+// wireError is a handler's error as it crosses the wire: an *Error as
+// it is, anything else under "not_found" or "internal".
+func wireError(err error) (status int, pe *Error) {
+	switch {
+	case errors.As(err, &pe):
+	case errors.Is(err, ErrNotFound):
+		pe = &Error{Code: "not_found", Msg: err.Error()}
+	default:
+		pe = &Error{Code: "internal", Msg: err.Error()}
 	}
-	return "internal"
+	if pe.Code == CodeBadRequest {
+		return http.StatusBadRequest, pe
+	}
+	return http.StatusInternalServerError, pe
 }
 
 // WriteError emits the protocol error envelope.
