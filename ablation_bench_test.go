@@ -18,7 +18,6 @@ import (
 	"repro/internal/storage"
 	"repro/internal/tape"
 	"repro/internal/units"
-	"repro/internal/workloads"
 )
 
 func ablationCluster(b *testing.B, nodes int, blockSize units.Bytes, replication int) *dfs.Cluster {
@@ -67,11 +66,11 @@ func BenchmarkAblationCombiner(b *testing.B) {
 				}
 				cfg := mapreduce.Config{
 					Inputs: []string{"/a/corpus"}, OutputDir: "/a/out",
-					Mapper: ablationMapper, Reducer: workloads.SumReducer,
+					Mapper: ablationMapper, Reducer: mapreduce.SumReducer(),
 					NumReducers: 4, Locality: true,
 				}
 				if on {
-					cfg.Combiner = workloads.SumReducer
+					cfg.Combiner = mapreduce.SumReducer()
 				}
 				b.StartTimer()
 				res, err := mapreduce.Run(c, cfg)
@@ -106,8 +105,8 @@ func BenchmarkAblationLocality(b *testing.B) {
 				b.StartTimer()
 				if _, err := mapreduce.Run(c, mapreduce.Config{
 					Inputs: []string{"/a/corpus"}, OutputDir: "/a/out",
-					Mapper: ablationMapper, Reducer: workloads.SumReducer,
-					Combiner: workloads.SumReducer, Locality: on, SlotsPerNode: 1,
+					Mapper: ablationMapper, Reducer: mapreduce.SumReducer(),
+					Combiner: mapreduce.SumReducer(), Locality: on, SlotsPerNode: 1,
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -142,7 +141,7 @@ func BenchmarkAblationSpeculation(b *testing.B) {
 				b.StartTimer()
 				if _, err := mapreduce.Run(c, mapreduce.Config{
 					Inputs: []string{"/a/lines"}, OutputDir: "/a/out",
-					Mapper: ablationMapper, Reducer: workloads.SumReducer,
+					Mapper: ablationMapper, Reducer: mapreduce.SumReducer(),
 					SlotsPerNode: 1, Speculative: on,
 					StragglerFactor: 1.5,
 					TaskDelay: func(node string, task int) time.Duration {

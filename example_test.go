@@ -8,7 +8,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/rules"
 	"repro/internal/workflow"
-	"repro/internal/workloads"
 )
 
 // Example shows the paper's core lifecycle: store with checksum and
@@ -116,7 +115,7 @@ func ExampleFacility_RunJob() {
 			}
 			return nil
 		}),
-		Reducer:  workloads.SumReducer,
+		Reducer:  mapreduce.SumReducer(),
 		Locality: true,
 	})
 	if err != nil {

@@ -38,8 +38,8 @@ func main() {
 	res, err := fac.RunJob(mapreduce.Config{
 		Name:   "kmer-spectrum",
 		Inputs: []string{"/dna/reads"}, OutputDir: "/dna/kmers",
-		Mapper: workloads.KMerMapper(21), Reducer: workloads.SumReducer,
-		Combiner: workloads.SumReducer, NumReducers: 4, Locality: true,
+		Mapper: workloads.KMerMapper(21), Reducer: mapreduce.SumReducer(),
+		Combiner: mapreduce.SumReducer(), NumReducers: 4, Locality: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -77,7 +77,7 @@ func main() {
 		Name:   "coverage",
 		Inputs: []string{"/dna/reads"}, OutputDir: "/dna/cov",
 		Mapper: workloads.CoverageMapper(10_000), StreamReducer: workloads.StreamSumReducer,
-		Combiner: workloads.SumReducer, Locality: true,
+		Combiner: mapreduce.SumReducer(), Locality: true,
 		ShuffleMemory: 32 * units.KiB,
 	})
 	if err != nil {

@@ -76,8 +76,8 @@ func main() {
 	pixel, err := fac.RunJob(mapreduce.Config{
 		Name:   "pixel-histogram",
 		Inputs: []string{"/katrin/events"}, OutputDir: "/katrin/pixels",
-		Mapper: workloads.PixelHistogramMapper, Reducer: workloads.SumReducer,
-		Combiner: workloads.SumReducer, NumReducers: 4, Locality: true,
+		Mapper: workloads.PixelHistogramMapper, Reducer: mapreduce.SumReducer(),
+		Combiner: mapreduce.SumReducer(), NumReducers: 4, Locality: true,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -85,8 +85,8 @@ func main() {
 	spec, err := fac.RunJob(mapreduce.Config{
 		Name:   "energy-spectrum",
 		Inputs: []string{"/katrin/events"}, OutputDir: "/katrin/spectrum",
-		Mapper: workloads.EnergyBandMapper, Reducer: workloads.SumReducer,
-		Combiner: workloads.SumReducer, Locality: true,
+		Mapper: workloads.EnergyBandMapper, Reducer: mapreduce.SumReducer(),
+		Combiner: mapreduce.SumReducer(), Locality: true,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -225,7 +225,7 @@ func TestIngestAndMapReduceViaFacade(t *testing.T) {
 			}
 			return nil
 		}),
-		Reducer: workloads.SumReducer,
+		Reducer: mapreduce.SumReducer(),
 	})
 	if err != nil {
 		t.Fatal(err)

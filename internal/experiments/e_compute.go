@@ -93,7 +93,7 @@ func E6MapReduceScaling() (*Table, error) {
 		start := time.Now()
 		res, err := mapreduce.Run(c, mapreduce.Config{
 			Inputs: []string{"/corpus"}, OutputDir: "/out",
-			Mapper: mapper, Reducer: workloads.SumReducer, Combiner: workloads.SumReducer,
+			Mapper: mapper, Reducer: mapreduce.SumReducer(), Combiner: mapreduce.SumReducer(),
 			NumReducers: 4, Locality: locality, SlotsPerNode: 1,
 			ShuffleMemory: shuffleMem,
 			TaskDelay:     func(string, int) time.Duration { return splitIO },
@@ -234,8 +234,8 @@ func E9DNASequencing() (*Table, error) {
 	start := time.Now()
 	kres, err := mapreduce.Run(c, mapreduce.Config{
 		Inputs: []string{"/dna/reads"}, OutputDir: "/dna/kmers",
-		Mapper: workloads.KMerMapper(21), Reducer: workloads.SumReducer,
-		Combiner: workloads.SumReducer, NumReducers: 4, Locality: true,
+		Mapper: workloads.KMerMapper(21), Reducer: mapreduce.SumReducer(),
+		Combiner: mapreduce.SumReducer(), NumReducers: 4, Locality: true,
 	})
 	if err != nil {
 		return nil, err
@@ -249,7 +249,7 @@ func E9DNASequencing() (*Table, error) {
 	cres, err := mapreduce.Run(c, mapreduce.Config{
 		Inputs: []string{"/dna/reads"}, OutputDir: "/dna/cov",
 		Mapper: workloads.CoverageMapper(1000), StreamReducer: workloads.StreamSumReducer,
-		Combiner: workloads.SumReducer, NumReducers: 4, Locality: true,
+		Combiner: mapreduce.SumReducer(), NumReducers: 4, Locality: true,
 		ShuffleMemory: 16 * units.KiB,
 	})
 	if err != nil {

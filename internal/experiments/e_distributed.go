@@ -10,7 +10,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/mrpc"
 	"repro/internal/units"
-	"repro/internal/workloads"
 )
 
 // E18 — distributed MapReduce under adversity (PR 9).
@@ -55,8 +54,8 @@ func e18Templates() mapreduce.Registry {
 					}
 					return nil
 				}),
-				Reducer:     workloads.SumReducer,
-				Combiner:    workloads.SumReducer,
+				Reducer:     mapreduce.SumReducer(),
+				Combiner:    mapreduce.SumReducer(),
 				Format:      mapreduce.TextInput,
 				Locality:    true,
 				Speculative: true,

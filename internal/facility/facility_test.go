@@ -128,7 +128,7 @@ func TestFacilityMapReduceOnHDFSMount(t *testing.T) {
 			}
 			return nil
 		}),
-		Reducer:  workloads.SumReducer,
+		Reducer:  mapreduce.SumReducer(),
 		Locality: true,
 	})
 	if err != nil {
@@ -167,7 +167,7 @@ func TestFacilityShuffleMemoryDefault(t *testing.T) {
 			}
 			return nil
 		}),
-		Reducer: workloads.SumReducer,
+		Reducer: mapreduce.SumReducer(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,7 @@ func TestMapReduceSurvivesDatanodeLoss(t *testing.T) {
 			}
 			return nil
 		}),
-		Reducer:  workloads.SumReducer,
+		Reducer:  mapreduce.SumReducer(),
 		Locality: true,
 	})
 	if err != nil {

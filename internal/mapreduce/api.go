@@ -27,19 +27,33 @@
 package mapreduce
 
 import (
-	"hash/fnv"
 	"io"
-	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"repro/internal/units"
 )
 
-// Emit publishes one intermediate or output key/value pair. The value
-// slice is copied by the framework; callers may reuse buffers.
+// Emit publishes one intermediate or output key/value pair. Both are
+// copied before Emit returns and never retained; callers may reuse
+// buffers.
 type Emit func(key string, value []byte)
 
-// Mapper transforms one input record into intermediate pairs.
+// Bytes is Emit for a key the caller holds as bytes: no string is
+// allocated for it, and the same promise holds — key and value may be
+// overwritten as soon as Bytes returns.
+func (e Emit) Bytes(key, value []byte) { e(bytesString(key), value) }
+
+// bytesString views b as a string without copying it. The string is
+// only as immutable as b: it is for handing a key to code that copies
+// or drops it before b next changes (an Emit, a combiner), and the one
+// place the package uses unsafe.
+func bytesString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
+
+// Mapper transforms one input record into intermediate pairs. key and
+// value are valid only during Map — with TextInput they are windows of
+// the reader's buffers, overwritten by the next record — so a mapper
+// that keeps either copies it.
 type Mapper interface {
 	Map(key string, value []byte, emit Emit) error
 }
@@ -52,7 +66,8 @@ func (f MapperFunc) Map(key string, value []byte, emit Emit) error { return f(ke
 
 // Reducer folds all values of one key into output pairs. It also
 // serves as the combiner type: combiners run per map task over that
-// task's local output.
+// task's local output, and there key, the values slice and the values
+// point into the task's run buffers — valid only during the call.
 type Reducer interface {
 	Reduce(key string, values [][]byte, emit Emit) error
 }
@@ -182,8 +197,8 @@ func (c *Config) streamingReducer() StreamReducer {
 	return identityStreamReducer{}
 }
 
-// Counters are the job's observable metrics, updated atomically while
-// the job runs.
+// Counters are the job's observable metrics. The master folds each
+// committed attempt's deltas into them under its lock.
 type Counters struct {
 	MapTasks           int64
 	ReduceTasks        int64
@@ -205,32 +220,6 @@ type Counters struct {
 	MergeStreams       int64 // run streams opened by shuffle merges
 }
 
-func (c *Counters) add(field *int64, n int64) { atomic.AddInt64(field, n) }
-
-// snapshot returns a plain copy readable without atomics.
-func (c *Counters) snapshot() Counters {
-	return Counters{
-		MapTasks:           atomic.LoadInt64(&c.MapTasks),
-		ReduceTasks:        atomic.LoadInt64(&c.ReduceTasks),
-		InputRecords:       atomic.LoadInt64(&c.InputRecords),
-		MapOutputRecords:   atomic.LoadInt64(&c.MapOutputRecords),
-		CombineInput:       atomic.LoadInt64(&c.CombineInput),
-		CombineOutput:      atomic.LoadInt64(&c.CombineOutput),
-		ReduceGroups:       atomic.LoadInt64(&c.ReduceGroups),
-		OutputRecords:      atomic.LoadInt64(&c.OutputRecords),
-		LocalTasks:         atomic.LoadInt64(&c.LocalTasks),
-		RemoteTasks:        atomic.LoadInt64(&c.RemoteTasks),
-		SpecLaunched:       atomic.LoadInt64(&c.SpecLaunched),
-		SpecWon:            atomic.LoadInt64(&c.SpecWon),
-		Retries:            atomic.LoadInt64(&c.Retries),
-		ShuffleBytes:       atomic.LoadInt64(&c.ShuffleBytes),
-		RemoteShuffleBytes: atomic.LoadInt64(&c.RemoteShuffleBytes),
-		SpillRuns:          atomic.LoadInt64(&c.SpillRuns),
-		SpillBytes:         atomic.LoadInt64(&c.SpillBytes),
-		MergeStreams:       atomic.LoadInt64(&c.MergeStreams),
-	}
-}
-
 // Result is what a finished job reports.
 type Result struct {
 	Counters    Counters
@@ -238,10 +227,13 @@ type Result struct {
 	OutputFiles []string
 }
 
-// partition assigns a key to one of r reducers by FNV hash, Hadoop's
-// HashPartitioner contract.
-func partition(key string, r int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(r))
+// fnv1a is the 32-bit FNV-1a hash of key. hash % NumReducers is the
+// key's partition — Hadoop's HashPartitioner contract — and the same
+// hash keys the map collector's intern tables.
+func fnv1a(key string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(key); i++ {
+		h = (h ^ uint32(key[i])) * 16777619
+	}
+	return h
 }

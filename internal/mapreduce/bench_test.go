@@ -36,15 +36,23 @@ func BenchmarkWordCount(b *testing.B) {
 	}
 }
 
-// BenchmarkMapSort sorts one map-side partition of the benchmark
-// workload's shape: 10k records under 24-byte Zipf-distributed keys.
-func BenchmarkMapSort(b *testing.B) {
-	src := sortInputs(10_000, 1)["zipf"]
-	pairs := make([]kv, len(src))
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		copy(pairs, src)
-		stableSortByKey(pairs)
+// BenchmarkMapCollect emits one map-side partition of each key shape —
+// 10k records; zipf under 24-byte keys is the benchmark workload's —
+// into a collector and orders the run: the intern table, the buffers,
+// the sort of the distinct keys and the scatter.
+func BenchmarkMapCollect(b *testing.B) {
+	for _, shape := range []string{"uniform", "zipf", "equal", "sorted", "reversed"} {
+		keys, rt := sortInputs(10_000, 1)[shape], testRuntime(Config{})
+		b.Run(shape, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				col := newMapCollector(rt, "", 0)
+				collect(col, keys)
+				if err := col.orderAndCombine(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

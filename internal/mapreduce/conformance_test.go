@@ -232,7 +232,7 @@ func TestReRegisterInsideLeaseRequeues(t *testing.T) {
 			t.Error("the struck attempt's completion was accepted")
 		}
 		m.mu.Lock()
-		retries := j.ctr.snapshot().Retries
+		retries := j.ctr.Retries
 		m.mu.Unlock()
 		if retries != 1 {
 			t.Errorf("retries = %d, want 1: the lost attempt", retries)

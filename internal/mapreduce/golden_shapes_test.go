@@ -48,7 +48,7 @@ func experimentShapes() []shape {
 		fmt.Fprintf(&e6, "zebrafish embryo screen plate%04d well%02d image analysis\n", i%512, i%96)
 	}
 	e6cfg := mapreduce.Config{
-		Mapper: fieldsMapper, Reducer: workloads.SumReducer, Combiner: workloads.SumReducer,
+		Mapper: fieldsMapper, Reducer: mapreduce.SumReducer(), Combiner: mapreduce.SumReducer(),
 		NumReducers: 4, Locality: true, SlotsPerNode: 1,
 	}
 	e6spill := e6cfg
@@ -76,7 +76,7 @@ func experimentShapes() []shape {
 		return []byte(sb.String())
 	}
 	e18cfg := mapreduce.Config{
-		Mapper: fieldsMapper, Reducer: workloads.SumReducer, Combiner: workloads.SumReducer,
+		Mapper: fieldsMapper, Reducer: mapreduce.SumReducer(), Combiner: mapreduce.SumReducer(),
 		NumReducers: 3, Locality: true, Speculative: true, ShuffleMemory: 1024,
 	}
 
@@ -91,12 +91,12 @@ func experimentShapes() []shape {
 			Format: mapreduce.WholeSplitInput, Locality: true,
 		}},
 		{"e9-kmers", mr(16 * units.KiB), reads, mapreduce.Config{
-			Mapper: workloads.KMerMapper(21), Reducer: workloads.SumReducer,
-			Combiner: workloads.SumReducer, NumReducers: 4, Locality: true,
+			Mapper: workloads.KMerMapper(21), Reducer: mapreduce.SumReducer(),
+			Combiner: mapreduce.SumReducer(), NumReducers: 4, Locality: true,
 		}},
 		{"e9-coverage", mr(16 * units.KiB), reads, mapreduce.Config{
 			Mapper: workloads.CoverageMapper(1000), StreamReducer: workloads.StreamSumReducer,
-			Combiner: workloads.SumReducer, NumReducers: 4, Locality: true,
+			Combiner: mapreduce.SumReducer(), NumReducers: 4, Locality: true,
 			ShuffleMemory: 16 * units.KiB,
 		}},
 		{"e18-bio", shapeCluster(8, 2, 2*units.KiB, 18), e18corpus(3), e18cfg},

@@ -150,7 +150,7 @@ type Job struct {
 	cfg    Config
 	splits []split
 	shuf   string
-	ctr    *Counters
+	ctr    Counters
 	start  time.Time
 
 	maps, reduces            []mTask
@@ -293,7 +293,7 @@ func (m *Master) Stats() MasterStats {
 	s.RunningJobs = len(m.jobs)
 	for _, j := range m.jobs {
 		s.RunningSlots += j.runningSlots
-		s.addCounters(j.ctr.snapshot())
+		s.addCounters(j.ctr)
 	}
 	return s
 }
@@ -342,7 +342,6 @@ func (m *Master) Submit(spec mrpc.JobSpec, tenant string) (*Job, error) {
 		cfg:     cfg,
 		splits:  splits,
 		shuf:    fmt.Sprintf("%s/_shuffle-d%d", trimDir(cfg.OutputDir), shuffleEpoch.Add(1)),
-		ctr:     &Counters{},
 		start:   time.Now(),
 		maps:    make([]mTask, len(splits)),
 		doneCh:  make(chan struct{}),
@@ -350,12 +349,12 @@ func (m *Master) Submit(spec mrpc.JobSpec, tenant string) (*Job, error) {
 	}
 	if !cfg.MapOnly {
 		j.reduces = make([]mTask, cfg.NumReducers)
-		j.ctr.add(&j.ctr.ReduceTasks, int64(cfg.NumReducers))
+		j.ctr.ReduceTasks += int64(cfg.NumReducers)
 	}
 	if n := (len(splits) + len(j.reduces)) / 4; n > j.specCap {
 		j.specCap = n
 	}
-	j.ctr.add(&j.ctr.MapTasks, int64(len(splits)))
+	j.ctr.MapTasks += int64(len(splits))
 	for i := range j.maps {
 		j.maps[i].running = make(map[int]*mAttempt)
 		j.pendingMaps = append(j.pendingMaps, i)
@@ -389,7 +388,7 @@ func (j *Job) Wait() (*Result, error) {
 		return nil, j.failed
 	}
 	return &Result{
-		Counters:    j.ctr.snapshot(),
+		Counters:    j.ctr,
 		Duration:    j.dur,
 		OutputFiles: append([]string(nil), j.outputs...),
 	}, nil
@@ -642,9 +641,9 @@ func (j *Job) takeLocked(w *mWorker, others bool) (mrpc.Assignment, bool) {
 	j.runningSlots++
 	if phase == mrpc.PhaseMap && !spec {
 		if local {
-			j.ctr.add(&j.ctr.LocalTasks, 1)
+			j.ctr.LocalTasks++
 		} else {
-			j.ctr.add(&j.ctr.RemoteTasks, 1)
+			j.ctr.RemoteTasks++
 		}
 	}
 	a := mrpc.Assignment{
@@ -768,7 +767,7 @@ func (m *Master) Complete(_ context.Context, req *mrpc.CompleteRequest) (*mrpc.C
 	// superseded and failed ones don't, keeping one span per task.
 	m.cfg.Tracer.Attach(j.spec.Trace, req.Spans)
 	if att.spec {
-		j.ctr.add(&j.ctr.SpecWon, 1)
+		j.ctr.SpecWon++
 	}
 	// Losing sibling attempts get kill orders.
 	j.killRunningLocked(t)
@@ -801,7 +800,7 @@ func (j *Job) attemptFailed(id mrpc.AttemptID, t *mTask, cause error) {
 		j.fail(fmt.Errorf("mapreduce: %s task %d failed after %d attempts: %w", id.Phase, id.Task, t.failures, cause))
 		return
 	}
-	j.ctr.add(&j.ctr.Retries, 1)
+	j.ctr.Retries++
 	j.requeue(id.Phase, id.Task)
 }
 
@@ -831,7 +830,7 @@ func (j *Job) handleLostMaps(lost []int) {
 		mt.committed = false
 		mt.runs = nil
 		j.mapsDone--
-		j.ctr.add(&j.ctr.Retries, 1)
+		j.ctr.Retries++
 		j.requeue(mrpc.PhaseMap, t)
 	}
 }
@@ -864,17 +863,17 @@ func (j *Job) enqueueReduces() {
 }
 
 func (j *Job) foldCounters(c mrpc.TaskCounters) {
-	j.ctr.add(&j.ctr.InputRecords, c.InputRecords)
-	j.ctr.add(&j.ctr.MapOutputRecords, c.MapOutputRecords)
-	j.ctr.add(&j.ctr.CombineInput, c.CombineInput)
-	j.ctr.add(&j.ctr.CombineOutput, c.CombineOutput)
-	j.ctr.add(&j.ctr.ReduceGroups, c.ReduceGroups)
-	j.ctr.add(&j.ctr.OutputRecords, c.OutputRecords)
-	j.ctr.add(&j.ctr.ShuffleBytes, c.ShuffleBytes)
-	j.ctr.add(&j.ctr.RemoteShuffleBytes, c.RemoteShuffle)
-	j.ctr.add(&j.ctr.SpillRuns, c.SpillRuns)
-	j.ctr.add(&j.ctr.SpillBytes, c.SpillBytes)
-	j.ctr.add(&j.ctr.MergeStreams, c.MergeStreams)
+	j.ctr.InputRecords += c.InputRecords
+	j.ctr.MapOutputRecords += c.MapOutputRecords
+	j.ctr.CombineInput += c.CombineInput
+	j.ctr.CombineOutput += c.CombineOutput
+	j.ctr.ReduceGroups += c.ReduceGroups
+	j.ctr.OutputRecords += c.OutputRecords
+	j.ctr.ShuffleBytes += c.ShuffleBytes
+	j.ctr.RemoteShuffleBytes += c.RemoteShuffle
+	j.ctr.SpillRuns += c.SpillRuns
+	j.ctr.SpillBytes += c.SpillBytes
+	j.ctr.MergeStreams += c.MergeStreams
 }
 
 // fail settles the job as failed. Callers hold m.mu.
@@ -924,7 +923,7 @@ func (j *Job) settle() {
 		j.killRunningLocked(&j.reduces[ti])
 	}
 	close(j.doneCh)
-	j.master.settled.addCounters(j.ctr.snapshot())
+	j.master.settled.addCounters(j.ctr)
 	delete(j.master.jobs, j.ID)
 }
 
@@ -983,7 +982,7 @@ func (m *Master) declareDeadLocked(w *mWorker) {
 		delete(t.running, id.Attempt)
 		j.runningSlots--
 		if !t.committed {
-			j.ctr.add(&j.ctr.Retries, 1)
+			j.ctr.Retries++
 			j.requeue(id.Phase, id.Task)
 		}
 	}
@@ -1040,7 +1039,7 @@ func (j *Job) speculateLocked(now time.Time) {
 		j.specQ = append(j.specQ, mrpc.TaskKey{Job: j.ID, Phase: phase, Task: i})
 		j.master.wakeLocked()
 		j.specLaunched++
-		j.ctr.add(&j.ctr.SpecLaunched, 1)
+		j.ctr.SpecLaunched++
 		if j.specLaunched >= j.specCap {
 			return
 		}

@@ -6,35 +6,40 @@ import "strings"
 // for one partition — segments streamed from the DFS or fetched from
 // the mapper's worker, plus, for a map-only task merging its own
 // output, the final in-memory run — and a k-way heap merge interleaves
-// them into
-// one key-ordered record stream. Ties on the key break by (task, run)
-// sequence, which makes the merged value order per key exactly
-// (map task index, emission order): the same order the pure in-memory
-// shuffle produces by concatenating tasks in index order and stable
-// sorting, so spilled and in-memory jobs emit identical bytes.
+// them into one key-ordered record stream. Ties on the key break by
+// (task, run) sequence, which makes the merged value order per key
+// exactly (map task index, emission order): the order of one in-memory
+// run over the tasks in index order, so spilled and in-memory jobs emit
+// identical bytes.
 
 // kvStream yields one run's records in sorted order. next reports
 // ok=false at end of run; returned slices stay valid after the next
-// call (memory runs point into task arenas, spill cursors into chunks
-// they never rewrite).
+// call (memory runs point into the run's buffer, spill cursors
+// into chunks they never rewrite).
 type kvStream interface {
 	next() (key string, val []byte, ok bool, err error)
 	close() // releases the run file, if the stream holds one
 }
 
-// memStream cursors over an in-memory run.
+// memStream cursors over an ordered in-memory run: one key string per
+// distinct key, values pointing into the run's buffer.
 type memStream struct {
-	pairs []kv
-	i     int
+	r         *run
+	k, j, end int // next key in r.ids, next record in r.ord, end of the current key's records
+	key       string
 }
 
 func (s *memStream) next() (string, []byte, bool, error) {
-	if s.i >= len(s.pairs) {
+	if s.j == len(s.r.ord) {
 		return "", nil, false, nil
 	}
-	p := s.pairs[s.i]
-	s.i++
-	return p.key, p.val, true, nil
+	if s.j == s.end {
+		id := s.r.ids[s.k]
+		s.k++
+		s.key, s.end = string(s.r.key(id)), int(s.r.ents[id].end)
+	}
+	s.j++
+	return s.key, s.r.val(s.r.ord[s.j-1]), true, nil
 }
 
 func (s *memStream) close() {}

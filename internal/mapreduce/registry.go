@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/mrpc"
 	"repro/internal/units"
@@ -59,33 +61,17 @@ func (r Registry) Resolve(spec mrpc.JobSpec) (Config, error) {
 // every facility offers. Facility-specific jobs (k-mer counting, MIP
 // visualization) are registered alongside by the operator.
 func Builtin() Registry {
+	counting := func(m MapperFunc) JobBuilder {
+		return func(mrpc.JobSpec) (Config, error) {
+			return Config{Mapper: m, Combiner: SumReducer(), Reducer: SumReducer(), Format: TextInput, Locality: true}, nil
+		}
+	}
 	return Registry{
-		"wordcount": func(mrpc.JobSpec) (Config, error) {
-			return Config{
-				Mapper: MapperFunc(func(_ string, value []byte, emit Emit) error {
-					for _, f := range bytes.Fields(value) {
-						emit(string(f), one)
-					}
-					return nil
-				}),
-				Combiner: SumReducer(),
-				Reducer:  SumReducer(),
-				Format:   TextInput,
-				Locality: true,
-			}, nil
-		},
-		"linecount": func(mrpc.JobSpec) (Config, error) {
-			return Config{
-				Mapper: MapperFunc(func(_ string, _ []byte, emit Emit) error {
-					emit("lines", one)
-					return nil
-				}),
-				Combiner: SumReducer(),
-				Reducer:  SumReducer(),
-				Format:   TextInput,
-				Locality: true,
-			}, nil
-		},
+		"wordcount": counting(countWords),
+		"linecount": counting(func(_ string, _ []byte, emit Emit) error {
+			emit("lines", one)
+			return nil
+		}),
 		"grep": func(spec mrpc.JobSpec) (Config, error) {
 			pattern := spec.Args["pattern"]
 			if pattern == "" {
@@ -109,19 +95,44 @@ func Builtin() Registry {
 
 var one = []byte("1")
 
+// countWords emits a one for every field of the line by bytes.Fields's
+// rule, a field at a time: no [][]byte per line, no string per word.
+func countWords(_ string, line []byte, emit Emit) error {
+	for start, i := -1, 0; i <= len(line); {
+		c, n := byte(' '), 1 // a space past the end closes the last field
+		if i < len(line) {
+			c = line[i]
+		}
+		space := c == ' ' || c-'\t' < 5
+		if c >= utf8.RuneSelf {
+			r, size := utf8.DecodeRune(line[i:])
+			space, n = unicode.IsSpace(r), size
+		}
+		if space && start >= 0 {
+			emit.Bytes(line[start:i], one)
+			start = -1
+		} else if !space && start < 0 {
+			start = i
+		}
+		i += n
+	}
+	return nil
+}
+
 // SumReducer sums integer-valued counts per key — the reducer (and
 // combiner) behind the builtin counting templates.
 func SumReducer() Reducer {
 	return ReducerFunc(func(key string, values [][]byte, emit Emit) error {
 		total := 0
 		for _, v := range values {
-			n, err := strconv.Atoi(string(bytes.TrimSpace(v)))
+			n, err := strconv.Atoi(string(bytes.TrimSpace(v))) // Atoi keeps no reference: no allocation
 			if err != nil {
 				return fmt.Errorf("non-numeric count for %q: %w", key, err)
 			}
 			total += n
 		}
-		emit(key, []byte(strconv.Itoa(total)))
+		var buf [20]byte
+		emit(key, strconv.AppendInt(buf[:0], int64(total), 10))
 		return nil
 	})
 }

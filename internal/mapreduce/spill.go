@@ -23,8 +23,9 @@ import (
 // through the master, so the file never has to describe itself.
 
 // kvOverhead is the accounting cost charged per buffered pair on top
-// of its key and value bytes: the string and slice headers plus sort
-// bookkeeping. It keeps tiny-record jobs honest about their footprint.
+// of its key and value bytes, so tiny-record jobs stay honest about
+// their footprint. It is 48 — a pair's headers when a pair was a struct
+// of them — so that a budget cuts the runs it always cut.
 const kvOverhead = 48
 
 // spillReadBuf is how much of a segment a merge cursor reads at a
@@ -43,26 +44,26 @@ var shuffleEpoch atomic.Int64
 // record index), which equals emission order split across runs — what
 // makes spilled and in-memory jobs byte-identical.
 type taskOutput struct {
-	mem    [][]kv // final run, per partition; sorted (and combined)
+	mem    []run // final run, per partition; ordered (and combined)
 	spills []mrpc.RunRef
 }
 
-// writeSpill sorts nothing — parts must already be sorted/combined —
-// and streams one run into a new DFS file via the pooled block
-// writer, returning the run's segment index.
-func (rt *taskRuntime) writeSpill(node string, task int, parts [][]kv) (mrpc.RunRef, error) {
-	rt.spillSeq++
+// writeRun orders+combines the buffered run, streams it into a new DFS
+// file — the task's next run — and empties the buffers for the run
+// after. It returns the file's length.
+func (c *mapCollector) writeRun() (int64, error) {
+	if err := c.orderAndCombine(); err != nil {
+		return 0, err
+	}
 	run := mrpc.RunRef{
-		File: fmt.Sprintf("%s/spill-%s%05d-%06d", rt.shufDir, rt.spillTag, task, rt.spillSeq),
-		Segs: make([]mrpc.SegRef, len(parts)),
+		File: fmt.Sprintf("%s/spill-%s%05d-%06d", c.rt.shufDir, c.rt.spillTag, c.task, len(c.out.spills)+1),
+		Segs: make([]mrpc.SegRef, len(c.parts)),
 	}
-	w, err := rt.store.Create(run.File, node)
+	w, err := c.rt.store.Create(run.File, c.node)
 	if err != nil {
-		return run, err
+		return 0, err
 	}
-	buf := rt.spillBuf[:0] // one write buffer per attempt, not per run
-	defer func() { rt.spillBuf = buf }()
-	var off int64
+	buf, off := c.buf[:0], int64(0)
 	flush := func() {
 		if err == nil {
 			_, err = w.Write(buf)
@@ -70,27 +71,34 @@ func (rt *taskRuntime) writeSpill(node string, task int, parts [][]kv) (mrpc.Run
 		off += int64(len(buf))
 		buf = buf[:0]
 	}
-	for p, pairs := range parts {
+	for p := range c.parts {
+		r, j := &c.parts[p], 0
 		start := off + int64(len(buf))
-		for _, pr := range pairs {
-			buf = binary.AppendUvarint(buf, uint64(len(pr.key)))
-			buf = binary.AppendUvarint(buf, uint64(len(pr.val)))
-			buf = append(append(buf, pr.key...), pr.val...)
-			if len(buf) >= spillReadBuf {
-				flush()
+		for _, id := range r.ids {
+			key := r.key(id)
+			for end := int(r.ents[id].end); j < end; j++ {
+				val := r.val(r.ord[j])
+				buf = binary.AppendUvarint(buf, uint64(len(key)))
+				buf = binary.AppendUvarint(buf, uint64(len(val)))
+				buf = append(append(buf, key...), val...)
+				if len(buf) >= spillReadBuf {
+					flush()
+				}
 			}
 		}
-		run.Segs[p] = mrpc.SegRef{Off: start, Len: off + int64(len(buf)) - start, Records: len(pairs)}
+		run.Segs[p] = mrpc.SegRef{Off: start, Len: off + int64(len(buf)) - start, Records: len(r.recs)}
+		r.reset()
 	}
 	flush()
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		_ = rt.store.Delete(run.File)
-		return run, fmt.Errorf("mapreduce: spill %s: %w", run.File, err)
+		_ = c.rt.store.Delete(run.File)
+		return 0, fmt.Errorf("mapreduce: spill %s: %w", run.File, err)
 	}
-	return run, nil
+	c.out.spills, c.buf, c.mem = append(c.out.spills, run), buf, 0
+	return off, nil
 }
 
 // discardOutput deletes an uncommitted attempt's spill files — losing
@@ -140,21 +148,24 @@ func (c *spillCursor) next() (string, []byte, bool, error) {
 	for {
 		need := len(c.buf) + 1
 		kl, n1 := binary.Uvarint(c.buf)
-		if n1 > 0 {
-			vl, n2 := binary.Uvarint(c.buf[n1:])
-			if n2 > 0 {
-				k, end := n1+n2, n1+n2+int(kl)+int(vl)
-				if end <= len(c.buf) {
-					if string(c.buf[k:k+int(kl)]) != c.key {
-						c.key = string(c.buf[k : k+int(kl)])
-					}
-					val := c.buf[k+int(kl) : end : end]
-					c.buf = c.buf[end:]
-					c.left--
-					return c.key, val, true, nil
+		vl, n2 := binary.Uvarint(c.buf[max(n1, 0):])
+		// Off the wire or a DFS block: a length the segment cannot still
+		// hold is corruption, caught before arithmetic overflows on it.
+		if left := uint64(len(c.buf)) + uint64(c.rest); n1 < 0 || n2 < 0 || n1 > 0 && n2 > 0 && (kl > left || vl > left-kl) {
+			return "", nil, false, fmt.Errorf("mapreduce: spill segment %s: corrupt record lengths", c.file)
+		}
+		if n1 > 0 && n2 > 0 {
+			k, end := n1+n2, n1+n2+int(kl)+int(vl)
+			if end <= len(c.buf) {
+				if string(c.buf[k:k+int(kl)]) != c.key {
+					c.key = string(c.buf[k : k+int(kl)])
 				}
-				need = end
+				val := c.buf[k+int(kl) : end : end]
+				c.buf = c.buf[end:]
+				c.left--
+				return c.key, val, true, nil
 			}
+			need = end
 		}
 		if err := c.fill(need); err != nil {
 			return "", nil, false, fmt.Errorf("mapreduce: spill segment %s: %w", c.file, err)

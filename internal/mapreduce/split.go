@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
@@ -115,19 +116,24 @@ func readTextRecords(store Store, s split, node string,
 	// split unconditionally discards its first line), hence <=, the
 	// same convention as Hadoop's LineRecordReader.
 	end := s.offset + s.length
+	var key []byte // the record key, formatted in place
 	for pos <= end {
-		line, err := br.ReadBytes('\n')
+		// The line is a window of the reader's buffer — the mapper's
+		// contract — unless it is longer than the buffer.
+		line, err := br.ReadSlice('\n')
+		if err == bufio.ErrBufferFull {
+			head := bytes.Clone(line)
+			line, err = br.ReadBytes('\n')
+			line = append(head, line...)
+		}
 		if len(line) == 0 && err == io.EOF {
 			return nil
 		}
-		start := pos
+		key = strconv.AppendInt(key[:0], pos, 10)
 		pos += int64(len(line))
 		// Trim the newline; tolerate a final unterminated line.
-		trimmed := line
-		if n := len(trimmed); n > 0 && trimmed[n-1] == '\n' {
-			trimmed = trimmed[:n-1]
-		}
-		if ferr := fn(strconv.FormatInt(start, 10), trimmed); ferr != nil {
+		line = bytes.TrimSuffix(line, []byte{'\n'})
+		if ferr := fn(bytesString(key), line); ferr != nil {
 			return ferr
 		}
 		if err == io.EOF {

@@ -1,86 +1,124 @@
 package mapreduce
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"math/bits"
 	"slices"
-	"strings"
 	"time"
+
+	"repro/internal/mrpc"
 )
 
-// stableSortByKey orders pairs by key, ties in emission order — the
-// determinism the merge relies on. It sorts a permutation of indexes
-// by (key, index), so an unstable O(n log n) pdqsort yields the stable
-// order with no reflection and 4 B of scratch per record, and applies
-// it in place: each record moves once.
-func stableSortByKey(pairs []kv) {
-	if slices.IsSortedFunc(pairs, func(a, b kv) int { return strings.Compare(a.key, b.key) }) {
-		return // combiner output, single-key partitions
-	}
-	perm := make([]int32, len(pairs)) // a run is bounded by the shuffle budget, far below 2^31 records
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	slices.SortFunc(perm, func(a, b int32) int {
-		if c := strings.Compare(pairs[a].key, pairs[b].key); c != 0 {
-			return c
+// run is one partition's buffered map output, and what a combiner's
+// emits are collected in. A run's order is (key, emission index) and
+// keys repeat, so a key is stored once: an open-addressing table on the
+// FNV-1a hash the partitioner needs anyway interns it to an ID, its
+// bytes and every value go into one append-only buffer, and a pair is
+// twelve bytes of offsets — no Go pointer per record, so a buffered
+// run is nothing for the GC to scan and nothing in it moves under a
+// write barrier.
+type run struct {
+	slots []uint32 // key ID + 1 by hash, 0 = free; a power of two long, at most half full
+	ents  []keyEnt // by key ID: first-emission order
+	data  []byte   // key and value bytes, as they came
+	recs  []rec    // emission order
+	ids   []uint32 // after order: key IDs in key order
+	ord   []uint32 // after order: record indexes in (key, emission) order
+}
+
+type keyEnt struct {
+	hash, off, len uint32 // the key is data[off : off+len]
+	end            uint32 // the key's record count; after order, where its records end in ord
+}
+
+type rec struct{ key, off, len uint32 } // key ID; the value is data[off : off+len]
+
+// runLimit is the most a run may account for (see mapCollector.add):
+// what keeps its uint32 offsets and counts from wrapping. Tests lower it.
+var runLimit int64 = math.MaxUint32
+
+func (r *run) key(id uint32) []byte {
+	e := &r.ents[id]
+	return r.data[e.off : e.off+e.len]
+}
+
+func (r *run) val(i uint32) []byte {
+	rc := &r.recs[i]
+	return r.data[rc.off : rc.off+rc.len : rc.off+rc.len]
+}
+
+// find returns the table slot holding key's ID, or the free one its
+// probe ends at. The probe starts at the top bits of a multiplicative
+// mix of h, since one partition's keys share h mod R.
+func (r *run) find(h uint32, key string) *uint32 {
+	mask := uint32(len(r.slots) - 1)
+	for i := h * 2654435769 >> bits.LeadingZeros32(mask); ; i = (i + 1) & mask {
+		if s := &r.slots[i]; *s == 0 || r.ents[*s-1].hash == h && string(r.key(*s-1)) == key {
+			return s
 		}
-		return int(a - b)
-	})
-	for i := range perm { // follow each cycle once; visited slots become fixed points
-		first, j := pairs[i], i
-		for k := int(perm[j]); k != i; k = int(perm[j]) {
-			pairs[j], perm[j] = pairs[k], int32(j)
-			j = k
+	}
+}
+
+// add copies one pair in; h is fnv1a(key).
+func (r *run) add(h uint32, key string, value []byte) {
+	if 2*len(r.ents) >= len(r.slots) {
+		r.slots = make([]uint32, max(64, 2*len(r.slots)))
+		for id := range r.ents {
+			*r.find(r.ents[id].hash, bytesString(r.key(uint32(id)))) = uint32(id) + 1
 		}
-		pairs[j], perm[j] = first, int32(j)
+	}
+	s := r.find(h, key)
+	if *s == 0 {
+		r.ents = append(double(r.ents, 1), keyEnt{hash: h, off: uint32(len(r.data)), len: uint32(len(key))})
+		r.data = append(double(r.data, len(key)), key...)
+		*s = uint32(len(r.ents))
+	}
+	r.ents[*s-1].end++
+	r.recs = append(double(r.recs, 1), rec{key: *s - 1, off: uint32(len(r.data)), len: uint32(len(value))})
+	r.data = append(double(r.data, len(value)), value...)
+}
+
+// double returns s with room for n more elements, at least doubling it
+// when it has to grow: append's 1.25x steps past 256 elements allocate
+// about five times the final buffer.
+func double[T any](s []T, n int) []T {
+	if cap(s)-len(s) >= n {
+		return s
+	}
+	return slices.Grow(s, len(s)+max(n, 64))
+}
+
+// order computes the run's order: the distinct keys are sorted and the
+// records counting-scattered by their key's rank, which keeps emission
+// order within a key by construction — O(n + d log d) for n records of
+// d keys, and the sequence a stable sort of the records by key gives.
+func (r *run) order() {
+	r.ids = double(r.ids[:0], len(r.ents))[:len(r.ents)]
+	for id := range r.ids {
+		r.ids[id] = uint32(id)
+	}
+	slices.SortFunc(r.ids, func(a, b uint32) int { return bytes.Compare(r.key(a), r.key(b)) })
+	at := uint32(0)
+	for _, id := range r.ids { // a key's count becomes where its records start
+		e := &r.ents[id]
+		at, e.end = at+e.end, at
+	}
+	r.ord = double(r.ord[:0], len(r.recs))[:len(r.recs)]
+	for i := range r.recs { // and, record by record, where they end
+		e := &r.ents[r.recs[i].key]
+		r.ord[e.end] = uint32(i)
+		e.end++
 	}
 }
 
-// kv is one intermediate pair. Pairs preserve emission order within a
-// map task, which (together with task-index-ordered merging) makes
-// reduce input deterministic regardless of scheduling.
-type kv struct {
-	key string
-	val []byte
-}
-
-// byteArena copies emitted values into chunked backing arrays so the
-// map hot loop does one allocation per chunk of output — chunks double
-// from 1 KiB to 64 KiB, so a small task makes little garbage — instead
-// of one per record. Arenas are per-attempt and never shared across
-// goroutines.
-type byteArena struct {
-	chunk []byte
-}
-
-const arenaChunkSize = 64 * 1024
-
-// alloc returns an n-byte slice carved from the current chunk. A
-// chunk is only ever appended to, never rewritten, so every returned
-// slice stays valid for as long as its holder keeps it; dropped
-// chunks go to the GC wholesale.
-func (a *byteArena) alloc(n int) []byte {
-	if n == 0 {
-		return nil
-	}
-	if n > arenaChunkSize/4 {
-		// Large values get their own allocation rather than wasting
-		// the tail of a chunk.
-		return make([]byte, n)
-	}
-	if cap(a.chunk)-len(a.chunk) < n {
-		a.chunk = make([]byte, 0, min(arenaChunkSize, max(1024, 2*cap(a.chunk), 4*n)))
-	}
-	start := len(a.chunk)
-	a.chunk = a.chunk[:start+n]
-	return a.chunk[start : start+n : start+n]
-}
-
-func (a *byteArena) copy(v []byte) []byte {
-	buf := a.alloc(len(v))
-	copy(buf, v)
-	return buf
+// reset empties the run and keeps its table and buffers for the next.
+func (r *run) reset() {
+	clear(r.slots)
+	r.ents, r.data, r.recs, r.ids, r.ord = r.ents[:0], r.data[:0], r.recs[:0], r.ids[:0], r.ord[:0]
 }
 
 // taskRuntime is one attempt's execution machinery: running a mapper
@@ -90,11 +128,9 @@ func (a *byteArena) copy(v []byte) []byte {
 // proxy) with attempt-scoped spill names.
 type taskRuntime struct {
 	store    Store
-	cfg      Config // defaults applied
-	ctr      *Counters
+	cfg      Config             // defaults applied
+	ctr      *mrpc.TaskCounters // the attempt's deltas, reported with its completion
 	shufDir  string
-	spillSeq int64
-	spillBuf []byte
 	spillTag string // attempt-scoping prefix in spill names
 
 	// spillAll makes finish() write the final run to the store instead
@@ -114,110 +150,118 @@ var errCancelled = fmt.Errorf("mapreduce: attempt cancelled")
 
 // mapCollector accumulates a map attempt's partitioned output under
 // the shuffle memory budget, spilling sorted runs to the store when
-// the budget fills. It is per-attempt and single-goroutine.
+// the budget fills. It is per-attempt and single-goroutine; its tables
+// and buffers are reset, not reallocated, between the attempt's runs.
 type mapCollector struct {
-	rt       *taskRuntime
-	node     string
-	task     int
-	parts    [][]kv
-	splitLen int
-	arena    byteArena
-	mem      int64
-	err      error // first spill/combine failure; latched
-	out      taskOutput
+	rt    *taskRuntime
+	node  string
+	task  int
+	parts []run    // one per reduce partition
+	comb  run      // the combiner's output for the partition being folded
+	group [][]byte // the combiner's values argument, reused
+	buf   []byte   // the run file write buffer, reused
+	mem   int64
+	err   error // first spill/combine failure; latched
+	out   taskOutput
+}
+
+func newMapCollector(rt *taskRuntime, node string, task int) *mapCollector {
+	return &mapCollector{rt: rt, node: node, task: task, parts: make([]run, rt.cfg.NumReducers)}
 }
 
 func (c *mapCollector) add(key string, value []byte) {
-	p := partition(key, len(c.parts))
-	part := c.parts[p]
-	if len(part) == cap(part) {
-		// Double — append's 1.25x growth past 256 elements allocates
-		// about five times the final slice — starting from 2 Ki records,
-		// or from the partition's share of what the split (a record per
-		// 8 B of it) or the budget lets a run hold.
-		first := min(2048, c.splitLen/8/len(c.parts)+16)
-		if budget := int(c.rt.cfg.ShuffleMemory); budget > 0 {
-			first = min(first, budget/kvOverhead/len(c.parts)+1)
+	n := int64(len(key)) + int64(len(value)) + kvOverhead
+	if c.mem+n > runLimit {
+		// Budget or none, a run is cut before a uint32 in it could wrap —
+		// no buffer or count outgrows what the run accounts for — by the
+		// spill a full budget makes, so output bytes stay a budgeted job's.
+		if c.spill(); n > runLimit && c.err == nil {
+			c.err = errors.New("mapreduce: map output record too large for a run")
 		}
-		part = append(make([]kv, 0, max(first, 2*len(part))), part...)
 	}
-	c.parts[p] = append(part, kv{key: key, val: c.arena.copy(value)})
-	c.mem += int64(len(key)) + int64(len(value)) + kvOverhead
+	if c.err != nil {
+		return // a spill failed; drop further output
+	}
+	h := fnv1a(key)
+	c.parts[h%uint32(len(c.parts))].add(h, key, value)
+	c.rt.ctr.MapOutputRecords++
+	c.mem += n
 	if budget := int64(c.rt.cfg.ShuffleMemory); budget > 0 && c.mem >= budget {
 		c.spill()
 	}
 }
 
-// spill sorts+combines the buffered run, writes it to the store,
-// counts it (SpillRuns and SpillBytes are the budget's doing; finish
-// counts nothing) and resets the buffer. Errors latch into c.err; the
-// attempt surfaces them after the mapper returns.
+// spill writes the buffered run to the store and counts it: SpillRuns
+// and SpillBytes are the budget's doing, finish counts nothing. Errors
+// latch into c.err; the attempt surfaces them after the mapper returns.
 func (c *mapCollector) spill() {
 	if c.err != nil {
 		return
 	}
-	parts, err := c.rt.sortAndCombine(c.parts)
-	if err != nil {
-		c.err = err
-		return
+	var n int64
+	if n, c.err = c.writeRun(); c.err == nil {
+		c.rt.ctr.SpillRuns++
+		c.rt.ctr.SpillBytes += n
 	}
-	run, err := c.rt.writeSpill(c.node, c.task, parts)
-	if err != nil {
-		c.err = err
-		return
-	}
-	c.rt.ctr.add(&c.rt.ctr.SpillRuns, 1)
-	last := run.Segs[len(run.Segs)-1] // segments lie back to back
-	c.rt.ctr.add(&c.rt.ctr.SpillBytes, last.Off+last.Len)
-	c.out.spills = append(c.out.spills, run)
-	c.parts = make([][]kv, len(c.parts))
-	c.arena = byteArena{}
-	c.mem = 0
 }
 
-// finish sorts+combines the final run. It stays in memory unless the
+// finish orders+combines the final run. It stays in memory unless the
 // runtime demands everything on the store (spillAll), in which case it
 // becomes the last run file — same contents, same run index, so merge
 // order is unchanged.
 func (c *mapCollector) finish() error {
-	if c.err != nil {
-		return c.err
+	switch {
+	case c.err != nil:
+	case !c.rt.spillAll:
+		c.out.mem, c.err = c.parts, c.orderAndCombine()
+	case c.mem > 0: // else nothing emitted since the last spill: no run
+		_, c.err = c.writeRun()
 	}
-	parts, err := c.rt.sortAndCombine(c.parts)
-	if err != nil {
-		return err
-	}
-	if c.rt.spillAll {
-		if !slices.ContainsFunc(parts, func(p []kv) bool { return len(p) > 0 }) {
-			return nil // nothing emitted since the last spill: no run
+	return c.err
+}
+
+// orderAndCombine orders each partition's run by (key, emission index)
+// and, if a combiner is configured, folds it: each key's records are
+// contiguous in the order, so the combiner gets one group after another
+// through one reused slice, its emits are collected in a run of their
+// own, and that run — ordered the same way, since a combiner need not
+// emit the group key — takes the partition's place.
+func (c *mapCollector) orderAndCombine() error {
+	emit := func(key string, value []byte) { c.comb.add(fnv1a(key), key, value) }
+	for p := range c.parts {
+		r := &c.parts[p]
+		r.order()
+		if c.rt.cfg.Combiner == nil {
+			continue
 		}
-		run, err := c.rt.writeSpill(c.node, c.task, parts)
-		if err != nil {
-			return err
+		j := 0
+		for _, id := range r.ids {
+			c.group = c.group[:0]
+			for end := int(r.ents[id].end); j < end; j++ {
+				c.group = append(c.group, r.val(r.ord[j]))
+			}
+			if err := c.rt.cfg.Combiner.Reduce(bytesString(r.key(id)), c.group, emit); err != nil {
+				return err
+			}
 		}
-		c.out.spills = append(c.out.spills, run)
-		return nil
+		c.rt.ctr.CombineInput += int64(len(r.recs))
+		c.rt.ctr.CombineOutput += int64(len(c.comb.recs))
+		c.comb.order()
+		r.reset()
+		*r, c.comb = c.comb, *r
 	}
-	c.out.mem = parts
 	return nil
 }
 
 // executeMap runs the mapper over one split and returns the task's
-// output: spilled runs plus (unless spillAll) the final in-memory run,
-// each sorted and combined. On error, spill files already written
-// are deleted.
-func (rt *taskRuntime) executeMap(node string, task int, s split) (out *taskOutput, records, outRecords int64, err error) {
-	col := &mapCollector{rt: rt, node: node, task: task, parts: make([][]kv, rt.cfg.NumReducers), splitLen: int(s.length)}
-	emit := func(key string, value []byte) {
-		if col.err != nil {
-			return // a spill failed; drop further output
-		}
-		col.add(key, value)
-		outRecords++
-	}
+// output: spilled runs plus (unless spillAll) the final in-memory run.
+// On error, spill files already written are deleted.
+func (rt *taskRuntime) executeMap(node string, task int, s split) (*taskOutput, error) {
+	col := newMapCollector(rt, node, task)
+	emit := Emit(col.add)
 	var consumed int64
-	err = readRecords(rt.store, s, rt.cfg.Format, node, func(key string, value []byte) error {
-		records++
+	err := readRecords(rt.store, s, rt.cfg.Format, node, func(key string, value []byte) error {
+		rt.ctr.InputRecords++
 		if rt.stepDelay > 0 {
 			time.Sleep(rt.stepDelay)
 		}
@@ -240,58 +284,9 @@ func (rt *taskRuntime) executeMap(node string, task int, s split) (out *taskOutp
 	}
 	if err != nil {
 		rt.discardOutput(&col.out)
-		return nil, 0, 0, err
+		return nil, err
 	}
-	return &col.out, records, outRecords, nil
-}
-
-// sortAndCombine stable-sorts each partition by key (preserving
-// emission order within a key) and folds it through the combiner if
-// one is configured.
-func (rt *taskRuntime) sortAndCombine(parts [][]kv) ([][]kv, error) {
-	for p := range parts {
-		stableSortByKey(parts[p])
-	}
-	if rt.cfg.Combiner != nil {
-		for p := range parts {
-			combined, cerr := rt.combine(parts[p])
-			if cerr != nil {
-				return nil, cerr
-			}
-			parts[p] = combined
-		}
-	}
-	return parts, nil
-}
-
-// combine folds a sorted run of pairs through the combiner.
-func (rt *taskRuntime) combine(sorted []kv) ([]kv, error) {
-	var out []kv
-	var arena byteArena
-	emit := func(key string, value []byte) {
-		out = append(out, kv{key: key, val: arena.copy(value)})
-	}
-	i := 0
-	for i < len(sorted) {
-		j := i
-		for j < len(sorted) && sorted[j].key == sorted[i].key {
-			j++
-		}
-		vals := make([][]byte, 0, j-i)
-		for _, p := range sorted[i:j] {
-			vals = append(vals, p.val)
-		}
-		rt.ctr.add(&rt.ctr.CombineInput, int64(j-i))
-		if err := rt.cfg.Combiner.Reduce(sorted[i].key, vals, emit); err != nil {
-			return nil, err
-		}
-		i = j
-	}
-	rt.ctr.add(&rt.ctr.CombineOutput, int64(len(out)))
-	// Combiner output for a sorted input is sorted as long as the
-	// combiner emits the group key; enforce for safety.
-	stableSortByKey(out)
-	return out, nil
+	return &col.out, nil
 }
 
 // taskSources returns the merge sources for one task's partition p: a
@@ -310,8 +305,8 @@ func (rt *taskRuntime) taskSources(out *taskOutput, task, p int, node string) (s
 			srcs = append(srcs, mergeSource{s: cur, task: task, run: ri})
 		}
 	}
-	if p < len(out.mem) && len(out.mem[p]) > 0 {
-		srcs = append(srcs, mergeSource{s: &memStream{pairs: out.mem[p]}, task: task, run: len(out.spills)})
+	if p < len(out.mem) && len(out.mem[p].recs) > 0 {
+		srcs = append(srcs, mergeSource{s: &memStream{r: &out.mem[p]}, task: task, run: len(out.spills)})
 	}
 	return srcs, nil
 }
@@ -336,7 +331,7 @@ func (rt *taskRuntime) writeMapOutput(name, node string, task int, out *taskOutp
 		srcs, err := rt.taskSources(out, task, p, node)
 		var m *merger
 		if err == nil {
-			rt.ctr.add(&rt.ctr.MergeStreams, int64(len(srcs)))
+			rt.ctr.MergeStreams += int64(len(srcs))
 			m, err = newMerger(srcs)
 		}
 		if err == nil {
@@ -351,14 +346,14 @@ func (rt *taskRuntime) writeMapOutput(name, node string, task int, out *taskOutp
 	if err := w.Close(); err != nil {
 		return err
 	}
-	rt.ctr.add(&rt.ctr.OutputRecords, lw.n)
+	rt.ctr.OutputRecords += lw.n
 	return nil
 }
 
 // drainGroups streams merged groups through red: one Values cursor
 // per key, drained after the reducer returns so early-stopping
-// reducers still advance the merge. wfail, when non-nil, surfaces a
-// latched output-write failure after each group.
+// reducers still advance the merge. wfail surfaces a latched
+// output-write failure (or a kill order) after each group.
 func drainGroups(m *merger, red StreamReducer, emit Emit, wfail func() error) (groups int64, err error) {
 	for {
 		head, ok := m.peek()
@@ -374,10 +369,8 @@ func drainGroups(m *merger, red StreamReducer, emit Emit, wfail func() error) (g
 		if vals.err != nil {
 			return groups, vals.err
 		}
-		if wfail != nil {
-			if werr := wfail(); werr != nil {
-				return groups, werr
-			}
+		if werr := wfail(); werr != nil {
+			return groups, werr
 		}
 		groups++
 	}

@@ -361,7 +361,7 @@ func (w *Worker) runAttempt(a mrpc.Assignment, att *wAttempt) {
 		rt := &taskRuntime{
 			store:     w.store,
 			cfg:       cfg,
-			ctr:       &Counters{},
+			ctr:       &req.Counters,
 			shufDir:   a.ShufDir,
 			spillTag:  fmt.Sprintf("%s-a%d-", w.cfg.ID, a.ID.Attempt),
 			spillAll:  a.ID.Phase == mrpc.PhaseMap && !a.MapOnly,
@@ -420,22 +420,20 @@ func (w *Worker) runMap(a mrpc.Assignment, rt *taskRuntime, att *wAttempt, req *
 			return nil, errCancelled
 		}
 	}
-	out, records, outRecords, err := rt.executeMap(w.cfg.Node, a.ID.Task, fromRef(a.Split))
+	out, err := rt.executeMap(w.cfg.Node, a.ID.Task, fromRef(a.Split))
 	if err != nil {
 		return nil, err // executeMap discarded its spills
 	}
 	if a.MapOnly {
-		if err := rt.writeMapOutput(a.OutFile, w.cfg.Node, a.ID.Task, out); err != nil {
-			rt.discardOutput(out)
+		err := rt.writeMapOutput(a.OutFile, w.cfg.Node, a.ID.Task, out)
+		rt.discardOutput(out)
+		if err != nil {
 			return nil, err
 		}
-		rt.discardOutput(out)
 		req.OutFile = a.OutFile
-		req.Counters = taskCounters(rt.ctr, records, outRecords)
 		return func() { _ = w.store.Delete(a.OutFile) }, nil
 	}
 	req.Runs = out.spills
-	req.Counters = taskCounters(rt.ctr, records, outRecords)
 	return func() { rt.discardOutput(out) }, nil
 }
 
@@ -478,7 +476,7 @@ func (w *Worker) runReduce(a mrpc.Assignment, rt *taskRuntime, td *obs.TraceData
 	if len(req.LostMaps) > 0 {
 		return nil, fmt.Errorf("mapreduce: reduce %d: %d map outputs unreachable", p, len(req.LostMaps))
 	}
-	rt.ctr.add(&rt.ctr.MergeStreams, int64(len(srcs)))
+	rt.ctr.MergeStreams += int64(len(srcs))
 	m, err := newMerger(srcs)
 	if err != nil {
 		return nil, err
@@ -510,27 +508,11 @@ func (w *Worker) runReduce(a mrpc.Assignment, rt *taskRuntime, td *obs.TraceData
 		return nil, fmt.Errorf("mapreduce: reduce partition %d: %w", p, err)
 	}
 	req.OutFile = a.OutFile
-	req.Counters = taskCounters(rt.ctr, 0, 0)
 	req.Counters.ReduceGroups = groups
 	req.Counters.OutputRecords = lw.n
 	req.Counters.ShuffleBytes = m.bytes
 	req.Counters.RemoteShuffle = remoteBytes
 	return func() { _ = w.store.Delete(a.OutFile) }, nil
-}
-
-// taskCounters snapshots an attempt's runtime counters as wire deltas.
-func taskCounters(c *Counters, records, outRecords int64) mrpc.TaskCounters {
-	s := c.snapshot()
-	return mrpc.TaskCounters{
-		InputRecords:     records,
-		MapOutputRecords: outRecords,
-		CombineInput:     s.CombineInput,
-		CombineOutput:    s.CombineOutput,
-		OutputRecords:    s.OutputRecords,
-		SpillRuns:        s.SpillRuns,
-		SpillBytes:       s.SpillBytes,
-		MergeStreams:     s.MergeStreams,
-	}
 }
 
 // serveSegment streams a byte range of a spill file this worker wrote

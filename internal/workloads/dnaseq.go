@@ -59,7 +59,7 @@ func GenerateReads(genome []byte, cfg ReadsConfig) []byte {
 }
 
 // KMerMapper emits every k-mer of each read with count 1; combined
-// with SumReducer it produces the k-mer spectrum.
+// with mapreduce.SumReducer it produces the k-mer spectrum.
 func KMerMapper(k int) mapreduce.Mapper {
 	return mapreduce.MapperFunc(func(_ string, value []byte, emit mapreduce.Emit) error {
 		parts := strings.Split(string(value), "\t")
@@ -89,29 +89,29 @@ func CoverageMapper(bucketSize int) mapreduce.Mapper {
 		if err != nil {
 			return err
 		}
-		readLen := len(parts[2])
-		for p := pos; p < pos+readLen; p++ {
-			emit(fmt.Sprintf("%08d", p/bucketSize), one)
+		var key [20]byte
+		for p := pos; p < pos+len(parts[2]); p++ {
+			emit.Bytes(padded(key[:0], p/bucketSize, 8), one)
 		}
 		return nil
 	})
 }
 
-// SumReducer adds integer counts, shared by both DNA jobs.
-var SumReducer = mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-	sum := 0
-	for _, v := range values {
-		n, err := strconv.Atoi(string(v))
-		if err != nil {
-			return err
-		}
-		sum += n
+// padded appends n to dst as %0*d formats it — a key built in the
+// caller's buffer, without fmt and without allocating.
+func padded(dst []byte, n, width int) []byte {
+	if n < 0 {
+		dst, n, width = append(dst, '-'), -n, width-1
 	}
-	emit(key, []byte(strconv.Itoa(sum)))
-	return nil
-})
+	var num [20]byte
+	digits := strconv.AppendInt(num[:0], int64(n), 10)
+	for d := len(digits); d < width; d++ {
+		dst = append(dst, '0')
+	}
+	return append(dst, digits...)
+}
 
-// StreamSumReducer is SumReducer on the streaming reduce interface:
+// StreamSumReducer is mapreduce.SumReducer on the streaming reduce interface:
 // it folds each count as it comes off the shuffle merge, so a group
 // of any cardinality costs O(1) reducer memory — the shape to use
 // with Config.ShuffleMemory on high-fan-in keys.

@@ -57,8 +57,9 @@ func MIPMapper(cfg VolumeConfig) mapreduce.Mapper {
 		if rows > cfg.Height {
 			rows = cfg.Height
 		}
+		var key [24]byte
 		for y := 0; y < rows; y++ {
-			emit(fmt.Sprintf("row-%05d", y), value[y*cfg.Width:(y+1)*cfg.Width])
+			emit.Bytes(padded(append(key[:0], "row-"...), y, 5), value[y*cfg.Width:(y+1)*cfg.Width])
 		}
 		return nil
 	})
@@ -132,7 +133,7 @@ var EnergyBandMapper = mapreduce.MapperFunc(func(_ string, value []byte, emit ma
 	if err != nil {
 		return err
 	}
-	emit(fmt.Sprintf("band-%05d", ev/100*100), one)
+	emit.Bytes(padded(append(make([]byte, 0, 16), "band-"...), ev/100*100, 5), one)
 	return nil
 })
 

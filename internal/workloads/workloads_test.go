@@ -184,7 +184,7 @@ func TestKMerCountingJob(t *testing.T) {
 	res, err := mapreduce.Run(c, mapreduce.Config{
 		Name:   "kmer-count",
 		Inputs: []string{"/dna/reads"}, OutputDir: "/dna/kmers",
-		Mapper: KMerMapper(k), Reducer: SumReducer, Combiner: SumReducer,
+		Mapper: KMerMapper(k), Reducer: mapreduce.SumReducer(), Combiner: mapreduce.SumReducer(),
 		NumReducers: 2, Locality: true,
 	})
 	if err != nil {
@@ -219,7 +219,7 @@ func TestCoverageJob(t *testing.T) {
 	}
 	res, err := mapreduce.Run(c, mapreduce.Config{
 		Inputs: []string{"/dna/reads"}, OutputDir: "/dna/cov",
-		Mapper: CoverageMapper(100), Reducer: SumReducer, Combiner: SumReducer,
+		Mapper: CoverageMapper(100), Reducer: mapreduce.SumReducer(), Combiner: mapreduce.SumReducer(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -289,7 +289,7 @@ func TestKatrinHistogramJob(t *testing.T) {
 	}
 	res, err := mapreduce.Run(c, mapreduce.Config{
 		Inputs: []string{"/katrin/run1"}, OutputDir: "/katrin/hist",
-		Mapper: PixelHistogramMapper, Reducer: SumReducer, Combiner: SumReducer,
+		Mapper: PixelHistogramMapper, Reducer: mapreduce.SumReducer(), Combiner: mapreduce.SumReducer(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestEnergyBands(t *testing.T) {
 	}
 	res, err := mapreduce.Run(c, mapreduce.Config{
 		Inputs: []string{"/katrin/run2"}, OutputDir: "/katrin/bands",
-		Mapper: EnergyBandMapper, Reducer: SumReducer,
+		Mapper: EnergyBandMapper, Reducer: mapreduce.SumReducer(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -340,5 +340,19 @@ func TestClimateGrid(t *testing.T) {
 	}
 	if !bytes.Equal(grid, ClimateGrid(10, 20, 3)) {
 		t.Fatal("climate grid not deterministic")
+	}
+}
+
+// TestPaddedMatchesFmt holds the mappers' key formatting to the
+// fmt.Sprintf calls it replaced, so keys — and with them partitions and
+// output bytes — are what they were.
+func TestPaddedMatchesFmt(t *testing.T) {
+	for _, n := range []int{0, 7, 99_999, 100_000, 12_345_678, 123_456_789, -1, -18_500} {
+		if got, want := string(padded([]byte("band-"), n, 5)), fmt.Sprintf("band-%05d", n); got != want {
+			t.Errorf("padded(%d, 5) = %q, fmt has %q", n, got, want)
+		}
+		if got, want := string(padded([]byte("x"), n, 8)), fmt.Sprintf("x%08d", n); got != want {
+			t.Errorf("padded(%d, 8) = %q, fmt has %q", n, got, want)
+		}
 	}
 }
