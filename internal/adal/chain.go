@@ -82,23 +82,41 @@ type ChainHasher struct {
 
 func NewChainHasher() *ChainHasher { return &ChainHasher{h: newHash()} }
 
-// Write never fails. A checkpoint is taken when the first byte past a
-// boundary arrives, so the boundary at an object's end leaves none.
+// Write never fails. A checkpoint is taken as each block fills.
 func (c *ChainHasher) Write(p []byte) (int, error) {
 	for rest := p; len(rest) > 0; {
-		in := c.n % ChainBlock
-		if in == 0 && c.n > 0 {
-			c.chain = append(c.chain, marshalState(c.h)...)
-		}
-		k := min(int64(len(rest)), ChainBlock-in)
+		k := min(int64(len(rest)), ChainBlock-c.n%ChainBlock)
 		c.h.Write(rest[:k])
 		c.n += k
 		rest = rest[k:]
+		if c.n%ChainBlock == 0 {
+			c.chain = append(c.chain, marshalState(c.h)...)
+		}
 	}
 	return len(p), nil
 }
 
-// Digest reports what has been hashed so far.
+// Digest reports what has been hashed so far. A boundary the stream
+// ends on is not inside the object, so its checkpoint is left out.
 func (c *ChainHasher) Digest() Digest {
-	return Digest{Size: units.Bytes(c.n), Sum: hex.EncodeToString(c.h.Sum(nil)), Chain: c.chain}
+	chain := c.chain
+	if c.n > 0 && c.n%ChainBlock == 0 {
+		chain = chain[: len(chain)-stateLen : len(chain)-stateLen]
+	}
+	return Digest{Size: units.Bytes(c.n), Sum: hex.EncodeToString(c.h.Sum(nil)), Chain: chain}
+}
+
+// prefixOf reports whether the bytes hashed so far can still grow into
+// the object want describes: no longer than it and, at a block boundary
+// inside a chained want, on its checkpoint. The end of the stream is
+// for Digest to judge.
+func (c *ChainHasher) prefixOf(want Digest) bool {
+	if c.n > int64(want.Size) {
+		return false
+	}
+	if c.n == 0 || c.n%ChainBlock != 0 || c.n == int64(want.Size) || !want.Chained() {
+		return true
+	}
+	at := int(c.n/ChainBlock) * stateLen
+	return bytes.Equal(c.chain[at-stateLen:at], want.Chain[at-stateLen:at])
 }

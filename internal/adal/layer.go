@@ -2,8 +2,6 @@ package adal
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"sort"
@@ -229,11 +227,11 @@ func (l *Layer) Remove(path string) error {
 	return b.Remove(rel)
 }
 
-// copyBufPool recycles transfer buffers across concurrent ingest
-// workers, federated reads and verify hashes.
+// copyBufPool recycles the one-block transfer buffers of Transfer and
+// PooledCopy across concurrent ingest workers, copies and reads.
 var copyBufPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, 256*1024)
+		b := make([]byte, ChainBlock)
 		return &b
 	},
 }
@@ -251,15 +249,19 @@ func PooledCopy(dst io.Writer, src io.Reader) (int64, error) {
 }
 
 // WriteChecksummed streams r into path, returning the byte count and
-// hex SHA-256 — the ingest pipeline's canonical write primitive. When
-// the copy fails, the part already written is removed (if Close
-// committed it): a half-written object is never left behind.
+// hex SHA-256 — the ingest pipeline's canonical write primitive. Every
+// stored byte is hashed once: Transfer reads the digest of a mount that
+// hands out a ChecksumWriter (the federation's, a tier's) and hashes
+// only for a plain writer. When the copy fails, the part already
+// written is removed (if Close committed it): a half-written object is
+// never left behind.
 func (l *Layer) WriteChecksummed(path string, r io.Reader) (units.Bytes, string, error) {
 	w, err := l.Create(path)
 	if err != nil {
 		return 0, "", err
 	}
-	d, werr, cerr := copyHashed(w, r)
+	d, werr := Transfer(context.TODO(), w, r, Digest{})
+	cerr := w.Close()
 	if werr != nil {
 		if cerr == nil {
 			_ = l.Remove(path)
@@ -272,24 +274,10 @@ func (l *Layer) WriteChecksummed(path string, r io.Reader) (units.Bytes, string,
 	return d.Size, d.Sum, nil
 }
 
-// copyHashed copies r into w and closes it, reporting the copy's and
-// Close's errors apart. Every stored byte is hashed once: a mount that
-// hands out a ChecksumWriter (the federation's) has done it, and only a
-// plain writer is wrapped in one here.
-func copyHashed(w io.WriteCloser, r io.Reader) (d Digest, werr, cerr error) {
-	cw, ok := w.(*ChecksumWriter)
-	if !ok {
-		cw = NewChecksumWriter(w, nil)
-	}
-	_, werr = PooledCopy(cw, r)
-	cerr = cw.Close()
-	return cw.Digest(), werr, cerr
-}
-
 // NewChecksumWriter wraps w so every written byte is SHA-256-hashed
 // in passing, checkpoint chain included; Close closes w and then hands
-// the digest and the close error to commit (when not nil), whose return
-// value becomes Close's result. A failed Write is sticky: Close reports
+// the digest and the close error to commit, whose return value becomes
+// Close's result. A failed Write is sticky: Close reports
 // it to commit in place of the close error, so a stream that lost bytes
 // is never committed as whole. Backends that must register a content
 // hash at commit time hand this writer out.
@@ -323,15 +311,8 @@ func (cw *ChecksumWriter) Close() error {
 	if cw.werr != nil {
 		err = cw.werr
 	}
-	if cw.commit != nil {
-		err = cw.commit(cw.h.Digest(), err)
-	}
-	return err
+	return cw.commit(cw.h.Digest(), err)
 }
-
-// Digest reports what the writer hashed: the bytes the wrapped writer
-// accepted. It is final once Close has returned.
-func (cw *ChecksumWriter) Digest() Digest { return cw.h.Digest() }
 
 // Checksum reads an object and returns its hex SHA-256, used by the
 // rule engine's integrity audits.
@@ -341,15 +322,15 @@ func (l *Layer) Checksum(path string) (string, error) {
 		return "", err
 	}
 	defer r.Close()
-	h := sha256.New()
-	if _, err := PooledCopy(h, r); err != nil {
+	d, err := Transfer(context.TODO(), io.Discard, r, Digest{})
+	if err != nil {
 		return "", err
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return d.Sum, nil
 }
 
 // CopyObject copies one object across mounts (replication action).
-// The copy is streamed chunk by chunk through a pooled buffer — the
+// The copy is streamed block by block through a pooled buffer — the
 // object never materializes in memory — and a failed copy removes the
 // partial destination, so callers never observe a half-written
 // replica.
@@ -367,19 +348,11 @@ func (l *Layer) CopyObjectChecksummed(src, dst string) (units.Bytes, string, err
 		return 0, "", err
 	}
 	defer r.Close()
-	w, err := l.Create(dst)
+	n, sum, err := l.WriteChecksummed(dst, r)
 	if err != nil {
-		return 0, "", err
+		return 0, "", fmt.Errorf("adal: copying %s: %w", src, err)
 	}
-	d, werr, cerr := copyHashed(w, r)
-	if werr == nil {
-		werr = cerr
-	}
-	if werr != nil {
-		_ = l.Remove(dst) // best effort: never leave a partial replica
-		return 0, "", fmt.Errorf("adal: copying %s -> %s: %w", src, dst, werr)
-	}
-	return d.Size, d.Sum, nil
+	return n, sum, nil
 }
 
 // ParseURI splits "lsdf://host/path" into its host and federated

@@ -52,49 +52,26 @@ type Entry struct {
 	Cached string `json:"cached,omitempty"`
 }
 
-// placementReporter is implemented by tiering backends; the browser
-// discovers it structurally through the mount table, keeping the
-// browser free of a tiering dependency.
-type placementReporter interface {
-	Placement(rel string) (string, bool)
-}
-
-// replicaReporter is implemented by federated replication backends,
-// discovered structurally for the same decoupling reason.
-type replicaReporter interface {
-	ReplicaSites(rel string) ([]string, bool)
-}
-
-// cacheReporter is implemented by read-cache backends: the tier
-// currently holding the object, and the cache's counter snapshot.
+// cacheReporter is implemented by read-cache backends, discovered
+// structurally through the mount table: the cache's counter snapshot.
 type cacheReporter interface {
-	CacheTier(rel string) (string, bool)
 	CacheCounters() map[string]uint64
 }
 
-// annotate resolves the path once and fills in whatever its backend
-// reports: the tier placement and/or the replica sites.
-func (b *Browser) annotate(e *Entry, path string) {
-	be, rel, err := b.layer.Resolve(path)
-	if err != nil {
-		return
+// entry joins one Stat result — its listing facts come from whatever
+// backends serve the path — with the metadata record, when one exists.
+func (b *Browser) entry(info adal.FileInfo) Entry {
+	e := Entry{
+		Path: info.Path, Size: info.Size, Placement: info.Placement,
+		Replicas: len(info.Replicas), ReplicaSites: info.Replicas, Cached: info.Cached,
 	}
-	if pr, ok := be.(placementReporter); ok {
-		if p, ok := pr.Placement(rel); ok {
-			e.Placement = p
-		}
+	if ds, ok := b.meta.ByPath(info.Path); ok {
+		e.Registered = true
+		e.DatasetID = ds.ID
+		e.Project = ds.Project
+		e.Tags = ds.Tags
 	}
-	if rr, ok := be.(replicaReporter); ok {
-		if sites, ok := rr.ReplicaSites(rel); ok {
-			e.ReplicaSites = sites
-			e.Replicas = len(sites)
-		}
-	}
-	if cr, ok := be.(cacheReporter); ok {
-		if tier, ok := cr.CacheTier(rel); ok {
-			e.Cached = tier
-		}
-	}
+	return e
 }
 
 // CacheStats reports the read-cache counters of the mount serving
@@ -136,8 +113,7 @@ func (b *Browser) SetObs(reg *obs.Registry) {
 	b.mReq = reg.CounterVec("lsdf_browser_requests_total", "DataBrowser web API requests.", "endpoint")
 }
 
-// List browses a federated prefix, joining each object with its
-// metadata record when one exists.
+// List browses a federated prefix, one Stat per object listed.
 func (b *Browser) List(prefix string) ([]Entry, error) {
 	infos, err := b.layer.List(prefix)
 	if err != nil {
@@ -145,15 +121,10 @@ func (b *Browser) List(prefix string) ([]Entry, error) {
 	}
 	out := make([]Entry, 0, len(infos))
 	for _, info := range infos {
-		e := Entry{Path: info.Path, Size: info.Size}
-		b.annotate(&e, info.Path)
-		if ds, ok := b.meta.ByPath(info.Path); ok {
-			e.Registered = true
-			e.DatasetID = ds.ID
-			e.Project = ds.Project
-			e.Tags = ds.Tags
+		if st, err := b.layer.Stat(info.Path); err == nil {
+			info = st
 		}
-		out = append(out, e)
+		out = append(out, b.entry(info))
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
@@ -165,15 +136,7 @@ func (b *Browser) Stat(path string) (Entry, error) {
 	if err != nil {
 		return Entry{}, err
 	}
-	e := Entry{Path: info.Path, Size: info.Size}
-	b.annotate(&e, path)
-	if ds, ok := b.meta.ByPath(path); ok {
-		e.Registered = true
-		e.DatasetID = ds.ID
-		e.Project = ds.Project
-		e.Tags = ds.Tags
-	}
-	return e, nil
+	return b.entry(info), nil
 }
 
 // Dataset returns the full metadata record for a path.

@@ -323,6 +323,10 @@ func TestCachedColumnAndStats(t *testing.T) {
 	if err != nil || e.Cached != "" {
 		t.Fatalf("unread stat = %+v, %v; want empty Cached", e, err)
 	}
+	rows, err := b.List("/sites/exp")
+	if err != nil || len(rows) != 2 || rows[0].Cached != "memory" || rows[1].Cached != "" {
+		t.Fatalf("list = %+v, %v; want the same column on its rows", rows, err)
+	}
 
 	stats, ok := b.CacheStats("/sites/exp")
 	if !ok || stats["fills"] != 1 {

@@ -349,6 +349,7 @@ func TestEveryFrontDoorStoresAndRegistersAlike(t *testing.T) {
 	t.Run("batch/shares-group-commits", batchSharesGroupCommits)
 	t.Run("batch/duplicate-path-first-wins", batchDuplicatePathFirstWins)
 	t.Run("batch/wal-fault-mid-batch", batchWALFaultMidBatch)
+	t.Run("batch/retry-after-home-site-died", batchRetryAfterHomeSiteDied)
 }
 
 // replicatedParts is the stack a production ingest batch runs on: a
@@ -380,6 +381,70 @@ func replicatedParts(t *testing.T, opts metadata.Options) (*rig, *shardSyncFS) {
 		t.Fatal(err)
 	}
 	return &rig{layer: layer, meta: meta}, counter
+}
+
+// killingReader takes the site down once its first bytes are read, so
+// the write that follows meets a dead home site.
+type killingReader struct {
+	io.Reader
+	site *replication.Site
+}
+
+func (k killingReader) Read(p []byte) (int, error) {
+	n, err := k.Reader.Read(p)
+	k.site.SetDown(true)
+	return n, err
+}
+
+// batchRetryAfterHomeSiteDied: the home site dies under one object of a
+// batch. That object fails and is neither readable nor registered — but
+// the dead site could not be cleaned, and keeps what it had committed.
+// With the site back, storing the same path again succeeds: the
+// leftover is an orphan the catalog never knew, not an existing object.
+func batchRetryAfterHomeSiteDied(t *testing.T) {
+	meta := metadata.NewStore()
+	kit := replication.NewSite("kit", adal.NewMemFS("kit"), 0)
+	engine, err := replication.NewEngine(replication.Config{
+		Catalog: replication.NewCatalog(replication.CatalogConfig{Meta: meta, MountPrefix: "/ddn"}),
+		Sites:   []*replication.Site{kit},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(engine.Close)
+	layer := adal.NewLayer()
+	if err := layer.Mount("/ddn", replication.NewFederated("ddn", engine)); err != nil {
+		t.Fatal(err)
+	}
+	object := func(data io.Reader) []*ingest.Object {
+		return []*ingest.Object{{Project: "p", Path: "/ddn/retry/obj", Data: data}}
+	}
+
+	res := ingest.StoreBatch(layer, meta, object(killingReader{strings.NewReader("lost with the site"), kit}))
+	if !errors.Is(res[0].Err, replication.ErrSiteDown) {
+		t.Fatalf("store on a dying home site: %v, want ErrSiteDown", res[0].Err)
+	}
+	kit.SetDown(false)
+	if _, err := kit.Backend.Stat("/retry/obj"); err != nil {
+		t.Fatalf("want the dead site to have kept an orphan: %v", err)
+	}
+	if _, err := layer.Stat("/ddn/retry/obj"); !errors.Is(err, adal.ErrNotFound) {
+		t.Fatalf("the failed object is visible: %v", err)
+	}
+
+	res = ingest.StoreBatch(layer, meta, object(strings.NewReader("the retry's bytes")))
+	if res[0].Err != nil {
+		t.Fatalf("retry with the site back: %v", res[0].Err)
+	}
+	rd, err := layer.Open("/ddn/retry/obj")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(rd)
+	rd.Close()
+	if ds, ok := meta.ByPath("/ddn/retry/obj"); string(data) != "the retry's bytes" || !ok || ds.ID != res[0].Dataset.ID {
+		t.Fatalf("after the retry the path holds %q, registered %v", data, ok)
+	}
 }
 
 func batchOf(n int, pathOf func(i int) string) []*ingest.Object {

@@ -82,17 +82,9 @@ type Config struct {
 // digestReporter is implemented by backends that can report an
 // object's recorded size, content hash and checkpoint chain without
 // reading it (FederatedBackend asks the replica catalog); discovered
-// structurally, like the DataBrowser's reporters.
+// structurally.
 type digestReporter interface {
 	ObjectDigest(rel string) (adal.Digest, bool)
-}
-
-type placementReporter interface {
-	Placement(rel string) (string, bool)
-}
-
-type replicaReporter interface {
-	ReplicaSites(rel string) ([]string, bool)
 }
 
 // blockSize is the unit both tiers cache: the spacing of the catalog's
@@ -303,10 +295,10 @@ func (c *Cache) Create(path string) (io.WriteCloser, error) {
 	return c.inner.Create(path)
 }
 
-// Stat implements adal.Backend by delegating to the inner backend,
-// which answers from the replica catalog without touching a site —
+// Stat implements adal.Backend by delegating to the inner backend —
 // unless a live negative entry answers (or records) the absence
-// first.
+// first — and adds the tier caching the object to the inner backend's
+// listing facts.
 func (c *Cache) Stat(path string) (adal.FileInfo, error) {
 	if c.negLookup(path) {
 		return adal.FileInfo{}, c.negErr(path)
@@ -315,6 +307,7 @@ func (c *Cache) Stat(path string) (adal.FileInfo, error) {
 	if err != nil && errors.Is(err, adal.ErrNotFound) {
 		c.negStore(path)
 	}
+	info.Cached, _ = c.CacheTier(path)
 	return info, err
 }
 
@@ -873,7 +866,7 @@ func (c *Cache) Warm(prefix string) (int, error) {
 }
 
 // CacheTier reports which tier currently holds blocks of rel ("memory"
-// wins over "disk"); the DataBrowser discovers this structurally.
+// wins over "disk").
 func (c *Cache) CacheTier(rel string) (string, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -884,23 +877,6 @@ func (c *Cache) CacheTier(rel string) (string, bool) {
 		return "disk", true
 	}
 	return "", false
-}
-
-// Placement forwards the inner backend's placement reporter so the
-// DataBrowser's columns survive the cache wrapper.
-func (c *Cache) Placement(rel string) (string, bool) {
-	if p, ok := c.inner.(placementReporter); ok {
-		return p.Placement(rel)
-	}
-	return "", false
-}
-
-// ReplicaSites forwards the inner backend's replica reporter.
-func (c *Cache) ReplicaSites(rel string) ([]string, bool) {
-	if p, ok := c.inner.(replicaReporter); ok {
-		return p.ReplicaSites(rel)
-	}
-	return nil, false
 }
 
 // Stats is a point-in-time snapshot of the cache counters and tier

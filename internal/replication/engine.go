@@ -1,6 +1,7 @@
 package replication
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -15,10 +16,10 @@ import (
 
 // ErrChecksum is returned when a transferred replica does not match
 // the recorded content hash.
-var ErrChecksum = errors.New("replication: checksum mismatch")
+var ErrChecksum = adal.ErrChecksum
 
-// ErrNoSource is returned when a transfer finds no valid replica to
-// copy from (every source site is down or stale).
+// ErrNoSource is returned when a transfer finds no replica to copy
+// from (every other holder is down, lost or unreadable).
 var ErrNoSource = errors.New("replication: no valid source replica")
 
 // Config tunes an Engine.
@@ -38,10 +39,6 @@ type Config struct {
 	// Retries bounds transfer attempts per (path, site) job
 	// (default 3).
 	Retries int
-	// ChunkSize is the streaming-copy granularity; each chunk is
-	// hashed, written and WAN-paced before the next is read
-	// (default 256 KiB).
-	ChunkSize units.Bytes
 	// WAN, when set, paces transfers by per-site-pair bandwidth and
 	// latency. nil means LAN-speed copies.
 	WAN *WAN
@@ -108,14 +105,6 @@ type Engine struct {
 	failures        atomic.Uint64
 }
 
-// chunkPool recycles transfer chunks across concurrent streams.
-var chunkPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 256*units.KiB)
-		return &b
-	},
-}
-
 // NewEngine builds an engine over the sites and starts its workers.
 func NewEngine(cfg Config) (*Engine, error) {
 	if cfg.Catalog == nil {
@@ -138,9 +127,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	if cfg.Retries <= 0 {
 		cfg.Retries = 3
-	}
-	if cfg.ChunkSize <= 0 {
-		cfg.ChunkSize = 256 * units.KiB
 	}
 	e := &Engine{
 		cfg:       cfg,
@@ -402,8 +388,8 @@ func (e *Engine) process(j job) {
 	// world). A checksum match revalidates without moving a byte —
 	// this is what makes revive-convergence transfer-free.
 	if known {
-		got, err := e.verifySite(dst, j.path)
-		if err == nil && got.Sum == want.Sum {
+		got, err := e.verifySite(dst, j.path, want)
+		if err == nil {
 			e.catalog.Set(j.path, validReplica(j.dst, got))
 			e.reverifies.Add(1)
 			return
@@ -423,7 +409,7 @@ func (e *Engine) process(j job) {
 		if attempt > 0 {
 			e.retries.Add(1)
 		}
-		lastErr = e.copyOnce(j.path, dst, want.Sum, want.Size, attempt)
+		lastErr = e.copyOnce(j.path, dst, want)
 		if lastErr == nil {
 			return
 		}
@@ -432,12 +418,13 @@ func (e *Engine) process(j job) {
 		}
 	}
 	st := Pending
-	if errors.Is(lastErr, ErrChecksum) {
-		st = Stale
-	} else if rep, _ := e.catalog.Get(j.path, j.dst); rep.State == Stale {
+	if rep, _ := e.catalog.Get(j.path, j.dst); rep.State == Stale {
 		// copyOnce marks Copying once it has cleared the destination;
 		// still Stale means no attempt got that far and the old bytes
 		// are in place, so the replica stays readable as a last resort.
+		// A destination a failed attempt cleared holds nothing to read,
+		// whatever failed — a checksum included, which convicts the
+		// source, not this site.
 		st = Stale
 	}
 	e.catalog.Mark(j.path, j.dst, st, lastErr.Error())
@@ -449,19 +436,16 @@ func validReplica(site string, d adal.Digest) Replica {
 	return Replica{Site: site, State: Valid, Size: d.Size, Checksum: d.Sum, Chain: d.Chain}
 }
 
-// verifySite re-hashes the site's copy of path and returns its
-// digest, or the open/read error that stopped it.
-func (e *Engine) verifySite(s *Site, path string) (adal.Digest, error) {
-	r, err := s.open(path)
+// verifySite scrubs the site's copy of path against want, stopping at
+// the first block off its chain, and returns the copy's digest, or the
+// open, read or checksum error that stopped it.
+func (e *Engine) verifySite(s *Site, path string, want adal.Digest) (adal.Digest, error) {
+	r, err := s.openAt(path, 0)
 	if err != nil {
 		return adal.Digest{}, err
 	}
 	defer r.Close()
-	h := adal.NewChainHasher()
-	if _, err := adal.PooledCopy(h, r); err != nil {
-		return adal.Digest{}, err
-	}
-	return h.Digest(), nil
+	return adal.Transfer(context.TODO(), io.Discard, r, want)
 }
 
 // pairSlot returns the semaphore bounding concurrent transfers on
@@ -478,184 +462,92 @@ func (e *Engine) pairSlot(src, dst string) chan struct{} {
 	return ch
 }
 
-// sources returns the sites path can be copied from, excluding dst:
-// reachable valid replicas first (nearest first, rotated by attempt
-// so retries spread across sources), then — only when the copy will
-// be verified against a recorded checksum — reachable stale replicas
-// (their bytes are suspect, but a transfer whose end-to-end hash
-// matches proves them good; this is what lets a path whose every
-// valid replica died converge from a surviving stale copy), then
-// unreachable valid replicas as a last resort.
-func (e *Engine) sources(path, dst string, attempt int, verified bool) []*Site {
-	stateOn := make(map[string]State)
-	for _, rep := range e.catalog.Replicas(path) {
-		stateOn[rep.Site] = rep.State
+// copyOnce performs one transfer attempt: adal.Transfer, WAN-paced,
+// from a failoverReader over every other holder of path into dst. The
+// copy reads as a client does — nearest valid replica first, a source
+// that fails marked and re-queued, the stream resumed on the next at
+// the same offset — except that stale replicas are offered only when
+// want can convict them. Any terminal error removes the partial
+// destination object.
+func (e *Engine) copyOnce(path string, dst *Site, want adal.Digest) error {
+	src := &failoverReader{
+		eng: e, path: path, remain: -1, stale: want.Sum != "",
+		switched: &e.sourceFailovers, tried: map[string]bool{dst.Name: false},
 	}
-	var upValid, upStale, downValid []*Site
-	for _, s := range e.order {
-		if s.Name == dst {
-			continue
-		}
-		switch st, has := stateOn[s.Name]; {
-		case !has:
-		case st == Valid && !s.IsDown():
-			upValid = append(upValid, s)
-		case st == Valid:
-			downValid = append(downValid, s)
-		case st == Stale && verified && !s.IsDown():
-			upStale = append(upStale, s)
-		}
+	if err := src.switchSource(); err != nil {
+		return fmt.Errorf("%w: %s: %w", ErrNoSource, path, err)
 	}
-	if len(upValid) > 1 && attempt > 0 {
-		rot := attempt % len(upValid)
-		upValid = append(upValid[rot:], upValid[:rot]...)
-	}
-	return append(append(upValid, upStale...), downValid...)
-}
-
-// copyOnce performs one transfer attempt: a chunked, hashed,
-// WAN-paced stream from the nearest valid source into dst. A source
-// that dies mid-copy is failed over — the next source is opened and
-// fast-forwarded to the current offset, resuming the same
-// destination stream rather than restarting it. Any terminal error
-// removes the partial destination object.
-func (e *Engine) copyOnce(path string, dst *Site, wantSum string, wantSize units.Bytes, attempt int) error {
-	srcs := e.sources(path, dst.Name, attempt, wantSum != "")
-	if len(srcs) == 0 {
-		return fmt.Errorf("%w: %s", ErrNoSource, path)
-	}
-	src := srcs[0]
+	defer src.Close()
 
 	// The pair slot models the WAN circuit of the *initiating* pair
 	// and is held for the whole attempt; a mid-copy source failover
-	// re-pays the new pair's latency (below) but does not re-queue on
-	// the new pair's slot — swapping semaphores mid-stream risks
-	// deadlock against other transfers doing the same, and failover
-	// is the rare path.
-	slot := e.pairSlot(src.Name, dst.Name)
+	// re-pays the new pair's latency but does not re-queue on the new
+	// pair's slot — swapping semaphores mid-stream risks deadlock
+	// against other transfers doing the same, and failover is the rare
+	// path.
+	slot := e.pairSlot(src.site.Name, dst.Name)
 	slot <- struct{}{}
 	defer func() { <-slot }()
 
-	wan := e.cfg.WAN
-	if d := wan.Latency(src.Name, dst.Name); d > 0 {
-		wan.sleep(d)
-	}
-
-	r, err := src.open(path)
-	if err != nil {
-		return fmt.Errorf("replication: source %s: %w", src.Name, err)
-	}
-	defer func() {
-		if r != nil {
-			r.Close()
-		}
-	}()
-
-	// A previous failed attempt (or a stale replica being refreshed)
-	// may have left an object behind; clear it so Create succeeds.
 	// All destination cleanup goes through the site gate: a site that
 	// dies mid-transfer keeps its bytes, like a site behind a severed
 	// WAN link.
-	if _, err := dst.stat(path); err == nil {
-		_ = dst.remove(path)
-	}
-	w, err := dst.create(path)
+	w, err := dst.createFresh(path)
 	if err != nil {
 		return fmt.Errorf("replication: destination %s: %w", dst.Name, err)
 	}
 	e.catalog.Mark(path, dst.Name, Copying, "")
 
-	fail := func(err error) error {
-		w.Close()
+	got, err := adal.Transfer(context.TODO(), &pacedWriter{w: w, wan: e.cfg.WAN, src: src, dst: dst.Name}, src, want)
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		_ = dst.remove(path)
-		return err
-	}
-
-	h := adal.NewChainHasher()
-	bp := chunkPool.Get().(*[]byte)
-	defer chunkPool.Put(bp)
-	var buf []byte
-	if int(e.cfg.ChunkSize) <= len(*bp) {
-		buf = (*bp)[:e.cfg.ChunkSize]
-	} else {
-		// Chunks larger than the pool unit are allocated per transfer.
-		buf = make([]byte, e.cfg.ChunkSize)
-	}
-	var copied int64
-	srcIdx := 0
-	for {
-		n, rerr := r.Read(buf)
-		if n > 0 {
-			if _, werr := w.Write(buf[:n]); werr != nil {
-				return fail(fmt.Errorf("replication: writing %s to %s: %w", path, dst.Name, werr))
-			}
-			h.Write(buf[:n])
-			copied += int64(n)
-			wan.Pace(src.Name, dst.Name, n)
+		// One source served every byte of a copy that failed its check:
+		// that replica is the corrupt one.
+		if src.sources == 1 && errors.Is(err, ErrChecksum) {
+			e.noteFailure(src.served, path, err)
 		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			// The source died mid-copy. Resume from the next valid
-			// source at the current offset instead of restarting the
-			// transfer.
-			next, nr, ferr := e.failoverSource(path, dst.Name, srcs, &srcIdx, copied)
-			if ferr != nil {
-				return fail(fmt.Errorf("replication: reading %s from %s: %w (no resume source)", path, src.Name, rerr))
-			}
-			e.sourceFailovers.Add(1)
-			r.Close()
-			r, src = nr, next
-			// Stream setup on the new pair costs its latency; the
-			// fast-forward itself is a ranged read (no WAN pacing —
-			// the skipped prefix never crosses the link again).
-			if d := wan.Latency(src.Name, dst.Name); d > 0 {
-				wan.sleep(d)
-			}
-			continue
-		}
-	}
-	if err := w.Close(); err != nil {
-		_ = dst.remove(path)
-		return fmt.Errorf("replication: committing %s on %s: %w", path, dst.Name, err)
-	}
-
-	got := h.Digest()
-	if wantSum != "" && got.Sum != wantSum {
-		_ = dst.remove(path)
-		return fmt.Errorf("%w: %s on %s: got %.12s want %.12s", ErrChecksum, path, dst.Name, got.Sum, wantSum)
-	}
-	if wantSize > 0 && units.Bytes(copied) != wantSize {
-		_ = dst.remove(path)
-		return fmt.Errorf("%w: %s on %s: got %d bytes want %d", ErrChecksum, path, dst.Name, copied, wantSize)
+		return fmt.Errorf("replication: copying %s to %s: %w", path, dst.Name, err)
 	}
 	e.catalog.Set(path, validReplica(dst.Name, got))
 	e.transfers.Add(1)
-	e.transferBytes.Add(copied)
+	e.transferBytes.Add(int64(got.Size))
 	// A verified single-source copy also proved the source's bytes:
 	// if that source was a stale replica, it just revalidated itself.
-	if srcIdx == 0 && wantSum != "" {
-		if rep, ok := e.catalog.Get(path, src.Name); ok && rep.State == Stale {
-			e.catalog.Set(path, validReplica(src.Name, got))
+	if src.sources == 1 && want.Sum != "" {
+		if rep, ok := e.catalog.Get(path, src.served.Name); ok && rep.State == Stale {
+			e.catalog.Set(path, validReplica(src.served.Name, got))
 			e.reverifies.Add(1)
 		}
 	}
 	return nil
 }
 
-// failoverSource opens the next source after *idx and fast-forwards
-// it to offset, advancing *idx past sources that fail.
-func (e *Engine) failoverSource(path, dst string, srcs []*Site, idx *int, offset int64) (*Site, io.ReadCloser, error) {
-	for *idx++; *idx < len(srcs); *idx++ {
-		s := srcs[*idx]
-		r, err := s.openAt(path, offset)
-		if err != nil {
-			continue
+// pacedWriter charges the WAN for what a copy writes: the latency of
+// the source's link to dst when the stream starts and again whenever
+// the reader has switched sites (the resume is a ranged open — the
+// skipped prefix never crosses the link again), and each block's time
+// on that link.
+type pacedWriter struct {
+	w    io.Writer
+	wan  *WAN
+	src  *failoverReader
+	dst  string
+	from *Site // the source as of the last block
+}
+
+func (p *pacedWriter) Write(b []byte) (int, error) {
+	if s := p.src.site; s != p.from {
+		p.from = s
+		if d := p.wan.Latency(s.Name, p.dst); d > 0 {
+			p.wan.sleep(d)
 		}
-		return s, r, nil
 	}
-	return nil, nil, ErrNoSource
+	n, err := p.w.Write(b)
+	p.wan.Pace(p.from.Name, p.dst, n)
+	return n, err
 }
 
 // Verify re-hashes every replica of path against the recorded
@@ -676,8 +568,7 @@ func (e *Engine) Verify(path string) (int, error) {
 		if rep.State != Valid && rep.State != Stale {
 			continue
 		}
-		got, err := e.verifySite(s, path)
-		if err == nil && got.Sum == want.Sum {
+		if got, err := e.verifySite(s, path, want); err == nil {
 			e.catalog.Set(path, validReplica(rep.Site, got))
 			valid++
 		} else {

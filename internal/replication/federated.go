@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/adal"
 	"repro/internal/obs"
@@ -25,7 +25,9 @@ type FederatedBackend struct {
 	name    string
 	catalog *Catalog
 	engine  *Engine
-	clock   func() time.Time
+
+	mu      sync.Mutex
+	writing map[string]struct{} // paths between Create and their writer's Close
 
 	failovers    atomic.Uint64 // candidate switches at Open time
 	midStream    atomic.Uint64 // reader switches mid-stream
@@ -47,7 +49,7 @@ func NewFederated(name string, engine *Engine) *FederatedBackend {
 		name:    name,
 		catalog: engine.catalog,
 		engine:  engine,
-		clock:   time.Now,
+		writing: make(map[string]struct{}),
 	}
 }
 
@@ -63,16 +65,6 @@ func (f *FederatedBackend) FedStats() FederatedStats {
 	}
 }
 
-// ReplicaSites reports the sites holding a valid replica of the
-// backend-relative path; the DataBrowser discovers this method
-// structurally through the mount table.
-func (f *FederatedBackend) ReplicaSites(rel string) ([]string, bool) {
-	if !f.catalog.Known(rel) {
-		return nil, false
-	}
-	return f.catalog.ValidSites(rel), true
-}
-
 // ObjectDigest reports the catalog's recorded size, content hash and
 // checkpoint chain for the backend-relative path. The read cache
 // discovers this structurally to size admission and verify the blocks
@@ -81,21 +73,24 @@ func (f *FederatedBackend) ObjectDigest(rel string) (adal.Digest, bool) {
 	return f.catalog.Digest(rel)
 }
 
-// noteFailure records a failed site read: the replica is marked
-// Stale (Lost when the site reports the object missing) and its
-// re-replication is enqueued.
-func (f *FederatedBackend) noteFailure(s *Site, path string, err error) {
+// noteFailure records a failed site read, a client's or a copy's: the
+// replica is marked Stale (Lost when the site reports the object
+// missing) and its re-replication is enqueued.
+func (e *Engine) noteFailure(s *Site, path string, err error) {
 	st := Stale
 	if errors.Is(err, adal.ErrNotFound) {
 		st = Lost
 	}
-	f.catalog.Mark(path, s.Name, st, err.Error())
-	f.engine.Ensure(path)
+	e.catalog.Mark(path, s.Name, st, err.Error())
+	e.Ensure(path)
 }
 
 // readCandidates orders the sites worth trying for a read of path:
-// valid replicas nearest first, then stale ones (their bytes are
-// suspect but better than failing), skipping sites already tried.
+// valid replicas nearest first, then — when the reader takes them —
+// stale ones (their bytes are suspect: better than failing a client, and
+// proven good or bad by a copy that checks them against the recorded
+// digest, which is what lets a path whose every valid replica died
+// converge from a surviving stale copy), skipping sites already tried.
 // tried is one read's record of the sites it has used up; the value
 // says the site was given up on only because it was down, so readmit
 // may offer it again once it is back.
@@ -103,17 +98,17 @@ func (f *FederatedBackend) noteFailure(s *Site, path string, err error) {
 // dialing them is pointless, but the caller still owes them the
 // read-triggered bookkeeping (stale mark, failover count) so outage
 // detection keeps working.
-func (f *FederatedBackend) readCandidates(path string, tried map[string]bool) (cands, down []*Site) {
+func (e *Engine) readCandidates(path string, tried map[string]bool, takeStale bool) (cands, down []*Site) {
 	var valid, stale []*Site
-	for _, rep := range f.catalog.Replicas(path) {
+	for _, rep := range e.catalog.Replicas(path) {
 		if _, seen := tried[rep.Site]; seen {
 			continue
 		}
-		s, ok := f.engine.Site(rep.Site)
+		s, ok := e.Site(rep.Site)
 		if !ok {
 			continue
 		}
-		if rep.State != Valid && rep.State != Stale {
+		if rep.State != Valid && !(takeStale && rep.State == Stale) {
 			continue
 		}
 		if s.IsDown() {
@@ -135,11 +130,11 @@ func (f *FederatedBackend) readCandidates(path string, tried map[string]bool) (c
 // is marked Stale, and re-replication is enqueued only on the actual
 // state transition — a site that stays down through a thousand reads
 // costs one catalog event and one Ensure, not a thousand.
-func (f *FederatedBackend) noteDown(s *Site, path string, tried map[string]bool) error {
+func (e *Engine) noteDown(s *Site, path string, tried map[string]bool) error {
 	tried[s.Name] = true
 	err := s.errDown()
-	if f.catalog.Mark(path, s.Name, Stale, err.Error()) {
-		f.engine.Ensure(path)
+	if e.catalog.Mark(path, s.Name, Stale, err.Error()) {
+		e.Ensure(path)
 	}
 	return err
 }
@@ -151,10 +146,10 @@ func (f *FederatedBackend) noteDown(s *Site, path string, tried map[string]bool)
 // one. A read therefore fails only if no replica is reachable when it
 // gives up. Every retry needs a site to have come back, so the loop
 // ends when the outage does; it never sleeps.
-func (f *FederatedBackend) readmit(tried map[string]bool) bool {
+func (e *Engine) readmit(tried map[string]bool) bool {
 	back := false
 	for name, wasDown := range tried {
-		if s, ok := f.engine.Site(name); ok && wasDown && !s.IsDown() {
+		if s, ok := e.Site(name); ok && wasDown && !s.IsDown() {
 			delete(tried, name)
 			back = true
 		}
@@ -187,8 +182,13 @@ func (f *FederatedBackend) OpenRange(ctx context.Context, path string, off, n in
 	if !f.catalog.Known(path) {
 		return nil, fmt.Errorf("%w: %s:%s", adal.ErrNotFound, f.name, path)
 	}
-	r := &failoverReader{fb: f, path: path, offset: off, remain: n, tried: make(map[string]bool)}
-	if err := r.switchSource(); err != nil {
+	r := &failoverReader{
+		eng: f.engine, path: path, offset: off, remain: n, stale: true,
+		switched: &f.midStream, tried: make(map[string]bool),
+	}
+	err := r.switchSource()
+	f.failovers.Add(r.gaveUp)
+	if err != nil {
 		return nil, err
 	}
 	sp.Annotate("site=%s", r.site.Name)
@@ -197,16 +197,23 @@ func (f *FederatedBackend) OpenRange(ctx context.Context, path string, off, n in
 
 // failoverReader streams one replica and, when a site dies under it,
 // resumes from the next candidate at the current offset — the caller
-// sees one uninterrupted byte stream.
+// sees one uninterrupted byte stream. It is the one code that resumes a
+// read on another site: client reads (OpenRange) and the engine's
+// copies (copyOnce) both read through it, each with its own counters.
 type failoverReader struct {
-	fb     *FederatedBackend
-	path   string
-	site   *Site
-	cur    io.ReadCloser // nil until the first source is open
-	offset int64
-	remain int64 // bytes still to serve; negative: to the object's end
-	tried  map[string]bool
-	closed bool
+	eng      *Engine
+	path     string
+	site     *Site
+	cur      io.ReadCloser // nil until the first source is open
+	offset   int64
+	remain   int64           // bytes still to serve; negative: to the object's end
+	stale    bool            // stale replicas are candidates too
+	tried    map[string]bool // pre-seeded with sites never to read from
+	served   *Site           // the site the last bytes came from,
+	sources  int             // and how many sites bytes have come from
+	gaveUp   uint64          // candidates given up on; the owner reads it once the first source is open
+	switched *atomic.Uint64  // the owner's count of mid-stream switches
+	closed   bool
 }
 
 func (r *failoverReader) Read(p []byte) (int, error) {
@@ -221,6 +228,9 @@ func (r *failoverReader) Read(p []byte) (int, error) {
 	}
 	for {
 		n, err := r.cur.Read(p)
+		if n > 0 && r.served != r.site {
+			r.served, r.sources = r.site, r.sources+1
+		}
 		r.offset += int64(n)
 		if r.remain > 0 {
 			r.remain -= int64(n)
@@ -228,7 +238,7 @@ func (r *failoverReader) Read(p []byte) (int, error) {
 		if err == nil || err == io.EOF {
 			return n, err
 		}
-		r.fb.noteFailure(r.site, r.path, err)
+		r.eng.noteFailure(r.site, r.path, err)
 		r.tried[r.site.Name] = errors.Is(err, ErrSiteDown)
 		if r.switchSource() != nil {
 			return n, err
@@ -245,25 +255,19 @@ func (r *failoverReader) Read(p []byte) (int, error) {
 // sites are skipped without a dial. It gives up, with the last site's
 // error, only when readmit finds no site back.
 func (r *failoverReader) switchSource() error {
-	opening := r.cur == nil
 	var lastErr error
-	gaveUp := func(err error) {
-		lastErr = err
-		if opening {
-			r.fb.failovers.Add(1)
-		}
-	}
 	for {
-		cands, down := r.fb.readCandidates(r.path, r.tried)
+		cands, down := r.eng.readCandidates(r.path, r.tried, r.stale)
 		for _, s := range down {
-			gaveUp(r.fb.noteDown(s, r.path, r.tried))
+			lastErr = r.eng.noteDown(s, r.path, r.tried)
+			r.gaveUp++
 		}
 		if len(cands) == 0 {
-			if r.fb.readmit(r.tried) {
+			if r.eng.readmit(r.tried) {
 				continue
 			}
 			if lastErr == nil {
-				lastErr = fmt.Errorf("%w: %s:%s (no readable replica)", adal.ErrNotFound, r.fb.name, r.path)
+				lastErr = fmt.Errorf("%w: %s (no readable replica)", adal.ErrNotFound, r.path)
 			}
 			return lastErr
 		}
@@ -271,13 +275,14 @@ func (r *failoverReader) switchSource() error {
 		nr, err := s.openAt(r.path, r.offset)
 		r.tried[s.Name] = errors.Is(err, ErrSiteDown)
 		if err != nil {
-			r.fb.noteFailure(s, r.path, err)
-			gaveUp(err)
+			r.eng.noteFailure(s, r.path, err)
+			lastErr = err
+			r.gaveUp++
 			continue
 		}
-		if !opening {
+		if r.cur != nil {
 			r.cur.Close()
-			r.fb.midStream.Add(1)
+			r.switched.Add(1)
 		}
 		r.cur, r.site = nr, s
 		return nil
@@ -306,42 +311,57 @@ func (r *failoverReader) Close() error {
 // Create implements adal.Backend: the object's home is the nearest
 // reachable site; closing the writer registers the home replica
 // (size + SHA-256) in the catalog and schedules fan-out to
-// MinReplicas.
+// MinReplicas. The path is held in writing from here to that Close, so
+// of two creators one is refused and whatever a site already has under
+// a path the catalog does not know is an orphan — the home copy of a
+// write whose site died before Close could clear it — and is replaced.
 func (f *FederatedBackend) Create(path string) (io.WriteCloser, error) {
-	if f.catalog.Known(path) {
+	f.mu.Lock()
+	_, busy := f.writing[path]
+	if busy || f.catalog.Known(path) {
+		f.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s:%s", adal.ErrExists, f.name, path)
 	}
+	f.writing[path] = struct{}{}
+	f.mu.Unlock()
 	var lastErr error
 	for _, s := range f.engine.Sites() {
 		if s.IsDown() {
 			continue
 		}
-		w, err := s.create(path)
+		w, err := s.createFresh(path)
 		if err != nil {
 			lastErr = err
 			if errors.Is(err, adal.ErrExists) {
-				return nil, err
+				break
 			}
 			continue
 		}
 		return adal.NewChecksumWriter(w, func(d adal.Digest, werr error) error {
+			defer f.wrote(path)
 			if werr != nil {
 				// Gated cleanup: a home site that died mid-write keeps
 				// its partial bytes, like a site behind a severed link.
 				_ = s.remove(path)
 				return werr
 			}
-			f.catalog.Set(path, Replica{
-				Site: s.Name, State: Valid, Size: d.Size, Checksum: d.Sum, Chain: d.Chain,
-			})
+			f.catalog.Set(path, validReplica(s.Name, d))
 			f.engine.Ensure(path)
 			return nil
 		}), nil
 	}
+	f.wrote(path)
 	if lastErr == nil {
 		lastErr = fmt.Errorf("replication: %s: every site down", f.name)
 	}
 	return nil, lastErr
+}
+
+// wrote releases the hold Create took on path.
+func (f *FederatedBackend) wrote(path string) {
+	f.mu.Lock()
+	delete(f.writing, path)
+	f.mu.Unlock()
 }
 
 // Stat implements adal.Backend from the catalog record (size and
@@ -351,26 +371,23 @@ func (f *FederatedBackend) Stat(path string) (adal.FileInfo, error) {
 	if !f.catalog.Known(path) {
 		return adal.FileInfo{}, fmt.Errorf("%w: %s:%s", adal.ErrNotFound, f.name, path)
 	}
+	valid := f.catalog.ValidSites(path)
 	if d, ok := f.catalog.Digest(path); ok && d.Size > 0 {
-		size := d.Size
-		for _, rep := range f.catalog.Replicas(path) {
-			if rep.State != Valid {
-				continue
-			}
-			if s, ok := f.engine.Site(rep.Site); ok && !s.IsDown() {
+		for _, name := range valid {
+			if s, ok := f.engine.Site(name); ok {
 				if info, err := s.stat(path); err == nil {
-					info.Path = path
+					info.Path, info.Replicas = path, valid
 					return info, nil
 				}
 			}
 		}
-		return adal.FileInfo{Path: path, Size: size}, nil
+		return adal.FileInfo{Path: path, Size: d.Size, Replicas: valid}, nil
 	}
 	var lastErr error
 	for _, s := range f.engine.Sites() {
 		info, err := s.stat(path)
 		if err == nil {
-			info.Path = path
+			info.Path, info.Replicas = path, valid
 			return info, nil
 		}
 		lastErr = err

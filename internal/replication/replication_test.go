@@ -435,7 +435,6 @@ func TestTransferResumesAcrossSourceFailure(t *testing.T) {
 	cat := NewCatalog(CatalogConfig{Meta: meta})
 	eng, err := NewEngine(Config{
 		Catalog: cat, Sites: sites, MinReplicas: 3,
-		ChunkSize: 4 * units.KiB,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -629,7 +628,7 @@ func TestWANPacedTransferRespectsPairCap(t *testing.T) {
 	wan := NewWAN(units.BytesPerSecond(64*units.MiB), 0)
 	eng, err := NewEngine(Config{
 		Catalog: cat, Sites: sites, MinReplicas: 2,
-		Streams: 8, PairStreams: 1, WAN: wan, ChunkSize: 16 * units.KiB,
+		Streams: 8, PairStreams: 1, WAN: wan,
 	})
 	if err != nil {
 		t.Fatal(err)

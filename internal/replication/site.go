@@ -45,15 +45,12 @@ func (s *Site) errDown() error {
 	return fmt.Errorf("%w: %s", ErrSiteDown, s.Name)
 }
 
-// open is openAt from the start.
-func (s *Site) open(path string) (io.ReadCloser, error) { return s.openAt(path, 0) }
-
 // openAt gates Backend.Open, positions the stream at offset (a seek
 // wherever the site's reader can, so resuming costs O(1), not
 // O(offset)) and wraps it so a kill mid-read surfaces as ErrSiteDown
-// on the next Read. It is the one way a site is read: federated opens,
-// the reader's mid-stream switch and the engine's mid-copy source
-// failover all resume through it.
+// on the next Read. It is the one way a site is read: the failover
+// reader's opens and mid-stream switches, under client reads and engine
+// copies alike, and the engine's scrubs.
 func (s *Site) openAt(path string, offset int64) (io.ReadCloser, error) {
 	if s.IsDown() {
 		return nil, s.errDown()
@@ -93,6 +90,22 @@ func (s *Site) create(path string) (io.WriteCloser, error) {
 		return nil, err
 	}
 	return &gatedWriter{site: s, w: w}, nil
+}
+
+// createFresh is create over whatever the site already holds at path:
+// a failed attempt's leftovers, a stale replica being refreshed, the
+// orphan of a home write the site died under. Callers own the path — no
+// other writer of theirs is on it; a name some other writer still holds
+// is not visible to stat, and the create stays refused.
+func (s *Site) createFresh(path string) (io.WriteCloser, error) {
+	w, err := s.create(path)
+	if errors.Is(err, adal.ErrExists) {
+		if _, serr := s.stat(path); serr == nil {
+			_ = s.remove(path)
+			w, err = s.create(path)
+		}
+	}
+	return w, err
 }
 
 type gatedWriter struct {

@@ -9,7 +9,7 @@ import (
 
 // WAN is a fluid model of the inter-site network for the live
 // transfer engine: each ordered site pair has a bandwidth and a
-// latency, and the engine paces every transferred chunk so a
+// latency, and the engine paces every transferred block so a
 // transfer's wall time approximates bytes/bandwidth + latency — the
 // same arithmetic internal/netsim runs in virtual time, applied to
 // real goroutines. Degrading a link (SetLink with a lower rate)
@@ -71,8 +71,8 @@ func (w *WAN) Latency(src, dst string) time.Duration {
 }
 
 // Pace blocks for the time n bytes occupy the src->dst link. The
-// engine calls it per chunk, so a mid-transfer SetLink takes effect
-// at the next chunk boundary.
+// engine calls it per block, so a mid-transfer SetLink takes effect
+// at the next block boundary.
 func (w *WAN) Pace(src, dst string, n int) {
 	if w == nil || n <= 0 {
 		return

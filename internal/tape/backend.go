@@ -13,22 +13,17 @@ import (
 	"repro/internal/units"
 )
 
-// FSConfig configures the real-time tape store. Zero penalties make
-// it behave like a slowless archive (the test default); setting them
-// reproduces the mount/seek mechanics the discrete-event Library
-// models in virtual time, but paid in real time on the recall path.
+// FSConfig configures the real-time tape store.
 type FSConfig struct {
-	CartridgeSize units.Bytes   // default 1.5 TB (LTO-5)
-	MountPenalty  time.Duration // real-time cost of switching cartridges on read
-	SeekPenalty   time.Duration // real-time cost of locating an object
+	CartridgeSize units.Bytes // default 1.5 TB (LTO-5)
 }
 
 // FS is a real (byte-moving, concurrent) tape store exposed through
 // the ADAL Backend contract: the cold tier of the live tiered data
 // path. Objects are packed append-only onto cartridges opened on
-// demand; reads of a cartridge other than the one last mounted pay
-// the configured mount penalty, which is what makes recall latency
-// dominated by mechanics, as on real hardware.
+// demand; a read of a cartridge other than the one last mounted counts
+// as a mount (FSStats.Mounts) and costs no time — the discrete-event
+// Library models mount and seek mechanics, in virtual time.
 type FS struct {
 	name string
 	cfg  FSConfig
@@ -127,8 +122,8 @@ func (f *FS) pickCartridge(size units.Bytes) *FSCartridge {
 	return c
 }
 
-// Open implements adal.Backend, paying the mount penalty when the
-// object's cartridge is not the one last mounted.
+// Open implements adal.Backend, counting a mount when the object's
+// cartridge is not the one last mounted.
 func (f *FS) Open(path string) (io.ReadCloser, error) {
 	f.mu.Lock()
 	obj, ok := f.objects[path]
@@ -136,21 +131,15 @@ func (f *FS) Open(path string) (io.ReadCloser, error) {
 		f.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s:%s", adal.ErrNotFound, f.name, path)
 	}
-	var penalty time.Duration
 	if obj.cart != f.mounted {
 		f.mounted = obj.cart
 		f.mounts++
-		penalty = f.cfg.MountPenalty
 	} else {
 		f.cacheHits++
 	}
-	penalty += f.cfg.SeekPenalty
 	f.bytesOut += units.Bytes(len(obj.data))
 	data := obj.data
 	f.mu.Unlock()
-	if penalty > 0 {
-		time.Sleep(penalty)
-	}
 	return io.NopCloser(bytes.NewReader(data)), nil
 }
 

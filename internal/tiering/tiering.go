@@ -1,11 +1,9 @@
 package tiering
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"context"
 	"errors"
 	"fmt"
-	"hash"
 	"io"
 	"sort"
 	"strings"
@@ -27,7 +25,7 @@ var ErrBusy = errors.New("tiering: transition in flight")
 
 // ErrChecksum is returned when a tier copy does not match the
 // recorded content hash.
-var ErrChecksum = errors.New("tiering: checksum mismatch")
+var ErrChecksum = adal.ErrChecksum
 
 // Config tunes a TierBackend.
 type Config struct {
@@ -284,57 +282,31 @@ func (t *TierBackend) Create(path string) (io.WriteCloser, error) {
 		t.mu.Unlock()
 		return nil, err
 	}
-	return &tierWriter{t: t, path: path, w: w, h: sha256.New()}, nil
-}
-
-type tierWriter struct {
-	t      *TierBackend
-	path   string
-	w      io.WriteCloser
-	h      hash.Hash
-	n      int64
-	closed bool
-}
-
-func (w *tierWriter) Write(p []byte) (int, error) {
-	if w.closed {
-		return 0, fmt.Errorf("tiering: write after close: %s", w.path)
-	}
-	n, err := w.w.Write(p)
-	w.h.Write(p[:n])
-	w.n += int64(n)
-	return n, err
-}
-
-func (w *tierWriter) Close() error {
-	if w.closed {
+	return adal.NewChecksumWriter(w, func(d adal.Digest, err error) error {
+		if err != nil {
+			// The hot object's state is unknown; drop the reservation and
+			// make a best effort to clear the partial object.
+			t.mu.Lock()
+			delete(t.files, path)
+			t.mu.Unlock()
+			_ = t.hot.Remove(path)
+			return err
+		}
+		now := t.clock()
+		t.mu.Lock()
+		if e := t.files[path]; e != nil {
+			e.size = d.Size
+			e.checksum = d.Sum
+			e.modTime = now
+			e.lastAccess = now
+			e.writing = false
+			t.hotUsed += e.size
+		}
+		t.mu.Unlock()
+		t.event(path, Resident)
+		t.maybeScan()
 		return nil
-	}
-	w.closed = true
-	if err := w.w.Close(); err != nil {
-		// The hot object's state is unknown; drop the reservation and
-		// make a best effort to clear the partial object.
-		w.t.mu.Lock()
-		delete(w.t.files, w.path)
-		w.t.mu.Unlock()
-		_ = w.t.hot.Remove(w.path)
-		return err
-	}
-	now := w.t.clock()
-	w.t.mu.Lock()
-	e := w.t.files[w.path]
-	if e != nil {
-		e.size = units.Bytes(w.n)
-		e.checksum = hex.EncodeToString(w.h.Sum(nil))
-		e.modTime = now
-		e.lastAccess = now
-		e.writing = false
-		w.t.hotUsed += e.size
-	}
-	w.t.mu.Unlock()
-	w.t.event(w.path, Resident)
-	w.t.maybeScan()
-	return nil
+	}), nil
 }
 
 // Open implements adal.Backend. Opening a migrated path triggers a
@@ -387,11 +359,11 @@ func (t *TierBackend) Open(path string) (io.ReadCloser, error) {
 		}
 		o := &op{kind: opRecall, done: make(chan struct{})}
 		t.ops[path] = o
-		size, sum, mod := e.size, e.checksum, e.modTime
+		stub := stubInfo{size: e.size, checksum: e.checksum, modTime: e.modTime}
 		t.mu.Unlock()
 
 		start := time.Now()
-		err := t.doRecall(path, size, sum, mod)
+		err := t.doRecall(path, stub)
 		t.finishOp(path, o, err)
 		t.recallWaitNs.Add(time.Since(start).Nanoseconds())
 		if err != nil {
@@ -405,80 +377,80 @@ func (t *TierBackend) Open(path string) (io.ReadCloser, error) {
 // entry to Premigrated (the cold copy remains valid until the file
 // is next rewritten). Recalled bytes count toward the watermark, so
 // a recall burst can wake the scanner just like a write burst.
-func (t *TierBackend) doRecall(path string, size units.Bytes, sum string, mod time.Time) error {
-	if err := t.copyColdToHot(path, size, sum, mod); err != nil {
+func (t *TierBackend) doRecall(path string, stub stubInfo) error {
+	if err := t.copyColdToHot(path, stub); err != nil {
 		return err
 	}
 	t.mu.Lock()
 	if e := t.files[path]; e != nil {
 		e.state = Premigrated
-		t.hotUsed += size
+		t.hotUsed += stub.size
 	}
 	t.mu.Unlock()
 	t.recalls.Add(1)
-	t.recallBytes.Add(int64(size))
+	t.recallBytes.Add(int64(stub.size))
 	t.event(path, Premigrated)
 	t.maybeScan()
 	return nil
 }
 
-// copyColdToHot streams the cold copy over the hot object (stub or
-// absent), verifying the recorded checksum as it streams — recall
-// memory stays O(copy buffer) regardless of object size. On any
-// failure the hot namespace is restored to a stub, so the tier's
-// restart-recovery invariant (every migrated object is represented
-// by its stub) survives partial recalls.
-func (t *TierBackend) copyColdToHot(path string, size units.Bytes, sum string, mod time.Time) error {
-	r, err := t.cold.Open(path)
+// moveObject is the one tier move: it streams from's copy of path over
+// whatever to holds there, checked against want as it lands (memory
+// stays one block, whatever the object's size), and clears a failed
+// copy's partial destination. What the failure owes the namespace —
+// a stub back, a migrating flag cleared — is the caller's.
+func moveObject(from, to adal.Backend, path string, want adal.Digest) (adal.Digest, error) {
+	r, err := from.Open(path)
 	if err != nil {
-		return fmt.Errorf("tiering: recall %s: %w", path, err)
+		return adal.Digest{}, err
 	}
 	defer r.Close()
-	if err := t.hot.Remove(path); err != nil && !errors.Is(err, adal.ErrNotFound) {
-		return fmt.Errorf("tiering: recall %s: clearing stub: %w", path, err)
+	if err := to.Remove(path); err != nil && !errors.Is(err, adal.ErrNotFound) {
+		return adal.Digest{}, fmt.Errorf("clearing the destination: %w", err)
 	}
-	restore := func() { t.rewriteStub(path, stubInfo{size: size, checksum: sum, modTime: mod}) }
-	w, err := t.hot.Create(path)
+	w, err := to.Create(path)
 	if err != nil {
-		restore()
-		return fmt.Errorf("tiering: recall %s: %w", path, err)
+		return adal.Digest{}, err
 	}
-	h := sha256.New()
-	n, err := io.Copy(io.MultiWriter(w, h), r)
-	if err == nil {
-		err = w.Close()
-	} else {
-		w.Close()
+	got, err := adal.Transfer(context.TODO(), w, r, want)
+	if cerr := w.Close(); err == nil {
+		err = cerr
 	}
 	if err != nil {
-		_ = t.hot.Remove(path)
-		restore()
-		return fmt.Errorf("tiering: recall %s: %w", path, err)
+		_ = to.Remove(path)
 	}
-	if units.Bytes(n) != size || hex.EncodeToString(h.Sum(nil)) != sum {
-		_ = t.hot.Remove(path)
-		restore()
-		return fmt.Errorf("%w: recall %s", ErrChecksum, path)
+	return got, err
+}
+
+// copyColdToHot moves the cold copy over the hot object (stub or
+// absent), verifying the recorded checksum. On any failure the hot
+// namespace is restored to a stub (a no-op while the old one is still
+// there), so the tier's restart-recovery invariant (every migrated
+// object is represented by its stub) survives partial recalls.
+func (t *TierBackend) copyColdToHot(path string, stub stubInfo) error {
+	_, err := moveObject(t.cold, t.hot, path, adal.Digest{Size: stub.size, Sum: stub.checksum})
+	if err != nil {
+		_ = t.writeStub(path, stub)
+		return fmt.Errorf("tiering: recall %s: %w", path, err)
 	}
 	return nil
 }
 
-// rewriteStub re-creates a migrated file's stub in the hot
-// namespace, best-effort (used on failure paths to keep the hot tier
-// self-describing for restart recovery).
-func (t *TierBackend) rewriteStub(path string, info stubInfo) {
+// writeStub creates a migrated file's stub in the hot namespace, which
+// keeps the hot tier self-describing for restart recovery.
+func (t *TierBackend) writeStub(path string, info stubInfo) error {
 	w, err := t.hot.Create(path)
 	if err != nil {
-		return
+		return err
 	}
-	if _, err := w.Write(encodeStub(info)); err != nil {
-		w.Close()
+	_, err = w.Write(encodeStub(info))
+	if cerr := w.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		_ = t.hot.Remove(path)
-		return
 	}
-	if err := w.Close(); err != nil {
-		_ = t.hot.Remove(path)
-	}
+	return err
 }
 
 func (t *TierBackend) finishOp(path string, o *op, err error) {
@@ -490,8 +462,8 @@ func (t *TierBackend) finishOp(path string, o *op, err error) {
 }
 
 // Stat implements adal.Backend. Migrated files report their logical
-// size and original modification time — placement is invisible here;
-// State and Placement expose it explicitly.
+// size and original modification time; where the bytes are is the
+// Placement fact.
 func (t *TierBackend) Stat(path string) (adal.FileInfo, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -499,7 +471,7 @@ func (t *TierBackend) Stat(path string) (adal.FileInfo, error) {
 	if !ok || e.writing {
 		return adal.FileInfo{}, fmt.Errorf("%w: %s:%s", adal.ErrNotFound, t.name, path)
 	}
-	return adal.FileInfo{Path: path, Size: e.size, ModTime: e.modTime}, nil
+	return adal.FileInfo{Path: path, Size: e.size, ModTime: e.modTime, Placement: e.state.String()}, nil
 }
 
 // List implements adal.Backend, reporting logical sizes regardless of
@@ -580,16 +552,6 @@ func (t *TierBackend) State(path string) (State, bool) {
 	return e.state, true
 }
 
-// Placement reports the placement state as a string; the DataBrowser
-// discovers this method structurally through the mount table.
-func (t *TierBackend) Placement(path string) (string, bool) {
-	st, ok := t.State(path)
-	if !ok {
-		return "", false
-	}
-	return st.String(), true
-}
-
 // Premigrate eagerly copies a resident file to the cold tier
 // (ingest's premigrate-on-ingest mode): the file keeps its hot bytes
 // but a later watermark migration degrades to a cheap stub swap.
@@ -605,72 +567,43 @@ func (t *TierBackend) Premigrate(path string) error {
 		return nil // already has (or is getting) a cold copy
 	}
 	e.migrating = true
-	size, sum := e.size, e.checksum
+	t.mu.Unlock()
+	err := t.toCold(path)
+	t.clearMigrating(path)
+	return err
+}
+
+// toCold gives a resident file, whose migrating flag the caller holds,
+// a cold copy and flips it to Premigrated; any other file it leaves
+// alone. The recorded checksum is verified as the bytes land and
+// learned when there is none (recovered entries have no checksum until
+// their first copy).
+func (t *TierBackend) toCold(path string) error {
+	t.mu.Lock()
+	e, ok := t.files[path]
+	if !ok || e.state != Resident {
+		t.mu.Unlock()
+		return nil
+	}
+	want := adal.Digest{Size: e.size, Sum: e.checksum}
 	t.mu.Unlock()
 
-	err := t.copyToCold(path, size, &sum)
+	got, err := moveObject(t.hot, t.cold, path, want)
+	if err != nil {
+		return fmt.Errorf("tiering: premigrate %s: %w", path, err)
+	}
 	t.mu.Lock()
-	e, ok = t.files[path]
-	if ok {
-		e.migrating = false
-		if err == nil && e.state == Resident {
-			e.state = Premigrated
-			if e.checksum == "" {
-				e.checksum = sum
-			}
-		}
+	same := t.files[path] == e
+	if same {
+		e.state, e.checksum = Premigrated, got.Sum
 	}
 	t.mu.Unlock()
-	if !ok {
+	if !same {
 		_ = t.cold.Remove(path) // removed underneath us; drop the orphan copy
 		return nil
 	}
-	if err != nil {
-		return err
-	}
 	t.premigrations.Add(1)
 	t.event(path, Premigrated)
-	return nil
-}
-
-// copyToCold streams the hot bytes into the cold tier. *sum is
-// verified when already known and learned otherwise (recovered
-// entries have no recorded checksum until their first copy).
-func (t *TierBackend) copyToCold(path string, size units.Bytes, sum *string) error {
-	r, err := t.hot.Open(path)
-	if err != nil {
-		return fmt.Errorf("tiering: premigrate %s: %w", path, err)
-	}
-	defer r.Close()
-	w, err := t.cold.Create(path)
-	if errors.Is(err, adal.ErrExists) {
-		// Stale copy from an earlier interrupted pass; replace it.
-		if rerr := t.cold.Remove(path); rerr != nil {
-			return fmt.Errorf("tiering: premigrate %s: %w", path, rerr)
-		}
-		w, err = t.cold.Create(path)
-	}
-	if err != nil {
-		return fmt.Errorf("tiering: premigrate %s: %w", path, err)
-	}
-	h := sha256.New()
-	n, err := io.Copy(io.MultiWriter(w, h), r)
-	if err != nil {
-		w.Close()
-		_ = t.cold.Remove(path)
-		return fmt.Errorf("tiering: premigrate %s: %w", path, err)
-	}
-	if err := w.Close(); err != nil {
-		_ = t.cold.Remove(path)
-		return fmt.Errorf("tiering: premigrate %s: %w", path, err)
-	}
-	got := hex.EncodeToString(h.Sum(nil))
-	if *sum == "" {
-		*sum = got
-	} else if got != *sum || units.Bytes(n) != size {
-		_ = t.cold.Remove(path)
-		return fmt.Errorf("%w: premigrate %s", ErrChecksum, path)
-	}
 	return nil
 }
 
@@ -706,44 +639,17 @@ func (t *TierBackend) Migrate(path string) error {
 // hot bytes for a stub under a per-path op so concurrent readers
 // never observe the intermediate hole.
 func (t *TierBackend) migrateOne(path string) error {
-	t.mu.Lock()
-	e, ok := t.files[path]
-	if !ok {
-		t.mu.Unlock()
-		return nil // removed while queued
-	}
-	st := e.state
-	size, sum := e.size, e.checksum
-	t.mu.Unlock()
-
-	if st == Resident {
-		if err := t.copyToCold(path, size, &sum); err != nil {
-			t.clearMigrating(path)
-			return err // stays resident; the next scan retries
-		}
-		t.mu.Lock()
-		e, ok = t.files[path]
-		if !ok {
-			t.mu.Unlock()
-			_ = t.cold.Remove(path)
-			return nil
-		}
-		e.state = Premigrated
-		if e.checksum == "" {
-			e.checksum = sum
-		}
-		t.mu.Unlock()
-		t.premigrations.Add(1)
-		t.event(path, Premigrated)
+	if err := t.toCold(path); err != nil {
+		t.clearMigrating(path)
+		return err // stays resident; the next scan retries
 	}
 
 	// Premigrated → Migrated: replace the hot bytes with a stub.
 	t.mu.Lock()
-	e, ok = t.files[path]
+	e, ok := t.files[path]
 	if !ok {
 		t.mu.Unlock()
-		_ = t.cold.Remove(path)
-		return nil
+		return nil // removed while queued, or under the copy
 	}
 	if e.state != Premigrated || e.pinned {
 		e.migrating = false
@@ -752,9 +658,7 @@ func (t *TierBackend) migrateOne(path string) error {
 	}
 	o := &op{kind: opStubSwap, done: make(chan struct{})}
 	t.ops[path] = o
-	sum = e.checksum
-	size = e.size
-	stub := stubInfo{size: size, checksum: sum, modTime: e.modTime}
+	stub := stubInfo{size: e.size, checksum: e.checksum, modTime: e.modTime}
 	t.mu.Unlock()
 
 	err := t.hot.Remove(path)
@@ -765,21 +669,12 @@ func (t *TierBackend) migrateOne(path string) error {
 		t.finishOp(path, o, err)
 		return fmt.Errorf("tiering: migrate %s: %w", path, err)
 	}
-	stubWritten := false
-	if w, cerr := t.hot.Create(path); cerr == nil {
-		_, werr := w.Write(encodeStub(stub))
-		if cerr = w.Close(); werr == nil && cerr == nil {
-			stubWritten = true
-		} else {
-			_ = t.hot.Remove(path)
-		}
-	}
-	if !stubWritten {
+	if t.writeStub(path, stub) != nil {
 		// Without a stub the object would vanish from restart
 		// recovery despite valid cold bytes. Put the hot bytes back
 		// from the verified cold copy and stay Premigrated; the next
 		// scan retries the swap.
-		if rerr := t.copyColdToHot(path, size, sum, stub.modTime); rerr == nil {
+		if rerr := t.copyColdToHot(path, stub); rerr == nil {
 			t.mu.Lock()
 			e.migrating = false
 			t.mu.Unlock()
@@ -793,10 +688,10 @@ func (t *TierBackend) migrateOne(path string) error {
 	t.mu.Lock()
 	e.state = Migrated
 	e.migrating = false
-	t.hotUsed -= size
+	t.hotUsed -= stub.size
 	t.mu.Unlock()
 	t.migrations.Add(1)
-	t.migratedBytes.Add(int64(size))
+	t.migratedBytes.Add(int64(stub.size))
 	t.finishOp(path, o, nil)
 	t.event(path, Migrated)
 	return nil
@@ -1064,19 +959,15 @@ func (t *TierBackend) VerifyRoundTrip(path string) error {
 		t.mu.Unlock()
 		return fmt.Errorf("%w: %s:%s", adal.ErrNotFound, t.name, path)
 	}
-	want := e.checksum
+	want := adal.Digest{Size: e.size, Sum: e.checksum}
 	t.mu.Unlock()
 	r, err := t.Open(path)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, r); err != nil {
-		return err
-	}
-	if got := hex.EncodeToString(h.Sum(nil)); want != "" && got != want {
-		return fmt.Errorf("%w: %s", ErrChecksum, path)
+	if _, err := adal.Transfer(context.TODO(), io.Discard, r, want); err != nil {
+		return fmt.Errorf("tiering: verify %s: %w", path, err)
 	}
 	return nil
 }

@@ -368,6 +368,58 @@ func TestRecallChecksumMismatch(t *testing.T) {
 	}
 }
 
+// TestRecallMidObjectMismatchRestoresStub: a cold copy corrupted in a
+// middle block fails the recall with ErrChecksum, the half-recalled hot
+// object is gone and the stub is back in its place — so the file is
+// still Migrated, for this tier and for one recovering from the hot
+// namespace — and once the cold copy is repaired the same stub recalls
+// the right bytes.
+func TestRecallMidObjectMismatchRestoresStub(t *testing.T) {
+	tier, hot, cold := newTier(t, Config{})
+	data := payload('m', 3*adal.ChainBlock+99)
+	writeObj(t, tier, "/d/m", data)
+	if err := tier.Migrate("/d/m"); err != nil {
+		t.Fatal(err)
+	}
+	setCold := func(content []byte) {
+		t.Helper()
+		if err := cold.Remove("/d/m"); err != nil {
+			t.Fatal(err)
+		}
+		writeObj(t, cold, "/d/m", content)
+	}
+	bad := bytes.Clone(data)
+	bad[adal.ChainBlock+adal.ChainBlock/2] ^= 1
+	setCold(bad)
+	if _, err := tier.Open("/d/m"); !errors.Is(err, ErrChecksum) {
+		t.Fatalf("open err = %v, want checksum mismatch", err)
+	}
+	stub, ok := decodeStub(readObj(t, hot, "/d/m"))
+	if !ok || stub.size != units.Bytes(len(data)) {
+		t.Fatalf("hot object after the failed recall: stub %v, %+v", ok, stub)
+	}
+	if st, _ := tier.State("/d/m"); st != Migrated {
+		t.Fatalf("state after the failed recall = %v, want migrated", st)
+	}
+	again, err := New("again", hot, cold, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := again.State("/d/m")
+	again.Close()
+	if st != Migrated {
+		t.Fatalf("a tier recovering from the hot namespace sees %v, want migrated", st)
+	}
+
+	setCold(data)
+	if got := readObj(t, tier, "/d/m"); !bytes.Equal(got, data) {
+		t.Fatal("recall after the repair returned other bytes")
+	}
+	if st := tier.Stats(); st.RecallErrors != 1 || st.Recalls != 1 {
+		t.Fatalf("stats = %+v", st)
+	}
+}
+
 func TestRemoveClearsBothTiers(t *testing.T) {
 	tier, hot, cold := newTier(t, Config{})
 	writeObj(t, tier, "/d/x", payload('x', 4096))
