@@ -353,11 +353,11 @@ func TestEveryFrontDoorStoresAndRegistersAlike(t *testing.T) {
 }
 
 // replicatedParts is the stack a production ingest batch runs on: a
-// federated backend on /ddn whose catalog journals a home-replica note
-// per stored object into the same durable store that registers it. One
-// site, so nothing replicates in the background and every fsync seen
-// is the batch's own.
-func replicatedParts(t *testing.T, opts metadata.Options) (*rig, *shardSyncFS) {
+// federated backend on /ddn over the named sites, nearest first, whose
+// catalog notes a home replica per stored object into the same durable
+// store that registers it. With more than one site the engine copies
+// each registered object on, in the background.
+func replicatedParts(t *testing.T, opts metadata.Options, sites ...string) (*rig, *shardSyncFS, *replication.Engine) {
 	t.Helper()
 	fault := durafs.NewFault(durafs.NewMem(), nil)
 	counter := newShardSyncFS(fault)
@@ -368,9 +368,12 @@ func replicatedParts(t *testing.T, opts metadata.Options) (*rig, *shardSyncFS) {
 	}
 	t.Cleanup(meta.Close)
 	catalog := replication.NewCatalog(replication.CatalogConfig{Meta: meta, MountPrefix: "/ddn"})
+	var fed []*replication.Site
+	for i, name := range sites {
+		fed = append(fed, replication.NewSite(name, adal.NewMemFS(name), i))
+	}
 	engine, err := replication.NewEngine(replication.Config{
-		Catalog: catalog,
-		Sites:   []*replication.Site{replication.NewSite("kit", adal.NewMemFS("kit"), 0)},
+		Catalog: catalog, Sites: fed, Meta: meta, MountPrefix: "/ddn",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -380,7 +383,7 @@ func replicatedParts(t *testing.T, opts metadata.Options) (*rig, *shardSyncFS) {
 	if err := layer.Mount("/ddn", replication.NewFederated("ddn", engine)); err != nil {
 		t.Fatal(err)
 	}
-	return &rig{layer: layer, meta: meta}, counter
+	return &rig{layer: layer, meta: meta}, counter, engine
 }
 
 // killingReader takes the site down once its first bytes are read, so
@@ -455,16 +458,14 @@ func batchOf(n int, pathOf func(i int) string) []*ingest.Object {
 	return objs
 }
 
-// batchSharesGroupCommits: each object of a batch journals a
-// home-replica note as it is stored; one after the other, sixteen
-// objects would pay sixteen fsyncs for them. Written together the
-// notes meet in the WAL's group commit, so a touched shard pays one
-// fsync for its notes and one for its registrations.
+// batchSharesGroupCommits: each object of a batch notes its home
+// replica as it is stored. The notes are staged, and the registration
+// that acknowledges them makes them durable in its own round, so a
+// touched shard pays one fsync for the batch — notes and registrations
+// both. The copies to the second site that the registrations trigger
+// stage their Valid notes too: they add no fsync until Engine.Wait.
 func batchSharesGroupCommits(t *testing.T) {
-	// The commit window is what makes "together" observable without a
-	// clock in the assertion: a leader waits this long for company, and
-	// sixteen small writes take far less.
-	r, counter := replicatedParts(t, metadata.Options{Shards: 4, GroupCommitInterval: 100 * time.Millisecond})
+	r, counter, engine := replicatedParts(t, metadata.Options{Shards: 4}, "kit", "far")
 	objs := batchOf(16, func(i int) string { return fmt.Sprintf("/ddn/gc/%02d", i) })
 	for i, cr := range ingest.StoreBatch(r.layer, r.meta, objs) {
 		if cr.Err != nil {
@@ -478,13 +479,46 @@ func batchSharesGroupCommits(t *testing.T) {
 		}
 	}
 	counter.mu.Lock()
-	defer counter.mu.Unlock()
+	batch := counter.total
 	if len(counter.syncs) == 0 {
-		t.Fatal("no WAL fsync seen")
+		t.Error("no WAL fsync seen")
 	}
 	for shard, n := range counter.syncs {
-		if n > 2 {
-			t.Errorf("WAL shard %d paid %d fsyncs for one batch, want <= 2 (notes, registrations)", shard, n)
+		if n > 1 {
+			t.Errorf("WAL shard %d paid %d fsyncs for one batch, want <= 1", shard, n)
+		}
+	}
+	counter.mu.Unlock()
+
+	// The copies run on the engine's workers; the store's table shows
+	// each Valid note as soon as it is staged.
+	for _, o := range objs {
+		for deadline := time.Now().Add(10 * time.Second); r.meta.Replicas(o.Path)["far"] != "valid"; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s never copied to far: %v", o.Path, r.meta.Replicas(o.Path))
+			}
+		}
+	}
+	if n := counter.totalSyncs(); n != batch {
+		t.Errorf("copying the batch to a second site paid %d fsyncs before Engine.Wait, want 0", n-batch)
+	}
+	// Copies that finished before the registration rode its fsyncs;
+	// Engine.Wait pays at most one per shard for the rest, and what it
+	// returns on survives a power cut.
+	engine.Wait()
+	if n := counter.totalSyncs() - batch; n > 4 {
+		t.Errorf("Engine.Wait paid %d fsyncs for the staged copy notes, want <= 4 (one per shard)", n)
+	}
+	mem := counter.fault.Inner()
+	mem.Crash(nil)
+	re, err := metadata.Open(metadata.Options{Shards: 4, WALDir: "wal", FS: mem})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for _, o := range objs {
+		if got := re.Replicas(o.Path); got["kit"] != "valid" || got["far"] != "valid" {
+			t.Errorf("%s: after a power cut the replica notes read %v, want kit and far valid", o.Path, got)
 		}
 	}
 }
@@ -527,15 +561,27 @@ func batchDuplicatePathFirstWins(t *testing.T) {
 }
 
 // batchWALFaultMidBatch: the disk starts refusing fsyncs part-way
-// through a batch — some notes and registrations are durable, the rest
-// are not. Every object then either is registered or is gone.
+// through a batch — some shards' notes and registrations are durable,
+// the rest are not. Every object then either is registered or is gone.
 func batchWALFaultMidBatch(t *testing.T) {
-	// Sixteen notes and sixteen registrations over four shards are at
-	// least eight fsyncs, so each of these points is inside the batch.
-	for failAfter := 1; failAfter <= 8; failAfter++ {
-		r, counter := replicatedParts(t, metadata.Options{Shards: 4})
+	objs := func() []*ingest.Object {
+		return batchOf(16, func(i int) string { return fmt.Sprintf("/ddn/wf/%02d", i) })
+	}
+	// The fault points are the fsyncs the batch pays on a clean run.
+	clean, counter, _ := replicatedParts(t, metadata.Options{Shards: 4}, "kit")
+	for i, cr := range ingest.StoreBatch(clean.layer, clean.meta, objs()) {
+		if cr.Err != nil {
+			t.Fatalf("clean run: object %d: %v", i, cr.Err)
+		}
+	}
+	paid := counter.totalSyncs()
+	if paid == 0 {
+		t.Fatal("the clean batch paid no fsync")
+	}
+	for failAfter := 1; failAfter <= paid; failAfter++ {
+		r, counter, _ := replicatedParts(t, metadata.Options{Shards: 4}, "kit")
 		counter.failAfter = failAfter
-		objs := batchOf(16, func(i int) string { return fmt.Sprintf("/ddn/wf/%02d", i) })
+		objs := objs()
 		failed := 0
 		for i, cr := range ingest.StoreBatch(r.layer, r.meta, objs) {
 			_, statErr := r.layer.Stat(objs[i].Path)

@@ -212,12 +212,6 @@ feed:
 	return stats, nil
 }
 
-// storeWidth is how many of a batch's objects are written at once.
-// The writes overlap so that, on a durable store, the home-replica
-// notes they journal meet in the WAL's group commit — about one fsync
-// round per touched shard instead of one per object.
-const storeWidth = 16
-
 // StoreBatch writes a group of objects and registers the stored ones
 // in one metadata.CreateBatch — tags folded into the creation, one
 // shard-lock round and, on a durable store, one WAL commit per touched
@@ -228,47 +222,29 @@ const storeWidth = 16
 // write that succeeded — the only case that reaches the rollback — was
 // to a previously empty path this call owns.
 //
-// Up to storeWidth objects are written concurrently, each Data read
-// by one goroutine, and of objects that repeat a path the first wins
-// as it would serially (storeTogether).
+// The objects are written one after the other, in input order, so of
+// objects that repeat a path the first wins. A federated home copy's
+// Valid note is staged, not waited for: the CreateBatch makes it
+// durable with the registration (metadata.Store.StageReplica).
 func StoreBatch(layer *adal.Layer, meta *metadata.Store, objs []*Object) []metadata.CreateResult {
 	results := make([]metadata.CreateResult, len(objs))
-	specs := make([]metadata.CreateSpec, len(objs))
-	store := func(i int) {
-		obj := objs[i]
+	specs := make([]metadata.CreateSpec, 0, len(objs))
+	stored := make([]int, 0, len(objs)) // specs[j] describes objs[stored[j]]
+	for i, obj := range objs {
 		if obj.Data == nil {
 			results[i].Err = errors.New("ingest: object without data")
-			return
+			continue
 		}
 		n, sum, err := layer.WriteChecksummed(obj.Path, obj.Data)
 		if err != nil {
 			results[i].Err = fmt.Errorf("ingest: store %s: %w", obj.Path, err)
-			return
+			continue
 		}
-		specs[i] = metadata.CreateSpec{
-			Project:  obj.Project,
-			Path:     obj.Path,
-			Size:     n,
-			Checksum: sum,
-			Basic:    obj.Basic,
-			Tags:     obj.Tags,
-		}
+		specs = append(specs, metadata.CreateSpec{Project: obj.Project, Path: obj.Path, Size: n,
+			Checksum: sum, Basic: obj.Basic, Tags: obj.Tags})
+		stored = append(stored, i)
 	}
-
-	if len(objs) == 1 {
-		store(0) // a batch of one never leaves the caller's goroutine
-	} else {
-		storeTogether(objs, store)
-	}
-
-	stored := make([]int, 0, len(objs)) // specs[j] describes objs[stored[j]]
-	for i := range objs {
-		if results[i].Err == nil {
-			specs[len(stored)] = specs[i]
-			stored = append(stored, i)
-		}
-	}
-	for j, r := range meta.CreateBatch(specs[:len(stored)]) {
+	for j, r := range meta.CreateBatch(specs) {
 		i := stored[j]
 		if r.Err != nil {
 			_ = layer.Remove(objs[i].Path)
@@ -277,35 +253,6 @@ func StoreBatch(layer *adal.Layer, meta *metadata.Store, objs []*Object) []metad
 		results[i] = r
 	}
 	return results
-}
-
-// storeTogether calls store(i) for every object, up to storeWidth at
-// a time. Objects that repeat a path of the batch wait until the
-// others are done and then go in input order, so which of them wins
-// the path is decided here, not by the scheduler.
-func storeTogether(objs []*Object, store func(i int)) {
-	var wg sync.WaitGroup
-	var repeats []int
-	seen := make(map[string]bool, len(objs))
-	slots := make(chan struct{}, storeWidth)
-	for i, obj := range objs {
-		if seen[obj.Path] {
-			repeats = append(repeats, i)
-			continue
-		}
-		seen[obj.Path] = true
-		slots <- struct{}{}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			store(i)
-			<-slots
-		}()
-	}
-	wg.Wait()
-	for _, i := range repeats {
-		store(i)
-	}
 }
 
 // premigrate asks the backend serving a stored-and-registered

@@ -243,15 +243,16 @@ func TestDistributedSpeculation(t *testing.T) {
 			t.Fatal(err)
 		}
 		m := startMaster(t, tr, c)
-		// Three healthy workers plus one single-slot straggler. The
-		// sleep-based delay is sized so the straggler's first map is
-		// still running long after the healthy workers drain the rest of
-		// the queue — even under -race, which slows their compute but
-		// not this sleep — so there is always a committed median to
-		// project against and a straggler alive past it. One slot keeps
-		// the test deterministic the other way too: the straggler cannot
-		// absorb a whole phase, whose siblings then never commit.
-		tr.startWorkers(t, c, m, 3, nil)
+		// One single-slot straggler, then three healthy workers — started
+		// only once the master has handed the straggler a map, so the
+		// healthy ones cannot drain the phase before it holds a task. The
+		// sleep-based delay keeps that map running long after they drain
+		// the rest of the queue — even under -race, which slows their
+		// compute but not this sleep — so there is always a committed
+		// median to project against and a straggler alive past it. One
+		// slot keeps the test deterministic the other way too: the
+		// straggler cannot absorb a whole phase, whose siblings then never
+		// commit.
 		slow, err := tr.worker(m, WorkerConfig{
 			ID:        "w-slow",
 			Store:     NewDFSStore(c),
@@ -268,6 +269,19 @@ func TestDistributedSpeculation(t *testing.T) {
 			Name: "wc-spec", Inputs: []string{"/in/doc"}, OutputDir: "/out/spec",
 			NumReducers: 2,
 		})
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+			m.mu.Lock()
+			w := m.workers["w-slow"]
+			held := w != nil && w.runs(j.ID, mrpc.PhaseMap, -1)
+			m.mu.Unlock()
+			if held {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("the master never assigned the straggler a map")
+			}
+		}
+		tr.startWorkers(t, c, m, 3, nil)
 		res := waitJob(t, j)
 		checkGolden(t, "speculation", c, res.OutputFiles)
 		if res.Counters.SpecLaunched == 0 {

@@ -2,7 +2,9 @@ package metadata
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
+	"maps"
 	"slices"
 	"sync"
 
@@ -37,6 +39,9 @@ type CreateResult struct {
 // the creations are then one commit, which locks each touched dataset
 // shard once. No mutator ever holds a dataset-shard and a path-shard
 // lock together — captureShard, which does, relies on that.
+// A registration also acknowledges the notes staged on its path (the
+// home copy's Valid note, StageReplica): their log is waited for in the
+// same parallel round, one fsync per touched log, and fails it too.
 func (s *Store) CreateBatch(specs []CreateSpec) []CreateResult {
 	results := make([]CreateResult, len(specs))
 	recs := make([]walRecord, 0, len(specs))
@@ -56,14 +61,14 @@ func (s *Store) CreateBatch(specs []CreateSpec) []CreateResult {
 			Path:      sp.Path,
 			Size:      sp.Size,
 			Checksum:  sp.Checksum,
-			Basic:     cloneMap(sp.Basic),
+			Basic:     maps.Clone(sp.Basic),
 			Tags:      append([]string(nil), sp.Tags...),
 			CreatedAt: s.now(),
 			Version:   1 + len(sp.Tags),
 		}})
 		at = append(at, i)
 	}
-	errs := s.commit(recs, s.bus.hasSubscribers())
+	errs := s.commit(recs, s.bus.hasSubscribers(), true)
 	for k, i := range at {
 		if errs != nil && errs[k] != nil {
 			results[i].Err = errs[k]
@@ -92,11 +97,11 @@ func (s *Store) claimPath(path, id string) (string, error) {
 }
 
 // commitRun is one lock round of a commit: the records recs[order[lo:hi]]
-// share a shard and a lock kind.
+// share a shard and a lock kind; with lo == hi it only waits (awaitLog).
 type commitRun struct {
 	wi     uint32
 	lo, hi int
-	lsn    uint64  // highest LSN staged; 0 when nothing was
+	lsn    uint64  // highest LSN to wait for; 0 when none
 	evs    []Event // what the round's records publish, in commit order
 	err    error   // a WAL failure: fails the whole round
 }
@@ -105,14 +110,14 @@ type commitRun struct {
 // live or imported, is a record that goes through here. It groups the
 // records by shard; per shard it takes the lock the records need,
 // applies each record, journals it if it changed anything and stages
-// its events, and unlocks; it then waits for all the shards' logs at
-// once and, per shard in commit order, publishes. With observed false
-// the events are not built at all (no subscriber, or Import).
+// its events, and unlocks; with wait it then waits for all the shards'
+// logs at once (and a create's path's: see CreateBatch) and, per shard
+// in commit order, publishes. With observed false the events are not
+// built at all (no subscriber, or Import).
 //
 // It returns nil when every record committed, else one error per
-// record: what apply refused (ErrNotFound), or the WAL failure of the
-// record's shard.
-func (s *Store) commit(recs []walRecord, observed bool) (errs []error) {
+// record: what apply refused (ErrNotFound), or a WAL failure.
+func (s *Store) commit(recs []walRecord, observed, wait bool) (errs []error) {
 	fail := func(i int, err error) {
 		if errs == nil {
 			errs = make([]error, len(recs))
@@ -172,9 +177,23 @@ func (s *Store) commit(recs []walRecord, observed bool) (errs []error) {
 		mu.Unlock()
 		runs = append(runs, run)
 	}
-
-	s.journalWaitAll(runs)
+	if wait && s.wal != nil {
+		for i := range recs {
+			if d := recs[i].Dataset; d != nil { // a create
+				runs = s.awaitLog(runs, fnv32a(d.Path)&s.mask, len(recs))
+			}
+		}
+		s.journalWaitAll(runs)
+	}
 	for _, run := range runs {
+		for _, i := range order[run.lo:run.hi] { // a create fails with the log of its path's notes
+			if d := recs[i].Dataset; d != nil && run.err == nil && s.wal != nil {
+				wi := fnv32a(d.Path) & s.mask
+				if k := slices.IndexFunc(runs, func(r commitRun) bool { return r.wi == wi && r.err != nil }); k >= 0 {
+					run.err = runs[k].err
+				}
+			}
+		}
 		if run.err != nil {
 			for _, i := range order[run.lo:run.hi] {
 				fail(i, run.err)
@@ -186,9 +205,24 @@ func (s *Store) commit(recs []walRecord, observed bool) (errs []error) {
 	return errs
 }
 
+// awaitLog makes runs wait for all that is staged in log wi: its round
+// in runs waits that far, or one holding none of the n records is added.
+func (s *Store) awaitLog(runs []commitRun, wi uint32, n int) []commitRun {
+	lsn := s.wal.shards[wi].undurable()
+	k := slices.IndexFunc(runs, func(r commitRun) bool { return r.wi == wi })
+	switch {
+	case lsn == 0:
+	case k >= 0:
+		runs[k].lsn = max(runs[k].lsn, lsn)
+	default:
+		runs = append(runs, commitRun{wi: wi, lo: n, hi: n, lsn: lsn})
+	}
+	return runs
+}
+
 // commitOne commits a single record for a live mutator.
 func (s *Store) commitOne(rec walRecord) error {
-	if errs := s.commit([]walRecord{rec}, s.bus.hasSubscribers()); errs != nil {
+	if errs := s.commit([]walRecord{rec}, s.bus.hasSubscribers(), true); errs != nil {
 		return errs[0]
 	}
 	return nil
@@ -209,14 +243,14 @@ func (s *Store) route(rec *walRecord) (wi uint32, onPath bool) {
 }
 
 // journalWaitAll makes every round's staged records durable, the
-// rounds' fsyncs in parallel.
-func (s *Store) journalWaitAll(runs []commitRun) {
+// rounds' fsyncs in parallel, and returns their failures joined.
+func (s *Store) journalWaitAll(runs []commitRun) (err error) {
 	if s.wal == nil {
-		return
+		return nil
 	}
 	if len(runs) == 1 { // a single record starts no goroutine
 		s.journalWait(&runs[0])
-		return
+		return runs[0].err
 	}
 	// On a copy: commit's own rounds then stay on its stack.
 	waits := slices.Clone(runs)
@@ -231,5 +265,7 @@ func (s *Store) journalWaitAll(runs []commitRun) {
 	wg.Wait()
 	for k := range runs {
 		runs[k].err = waits[k].err
+		err = errors.Join(err, runs[k].err)
 	}
+	return err
 }

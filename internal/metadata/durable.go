@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -118,10 +119,10 @@ func (s *Store) RecoveryStats() RecoveryStats { return s.recovered }
 // Durable reports whether the store journals mutations to a WAL.
 func (s *Store) Durable() bool { return s.wal != nil }
 
-// WALErrors counts journaling failures on the void notification
-// paths (NotePlacement/NoteReplica), which cannot return errors to
-// their callers. Any non-zero value means the owning shard has gone
-// fail-stop and subsequent mutations on it will error.
+// WALErrors counts journaling failures of notes — NotePlacement,
+// NoteReplica, a staged note's log failing under whoever waits for it —
+// which cannot return errors to their callers. Any non-zero value means
+// the owning shard has gone fail-stop and later mutations on it error.
 func (s *Store) WALErrors() int64 { return s.walErrs.Load() }
 
 // Snapshots returns the number of compacted snapshots written since
@@ -175,7 +176,7 @@ func (s *Store) Replicas(path string) map[string]string {
 	if len(ps.replicas[path]) == 0 {
 		return nil
 	}
-	return cloneMap(ps.replicas[path])
+	return maps.Clone(ps.replicas[path])
 }
 
 // openWAL attaches the durability plane to a freshly constructed
@@ -441,11 +442,10 @@ func (s *Store) apply(wi uint32, rec *walRecord, evs *[]Event) (changed bool, er
 		emit(EventDeleted, d, "")
 		return true, nil
 	case opPlacement:
-		ps.setPlacement(rec.Path, rec.State)
+		ps.placement[rec.Path] = rec.State
 		return true, nil
 	case opReplica:
-		ps.setReplica(rec.Path, rec.Site, rec.State)
-		return true, nil
+		return ps.setReplica(rec.Path, rec.Site, rec.State), nil
 	}
 	return false, fmt.Errorf("%w: %q", errNoTransition, rec.Op)
 }
@@ -508,6 +508,9 @@ func (s *Store) journalWait(run *commitRun) {
 	}
 	w := s.wal.shards[run.wi]
 	if run.err = w.waitDurable(run.lsn); run.err != nil {
+		if run.lo == run.hi {
+			s.walErrs.Add(1) // only notes were waited for: see awaitLog
+		}
 		return
 	}
 	w.mu.Lock()

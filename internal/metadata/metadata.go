@@ -50,6 +50,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
+	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -85,14 +88,7 @@ type Dataset struct {
 }
 
 // HasTag reports whether the dataset carries the tag.
-func (d *Dataset) HasTag(tag string) bool {
-	for _, t := range d.Tags {
-		if t == tag {
-			return true
-		}
-	}
-	return false
-}
+func (d *Dataset) HasTag(tag string) bool { return slices.Contains(d.Tags, tag) }
 
 // Processing is one analysis pass over a dataset: the paper's
 // "processing X metadata + results X" block.
@@ -206,7 +202,7 @@ func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
 		o.Shards = DefaultShards
 	}
-	o.Shards = ceilPow2(o.Shards)
+	o.Shards = 1 << bits.Len(uint(o.Shards-1)) // up to a power of two
 	if o.Clock == nil {
 		o.Clock = time.Now
 	}
@@ -217,14 +213,6 @@ func (o Options) withDefaults() Options {
 		o.SnapshotEvery = DefaultSnapshotEvery
 	}
 	return o
-}
-
-func ceilPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
 }
 
 // shard holds the datasets whose ID hashes onto it, plus this
@@ -248,24 +236,25 @@ type pathShard struct {
 	replicas  map[string]map[string]string // path -> site -> replica state
 }
 
-// setPlacement records a placement note; callers hold ps.mu (or run
+// setReplica records a replica note, or clears the site's entry for a
+// transfer's ("pending", "copying": see NoteReplica), and reports
+// whether the table changed. Callers hold ps.mu (or run
 // single-threaded recovery).
-func (ps *pathShard) setPlacement(path, state string) {
-	if ps.placement == nil {
-		ps.placement = make(map[string]string)
+func (ps *pathShard) setReplica(path, site, state string) bool {
+	sites := ps.replicas[path]
+	if state == "pending" || state == "copying" {
+		_, had := sites[site]
+		if delete(sites, site); len(sites) == 0 {
+			delete(ps.replicas, path)
+		}
+		return had
 	}
-	ps.placement[path] = state
-}
-
-// setReplica records a replica note; same locking contract.
-func (ps *pathShard) setReplica(path, site, state string) {
-	if ps.replicas == nil {
-		ps.replicas = make(map[string]map[string]string)
+	if sites == nil {
+		sites = make(map[string]string)
+		ps.replicas[path] = sites
 	}
-	if ps.replicas[path] == nil {
-		ps.replicas[path] = make(map[string]string)
-	}
-	ps.replicas[path][site] = state
+	sites[site] = state
+	return true
 }
 
 // Store is the metadata repository. All methods are safe for
@@ -325,7 +314,8 @@ func Open(opts Options) (*Store, error) {
 			byProject: make(map[string]map[string]bool),
 			byTag:     make(map[string]map[string]bool),
 		}
-		s.pathShards[i] = &pathShard{byPath: make(map[string]string)}
+		s.pathShards[i] = &pathShard{byPath: make(map[string]string),
+			placement: make(map[string]string), replicas: make(map[string]map[string]string)}
 	}
 	if opts.WALDir != "" {
 		if err := s.openWAL(opts); err != nil {
@@ -510,8 +500,7 @@ func (s *Store) Delete(id string) error {
 // Journaling failures cannot be returned on this void path; they
 // land on the WALErrors counter and the owning shard goes fail-stop.
 func (s *Store) NotePlacement(path, placement string) {
-	s.note(walRecord{Op: opPlacement, Path: path, State: placement},
-		Event{Type: EventPlacement, Placement: placement})
+	s.note(walRecord{Op: opPlacement, Path: path, State: placement}, EventPlacement, true)
 }
 
 // NoteReplica publishes an EventReplica on the store's bus for the
@@ -519,23 +508,48 @@ func (s *Store) NotePlacement(path, placement string) {
 // state transition so the DataBrowser and rule engines observe
 // multi-site convergence without polling the catalog. Like
 // NotePlacement, the event carries the registered dataset snapshot
-// when the path is known, or a synthetic path-only snapshot.
-// NoteReplica also records the state in the store's replica table
-// (see Replicas), journaled on durable stores so the replica catalog
-// recovers without re-scanning site directories. Journaling failures
-// land on the WALErrors counter, like NotePlacement.
+// when the path is known, or a synthetic path-only snapshot, and the
+// state lands in a table (see Replicas) — of replicas, not transfers:
+// "pending" and "copying" clear the site's entry and are journaled only
+// if there was one. NoteReplica is StageReplica, then a wait until the
+// note is durable; failures land on the WALErrors counter.
 func (s *Store) NoteReplica(path, site, state string) {
-	s.note(walRecord{Op: opReplica, Path: path, Site: site, State: state},
-		Event{Type: EventReplica, Placement: state, Site: site})
+	s.note(walRecord{Op: opReplica, Path: path, Site: site, State: state}, EventReplica, true)
 }
 
-// note commits a path note and then publishes ev for it. The event's
-// dataset snapshot lives on another shard, so it is taken after the
-// commit, with no lock held, and not by apply.
-func (s *Store) note(rec walRecord, ev Event) {
-	if err := s.commitOne(rec); err != nil {
+// StageReplica is NoteReplica without the wait: the note is durable
+// once anything waits for its log — the CreateBatch that registers
+// path, SyncPaths, Close, another commit. Only a note whose loss makes
+// recovery believe less than is true may be staged.
+func (s *Store) StageReplica(path, site, state string) {
+	s.note(walRecord{Op: opReplica, Path: path, Site: site, State: state}, EventReplica, false)
+}
+
+// SyncPaths waits, in parallel, until whatever is staged in the logs
+// the paths hash to — in every log, given none — is durable. A failed
+// log counts on WALErrors, like a failed note, and is returned.
+func (s *Store) SyncPaths(paths ...string) error {
+	if s.wal == nil {
+		return nil
+	}
+	var runs []commitRun
+	for wi := range uint32(len(s.wal.shards)) {
+		if len(paths) == 0 || slices.ContainsFunc(paths, func(p string) bool { return fnv32a(p)&s.mask == wi }) {
+			runs = s.awaitLog(runs, wi, 0)
+		}
+	}
+	return s.journalWaitAll(runs)
+}
+
+// note commits a path note — waiting for it with wait — and then
+// publishes its event. The event's dataset snapshot lives on another
+// shard, so it is taken after the commit, with no lock held, and not
+// by apply.
+func (s *Store) note(rec walRecord, typ EventType, wait bool) {
+	if errs := s.commit([]walRecord{rec}, false, wait); errs != nil {
 		s.walErrs.Add(1)
 	}
+	ev := Event{Type: typ, Placement: rec.State, Site: rec.Site}
 	var ok bool
 	if ev.Dataset, ok = s.ByPath(rec.Path); !ok {
 		ev.Dataset = Dataset{Path: rec.Path}
@@ -570,27 +584,16 @@ func (s *Store) Flush() { s.bus.flush() }
 func (s *Store) HoldFlush() (release func()) { return s.bus.hold() }
 
 // Close flushes and stops the event bus, then commits anything still
-// pending in the WAL and releases the log files. The store remains
+// staged in the WAL and releases the log files. The store remains
 // readable, but on a durable store mutations after Close will fail.
 func (s *Store) Close() {
 	s.bus.close()
 	s.closeWAL()
 }
 
-func cloneMap(m map[string]string) map[string]string {
-	if m == nil {
-		return nil
-	}
-	out := make(map[string]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
 func (d *Dataset) clone() Dataset {
 	out := *d
-	out.Basic = cloneMap(d.Basic)
+	out.Basic = maps.Clone(d.Basic)
 	out.Tags = append([]string(nil), d.Tags...)
 	out.Processings = make([]Processing, len(d.Processings))
 	for i, p := range d.Processings {
@@ -600,8 +603,8 @@ func (d *Dataset) clone() Dataset {
 }
 
 func (p Processing) clone() Processing {
-	p.Params = cloneMap(p.Params)
-	p.Results = cloneMap(p.Results)
+	p.Params = maps.Clone(p.Params)
+	p.Results = maps.Clone(p.Results)
 	p.Outputs = append([]string(nil), p.Outputs...)
 	return p
 }
@@ -773,5 +776,5 @@ func (s *Store) Import(r io.Reader) error {
 			return fmt.Errorf("metadata: import: %w", err)
 		}
 	}
-	return errors.Join(s.commit(dump.records(), false)...)
+	return errors.Join(s.commit(dump.records(), false, true)...)
 }

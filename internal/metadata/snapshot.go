@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"maps"
 	"slices"
 	"sort"
 
@@ -46,7 +47,7 @@ func (dump *storeDump) add(sh *shard, ps *pathShard) {
 		dump.Replicas = make(map[string]map[string]string, len(ps.replicas))
 	}
 	for p, sites := range ps.replicas {
-		dump.Replicas[p] = cloneMap(sites)
+		dump.Replicas[p] = maps.Clone(sites)
 	}
 }
 

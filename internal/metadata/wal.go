@@ -291,12 +291,14 @@ func (w *walShard) openFile() (durafs.File, error) {
 	return f, nil
 }
 
-// syncStaged makes whatever is staged durable.
-func (w *walShard) syncStaged() error {
+// undurable returns the highest LSN staged but not on disk, 0 for none.
+func (w *walShard) undurable() (lsn uint64) {
 	w.mu.Lock()
-	lsn := w.stagedLSN
+	if w.stagedLSN > w.durableLSN {
+		lsn = w.stagedLSN
+	}
 	w.mu.Unlock()
-	return w.waitDurable(lsn)
+	return lsn
 }
 
 // cut commits everything staged to the active segment and switches
@@ -309,7 +311,7 @@ func (w *walShard) syncStaged() error {
 // a GroupCommitInterval's wait included, when one is set — is the only
 // I/O done under the shard locks.
 func (w *walShard) cut(next durafs.File) (lsn uint64, records int, err error) {
-	if err := w.syncStaged(); err != nil {
+	if err := w.waitDurable(w.undurable()); err != nil {
 		return 0, 0, err
 	}
 	// Staging is frozen and durable == staged: no leader is running
@@ -344,7 +346,7 @@ func (w *walShard) compacted(records, items int) {
 // marks the shard closed: further mutations on it return
 // ErrWALFailed rather than silently journaling to a reopened log.
 func (w *walShard) close() error {
-	err := w.syncStaged()
+	err := w.waitDurable(w.undurable())
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.file != nil {

@@ -257,9 +257,9 @@ func (e *Engine) EnsureN(path string, min int) {
 	// A site counts toward the target if it holds a valid replica or
 	// has a job in flight (which will make it valid, or fail and be
 	// requeued by a later Ensure). The in-flight check must not
-	// depend on a catalog record existing — the Pending record is
-	// written when the job starts, and counting only cataloged sites
-	// here would let an Ensure storm schedule surplus sites.
+	// depend on a catalog record existing — the Pending entry is made
+	// when the job starts, and never journaled — and counting only
+	// cataloged sites here would let an Ensure storm schedule surplus.
 	good := 0
 	busy := func(site string) bool {
 		_, b := e.inflight[path+"\x00"+site]
@@ -324,13 +324,16 @@ func (e *Engine) Reconcile() {
 }
 
 // Wait blocks until every scheduled job has finished (the engine's
-// quiescence barrier).
+// quiescence barrier) and the Valid notes they staged are durable.
 func (e *Engine) Wait() {
 	e.mu.Lock()
 	for e.pending > 0 {
 		e.idle.Wait()
 	}
 	e.mu.Unlock()
+	if m := e.catalog.meta; m != nil {
+		_ = m.SyncPaths()
+	}
 }
 
 func (e *Engine) worker() {

@@ -29,7 +29,13 @@
 // reports not-found) and enqueues re-replication; a revived site's
 // stale replicas are re-verified by checksum and flipped back to
 // Valid without a duplicate transfer when the bytes survived the
-// outage.
+// outage. A durable store journals replicas, not transfers: Pending
+// and Copying clear the site's entry; Stale, Lost and dropped block
+// until durable; Valid is staged, durable with the CreateBatch that
+// registers the object (home copy) or the next commit on its log,
+// Engine.Wait or Close (engine copy). So a crash loses at most a
+// copy's Valid note — recovery believes less than was true, and the
+// next job revalidates the bytes by checksum without moving them.
 package replication
 
 import (
@@ -128,9 +134,14 @@ func NewCatalog(cfg CatalogConfig) *Catalog {
 	}
 }
 
-// event publishes one replica transition after the lock is released.
+// event publishes one replica transition after the lock is released;
+// only a Valid note is staged rather than waited for (package doc).
 func (c *Catalog) event(path, site, state string) {
-	if c.meta != nil {
+	switch {
+	case c.meta == nil:
+	case state == Valid.String():
+		c.meta.StageReplica(c.prefix+path, site, state)
+	default:
 		c.meta.NoteReplica(c.prefix+path, site, state)
 	}
 }

@@ -1,9 +1,11 @@
 package replication
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/adal"
@@ -155,16 +157,7 @@ func (s *Site) remove(path string) error {
 // deterministic "nearest first" preference used by reads and by the
 // engine's source/destination selection.
 func sortSites(sites []*Site) {
-	for i := 1; i < len(sites); i++ {
-		for j := i; j > 0 && nearer(sites[j], sites[j-1]); j-- {
-			sites[j], sites[j-1] = sites[j-1], sites[j]
-		}
-	}
-}
-
-func nearer(a, b *Site) bool {
-	if a.Distance != b.Distance {
-		return a.Distance < b.Distance
-	}
-	return a.Name < b.Name
+	slices.SortFunc(sites, func(a, b *Site) int {
+		return cmp.Or(cmp.Compare(a.Distance, b.Distance), cmp.Compare(a.Name, b.Name))
+	})
 }
