@@ -445,7 +445,7 @@ type ctl struct {
 	// directories on every invocation, so replica placement — like
 	// tier placement — persists with no side database.
 	repCat *replication.Catalog
-	sites  map[string]*adal.LocalFS
+	sites  map[string]*adal.FSBackend
 }
 
 func open(state string, cacheMemMiB, cacheDiskMiB int) (*ctl, error) {
@@ -503,7 +503,7 @@ func open(state string, cacheMemMiB, cacheDiskMiB int) (*ctl, error) {
 	c := &ctl{
 		layer: layer, meta: meta, tier: tier, cache: cache, path: dump, state: state,
 		repCat: replication.NewCatalog(replication.CatalogConfig{}),
-		sites:  make(map[string]*adal.LocalFS),
+		sites:  make(map[string]*adal.FSBackend),
 	}
 	// Recover replica placement from the mirror directories.
 	siteDirs, _ := os.ReadDir(filepath.Join(state, "sites"))
@@ -548,9 +548,6 @@ func (c *ctl) mountSite(name string) error {
 		return err
 	}
 	for _, info := range infos {
-		if info.IsDir {
-			continue
-		}
 		c.repCat.Set(info.Path, replication.Replica{
 			Site: name, State: replication.Valid, Size: info.Size,
 		})

@@ -5,12 +5,17 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
+	"os"
+	"path"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/dfs"
+	"repro/internal/metadata/durafs"
 	"repro/internal/units"
 )
 
@@ -67,8 +72,36 @@ func backendContract(t *testing.T, b Backend) {
 	if len(list) != 2 || list[0].Path != "/a/one" || list[1].Path != "/a/two" {
 		t.Fatalf("%s: list = %+v", b.Name(), list)
 	}
+	if _, err := b.Stat("/a"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("%s: a directory is not an object: stat err = %v", b.Name(), err)
+	}
 	if _, err := b.Create("/a/one"); !errors.Is(err, ErrExists) {
 		t.Fatalf("%s: duplicate create err = %v", b.Name(), err)
+	}
+
+	// No object is visible before its bytes are committed.
+	w, err := b.Create("/a/open")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.WriteString(w, "in flight")
+	if _, err := b.Stat("/a/open"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("%s: stat of an open writer's object err = %v", b.Name(), err)
+	}
+	if _, err := b.Open("/a/open"); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("%s: open of an open writer's object err = %v", b.Name(), err)
+	}
+	if list, _ := b.List("/a"); len(list) != 2 {
+		t.Fatalf("%s: list with a writer open = %+v", b.Name(), list)
+	}
+	if _, err := b.Create("/a/open"); !errors.Is(err, ErrExists) {
+		t.Fatalf("%s: create beside an open writer err = %v", b.Name(), err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := readAll(t, b, "/a/open"); got != "in flight" {
+		t.Fatalf("%s: committed object reads %q", b.Name(), got)
 	}
 	if _, err := b.Open("/ghost"); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("%s: open missing err = %v", b.Name(), err)
@@ -117,6 +150,104 @@ func TestLocalFSTraversalBlocked(t *testing.T) {
 	writeAll(t, fs, "/../../escape", "x")
 	if got := readAll(t, fs, "/escape"); got != "x" {
 		t.Fatal("traversal was not anchored to root")
+	}
+}
+
+// TestTempFiles: a temp file a crashed writer left in a LocalFS root is
+// removed when the store opens and never listed, and a name carrying
+// the temp marker is refused on both constructors.
+func TestTempFiles(t *testing.T) {
+	root := t.TempDir()
+	leftover := filepath.Join(root, "run", "obj"+tempMarker+"7")
+	if err := os.MkdirAll(filepath.Dir(leftover), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(leftover, []byte("torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	local, err := NewLocalFS("posix", root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(leftover); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("leftover temp file survived NewLocalFS: %v", err)
+	}
+	writeAll(t, local, "/run/obj", "whole")
+	if list, err := local.List("/"); err != nil || len(list) != 1 || list[0].Path != "/run/obj" {
+		t.Fatalf("list = %+v, err %v", list, err)
+	}
+	for _, b := range []Backend{local, NewMemFS("mem")} {
+		if _, err := b.Create("/run/obj" + tempMarker + "1"); !errors.Is(err, ErrDenied) {
+			t.Fatalf("%s: create of a temp name err = %v, want ErrDenied", b.Name(), err)
+		}
+	}
+}
+
+// TestObjectCrashPointSweep runs sixteen Create/Write/Close rounds on a store
+// over a fault-injecting filesystem with torn writes, crashing at every
+// I/O op up to twice the count of a clean run. After each crash the
+// store is reopened on what survived: every object whose Close returned
+// nil reads back whole, every visible object is one that was written and
+// is whole, and no temp name is listed or left behind.
+func TestObjectCrashPointSweep(t *testing.T) {
+	const rounds = 16
+	payload := func(i int) string { return strings.Repeat(fmt.Sprintf("object %02d. ", i), 50*(i+1)) }
+	run := func(fault *durafs.Fault) map[string]bool {
+		b := newFSBackend("sweep", fault, "")
+		acked := map[string]bool{}
+		for i := 0; i < rounds; i++ {
+			p := fmt.Sprintf("/run%d/obj%02d", i%3, i)
+			w, err := b.Create(p)
+			if err != nil {
+				continue
+			}
+			data := payload(i)
+			for len(data) > 0 { // several writes: a crash may tear any of them
+				k := min(len(data), 700)
+				w.Write([]byte(data[:k]))
+				data = data[k:]
+			}
+			if w.Close() == nil {
+				acked[p] = true
+			}
+		}
+		return acked
+	}
+	probe := durafs.NewFault(durafs.NewMem(), nil)
+	if len(run(probe)) != rounds {
+		t.Fatal("clean run did not commit every object")
+	}
+	for n := int64(1); n <= 2*probe.Ops(); n++ {
+		fault := durafs.NewFault(durafs.NewMem(), rand.New(rand.NewSource(n)))
+		fault.CrashAfterOps(n)
+		acked := run(fault)
+		b := newFSBackend("reopened", fault.Inner(), "")
+		list, err := b.List("/")
+		if err != nil {
+			t.Fatal(err)
+		}
+		visible := map[string]bool{}
+		for _, info := range list {
+			var i int
+			if _, err := fmt.Sscanf(path.Base(info.Path), "obj%02d", &i); err != nil {
+				t.Fatalf("crash at op %d: %s is visible and was never written", n, info.Path)
+			}
+			if got := readAll(t, b, info.Path); got != payload(i) {
+				t.Fatalf("crash at op %d: %s is visible torn: %d of %d bytes", n, info.Path, len(got), len(payload(i)))
+			}
+			visible[info.Path] = true
+		}
+		for p := range acked {
+			if !visible[p] {
+				t.Fatalf("crash at op %d: acked %s is gone", n, p)
+			}
+		}
+		left, _ := fault.Inner().Walk("/")
+		for _, f := range left {
+			if strings.Contains(f.Name, tempMarker) {
+				t.Fatalf("crash at op %d: temp file %s survived the reopen", n, f.Name)
+			}
+		}
 	}
 }
 

@@ -26,14 +26,6 @@ type Authenticator interface {
 	Authenticate(c Credentials) (Principal, error)
 }
 
-// AnonAuth accepts anyone as the given user (open community data).
-type AnonAuth struct{ As string }
-
-// Authenticate implements Authenticator.
-func (a AnonAuth) Authenticate(Credentials) (Principal, error) {
-	return Principal{User: a.As}, nil
-}
-
 // TokenAuth validates static bearer tokens, the mechanism the LSDF
 // web services started with.
 type TokenAuth struct {
@@ -206,7 +198,3 @@ func (al *AuthLayer) Remove(c Credentials, path string) error {
 	}
 	return al.layer.Remove(path)
 }
-
-// Layer exposes the unguarded federation for trusted facility
-// services (ingest, rules) that act with system authority.
-func (al *AuthLayer) Layer() *Layer { return al.layer }

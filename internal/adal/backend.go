@@ -3,22 +3,30 @@
 // => need a unified access layer ... low-level interface to LSDF,
 // extensible to support new backends, authentication mechanisms."
 //
-// A Backend is one storage system (an in-memory store, a POSIX
-// directory, the Hadoop filesystem). A Layer federates backends under
-// one namespace via a mount table, and an AuthLayer wraps a Layer
-// with pluggable authentication and path-prefix authorization.
+// A Backend is one storage system: the object store (FSBackend, in
+// memory or in a POSIX directory, one commit rule for both) or the
+// Hadoop filesystem. A Layer federates backends under one namespace via
+// a mount table, and an AuthLayer wraps a Layer with pluggable
+// authentication and path-prefix authorization.
 package adal
 
 import (
-	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
-	"sort"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"slices"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/metadata/durafs"
 	"repro/internal/units"
 )
 
@@ -37,7 +45,6 @@ type FileInfo struct {
 	Path    string
 	Size    units.Bytes
 	ModTime time.Time
-	IsDir   bool
 
 	Placement string   // tier state (resident, premigrated, migrated) under a tiering backend
 	Replicas  []string // sites holding a valid replica, under a replication federation
@@ -50,7 +57,8 @@ type FileInfo struct {
 type Backend interface {
 	// Name identifies the backend in diagnostics.
 	Name() string
-	// Create opens a new object for writing; it fails if the path exists.
+	// Create opens a new object for writing, visible once Close returns
+	// nil; it fails if the path exists or another writer holds it.
 	Create(path string) (io.WriteCloser, error)
 	// Open reads an existing object.
 	Open(path string) (io.ReadCloser, error)
@@ -62,142 +70,185 @@ type Backend interface {
 	Remove(path string) error
 }
 
-// MemFS is an in-memory backend: the reference implementation and the
-// default store for tests and examples.
-type MemFS struct {
-	name  string
-	mu    sync.RWMutex
-	files map[string]*memFile
-	clock func() time.Time
+// Every temp name carries tempMarker, which no object's name does, and a
+// number from tempSeq, process-wide so two stores on one root never clash.
+const tempMarker = ".~tmp."
+
+var tempSeq atomic.Uint64
+
+// FSBackend is the object store: objects under root on a durafs.FS,
+// directories only namespace. An object is written under a temp name and
+// committed the way the metadata journal installs a snapshot (Sync,
+// Close, Rename, SyncDir): it is visible only once whole and durable.
+type FSBackend struct {
+	name    string
+	fs      durafs.FS
+	root    string   // "" in memory; the absolute root directory on disk
+	writing sync.Map // names whose writer has not closed
 }
 
-type memFile struct {
-	data    []byte
-	modTime time.Time
-	// pending marks a name reserved by Create whose writer has not
-	// closed yet: it collides with other creators but is invisible to
-	// readers, who must never see an object before its bytes.
-	pending bool
+// NewMemFS creates an empty in-memory object store.
+func NewMemFS(name string) *FSBackend { return newFSBackend(name, durafs.NewMem(), "") }
+
+// NewLocalFS creates an object store in the existing directory root: the
+// facility's POSIX-mounted storage (GPFS in the paper).
+func NewLocalFS(name, root string) (*FSBackend, error) {
+	abs, err := filepath.Abs(root)
+	if err == nil {
+		var info os.FileInfo
+		if info, err = os.Stat(abs); err == nil && !info.IsDir() {
+			err = fmt.Errorf("%q is not a directory", root)
+		}
+	}
+	if err != nil {
+		return nil, fmt.Errorf("adal: localfs root: %w", err)
+	}
+	return newFSBackend(name, durafs.OS(), strings.TrimSuffix(filepath.ToSlash(abs), "/")), nil
 }
 
-// committed looks up a file readers may see. Callers hold m.mu.
-func (m *MemFS) committed(path string) (*memFile, bool) {
-	f, ok := m.files[path]
-	return f, ok && !f.pending
-}
-
-// NewMemFS creates an empty in-memory backend.
-func NewMemFS(name string) *MemFS {
-	return &MemFS{name: name, files: make(map[string]*memFile), clock: time.Now}
-}
-
-// SetClock injects a timestamp source (virtual time in simulations).
-func (m *MemFS) SetClock(clock func() time.Time) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.clock = clock
+// newFSBackend opens the store in root on fsys, removing the temp files of
+// writers that died uncommitted (one that cannot be removed is never listed).
+func newFSBackend(name string, fsys durafs.FS, root string) *FSBackend {
+	files, _ := fsys.Walk(root + "/")
+	for _, f := range files {
+		if strings.Contains(f.Name, tempMarker) {
+			_ = fsys.Remove(f.Name)
+		}
+	}
+	return &FSBackend{name: name, fs: fsys, root: root}
 }
 
 // Name implements Backend.
-func (m *MemFS) Name() string { return m.name }
+func (b *FSBackend) Name() string { return b.name }
 
-// Create implements Backend.
-func (m *MemFS) Create(path string) (io.WriteCloser, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.files[path]; ok {
-		return nil, fmt.Errorf("%w: %s:%s", ErrExists, m.name, path)
+// resolve anchors p under the root, which a cleaned rooted path cannot leave.
+func (b *FSBackend) resolve(p string) (string, error) {
+	if !strings.HasPrefix(p, "/") {
+		p = "/" + p
 	}
-	// Reserve the name so concurrent creators collide here, not at Close.
-	m.files[path] = &memFile{modTime: m.clock(), pending: true}
-	return &memWriter{fs: m, path: path}, nil
-}
-
-type memWriter struct {
-	fs     *MemFS
-	path   string
-	buf    bytes.Buffer
-	closed bool
-}
-
-func (w *memWriter) Write(p []byte) (int, error) {
-	if w.closed {
-		return 0, fmt.Errorf("adal: write after close: %s", w.path)
+	if p = path.Clean(p); strings.Contains(p, tempMarker) {
+		return "", fmt.Errorf("%w: reserved name: %q", ErrDenied, p)
 	}
-	return w.buf.Write(p)
+	return b.root + p, nil
 }
 
-func (w *memWriter) Close() error {
+// fail maps a filesystem error on object p to the package's errors.
+func (b *FSBackend) fail(p string, err error) error {
+	switch {
+	case err == nil:
+		return nil
+	case errors.Is(err, fs.ErrNotExist):
+		return fmt.Errorf("%w: %s:%s", ErrNotFound, b.name, p)
+	case errors.Is(err, fs.ErrExist):
+		return fmt.Errorf("%w: %s:%s", ErrExists, b.name, p)
+	}
+	return fmt.Errorf("adal: %s:%s: %w", b.name, p, err)
+}
+
+// Create implements Backend. A name is held from Create until Close,
+// and a commit lands before its hold is released, so of two creators
+// one sees the other's hold or its object.
+func (b *FSBackend) Create(p string) (io.WriteCloser, error) {
+	full, err := b.resolve(p)
+	if err != nil {
+		return nil, err
+	}
+	if _, held := b.writing.LoadOrStore(full, true); held {
+		return nil, b.fail(p, fs.ErrExist)
+	}
+	w := &fsWriter{b: b, full: full, tmp: full + tempMarker + strconv.FormatUint(tempSeq.Add(1), 10)}
+	if _, err = b.fs.Stat(full); err == nil {
+		err = fs.ErrExist
+	} else if err = b.fs.MkdirAll(path.Dir(full)); err == nil {
+		w.f, err = b.fs.Create(w.tmp)
+	}
+	if err != nil {
+		b.writing.Delete(full)
+		return nil, b.fail(p, err)
+	}
+	return w, nil
+}
+
+type fsWriter struct {
+	b         *FSBackend
+	f         durafs.File
+	full, tmp string
+	err       error // the first failed Write: nothing is committed
+	closed    bool
+}
+
+func (w *fsWriter) Write(p []byte) (int, error) {
+	n, err := w.f.Write(p)
+	w.err = cmp.Or(w.err, err)
+	return n, err
+}
+
+// Close commits the object: Sync, Close, Rename, SyncDir. A commit that
+// fails removes the temp file and returns the error.
+func (w *fsWriter) Close() error {
 	if w.closed {
 		return nil
 	}
 	w.closed = true
-	w.fs.mu.Lock()
-	defer w.fs.mu.Unlock()
-	w.fs.files[w.path] = &memFile{data: w.buf.Bytes(), modTime: w.fs.clock()}
-	return nil
-}
-
-// Open implements Backend. The reader seeks (and writes itself out
-// without a staging buffer), so SkipTo on it is O(1).
-func (m *MemFS) Open(path string) (io.ReadCloser, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	f, ok := m.committed(path)
-	if !ok {
-		return nil, fmt.Errorf("%w: %s:%s", ErrNotFound, m.name, path)
+	err := cmp.Or(w.err, w.f.Sync(), w.f.Close())
+	if err == nil {
+		err = w.b.fs.Rename(w.tmp, w.full)
 	}
-	return memReader{bytes.NewReader(f.data)}, nil
+	if err == nil {
+		err = w.b.fs.SyncDir(path.Dir(w.full))
+	}
+	if err != nil {
+		_ = w.b.fs.Remove(w.tmp)
+	}
+	w.b.writing.Delete(w.full)
+	return err
 }
 
-type memReader struct{ *bytes.Reader }
-
-func (memReader) Close() error { return nil }
+// Open implements Backend. The reader seeks, so SkipTo on it is O(1).
+func (b *FSBackend) Open(p string) (io.ReadCloser, error) {
+	full, err := b.resolve(p)
+	if err != nil {
+		return nil, err
+	}
+	f, err := b.fs.Open(full)
+	return f, b.fail(p, err)
+}
 
 // Stat implements Backend.
-func (m *MemFS) Stat(path string) (FileInfo, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	f, ok := m.committed(path)
-	if !ok {
-		return FileInfo{}, fmt.Errorf("%w: %s:%s", ErrNotFound, m.name, path)
+func (b *FSBackend) Stat(p string) (FileInfo, error) {
+	full, err := b.resolve(p)
+	if err != nil {
+		return FileInfo{}, err
 	}
-	return FileInfo{Path: path, Size: units.Bytes(len(f.data)), ModTime: f.modTime}, nil
+	st, err := b.fs.Stat(full)
+	if err != nil {
+		return FileInfo{}, b.fail(p, err)
+	}
+	return FileInfo{Path: p, Size: units.Bytes(st.Size), ModTime: st.ModTime}, nil
 }
 
 // List implements Backend.
-func (m *MemFS) List(prefix string) ([]FileInfo, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
+func (b *FSBackend) List(prefix string) ([]FileInfo, error) {
+	files, err := b.fs.Walk(b.root + "/")
+	if err != nil {
+		return nil, b.fail(prefix, err)
+	}
 	var out []FileInfo
-	for p, f := range m.files {
-		if strings.HasPrefix(p, prefix) && !f.pending {
-			out = append(out, FileInfo{Path: p, Size: units.Bytes(len(f.data)), ModTime: f.modTime})
+	for _, f := range files {
+		p := strings.TrimPrefix(f.Name, b.root)
+		if strings.HasPrefix(p, prefix) && !strings.Contains(p, tempMarker) {
+			out = append(out, FileInfo{Path: p, Size: units.Bytes(f.Size), ModTime: f.ModTime})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
+	slices.SortFunc(out, func(x, y FileInfo) int { return strings.Compare(x.Path, y.Path) })
 	return out, nil
 }
 
 // Remove implements Backend.
-func (m *MemFS) Remove(path string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if _, ok := m.files[path]; !ok {
-		return fmt.Errorf("%w: %s:%s", ErrNotFound, m.name, path)
+func (b *FSBackend) Remove(p string) error {
+	full, err := b.resolve(p)
+	if err != nil {
+		return err
 	}
-	delete(m.files, path)
-	return nil
-}
-
-// TotalBytes reports the stored volume (capacity accounting hooks for
-// the facility layer).
-func (m *MemFS) TotalBytes() units.Bytes {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var n units.Bytes
-	for _, f := range m.files {
-		n += units.Bytes(len(f.data))
-	}
-	return n
+	return b.fail(p, b.fs.Remove(full))
 }

@@ -136,12 +136,12 @@ func (c countingHash) MarshalBinary() ([]byte, error) {
 // digestingFS is a backend that registers a digest at commit time, as
 // the federated backend does: Create hands out a ChecksumWriter.
 type digestingFS struct {
-	*MemFS
+	*FSBackend
 	got Digest
 }
 
 func (f *digestingFS) Create(path string) (io.WriteCloser, error) {
-	w, err := f.MemFS.Create(path)
+	w, err := f.FSBackend.Create(path)
 	if err != nil {
 		return nil, err
 	}
@@ -161,7 +161,7 @@ func TestOneHashPassPerStoredByte(t *testing.T) {
 	defer func() { newHash = sha256.New }()
 
 	l := NewLayer()
-	fed := &digestingFS{MemFS: NewMemFS("fed")}
+	fed := &digestingFS{FSBackend: NewMemFS("fed")}
 	l.Mount("/sites", fed)
 	l.Mount("/plain", NewMemFS("plain"))
 	payload := strings.Repeat("one pass. ", 70_000) // ~700 KiB: three blocks

@@ -45,7 +45,7 @@ func (b *DFSBackend) Create(path string) (io.WriteCloser, error) {
 func (b *DFSBackend) Open(path string) (io.ReadCloser, error) {
 	r, err := b.cluster.Open(path, b.hint)
 	if err != nil {
-		if errors.Is(err, dfs.ErrNotFound) {
+		if errors.Is(err, dfs.ErrNotFound) || errors.Is(err, dfs.ErrIncomplete) {
 			return nil, fmt.Errorf("%w: %s:%s", ErrNotFound, b.name, path)
 		}
 		return nil, err
@@ -71,8 +71,8 @@ func (b *DFSBackend) OpenRange(ctx context.Context, path string, off, n int64) (
 // here would make every DFS-backed file look infinitely old.
 func (b *DFSBackend) Stat(path string) (FileInfo, error) {
 	info, err := b.cluster.Stat(path)
-	if err != nil {
-		if errors.Is(err, dfs.ErrNotFound) {
+	if err != nil || !info.Complete { // a file still being written is not an object yet
+		if err == nil || errors.Is(err, dfs.ErrNotFound) {
 			return FileInfo{}, fmt.Errorf("%w: %s:%s", ErrNotFound, b.name, path)
 		}
 		return FileInfo{}, err
@@ -81,7 +81,7 @@ func (b *DFSBackend) Stat(path string) (FileInfo, error) {
 }
 
 // List implements Backend with the same FileInfo conventions as
-// MemFS: complete objects only (an open file is not yet readable
+// FSBackend: complete objects only (an open file is not yet readable
 // through the cluster), carrying size and modification time.
 func (b *DFSBackend) List(prefix string) ([]FileInfo, error) {
 	infos := b.cluster.List(prefix)

@@ -63,7 +63,7 @@ func TestMountResolveListRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	// One object per backend so List has something to map.
-	for _, fs := range []*MemFS{a, ab, abc} {
+	for _, fs := range []*FSBackend{a, ab, abc} {
 		w, err := fs.Create("/f")
 		if err != nil {
 			t.Fatal(err)
@@ -171,12 +171,12 @@ func TestMountResolveListRace(t *testing.T) {
 // truncatedFS serves objects whose reads fail partway: the copy-path
 // error-injection backend.
 type truncatedFS struct {
-	*MemFS
+	*FSBackend
 	failAfter int
 }
 
 func (f *truncatedFS) Open(path string) (io.ReadCloser, error) {
-	r, err := f.MemFS.Open(path)
+	r, err := f.FSBackend.Open(path)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +231,7 @@ func TestCopyObjectChecksummed(t *testing.T) {
 
 func TestCopyObjectCleansPartialDestinationOnError(t *testing.T) {
 	l := NewLayer()
-	bad := &truncatedFS{MemFS: NewMemFS("bad"), failAfter: 64 * 1024}
+	bad := &truncatedFS{FSBackend: NewMemFS("bad"), failAfter: 64 * 1024}
 	dst := NewMemFS("dst")
 	if err := l.Mount("/bad", bad); err != nil {
 		t.Fatal(err)

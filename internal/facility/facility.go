@@ -177,7 +177,7 @@ type Facility struct {
 	// /ddn resolves to Tier (DDN remains its hot store) and /tape to
 	// the cold tape store. With Options.Sites set, /sites is the
 	// multi-site replication federation.
-	DDN, IBM, Archive *adal.MemFS
+	DDN, IBM, Archive *adal.FSBackend
 	ObjectStore       *objectstore.Store
 
 	// Tier is the live tiered data path over DDN + Tape; nil unless

@@ -590,7 +590,7 @@ func (s *Server) list(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) objectInfo(info adal.FileInfo) ObjectInfo {
-	oi := ObjectInfo{Path: info.Path, Size: info.Size, ModTime: info.ModTime, IsDir: info.IsDir}
+	oi := ObjectInfo{Path: info.Path, Size: info.Size, ModTime: info.ModTime}
 	if ds, ok := s.cfg.Meta.ByPath(info.Path); ok {
 		oi.DatasetID = ds.ID
 		oi.Project = ds.Project

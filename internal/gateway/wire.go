@@ -32,7 +32,6 @@ type ObjectInfo struct {
 	Path      string      `json:"path"`
 	Size      units.Bytes `json:"size"`
 	ModTime   time.Time   `json:"mod_time"`
-	IsDir     bool        `json:"is_dir,omitempty"`
 	DatasetID string      `json:"dataset_id,omitempty"`
 	Project   string      `json:"project,omitempty"`
 	Tags      []string    `json:"tags,omitempty"`

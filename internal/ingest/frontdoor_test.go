@@ -255,7 +255,7 @@ func noInvisibleData(t *testing.T, r *rig, prefix string) {
 		t.Fatal(err)
 	}
 	for _, info := range infos {
-		if _, ok := r.meta.ByPath(info.Path); !ok && !info.IsDir {
+		if _, ok := r.meta.ByPath(info.Path); !ok {
 			t.Errorf("%s is stored but unregistered", info.Path)
 		}
 	}

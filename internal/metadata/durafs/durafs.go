@@ -23,14 +23,18 @@
 // MemFS implements exactly that model; Crash() collapses it to what
 // a real disk would hold after power loss, so a test can "kill" the
 // store at any injected point and recover from the survivors.
+// The object store (adal.FSBackend) commits its objects through the same
+// seam, by the snapshot install's sequence.
 package durafs
 
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
+	"time"
 )
 
 // Errors returned by fault-injecting implementations. Production
@@ -55,6 +59,8 @@ type File interface {
 	io.Reader
 	io.Writer
 	io.Closer
+	// Seek moves the read position (the object store's ranged reads).
+	io.Seeker
 	// Sync makes every byte written so far durable.
 	Sync() error
 	// Truncate cuts the file to size bytes (used to drop a torn WAL
@@ -84,12 +90,53 @@ type FS interface {
 	ReadDir(dir string) ([]string, error)
 	// SyncDir makes dir's entries (creates and renames) durable.
 	SyncDir(dir string) error
+	// Stat describes the file name. A directory is not a file: its
+	// Stat fails with fs.ErrNotExist.
+	Stat(name string) (Info, error)
+	// Walk describes every file under dir, at any depth, in no
+	// particular order; a file removed mid-walk is left out.
+	Walk(dir string) ([]Info, error)
+}
+
+// Info describes one file.
+type Info struct {
+	Name    string // as given to Stat; under Walk, dir joined with the file's path below it
+	Size    int64
+	ModTime time.Time
 }
 
 // OS returns the production FS: a pass-through to the os package.
 func OS() FS { return osFS{} }
 
 type osFS struct{}
+
+func (osFS) Stat(name string) (Info, error) {
+	st, err := os.Stat(name)
+	if err == nil && st.IsDir() {
+		err = &fs.PathError{Op: "stat", Path: name, Err: fs.ErrNotExist}
+	}
+	if err != nil {
+		return Info{}, err
+	}
+	return Info{Name: name, Size: st.Size(), ModTime: st.ModTime()}, nil
+}
+
+func (osFS) Walk(dir string) ([]Info, error) {
+	var out []Info
+	err := filepath.WalkDir(dir, func(p string, d fs.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			var st fs.FileInfo
+			if st, err = d.Info(); err == nil {
+				out = append(out, Info{Name: filepath.ToSlash(p), Size: st.Size(), ModTime: st.ModTime()})
+			}
+		}
+		if errors.Is(err, fs.ErrNotExist) && p != dir {
+			return nil
+		}
+		return err
+	})
+	return out, err
+}
 
 func (osFS) MkdirAll(dir string) error { return os.MkdirAll(dir, 0o755) }
 

@@ -3,6 +3,7 @@ package durafs
 import (
 	"errors"
 	"io"
+	"io/fs"
 	"math/rand"
 	"testing"
 )
@@ -172,6 +173,84 @@ func TestMemFSTruncate(t *testing.T) {
 	sz, _ := f.Size()
 	if sz != 4 {
 		t.Fatalf("size = %d, want 4", sz)
+	}
+}
+
+// TestMemFSReadsInPlace: a synced 2 MiB file read in 256 KiB reads is
+// served from its durable bytes, allocating nothing per Read, and Sync
+// sized those bytes exactly.
+func TestMemFSReadsInPlace(t *testing.T) {
+	m := NewMem()
+	f, _ := m.Create("/obj")
+	chunk := make([]byte, 256<<10)
+	for i := 0; i < 8; i++ {
+		chunk[0] = byte(i)
+		f.Write(chunk)
+	}
+	f.Sync()
+	if mf := m.files["/obj"]; cap(mf.durable) != 2<<20 {
+		t.Fatalf("durable holds %d bytes of capacity for 2 MiB", cap(mf.durable))
+	}
+	r, _ := m.Open("/obj")
+	buf := make([]byte, 256<<10)
+	allocs := testing.AllocsPerRun(20, func() {
+		r.Seek(0, io.SeekStart)
+		for i := 0; i < 8; i++ {
+			if n, err := r.Read(buf); n != len(buf) || err != nil || buf[0] != byte(i) {
+				t.Fatalf("read %d: %d bytes, err %v, first byte %d", i, n, err, buf[0])
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per 2 MiB read, want 0", allocs)
+	}
+}
+
+// TestStatWalkSeek: what the object store reads through, on MemFS and
+// on the OS, and each call is a crash point under Fault.
+func TestStatWalkSeek(t *testing.T) {
+	dir := t.TempDir()
+	for _, tc := range []struct {
+		fs   FS
+		root string
+	}{{NewMem(), ""}, {OS(), dir}} {
+		tc.fs.MkdirAll(tc.root + "/a/b")
+		for _, name := range []string{"/a/x", "/a/b/y"} {
+			f, _ := tc.fs.Create(tc.root + name)
+			f.Write([]byte("0123456789"))
+			f.Close()
+		}
+		if st, err := tc.fs.Stat(tc.root + "/a/x"); err != nil || st.Size != 10 || st.ModTime.IsZero() {
+			t.Fatalf("stat = %+v, %v", st, err)
+		}
+		if _, err := tc.fs.Stat(tc.root + "/a/b"); !errors.Is(err, fs.ErrNotExist) {
+			t.Fatalf("stat of a directory err = %v, want ErrNotExist", err)
+		}
+		infos, err := tc.fs.Walk(tc.root + "/a")
+		if err != nil || len(infos) != 2 {
+			t.Fatalf("walk = %+v, %v", infos, err)
+		}
+		for _, info := range infos {
+			if info.Name != tc.root+"/a/x" && info.Name != tc.root+"/a/b/y" || info.Size != 10 {
+				t.Fatalf("walk entry %+v", info)
+			}
+		}
+		r, _ := tc.fs.Open(tc.root + "/a/b/y")
+		if off, err := r.Seek(-3, io.SeekEnd); off != 7 || err != nil {
+			t.Fatalf("seek = %d, %v", off, err)
+		}
+		if rest, _ := io.ReadAll(r); string(rest) != "789" {
+			t.Fatalf("read after seek = %q", rest)
+		}
+		r.Close()
+	}
+	ff := NewFault(NewMem(), nil)
+	f, _ := ff.Create("/x") // op 1
+	ff.Stat("/x")
+	ff.Walk("/")
+	f.Seek(0, io.SeekStart)
+	if ff.Ops() != 4 {
+		t.Fatalf("ops = %d: Stat, Walk and Seek are not each one crash point", ff.Ops())
 	}
 }
 

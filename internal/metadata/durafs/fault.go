@@ -166,6 +166,20 @@ func (f *Fault) SyncDir(dir string) error {
 	return f.inner.SyncDir(dir)
 }
 
+func (f *Fault) Stat(name string) (Info, error) {
+	if err := f.step(); err != nil {
+		return Info{}, err
+	}
+	return f.inner.Stat(name)
+}
+
+func (f *Fault) Walk(dir string) ([]Info, error) {
+	if err := f.step(); err != nil {
+		return nil, err
+	}
+	return f.inner.Walk(dir)
+}
+
 // faultFile consults the shared fault state on every operation, so a
 // handle opened before the crash point dies with the filesystem.
 type faultFile struct {
@@ -178,6 +192,13 @@ func (ff *faultFile) Read(p []byte) (int, error) {
 		return 0, err
 	}
 	return ff.h.Read(p)
+}
+
+func (ff *faultFile) Seek(offset int64, whence int) (int64, error) {
+	if err := ff.f.step(); err != nil {
+		return 0, err
+	}
+	return ff.h.Seek(offset, whence)
 }
 
 func (ff *faultFile) Write(p []byte) (int, error) {

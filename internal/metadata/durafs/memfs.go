@@ -9,6 +9,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 )
 
 // MemFS is an in-memory FS that models the durability semantics of a
@@ -19,11 +20,11 @@ import (
 // would after power loss, and the store can be re-opened on it to
 // exercise recovery.
 //
-// All methods are safe for concurrent use.
+// All methods are safe for concurrent use. mu guards the namespace, and
+// each file's lock guards its bytes, which reads serve in place.
 type MemFS struct {
-	mu    sync.Mutex
+	mu    sync.RWMutex
 	files map[string]*memFile
-	dirs  map[string]bool
 }
 
 // memFile is one file's state: the durable prefix plus the unsynced
@@ -31,16 +32,10 @@ type MemFS struct {
 // (the OS page cache serves un-fsynced data); only Crash distinguishes
 // the two.
 type memFile struct {
+	mu       sync.RWMutex
 	durable  []byte
 	unsynced [][]byte
-}
-
-func (mf *memFile) contents() []byte {
-	out := append([]byte(nil), mf.durable...)
-	for _, ext := range mf.unsynced {
-		out = append(out, ext...)
-	}
-	return out
+	mod      time.Time
 }
 
 func (mf *memFile) size() int64 {
@@ -51,66 +46,126 @@ func (mf *memFile) size() int64 {
 	return n
 }
 
-// NewMem returns an empty MemFS with a root directory.
-func NewMem() *MemFS {
-	return &MemFS{files: make(map[string]*memFile), dirs: map[string]bool{".": true}}
-}
-
-func clean(p string) string { return path.Clean("/" + strings.ReplaceAll(p, "\\", "/")) }
-
-// MkdirAll creates dir and any missing parents.
-func (m *MemFS) MkdirAll(dir string) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	d := clean(dir)
-	for d != "/" && d != "." {
-		m.dirs[d] = true
-		d = path.Dir(d)
+// readAt copies the bytes from off into p straight from the durable
+// prefix and the extents. Callers hold mf.mu.
+func (mf *memFile) readAt(p []byte, off int64) (n int) {
+	for i := -1; i < len(mf.unsynced) && n < len(p); i++ {
+		seg := mf.durable
+		if i >= 0 {
+			seg = mf.unsynced[i]
+		}
+		if off >= int64(len(seg)) {
+			off -= int64(len(seg))
+			continue
+		}
+		n += copy(p[n:], seg[off:])
+		off = 0
 	}
-	m.dirs["/"] = true
-	return nil
+	return n
 }
 
-func (m *MemFS) lookup(name string) (*memFile, error) {
-	mf, ok := m.files[clean(name)]
+// sync promotes the extents, growing durable once: to its exact length
+// the first time (an object written and synced once carries no slack),
+// at least doubling after that (a log's Syncs stay linear). Callers hold mf.mu.
+func (mf *memFile) sync() {
+	if n := int(mf.size()); n > cap(mf.durable) {
+		if len(mf.durable) == 0 && len(mf.unsynced) == 1 {
+			mf.durable, mf.unsynced = mf.unsynced[0], nil
+			return
+		}
+		grown := make([]byte, len(mf.durable), max(n, 2*len(mf.durable)))
+		copy(grown, mf.durable)
+		mf.durable = grown
+	}
+	for _, ext := range mf.unsynced {
+		mf.durable = append(mf.durable, ext...)
+	}
+	mf.unsynced = nil
+}
+
+func (mf *memFile) info(name string) Info {
+	mf.mu.RLock()
+	defer mf.mu.RUnlock()
+	return Info{Name: name, Size: mf.size(), ModTime: mf.mod}
+}
+
+// NewMem returns an empty MemFS.
+func NewMem() *MemFS { return &MemFS{files: make(map[string]*memFile)} }
+
+func clean(p string) string {
+	if !strings.HasPrefix(p, "/") {
+		p = "/" + p
+	}
+	return path.Clean(strings.ReplaceAll(p, "\\", "/"))
+}
+
+// MkdirAll is a no-op: a MemFS directory is implicit in its files' names.
+func (m *MemFS) MkdirAll(dir string) error { return nil }
+
+// lookup finds name, returning its key in m.files. Callers hold m.mu.
+func (m *MemFS) lookup(name string) (string, *memFile, error) {
+	key := clean(name)
+	mf, ok := m.files[key]
 	if !ok {
-		return nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
+		return key, nil, &fs.PathError{Op: "open", Path: name, Err: fs.ErrNotExist}
 	}
-	return mf, nil
+	return key, mf, nil
 }
 
 // Create opens name for writing, truncating any existing file. The
 // truncation itself is treated as a metadata operation made durable
 // by SyncDir on the parent (like the directory entry).
-func (m *MemFS) Create(name string) (File, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mf := &memFile{}
-	m.files[clean(name)] = mf
-	return &memHandle{fs: m, f: mf, write: true}, nil
-}
+func (m *MemFS) Create(name string) (File, error) { return m.openWrite(name, true) }
 
 // OpenAppend opens name for appending, creating it if missing.
-func (m *MemFS) OpenAppend(name string) (File, error) {
+func (m *MemFS) OpenAppend(name string) (File, error) { return m.openWrite(name, false) }
+
+func (m *MemFS) openWrite(name string, truncate bool) (File, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mf, ok := m.files[clean(name)]
-	if !ok {
-		mf = &memFile{}
-		m.files[clean(name)] = mf
+	key := clean(name)
+	mf, ok := m.files[key]
+	if truncate || !ok {
+		mf = &memFile{mod: time.Now()}
+		m.files[key] = mf
 	}
-	return &memHandle{fs: m, f: mf, write: true}, nil
+	return &memHandle{f: mf, write: true}, nil
 }
 
 // Open opens name read-only.
 func (m *MemFS) Open(name string) (File, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	mf, err := m.lookup(name)
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	_, mf, err := m.lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	return &memHandle{fs: m, f: mf}, nil
+	return &memHandle{f: mf}, nil
+}
+
+// Stat describes name.
+func (m *MemFS) Stat(name string) (Info, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	_, mf, err := m.lookup(name)
+	if err != nil {
+		return Info{}, err
+	}
+	return mf.info(name), nil
+}
+
+// Walk describes every file under dir.
+func (m *MemFS) Walk(dir string) ([]Info, error) {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	prefix := strings.TrimSuffix(clean(dir), "/") + "/"
+	var out []Info
+	for p, mf := range m.files {
+		if strings.HasPrefix(p, prefix) {
+			out = append(out, mf.info(p))
+		}
+	}
+	return out, nil
 }
 
 // Rename atomically replaces newname with oldname. The renamed
@@ -120,30 +175,29 @@ func (m *MemFS) Open(name string) (File, error) {
 func (m *MemFS) Rename(oldname, newname string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mf, err := m.lookup(oldname)
-	if err != nil {
-		return err
+	key, mf, err := m.lookup(oldname)
+	if err == nil {
+		delete(m.files, key)
+		m.files[clean(newname)] = mf
 	}
-	delete(m.files, clean(oldname))
-	m.files[clean(newname)] = mf
-	return nil
+	return err
 }
 
 // Remove deletes name.
 func (m *MemFS) Remove(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, err := m.lookup(name); err != nil {
-		return err
+	key, _, err := m.lookup(name)
+	if err == nil {
+		delete(m.files, key)
 	}
-	delete(m.files, clean(name))
-	return nil
+	return err
 }
 
 // ReadDir lists the file names in dir, sorted.
 func (m *MemFS) ReadDir(dir string) ([]string, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	m.mu.RLock()
+	defer m.mu.RUnlock()
 	d := clean(dir)
 	var names []string
 	for p := range m.files {
@@ -173,37 +227,25 @@ func (m *MemFS) Crash(rng *rand.Rand) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, mf := range m.files {
+		mf.mu.Lock()
 		if rng != nil && len(mf.unsynced) > 0 {
 			keep := rng.Intn(len(mf.unsynced) + 1)
-			for _, ext := range mf.unsynced[:keep] {
-				mf.durable = append(mf.durable, ext...)
-			}
 			if keep < len(mf.unsynced) && rng.Intn(2) == 0 {
 				tear := mf.unsynced[keep]
-				if n := rng.Intn(len(tear) + 1); n > 0 {
-					mf.durable = append(mf.durable, tear[:n]...)
-				}
+				mf.unsynced[keep] = tear[:rng.Intn(len(tear)+1)]
+				keep++
 			}
+			mf.unsynced = mf.unsynced[:keep]
+			mf.sync()
 		}
 		mf.unsynced = nil
+		mf.mu.Unlock()
 	}
 }
 
-// DurableBytes returns the total synced byte count across all files
-// (for experiment tables and assertions).
-func (m *MemFS) DurableBytes() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, mf := range m.files {
-		n += int64(len(mf.durable))
-	}
-	return n
-}
-
-// memHandle is one open handle on a memFile.
+// memHandle is one open handle on a memFile, used by one goroutine at a
+// time; f.mu guards its state.
 type memHandle struct {
-	fs     *MemFS
 	f      *memFile
 	off    int64
 	write  bool
@@ -211,23 +253,41 @@ type memHandle struct {
 }
 
 func (h *memHandle) Read(p []byte) (int, error) {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
+	h.f.mu.RLock()
+	defer h.f.mu.RUnlock()
 	if h.closed {
 		return 0, fs.ErrClosed
 	}
-	data := h.f.contents()
-	if h.off >= int64(len(data)) {
+	n := h.f.readAt(p, h.off)
+	h.off += int64(n)
+	if n == 0 && len(p) > 0 {
 		return 0, io.EOF
 	}
-	n := copy(p, data[h.off:])
-	h.off += int64(n)
 	return n, nil
 }
 
+func (h *memHandle) Seek(offset int64, whence int) (int64, error) {
+	h.f.mu.RLock()
+	defer h.f.mu.RUnlock()
+	if h.closed {
+		return 0, fs.ErrClosed
+	}
+	switch whence {
+	case io.SeekCurrent:
+		offset += h.off
+	case io.SeekEnd:
+		offset += h.f.size()
+	}
+	if offset < 0 {
+		return 0, &fs.PathError{Op: "seek", Err: fs.ErrInvalid}
+	}
+	h.off = offset
+	return offset, nil
+}
+
 func (h *memHandle) Write(p []byte) (int, error) {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
+	h.f.mu.Lock()
+	defer h.f.mu.Unlock()
 	if h.closed {
 		return 0, fs.ErrClosed
 	}
@@ -235,19 +295,17 @@ func (h *memHandle) Write(p []byte) (int, error) {
 		return 0, &fs.PathError{Op: "write", Err: fs.ErrPermission}
 	}
 	h.f.unsynced = append(h.f.unsynced, append([]byte(nil), p...))
+	h.f.mod = time.Now()
 	return len(p), nil
 }
 
 func (h *memHandle) Sync() error {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
+	h.f.mu.Lock()
+	defer h.f.mu.Unlock()
 	if h.closed {
 		return fs.ErrClosed
 	}
-	for _, ext := range h.f.unsynced {
-		h.f.durable = append(h.f.durable, ext...)
-	}
-	h.f.unsynced = nil
+	h.f.sync()
 	return nil
 }
 
@@ -256,17 +314,17 @@ func (h *memHandle) Sync() error {
 // drop a torn WAL tail during recovery, where resurrection would be
 // harmless anyway (stale records are skipped by LSN).
 func (h *memHandle) Truncate(size int64) error {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
+	h.f.mu.Lock()
+	defer h.f.mu.Unlock()
 	if h.closed {
 		return fs.ErrClosed
 	}
-	data := h.f.contents()
-	if size > int64(len(data)) {
+	if size > h.f.size() {
 		return fmt.Errorf("truncate beyond EOF: %w", fs.ErrInvalid)
 	}
-	h.f.durable = append([]byte(nil), data[:size]...)
-	h.f.unsynced = nil
+	kept := make([]byte, size)
+	h.f.readAt(kept, 0)
+	h.f.durable, h.f.unsynced, h.f.mod = kept, nil, time.Now()
 	if h.off > size {
 		h.off = size
 	}
@@ -274,14 +332,14 @@ func (h *memHandle) Truncate(size int64) error {
 }
 
 func (h *memHandle) Size() (int64, error) {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
+	h.f.mu.RLock()
+	defer h.f.mu.RUnlock()
 	return h.f.size(), nil
 }
 
 func (h *memHandle) Close() error {
-	h.fs.mu.Lock()
-	defer h.fs.mu.Unlock()
+	h.f.mu.Lock()
+	defer h.f.mu.Unlock()
 	h.closed = true
 	return nil
 }

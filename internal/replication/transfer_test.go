@@ -25,7 +25,7 @@ func (m *streamMax) note(n int64) {
 // two blocks alike, nothing held in memory) with the byte at corruptAt
 // flipped when that is not negative, and measures every read stream.
 type patternFS struct {
-	*adal.MemFS
+	*adal.FSBackend
 	size, corruptAt int64
 	reads           streamMax
 }
@@ -61,14 +61,14 @@ func (r *patternReader) Read(p []byte) (int, error) {
 
 func (r *patternReader) Close() error { return nil }
 
-// countingFS measures every write stream into a MemFS.
+// countingFS measures every write stream into an in-memory store.
 type countingFS struct {
-	*adal.MemFS
+	*adal.FSBackend
 	writes streamMax
 }
 
 func (f *countingFS) Create(path string) (io.WriteCloser, error) {
-	w, err := f.MemFS.Create(path)
+	w, err := f.FSBackend.Create(path)
 	if err != nil {
 		return nil, err
 	}
@@ -96,8 +96,8 @@ func (w *countingWriter) Write(p []byte) (int, error) {
 // replica — reads at most four blocks of it.
 func TestCorruptBlockStopsCopyAndScrub(t *testing.T) {
 	const blocks, bad = 400, 3
-	src := &patternFS{MemFS: adal.NewMemFS("src"), size: blocks * adal.ChainBlock, corruptAt: -1}
-	dst := &countingFS{MemFS: adal.NewMemFS("dst")}
+	src := &patternFS{FSBackend: adal.NewMemFS("src"), size: blocks * adal.ChainBlock, corruptAt: -1}
+	dst := &countingFS{FSBackend: adal.NewMemFS("dst")}
 	r, _ := src.Open("/big")
 	want, err := adal.Transfer(context.Background(), io.Discard, r, adal.Digest{})
 	if err != nil || want.Blocks() != blocks || !want.Chained() {

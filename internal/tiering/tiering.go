@@ -178,9 +178,6 @@ func (t *TierBackend) recover() error {
 	}
 	now := t.clock()
 	for _, info := range infos {
-		if info.IsDir {
-			continue
-		}
 		e := &entry{
 			size:       info.Size,
 			modTime:    info.ModTime,

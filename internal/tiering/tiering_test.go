@@ -37,7 +37,7 @@ func (c *fakeClock) Advance(d time.Duration) {
 	c.mu.Unlock()
 }
 
-func newTier(t *testing.T, cfg Config) (*TierBackend, *adal.MemFS, *adal.MemFS) {
+func newTier(t *testing.T, cfg Config) (*TierBackend, *adal.FSBackend, *adal.FSBackend) {
 	t.Helper()
 	hot := adal.NewMemFS("hot")
 	cold := adal.NewMemFS("cold")
