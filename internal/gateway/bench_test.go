@@ -100,26 +100,41 @@ func BenchmarkGatewayStat(b *testing.B) {
 	}
 }
 
-// BenchmarkGatewayIngest is the durable write path: one 4 KiB object
-// per request, stored and registered in the metadata store.
+// BenchmarkGatewayIngest is the durable write path: 4 KiB objects
+// stored and registered in the metadata store, one per request
+// (single) or sixteen with a project and one tag (batch16, the shape
+// of the facility benchmark's ingest-durable workload).
 func BenchmarkGatewayIngest(b *testing.B) {
-	_, c := benchSetup(b, facility.Options{Sites: []string{"near"}})
-	ctx := context.Background()
-	data := make([]byte, 4096)
-	b.SetBytes(4096)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := c.Ingest(ctx, []gateway.IngestObject{{
-			Path:    fmt.Sprintf("/sites/bench/ingest-%08d.raw", i),
-			Project: "bench",
-			Data:    data,
-		}})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.Registered != 1 {
-			b.Fatalf("not registered: %+v", res.Results)
-		}
+	for _, bc := range []struct {
+		name  string
+		batch int
+		tags  []string
+	}{{"single", 1, nil}, {"batch16", 16, []string{"raw"}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			_, c := benchSetup(b, facility.Options{Sites: []string{"near"}})
+			ctx := context.Background()
+			data := make([]byte, 4096)
+			objs := make([]gateway.IngestObject, bc.batch)
+			b.SetBytes(int64(bc.batch * len(data)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range objs {
+					objs[j] = gateway.IngestObject{
+						Path:    fmt.Sprintf("/sites/bench/ingest-%08d-%02d.raw", i, j),
+						Project: "bench",
+						Data:    data,
+						Tags:    bc.tags,
+					}
+				}
+				res, err := c.Ingest(ctx, objs)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res.Registered != bc.batch {
+					b.Fatalf("not registered: %+v", res.Results)
+				}
+			}
+		})
 	}
 }

@@ -20,6 +20,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -71,16 +72,12 @@ type Options struct {
 	// jitter; the server's Retry-After hint overrides it upward
 	// (default 25ms).
 	Backoff time.Duration
-	// User optionally binds requests to a user name the token must
-	// match (X-LSDF-User).
-	User string
 }
 
 // Client talks to one lsdfd.
 type Client struct {
 	base  *url.URL
 	token string
-	user  string
 	hc    *http.Client
 
 	maxRetries int
@@ -111,15 +108,11 @@ func New(base, token string, opts ...Options) (*Client, error) {
 	return &Client{
 		base:       u,
 		token:      token,
-		user:       o.User,
 		hc:         o.HTTPClient,
 		maxRetries: o.MaxRetries,
 		backoff:    o.Backoff,
 	}, nil
 }
-
-// Host returns the gateway's host:port.
-func (c *Client) Host() string { return c.base.Host }
 
 // ---- object data plane ------------------------------------------------
 
@@ -135,15 +128,8 @@ func (c *Client) Put(ctx context.Context, path string, body io.Reader, project s
 	if len(tags) > 0 {
 		q.Set("tags", strings.Join(tags, ","))
 	}
-	mkBody := func() (io.Reader, bool) { return body, false }
-	if s, ok := body.(io.Seeker); ok {
-		mkBody = func() (io.Reader, bool) {
-			_, err := s.Seek(0, io.SeekStart)
-			return body, err == nil
-		}
-	}
 	var res gateway.PutResult
-	err := c.doJSON(ctx, http.MethodPut, "/v1/objects"+path, q, mkBody, "application/octet-stream", &res)
+	err := c.doJSON(ctx, http.MethodPut, "/v1/objects"+path, q, body, "application/octet-stream", &res)
 	return res, err
 }
 
@@ -155,17 +141,24 @@ func (c *Client) PutObject(ctx context.Context, path string, data []byte, projec
 // Get opens a streaming read of the object at path. The caller owns
 // the returned body.
 func (c *Client) Get(ctx context.Context, path string) (io.ReadCloser, error) {
-	return c.get(ctx, path, "")
+	return c.get(ctx, path, nil)
 }
 
 // GetRange reads length bytes from offset (length < 0 = through the
-// end of the object).
+// end of the object). A zero length reads nothing and sends nothing; a
+// negative offset is an error.
 func (c *Client) GetRange(ctx context.Context, path string, offset, length int64) (io.ReadCloser, error) {
+	switch {
+	case offset < 0:
+		return nil, fmt.Errorf("client: negative range offset %d", offset)
+	case length == 0:
+		return http.NoBody, nil
+	}
 	spec := fmt.Sprintf("bytes=%d-", offset)
 	if length >= 0 {
 		spec = fmt.Sprintf("bytes=%d-%d", offset, offset+length-1)
 	}
-	return c.get(ctx, path, spec)
+	return c.get(ctx, path, http.Header{"Range": {spec}})
 }
 
 // ReadObject reads the whole object into memory.
@@ -178,11 +171,7 @@ func (c *Client) ReadObject(ctx context.Context, path string) ([]byte, error) {
 	return io.ReadAll(rc)
 }
 
-func (c *Client) get(ctx context.Context, path, rangeSpec string) (io.ReadCloser, error) {
-	hdr := http.Header{}
-	if rangeSpec != "" {
-		hdr.Set("Range", rangeSpec)
-	}
+func (c *Client) get(ctx context.Context, path string, hdr http.Header) (io.ReadCloser, error) {
 	resp, err := c.do(ctx, http.MethodGet, "/v1/objects"+path, nil, nil, "", hdr)
 	if err != nil {
 		return nil, err
@@ -265,11 +254,23 @@ func (c *Client) tag(ctx context.Context, endpoint, path, tag string) (metadata.
 }
 
 // Ingest stores and registers a batch of small objects in one
-// request — the wire form of the DAQ bulk path. A nil error means
-// the batch was processed; per-object outcomes are in the result.
+// request — the wire form of the DAQ bulk path. The body is framed
+// (gateway.IngestContentType): the manifest with each object's size,
+// one '\n', then the payloads raw, so no byte is base64-encoded. A nil
+// error means the batch was processed; per-object outcomes are in the
+// result.
 func (c *Client) Ingest(ctx context.Context, objects []gateway.IngestObject) (gateway.IngestResult, error) {
+	manifest, size := slices.Clone(objects), 1
+	for i, o := range objects {
+		manifest[i].Size, manifest[i].Data, size = int64(len(o.Data)), nil, size+len(o.Data)
+	}
+	body, _ := json.Marshal(gateway.IngestRequest{Objects: manifest}) // cannot fail, as in jsonBody
+	body = append(slices.Grow(body, size), '\n')
+	for _, o := range objects {
+		body = append(body, o.Data...)
+	}
 	var res gateway.IngestResult
-	err := c.doJSON(ctx, http.MethodPost, "/v1/ingest", nil, jsonBody(gateway.IngestRequest{Objects: objects}), "application/json", &res)
+	err := c.doJSON(ctx, http.MethodPost, "/v1/ingest", nil, bytes.NewReader(body), gateway.IngestContentType, &res)
 	return res, err
 }
 
@@ -371,20 +372,17 @@ func (c *Client) Health(ctx context.Context) error {
 
 // ---- request core -----------------------------------------------------
 
-// jsonBody marshals once and replays across retries.
-func jsonBody(v any) func() (io.Reader, bool) {
-	data, err := json.Marshal(v)
-	return func() (io.Reader, bool) {
-		if err != nil {
-			return nil, false
-		}
-		return bytes.NewReader(data), true
-	}
+// jsonBody marshals once; do rewinds the reader for every retry. The
+// wire types hold only strings, numbers, slices and string maps, so
+// marshaling them cannot fail.
+func jsonBody(v any) io.Reader {
+	data, _ := json.Marshal(v)
+	return bytes.NewReader(data)
 }
 
 // doJSON runs a request and decodes the JSON response into out.
-func (c *Client) doJSON(ctx context.Context, method, path string, q url.Values, mkBody func() (io.Reader, bool), contentType string, out any) error {
-	resp, err := c.do(ctx, method, path, q, mkBody, contentType, nil)
+func (c *Client) doJSON(ctx context.Context, method, path string, q url.Values, body io.Reader, contentType string, out any) error {
+	resp, err := c.do(ctx, method, path, q, body, contentType, nil)
 	if err != nil {
 		return err
 	}
@@ -401,7 +399,9 @@ func (c *Client) doJSON(ctx context.Context, method, path string, q url.Values, 
 
 // do issues the request with the retry policy and returns a response
 // with status < 400; errors carry the decoded envelope as *APIError.
-func (c *Client) do(ctx context.Context, method, path string, q url.Values, mkBody func() (io.Reader, bool), contentType string, hdr http.Header) (*http.Response, error) {
+// A body is replayed only if it is an io.Seeker: it is rewound before
+// every attempt.
+func (c *Client) do(ctx context.Context, method, path string, q url.Values, body io.Reader, contentType string, hdr http.Header) (*http.Response, error) {
 	u := *c.base
 	u.Path = strings.TrimSuffix(u.Path, "/") + path
 	if q != nil {
@@ -411,19 +411,16 @@ func (c *Client) do(ctx context.Context, method, path string, q url.Values, mkBo
 
 	var lastErr error
 	for attempt := 0; ; attempt++ {
-		var body io.Reader
-		replayable := true
-		if mkBody != nil {
-			body, replayable = mkBody()
+		replayable := body == nil
+		if s, ok := body.(io.Seeker); ok {
+			_, err := s.Seek(0, io.SeekStart)
+			replayable = err == nil
 		}
 		req, err := http.NewRequestWithContext(ctx, method, u.String(), body)
 		if err != nil {
 			return nil, err
 		}
 		req.Header.Set("Authorization", "Bearer "+c.token)
-		if c.user != "" {
-			req.Header.Set("X-LSDF-User", c.user)
-		}
 		// A caller-minted trace (lsdfctl --trace) rides the header so
 		// the gateway adopts its ID instead of minting one.
 		if id := obs.TraceID(ctx); id != "" {

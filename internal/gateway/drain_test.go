@@ -275,16 +275,13 @@ func TestGracefulDrainAcrossProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A fresh connection must soon see the drain refusal (503) —
-	// never a success — while our stream stays open.
-	probe, err := client.New("http://"+hostOf(t, c), gwToken, client.Options{MaxRetries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Another request, on another connection than the stream's, must
+	// soon see the drain refusal (503) — never a success — while our
+	// stream stays open.
 	sawDrain := false
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
-		err := probe.Health(ctx)
+		err := c.Health(ctx)
 		if err == nil {
 			time.Sleep(5 * time.Millisecond)
 			continue
@@ -310,13 +307,6 @@ func TestGracefulDrainAcrossProcess(t *testing.T) {
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("child exit after drain: %v", err)
 	}
-}
-
-// hostOf recovers the child's host:port from the client a test
-// already holds (startChild returned it from the addr file).
-func hostOf(t *testing.T, c *client.Client) string {
-	t.Helper()
-	return c.Host()
 }
 
 // TestKill9NoAckedIngestLost extends E15's crash-consistency

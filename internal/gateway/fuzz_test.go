@@ -2,6 +2,7 @@ package gateway_test
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -66,6 +67,13 @@ func FuzzGatewayRequest(f *testing.F) {
 		{"OPTIONS", "/v1/objects/ddn/fuzz/x", "Bearer fuzz-token", "", "", ""},
 		{"GET", "/nowhere", "", "", "", ""},
 		{"TRACE", "\x00", "Bearer \xff\xfe", "\n", "bytes=,,,", "\x00\x01\x02"},
+		// Framed ingest bodies: valid, truncated, trailing bytes, over the
+		// cap, negative size.
+		{"POST", "/v1/ingest", "Bearer fuzz-token", gateway.IngestContentType, "", framedSeed(2) + "\nhi"},
+		{"POST", "/v1/ingest", "Bearer fuzz-token", gateway.IngestContentType, "", framedSeed(5) + "\nhi"},
+		{"POST", "/v1/ingest", "Bearer fuzz-token", gateway.IngestContentType, "", framedSeed(2) + "\nhi!"},
+		{"POST", "/v1/ingest", "Bearer fuzz-token", gateway.IngestContentType, "", framedSeed(9<<20) + "\n"},
+		{"POST", "/v1/ingest", "Bearer fuzz-token", gateway.IngestContentType, "", framedSeed(-1) + "\n"},
 	}
 	for _, s := range seeds {
 		f.Add(s.method, s.path, s.auth, s.ctype, s.rng, s.body)
@@ -113,6 +121,12 @@ func FuzzGatewayRequest(f *testing.F) {
 			t.Fatalf("%s %q: envelope missing code/message: %+v", method, path, env.Error)
 		}
 	})
+}
+
+// framedSeed is a framed ingest manifest of one object of the given
+// size, without the newline and payloads that follow it.
+func framedSeed(size int) string {
+	return fmt.Sprintf(`{"objects":[{"path":"/ddn/fuzz/f","project":"p","size":%d}]}`, size)
 }
 
 // buildRequest constructs the request, absorbing the panics

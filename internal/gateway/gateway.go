@@ -103,7 +103,6 @@ type Server struct {
 	al    *adal.AuthLayer
 	mux   *http.ServeMux
 
-	reg    *obs.Registry
 	tracer *obs.Tracer
 	met    gwMetrics
 	promH  http.Handler
@@ -163,7 +162,6 @@ func New(cfg Config) (*Server, error) {
 		authn:   authn,
 		acl:     acl,
 		al:      adal.NewAuthLayer(cfg.Layer, authn, acl),
-		reg:     reg,
 		tracer:  tracer,
 		met:     newGWMetrics(reg),
 		promH:   reg.Handler(),
@@ -223,11 +221,6 @@ func (s *Server) route(mux *http.ServeMux, pattern, op string, h http.HandlerFun
 		hist.ObserveSince(start)
 	})
 }
-
-// Obs returns the registry the gateway instruments into — the one
-// GET /metrics serves. cmd/lsdfd mounts the same registry on its
-// debug listener.
-func (s *Server) Obs() *obs.Registry { return s.reg }
 
 // TraceRing returns the trace ring behind GET /v1/debug/traces.
 func (s *Server) TraceRing() *obs.Tracer { return s.tracer }
@@ -344,8 +337,11 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// Every admitted request gets a trace: adopted from the client's
 	// X-LSDF-Trace header when it carries one (lsdfctl minting), minted
 	// here otherwise. The ID is echoed back so clients can correlate,
-	// and rides the context through the mount stack and over mrpc.
-	td := s.tracer.StartTraceID(r.Header.Get(obs.TraceHeader), rootName(r))
+	// and rides the context through the mount stack and over mrpc. The
+	// trace is named after the request line, truncated so a hostile URL
+	// cannot balloon the ring's memory.
+	name := r.Method + " " + r.URL.Path
+	td := s.tracer.StartTraceID(r.Header.Get(obs.TraceHeader), name[:min(len(name), 128)])
 	if td != nil {
 		ew.Header().Set(obs.TraceHeader, td.ID)
 		r = r.WithContext(obs.ContextWithTrace(r.Context(), td))
@@ -384,16 +380,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 
 	ai := &authInfo{creds: creds, principal: principal, tenant: tenant}
 	s.mux.ServeHTTP(ew, r.WithContext(context.WithValue(r.Context(), ctxKey{}, ai)))
-}
-
-// rootName labels a trace with its request line, truncated so a
-// hostile URL cannot balloon the ring's memory.
-func rootName(r *http.Request) string {
-	name := r.Method + " " + r.URL.Path
-	if len(name) > 128 {
-		name = name[:128]
-	}
-	return name
 }
 
 // debugTraces serves the trace ring with the gateway's JSON-envelope
@@ -483,7 +469,9 @@ func (s *Server) getObject(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
 	w.Header().Set("X-LSDF-Object-Size", strconv.FormatInt(size, 10))
 	w.WriteHeader(status)
-	n, _ := s.copyStream(w, rc, writeDeadline(w))
+	bp := streamBufPool.Get().(*[]byte)
+	defer streamBufPool.Put(bp)
+	n, _ := io.CopyBuffer(w, &bodyReader{r: rc, arm: chunkDeadline(http.NewResponseController(w).SetWriteDeadline)}, *bp)
 	ai.tenant.bytesOut.Add(n)
 }
 
@@ -494,7 +482,7 @@ func (s *Server) putObject(w http.ResponseWriter, r *http.Request) {
 		s.fail(w, err)
 		return
 	}
-	body := &bodyReader{r: r.Body, arm: readDeadline(w)}
+	body := &bodyReader{r: r.Body, arm: chunkDeadline(http.NewResponseController(w).SetReadDeadline)}
 	res := PutResult{Path: fp}
 	var err error
 	// ?project= registers the stored object as a dataset in the same
@@ -655,7 +643,7 @@ func (s *Server) datasetByPath(w http.ResponseWriter, r *http.Request) {
 func (s *Server) tagDataset(w http.ResponseWriter, r *http.Request) {
 	ai := reqAuth(r)
 	var req TagRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req, nil) {
 		return
 	}
 	if _, err := s.al.Authorize(ai.creds, req.Path, adal.PermWrite); err != nil {
@@ -684,7 +672,11 @@ func (s *Server) tagDataset(w http.ResponseWriter, r *http.Request) {
 func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 	ai := reqAuth(r)
 	var req IngestRequest
-	if !s.decodeJSON(w, r, &req) {
+	var payloads func(io.Reader) error // the JSON shape carries them inside
+	if r.Header.Get("Content-Type") == IngestContentType {
+		payloads = req.readPayloads
+	}
+	if !s.decodeJSON(w, r, &req, payloads) {
 		return
 	}
 	if len(req.Objects) == 0 {
@@ -693,14 +685,14 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 	}
 	// The handler authorizes and meters; ingest.StoreBatch stores,
 	// registers and rolls back the authorized objects as one batch.
-	results := make([]IngestObjectResult, len(req.Objects))
+	res := IngestResult{Results: make([]IngestObjectResult, len(req.Objects))}
 	var objs []*ingest.Object
 	var objIdx []int
 	for i, obj := range req.Objects {
 		fp := path.Clean("/" + strings.TrimPrefix(obj.Path, "/"))
-		results[i].Path = fp
+		res.Results[i].Path = fp
 		if _, err := s.al.Authorize(ai.creds, fp, adal.PermWrite); err != nil {
-			results[i].Error = err.Error()
+			res.Results[i].Error = err.Error()
 			continue
 		}
 		objs = append(objs, &ingest.Object{
@@ -712,23 +704,20 @@ func (s *Server) ingest(w http.ResponseWriter, r *http.Request) {
 		})
 		objIdx = append(objIdx, i)
 	}
-	registered := 0
 	for j, cr := range ingest.StoreBatch(s.cfg.Layer, s.cfg.Meta, objs) {
-		i := objIdx[j]
+		out := &res.Results[objIdx[j]]
 		// Bytes the store consumed: all of a stored payload, none of one
 		// whose path was already taken.
-		unread := objs[j].Data.(*bytes.Reader).Len()
-		ai.tenant.bytesIn.Add(int64(len(req.Objects[i].Data) - unread))
+		data := objs[j].Data.(*bytes.Reader)
+		ai.tenant.bytesIn.Add(data.Size() - int64(data.Len()))
 		if cr.Err != nil {
-			results[i].Error = cr.Err.Error()
+			out.Error = cr.Err.Error()
 			continue
 		}
-		results[i].Size = cr.Dataset.Size
-		results[i].SHA256 = cr.Dataset.Checksum
-		results[i].DatasetID = cr.Dataset.ID
-		registered++
+		out.Size, out.SHA256, out.DatasetID = cr.Dataset.Size, cr.Dataset.Checksum, cr.Dataset.ID
+		res.Registered++
 	}
-	writeJSON(w, http.StatusOK, IngestResult{Results: results, Registered: registered})
+	writeJSON(w, http.StatusOK, res)
 }
 
 func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
@@ -742,22 +731,62 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 
 // ---- plumbing ---------------------------------------------------------
 
-// decodeJSON reads a bounded JSON body into v, writing the error
-// envelope itself when it fails.
-func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
+// decodeJSON reads a bounded JSON body into v and, when rest is not
+// nil, hands rest the bytes after the JSON value under the same bound,
+// writing the error envelope itself when either fails.
+func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, v any, rest func(io.Reader) error) bool {
 	body := http.MaxBytesReader(w, r.Body, int64(maxJSONBody))
 	dec := json.NewDecoder(body)
-	if err := dec.Decode(v); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeErr(w, http.StatusRequestEntityTooLarge, "payload_too_large",
-				fmt.Sprintf("JSON body over %s", maxJSONBody.SI()))
-			return false
-		}
-		writeErr(w, http.StatusBadRequest, "bad_json", err.Error())
-		return false
+	err := dec.Decode(v)
+	if err == nil && rest != nil {
+		err = rest(io.MultiReader(dec.Buffered(), body))
 	}
-	return true
+	var mbe *http.MaxBytesError
+	switch {
+	case errors.As(err, &mbe):
+		writeErr(w, http.StatusRequestEntityTooLarge, "payload_too_large",
+			fmt.Sprintf("request body over %s", maxJSONBody.SI()))
+	case err != nil:
+		writeErr(w, http.StatusBadRequest, "bad_json", err.Error())
+	}
+	return err == nil
+}
+
+// readPayloads fills a framed manifest's Data from the rest of the
+// body: exactly one '\n', the payloads back to back in manifest order,
+// then the end of the body. The sizes are checked before anything is
+// allocated; the payloads land in one buffer the objects slice.
+func (req *IngestRequest) readPayloads(rest io.Reader) error {
+	var total int64
+	for _, o := range req.Objects {
+		switch {
+		case o.Data != nil:
+			return fmt.Errorf("framed ingest: manifest carries data for %s", o.Path)
+		case o.Size < 0:
+			return fmt.Errorf("framed ingest: negative size %d for %s", o.Size, o.Path)
+		case o.Size > int64(maxJSONBody)-total:
+			return &http.MaxBytesError{Limit: int64(maxJSONBody)}
+		}
+		total += o.Size
+	}
+	buf := make([]byte, total+2) // '\n', the payloads, and a byte that must not arrive
+	n, err := io.ReadFull(rest, buf)
+	switch {
+	case err != nil && err != io.EOF && err != io.ErrUnexpectedEOF:
+		return err
+	case n == 0 || buf[0] != '\n':
+		return errors.New("framed ingest: manifest not followed by one newline")
+	case n < len(buf)-1:
+		return fmt.Errorf("framed ingest: body ends %d bytes short", len(buf)-1-n)
+	case n == len(buf):
+		return errors.New("framed ingest: bytes after the last payload")
+	}
+	data := buf[1:n]
+	for i := range req.Objects {
+		size := req.Objects[i].Size
+		req.Objects[i].Data, data = data[:size:size], data[size:]
+	}
+	return nil
 }
 
 // fail maps backend errors onto the wire contract.
@@ -775,11 +804,14 @@ func (s *Server) fail(w http.ResponseWriter, err error) {
 	}
 }
 
-// bodyReader is a streamed request body as the store reads it: the
-// socket read deadline is armed before every chunk, so a client that
-// sends nothing for streamChunkTimeout loses its connection. It keeps
-// the byte count for the tenant's meter and the body's own failure for
-// the wire mapping (a client's broken upload is a 400, not a 500).
+// bodyReader is a streamed body as its consumer reads it: a PUT's
+// request body read by the store, or an object copied onto the
+// response. A socket deadline is armed before every chunk, so the
+// transfer runs at the slower end's pace (connection-level
+// backpressure), but a peer that stalls for streamChunkTimeout loses
+// its connection. It keeps the byte count for the tenant's meter and
+// the body's own failure for the wire mapping (a client's broken
+// upload is a 400, not a 500).
 type bodyReader struct {
 	r   io.Reader
 	arm func() error
@@ -800,36 +832,8 @@ func (b *bodyReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
-// copyStream moves a body chunk by chunk through a pooled buffer,
-// arming the socket deadline before every chunk: the transfer runs
-// at the slower end's pace (connection-level backpressure), but a
-// peer that stalls completely is cut off after streamChunkTimeout.
-func (s *Server) copyStream(dst io.Writer, src io.Reader, deadline func() error) (int64, error) {
-	bp := streamBufPool.Get().(*[]byte)
-	defer streamBufPool.Put(bp)
-	buf := *bp
-	var total int64
-	for {
-		if err := deadline(); err != nil {
-			return total, err
-		}
-		n, rerr := src.Read(buf)
-		if n > 0 {
-			wn, werr := dst.Write(buf[:n])
-			total += int64(wn)
-			if werr != nil {
-				return total, werr
-			}
-		}
-		if rerr == io.EOF {
-			return total, nil
-		}
-		if rerr != nil {
-			return total, rerr
-		}
-	}
-}
-
+// streamBufPool holds the buffers objects are copied onto responses
+// through.
 var streamBufPool = sync.Pool{
 	New: func() any {
 		b := make([]byte, 128*1024)
@@ -837,17 +841,10 @@ var streamBufPool = sync.Pool{
 	},
 }
 
-// writeDeadline and readDeadline return the function that arms the
-// connection's per-chunk deadline, streamChunkTimeout from now. A
-// writer without deadlines (a test recorder) streams unguarded.
-func writeDeadline(w http.ResponseWriter) func() error {
-	return chunkDeadline(http.NewResponseController(w).SetWriteDeadline)
-}
-
-func readDeadline(w http.ResponseWriter) func() error {
-	return chunkDeadline(http.NewResponseController(w).SetReadDeadline)
-}
-
+// chunkDeadline returns the function that arms one connection deadline
+// (an http.ResponseController's SetReadDeadline or SetWriteDeadline)
+// streamChunkTimeout from now. A writer without deadlines (a test
+// recorder) streams unguarded.
 func chunkDeadline(set func(time.Time) error) func() error {
 	return func() error {
 		if err := set(time.Now().Add(streamChunkTimeout)); !errors.Is(err, http.ErrNotSupported) {
@@ -978,13 +975,6 @@ func (ew *envelopeWriter) Write(p []byte) (int, error) {
 		return len(p), nil
 	}
 	return ew.rw.Write(p)
-}
-
-// Flush keeps streamed responses streaming through the wrapper.
-func (ew *envelopeWriter) Flush() {
-	if f, ok := ew.rw.(http.Flusher); ok {
-		f.Flush()
-	}
 }
 
 // Unwrap lets http.NewResponseController reach the real connection

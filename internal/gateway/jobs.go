@@ -56,7 +56,7 @@ func (s *Server) submitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req JobRequest
-	if !s.decodeJSON(w, r, &req) {
+	if !s.decodeJSON(w, r, &req, nil) {
 		return
 	}
 	if len(req.Inputs) == 0 || req.OutputDir == "" {

@@ -91,8 +91,8 @@ type tenantState struct {
 	bytesOut  *obs.Counter
 }
 
+// newTenantState takes t with its defaults applied (New applies them).
 func newTenantState(t Tenant, m gwMetrics) *tenantState {
-	t = t.withDefaults()
 	return &tenantState{
 		name:        t.Name,
 		maxInFlight: int64(t.MaxInFlight),

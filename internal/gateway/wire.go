@@ -10,9 +10,10 @@ import (
 
 // Wire types shared by the server and internal/gateway/client. Object
 // bodies never appear here — they stream as raw HTTP bodies; JSON
-// carries only control-plane payloads (ingest batches ride as base64
-// inside IngestObject.Data, the bulk-registration path for small DAQ
-// objects).
+// carries only control-plane payloads. The ingest batch, the bulk path
+// for small DAQ objects, has two shapes: a framed body (a JSON manifest,
+// then the payloads raw; the client sends it) and a plain JSON body
+// carrying the payloads as base64 (see IngestObject).
 
 // ErrorEnvelope is the one shape every gateway error takes.
 type ErrorEnvelope struct {
@@ -69,20 +70,28 @@ type TagRequest struct {
 	Tag  string `json:"tag"`
 }
 
-// IngestObject is one object in a batched ingest: bytes inline
-// (base64 over the wire) plus its registration.
+// IngestObject is one object in a batched ingest: its bytes plus its
+// registration. A framed body (Content-Type IngestContentType) is an
+// IngestRequest manifest whose objects carry Size and no Data, exactly
+// one '\n', then the payloads back to back in manifest order; the
+// server fills Data from them. A plain JSON body carries Data inline
+// as base64 and ignores Size.
 type IngestObject struct {
 	Path    string            `json:"path"`
 	Project string            `json:"project"`
-	Data    []byte            `json:"data"`
+	Size    int64             `json:"size,omitempty"`
+	Data    []byte            `json:"data,omitempty"`
 	Basic   map[string]string `json:"basic,omitempty"`
 	Tags    []string          `json:"tags,omitempty"`
 }
 
-// IngestRequest is the /v1/ingest body.
+// IngestRequest is the /v1/ingest body, or a framed body's manifest.
 type IngestRequest struct {
 	Objects []IngestObject `json:"objects"`
 }
+
+// IngestContentType selects the framed /v1/ingest body.
+const IngestContentType = "application/x-lsdf-ingest"
 
 // IngestObjectResult reports one ingest outcome; Error is empty on
 // success. A 200 response with every Error empty means every object
