@@ -72,11 +72,11 @@ func main() {
 
 	// Job 2: coverage profile, on the memory-bounded shuffle — a
 	// 32 KiB per-task budget spills sorted runs to the DFS and the
-	// streaming reducer folds counts straight off the merge.
+	// reducer folds counts as they stream straight off the merge.
 	cres, err := fac.RunJob(mapreduce.Config{
 		Name:   "coverage",
 		Inputs: []string{"/dna/reads"}, OutputDir: "/dna/cov",
-		Mapper: workloads.CoverageMapper(10_000), StreamReducer: workloads.StreamSumReducer,
+		Mapper: workloads.CoverageMapper(10_000), Reducer: mapreduce.SumReducer(),
 		Combiner: mapreduce.SumReducer(), Locality: true,
 		ShuffleMemory: 32 * units.KiB,
 	})

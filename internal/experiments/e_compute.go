@@ -243,12 +243,12 @@ func E9DNASequencing() (*Table, error) {
 	kdur := time.Since(start)
 
 	// The coverage job runs the memory-bounded path: a 16 KiB spill
-	// budget forces external sorted runs, and the streaming reducer
-	// folds each bucket's counts without materializing the group.
+	// budget forces external sorted runs, and the reducer folds each
+	// bucket's counts as they stream without materializing the group.
 	start = time.Now()
 	cres, err := mapreduce.Run(c, mapreduce.Config{
 		Inputs: []string{"/dna/reads"}, OutputDir: "/dna/cov",
-		Mapper: workloads.CoverageMapper(1000), StreamReducer: workloads.StreamSumReducer,
+		Mapper: workloads.CoverageMapper(1000), Reducer: mapreduce.SumReducer(),
 		Combiner: mapreduce.SumReducer(), NumReducers: 4, Locality: true,
 		ShuffleMemory: 16 * units.KiB,
 	})

@@ -156,6 +156,37 @@ func TestWaitJobLongPoll(t *testing.T) {
 	}
 }
 
+// TestJobWaitHugeValueParks: a wait too large for a time.Duration in
+// milliseconds is capped at MaxJobWait, not wrapped negative — the ask
+// parks until the job ends instead of answering "running" at once.
+func TestJobWaitHugeValueParks(t *testing.T) {
+	release := make(chan struct{})
+	srv, hs := startJobGateway(t, func() (*mapreduce.Result, error) {
+		<-release
+		return &mapreduce.Result{}, nil
+	})
+	c := newClient(t, hs, "tb", client.Options{MaxRetries: -1})
+	js, err := c.SubmitJob(context.Background(), bioJob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		code int
+		st   gateway.JobStatus
+		err  error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		code, st, err := askJob(hs, "tb", js.ID, "9223372036854775807")
+		done <- outcome{code, st, err}
+	}()
+	waitInFlight(t, srv, "bio", 1)
+	close(release)
+	if o := <-done; o.err != nil || o.code != 200 || o.st.State != gateway.JobDone {
+		t.Fatalf("wait=MaxInt64 = %d %+v %v; want 200 done", o.code, o.st, o.err)
+	}
+}
+
 // TestJobHistoryIsBounded: the gateway answers for the last JobHistory
 // finished jobs and forgets older ones.
 func TestJobHistoryIsBounded(t *testing.T) {

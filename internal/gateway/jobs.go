@@ -157,7 +157,8 @@ func (s *Server) jobStatus(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if ms, err := strconv.ParseInt(r.URL.Query().Get("wait"), 10, 64); err == nil && ms > 0 {
-		timer := time.NewTimer(min(time.Duration(ms)*time.Millisecond, MaxJobWait))
+		// Capped before it is converted: a huge wait must not wrap negative.
+		timer := time.NewTimer(time.Duration(min(ms, MaxJobWait.Milliseconds())) * time.Millisecond)
 		defer timer.Stop()
 		select {
 		case <-js.done:

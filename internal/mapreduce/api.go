@@ -46,8 +46,9 @@ func (e Emit) Bytes(key, value []byte) { e(bytesString(key), value) }
 
 // bytesString views b as a string without copying it. The string is
 // only as immutable as b: it is for handing a key to code that copies
-// or drops it before b next changes (an Emit, a combiner), and the one
-// place the package uses unsafe.
+// or drops it before b next changes (an Emit, a merge over a run
+// nothing writes while it is read), and the one place the package uses
+// unsafe.
 func bytesString(b []byte) string { return unsafe.String(unsafe.SliceData(b), len(b)) }
 
 // Mapper transforms one input record into intermediate pairs. key and
@@ -64,40 +65,22 @@ type MapperFunc func(key string, value []byte, emit Emit) error
 // Map implements Mapper.
 func (f MapperFunc) Map(key string, value []byte, emit Emit) error { return f(key, value, emit) }
 
-// Reducer folds all values of one key into output pairs. It also
-// serves as the combiner type: combiners run per map task over that
-// task's local output, and there key, the values slice and the values
-// point into the task's run buffers — valid only during the call.
+// Reducer folds one key's values, streamed out of the shuffle merge in
+// (map task, emission) order, into output pairs; the framework never
+// materializes the group, so a reducer that folds as it reads holds
+// O(1) memory however large the group. It also serves as the combiner
+// type: combiners run per map task over that task's ordered run. key
+// and every value are valid only during Reduce — a value only until
+// the next values.Next — so a reducer that keeps either copies it.
 type Reducer interface {
-	Reduce(key string, values [][]byte, emit Emit) error
+	Reduce(key string, values *Values, emit Emit) error
 }
 
 // ReducerFunc adapts a function to the Reducer interface.
-type ReducerFunc func(key string, values [][]byte, emit Emit) error
+type ReducerFunc func(key string, values *Values, emit Emit) error
 
 // Reduce implements Reducer.
-func (f ReducerFunc) Reduce(key string, values [][]byte, emit Emit) error {
-	return f(key, values, emit)
-}
-
-// StreamReducer folds one key's values as they stream out of the
-// shuffle merge, without the framework materializing the group as a
-// [][]byte first — the memory-bounded reduce interface. Slices
-// returned by values.Next remain valid after the next call, so
-// implementations may retain them; implementations that don't keep
-// the group's memory footprint at O(1).
-//
-// A Config sets either Reducer or StreamReducer, not both; a plain
-// Reducer runs through an internal adapter that collects the group.
-type StreamReducer interface {
-	ReduceStream(key string, values *Values, emit Emit) error
-}
-
-// StreamReducerFunc adapts a function to the StreamReducer interface.
-type StreamReducerFunc func(key string, values *Values, emit Emit) error
-
-// ReduceStream implements StreamReducer.
-func (f StreamReducerFunc) ReduceStream(key string, values *Values, emit Emit) error {
+func (f ReducerFunc) Reduce(key string, values *Values, emit Emit) error {
 	return f(key, values, emit)
 }
 
@@ -119,16 +102,15 @@ const (
 
 // Config describes one job.
 type Config struct {
-	Name          string
-	Inputs        []string // dfs paths
-	OutputDir     string   // dfs prefix; reducers write OutputDir/part-NNNNN
-	Mapper        Mapper
-	Reducer       Reducer       // nil = identity (sorted map output passes through)
-	StreamReducer StreamReducer // streaming alternative to Reducer; set at most one
-	Combiner      Reducer       // optional, runs over each map task's output
-	NumReducers   int           // default 1
-	MapOnly       bool          // skip shuffle/reduce; write part-m files (NumReduceTasks=0)
-	Format        InputFormat
+	Name        string
+	Inputs      []string // dfs paths
+	OutputDir   string   // dfs prefix; reducers write OutputDir/part-NNNNN
+	Mapper      Mapper
+	Reducer     Reducer // nil = identity (sorted map output passes through)
+	Combiner    Reducer // optional, runs over each map task's output
+	NumReducers int     // default 1
+	MapOnly     bool    // skip shuffle/reduce; write part-m files (NumReduceTasks=0)
+	Format      InputFormat
 
 	// ShuffleMemory bounds the intermediate pairs a map task holds in
 	// memory. When the accumulated key+value bytes (plus per-record
@@ -182,19 +164,6 @@ func (c *Config) withDefaults() Config {
 		out.MaxAttempts = 4
 	}
 	return out
-}
-
-// streamingReducer resolves the configured reduce function to the
-// streaming interface the merge drives: StreamReducer as-is, a plain
-// Reducer through the collecting adapter, neither as identity.
-func (c *Config) streamingReducer() StreamReducer {
-	if c.StreamReducer != nil {
-		return c.StreamReducer
-	}
-	if c.Reducer != nil {
-		return streamAdapter{c.Reducer}
-	}
-	return identityStreamReducer{}
 }
 
 // Counters are the job's observable metrics. The master folds each

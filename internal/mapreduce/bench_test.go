@@ -2,7 +2,6 @@ package mapreduce
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -28,7 +27,7 @@ func BenchmarkWordCount(b *testing.B) {
 		b.StartTimer()
 		if _, err := Run(c, Config{
 			Inputs: []string{"/bench/corpus"}, OutputDir: "/bench/out",
-			Mapper: wordCountMapper, Reducer: sumReducer, Combiner: sumReducer,
+			Mapper: wordCountMapper, Reducer: SumReducer(), Combiner: SumReducer(),
 			NumReducers: 4, Locality: true,
 		}); err != nil {
 			b.Fatal(err)
@@ -56,9 +55,9 @@ func BenchmarkMapCollect(b *testing.B) {
 	}
 }
 
-// shuffleBench runs one wordcount with a configurable spill budget
-// and reduce interface — the spill-vs-in-memory measurement pair.
-func shuffleBench(b *testing.B, mem units.Bytes, streaming bool) {
+// shuffleBench runs one wordcount with a configurable spill budget —
+// the spill-vs-in-memory measurement pair.
+func shuffleBench(b *testing.B, mem units.Bytes) {
 	var corpus strings.Builder
 	for i := 0; i < 30_000; i++ {
 		fmt.Fprintf(&corpus, "plate%04d well%03d image%02d analysis pass%d\n", i%512, i%96, i%31, i%7)
@@ -72,18 +71,12 @@ func shuffleBench(b *testing.B, mem units.Bytes, streaming bool) {
 		if err := c.WriteFile("/bench/shuffle", "", data); err != nil {
 			b.Fatal(err)
 		}
-		cfg := Config{
-			Inputs: []string{"/bench/shuffle"}, OutputDir: "/bench/sout",
-			Mapper: wordCountMapper, NumReducers: 4, Locality: true,
-			ShuffleMemory: mem,
-		}
-		if streaming {
-			cfg.StreamReducer = streamSumBench
-		} else {
-			cfg.Reducer = sumReducer
-		}
 		b.StartTimer()
-		res, err := Run(c, cfg)
+		res, err := Run(c, Config{
+			Inputs: []string{"/bench/shuffle"}, OutputDir: "/bench/sout",
+			Mapper: wordCountMapper, Reducer: SumReducer(), NumReducers: 4,
+			Locality: true, ShuffleMemory: mem,
+		})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -93,38 +86,14 @@ func shuffleBench(b *testing.B, mem units.Bytes, streaming bool) {
 	}
 }
 
-var streamSumBench = StreamReducerFunc(func(key string, values *Values, emit Emit) error {
-	sum := 0
-	for {
-		v, ok := values.Next()
-		if !ok {
-			break
-		}
-		n, err := strconv.Atoi(string(v))
-		if err != nil {
-			return err
-		}
-		sum += n
-	}
-	if err := values.Err(); err != nil {
-		return err
-	}
-	emit(key, []byte(strconv.Itoa(sum)))
-	return nil
-})
-
 // BenchmarkShuffleInMemory is the baseline: unbounded map buffers,
 // reduce merges only in-memory runs.
-func BenchmarkShuffleInMemory(b *testing.B) { shuffleBench(b, 0, false) }
+func BenchmarkShuffleInMemory(b *testing.B) { shuffleBench(b, 0) }
 
 // BenchmarkShuffleSpill forces the external path: 16 KiB per-task
 // budget, so every map task spills sorted runs to the DFS and every
 // reduce streams them back through the k-way merge.
-func BenchmarkShuffleSpill(b *testing.B) { shuffleBench(b, 16*units.KiB, false) }
-
-// BenchmarkShuffleSpillStream is the spill path with a streaming
-// reducer — no per-group [][]byte materialization.
-func BenchmarkShuffleSpillStream(b *testing.B) { shuffleBench(b, 16*units.KiB, true) }
+func BenchmarkShuffleSpill(b *testing.B) { shuffleBench(b, 16*units.KiB) }
 
 // BenchmarkTextSplitReader isolates the record reader with the
 // split-boundary convention.

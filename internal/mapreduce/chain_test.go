@@ -76,9 +76,9 @@ func TestRunChain(t *testing.T) {
 	})
 	results, err := RunChain(c, []Config{
 		{Name: "wordcount", Inputs: []string{"/in/chain"}, OutputDir: "/chain/1",
-			Mapper: wordCountMapper, Reducer: sumReducer},
+			Mapper: wordCountMapper, Reducer: SumReducer()},
 		{Name: "bucket", OutputDir: "/chain/2",
-			Mapper: bucket, Reducer: sumReducer},
+			Mapper: bucket, Reducer: SumReducer()},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -110,7 +110,7 @@ func TestRunChainStageFailure(t *testing.T) {
 	boom := errors.New("boom")
 	results, err := RunChain(c, []Config{
 		{Name: "ok", Inputs: []string{"/in/cf"}, OutputDir: "/cf/1",
-			Mapper: wordCountMapper, Reducer: sumReducer},
+			Mapper: wordCountMapper, Reducer: SumReducer()},
 		{Name: "bad", OutputDir: "/cf/2",
 			Mapper: MapperFunc(func(string, []byte, Emit) error { return boom })},
 	})

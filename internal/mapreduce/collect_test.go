@@ -113,6 +113,45 @@ func TestMapAttemptAllocatesPerKeyNotPerRecord(t *testing.T) {
 	}
 }
 
+// TestReduceAllocatesNothingPerGroup drives the group loop reducers and
+// combiners share over an ordered run of 1 000 keys × 5 values, with a
+// reducer that allocates nothing itself: the loop's allocations are a
+// handful for the whole run, none per group — one Values serves every
+// key, and a run's keys reach the reducer as views, not copies.
+func TestReduceAllocatesNothingPerGroup(t *testing.T) {
+	const keys, perKey = 1_000, 5
+	var r run
+	for i := 0; i < keys*perKey; i++ {
+		key := fmt.Sprintf("key%04d", i%keys)
+		r.add(fnv1a(key), key, []byte{byte(i)})
+	}
+	r.order()
+	var groups, values int
+	count := ReducerFunc(func(_ string, vals *Values, _ Emit) error {
+		groups++
+		for _, ok := vals.Next(); ok; _, ok = vals.Next() {
+			values++
+		}
+		return vals.Err()
+	})
+	allocs := testing.AllocsPerRun(3, func() {
+		groups, values = 0, 0
+		m, err := newMerger([]mergeSource{{s: &memStream{r: &r}}})
+		if err == nil {
+			_, err = drainGroups(m, count, func(string, []byte) {}, func() error { return nil })
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	})
+	if groups != keys || values != keys*perKey {
+		t.Fatalf("reducer saw %d groups of %d values, want %d of %d", groups, values, keys, keys*perKey)
+	}
+	if allocs > 16 {
+		t.Errorf("reducing %d groups made %.0f allocations, want at most 16", keys, allocs)
+	}
+}
+
 // TestRunIsCutBeforeItsOffsetsCouldWrap lowers the limit a run's uint32
 // offsets and counts impose: an unbudgeted job then cuts its runs by
 // the same spill a budget makes, and its output is the uncut job's.
@@ -124,7 +163,7 @@ func TestRunIsCutBeforeItsOffsetsCouldWrap(t *testing.T) {
 		}
 		res, err := Run(c, Config{
 			Inputs: []string{"/in/cut"}, OutputDir: "/out/cut",
-			Mapper: wordCountMapper, Combiner: sumReducer, Reducer: sumReducer, NumReducers: 2,
+			Mapper: wordCountMapper, Combiner: SumReducer(), Reducer: SumReducer(), NumReducers: 2,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -33,7 +33,7 @@ func TestDispatchWithoutAClock(t *testing.T) {
 		}
 		ref, err := Run(c, Config{
 			Name: "wc", Inputs: []string{"/in/doc"}, OutputDir: "/out/ref",
-			Mapper: wordCountMapper, Reducer: sumReducer, Combiner: sumReducer,
+			Mapper: wordCountMapper, Reducer: SumReducer(), Combiner: SumReducer(),
 			NumReducers: 2, Locality: true,
 		})
 		if err != nil {

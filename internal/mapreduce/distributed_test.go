@@ -19,8 +19,8 @@ func testTemplates() Registry {
 		"wc": func(mrpc.JobSpec) (Config, error) {
 			return Config{
 				Mapper:   wordCountMapper,
-				Reducer:  sumReducer,
-				Combiner: sumReducer,
+				Reducer:  SumReducer(),
+				Combiner: SumReducer(),
 				Format:   TextInput,
 				Locality: true,
 			}, nil
@@ -28,8 +28,8 @@ func testTemplates() Registry {
 		"wc-once": func(mrpc.JobSpec) (Config, error) { // a task's first failure fails the job
 			return Config{
 				Mapper:      wordCountMapper,
-				Reducer:     sumReducer,
-				Combiner:    sumReducer,
+				Reducer:     SumReducer(),
+				Combiner:    SumReducer(),
 				Format:      TextInput,
 				MaxAttempts: 1,
 			}, nil
@@ -37,8 +37,8 @@ func testTemplates() Registry {
 		"wc-spec": func(mrpc.JobSpec) (Config, error) {
 			return Config{
 				Mapper:      wordCountMapper,
-				Reducer:     sumReducer,
-				Combiner:    sumReducer,
+				Reducer:     SumReducer(),
+				Combiner:    SumReducer(),
 				Format:      TextInput,
 				Locality:    true,
 				Speculative: true,
@@ -134,7 +134,7 @@ func byteIdentity(t *testing.T, shape string, budget int64) {
 	}
 	ref, err := Run(c, Config{
 		Name: "wc", Inputs: []string{"/in/doc"}, OutputDir: "/out/run",
-		Mapper: wordCountMapper, Reducer: sumReducer, Combiner: sumReducer,
+		Mapper: wordCountMapper, Reducer: SumReducer(), Combiner: SumReducer(),
 		NumReducers: 3, Locality: true, ShuffleMemory: units.Bytes(budget),
 	})
 	if err != nil {
@@ -394,7 +394,7 @@ func TestDistributedProxyWorkers(t *testing.T) {
 	}
 	ref, err := Run(c, Config{
 		Name: "wc", Inputs: []string{"/in/doc"}, OutputDir: "/out/psp",
-		Mapper: wordCountMapper, Reducer: sumReducer, Combiner: sumReducer,
+		Mapper: wordCountMapper, Reducer: SumReducer(), Combiner: SumReducer(),
 		NumReducers: 2, ShuffleMemory: 1024,
 	})
 	if err != nil {

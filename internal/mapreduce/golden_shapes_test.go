@@ -95,7 +95,7 @@ func experimentShapes() []shape {
 			Combiner: mapreduce.SumReducer(), NumReducers: 4, Locality: true,
 		}},
 		{"e9-coverage", mr(16 * units.KiB), reads, mapreduce.Config{
-			Mapper: workloads.CoverageMapper(1000), StreamReducer: workloads.StreamSumReducer,
+			Mapper: workloads.CoverageMapper(1000), Reducer: mapreduce.SumReducer(),
 			Combiner: mapreduce.SumReducer(), NumReducers: 4, Locality: true,
 			ShuffleMemory: 16 * units.KiB,
 		}},

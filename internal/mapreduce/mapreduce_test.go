@@ -34,19 +34,6 @@ var wordCountMapper = MapperFunc(func(_ string, value []byte, emit Emit) error {
 	return nil
 })
 
-var sumReducer = ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-	sum := 0
-	for _, v := range values {
-		n, err := strconv.Atoi(string(v))
-		if err != nil {
-			return err
-		}
-		sum += n
-	}
-	emit(key, []byte(strconv.Itoa(sum)))
-	return nil
-})
-
 func writeCorpus(c *dfs.Cluster, name string, lines []string) error {
 	return c.WriteFile(name, "", []byte(strings.Join(lines, "\n")+"\n"))
 }
@@ -66,7 +53,7 @@ func TestWordCount(t *testing.T) {
 		Inputs:      []string{"/in/doc"},
 		OutputDir:   "/out/wc",
 		Mapper:      wordCountMapper,
-		Reducer:     sumReducer,
+		Reducer:     SumReducer(),
 		NumReducers: 3,
 		Locality:    true,
 	})
@@ -121,7 +108,7 @@ func TestSplitBoundaryLines(t *testing.T) {
 	})
 	res, err := Run(c, Config{
 		Inputs: []string{"/in/lines"}, OutputDir: "/out/lines",
-		Mapper: counter, Reducer: sumReducer,
+		Mapper: counter, Reducer: SumReducer(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +134,7 @@ func TestDeterministicAcrossWorkerCounts(t *testing.T) {
 		}
 		res, err := Run(c, Config{
 			Inputs: []string{"/in/c"}, OutputDir: "/out/c",
-			Mapper: wordCountMapper, Reducer: sumReducer,
+			Mapper: wordCountMapper, Reducer: SumReducer(),
 			NumReducers: 4, SlotsPerNode: slots, Locality: true,
 		})
 		if err != nil {
@@ -182,7 +169,7 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 		}
 		res, err := Run(c, Config{
 			Inputs: []string{"/in/c"}, OutputDir: "/out/c",
-			Mapper: wordCountMapper, Reducer: sumReducer, Combiner: combiner,
+			Mapper: wordCountMapper, Reducer: SumReducer(), Combiner: combiner,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -194,7 +181,7 @@ func TestCombinerReducesShuffleVolume(t *testing.T) {
 		return res.Counters
 	}
 	plain := run(nil)
-	combined := run(sumReducer)
+	combined := run(SumReducer())
 	if combined.ShuffleBytes >= plain.ShuffleBytes {
 		t.Fatalf("combiner did not shrink shuffle: %d vs %d",
 			combined.ShuffleBytes, plain.ShuffleBytes)
@@ -219,7 +206,7 @@ func TestLocalityScheduling(t *testing.T) {
 		}
 		res, err := Run(c, Config{
 			Inputs: []string{"/in/big"}, OutputDir: "/out/loc",
-			Mapper: wordCountMapper, Reducer: sumReducer, Locality: true,
+			Mapper: wordCountMapper, Reducer: SumReducer(), Locality: true,
 			SlotsPerNode: round + 1,
 		})
 		if err != nil {
@@ -255,15 +242,15 @@ func TestWholeSplitInput(t *testing.T) {
 		emit("max", []byte{maxByte(value)})
 		return nil
 	})
-	maxReducer := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
+	maxReducer := ReducerFunc(func(key string, values *Values, emit Emit) error {
 		var m byte
-		for _, v := range values {
+		for v, ok := values.Next(); ok; v, ok = values.Next() {
 			if v[0] > m {
 				m = v[0]
 			}
 		}
 		emit(key, []byte(fmt.Sprintf("%d", m)))
-		return nil
+		return values.Err()
 	})
 	res, err := Run(c, Config{
 		Inputs: []string{"/in/bin"}, OutputDir: "/out/bin",
@@ -315,7 +302,7 @@ func TestMapperErrorRetriesThenFails(t *testing.T) {
 	})
 	_, err := Run(c, Config{
 		Inputs: []string{"/in/x"}, OutputDir: "/out/x",
-		Mapper: m, Reducer: sumReducer, MaxAttempts: 3,
+		Mapper: m, Reducer: SumReducer(), MaxAttempts: 3,
 	})
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
@@ -339,7 +326,7 @@ func TestTransientErrorRecovered(t *testing.T) {
 	})
 	res, err := Run(c, Config{
 		Inputs: []string{"/in/x"}, OutputDir: "/out/x",
-		Mapper: m, Reducer: sumReducer, MaxAttempts: 2,
+		Mapper: m, Reducer: SumReducer(), MaxAttempts: 2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -369,7 +356,7 @@ func TestSpeculativeExecution(t *testing.T) {
 	var slowHits int64
 	res, err := Run(c, Config{
 		Inputs: []string{"/in/s"}, OutputDir: "/out/s",
-		Mapper: wordCountMapper, Reducer: sumReducer,
+		Mapper: wordCountMapper, Reducer: SumReducer(),
 		Speculative: true, StragglerFactor: 1.5,
 		SlotsPerNode: 1,
 		TaskDelay: func(node string, task int) time.Duration {
@@ -429,7 +416,7 @@ func TestMultipleInputFiles(t *testing.T) {
 	}
 	res, err := Run(c, Config{
 		Inputs: []string{"/in/a", "/in/b"}, OutputDir: "/out/m",
-		Mapper: wordCountMapper, Reducer: sumReducer,
+		Mapper: wordCountMapper, Reducer: SumReducer(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -447,7 +434,7 @@ func TestEmptyInput(t *testing.T) {
 	}
 	res, err := Run(c, Config{
 		Inputs: []string{"/in/empty"}, OutputDir: "/out/e",
-		Mapper: wordCountMapper, Reducer: sumReducer,
+		Mapper: wordCountMapper, Reducer: SumReducer(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -501,7 +488,7 @@ func TestWordCountMatchesSequentialQuick(t *testing.T) {
 		}
 		res, err := Run(c, Config{
 			Inputs: []string{"/in/q"}, OutputDir: "/out/q",
-			Mapper: wordCountMapper, Reducer: sumReducer, NumReducers: r,
+			Mapper: wordCountMapper, Reducer: SumReducer(), NumReducers: r,
 		})
 		if err != nil {
 			return false

@@ -21,8 +21,8 @@ type kvStream interface {
 	close() // releases the run file, if the stream holds one
 }
 
-// memStream cursors over an ordered in-memory run: one key string per
-// distinct key, values pointing into the run's buffer.
+// memStream cursors over an ordered in-memory run: keys and values are
+// views of the run's buffer, which nothing writes while it is read.
 type memStream struct {
 	r         *run
 	k, j, end int // next key in r.ids, next record in r.ord, end of the current key's records
@@ -36,7 +36,7 @@ func (s *memStream) next() (string, []byte, bool, error) {
 	if s.j == s.end {
 		id := s.r.ids[s.k]
 		s.k++
-		s.key, s.end = string(s.r.key(id)), int(s.r.ents[id].end)
+		s.key, s.end = bytesString(s.r.key(id)), int(s.r.ents[id].end)
 	}
 	s.j++
 	return s.key, s.r.val(s.r.ord[s.j-1]), true, nil
@@ -153,11 +153,11 @@ func (m *merger) pop() (string, []byte, error) {
 	return key, val, nil
 }
 
-// Values streams one key's values to a StreamReducer in merge order.
-// Slices returned by Next remain valid after subsequent calls, so a
-// reducer may retain them (the Reducer adapter does). After the
-// reducer returns, drainGroups drains any unconsumed values and checks
-// Err, so reducers may stop early.
+// Values streams one key's values to a Reducer in merge order. A value
+// returned by Next is valid only until the next call to Next: a reducer
+// that keeps one copies it. After the reducer returns, drainGroups
+// drains any unconsumed values and checks Err, so reducers may stop
+// early.
 type Values struct {
 	m   *merger
 	key string
@@ -195,39 +195,4 @@ func (v *Values) drain() {
 			return
 		}
 	}
-}
-
-// streamAdapter runs a [][]byte Reducer on the streaming merge by
-// collecting the group first — the compatibility path; memory for the
-// group is O(group) where a true StreamReducer is O(1).
-type streamAdapter struct{ r Reducer }
-
-func (a streamAdapter) ReduceStream(key string, values *Values, emit Emit) error {
-	var vals [][]byte
-	for {
-		v, ok := values.Next()
-		if !ok {
-			break
-		}
-		vals = append(vals, v)
-	}
-	if err := values.Err(); err != nil {
-		return err
-	}
-	return a.r.Reduce(key, vals, emit)
-}
-
-// identityStreamReducer passes every value through under its key —
-// the nil-Reducer default, now streaming.
-type identityStreamReducer struct{}
-
-func (identityStreamReducer) ReduceStream(key string, values *Values, emit Emit) error {
-	for {
-		v, ok := values.Next()
-		if !ok {
-			break
-		}
-		emit(key, v)
-	}
-	return values.Err()
 }

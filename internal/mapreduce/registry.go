@@ -119,17 +119,20 @@ func countWords(_ string, line []byte, emit Emit) error {
 	return nil
 }
 
-// SumReducer sums integer-valued counts per key — the reducer (and
-// combiner) behind the builtin counting templates.
+// SumReducer sums integer-valued counts per key as they stream — the
+// reducer (and combiner) behind the builtin counting templates.
 func SumReducer() Reducer {
-	return ReducerFunc(func(key string, values [][]byte, emit Emit) error {
+	return ReducerFunc(func(key string, values *Values, emit Emit) error {
 		total := 0
-		for _, v := range values {
+		for v, ok := values.Next(); ok; v, ok = values.Next() {
 			n, err := strconv.Atoi(string(bytes.TrimSpace(v))) // Atoi keeps no reference: no allocation
 			if err != nil {
 				return fmt.Errorf("non-numeric count for %q: %w", key, err)
 			}
 			total += n
+		}
+		if err := values.Err(); err != nil {
+			return err
 		}
 		var buf [20]byte
 		emit(key, strconv.AppendInt(buf[:0], int64(total), 10))

@@ -24,9 +24,6 @@ func Run(cluster *dfs.Cluster, cfg Config) (*Result, error) {
 	if cfg.Mapper == nil {
 		return nil, errors.New("mapreduce: job needs a Mapper")
 	}
-	if cfg.Reducer != nil && cfg.StreamReducer != nil {
-		return nil, errors.New("mapreduce: set either Reducer or StreamReducer, not both")
-	}
 	nodes := cluster.DataNodes()
 	if len(nodes) == 0 {
 		return nil, ErrNoNodes

@@ -64,11 +64,11 @@ func collect(col *mapCollector, keys []string) {
 // across spill boundaries that fall in the middle of a key's records,
 // and through a combiner that passes every value on.
 func TestStableSortMatchesSliceStable(t *testing.T) {
-	passOn := ReducerFunc(func(key string, values [][]byte, emit Emit) error {
-		for _, v := range values {
+	passOn := ReducerFunc(func(key string, values *Values, emit Emit) error {
+		for v, ok := values.Next(); ok; v, ok = values.Next() {
 			emit(key, v)
 		}
-		return nil
+		return values.Err()
 	})
 	for _, n := range []int{0, 1, 2, 17, 1_000, 100_000} {
 		for name, keys := range sortInputs(n, int64(n)+1) {

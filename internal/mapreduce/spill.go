@@ -112,9 +112,9 @@ func (rt *taskRuntime) discardOutput(out *taskOutput) {
 // spillCursor streams one segment's records in sorted order. It reads
 // the segment a chunk at a time and decodes in place: values alias
 // their chunk, which is never rewritten, so slices handed to the merge
-// stay valid after the cursor advances — the contract Values.Next
-// exposes to reducers. A run repeats its keys, so the key string is
-// allocated once per distinct key.
+// stay valid after the cursor advances, as merger.pop needs. A run
+// repeats its keys, so the key string is allocated once per distinct
+// key.
 type spillCursor struct {
 	r    io.Reader // the rest of the segment; nil once buf holds it all
 	c    io.Closer // the run file; nil for a fetched segment

@@ -58,12 +58,12 @@ func TestSpillMatchesInMemoryProperty(t *testing.T) {
 			}
 			cfg := Config{
 				Inputs: []string{"/in/prop"}, OutputDir: "/out/prop",
-				Mapper: wordCountMapper, Reducer: sumReducer,
+				Mapper: wordCountMapper, Reducer: SumReducer(),
 				NumReducers: reducers, SlotsPerNode: slots, Locality: true,
 				ShuffleMemory: shuffleMem,
 			}
 			if withCombiner {
-				cfg.Combiner = sumReducer
+				cfg.Combiner = SumReducer()
 			}
 			res, err := Run(c, cfg)
 			if err != nil {
@@ -103,7 +103,7 @@ func TestSpillEightTimesBudget(t *testing.T) {
 		}
 		res, err := Run(c, Config{
 			Inputs: []string{"/in/big"}, OutputDir: "/out/big",
-			Mapper: wordCountMapper, Reducer: sumReducer,
+			Mapper: wordCountMapper, Reducer: SumReducer(),
 			NumReducers: 3, Locality: true, ShuffleMemory: mem,
 		})
 		if err != nil {
@@ -156,60 +156,8 @@ func TestMapOnlySpillMatchesInMemory(t *testing.T) {
 	if a, b := run(units.GiB, nil), run(128, nil); a != b {
 		t.Fatalf("map-only spill output differs:\nmem:   %q\nspill: %q", a, b)
 	}
-	if a, b := run(units.GiB, sumReducer), run(128, sumReducer); a != b {
+	if a, b := run(units.GiB, SumReducer()), run(128, SumReducer()); a != b {
 		t.Fatalf("map-only spill output differs with combiner:\nmem:   %q\nspill: %q", a, b)
-	}
-}
-
-// StreamReducer and the equivalent [][]byte Reducer produce identical
-// bytes, spilled or not. streamSumBench (bench_test.go) is the
-// streaming counterpart of sumReducer.
-func TestStreamReducerMatchesReducer(t *testing.T) {
-	lines := make([]string, 200)
-	for i := range lines {
-		lines[i] = fmt.Sprintf("k%d k%d k%d", i%17, i%5, i%29)
-	}
-	run := func(mem units.Bytes, streaming bool) string {
-		c := testCluster(4, 256)
-		if err := writeCorpus(c, "/in/sr", lines); err != nil {
-			t.Fatal(err)
-		}
-		cfg := Config{
-			Inputs: []string{"/in/sr"}, OutputDir: "/out/sr",
-			Mapper: wordCountMapper, NumReducers: 3, ShuffleMemory: mem,
-		}
-		if streaming {
-			cfg.StreamReducer = streamSumBench
-		} else {
-			cfg.Reducer = sumReducer
-		}
-		res, err := Run(c, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return partBytes(t, c, res.OutputFiles)
-	}
-	base := run(units.GiB, false)
-	for _, mem := range []units.Bytes{units.GiB, 256} {
-		if got := run(mem, true); got != base {
-			t.Fatalf("streaming output differs at mem=%d", mem)
-		}
-	}
-}
-
-func TestBothReducersRejected(t *testing.T) {
-	c := testCluster(3, 1024)
-	if err := writeCorpus(c, "/in/x", []string{"a"}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Run(c, Config{
-		Inputs: []string{"/in/x"}, OutputDir: "/out/x",
-		Mapper:        wordCountMapper,
-		Reducer:       sumReducer,
-		StreamReducer: StreamReducerFunc(identityStreamReducer{}.ReduceStream),
-	})
-	if err == nil || !strings.Contains(err.Error(), "not both") {
-		t.Fatalf("err = %v, want both-reducers rejection", err)
 	}
 }
 
@@ -244,7 +192,7 @@ func TestReduceWriteFailureRetries(t *testing.T) {
 	}
 	res, err := Run(c, Config{
 		Inputs: []string{"/in/rf"}, OutputDir: "/out/rf",
-		Mapper: wordCountMapper, Reducer: sumReducer,
+		Mapper: wordCountMapper, Reducer: SumReducer(),
 		NumReducers: 2, MaxAttempts: 3, ShuffleMemory: 256,
 		reduceWriter: func(part, attempt int, node string, w io.Writer) io.Writer {
 			if part == 0 && attempt == 1 {
@@ -277,7 +225,7 @@ func TestReduceFailureExhaustsAttempts(t *testing.T) {
 	}
 	_, err := Run(c, Config{
 		Inputs: []string{"/in/re"}, OutputDir: "/out/re",
-		Mapper: wordCountMapper, Reducer: sumReducer,
+		Mapper: wordCountMapper, Reducer: SumReducer(),
 		NumReducers: 1, MaxAttempts: 3,
 		reduceWriter: func(part, attempt int, node string, w io.Writer) io.Writer {
 			return &failingWriter{w: w, after: 0, err: boom}
@@ -308,7 +256,7 @@ func TestReduceSlotScheduling(t *testing.T) {
 	parts := 0
 	res, err := Run(c, Config{
 		Inputs: []string{"/in/slots"}, OutputDir: "/out/slots",
-		Mapper: wordCountMapper, Reducer: sumReducer,
+		Mapper: wordCountMapper, Reducer: SumReducer(),
 		NumReducers: 8, SlotsPerNode: 1,
 		reduceHook: func(part, attempt int, node string) func() {
 			mu.Lock()
@@ -355,7 +303,7 @@ func TestSpillFilesCleanedUp(t *testing.T) {
 	}
 	res, err := Run(c, Config{
 		Inputs: []string{"/in/clean"}, OutputDir: "/out/clean",
-		Mapper: wordCountMapper, Reducer: sumReducer,
+		Mapper: wordCountMapper, Reducer: SumReducer(),
 		NumReducers: 2, ShuffleMemory: 256,
 	})
 	if err != nil {

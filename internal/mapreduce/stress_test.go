@@ -65,7 +65,7 @@ func TestConcurrentJobsWithChurnStress(t *testing.T) {
 			res, err := Run(c, Config{
 				Inputs:    []string{fmt.Sprintf("/stress/in/%d", j)},
 				OutputDir: fmt.Sprintf("/stress/out/%d", j),
-				Mapper:    wordCountMapper, Reducer: sumReducer,
+				Mapper:    wordCountMapper, Reducer: SumReducer(),
 				NumReducers: 3, Locality: true, MaxAttempts: 4,
 				ShuffleMemory: 256,
 			})
@@ -116,7 +116,7 @@ func TestSpillDeterministicRepeated(t *testing.T) {
 		}
 		res, err := Run(c, Config{
 			Inputs: []string{"/in/det"}, OutputDir: "/out/det",
-			Mapper: wordCountMapper, Reducer: sumReducer, Combiner: sumReducer,
+			Mapper: wordCountMapper, Reducer: SumReducer(), Combiner: SumReducer(),
 			NumReducers: 4, SlotsPerNode: sh.slots, Locality: true,
 			ShuffleMemory: 300,
 		})

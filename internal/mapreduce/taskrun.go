@@ -156,10 +156,9 @@ type mapCollector struct {
 	rt    *taskRuntime
 	node  string
 	task  int
-	parts []run    // one per reduce partition
-	comb  run      // the combiner's output for the partition being folded
-	group [][]byte // the combiner's values argument, reused
-	buf   []byte   // the run file write buffer, reused
+	parts []run  // one per reduce partition
+	comb  run    // the combiner's output for the partition being folded
+	buf   []byte // the run file write buffer, reused
 	mem   int64
 	err   error // first spill/combine failure; latched
 	out   taskOutput
@@ -221,11 +220,11 @@ func (c *mapCollector) finish() error {
 }
 
 // orderAndCombine orders each partition's run by (key, emission index)
-// and, if a combiner is configured, folds it: each key's records are
-// contiguous in the order, so the combiner gets one group after another
-// through one reused slice, its emits are collected in a run of their
-// own, and that run — ordered the same way, since a combiner need not
-// emit the group key — takes the partition's place.
+// and, if a combiner is configured, folds it: the combiner reads the
+// ordered run through the same group loop a reducer reads the merge
+// through, its emits are collected in a run of their own, and that run
+// — ordered the same way, since a combiner need not emit the group key
+// — takes the partition's place.
 func (c *mapCollector) orderAndCombine() error {
 	emit := func(key string, value []byte) { c.comb.add(fnv1a(key), key, value) }
 	for p := range c.parts {
@@ -234,15 +233,9 @@ func (c *mapCollector) orderAndCombine() error {
 		if c.rt.cfg.Combiner == nil {
 			continue
 		}
-		j := 0
-		for _, id := range r.ids {
-			c.group = c.group[:0]
-			for end := int(r.ents[id].end); j < end; j++ {
-				c.group = append(c.group, r.val(r.ord[j]))
-			}
-			if err := c.rt.cfg.Combiner.Reduce(bytesString(r.key(id)), c.group, emit); err != nil {
-				return err
-			}
+		m, _ := newMerger([]mergeSource{{s: &memStream{r: r}}}) // a memStream never fails
+		if _, err := drainGroups(m, c.rt.cfg.Combiner, emit, func() error { return nil }); err != nil {
+			return err
 		}
 		c.rt.ctr.CombineInput += int64(len(r.recs))
 		c.rt.ctr.CombineOutput += int64(len(c.comb.recs))
@@ -323,9 +316,9 @@ func (rt *taskRuntime) writeMapOutput(name, node string, task int, out *taskOutp
 		return err
 	}
 	lw := &lineWriter{w: w}
-	var refold StreamReducer = identityStreamReducer{}
-	if rt.cfg.Combiner != nil && len(out.spills) > 0 {
-		refold = streamAdapter{rt.cfg.Combiner}
+	var refold Reducer // identity
+	if len(out.spills) > 0 {
+		refold = rt.cfg.Combiner
 	}
 	for p := 0; p < rt.cfg.NumReducers; p++ {
 		srcs, err := rt.taskSources(out, task, p, node)
@@ -350,20 +343,25 @@ func (rt *taskRuntime) writeMapOutput(name, node string, task int, out *taskOutp
 	return nil
 }
 
-// drainGroups streams merged groups through red: one Values cursor
-// per key, drained after the reducer returns so early-stopping
+// drainGroups streams merged groups through red, a nil red passing
+// every value through under its key: one Values cursor, re-aimed at
+// each key and drained after the reducer returns so early-stopping
 // reducers still advance the merge. wfail surfaces a latched
 // output-write failure (or a kill order) after each group.
-func drainGroups(m *merger, red StreamReducer, emit Emit, wfail func() error) (groups int64, err error) {
+func drainGroups(m *merger, red Reducer, emit Emit, wfail func() error) (groups int64, err error) {
+	vals := &Values{m: m}
 	for {
 		head, ok := m.peek()
 		if !ok {
 			return groups, nil
 		}
-		key := head.key
-		vals := &Values{m: m, key: key}
-		if rerr := red.ReduceStream(key, vals, emit); rerr != nil {
-			return groups, fmt.Errorf("mapreduce: reduce key %q: %w", key, rerr)
+		vals.key = head.key
+		if red == nil {
+			for v, ok := vals.Next(); ok; v, ok = vals.Next() {
+				emit(vals.key, v)
+			}
+		} else if rerr := red.Reduce(vals.key, vals, emit); rerr != nil {
+			return groups, fmt.Errorf("mapreduce: reduce key %q: %w", vals.key, rerr)
 		}
 		vals.drain()
 		if vals.err != nil {

@@ -232,17 +232,11 @@ func (e *Engine) EnsureFederated(fed string) {
 }
 
 // Ensure schedules whatever transfers path needs to reach the
-// engine's MinReplicas target. It never blocks on transfer work.
-func (e *Engine) Ensure(path string) { e.EnsureN(path, e.cfg.MinReplicas) }
-
-// EnsureN is Ensure with an explicit target (capped at the site
-// count). Replica selection prefers refreshing an existing stale or
-// lost replica on a reachable site (often a cheap re-verify, never a
-// duplicate copy) over opening a new site.
-func (e *Engine) EnsureN(path string, min int) {
-	if min > len(e.order) {
-		min = len(e.order)
-	}
+// engine's MinReplicas target (capped at the site count). It never
+// blocks on transfer work. Replica selection prefers refreshing an
+// existing stale or lost replica on a reachable site (often a cheap
+// re-verify, never a duplicate copy) over opening a new site.
+func (e *Engine) Ensure(path string) {
 	reps := e.catalog.Replicas(path)
 	bySite := make(map[string]Replica, len(reps))
 	for _, r := range reps {
@@ -272,7 +266,7 @@ func (e *Engine) EnsureN(path string, min int) {
 			good++
 		}
 	}
-	if good >= min {
+	if good >= e.cfg.MinReplicas {
 		return
 	}
 	// Refresh existing non-valid replicas on reachable sites first,
@@ -291,7 +285,7 @@ func (e *Engine) EnsureN(path string, min int) {
 		}
 	}
 	for _, dst := range targets {
-		if good >= min {
+		if good >= e.cfg.MinReplicas {
 			return
 		}
 		if e.enqueueLocked(path, dst) {

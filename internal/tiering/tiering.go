@@ -945,26 +945,3 @@ func (t *TierBackend) Stats() Stats {
 	t.mu.Unlock()
 	return s
 }
-
-// VerifyRoundTrip checks that reading path yields content matching
-// the recorded checksum — the byte-identical invariant the tests and
-// lsdfctl's tier verify lean on.
-func (t *TierBackend) VerifyRoundTrip(path string) error {
-	t.mu.Lock()
-	e, ok := t.files[path]
-	if !ok || e.writing {
-		t.mu.Unlock()
-		return fmt.Errorf("%w: %s:%s", adal.ErrNotFound, t.name, path)
-	}
-	want := adal.Digest{Size: e.size, Sum: e.checksum}
-	t.mu.Unlock()
-	r, err := t.Open(path)
-	if err != nil {
-		return err
-	}
-	defer r.Close()
-	if _, err := adal.Transfer(context.TODO(), io.Discard, r, want); err != nil {
-		return fmt.Errorf("tiering: verify %s: %w", path, err)
-	}
-	return nil
-}

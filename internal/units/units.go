@@ -83,9 +83,6 @@ func (b Bytes) SI() string {
 	return fmt.Sprintf("%dB", int64(b))
 }
 
-// Float returns the size as a float64 byte count.
-func (b Bytes) Float() float64 { return float64(b) }
-
 // suffixes accepted by ParseBytes, longest first so that "KiB" wins
 // over "B" during matching.
 var byteSuffixes = []struct {

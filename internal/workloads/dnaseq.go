@@ -110,27 +110,3 @@ func padded(dst []byte, n, width int) []byte {
 	}
 	return append(dst, digits...)
 }
-
-// StreamSumReducer is mapreduce.SumReducer on the streaming reduce interface:
-// it folds each count as it comes off the shuffle merge, so a group
-// of any cardinality costs O(1) reducer memory — the shape to use
-// with Config.ShuffleMemory on high-fan-in keys.
-var StreamSumReducer = mapreduce.StreamReducerFunc(func(key string, values *mapreduce.Values, emit mapreduce.Emit) error {
-	sum := 0
-	for {
-		v, ok := values.Next()
-		if !ok {
-			break
-		}
-		n, err := strconv.Atoi(string(v))
-		if err != nil {
-			return err
-		}
-		sum += n
-	}
-	if err := values.Err(); err != nil {
-		return err
-	}
-	emit(key, []byte(strconv.Itoa(sum)))
-	return nil
-})

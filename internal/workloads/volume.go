@@ -66,14 +66,15 @@ func MIPMapper(cfg VolumeConfig) mapreduce.Mapper {
 }
 
 // MIPReducer folds all planes' rows with voxel-wise max, emitting the
-// final projection row.
-var MIPReducer = mapreduce.ReducerFunc(func(key string, values [][]byte, emit mapreduce.Emit) error {
-	if len(values) == 0 {
-		return nil
+// final projection row: a copy of the first row, max-folded in place
+// by each row after it.
+var MIPReducer = mapreduce.ReducerFunc(func(key string, values *mapreduce.Values, emit mapreduce.Emit) error {
+	first, ok := values.Next()
+	if !ok {
+		return values.Err()
 	}
-	out := make([]byte, len(values[0]))
-	copy(out, values[0])
-	for _, v := range values[1:] {
+	out := append([]byte(nil), first...)
+	for v, ok := values.Next(); ok; v, ok = values.Next() {
 		if len(v) != len(out) {
 			return fmt.Errorf("workloads: row length mismatch %d vs %d", len(v), len(out))
 		}
@@ -82,6 +83,9 @@ var MIPReducer = mapreduce.ReducerFunc(func(key string, values [][]byte, emit ma
 				out[i] = b
 			}
 		}
+	}
+	if err := values.Err(); err != nil {
+		return err
 	}
 	emit(key, out)
 	return nil
