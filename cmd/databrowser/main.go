@@ -1,19 +1,21 @@
-// Command databrowser is the end-user DataBrowser (slide 9) over a
-// lsdfctl state directory: list and inspect data joined with its
-// metadata, preview objects, tag datasets — or serve the JSON web API
-// the paper announces as the upcoming web GUI.
+// Command databrowser is the end-user DataBrowser (slide 9): list and
+// inspect data joined with its metadata, preview objects, tag datasets
+// — or serve the JSON web API the paper announces as the upcoming web
+// GUI.
 //
 //	databrowser -state /tmp/lsdf list /data
 //	databrowser -state /tmp/lsdf preview /data/img1.raw
 //	databrowser -state /tmp/lsdf tag /data/img1.raw analyze
 //	databrowser -state /tmp/lsdf serve :8080
 //
-// With -server, the browsing commands run against a live lsdfd
-// gateway as an authenticated tenant; preview uses an HTTP range
-// read, so only the first bytes cross the wire:
+// list, preview and tag are gateway client calls: with -server against
+// a live lsdfd, as an authenticated tenant; with -state against a
+// gateway this process serves on loopback over the state directory
+// lsdfctl uses (internal/statedir; one process at a time). preview is
+// a range read, so only the first bytes cross the wire, and a migrated
+// object's bytes are recalled from the cold tier:
 //
 //	databrowser -server http://lsdf.example:7420 -token SECRET list /data
-//	databrowser -server http://lsdf.example:7420 -token SECRET preview /data/img1.raw
 package main
 
 import (
@@ -23,13 +25,11 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"path/filepath"
 	"strings"
 
-	"repro/internal/adal"
 	"repro/internal/databrowser"
 	"repro/internal/gateway/client"
-	"repro/internal/metadata"
+	"repro/internal/statedir"
 )
 
 func main() {
@@ -45,32 +45,46 @@ commands:
   list PREFIX       browse objects joined with metadata
   preview PATH      print the first 256 bytes of an object
   tag PATH TAG      tag the dataset at PATH
-  serve ADDR        serve the JSON web API (local mode only;
+  serve ADDR        serve the JSON web API (-state only;
                     GET /list, /stat, /dataset, /find; POST /tag)`)
 		os.Exit(2)
 	}
-	var err error
-	if *server != "" {
-		err = runRemote(*server, *token, flag.Args())
-	} else {
-		err = run(*state, flag.Args())
-	}
-	if err != nil {
+	if err := run(os.Stdout, *state, *server, *token, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "databrowser:", err)
 		os.Exit(1)
 	}
 }
 
-// runRemote browses through the lsdfd gateway: same commands, same
-// output, but ACL-scoped to the token's tenant and rate-limited like
-// any other client.
-func runRemote(server, token string, args []string) error {
-	c, err := client.New(server, token, client.Options{})
-	if err != nil {
-		return err
+// run executes one command, printing its output to w.
+func run(w io.Writer, state, server, token string, args []string) error {
+	cmd, rest := args[0], args[1:]
+	var c *client.Client
+	if server != "" {
+		if cmd == "serve" {
+			return fmt.Errorf("serve needs -state: run it on the facility host, or point clients at lsdfd itself")
+		}
+		var err error
+		if c, err = client.New(server, token); err != nil {
+			return err
+		}
+	} else {
+		d, err := statedir.Open(state, 0, 0)
+		if err != nil {
+			return err
+		}
+		defer d.Close()
+		if cmd == "serve" {
+			if len(rest) != 1 {
+				return fmt.Errorf("serve: need ADDR (e.g. :8080)")
+			}
+			fmt.Fprintf(w, "databrowser web API on %s\n", rest[0])
+			return http.ListenAndServe(rest[0], databrowser.New(d.Layer, d.Meta).Handler())
+		}
+		if c, err = d.Client(); err != nil {
+			return err
+		}
 	}
 	ctx := context.Background()
-	cmd, rest := args[0], args[1:]
 	switch cmd {
 	case "list":
 		prefix := "/data"
@@ -86,7 +100,7 @@ func runRemote(server, token string, args []string) error {
 			if info.DatasetID != "" {
 				meta = fmt.Sprintf("%s %s [%s]", info.DatasetID, info.Project, strings.Join(info.Tags, ","))
 			}
-			fmt.Printf("%-10s  %-40s  %s\n", info.Size.SI(), info.Path, meta)
+			fmt.Fprintf(w, "%-10s  %-40s  %s\n", info.Size.SI(), info.Path, meta)
 		}
 		return nil
 	case "preview":
@@ -102,7 +116,7 @@ func runRemote(server, token string, args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%q\n", head)
+		fmt.Fprintf(w, "%q\n", head)
 		return nil
 	case "tag":
 		if len(rest) != 2 {
@@ -110,90 +124,6 @@ func runRemote(server, token string, args []string) error {
 		}
 		_, err := c.Tag(ctx, rest[0], rest[1])
 		return err
-	case "serve":
-		return fmt.Errorf("serve is local-only: run it on the facility host, or point clients at lsdfd itself")
-	}
-	return fmt.Errorf("unknown command %q", cmd)
-}
-
-func run(state string, args []string) error {
-	local, err := adal.NewLocalFS("posix", filepath.Join(state, "objects"))
-	if err != nil {
-		return err
-	}
-	layer := adal.NewLayer()
-	if err := layer.Mount("/", local); err != nil {
-		return err
-	}
-	meta := metadata.NewStore()
-	dump := filepath.Join(state, "metadata.json")
-	if f, err := os.Open(dump); err == nil {
-		defer f.Close()
-		if err := meta.Import(f); err != nil {
-			return err
-		}
-	}
-	b := databrowser.New(layer, meta)
-
-	save := func() error {
-		tmp := dump + ".tmp"
-		f, err := os.Create(tmp)
-		if err != nil {
-			return err
-		}
-		if err := meta.Export(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		return os.Rename(tmp, dump)
-	}
-
-	cmd, rest := args[0], args[1:]
-	switch cmd {
-	case "list":
-		prefix := "/data"
-		if len(rest) > 0 {
-			prefix = rest[0]
-		}
-		entries, err := b.List(prefix)
-		if err != nil {
-			return err
-		}
-		for _, e := range entries {
-			meta := "(unregistered)"
-			if e.Registered {
-				meta = fmt.Sprintf("%s %s [%s]", e.DatasetID, e.Project, strings.Join(e.Tags, ","))
-			}
-			fmt.Printf("%-10s  %-40s  %s\n", e.Size.SI(), e.Path, meta)
-		}
-		return nil
-	case "preview":
-		if len(rest) != 1 {
-			return fmt.Errorf("preview: need PATH")
-		}
-		head, err := b.Preview(rest[0], 256)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("%q\n", head)
-		return nil
-	case "tag":
-		if len(rest) != 2 {
-			return fmt.Errorf("tag: need PATH TAG")
-		}
-		if err := b.Tag(rest[0], rest[1]); err != nil {
-			return err
-		}
-		return save()
-	case "serve":
-		if len(rest) != 1 {
-			return fmt.Errorf("serve: need ADDR (e.g. :8080)")
-		}
-		fmt.Printf("databrowser web API on %s\n", rest[0])
-		return http.ListenAndServe(rest[0], b.Handler())
 	}
 	return fmt.Errorf("unknown command %q", cmd)
 }

@@ -1,0 +1,126 @@
+package main
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+
+	"repro/internal/metadata"
+	"repro/internal/statedir"
+	"repro/internal/units"
+)
+
+// TestStateDirVerbs runs every lsdfctl verb through run on one state
+// directory. Each call is its own invocation: it opens the directory,
+// serves it, and closes it again, so what a later call sees was
+// recovered from the directory.
+func TestStateDirVerbs(t *testing.T) {
+	tmp := t.TempDir()
+	state := filepath.Join(tmp, "state")
+	text := "the quick brown fox\nthe lazy dog\n"
+	small := writeFile(t, tmp, "a.txt", []byte(text))
+	big := writeFile(t, tmp, "big.raw", bytes.Repeat([]byte("0123456789abcdef"), 9<<20/16)) // over the 8 MiB JSON body cap
+	o := options{state: state, cacheMem: 64, cacheDisk: 256}
+	do := func(args ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(&out, o, args); err != nil {
+			t.Fatalf("lsdfctl %s: %v\n%s", strings.Join(args, " "), err, out.String())
+		}
+		return out.String()
+	}
+	expect := func(out string, want ...string) {
+		t.Helper()
+		for _, w := range want {
+			if !strings.Contains(out, w) {
+				t.Fatalf("output lacks %q:\n%s", w, out)
+			}
+		}
+	}
+
+	expect(do("ingest", "-project", "p", small, big), "/data/a.txt", "/data/big.raw", units.Bytes(9<<20).SI())
+	expect(do("ingest", "-project", "q", "-dest", "/other/", small), "/other/a.txt")
+	expect(do("ls", "/data"), "/data/a.txt", "/data/big.raw", "[raw]")
+	do("tag", "/data/a.txt", "analyze")
+	do("untag", "/data/big.raw", "raw")
+	if out := do("query", "-tag", "analyze"); !strings.Contains(out, "/data/a.txt") || strings.Contains(out, "big.raw") {
+		t.Fatalf("query -tag analyze:\n%s", out)
+	}
+	expect(do("query", "-project", "p"), "/data/a.txt", "/data/big.raw")
+	expect(do("stat", "/data/a.txt"), "project:  p", "tags:     analyze,raw")
+
+	expect(do("tier", "migrate", "/data/a.txt"), "migrated /data/a.txt")
+	expect(do("tier"), "cold: 1 migrated")
+	// The migrated object lists at its logical size, not its stub's.
+	expect(do("ls", "/data"), units.Bytes(len(text)).SI()+" ")
+
+	expect(do("replica", "add", "/data/big.raw", "m1"), "replicated /data/big.raw to site m1")
+	expect(do("replica", "verify", "/data/big.raw"), "m1", "valid")
+	expect(do("replica"), "sites: m1", "1 valid")
+
+	expect(do("cache", "warm", "/data"), "warmed 2 objects under /data")
+	expect(do("cache", "status"), "/data/a.txt")
+
+	// A job reads the migrated input back through the tier and stores
+	// its part files beside the data.
+	expect(do("jobs", "submit", "-job", "wordcount", "-out", "/wc", "/data/a.txt"), "wordcount  done", "/wc/")
+	expect(do("ls", "/wc"), "/wc/")
+	if out := do("jobs", "status"); out != "" {
+		t.Fatalf("a new invocation lists jobs of an earlier one:\n%s", out)
+	}
+	expect(do("export"), "/data/a.txt", "analyze")
+	expect(do("metrics"), "lsdf_gateway_requests_total")
+	do("traces", "-n", "3")
+	traced := o
+	traced.trace = true
+	if err := run(&bytes.Buffer{}, traced, []string{"stat", "/data/a.txt"}); err != nil {
+		t.Fatalf("lsdfctl -trace stat: %v", err)
+	}
+
+	// The tag was recovered from the journal, and the journal is the
+	// only catalogue the directory holds.
+	expect(do("query", "-tag", "analyze"), "/data/a.txt")
+	var names []string
+	entries, err := os.ReadDir(state)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"cache", "cold", "lock", "objects", "sites", "wal"}; !slices.Equal(names, want) {
+		t.Fatalf("state directory holds %v, want %v", names, want)
+	}
+	meta, err := metadata.Open(metadata.Options{WALDir: filepath.Join(state, "wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []string{"/data/a.txt", "/data/big.raw", "/other/a.txt"} {
+		if _, ok := meta.ByPath(p); !ok {
+			t.Errorf("the journal lacks %s", p)
+		}
+	}
+	meta.Close()
+
+	// A second process on the directory is turned away at once.
+	d, err := statedir.Open(state, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := run(&bytes.Buffer{}, o, []string{"ls"}); err == nil || !strings.Contains(err.Error(), "locked") {
+		t.Fatalf("run beside an open directory: %v, want a lock error", err)
+	}
+}
+
+func writeFile(t *testing.T, dir, name string, data []byte) string {
+	t.Helper()
+	p := filepath.Join(dir, name)
+	if err := os.WriteFile(p, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}

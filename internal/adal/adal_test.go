@@ -420,6 +420,22 @@ func TestACL(t *testing.T) {
 	if acl.Check(Principal{User: "mallory"}, "/itg", PermRead) {
 		t.Fatal("default deny violated")
 	}
+	// Grants match whole path components: a sibling that merely shares
+	// the prefix's spelling is outside it.
+	for _, path := range []string{"/itgx", "/itg2/plate1", "/itg-shared/x"} {
+		if acl.Check(garcia, path, PermRead) {
+			t.Fatalf("grant on /itg reaches sibling %s", path)
+		}
+	}
+	if acl.Check(biouser, "/itg/sharedx", PermRead) {
+		t.Fatal("grant on /itg/shared reaches /itg/sharedx")
+	}
+	acl.Allow("root", "/", PermRead)
+	acl.Allow("slash", "/itg/", PermRead)
+	if !acl.Check(Principal{User: "root"}, "/anything", PermRead) || !acl.Check(Principal{User: "slash"}, "/itg/x", PermRead) ||
+		acl.Check(Principal{User: "slash"}, "/itgx", PermRead) {
+		t.Fatal("trailing-slash grants misread")
+	}
 }
 
 func TestAuthLayerEndToEnd(t *testing.T) {

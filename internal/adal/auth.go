@@ -85,9 +85,13 @@ type aclEntry struct {
 func NewACL() *ACL { return &ACL{} }
 
 // Allow grants perm on prefix to a user ("garcia") or group ("@itg").
+// The grant covers the prefix and every path below it, matched on whole
+// path components: a grant on /ddn/bio does not reach /ddn/biology.
 func (a *ACL) Allow(principal, prefix string, perm Permission) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	// Stored without its trailing slash, so "/" becomes "" and covers all.
+	prefix = strings.TrimRight(prefix, "/")
 	a.entries = append(a.entries, aclEntry{prefix: prefix, principal: principal, perm: perm})
 }
 
@@ -96,7 +100,7 @@ func (a *ACL) Check(p Principal, path string, perm Permission) bool {
 	a.mu.RLock()
 	defer a.mu.RUnlock()
 	for _, e := range a.entries {
-		if !strings.HasPrefix(path, e.prefix) {
+		if path != e.prefix && !(strings.HasPrefix(path, e.prefix) && path[len(e.prefix)] == '/') {
 			continue
 		}
 		if e.perm&perm != perm {

@@ -147,6 +147,22 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Layer == nil || cfg.Meta == nil {
 		return nil, fmt.Errorf("gateway: Layer and Meta are required")
 	}
+	// Each of these would hand one tenant's requests to another: an
+	// empty token is what a request without an Authorization header
+	// presents, and a repeated token or name replaces the tenant
+	// declared before it.
+	names, tokens := make(map[string]bool), make(map[string]bool)
+	for _, t := range cfg.Tenants {
+		switch {
+		case t.Token == "":
+			return nil, fmt.Errorf("gateway: tenant %q has no token", t.Name)
+		case tokens[t.Token]:
+			return nil, fmt.Errorf("gateway: tenant %q reuses another tenant's token", t.Name)
+		case names[t.Name]:
+			return nil, fmt.Errorf("gateway: tenant %q is declared twice", t.Name)
+		}
+		names[t.Name], tokens[t.Token] = true, true
+	}
 	authn := adal.NewTokenAuth()
 	acl := adal.NewACL()
 	reg := cfg.Obs

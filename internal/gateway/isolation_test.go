@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -97,6 +98,77 @@ func TestNamespaceIsolation(t *testing.T) {
 	}
 	if jobs, err := bob.Jobs(ctx); err != nil || len(jobs) != 0 {
 		t.Fatalf("bob's job list: %v %+v", err, jobs)
+	}
+}
+
+// TestSiblingPrefixIsolation: a grant covers its prefix on whole path
+// components, so a tenant granted /ddn/bio neither reaches nor sees
+// /ddn/biology, and the default grant "/"+name of tenant bio does not
+// cover /biology.
+func TestSiblingPrefixIsolation(t *testing.T) {
+	_, _, hs := startGateway(t, facility.Options{},
+		gateway.Config{Tenants: []gateway.Tenant{
+			{Name: "bio", Token: "tbio", Prefixes: []string{"/ddn/bio"}},
+			{Name: "biology", Token: "tbiology", Prefixes: []string{"/ddn/biology"}},
+			{Name: "cell", Token: "tcell"}, // default grant: /cell
+		}})
+	ctx := context.Background()
+	noRetry := client.Options{MaxRetries: -1}
+	bio := newClient(t, hs, "tbio", noRetry)
+	biology := newClient(t, hs, "tbiology", noRetry)
+	cell := newClient(t, hs, "tcell", noRetry)
+
+	if _, err := biology.PutObject(ctx, "/ddn/biology/x", []byte("theirs"), "shared", "raw"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bio.PutObject(ctx, "/ddn/bio/y", []byte("ours"), "shared", "raw"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bio.PutObject(ctx, "/ddn/biology/z", []byte("intruder"), "shared"); !client.IsDenied(err) {
+		t.Fatalf("bio PUT under /ddn/biology: %v, want 403", err)
+	}
+	if _, err := bio.List(ctx, "/ddn/biology"); !client.IsDenied(err) {
+		t.Fatalf("bio list /ddn/biology: %v, want 403", err)
+	}
+	if _, err := bio.ReadObject(ctx, "/ddn/biology/x"); !client.IsDenied(err) {
+		t.Fatalf("bio read /ddn/biology/x: %v, want 403", err)
+	}
+	found, err := bio.Find(ctx, client.FindQuery{Project: "shared"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(found) != 1 || found[0].Path != "/ddn/bio/y" {
+		t.Fatalf("bio's dataset query: %+v, want only /ddn/bio/y", found)
+	}
+	if _, err := cell.PutObject(ctx, "/cellar/x", []byte("x"), ""); !client.IsDenied(err) {
+		t.Fatalf("tenant cell PUT /cellar/x: %v, want 403", err)
+	}
+}
+
+// TestNewRejectsBadTenants: a tenant list that would let one tenant's
+// requests land as another's is refused when the gateway is built,
+// which is when lsdfd starts.
+func TestNewRejectsBadTenants(t *testing.T) {
+	fac, err := facility.New(facility.Options{DFSNodes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fac.Close()
+	for _, tc := range []struct {
+		name    string
+		tenants []gateway.Tenant
+		want    string
+	}{
+		{"empty token", []gateway.Tenant{{Name: "a", Token: "ta"}, {Name: "b"}}, `tenant "b" has no token`},
+		{"duplicate token", []gateway.Tenant{{Name: "a", Token: "t"}, {Name: "b", Token: "t"}}, `tenant "b" reuses another tenant's token`},
+		{"duplicate name", []gateway.Tenant{{Name: "a", Token: "t1"}, {Name: "a", Token: "t2"}}, `tenant "a" is declared twice`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := gateway.ForFacility(fac, gateway.Config{Tenants: tc.tenants})
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("New: %v, want an error containing %s", err, tc.want)
+			}
+		})
 	}
 }
 
