@@ -53,7 +53,7 @@ func main() {
 		cacheMem    = flag.Int("cache-mem-mib", 0, "read cache memory budget in MiB (needs -sites)")
 		cacheDisk   = flag.Int("cache-disk-mib", 0, "read cache disk budget in MiB (needs -sites)")
 		cacheDir    = flag.String("cache-dir", "", "read cache disk directory (created if missing)")
-		shards      = flag.Int("shards", 0, "metadata shard count (default 16)")
+		shards      = flag.Int("shards", 0, "metadata store's in-memory lock stripes (default 16)")
 		dfsNodes    = flag.Int("dfs-nodes", 8, "analysis cluster datanodes")
 		computeN    = flag.Int("compute-workers", 0, "distributed MapReduce: in-process compute workers (0 = each job runs in-process)")
 		computeS    = flag.Int("compute-slots", 0, "distributed MapReduce: task slots per worker (default 2)")

@@ -70,8 +70,9 @@ type Options struct {
 	ComputeAddr string
 	// AsyncWorkflows > 0 runs triggered workflows on that many workers.
 	AsyncWorkflows int
-	// MetadataShards overrides the metadata store's shard count
-	// (default 16; rounded up to a power of two).
+	// MetadataShards overrides the metadata store's count of
+	// in-memory lock stripes (default 16; rounded up to a power of
+	// two). The WAL does not depend on it.
 	MetadataShards int
 	// AsyncEvents delivers metadata events through the store's
 	// background bus instead of synchronously on the mutating
@@ -87,8 +88,8 @@ type Options struct {
 	// or kill -9 (experiment E15). Empty (the default) keeps the
 	// store purely in-memory, as before.
 	WALDir string
-	// SnapshotEvery is the per-shard record count between compacted
-	// snapshots when WALDir is set (default 512).
+	// SnapshotEvery is the least WAL record count between compacted
+	// snapshots of the store when WALDir is set (default 512).
 	SnapshotEvery int
 	// GroupCommitInterval is the WAL group-commit window: a commit
 	// leader waits this long for concurrent mutations to pile into

@@ -513,7 +513,7 @@ func (s *Server) putObject(w http.ResponseWriter, r *http.Request) {
 		}})[0]
 		res.Size, res.SHA256, res.DatasetID, err = cr.Dataset.Size, cr.Dataset.Checksum, cr.Dataset.ID, cr.Err
 	} else if res.Size, res.SHA256, err = s.cfg.Layer.WriteChecksummed(fp, body); err == nil {
-		_ = s.cfg.Meta.SyncPaths(fp) // nothing registers it: wait for its staged home note here
+		err = s.cfg.Meta.Sync() // nothing registers it: wait for its staged home note here
 	}
 	ai.tenant.bytesIn.Add(body.n)
 	switch {

@@ -21,7 +21,10 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/gateway/client"
 	"repro/internal/mapreduce"
+	"repro/internal/metadata"
+	"repro/internal/metadata/durafs"
 	"repro/internal/mrpc"
+	"repro/internal/replication"
 	"repro/internal/units"
 )
 
@@ -577,6 +580,62 @@ func TestRateLimitHeaders(t *testing.T) {
 			t.Fatalf("retrying client saw hard failure: %v", err)
 		}
 	}
+}
+
+// TestPlainPutFailsWhenItsNoteIsNotDurable: a PUT without ?project=
+// registers nothing, so the gateway itself waits for the home replica
+// note the write staged. When the journal cannot make that note
+// durable the PUT is not acknowledged: it answers an error envelope,
+// not 201.
+func TestPlainPutFailsWhenItsNoteIsNotDurable(t *testing.T) {
+	fault := durafs.NewFault(durafs.NewMem(), nil)
+	meta, err := metadata.Open(metadata.Options{WALDir: "/wal", FS: fault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(meta.Close)
+	engine, err := replication.NewEngine(replication.Config{
+		Catalog: replication.NewCatalog(replication.CatalogConfig{Meta: meta, MountPrefix: "/ddn"}),
+		Sites:   []*replication.Site{replication.NewSite("kit", adal.NewMemFS("kit"), 0)},
+		Meta:    meta, MountPrefix: "/ddn",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(engine.Close)
+	layer := adal.NewLayer()
+	if err := layer.Mount("/ddn", replication.NewFederated("ddn", engine)); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := gateway.New(gateway.Config{Layer: layer, Meta: meta,
+		Tenants: []gateway.Tenant{{Name: "bio", Token: "tb", Prefixes: []string{"/ddn/bio"}, RPS: 1e6}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hs := httptest.NewServer(srv)
+	t.Cleanup(hs.Close)
+
+	put := func(name string) *http.Response {
+		req, _ := http.NewRequest(http.MethodPut, hs.URL+"/v1/objects/ddn/bio/"+name, strings.NewReader("payload"))
+		req.Header.Set("Authorization", "Bearer tb")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp
+	}
+	resp := put("kept")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("PUT on a healthy journal: %d, want 201", resp.StatusCode)
+	}
+	fault.FailSyncs(1 << 20)
+	resp = put("lost")
+	if resp.StatusCode < 300 {
+		resp.Body.Close()
+		t.Fatalf("PUT whose home note could not be made durable: %d, want an error", resp.StatusCode)
+	}
+	assertEnvelope(t, resp)
 }
 
 func errOnly[T any](_ T, err error) error { return err }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"net/http/httptest"
-	"path"
 	"reflect"
 	"strings"
 	"sync"
@@ -45,46 +44,38 @@ type rig struct {
 	breakWAL   func()
 }
 
-// shardSyncFS counts WAL fsyncs per metadata shard, and can fail every
+// walSyncFS counts the metadata store's WAL fsyncs, and can fail every
 // sync from the n-th on.
-type shardSyncFS struct {
+type walSyncFS struct {
 	durafs.FS
 	fault     *durafs.Fault
 	mu        sync.Mutex
-	syncs     map[int]int // WAL shard -> fsyncs
 	total     int
 	failAfter int // > 0: the disk dies after this many WAL fsyncs
 }
 
-func newShardSyncFS(fault *durafs.Fault) *shardSyncFS {
-	return &shardSyncFS{FS: fault, fault: fault, syncs: make(map[int]int)}
-}
-
-func (c *shardSyncFS) totalSyncs() int {
+func (c *walSyncFS) totalSyncs() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.total
 }
 
-func (c *shardSyncFS) OpenAppend(name string) (durafs.File, error) {
+func (c *walSyncFS) OpenAppend(name string) (durafs.File, error) {
 	f, err := c.FS.OpenAppend(name)
-	var shard int
-	if _, perr := fmt.Sscanf(path.Base(name), "shard-%d", &shard); err != nil || perr != nil {
+	if err != nil || !strings.HasSuffix(name, ".wal") {
 		return f, err
 	}
-	return &shardSyncFile{File: f, fs: c, shard: shard}, nil
+	return &walSyncFile{File: f, fs: c}, nil
 }
 
-type shardSyncFile struct {
+type walSyncFile struct {
 	durafs.File
-	fs    *shardSyncFS
-	shard int
+	fs *walSyncFS
 }
 
-func (f *shardSyncFile) Sync() error {
+func (f *walSyncFile) Sync() error {
 	c := f.fs
 	c.mu.Lock()
-	c.syncs[f.shard]++
 	c.total++
 	if c.total == c.failAfter {
 		c.fault.FailSyncs(1 << 20)
@@ -106,7 +97,7 @@ func parts(t *testing.T, durable bool) *rig {
 	opts := metadata.Options{}
 	if durable {
 		fault := durafs.NewFault(durafs.NewMem(), nil)
-		counter := newShardSyncFS(fault)
+		counter := &walSyncFS{FS: fault, fault: fault}
 		opts.WALDir, opts.FS = "wal", counter
 		r.breakWAL = func() { fault.FailSyncs(1 << 20) }
 		defer func() { // after Open: its own syncs are not ingest's
@@ -357,10 +348,10 @@ func TestEveryFrontDoorStoresAndRegistersAlike(t *testing.T) {
 // catalog notes a home replica per stored object into the same durable
 // store that registers it. With more than one site the engine copies
 // each registered object on, in the background.
-func replicatedParts(t *testing.T, opts metadata.Options, sites ...string) (*rig, *shardSyncFS, *replication.Engine) {
+func replicatedParts(t *testing.T, opts metadata.Options, sites ...string) (*rig, *walSyncFS, *replication.Engine) {
 	t.Helper()
 	fault := durafs.NewFault(durafs.NewMem(), nil)
-	counter := newShardSyncFS(fault)
+	counter := &walSyncFS{FS: fault, fault: fault}
 	opts.WALDir, opts.FS = "wal", counter
 	meta, err := metadata.Open(opts)
 	if err != nil {
@@ -460,10 +451,11 @@ func batchOf(n int, pathOf func(i int) string) []*ingest.Object {
 
 // batchSharesGroupCommits: each object of a batch notes its home
 // replica as it is stored. The notes are staged, and the registration
-// that acknowledges them makes them durable in its own round, so a
-// touched shard pays one fsync for the batch — notes and registrations
-// both. The copies to the second site that the registrations trigger
-// stage their Valid notes too: they add no fsync until Engine.Wait.
+// that acknowledges them makes them durable in its own round, so the
+// batch pays one fsync — notes and registrations both, however many
+// shards they touch. The copies to the second site that the
+// registrations trigger stage their Valid notes too: they add no fsync
+// until Engine.Wait.
 func batchSharesGroupCommits(t *testing.T) {
 	r, counter, engine := replicatedParts(t, metadata.Options{Shards: 4}, "kit", "far")
 	objs := batchOf(16, func(i int) string { return fmt.Sprintf("/ddn/gc/%02d", i) })
@@ -478,17 +470,10 @@ func batchSharesGroupCommits(t *testing.T) {
 			t.Errorf("%s: home replica noted as %q, want valid", objs[i].Path, got)
 		}
 	}
-	counter.mu.Lock()
-	batch := counter.total
-	if len(counter.syncs) == 0 {
-		t.Error("no WAL fsync seen")
+	batch := counter.totalSyncs()
+	if batch != 1 {
+		t.Errorf("the batch paid %d WAL fsyncs, want 1", batch)
 	}
-	for shard, n := range counter.syncs {
-		if n > 1 {
-			t.Errorf("WAL shard %d paid %d fsyncs for one batch, want <= 1", shard, n)
-		}
-	}
-	counter.mu.Unlock()
 
 	// The copies run on the engine's workers; the store's table shows
 	// each Valid note as soon as it is staged.
@@ -502,12 +487,12 @@ func batchSharesGroupCommits(t *testing.T) {
 	if n := counter.totalSyncs(); n != batch {
 		t.Errorf("copying the batch to a second site paid %d fsyncs before Engine.Wait, want 0", n-batch)
 	}
-	// Copies that finished before the registration rode its fsyncs;
-	// Engine.Wait pays at most one per shard for the rest, and what it
-	// returns on survives a power cut.
+	// Copies that finished before the registration rode its fsync;
+	// Engine.Wait pays at most one for the rest, and what it returns on
+	// survives a power cut.
 	engine.Wait()
-	if n := counter.totalSyncs() - batch; n > 4 {
-		t.Errorf("Engine.Wait paid %d fsyncs for the staged copy notes, want <= 4 (one per shard)", n)
+	if n := counter.totalSyncs() - batch; n > 1 {
+		t.Errorf("Engine.Wait paid %d fsyncs for the staged copy notes, want <= 1", n)
 	}
 	mem := counter.fault.Inner()
 	mem.Crash(nil)
@@ -561,8 +546,8 @@ func batchDuplicatePathFirstWins(t *testing.T) {
 }
 
 // batchWALFaultMidBatch: the disk starts refusing fsyncs part-way
-// through a batch — some shards' notes and registrations are durable,
-// the rest are not. Every object then either is registered or is gone.
+// through a batch — at each fsync the batch pays on a clean run. Every
+// object then either is registered or is gone.
 func batchWALFaultMidBatch(t *testing.T) {
 	objs := func() []*ingest.Object {
 		return batchOf(16, func(i int) string { return fmt.Sprintf("/ddn/wf/%02d", i) })

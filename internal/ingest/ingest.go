@@ -75,8 +75,8 @@ type Premigrater interface {
 type Config struct {
 	Workers int // parallel store+register workers; default 4
 	// BatchSize is how many objects a worker hands to StoreBatch at
-	// once: one shard-lock round (and, on a durable store, one group
-	// commit) per touched shard per batch. Default 1.
+	// once: one shard-lock round per touched shard and, on a durable
+	// store, one group commit per batch. Default 1.
 	BatchSize int
 	// Premigrate switches the pipeline from write-through (default:
 	// bytes land on the hot tier only) to premigrate-on-ingest: after
@@ -214,8 +214,8 @@ feed:
 
 // StoreBatch writes a group of objects and registers the stored ones
 // in one metadata.CreateBatch — tags folded into the creation, one
-// shard-lock round and, on a durable store, one WAL commit per touched
-// shard. Results are per-item and aligned with the input; a failed
+// shard-lock round per touched shard and, on a durable store, one WAL
+// commit. Results are per-item and aligned with the input; a failed
 // item's stored bytes are removed, so the facility never holds
 // invisible data. The rollback can never delete another dataset's
 // bytes: Layer.Create fails with ErrExists on an occupied path, so a

@@ -2,11 +2,9 @@ package metadata
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"maps"
 	"slices"
-	"sync"
 
 	"repro/internal/units"
 )
@@ -38,10 +36,11 @@ type CreateResult struct {
 // The paths are claimed first, each under its path shard's lock alone;
 // the creations are then one commit, which locks each touched dataset
 // shard once. No mutator ever holds a dataset-shard and a path-shard
-// lock together — captureShard, which does, relies on that.
+// lock together — freeze, which does, relies on that.
 // A registration also acknowledges the notes staged on its path (the
-// home copy's Valid note, StageReplica): their log is waited for in the
-// same parallel round, one fsync per touched log, and fails it too.
+// home copy's Valid note, StageReplica): they were staged before it, so
+// they are older in the one log and the batch's single wait covers
+// them.
 func (s *Store) CreateBatch(specs []CreateSpec) []CreateResult {
 	results := make([]CreateResult, len(specs))
 	recs := make([]walRecord, 0, len(specs))
@@ -96,27 +95,18 @@ func (s *Store) claimPath(path, id string) (string, error) {
 	return id, nil
 }
 
-// commitRun is one lock round of a commit: the records recs[order[lo:hi]]
-// share a shard and a lock kind; with lo == hi it only waits (awaitLog).
-type commitRun struct {
-	wi     uint32
-	lo, hi int
-	lsn    uint64  // highest LSN to wait for; 0 when none
-	evs    []Event // what the round's records publish, in commit order
-	err    error   // a WAL failure: fails the whole round
-}
-
 // commit is the one write path: every mutation, single or batched,
 // live or imported, is a record that goes through here. It groups the
 // records by shard; per shard it takes the lock the records need,
 // applies each record, journals it if it changed anything and stages
-// its events, and unlocks; with wait it then waits for all the shards'
-// logs at once (and a create's path's: see CreateBatch) and, per shard
-// in commit order, publishes. With observed false the events are not
-// built at all (no subscriber, or Import).
+// its events, and unlocks; with wait it then waits once for the log up
+// to the last record staged and publishes, per shard in commit order.
+// With observed false the events are not built at all (no subscriber,
+// or Import).
 //
 // It returns nil when every record committed, else one error per
-// record: what apply refused (ErrNotFound), or a WAL failure.
+// record: what apply refused (ErrNotFound), or a WAL failure, which
+// fails every record.
 func (s *Store) commit(recs []walRecord, observed, wait bool) (errs []error) {
 	fail := func(i int, err error) {
 		if errs == nil {
@@ -139,29 +129,29 @@ func (s *Store) commit(recs []walRecord, observed, wait bool) (errs []error) {
 		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(shard[a], shard[b]) })
 	}
 
-	var first [1]commitRun
-	runs := first[:0]
-	for lo := 0; lo < len(recs); {
+	var evs []Event // what the records publish, round after round
+	var out *[]Event
+	if observed {
+		out = &evs
+	}
+	var lsn uint64   // the last record staged; 0 when none
+	var walErr error // the log refused a record: the store is fail-stop
+	for lo, hi := 0, 0; lo < len(recs) && walErr == nil; lo = hi {
 		wi, onPath := s.route(&recs[order[lo]])
-		run := commitRun{wi: wi, lo: lo, hi: lo + 1}
-		for ; run.hi < len(recs); run.hi++ {
-			if w, p := s.route(&recs[order[run.hi]]); w != wi || p != onPath {
+		for hi = lo + 1; hi < len(recs); hi++ {
+			if w, p := s.route(&recs[order[hi]]); w != wi || p != onPath {
 				break
 			}
-		}
-		lo = run.hi
-		var evs *[]Event
-		if observed {
-			evs = &run.evs
 		}
 		mu := &s.shards[wi].mu
 		if onPath {
 			mu = &s.pathShards[wi].mu
 		}
+		staged := len(evs)
 		mu.Lock()
-		for _, i := range order[run.lo:run.hi] {
+		for _, i := range order[lo:hi] {
 			rec := &recs[i]
-			changed, err := s.apply(wi, rec, evs)
+			changed, err := s.apply(rec, out)
 			if err != nil {
 				fail(i, err)
 			}
@@ -169,55 +159,24 @@ func (s *Store) commit(recs []walRecord, observed, wait bool) (errs []error) {
 				continue
 			}
 			// Staged under the lock, so LSN order is apply order.
-			if run.lsn, run.err = s.wal.shards[wi].stage(*rec); run.err != nil {
+			if lsn, walErr = s.wal.stage(*rec); walErr != nil {
 				break
 			}
 		}
-		s.stage(run.evs...)
+		s.stage(evs[staged:]...)
 		mu.Unlock()
-		runs = append(runs, run)
 	}
-	if wait && s.wal != nil {
+	if wait && walErr == nil {
+		walErr = s.journalWait(lsn)
+	}
+	if walErr != nil {
 		for i := range recs {
-			if d := recs[i].Dataset; d != nil { // a create
-				runs = s.awaitLog(runs, fnv32a(d.Path)&s.mask, len(recs))
-			}
+			fail(i, walErr)
 		}
-		s.journalWaitAll(runs)
+		return errs
 	}
-	for _, run := range runs {
-		for _, i := range order[run.lo:run.hi] { // a create fails with the log of its path's notes
-			if d := recs[i].Dataset; d != nil && run.err == nil && s.wal != nil {
-				wi := fnv32a(d.Path) & s.mask
-				if k := slices.IndexFunc(runs, func(r commitRun) bool { return r.wi == wi && r.err != nil }); k >= 0 {
-					run.err = runs[k].err
-				}
-			}
-		}
-		if run.err != nil {
-			for _, i := range order[run.lo:run.hi] {
-				fail(i, run.err)
-			}
-			continue
-		}
-		s.publish(run.evs...)
-	}
+	s.publish(evs...)
 	return errs
-}
-
-// awaitLog makes runs wait for all that is staged in log wi: its round
-// in runs waits that far, or one holding none of the n records is added.
-func (s *Store) awaitLog(runs []commitRun, wi uint32, n int) []commitRun {
-	lsn := s.wal.shards[wi].undurable()
-	k := slices.IndexFunc(runs, func(r commitRun) bool { return r.wi == wi })
-	switch {
-	case lsn == 0:
-	case k >= 0:
-		runs[k].lsn = max(runs[k].lsn, lsn)
-	default:
-		runs = append(runs, commitRun{wi: wi, lo: n, hi: n, lsn: lsn})
-	}
-	return runs
 }
 
 // commitOne commits a single record for a live mutator.
@@ -230,8 +189,7 @@ func (s *Store) commitOne(rec walRecord) error {
 
 // route names the shard a record mutates and which of its two locks
 // guards that state: notes live in the path shard their path hashes
-// to, everything else in the dataset shard its ID hashes to — and both
-// journal to that shard's log.
+// to, everything else in the dataset shard its ID hashes to.
 func (s *Store) route(rec *walRecord) (wi uint32, onPath bool) {
 	switch {
 	case rec.Op == opPlacement || rec.Op == opReplica:
@@ -240,32 +198,4 @@ func (s *Store) route(rec *walRecord) (wi uint32, onPath bool) {
 		return fnv32a(rec.Dataset.ID) & s.mask, false
 	}
 	return fnv32a(rec.ID) & s.mask, false
-}
-
-// journalWaitAll makes every round's staged records durable, the
-// rounds' fsyncs in parallel, and returns their failures joined.
-func (s *Store) journalWaitAll(runs []commitRun) (err error) {
-	if s.wal == nil {
-		return nil
-	}
-	if len(runs) == 1 { // a single record starts no goroutine
-		s.journalWait(&runs[0])
-		return runs[0].err
-	}
-	// On a copy: commit's own rounds then stay on its stack.
-	waits := slices.Clone(runs)
-	var wg sync.WaitGroup
-	for k := range waits {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s.journalWait(&waits[k])
-		}()
-	}
-	wg.Wait()
-	for k := range runs {
-		runs[k].err = waits[k].err
-		err = errors.Join(err, runs[k].err)
-	}
-	return err
 }

@@ -222,7 +222,7 @@ func BenchmarkCreateParallelWAL(b *testing.B) {
 
 // BenchmarkCreateBatchWAL measures bulk ingest through CreateBatch on
 // a durable store: the batch is the natural group-commit unit (one
-// fsync per touched shard for the whole batch), so the per-dataset
+// fsync for the whole batch), so the per-dataset
 // WAL tax here is the floor.
 func BenchmarkCreateBatchWAL(b *testing.B) {
 	const batch = 256

@@ -1,7 +1,6 @@
 package metadata
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"strings"
@@ -76,7 +75,7 @@ func (f *snapTmpFile) Write(p []byte) (int, error) {
 // keep a durable ingest batch's cost flat as the catalog grows, by
 // counting I/O rather than timing it. (1) A snapshot always truncates:
 // the moment it deletes the old segments, every record left in the
-// shard's log is past its LastLSN — with four writers committing all
+// log is past its LastLSN — with four writers committing all
 // the while. (2) Compaction is amortised: the number of snapshots
 // grows with the logarithm of the records written, and all snapshots
 // together wrote no more than a small multiple of the last one — not
@@ -90,12 +89,11 @@ func TestCompactionCostIndependentOfCatalog(t *testing.T) {
 	cfs := &compactionFS{MemFS: durafs.NewMem()}
 	var checks int
 	var violations []string
-	cfs.onCut = func() { // runs on the snapshotting goroutine; snapshots of one shard are serial
+	cfs.onCut = func() { // runs on the snapshotting goroutine; snapshots are serial
 		checks++
-		payload, _, ok := decodeFrame(readFSFile(t, cfs.MemFS, "/wal/shard-000.snap"))
-		var snap shardSnapshot
-		if !ok || json.Unmarshal(payload, &snap) != nil {
-			violations = append(violations, "snapshot unreadable at its own cut")
+		snap, err := decodeSnapshot(readFSFile(t, cfs.MemFS, "/wal/store.snap"))
+		if err != nil {
+			violations = append(violations, fmt.Sprintf("snapshot unreadable at its own cut: %v", err))
 			return
 		}
 		names, _ := cfs.MemFS.ReadDir("/wal")

@@ -68,24 +68,18 @@ func (w *crashWorkload) indeterminate(path string) {
 	w.mu.Unlock()
 }
 
-// compactionsCrossed returns how many times the least-compacted shard
-// has cut its log: every cut is one segment number.
+// compactionsCrossed returns how many times the store has cut its
+// log: every cut is one segment number.
 func compactionsCrossed(s *Store) int {
-	least := -1
-	for _, w := range s.wal.shards {
-		w.mu.Lock()
-		if least < 0 || w.seg < least {
-			least = w.seg
-		}
-		w.mu.Unlock()
-	}
-	return least
+	s.wal.mu.Lock()
+	defer s.wal.mu.Unlock()
+	return s.wal.seg
 }
 
 // runCrashSeed executes one seed: ingest until the injected crash
 // (or completion), reopen from the surviving bytes, and check the
 // contract. Returns the recovery stats for aggregation and how many
-// compactions every shard had behind it when the run ended.
+// compactions the log had behind it when the run ended.
 func runCrashSeed(t *testing.T, seed int64) (RecoveryStats, int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -111,7 +105,7 @@ func runCrashSeed(t *testing.T, seed int64) (RecoveryStats, int) {
 		submitted:    make(map[string]bool),
 	}
 
-	// Long enough that, with the amortised trigger, every shard
+	// Long enough that, with the amortised trigger, the log
 	// compacts at least twice while the other goroutines keep
 	// committing: the cut, the new segment's creation and the old
 	// one's deletion all happen with commits in flight.
@@ -213,7 +207,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		seeds = 20
 	}
 	var agg RecoveryStats
-	twice := 0 // seeds that ended with two compactions behind every shard
+	twice := 0 // seeds that ended with two compactions behind the log
 	for seed := 0; seed < seeds; seed++ {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%03d", seed), func(t *testing.T) {
@@ -235,7 +229,7 @@ func TestCrashRecoveryProperty(t *testing.T) {
 		t.Error("no seed recovered through a snapshot")
 	}
 	if twice < seeds/4 {
-		t.Errorf("only %d of %d seeds got every shard past two compactions", twice, seeds)
+		t.Errorf("only %d of %d seeds got the log past two compactions", twice, seeds)
 	}
 	t.Logf("aggregate: %d records replayed, %d snapshots loaded, %d torn tails, %d path conflicts, %d seeds past two compactions",
 		agg.RecordsReplayed, agg.SnapshotsLoaded, agg.TornTails, agg.PathConflictsDropped, twice)
@@ -261,7 +255,7 @@ func TestCrashPointSweep(t *testing.T) {
 		// span only if the workload compacts; twice, so that a cut from
 		// a numbered segment is swept as well as the first one.
 		if n := compactionsCrossed(s); n < 2 {
-			t.Fatalf("sweep workload took the least-compacted shard through %d compactions, want >= 2", n)
+			t.Fatalf("sweep workload took the log through %d compactions, want >= 2", n)
 		}
 		return probe.Ops()
 	}()
@@ -277,9 +271,7 @@ func TestCrashPointSweep(t *testing.T) {
 		fault := durafs.NewFault(mem, rand.New(rand.NewSource(crashAt)))
 		s, err := Open(Options{Shards: 2, SnapshotEvery: 6, WALDir: "/wal", FS: fault})
 		if err != nil {
-			// The crash point can land inside Open itself once the
-			// sweep passes the manifest writes; that must also be a
-			// typed failure, never a panic.
+			// Open fails only as a typed error, never a panic.
 			continue
 		}
 		fault.CrashAfterOps(crashAt)
@@ -387,9 +379,9 @@ func TestInjectedFailureModesTyped(t *testing.T) {
 			if !errors.Is(err, ErrWALFailed) {
 				t.Fatalf("err = %v, want ErrWALFailed wrapper", err)
 			}
-			// Phase 3: fail-stop — the shard refuses more work.
+			// Phase 3: fail-stop — the store refuses more work.
 			if _, err := s.Create("p", "/m/after", 1, "", nil); !errors.Is(err, ErrWALFailed) {
-				t.Fatalf("shard accepted mutation after WAL failure: %v", err)
+				t.Fatalf("store accepted mutation after WAL failure: %v", err)
 			}
 			// Phase 4: crash, recover, audit.
 			mem.Crash(nil)

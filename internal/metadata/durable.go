@@ -1,73 +1,21 @@
 package metadata
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"maps"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/metadata/durafs"
 )
 
-// walSet is the durability plane of one store: a WAL and snapshot
-// slot per shard, all rooted in one directory on the injected
-// filesystem.
-//
-// Layout: <dir>/MANIFEST, <dir>/shard-NNN.snap and the shard's log
-// segments: <dir>/shard-NNN.wal is segment 0 (the whole log in the
-// layout before segments), <dir>/shard-NNN-SSSSSS.wal segment S > 0
-// (plus transient .snap.tmp files that recovery ignores).
-type walSet struct {
-	fs            durafs.FS
-	dir           string
-	shards        []*walShard
-	snapMu        []sync.Mutex // per-shard snapshot serialization
-	snapshotEvery int
-	snapshots     atomic.Int64 // snapshots written since open
-	snapBytes     atomic.Int64 // bytes of those snapshots
-}
-
-func (ws *walSet) snapPath(i int) string { return fmt.Sprintf("%s/shard-%03d.snap", ws.dir, i) }
-
-func (ws *walSet) segPath(i, seg int) string {
-	if seg == 0 {
-		return fmt.Sprintf("%s/shard-%03d.wal", ws.dir, i)
-	}
-	return fmt.Sprintf("%s/shard-%03d-%06d.wal", ws.dir, i, seg)
-}
-
-// listSegments returns, per shard, the numbers of the log segments
-// present in the directory, ascending.
-func (ws *walSet) listSegments(shards int) ([][]int, error) {
-	names, err := ws.fs.ReadDir(ws.dir)
-	if err != nil {
-		return nil, fmt.Errorf("metadata: wal dir: %w", err)
-	}
-	segs := make([][]int, shards)
-	for _, name := range names {
-		var i, seg int // "shard-NNN.wal" scans one number: segment 0
-		if n, _ := fmt.Sscanf(name, "shard-%d-%d", &i, &seg); n > 0 && strings.HasSuffix(name, ".wal") && uint(i) < uint(shards) {
-			segs[i] = append(segs[i], seg)
-		}
-	}
-	for _, s := range segs {
-		sort.Ints(s) // not name order: segment 0 is "shard-NNN.wal"
-	}
-	return segs, nil
-}
-
 // readFile returns name's bytes. Only fs.ErrNotExist means absent; any
-// other error must fail Open — an unreadable snapshot or manifest read
+// other error must fail Open — an unreadable snapshot or segment read
 // as "none yet" opens the store without its history.
-func (ws *walSet) readFile(name string) ([]byte, error) {
-	f, err := ws.fs.Open(name)
+func (w *walLog) readFile(name string) ([]byte, error) {
+	f, err := w.fs.Open(name)
 	if err != nil {
 		return nil, err
 	}
@@ -75,36 +23,34 @@ func (ws *walSet) readFile(name string) ([]byte, error) {
 	return io.ReadAll(f)
 }
 
-// writeFile creates name holding data and syncs it; the caller makes
-// the directory entry durable.
-func (ws *walSet) writeFile(name string, data []byte) error {
-	f, err := ws.fs.Create(name)
+// listSegments returns the numbers of the log segments in the
+// directory, ascending. A directory laid out by an earlier build — a
+// MANIFEST and one log per shard — is refused by name: its records
+// would replay in a different order than the one log's.
+func (w *walLog) listSegments() ([]int, error) {
+	names, err := w.fs.ReadDir(w.dir)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("metadata: wal dir: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
+	var segs []int
+	for _, name := range names {
+		if name == "MANIFEST" || strings.HasPrefix(name, "shard-") {
+			return nil, fmt.Errorf("%w: %s/%s is a per-shard journal; dump it with `lsdfctl export` from the build that wrote it and load the dump into an empty directory with Store.Import", ErrWALConfig, w.dir, name)
+		}
+		var seg int
+		if _, err := fmt.Sscanf(name, "log-%d.wal", &seg); err == nil && name == segName(seg) {
+			segs = append(segs, seg)
+		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// manifest pins the WAL directory to a shard count; reopening with a
-// different count would hash records to the wrong logs.
-type walManifest struct {
-	Version int `json:"version"`
-	Shards  int `json:"shards"`
+	sort.Ints(segs)
+	return segs, nil
 }
 
 // RecoveryStats describes what Open found and did. Zero for
 // non-durable stores and for fresh directories.
 type RecoveryStats struct {
-	SnapshotsLoaded      int   // shards restored from a snapshot
-	SnapshotDatasets     int   // datasets loaded from snapshots
+	SnapshotsLoaded      int   // 1 when the store was restored from its snapshot
+	SnapshotDatasets     int   // datasets loaded from the snapshot
 	RecordsReplayed      int   // WAL records applied after snapshots
 	RecordsSkipped       int   // stale records (LSN <= snapshot) skipped
 	TornTails            int   // WAL files truncated at a torn record
@@ -119,14 +65,15 @@ func (s *Store) RecoveryStats() RecoveryStats { return s.recovered }
 // Durable reports whether the store journals mutations to a WAL.
 func (s *Store) Durable() bool { return s.wal != nil }
 
-// WALErrors counts journaling failures of notes — NotePlacement,
-// NoteReplica, a staged note's log failing under whoever waits for it —
-// which cannot return errors to their callers. Any non-zero value means
-// the owning shard has gone fail-stop and later mutations on it error.
+// WALErrors counts journaling failures that cannot reach a caller —
+// NotePlacement, NoteReplica, StageReplica, a failed Sync — and
+// snapshots that could not be written. A failed note or Sync means the
+// store has gone fail-stop and every later mutation errors; a failed
+// snapshot loses nothing (the log still holds it all).
 func (s *Store) WALErrors() int64 { return s.walErrs.Load() }
 
 // Snapshots returns the number of compacted snapshots written since
-// open (across all shards).
+// open.
 func (s *Store) Snapshots() int64 {
 	if s.wal == nil {
 		return 0
@@ -143,17 +90,14 @@ func (s *Store) SnapshotBytes() int64 {
 }
 
 // WALTailRecords returns the committed records no durable snapshot
-// covers, summed over shards: what a restart now would replay.
-func (s *Store) WALTailRecords() (n int64) {
+// covers: what a restart now would replay.
+func (s *Store) WALTailRecords() int64 {
 	if s.wal == nil {
 		return 0
 	}
-	for _, w := range s.wal.shards {
-		w.mu.Lock()
-		n += int64(w.recordsSinceSnap)
-		w.mu.Unlock()
-	}
-	return n
+	s.wal.mu.Lock()
+	defer s.wal.mu.Unlock()
+	return int64(s.wal.recordsSinceSnap)
 }
 
 // Placement returns the last journaled storage-tier placement noted
@@ -180,7 +124,11 @@ func (s *Store) Replicas(path string) map[string]string {
 }
 
 // openWAL attaches the durability plane to a freshly constructed
-// (empty) store and recovers any prior state from dir.
+// (empty) store and recovers any prior state from dir in one pass: it
+// installs the snapshot, replays the log segments in order — skipping
+// what the snapshot covers — and truncates a torn tail. It then opens
+// the newest segment for appends, creating the first one in a fresh
+// directory.
 func (s *Store) openWAL(opts Options) error {
 	fsys := opts.FS
 	if fsys == nil {
@@ -189,168 +137,103 @@ func (s *Store) openWAL(opts Options) error {
 	if err := fsys.MkdirAll(opts.WALDir); err != nil {
 		return fmt.Errorf("metadata: wal dir: %w", err)
 	}
-	ws := &walSet{
-		fs:            fsys,
-		dir:           opts.WALDir,
-		snapMu:        make([]sync.Mutex, len(s.shards)),
-		snapshotEvery: opts.SnapshotEvery,
-	}
-	if err := ws.checkManifest(len(s.shards)); err != nil {
-		return err
-	}
-	s.wal = ws
-
-	segs, err := ws.listSegments(len(s.shards))
+	w := &walLog{fs: fsys, dir: opts.WALDir, interval: opts.GroupCommitInterval,
+		snapshotEvery: opts.SnapshotEvery, commitDone: make(chan struct{})}
+	segs, err := w.listSegments()
 	if err != nil {
 		return err
 	}
-	maxSeq := s.seq.Load()
-	ws.shards = make([]*walShard, len(s.shards))
-	for i := range s.shards {
-		w, seq, err := s.recoverShard(i, segs[i], opts.GroupCommitInterval)
+	snap, haveSnap, err := w.loadSnapshot()
+	if err != nil {
+		return err
+	}
+	if haveSnap {
+		s.recovered.SnapshotsLoaded, s.recovered.SnapshotDatasets = 1, len(snap.Datasets)
+	}
+	// Installing the snapshot is applying its records, as Import does.
+	for _, rec := range snap.records() {
+		s.apply(&rec, nil)
+	}
+
+	type tornTail struct {
+		path  string
+		valid int
+	}
+	var torn []tornTail
+	maxSeq, lastLSN := snap.Seq, snap.LastLSN
+	for _, seg := range segs {
+		path := w.segPath(seg)
+		data, err := w.readFile(path)
 		if err != nil {
-			return err
+			return fmt.Errorf("metadata: wal read: %w", err)
 		}
-		if seq > maxSeq {
-			maxSeq = seq
+		valid, err := scanWAL(data, func(rec *walRecord) {
+			maxSeq = max(maxSeq, rec.Seq)
+			if rec.LSN <= snap.LastLSN {
+				s.recovered.RecordsSkipped++
+				return
+			}
+			lastLSN = max(lastLSN, rec.LSN)
+			s.apply(rec, nil)
+			s.recovered.RecordsReplayed++
+		})
+		if err != nil {
+			return err // ErrWALCorrupt: checksum-valid frame that won't decode
 		}
-		ws.shards[i] = w
+		// cut makes a segment durable before the next one gets a
+		// record, so only the newest segment holding records can have
+		// been torn by a crash.
+		if len(torn) > 0 && valid > 0 {
+			return fmt.Errorf("%w: %s is torn at byte %d but %s holds records after it", ErrWALCorrupt, torn[0].path, torn[0].valid, path)
+		}
+		if valid < len(data) {
+			torn = append(torn, tornTail{path, valid})
+			s.recovered.TornTails++
+			s.recovered.TornTailBytes += int64(len(data) - valid)
+		}
+		s.recovered.WALBytesReplayed += int64(valid)
+	}
+	// Appends resume on a clean boundary, and a second crash must not
+	// bring the cut-off bytes back in front of them: the cut is synced.
+	for _, t := range torn {
+		f, err := fsys.OpenAppend(t.path)
+		if err == nil {
+			if err = f.Truncate(int64(t.valid)); err == nil {
+				err = f.Sync()
+			}
+			f.Close()
+		}
+		if err != nil {
+			return fmt.Errorf("metadata: wal truncate: %w", err)
+		}
 	}
 	s.seq.Store(maxSeq)
 	s.rebuildPaths()
+
+	if len(segs) == 0 {
+		segs = []int{0}
+	}
+	w.firstSeg, w.seg = segs[0], segs[len(segs)-1]
+	if w.file, err = fsys.OpenAppend(w.segPath(w.seg)); err != nil {
+		return fmt.Errorf("metadata: wal open: %w", err)
+	}
+	if err := fsys.SyncDir(w.dir); err != nil {
+		w.file.Close()
+		return fmt.Errorf("metadata: wal open: %w", err)
+	}
+	w.nextLSN, w.stagedLSN, w.durableLSN = lastLSN+1, lastLSN, lastLSN
+	w.recordsSinceSnap, w.snapItems = s.recovered.RecordsReplayed, snap.items()
+	s.wal = w
 	return nil
-}
-
-// checkManifest validates <dir>/MANIFEST, creating it only when the
-// directory has none: a manifest that exists but cannot be opened must
-// not be overwritten.
-func (ws *walSet) checkManifest(shards int) error {
-	manifestPath := ws.dir + "/MANIFEST"
-	data, err := ws.readFile(manifestPath)
-	if errors.Is(err, fs.ErrNotExist) {
-		return ws.writeManifest(manifestPath, shards)
-	}
-	if err != nil {
-		return fmt.Errorf("metadata: manifest: %w", err)
-	}
-	payload, _, ok := decodeFrame(data)
-	var m walManifest
-	if !ok || json.Unmarshal(payload, &m) != nil {
-		// A torn manifest can only be the remains of a first-open
-		// crash: it is written and synced before any WAL record
-		// can exist. With data files present it is corruption.
-		names, _ := ws.fs.ReadDir(ws.dir)
-		for _, n := range names {
-			if n != "MANIFEST" {
-				return fmt.Errorf("%w: manifest unreadable but %q exists", ErrWALConfig, n)
-			}
-		}
-		return ws.writeManifest(manifestPath, shards)
-	}
-	if m.Shards != shards {
-		return fmt.Errorf("%w: directory has %d shards, store wants %d", ErrWALConfig, m.Shards, shards)
-	}
-	return nil
-}
-
-func (ws *walSet) writeManifest(path string, shards int) error {
-	payload, err := json.Marshal(walManifest{Version: 1, Shards: shards})
-	if err != nil {
-		return err
-	}
-	if err := ws.writeFile(path, appendFrame(nil, payload)); err != nil {
-		return fmt.Errorf("metadata: manifest: %w", err)
-	}
-	return ws.fs.SyncDir(ws.dir)
-}
-
-// recoverShard loads shard i's snapshot and replays its log segments
-// in order, skipping what the snapshot covers and truncating a torn
-// tail. It returns the shard's log, positioned to append to the
-// newest segment with its compaction trigger restored, plus the
-// ID-sequence watermark.
-func (s *Store) recoverShard(i int, segs []int, interval time.Duration) (w *walShard, maxSeq int64, err error) {
-	snap, haveSnap, err := s.loadSnapshot(i)
-	if err != nil {
-		return nil, 0, err
-	}
-	lastLSN := snap.LastLSN
-	if haveSnap {
-		s.recovered.SnapshotsLoaded++
-		s.recovered.SnapshotDatasets += len(snap.Datasets)
-		maxSeq = snap.Seq
-		// Installing a dump is applying its records, as Import does.
-		for _, rec := range snap.records() {
-			s.apply(uint32(i), &rec, nil)
-		}
-	}
-
-	segPath := func(seg int) string { return s.wal.segPath(i, seg) }
-	tail := 0
-	for _, seg := range segs {
-		recs, err := s.readSegment(segPath(seg))
-		if err != nil {
-			return nil, 0, err
-		}
-		for _, rec := range recs {
-			if rec.Seq > maxSeq {
-				maxSeq = rec.Seq
-			}
-			if rec.LSN <= lastLSN && haveSnap {
-				s.recovered.RecordsSkipped++
-				continue
-			}
-			if rec.LSN > lastLSN {
-				lastLSN = rec.LSN
-			}
-			s.apply(uint32(i), &rec, nil)
-			s.recovered.RecordsReplayed++
-			tail++
-		}
-	}
-	w = newWALShard(s.wal.fs, segPath, interval, lastLSN)
-	w.recordsSinceSnap, w.snapItems = tail, snap.items()
-	if len(segs) > 0 {
-		w.firstSeg, w.seg = segs[0], segs[len(segs)-1]
-	}
-	return w, maxSeq, nil
-}
-
-// readSegment decodes one log segment, dropping a torn tail so that
-// appends resume on a clean boundary.
-func (s *Store) readSegment(path string) ([]walRecord, error) {
-	data, err := s.wal.readFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("metadata: wal read: %w", err)
-	}
-	recs, valid, derr := decodeWALStream(data)
-	if derr != nil {
-		return nil, derr // ErrWALCorrupt: checksum-valid frame that won't decode
-	}
-	if valid < len(data) {
-		s.recovered.TornTails++
-		s.recovered.TornTailBytes += int64(len(data) - valid)
-		wf, terr := s.wal.fs.OpenAppend(path)
-		if terr != nil {
-			return nil, fmt.Errorf("metadata: wal truncate: %w", terr)
-		}
-		terr = wf.Truncate(int64(valid))
-		wf.Close()
-		if terr != nil {
-			return nil, fmt.Errorf("metadata: wal truncate: %w", terr)
-		}
-	}
-	s.recovered.WALBytesReplayed += int64(valid)
-	return recs, nil
 }
 
 // apply is the one transition function of the store: it performs the
-// mutation rec describes on shard wi. The live mutators call it (from
-// commit) under the lock of the structure the record mutates, just
-// before they journal that same record; recovery calls it to replay
-// the log and to install a snapshot; Import's records reach it through
-// commit. What recovery rebuilds is therefore what the live path
-// acknowledged, by construction.
+// mutation rec describes, on the shard route names. The live mutators
+// call it (from commit) under the lock of the structure the record
+// mutates, just before they journal that same record; recovery calls
+// it to replay the log and to install a snapshot; Import's records
+// reach it through commit. What recovery rebuilds is therefore what
+// the live path acknowledged, by construction.
 //
 // changed reports whether the state moved — only then is the record
 // journaled; err is a record that cannot apply (ErrNotFound). With
@@ -363,7 +246,8 @@ func (s *Store) readSegment(path string) ([]walRecord, error) {
 // here — they are derived from the datasets, never journaled: the
 // mutators take them in a round of their own and recovery rebuilds
 // them (rebuildPaths).
-func (s *Store) apply(wi uint32, rec *walRecord, evs *[]Event) (changed bool, err error) {
+func (s *Store) apply(rec *walRecord, evs *[]Event) (changed bool, err error) {
+	wi, _ := s.route(rec)
 	sh, ps := s.shards[wi], s.pathShards[wi]
 	emit := func(t EventType, d *Dataset, tag string) {
 		if evs != nil {
@@ -497,41 +381,36 @@ func idLess(a, b string) bool {
 
 // --- journaling hooks ---
 
-// journalWait makes the records a lock round staged durable
-// (group-committing with concurrent mutators), recording a failure on
-// the round, and compacts the shard when its uncompacted tail has
-// reached max(SnapshotEvery, items in the last snapshot). Called with
-// the structure lock released.
-func (s *Store) journalWait(run *commitRun) {
-	if run.err != nil || run.lsn == 0 {
-		return // nothing staged: no change, or an in-memory store
+// journalWait makes everything staged up to lsn durable
+// (group-committing with concurrent mutators) and compacts the log when
+// its uncompacted tail has reached max(SnapshotEvery, items in the last
+// snapshot). Called with no structure lock held; lsn 0 (nothing
+// staged, or an in-memory store) returns at once.
+func (s *Store) journalWait(lsn uint64) error {
+	if lsn == 0 {
+		return nil
 	}
-	w := s.wal.shards[run.wi]
-	if run.err = w.waitDurable(run.lsn); run.err != nil {
-		if run.lo == run.hi {
-			s.walErrs.Add(1) // only notes were waited for: see awaitLog
-		}
-		return
+	w := s.wal
+	if err := w.waitDurable(lsn); err != nil {
+		return err
 	}
 	w.mu.Lock()
-	due := w.recordsSinceSnap >= max(s.wal.snapshotEvery, w.snapItems)
+	due := w.recordsSinceSnap >= max(w.snapshotEvery, w.snapItems)
 	w.mu.Unlock()
 	if due {
-		if err := s.snapshotShard(int(run.wi), false); err != nil {
+		if err := s.snapshot(false); err != nil {
 			// A failed snapshot loses no data (the WAL still has
 			// everything); surface it on the error counter and keep
 			// serving.
 			s.walErrs.Add(1)
 		}
 	}
+	return nil
 }
 
-// closeWAL flushes and closes every shard log.
+// closeWAL flushes and closes the log.
 func (s *Store) closeWAL() {
-	if s.wal == nil {
-		return
-	}
-	for _, w := range s.wal.shards {
-		w.close()
+	if s.wal != nil {
+		s.wal.close()
 	}
 }

@@ -25,7 +25,8 @@
 //
 // A mutation is a walRecord and nothing else: every mutator builds
 // records for commit (batch.go), which runs each through apply
-// (durable.go) — the function recovery replays the log through.
+// (durable.go) — the function recovery replays the log through. The
+// shards are lock stripes only: a durable store has one log (wal.go).
 //
 // # Event delivery
 //
@@ -156,9 +157,10 @@ type Event struct {
 
 // Options configures a Store.
 type Options struct {
-	// Shards is the shard count; it is rounded up to a power of two.
-	// 0 means the default of 16. 1 degenerates to a single-lock store
-	// (the pre-sharding behavior, useful as a benchmark baseline).
+	// Shards is the number of in-memory lock stripes; it is rounded up
+	// to a power of two. 0 means the default of 16. 1 degenerates to a
+	// single-lock store (the pre-sharding behavior, useful as a
+	// benchmark baseline). A WAL directory reopens at any count.
 	Shards int
 	// Clock supplies timestamps; nil means time.Now.
 	Clock func() time.Time
@@ -169,15 +171,16 @@ type Options struct {
 	// 0 means the default of 256.
 	QueueLen int
 
-	// WALDir enables durability: every mutation is journaled to a
-	// per-shard append-only WAL under this directory before it is
-	// acknowledged, periodic compacted snapshots bound replay, and
-	// Open recovers the full state (datasets, tags, processings,
-	// placements, replicas) from the latest snapshots plus WAL
-	// tails. Empty (the default) keeps the store purely in-memory.
+	// WALDir enables durability: every mutation is journaled to the
+	// store's one append-only WAL under this directory before it is
+	// acknowledged, a compacted snapshot of the whole store bounds
+	// replay, and Open recovers the full state (datasets, tags,
+	// processings, placements, replicas) from the snapshot plus the
+	// WAL tail. Empty (the default) keeps the store purely in-memory.
 	WALDir string
-	// SnapshotEvery is the per-shard WAL record count between
-	// compacted snapshots; 0 means the default of 512.
+	// SnapshotEvery is the least number of WAL records between
+	// compacted snapshots — at least as many as the last snapshot held
+	// items must pass too; 0 means the default of 512.
 	SnapshotEvery int
 	// GroupCommitInterval is how long a commit leader waits for
 	// concurrent mutations to join its batch before paying the
@@ -194,7 +197,7 @@ type Options struct {
 // DefaultShards is the shard count used when Options.Shards is 0.
 const DefaultShards = 16
 
-// DefaultSnapshotEvery is the per-shard WAL record count between
+// DefaultSnapshotEvery is the least WAL record count between
 // compacted snapshots when Options.SnapshotEvery is 0.
 const DefaultSnapshotEvery = 512
 
@@ -268,10 +271,10 @@ type Store struct {
 	now        func() time.Time
 	bus        *bus
 
-	// Durability plane (nil for pure in-memory stores): per-shard
-	// WALs + snapshots behind the durafs seam. See wal.go,
-	// snapshot.go, durable.go.
-	wal       *walSet
+	// Durability plane (nil for pure in-memory stores): one WAL and
+	// one snapshot behind the durafs seam. See wal.go, snapshot.go,
+	// durable.go.
+	wal       *walLog
 	walErrs   atomic.Int64
 	recovered RecoveryStats
 }
@@ -292,13 +295,13 @@ func NewStoreWith(opts Options) *Store {
 }
 
 // Open creates a repository from explicit options. With
-// Options.WALDir set it recovers prior state from the newest valid
-// snapshot per shard plus the WAL tail (truncating at the first torn
-// record), and every subsequent mutation is journaled before it is
-// acknowledged. Open fails on a shard-count mismatch with the WAL
-// directory's manifest (ErrWALConfig) or on corruption that
-// torn-tail truncation cannot explain (ErrWALCorrupt,
-// ErrSnapshotCorrupt). Recovery publishes no events.
+// Options.WALDir set it recovers prior state from the snapshot plus
+// the WAL tail (truncating at a torn record), and every subsequent
+// mutation is journaled before it is acknowledged. Open fails on a
+// directory in the per-shard layout of earlier builds (ErrWALConfig,
+// naming the file) or on corruption that torn-tail truncation cannot
+// explain (ErrWALCorrupt, ErrSnapshotCorrupt). Recovery publishes no
+// events.
 func Open(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	s := &Store{
@@ -400,7 +403,7 @@ func (s *Store) stage(evs ...Event) {
 // Create registers a dataset: a CreateBatch of one. The basic map is
 // copied and immutable afterwards. The logical path must be unique.
 // On a durable store Create returns only after the creation is
-// journaled; a WAL failure returns ErrWALFailed and the shard goes
+// journaled; a WAL failure returns ErrWALFailed and the store goes
 // fail-stop.
 func (s *Store) Create(project, path string, size units.Bytes, checksum string, basic map[string]string) (Dataset, error) {
 	res := s.CreateBatch([]CreateSpec{{Project: project, Path: path, Size: size, Checksum: checksum, Basic: basic}})[0]
@@ -498,7 +501,7 @@ func (s *Store) Delete(id string) error {
 // table (see Placement), which durable stores journal — after a
 // restart the tier's placements recover without re-scanning stubs.
 // Journaling failures cannot be returned on this void path; they
-// land on the WALErrors counter and the owning shard goes fail-stop.
+// land on the WALErrors counter and the store goes fail-stop.
 func (s *Store) NotePlacement(path, placement string) {
 	s.note(walRecord{Op: opPlacement, Path: path, State: placement}, EventPlacement, true)
 }
@@ -518,27 +521,25 @@ func (s *Store) NoteReplica(path, site, state string) {
 }
 
 // StageReplica is NoteReplica without the wait: the note is durable
-// once anything waits for its log — the CreateBatch that registers
-// path, SyncPaths, Close, another commit. Only a note whose loss makes
-// recovery believe less than is true may be staged.
+// once anything waits for the log past it — the CreateBatch that
+// registers path, Sync, Close, any later commit. Only a note whose
+// loss makes recovery believe less than is true may be staged.
 func (s *Store) StageReplica(path, site, state string) {
 	s.note(walRecord{Op: opReplica, Path: path, Site: site, State: state}, EventReplica, false)
 }
 
-// SyncPaths waits, in parallel, until whatever is staged in the logs
-// the paths hash to — in every log, given none — is durable. A failed
-// log counts on WALErrors, like a failed note, and is returned.
-func (s *Store) SyncPaths(paths ...string) error {
+// Sync waits until everything staged in the log — staged notes
+// included — is durable. A failure counts on WALErrors, like a failed
+// note, and is returned.
+func (s *Store) Sync() error {
 	if s.wal == nil {
 		return nil
 	}
-	var runs []commitRun
-	for wi := range uint32(len(s.wal.shards)) {
-		if len(paths) == 0 || slices.ContainsFunc(paths, func(p string) bool { return fnv32a(p)&s.mask == wi }) {
-			runs = s.awaitLog(runs, wi, 0)
-		}
+	err := s.journalWait(s.wal.undurable())
+	if err != nil {
+		s.walErrs.Add(1)
 	}
-	return s.journalWaitAll(runs)
+	return err
 }
 
 // note commits a path note — waiting for it with wait — and then
@@ -734,21 +735,14 @@ func matches(d *Dataset, q Query) bool {
 }
 
 // Export writes the full repository as JSON (one stable document):
-// every dataset plus the placement and replica tables. The document
-// shape is the same one per-shard snapshots use (storeDump), so a
-// snapshot is literally a shard's Export plus a WAL position. Export
-// must not run concurrently with mutations if a point-in-time-
-// consistent dump is required.
+// every dataset plus the placement and replica tables, as of one
+// point in the store's history. The snapshot captures the same
+// storeDump and stores it as records, so a snapshot is an Export plus
+// a WAL position.
 func (s *Store) Export(w io.Writer) error {
-	dump := storeDump{Seq: s.seq.Load()}
-	for i, sh := range s.shards {
-		ps := s.pathShards[i]
-		sh.mu.RLock()
-		ps.mu.RLock()
-		dump.add(sh, ps)
-		ps.mu.RUnlock()
-		sh.mu.RUnlock()
-	}
+	thaw := s.freeze()
+	dump := s.dump()
+	thaw()
 	dump.sort()
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -1,7 +1,6 @@
 package metadata
 
 import (
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"testing"
@@ -9,9 +8,9 @@ import (
 	"repro/internal/metadata/durafs"
 )
 
-// pathOffLog returns a path whose notes live in another log than the
-// dataset with the given ID.
-func pathOffLog(s *Store, id string) string {
+// pathOffShard returns a path whose notes live on another shard than
+// the dataset with the given ID.
+func pathOffShard(s *Store, id string) string {
 	for i := 0; ; i++ {
 		if p := fmt.Sprintf("/n/%d", i); fnv32a(p)&s.mask != fnv32a(id)&s.mask {
 			return p
@@ -20,13 +19,13 @@ func pathOffLog(s *Store, id string) string {
 }
 
 // TestCreateMakesItsPathNotesDurable: a note staged on a path becomes
-// durable with the registration of that path, even when the path's log
-// is not the one the dataset is journaled in — a power cut right after
-// the registration keeps both.
+// durable with the registration of that path, even when the path's
+// notes live on another shard than the dataset — a power cut right
+// after the registration keeps both.
 func TestCreateMakesItsPathNotesDurable(t *testing.T) {
 	mem := durafs.NewMem()
 	s := openMem(t, mem, Options{Shards: 4})
-	path := pathOffLog(s, "ds-000001") // the first ID a fresh store mints
+	path := pathOffShard(s, "ds-000001") // the first ID a fresh store mints
 	s.StageReplica(path, "kit", "valid")
 	d, err := s.Create("p", path, 1, "", nil)
 	if err != nil || d.ID != "ds-000001" {
@@ -44,8 +43,8 @@ func TestCreateMakesItsPathNotesDurable(t *testing.T) {
 }
 
 // TestStagedNoteDurableWhenWaitedFor: a staged note is on disk once
-// something waits for its log — SyncPaths on its path, SyncPaths on
-// every log, Close — and a power cut before that may lose it.
+// something waits for the log past it — Sync, a later commit on
+// another path, Close — and a power cut before that may lose it.
 func TestStagedNoteDurableWhenWaitedFor(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -53,8 +52,8 @@ func TestStagedNoteDurableWhenWaitedFor(t *testing.T) {
 		durable bool
 	}{
 		{"nothing", func(*Store, string) {}, false},
-		{"SyncPaths(path)", func(s *Store, path string) { s.SyncPaths(path) }, true},
-		{"SyncPaths()", func(s *Store, _ string) { s.SyncPaths() }, true},
+		{"Sync", func(s *Store, _ string) { s.Sync() }, true},
+		{"later-commit", func(s *Store, _ string) { s.NotePlacement("/elsewhere", "resident") }, true},
 		{"Close", func(s *Store, _ string) { s.Close() }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -110,8 +109,6 @@ func TestTransferNotesClearTheReplica(t *testing.T) {
 		f.Sync()
 		f.Close()
 	}
-	manifest, _ := json.Marshal(walManifest{Version: 1, Shards: 1})
-	write("MANIFEST", appendFrame(nil, manifest))
 	var log []byte
 	for i, n := range []struct{ site, state string }{
 		{"a", "pending"}, {"a", "copying"}, {"a", "valid"}, // a finished copy
@@ -125,7 +122,7 @@ func TestTransferNotesClearTheReplica(t *testing.T) {
 		}
 		log = append(log, frame...)
 	}
-	write("shard-000.wal", log)
+	write("log-000000.wal", log)
 	r := openMem(t, old, Options{Shards: 1})
 	defer r.Close()
 	if got, want := r.Replicas("/t/x"), map[string]string{"a": "valid"}; !reflect.DeepEqual(got, want) {

@@ -72,11 +72,11 @@ func readFSFile(t *testing.T, fsys durafs.FS, name string) []byte {
 }
 
 // TestSnapshotDeterministic asserts that the same mutation sequence
-// under the same injected clock produces byte-identical snapshot
-// files — datasets are sorted by ID and JSON map keys are ordered, so
+// under the same injected clock produces a byte-identical snapshot
+// file — datasets are sorted by ID and JSON map keys are ordered, so
 // nothing about map iteration or scheduling may leak into the bytes.
 // It also asserts a second Checkpoint with no intervening mutations
-// rewrites the identical bytes (snapshots are a pure function of
+// rewrites the identical bytes (a snapshot is a pure function of
 // state).
 func TestSnapshotDeterministic(t *testing.T) {
 	s1, mem1 := buildDeterministic(t)
@@ -84,27 +84,25 @@ func TestSnapshotDeterministic(t *testing.T) {
 	defer s1.Close()
 	defer s2.Close()
 
-	for i := 0; i < 4; i++ {
-		name := fmt.Sprintf("/wal/shard-%03d.snap", i)
-		b1 := readFSFile(t, mem1, name)
-		b2 := readFSFile(t, mem2, name)
-		if !bytes.Equal(b1, b2) {
-			t.Fatalf("shard %d snapshots differ across identical runs (%d vs %d bytes)", i, len(b1), len(b2))
-		}
-		if err := s1.snapshotShard(i, true); err != nil {
-			t.Fatal(err)
-		}
-		if again := readFSFile(t, mem1, name); !bytes.Equal(b1, again) {
-			t.Fatalf("shard %d snapshot not idempotent under re-Checkpoint", i)
-		}
+	const name = "/wal/store.snap"
+	b1 := readFSFile(t, mem1, name)
+	b2 := readFSFile(t, mem2, name)
+	if len(b1) == 0 || !bytes.Equal(b1, b2) {
+		t.Fatalf("snapshots differ across identical runs (%d vs %d bytes)", len(b1), len(b2))
+	}
+	if err := s1.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if again := readFSFile(t, mem1, name); !bytes.Equal(b1, again) {
+		t.Fatal("snapshot not idempotent under re-Checkpoint")
 	}
 }
 
 // TestSnapshotExportEquivalence pins the documented relationship: a
-// snapshot is a per-shard Export plus a WAL position. The union of
-// all shard snapshots must carry exactly the datasets, placements and
-// replicas that Export reports, and recovery from snapshots alone
-// (post-Checkpoint, no WAL replay) must Export identically.
+// snapshot is an Export plus a WAL position. The snapshot must carry
+// exactly the datasets, placements and replicas that Export
+// reports, and recovery from the snapshot alone (post-Checkpoint, no
+// WAL replay) must Export identically.
 func TestSnapshotExportEquivalence(t *testing.T) {
 	s, mem := buildDeterministic(t)
 	defer s.Close()
@@ -114,21 +112,13 @@ func TestSnapshotExportEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Union the decoded snapshot files.
-	var fromSnaps []Dataset
-	places := make(map[string]string)
-	for i := 0; i < 4; i++ {
-		snap, ok, err := s.loadSnapshot(i)
-		if err != nil || !ok {
-			t.Fatalf("loadSnapshot(%d): ok=%v err=%v", i, ok, err)
-		}
-		fromSnaps = append(fromSnaps, snap.Datasets...)
-		for k, v := range snap.Placements {
-			places[k] = v
-		}
+	snap, ok, err := s.wal.loadSnapshot()
+	if err != nil || !ok {
+		t.Fatalf("loadSnapshot: ok=%v err=%v", ok, err)
 	}
+	fromSnaps, places := snap.Datasets, snap.Placements
 	if got, want := len(fromSnaps), len(s.Find(Query{})); got != want {
-		t.Fatalf("snapshots hold %d datasets, store has %d", got, want)
+		t.Fatalf("the snapshot holds %d datasets, store has %d", got, want)
 	}
 	byID := make(map[string]Dataset, len(fromSnaps))
 	for _, d := range fromSnaps {
@@ -137,7 +127,7 @@ func TestSnapshotExportEquivalence(t *testing.T) {
 	for _, d := range s.Find(Query{}) {
 		sd, ok := byID[d.ID]
 		if !ok {
-			t.Fatalf("dataset %s missing from snapshots", d.ID)
+			t.Fatalf("dataset %s missing from the snapshot", d.ID)
 		}
 		if sd.Path != d.Path || len(sd.Tags) != len(d.Tags) {
 			t.Fatalf("snapshot copy of %s diverges: %+v vs %+v", d.ID, sd, d)
@@ -146,7 +136,7 @@ func TestSnapshotExportEquivalence(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		p := fmt.Sprintf("/cache/det/%02d", i)
 		if places[p] != "resident" {
-			t.Fatalf("placement %s missing from snapshots (got %q)", p, places[p])
+			t.Fatalf("placement %s missing from the snapshot (got %q)", p, places[p])
 		}
 	}
 
@@ -156,7 +146,7 @@ func TestSnapshotExportEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	if st := r.RecoveryStats(); st.RecordsReplayed != 0 || st.SnapshotsLoaded != 4 {
+	if st := r.RecoveryStats(); st.RecordsReplayed != 0 || st.SnapshotsLoaded != 1 {
 		t.Fatalf("post-Checkpoint recovery should be snapshot-only: %+v", st)
 	}
 	var rexported bytes.Buffer

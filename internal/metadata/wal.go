@@ -6,29 +6,30 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/metadata/durafs"
 )
 
-// WAL errors. Any I/O failure on a shard's log marks that shard
-// fail-stop (ErrWALFailed wraps the cause): the in-memory state may
-// be ahead of the disk, so rather than risk silently acknowledging
-// undurable mutations, every subsequent mutation on the shard
-// refuses until the store is reopened — the PostgreSQL
-// panic-on-fsync-failure discipline, scoped to one shard.
+// WAL errors. Any I/O failure on the log marks the store fail-stop
+// (ErrWALFailed wraps the cause): the in-memory state may be ahead of
+// the disk, so rather than risk silently acknowledging undurable
+// mutations, every subsequent mutation refuses until the store is
+// reopened — the PostgreSQL panic-on-fsync-failure discipline.
 var (
-	// ErrWALFailed marks a shard whose log hit an I/O error; all
+	// ErrWALFailed marks a store whose log hit an I/O error; all
 	// further mutations on it return this error.
-	ErrWALFailed = errors.New("metadata: WAL failed, shard is fail-stop")
+	ErrWALFailed = errors.New("metadata: WAL failed, store is fail-stop")
 	// ErrWALCorrupt reports a record that framed correctly (length and
 	// CRC were consistent) but did not decode — disk corruption past
 	// what torn-tail truncation can explain.
 	ErrWALCorrupt = errors.New("metadata: WAL record corrupt")
-	// ErrWALConfig reports a WAL directory whose manifest does not
-	// match the store options it is being opened with.
-	ErrWALConfig = errors.New("metadata: WAL directory config mismatch")
+	// ErrWALConfig reports a WAL directory laid out by an earlier
+	// build (one log per shard), which this one does not read.
+	ErrWALConfig = errors.New("metadata: WAL directory layout not supported")
 )
 
 // WAL record operations. Records are self-describing JSON payloads
@@ -44,9 +45,10 @@ const (
 )
 
 // walRecord is one journaled mutation. LSN is monotonically
-// increasing per shard log; Seq is the store's ID-allocation
-// watermark at stage time, so recovery can restore the counter
-// without parsing dataset IDs.
+// increasing along the log, and stays the first field: appendRecord
+// writes it into a record marshalled with LSN 0. Seq is the store's
+// ID-allocation watermark at stage time, so recovery can restore the
+// counter without parsing dataset IDs.
 type walRecord struct {
 	LSN     uint64      `json:"lsn"`
 	Seq     int64       `json:"seq,omitempty"`
@@ -71,22 +73,22 @@ const (
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame appends the framed payload to buf and returns it.
-func appendFrame(buf, payload []byte) []byte {
-	var hdr [walHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
-}
+// lsnZero is how a record marshalled with LSN 0 begins.
+const lsnZero = `{"lsn":0`
 
-// encodeRecord frames one record.
-func encodeRecord(rec walRecord) ([]byte, error) {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, err
-	}
-	return appendFrame(nil, payload), nil
+// appendRecord appends to buf the frame of a record marshalled with LSN
+// 0 as body, numbered lsn: the bytes json.Marshal gives for the record
+// with that LSN. The marshal, done before the LSN is known, needs no
+// lock.
+func appendRecord(buf []byte, lsn uint64, body []byte) []byte {
+	start := len(buf)
+	buf = append(buf, make([]byte, walHeaderSize)...)
+	buf = strconv.AppendUint(append(buf, lsnZero[:len(lsnZero)-1]...), lsn, 10)
+	buf = append(buf, body[len(lsnZero):]...)
+	payload := buf[start+walHeaderSize:]
+	binary.LittleEndian.PutUint32(buf[start:], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(buf[start+4:], crc32.Checksum(payload, castagnoli))
+	return buf
 }
 
 // decodeFrame reads one frame from b. It returns the payload and the
@@ -107,48 +109,57 @@ func decodeFrame(b []byte) (payload []byte, consumed int, ok bool) {
 	return payload, walHeaderSize + int(n), true
 }
 
-// decodeWALStream scans b for framed records. It returns the decoded
-// records and the byte offset of the first invalid frame — the
-// truncation point for recovery. A frame that passes its checksum
-// but fails to decode as a record is not a torn tail; it reports
-// ErrWALCorrupt (with the records and offset preceding it). The scan
-// never panics on arbitrary input (FuzzWALDecode holds it to that).
-func decodeWALStream(b []byte) (recs []walRecord, valid int, err error) {
+// scanWAL decodes the framed records of b in order, handing each to
+// fn, and returns the byte offset of the first invalid frame — the
+// truncation point for recovery. A frame that
+// passes its checksum but fails to decode as a record is not a torn
+// tail; it reports ErrWALCorrupt (with the offset preceding it). The
+// scan never panics on arbitrary input (FuzzWALDecode holds it to
+// that).
+func scanWAL(b []byte, fn func(*walRecord)) (valid int, err error) {
 	for valid < len(b) {
 		payload, consumed, ok := decodeFrame(b[valid:])
 		if !ok {
-			return recs, valid, nil
+			break
 		}
 		var rec walRecord
 		if uerr := json.Unmarshal(payload, &rec); uerr != nil {
-			return recs, valid, fmt.Errorf("%w: offset %d: %v", ErrWALCorrupt, valid, uerr)
+			return valid, fmt.Errorf("%w: offset %d: %v", ErrWALCorrupt, valid, uerr)
 		}
-		recs = append(recs, rec)
+		fn(&rec)
 		valid += consumed
 	}
-	return recs, valid, nil
+	return valid, nil
 }
 
-// walShard is one shard's append-only log with leader-based group
-// commit. Mutators stage encoded records while holding their shard
-// (or path-shard) lock — a cheap append — then call waitDurable
-// after releasing it. The first waiter becomes the commit leader: it
-// optionally sleeps GroupCommitInterval to let more records gather,
-// swaps out the whole pending batch, writes it in one Write and one
-// Sync, and wakes every waiter. Concurrent mutators therefore share
-// fsyncs instead of paying one each, and a CreateBatch's per-shard
-// group commits in a single sync.
+// walLog is the durability plane of one store: one append-only log
+// with leader-based group commit, and one snapshot, rooted in one
+// directory on the injected filesystem. Mutators stage encoded records
+// while holding their shard (or path-shard) lock — a cheap append —
+// then call waitDurable after releasing it. The first waiter becomes
+// the commit leader: it optionally sleeps GroupCommitInterval to let
+// more records gather, swaps out the whole pending batch, writes it in
+// one Write and one Sync, and wakes every waiter. Concurrent mutators
+// therefore share fsyncs instead of paying one each, and a CreateBatch
+// pays one however many shards it touches.
 //
-// The log is a run of numbered segment files; appends go to the
-// newest. A snapshot cuts the log onto a fresh segment at the LSN it
-// captures (cut) and, once durable, deletes the older ones (compacted).
-type walShard struct {
-	fs       durafs.FS
-	segPath  func(seg int) string
-	interval time.Duration
+// Layout: <dir>/log-SSSSSS.wal is log segment S, <dir>/store.snap the
+// snapshot (plus a transient store.snap.tmp that recovery ignores).
+// Appends go to the newest segment. A snapshot cuts the log onto a
+// fresh segment at the LSN it captures (cut) and, once durable,
+// deletes the older ones (compacted).
+type walLog struct {
+	fs            durafs.FS
+	dir           string
+	interval      time.Duration
+	snapshotEvery int
+
+	snapMu    sync.Mutex // one snapshot at a time; seg moves only under it
+	snapshots atomic.Int64
+	snapBytes atomic.Int64
 
 	mu         sync.Mutex
-	file       durafs.File // append handle on segment seg, opened lazily
+	file       durafs.File // append handle on segment seg
 	firstSeg   int         // oldest segment still on disk
 	seg        int         // segment appends go to
 	nextLSN    uint64      // next LSN to hand out
@@ -160,53 +171,48 @@ type walShard struct {
 	err        error         // sticky fail-stop cause
 
 	// recordsSinceSnap counts the committed records no durable
-	// snapshot covers — what a restart would replay. The shard compacts
+	// snapshot covers — what a restart would replay. The log compacts
 	// when it reaches max(SnapshotEvery, snapItems): a snapshot's cost
-	// is spread over at least as many records as it wrote items.
+	// is spread over at least as many records as it wrote (its items).
 	recordsSinceSnap int
 	snapItems        int
 }
 
-func newWALShard(fs durafs.FS, segPath func(int) string, interval time.Duration, startLSN uint64) *walShard {
-	return &walShard{
-		fs:         fs,
-		segPath:    segPath,
-		interval:   interval,
-		nextLSN:    startLSN + 1,
-		stagedLSN:  startLSN,
-		durableLSN: startLSN,
-		commitDone: make(chan struct{}),
-	}
-}
+const snapName = "store.snap"
+
+func segName(seg int) string             { return fmt.Sprintf("log-%06d.wal", seg) }
+func (w *walLog) segPath(seg int) string { return w.dir + "/" + segName(seg) }
 
 // stage encodes rec, assigns it the next LSN and queues it for the
 // next group commit. Callers hold the owning structure's lock, which
-// is what makes LSN order equal apply order. The assigned LSN is
-// returned for waitDurable.
-func (w *walShard) stage(rec walRecord) (uint64, error) {
+// is what makes LSN order apply order for the records of one shard;
+// the log's own lock is held only to number and append. The assigned
+// LSN is returned for waitDurable.
+func (w *walLog) stage(rec walRecord) (uint64, error) {
+	rec.LSN = 0
+	body, err := json.Marshal(rec)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.err != nil {
 		return 0, w.err
 	}
-	rec.LSN = w.nextLSN
-	frame, err := encodeRecord(rec)
 	if err != nil {
 		// Marshal of our own types failing is a programming error;
 		// fail stop rather than lose the record silently.
 		w.err = fmt.Errorf("%w: encode: %v", ErrWALFailed, err)
 		return 0, w.err
 	}
+	lsn := w.nextLSN
 	w.nextLSN++
-	w.stagedLSN = rec.LSN
-	w.pending = append(w.pending, frame...)
-	return rec.LSN, nil
+	w.stagedLSN = lsn
+	w.pending = appendRecord(w.pending, lsn, body)
+	return lsn, nil
 }
 
 // waitDurable blocks until every record up to lsn is on disk,
-// becoming the commit leader if nobody else is. It returns the
-// shard's sticky error if the log has failed.
-func (w *walShard) waitDurable(lsn uint64) error {
+// becoming the commit leader if nobody else is. It returns the log's
+// sticky error if the log has failed.
+func (w *walLog) waitDurable(lsn uint64) error {
 	for {
 		w.mu.Lock()
 		if w.err != nil {
@@ -235,12 +241,17 @@ func (w *walShard) waitDurable(lsn uint64) error {
 		}
 
 		w.mu.Lock()
-		batch := w.pending
-		batchLSN := w.stagedLSN
+		batch, batchLSN, f := w.pending, w.stagedLSN, w.file
 		w.pending = nil
 		w.mu.Unlock()
 
-		err := w.commit(batch)
+		// One Write and one Sync; only the leader touches the file.
+		var err error
+		if len(batch) > 0 {
+			if _, err = f.Write(batch); err == nil {
+				err = f.Sync()
+			}
+		}
 
 		w.mu.Lock()
 		if err != nil {
@@ -257,42 +268,8 @@ func (w *walShard) waitDurable(lsn uint64) error {
 	}
 }
 
-// commit writes and syncs one batch. Called only by the leader, so
-// file access is single-threaded.
-func (w *walShard) commit(batch []byte) error {
-	if len(batch) == 0 {
-		return nil
-	}
-	f, err := w.openFile()
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(batch); err != nil {
-		return err
-	}
-	return f.Sync()
-}
-
-// openFile lazily opens the append handle (leader-only).
-func (w *walShard) openFile() (durafs.File, error) {
-	w.mu.Lock()
-	f, path := w.file, w.segPath(w.seg)
-	w.mu.Unlock()
-	if f != nil {
-		return f, nil
-	}
-	f, err := w.fs.OpenAppend(path)
-	if err != nil {
-		return nil, err
-	}
-	w.mu.Lock()
-	w.file = f
-	w.mu.Unlock()
-	return f, nil
-}
-
 // undurable returns the highest LSN staged but not on disk, 0 for none.
-func (w *walShard) undurable() (lsn uint64) {
+func (w *walLog) undurable() (lsn uint64) {
 	w.mu.Lock()
 	if w.stagedLSN > w.durableLSN {
 		lsn = w.stagedLSN
@@ -303,14 +280,14 @@ func (w *walShard) undurable() (lsn uint64) {
 
 // cut commits everything staged to the active segment and switches
 // appends to next, a segment the caller has already created and made
-// durable in the directory. The caller holds the shard's dataset and
-// path locks, so nothing can stage meanwhile and the returned LSN is
-// an exact boundary: every older segment holds only records at or
-// below it, next only records above it. records is how many
-// committed records a snapshot at that LSN covers. That one commit —
-// a GroupCommitInterval's wait included, when one is set — is the only
-// I/O done under the shard locks.
-func (w *walShard) cut(next durafs.File) (lsn uint64, records int, err error) {
+// durable in the directory. The caller has frozen the store (freeze),
+// so nothing can stage meanwhile and the returned LSN is an exact
+// boundary: every older segment holds only records at or below it,
+// next only records above it. records is how many committed records a
+// snapshot at that LSN covers. That one commit — a
+// GroupCommitInterval's wait included, when one is set — is the only
+// I/O done with the store frozen.
+func (w *walLog) cut(next durafs.File) (lsn uint64, records int, err error) {
 	if err := w.waitDurable(w.undurable()); err != nil {
 		return 0, 0, err
 	}
@@ -318,9 +295,7 @@ func (w *walShard) cut(next durafs.File) (lsn uint64, records int, err error) {
 	// and none can start, so the handle is ours to swap.
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.file != nil {
-		w.file.Close()
-	}
+	w.file.Close()
 	w.file = next
 	w.seg++
 	return w.stagedLSN, w.recordsSinceSnap, nil
@@ -330,7 +305,7 @@ func (w *walShard) cut(next durafs.File) (lsn uint64, records int, err error) {
 // durable: the segments before the cut go, and what the snapshot
 // covered comes off the compaction trigger. A segment that survives
 // its Remove is harmless: replay skips its records by LSN.
-func (w *walShard) compacted(records, items int) {
+func (w *walLog) compacted(records, items int) {
 	w.mu.Lock()
 	first, seg := w.firstSeg, w.seg
 	w.firstSeg = seg
@@ -343,9 +318,9 @@ func (w *walShard) compacted(records, items int) {
 }
 
 // close commits anything pending, releases the file handle and
-// marks the shard closed: further mutations on it return
-// ErrWALFailed rather than silently journaling to a reopened log.
-func (w *walShard) close() error {
+// marks the log closed: further mutations return ErrWALFailed rather
+// than silently journaling to a reopened log.
+func (w *walLog) close() error {
 	err := w.waitDurable(w.undurable())
 	w.mu.Lock()
 	defer w.mu.Unlock()

@@ -2,12 +2,14 @@ package metadata
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"hash/crc32"
 	"io"
 	"io/fs"
 	"math/rand"
@@ -30,6 +32,31 @@ func openMem(t *testing.T, fs durafs.FS, opts Options) *Store {
 		t.Fatalf("Open: %v", err)
 	}
 	return s
+}
+
+// appendFrame appends payload to buf framed as the log frames a record.
+func appendFrame(buf, payload []byte) []byte {
+	var hdr [walHeaderSize]byte
+	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
+	return append(append(buf, hdr[:]...), payload...)
+}
+
+// encodeRecord frames one record as the log does.
+func encodeRecord(rec walRecord) ([]byte, error) {
+	lsn := rec.LSN
+	rec.LSN = 0
+	body, err := json.Marshal(rec)
+	if err != nil {
+		return nil, err
+	}
+	return appendRecord(nil, lsn, body), nil
+}
+
+// decodeWALStream is scanWAL collecting the records.
+func decodeWALStream(b []byte) (recs []walRecord, valid int, err error) {
+	valid, err = scanWAL(b, func(rec *walRecord) { recs = append(recs, *rec) })
+	return recs, valid, err
 }
 
 // TestDurableBasicRecovery: every kind of mutation survives a clean
@@ -179,7 +206,7 @@ func TestDurableBatchRecovery(t *testing.T) {
 }
 
 // TestDurableFailStop: a failed fsync fails the mutation with
-// ErrWALFailed and the shard refuses further mutations instead of
+// ErrWALFailed and the store refuses further mutations instead of
 // silently acknowledging undurable writes.
 func TestDurableFailStop(t *testing.T) {
 	ff := durafs.NewFault(durafs.NewMem(), nil)
@@ -193,7 +220,7 @@ func TestDurableFailStop(t *testing.T) {
 		t.Fatalf("create with failed sync: err = %v, want ErrWALFailed", err)
 	}
 	if _, err := s.Create("p", "/after", 1, "", nil); !errors.Is(err, ErrWALFailed) {
-		t.Fatalf("shard not fail-stop after sync failure: err = %v", err)
+		t.Fatalf("store not fail-stop after sync failure: err = %v", err)
 	}
 	// Power loss after the failed fsync: the record the disk refused
 	// to sync is still sitting in the page cache, so it dies with the
@@ -222,7 +249,7 @@ func TestDurableTornTailTruncated(t *testing.T) {
 	}
 	s.Close()
 
-	f, err := fs.OpenAppend("/wal/shard-000.wal")
+	f, err := fs.OpenAppend("/wal/log-000000.wal")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,18 +277,61 @@ func TestDurableTornTailTruncated(t *testing.T) {
 	r2.Close()
 }
 
-// TestDurableManifestMismatch: reopening a WAL directory with a
-// different shard count is refused with the typed config error.
-func TestDurableManifestMismatch(t *testing.T) {
+// TestDurableReopensAtAnyShardCount: the shards are lock stripes, not
+// logs, so a WAL directory written at one shard count reopens at any
+// other with every dataset, tag, placement and replica note — through
+// pure replay and through a snapshot.
+func TestDurableReopensAtAnyShardCount(t *testing.T) {
 	fs := durafs.NewMem()
-	s := openMem(t, fs, Options{Shards: 4})
-	if _, err := s.Create("p", "/m/1", 1, "", nil); err != nil {
+	s := openMem(t, fs, Options{Shards: 1})
+	const n = 40
+	for i := 0; i < n; i++ {
+		path := fmt.Sprintf("/r/%02d", i)
+		d, err := s.Create("p", path, 1, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Tag(d.ID, fmt.Sprintf("t%d", i%3)); err != nil {
+			t.Fatal(err)
+		}
+		s.NotePlacement("/ddn"+path, "premigrated")
+		s.NoteReplica(path, "kit", "valid")
+	}
+	var want bytes.Buffer
+	if err := s.Export(&want); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
-	_, err := Open(Options{Shards: 8, WALDir: "/wal", FS: fs})
-	if !errors.Is(err, ErrWALConfig) {
-		t.Fatalf("err = %v, want ErrWALConfig", err)
+
+	for _, shards := range []int{16, 4} {
+		r := openMem(t, fs, Options{Shards: shards})
+		if r.Shards() != shards {
+			t.Fatalf("reopened with %d shards, want %d", r.Shards(), shards)
+		}
+		var got bytes.Buffer
+		if err := r.Export(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want.Bytes(), got.Bytes()) {
+			t.Fatalf("at %d shards the store recovered differently:\nwant %s\ngot  %s", shards, want.Bytes(), got.Bytes())
+		}
+		for i := 0; i < n; i++ {
+			path := fmt.Sprintf("/r/%02d", i)
+			d, ok := r.ByPath(path)
+			if !ok || !d.HasTag(fmt.Sprintf("t%d", i%3)) {
+				t.Fatalf("at %d shards %s recovered as %+v, %v", shards, path, d, ok)
+			}
+			if pl, _ := r.Placement("/ddn" + path); pl != "premigrated" {
+				t.Fatalf("at %d shards the placement of %s is %q", shards, path, pl)
+			}
+			if reps := r.Replicas(path); reps["kit"] != "valid" {
+				t.Fatalf("at %d shards the replicas of %s are %v", shards, path, reps)
+			}
+		}
+		if err := r.Checkpoint(); err != nil { // the next reopen starts from a snapshot
+			t.Fatal(err)
+		}
+		r.Close()
 	}
 }
 
@@ -401,6 +471,11 @@ func TestDurableExportImportEquivalence(t *testing.T) {
 				opts.Clock = clock
 				s := openMem(t, fs, opts)
 				equivalenceWorkload(t, s, rand.New(rand.NewSource(seed)))
+				if s.WALTailRecords() == 0 {
+					// The workload ended on a snapshot: one record past it,
+					// so that recovery replays a tail.
+					s.NotePlacement("/tail", "resident")
+				}
 				before := export(s)
 				snapshots := s.Snapshots()
 				s.Close()
@@ -531,11 +606,11 @@ func TestEveryOpHasATransition(t *testing.T) {
 	}
 	s := NewStoreWith(Options{Shards: 1})
 	for _, op := range ops {
-		if _, err := s.apply(0, &walRecord{Op: op}, nil); errors.Is(err, errNoTransition) {
+		if _, err := s.apply(&walRecord{Op: op}, nil); errors.Is(err, errNoTransition) {
 			t.Errorf("op %q is declared but apply has no case for it", op)
 		}
 	}
-	if _, err := s.apply(0, &walRecord{Op: "no-such-op"}, nil); !errors.Is(err, errNoTransition) {
+	if _, err := s.apply(&walRecord{Op: "no-such-op"}, nil); !errors.Is(err, errNoTransition) {
 		t.Fatalf("an unknown op applied: err = %v", err)
 	}
 }
@@ -600,7 +675,7 @@ func TestWALCorruptPayloadTyped(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	f, _ := fs.OpenAppend("/wal/shard-000.wal")
+	f, _ := fs.OpenAppend("/wal/log-000000.wal")
 	f.Write(junk)
 	f.Sync()
 	f.Close()
@@ -638,14 +713,14 @@ func TestDurableCorruptSnapshotTyped(t *testing.T) {
 	}
 	s.Close()
 
-	f, err := fs.Open("/wal/shard-000.snap")
+	f, err := fs.Open("/wal/store.snap")
 	if err != nil {
 		t.Fatalf("no snapshot written: %v", err)
 	}
 	data, _ := io.ReadAll(f)
 	f.Close()
 	data[len(data)-1] ^= 0xff
-	w, _ := fs.Create("/wal/shard-000.snap")
+	w, _ := fs.Create("/wal/store.snap")
 	w.Write(data)
 	w.Sync()
 	w.Close()
@@ -675,11 +750,11 @@ func (u *unreadableFS) Create(name string) (durafs.File, error) {
 	return u.FS.Create(name)
 }
 
-// TestDurableUnreadableIsNotAbsent: a snapshot or manifest that exists
-// but cannot be opened fails Open with the cause, and is not written
-// over. Read as "absent", the snapshot's shard would open without the
-// history it compacted — its segments are deleted — and acknowledge
-// new writes on top.
+// TestDurableUnreadableIsNotAbsent: a snapshot or log segment that
+// exists but cannot be opened fails Open with the cause, and is not
+// written over. Read as "absent", the snapshot would open the store
+// without the history it compacted — its segments are deleted — and
+// acknowledge new writes on top.
 func TestDurableUnreadableIsNotAbsent(t *testing.T) {
 	mem := durafs.NewMem()
 	s := openMem(t, mem, Options{Shards: 1, SnapshotEvery: 4})
@@ -689,11 +764,11 @@ func TestDurableUnreadableIsNotAbsent(t *testing.T) {
 		}
 	}
 	if s.Snapshots() == 0 {
-		t.Fatal("no compacted shard to lose")
+		t.Fatal("no compacted history to lose")
 	}
 	s.Close()
 
-	for _, deny := range []string{".snap", "MANIFEST"} {
+	for _, deny := range []string{".snap", ".wal"} {
 		ufs := &unreadableFS{FS: mem, deny: deny}
 		r, err := Open(Options{Shards: 1, SnapshotEvery: 4, WALDir: "/wal", FS: ufs})
 		if err == nil {
@@ -715,83 +790,87 @@ func TestDurableUnreadableIsNotAbsent(t *testing.T) {
 	}
 }
 
-// TestDurableSingleFileLayoutOpens builds a WAL directory the way the
-// store laid it out before log segments — one shard-NNN.wal per shard
-// that a snapshot truncated only when it could, so it may still hold
-// records the snapshot covers — and opens it, with and without a tail
-// past the snapshot's LastLSN. The next compaction moves the shard
-// onto numbered segments and retires the old file.
-func TestDurableSingleFileLayoutOpens(t *testing.T) {
-	dataset := func(n int) Dataset {
-		return Dataset{ID: fmt.Sprintf("ds-%06d", n), Project: "p", Path: fmt.Sprintf("/old/%03d", n), Size: 1, Version: 1}
+// writeFiles creates each named file under /wal holding its bytes,
+// synced.
+func writeFiles(t *testing.T, fs durafs.FS, files map[string][]byte) {
+	t.Helper()
+	for name, data := range files {
+		f, err := fs.Create("/wal/" + name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.Write(data)
+		f.Sync()
+		f.Close()
 	}
-	const inSnapshot = 5
-	for _, tail := range []int{0, 3} {
-		t.Run(fmt.Sprintf("tail=%d", tail), func(t *testing.T) {
-			fs := durafs.NewMem()
-			write := func(name string, data []byte) {
-				f, err := fs.Create("/wal/" + name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				f.Write(data)
-				f.Sync()
-				f.Close()
-			}
-			manifest, _ := json.Marshal(walManifest{Version: 1, Shards: 1})
-			write("MANIFEST", appendFrame(nil, manifest))
-			snap := shardSnapshot{LastLSN: inSnapshot}
-			snap.Seq = inSnapshot
-			var log []byte
-			for n := 1; n <= inSnapshot+tail; n++ {
-				d := dataset(n)
-				if n <= inSnapshot {
-					snap.Datasets = append(snap.Datasets, d)
-				}
-				// The skipped rotation: records 1..inSnapshot are still in
-				// the log beside the snapshot that holds them.
-				frame, err := encodeRecord(walRecord{LSN: uint64(n), Seq: int64(n), Op: opCreate, Dataset: &d})
-				if err != nil {
-					t.Fatal(err)
-				}
-				log = append(log, frame...)
-			}
-			payload, _ := json.Marshal(snap)
-			write("shard-000.snap", appendFrame(nil, payload))
-			write("shard-000.wal", log)
+}
 
-			s := openMem(t, fs, Options{Shards: 1})
-			st := s.RecoveryStats()
-			if st.SnapshotDatasets != inSnapshot || st.RecordsSkipped != inSnapshot || st.RecordsReplayed != tail {
-				t.Fatalf("recovery stats = %+v, want %d from the snapshot, %d skipped, %d replayed", st, inSnapshot, inSnapshot, tail)
+// TestDurableRefusesPerShardLayout: a WAL directory in the layout of
+// earlier builds — a MANIFEST, one log and one snapshot per shard — is
+// refused by name, and nothing in it is written over or removed.
+func TestDurableRefusesPerShardLayout(t *testing.T) {
+	for _, name := range []string{"MANIFEST", "shard-000.wal", "shard-003-000002.wal", "shard-000.snap"} {
+		t.Run(name, func(t *testing.T) {
+			mem := durafs.NewMem()
+			writeFiles(t, mem, map[string][]byte{name: []byte("old")})
+			_, err := Open(Options{WALDir: "/wal", FS: mem})
+			if !errors.Is(err, ErrWALConfig) || !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "lsdfctl export") {
+				t.Fatalf("Open: %v, want ErrWALConfig naming %s and the way out", err, name)
 			}
-			if s.Count() != inSnapshot+tail {
-				t.Fatalf("recovered %d datasets, want %d", s.Count(), inSnapshot+tail)
+			if names, _ := mem.ReadDir("/wal"); len(names) != 1 || string(readFSFile(t, mem, "/wal/"+name)) != "old" {
+				t.Fatalf("the refused directory was changed: it holds %v", names)
 			}
-			// Appends resume on the old file, past every LSN in it.
-			d, err := s.Create("p", "/old/new", 1, "", nil)
+		})
+	}
+}
+
+// TestTornSegmentBeforeRecordsIsCorrupt: a crash can tear only the
+// newest segment that holds records — cut makes a segment durable
+// before the next one gets any — so a torn segment with records after
+// it is damage, and recovery refuses rather than replay over the hole.
+// A torn segment followed only by an empty one (a snapshot that crashed
+// after creating its segment) is still a crash artifact.
+func TestTornSegmentBeforeRecordsIsCorrupt(t *testing.T) {
+	frames := func(from, to int) []byte {
+		var log []byte
+		for n := from; n <= to; n++ {
+			d := Dataset{ID: fmt.Sprintf("ds-%06d", n), Project: "p", Path: fmt.Sprintf("/torn/%d", n), Size: 1, Version: 1}
+			frame, err := encodeRecord(walRecord{LSN: uint64(n), Seq: int64(n), Op: opCreate, Dataset: &d})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := dataset(inSnapshot + tail + 1).ID; d.ID != want {
-				t.Fatalf("ID sequence resumed at %s, want %s", d.ID, want)
-			}
-			if err := s.Checkpoint(); err != nil {
-				t.Fatal(err)
-			}
-			if _, err := fs.Open("/wal/shard-000.wal"); err == nil {
-				t.Error("the single-file log survived the compaction that superseded it")
-			}
-			if _, err := s.Create("p", "/old/newer", 1, "", nil); err != nil {
-				t.Fatal(err)
-			}
-			s.Close()
+			log = append(log, frame...)
+		}
+		return log
+	}
+	torn := append(frames(1, 3), 0xde, 0xad)
 
-			r := openMem(t, fs, Options{Shards: 1})
-			defer r.Close()
-			if st := r.RecoveryStats(); r.Count() != inSnapshot+tail+2 || st.RecordsReplayed != 1 || st.RecordsSkipped != 0 {
-				t.Fatalf("after the move to segments: %d datasets, stats %+v", r.Count(), st)
-			}
-		})
+	mem := durafs.NewMem()
+	writeFiles(t, mem, map[string][]byte{"log-000000.wal": torn, "log-000001.wal": frames(4, 5)})
+	if s, err := Open(Options{WALDir: "/wal", FS: mem}); !errors.Is(err, ErrWALCorrupt) {
+		if err == nil {
+			t.Errorf("opened over the hole with %d datasets", s.Count())
+			s.Close()
+		}
+		t.Fatalf("err = %v, want ErrWALCorrupt", err)
+	}
+	if data := readFSFile(t, mem, "/wal/log-000000.wal"); !bytes.Equal(data, torn) {
+		t.Fatal("the refused segment was truncated")
+	}
+
+	mem = durafs.NewMem()
+	writeFiles(t, mem, map[string][]byte{"log-000000.wal": torn, "log-000001.wal": nil})
+	s := openMem(t, mem, Options{})
+	if st := s.RecoveryStats(); s.Count() != 3 || st.TornTails != 1 {
+		t.Fatalf("torn segment before an empty one: %d datasets, %+v", s.Count(), st)
+	}
+	if _, err := s.Create("p", "/torn/new", 1, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	r := openMem(t, mem, Options{})
+	defer r.Close()
+	if r.Count() != 4 {
+		t.Fatalf("after the append: %d datasets, want 4", r.Count())
 	}
 }

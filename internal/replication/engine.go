@@ -326,7 +326,7 @@ func (e *Engine) Wait() {
 	}
 	e.mu.Unlock()
 	if m := e.catalog.meta; m != nil {
-		_ = m.SyncPaths()
+		_ = m.Sync()
 	}
 }
 
