@@ -24,18 +24,21 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"time"
 
+	"repro/internal/adal"
 	"repro/internal/gateway"
 	"repro/internal/gateway/client"
+	"repro/internal/metadata"
 	"repro/internal/obs"
-	"repro/internal/replication"
 	"repro/internal/statedir"
 	"repro/internal/units"
 )
@@ -95,10 +98,10 @@ commands:
   tier recall PATH            bring a migrated object's bytes back
   tier pin PATH               exempt an object from migration (this run)
   tier unpin PATH             re-admit an object to migration
-  replica status              show the replica catalog (per-object site states)
+  replica status              show the replica catalogue (per-object site states)
   replica add PATH SITE       copy an object to a mirror site (created on demand)
   replica drop PATH SITE      remove an object's replica from a site
-  replica verify PATH         re-checksum every replica against the main copy
+  replica verify PATH         re-checksum every replica against the journaled digest
   cache status                show read-cache counters and cached objects
   cache evict PATH            drop an object from every cache tier
   cache warm PREFIX           pre-fill the cache with the objects under PREFIX`)
@@ -392,18 +395,7 @@ func printJob(w io.Writer, st gateway.JobStatus) {
 
 func replicaCmd(w io.Writer, d *statedir.Dir, args []string) error {
 	if len(args) == 0 || args[0] == "status" {
-		fmt.Fprintf(w, "sites: %s\n", strings.Join(d.Sites(), ", "))
-		counts := d.Replicas.Counts()
-		fmt.Fprintf(w, "replicas: %d valid, %d stale, %d lost\n",
-			counts[replication.Valid], counts[replication.Stale], counts[replication.Lost])
-		for _, path := range d.Replicas.Paths() {
-			var cols []string
-			for _, r := range d.Replicas.Replicas(path) {
-				cols = append(cols, fmt.Sprintf("%s=%s", r.Site, r.State))
-			}
-			fmt.Fprintf(w, "%-40s  %s\n", path, strings.Join(cols, "  "))
-		}
-		return nil
+		return replicaStatus(w, d)
 	}
 	sub := args[0]
 	switch sub {
@@ -416,28 +408,25 @@ func replicaCmd(w io.Writer, d *statedir.Dir, args []string) error {
 			if err := d.MountSite(site); err != nil {
 				return err
 			}
-			// Adding over an existing (possibly stale) replica
-			// refreshes it: clear the old copy so Create succeeds.
-			if _, ok := d.Replicas.Get(path, site); ok {
-				_ = d.Layer.Remove("/site/" + site + path)
-			}
-			n, sum, err := d.Layer.CopyObjectChecksummed(path, "/site/"+site+path)
+			// Adding over whatever the site holds (a stale replica, a
+			// file the journal has no note for) refreshes it: clear the
+			// old copy so Create succeeds.
+			_ = d.Layer.Remove("/site/" + site + path)
+			dg, err := d.Layer.CopyObjectChecksummed(path, "/site/"+site+path)
 			if err != nil {
 				return err
 			}
-			d.Replicas.Set(path, replication.Replica{
-				Site: site, State: replication.Valid, Size: n, Checksum: sum,
-			})
-			fmt.Fprintf(w, "replicated %s to site %s (%s, sha256 %.12s…)\n", path, site, n.SI(), sum)
+			d.Meta.AddReplica(path, site, dg)
+			fmt.Fprintf(w, "replicated %s to site %s (%s, sha256 %.12s…)\n", path, site, dg.Size.SI(), dg.Sum)
 			return nil
 		}
-		if _, ok := d.Replicas.Get(path, site); !ok {
+		if _, ok := d.Meta.Replica(path, site); !ok {
 			return fmt.Errorf("no replica of %s on site %s", path, site)
 		}
 		if err := d.Layer.Remove("/site/" + site + path); err != nil {
 			return err
 		}
-		d.Replicas.Drop(path, site)
+		d.Meta.DropReplica(path, site)
 		fmt.Fprintf(w, "dropped replica of %s from site %s\n", path, site)
 		return nil
 	case "verify":
@@ -445,32 +434,71 @@ func replicaCmd(w io.Writer, d *statedir.Dir, args []string) error {
 			return fmt.Errorf("replica verify: need PATH")
 		}
 		path := args[1]
-		want, err := d.Layer.Checksum(path)
-		if err != nil {
-			return fmt.Errorf("reading main copy: %w", err)
-		}
-		reps := d.Replicas.Replicas(path)
-		if len(reps) == 0 {
+		want, ok := d.Meta.Digest(path)
+		reps := d.Meta.Replicas(path)
+		if !ok || len(reps) == 0 {
 			return fmt.Errorf("no replicas of %s", path)
 		}
 		for _, r := range reps {
-			got, err := d.Layer.Checksum("/site/" + r.Site + path)
-			switch {
-			case err != nil:
-				d.Replicas.Mark(path, r.Site, replication.Lost, err.Error())
-				fmt.Fprintf(w, "%-12s  %s  LOST (%v)\n", r.Site, path, err)
-			case got != want:
-				d.Replicas.Mark(path, r.Site, replication.Stale, "checksum mismatch")
-				fmt.Fprintf(w, "%-12s  %s  STALE (checksum mismatch)\n", r.Site, path)
-			default:
-				d.Replicas.Mark(path, r.Site, replication.Valid, "")
-				fmt.Fprintf(w, "%-12s  %s  valid (sha256 %.12s…)\n", r.Site, path, got)
+			st, verdict := metadata.ReplicaValid, fmt.Sprintf("valid (sha256 %.12s…)", want.Sum)
+			rc, err := d.Layer.Open("/site/" + r.Site + path)
+			if err == nil {
+				_, err = adal.Transfer(context.Background(), io.Discard, rc, want)
+				rc.Close()
+				if errors.Is(err, adal.ErrChecksum) {
+					st, verdict = metadata.ReplicaStale, "STALE (checksum mismatch)"
+				} else if err != nil {
+					st, verdict = metadata.ReplicaStale, fmt.Sprintf("STALE (%v)", err)
+				}
+			} else {
+				st, verdict = metadata.ReplicaLost, fmt.Sprintf("LOST (%v)", err)
 			}
+			d.Meta.SetReplica(path, r.Site, st)
+			fmt.Fprintf(w, "%-12s  %s  %s\n", r.Site, path, verdict)
 		}
 		return nil
 	default:
 		return fmt.Errorf("replica: unknown subcommand %q", sub)
 	}
+}
+
+// replicaStatus prints the journal's replica rows, and every site file
+// the journal has no note for as unregistered: a file is a replica only
+// once replica add has recorded it.
+func replicaStatus(w io.Writer, d *statedir.Dir) error {
+	fmt.Fprintf(w, "sites: %s\n", strings.Join(d.Sites(), ", "))
+	cols := make(map[string][]string) // path -> site=state
+	counts := make(map[string]int)
+	for _, path := range d.Meta.ReplicaPaths() {
+		for _, r := range d.Meta.Replicas(path) {
+			cols[path] = append(cols[path], r.Site+"="+r.State.String())
+			counts[r.State.String()]++
+		}
+	}
+	for _, site := range d.Sites() {
+		infos, err := d.Layer.List("/site/" + site)
+		if err != nil {
+			return err
+		}
+		for _, info := range infos {
+			path := strings.TrimPrefix(info.Path, "/site/"+site)
+			if _, ok := d.Meta.Replica(path, site); !ok {
+				cols[path] = append(cols[path], site+"=unregistered")
+				counts["unregistered"]++
+			}
+		}
+	}
+	fmt.Fprintf(w, "replicas: %d valid, %d stale, %d lost; %d unregistered site files\n",
+		counts["valid"], counts["stale"], counts["lost"], counts["unregistered"])
+	paths := make([]string, 0, len(cols))
+	for path := range cols {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		fmt.Fprintf(w, "%-40s  %s\n", path, strings.Join(cols[path], "  "))
+	}
+	return nil
 }
 
 func cacheCmd(w io.Writer, d *statedir.Dir, args []string) error {

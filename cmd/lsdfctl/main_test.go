@@ -116,6 +116,59 @@ func TestStateDirVerbs(t *testing.T) {
 	}
 }
 
+// TestReplicaVerdictSurvivesReopen: a site file corrupted while the
+// tools are closed is STALE to replica verify, which checks it against
+// the digest journaled when replica add made it, and the next
+// invocation still reports it stale — the journal, not a listing of the
+// site, says what the site holds. A site file with no note is listed
+// as unregistered.
+func TestReplicaVerdictSurvivesReopen(t *testing.T) {
+	tmp := t.TempDir()
+	state := filepath.Join(tmp, "state")
+	src := writeFile(t, tmp, "x.raw", bytes.Repeat([]byte("replica "), 100_000)) // three blocks
+	o := options{state: state}
+	do := func(args ...string) string {
+		t.Helper()
+		var out bytes.Buffer
+		if err := run(&out, o, args); err != nil {
+			t.Fatalf("lsdfctl %s: %v\n%s", strings.Join(args, " "), err, out.String())
+		}
+		return out.String()
+	}
+	expect := func(out string, want ...string) {
+		t.Helper()
+		for _, w := range want {
+			if !strings.Contains(out, w) {
+				t.Fatalf("output lacks %q:\n%s", w, out)
+			}
+		}
+	}
+	do("ingest", "-project", "p", src)
+	expect(do("replica", "add", "/data/x.raw", "m1"), "replicated /data/x.raw to site m1")
+	expect(do("replica", "status"), "m1=valid", "1 valid, 0 stale")
+
+	site := filepath.Join(state, "sites", "m1", "data", "x.raw")
+	b, err := os.ReadFile(site)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b[len(b)/2] ^= 0x20
+	if err := os.WriteFile(site, b, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	expect(do("replica", "verify", "/data/x.raw"), "m1", "STALE")
+	expect(do("replica", "status"), "m1=stale", "0 valid, 1 stale")
+
+	if err := os.WriteFile(filepath.Join(state, "sites", "m1", "data", "stray.raw"), []byte("no note"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	expect(do("replica"), "/data/stray.raw", "m1=unregistered", "1 unregistered")
+
+	do("replica", "add", "/data/x.raw", "m1")
+	expect(do("replica", "verify", "/data/x.raw"), "valid (sha256")
+	expect(do("replica", "status"), "m1=valid", "1 valid, 0 stale")
+}
+
 func writeFile(t *testing.T, dir, name string, data []byte) string {
 	t.Helper()
 	p := filepath.Join(dir, name)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding"
+	"encoding/binary"
 	"encoding/hex"
 	"hash"
 
@@ -16,29 +17,55 @@ import (
 const ChainBlock = 256 << 10
 
 // Digest is what one hash pass over an object records: its size, its
-// SHA-256, and the checkpoint chain — the hash's marshalled running
-// state at every ChainBlock boundary strictly inside the object
-// (stateLen bytes each). Not a second list of per-block digests: the
-// one hash's own intermediate states, so taking them costs no extra
-// hashing, and block j is checked by resuming state j, hashing the
-// block and comparing with state j+1 — the digest for the last block.
+// SHA-256, and the checkpoint chain — the hash's 32-byte chaining value
+// at every ChainBlock boundary strictly inside the object. Not a second
+// list of per-block digests: the one hash's own intermediate states, so
+// taking them costs no extra hashing, and block j is checked by resuming
+// the state at checkpoint j, hashing the block and comparing with
+// checkpoint j+1 — the digest for the last block.
 type Digest struct {
-	Size  units.Bytes
-	Sum   string // hex SHA-256 of the content
-	Chain []byte
+	Size  units.Bytes `json:"size"`
+	Sum   string      `json:"sum"` // hex SHA-256 of the content
+	Chain []byte      `json:"chain,omitempty"`
 }
 
 // newHash is sha256.New; tests swap it to count hash passes.
 var newHash = sha256.New
 
-var stateLen = len(marshalState(sha256.New()))
+// A checkpoint is the chaining value alone. At a block boundary the
+// rest of crypto/sha256's marshalled state is fixed — its magic, an
+// empty block buffer and a length the block index implies — so
+// blockState rebuilds it, and the chain holds no toolchain-private
+// format. TestBlockStateIsMarshalBinary pins the layout.
+const (
+	cvLen      = sha256.Size
+	stateMagic = "sha\x03"
+	stateLen   = len(stateMagic) + cvLen + sha256.BlockSize + 8
+)
 
-func marshalState(h hash.Hash) []byte {
-	st, err := h.(encoding.BinaryMarshaler).MarshalBinary()
-	if err != nil {
-		panic(err) // crypto/sha256 cannot fail to marshal
+// blockState fills st with the marshalled state of a SHA-256 that has
+// hashed n bytes, a multiple of its block size, and stands at chaining
+// value cv.
+func blockState(st *[stateLen]byte, cv []byte, n int64) {
+	copy(st[:], stateMagic)
+	copy(st[len(stateMagic):], cv)
+	clear(st[len(stateMagic)+cvLen : stateLen-8])
+	binary.BigEndian.PutUint64(st[stateLen-8:], uint64(n))
+}
+
+// appendCV appends h's chaining value to b through a marshal into st,
+// which it reuses when the hash can append its state in place.
+func appendCV(b []byte, h hash.Hash, st []byte) []byte {
+	var err error
+	if a, ok := h.(interface{ AppendBinary([]byte) ([]byte, error) }); ok {
+		st, err = a.AppendBinary(st[:0])
+	} else {
+		st, err = h.(encoding.BinaryMarshaler).MarshalBinary()
 	}
-	return st
+	if err != nil || len(st) != stateLen {
+		panic("adal: unexpected SHA-256 state layout") // crypto/sha256 cannot fail to marshal
+	}
+	return append(b, st[len(stateMagic):len(stateMagic)+cvLen]...)
 }
 
 // Blocks is the number of blocks the object spans; the last may be short.
@@ -50,7 +77,7 @@ func (d Digest) BlockLen(j int64) int64 { return min(ChainBlock, int64(d.Size)-j
 // Chained reports whether single blocks can be verified: there is a
 // digest, and a checkpoint for every inner boundary.
 func (d Digest) Chained() bool {
-	return d.Sum != "" && int64(len(d.Chain)) == (d.Blocks()-1)*int64(stateLen)
+	return d.Sum != "" && int64(len(d.Chain)) == (d.Blocks()-1)*cvLen
 }
 
 // VerifyBlock reports whether blk is block j of the object d describes:
@@ -61,15 +88,19 @@ func (d Digest) VerifyBlock(j int64, blk []byte) bool {
 		return false
 	}
 	h := sha256.New()
-	at := int(j) * stateLen // checkpoint j+1 starts here, checkpoint j ends here
-	if j > 0 && h.(encoding.BinaryUnmarshaler).UnmarshalBinary(d.Chain[at-stateLen:at]) != nil {
-		return false
+	var st [stateLen]byte
+	at := int(j) * cvLen // checkpoint j+1 starts here, checkpoint j ends here
+	if j > 0 {
+		blockState(&st, d.Chain[at-cvLen:at], j*ChainBlock)
+		if h.(encoding.BinaryUnmarshaler).UnmarshalBinary(st[:]) != nil {
+			return false
+		}
 	}
 	h.Write(blk)
 	if j == last {
-		return hex.EncodeToString(h.Sum(nil)) == d.Sum
+		return hex.EncodeToString(h.Sum(st[:0])) == d.Sum
 	}
-	return bytes.Equal(marshalState(h), d.Chain[at:at+stateLen])
+	return bytes.Equal(appendCV(st[:0], h, st[:]), d.Chain[at:at+cvLen])
 }
 
 // ChainHasher is a SHA-256 that records its checkpoint chain in the
@@ -78,6 +109,7 @@ type ChainHasher struct {
 	h     hash.Hash
 	n     int64
 	chain []byte
+	st    [stateLen]byte // scratch for the marshalled state
 }
 
 func NewChainHasher() *ChainHasher { return &ChainHasher{h: newHash()} }
@@ -90,7 +122,7 @@ func (c *ChainHasher) Write(p []byte) (int, error) {
 		c.n += k
 		rest = rest[k:]
 		if c.n%ChainBlock == 0 {
-			c.chain = append(c.chain, marshalState(c.h)...)
+			c.chain = appendCV(c.chain, c.h, c.st[:])
 		}
 	}
 	return len(p), nil
@@ -101,7 +133,7 @@ func (c *ChainHasher) Write(p []byte) (int, error) {
 func (c *ChainHasher) Digest() Digest {
 	chain := c.chain
 	if c.n > 0 && c.n%ChainBlock == 0 {
-		chain = chain[: len(chain)-stateLen : len(chain)-stateLen]
+		chain = chain[: len(chain)-cvLen : len(chain)-cvLen]
 	}
 	return Digest{Size: units.Bytes(c.n), Sum: hex.EncodeToString(c.h.Sum(nil)), Chain: chain}
 }
@@ -117,6 +149,6 @@ func (c *ChainHasher) prefixOf(want Digest) bool {
 	if c.n == 0 || c.n%ChainBlock != 0 || c.n == int64(want.Size) || !want.Chained() {
 		return true
 	}
-	at := int(c.n/ChainBlock) * stateLen
-	return bytes.Equal(c.chain[at-stateLen:at], want.Chain[at-stateLen:at])
+	at := int(c.n/ChainBlock) * cvLen
+	return bytes.Equal(c.chain[at-cvLen:at], want.Chain[at-cvLen:at])
 }

@@ -55,7 +55,7 @@ func TestChainAgainstSum256(t *testing.T) {
 				t.Fatalf("digest = (%d, %.12s), want (%d, %x)", d.Size, d.Sum, size, want[:6])
 			}
 			nb := d.Blocks()
-			if want := max(nb-1, 0) * int64(stateLen); int64(len(d.Chain)) != want {
+			if want := max(nb-1, 0) * cvLen; int64(len(d.Chain)) != want {
 				t.Fatalf("chain is %d bytes for %d blocks, want %d", len(d.Chain), nb, want)
 			}
 			if size > 0 && !d.Chained() {
@@ -105,7 +105,7 @@ func TestChainAgainstSum256(t *testing.T) {
 			}
 			tampered := d
 			tampered.Chain = bytes.Clone(d.Chain)
-			tampered.Chain[int(k-1)*stateLen+10] ^= 1 // checkpoint k: the state block k resumes from
+			tampered.Chain[int(k-1)*cvLen+10] ^= 1 // checkpoint k: the state block k resumes from
 			if bad := verdicts(tampered, same); len(bad) != 2 || bad[0] != k-1 || bad[1] != k {
 				t.Fatalf("tampered checkpoint %d: rejected %v, want [%d %d]", k, bad, k-1, k)
 			}
@@ -115,6 +115,47 @@ func TestChainAgainstSum256(t *testing.T) {
 				t.Fatal("a multi-block digest without a chain verified a block")
 			}
 		})
+	}
+}
+
+// TestBlockStateIsMarshalBinary pins the state blockState rebuilds from
+// a checkpoint to crypto/sha256's own marshalled state at every block
+// boundary: a toolchain that changes that layout fails here, not in a
+// verify that rejects every block.
+func TestBlockStateIsMarshalBinary(t *testing.T) {
+	data := seededBytes(9, 3*ChainBlock)
+	h := sha256.New()
+	for j := int64(1); j <= 3; j++ {
+		h.Write(blockOf(data, j-1))
+		want, err := h.(encoding.BinaryMarshaler).MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st [stateLen]byte
+		cv := appendCV(nil, h, nil)
+		blockState(&st, cv, j*ChainBlock)
+		if !bytes.Equal(st[:], want) {
+			t.Fatalf("boundary %d: rebuilt state %x, MarshalBinary %x", j, st, want)
+		}
+		resumed := sha256.New()
+		if err := resumed.(encoding.BinaryUnmarshaler).UnmarshalBinary(st[:]); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := resumed.Sum(nil), sha256.Sum256(data[:j*ChainBlock]); !bytes.Equal(got, want[:]) {
+			t.Fatalf("boundary %d: resumed state sums to %x, want %x", j, got[:6], want[:6])
+		}
+	}
+	ch := NewChainHasher()
+	ch.Write(data)
+	d := ch.Digest()
+	if len(d.Chain) != 2*cvLen {
+		t.Fatalf("chain of %d bytes for 3 blocks, want one %d-byte chaining value per inner boundary", len(d.Chain), cvLen)
+	}
+	if raceEnabled {
+		return // race instrumentation inflates allocation counts
+	}
+	if n := testing.AllocsPerRun(20, func() { d.VerifyBlock(1, blockOf(data, 1)) }); n > 2 {
+		t.Fatalf("VerifyBlock of an inner block allocates %v times, want at most 2 (the hash and its state)", n)
 	}
 }
 
@@ -178,7 +219,8 @@ func TestOneHashPassPerStoredByte(t *testing.T) {
 			return l.WriteChecksummed("/plain/x", strings.NewReader(payload))
 		}},
 		{"copy into a digesting mount", func() (units.Bytes, string, error) {
-			return l.CopyObjectChecksummed("/plain/x", "/sites/y")
+			d, err := l.CopyObjectChecksummed("/plain/x", "/sites/y")
+			return d.Size, d.Sum, err
 		}},
 	} {
 		hashed = 0

@@ -256,9 +256,15 @@ func PooledCopy(dst io.Writer, src io.Reader) (int64, error) {
 // written is removed (if Close committed it): a half-written object is
 // never left behind.
 func (l *Layer) WriteChecksummed(path string, r io.Reader) (units.Bytes, string, error) {
+	d, err := l.writeDigest(path, r)
+	return d.Size, d.Sum, err
+}
+
+// writeDigest is WriteChecksummed returning the whole digest.
+func (l *Layer) writeDigest(path string, r io.Reader) (Digest, error) {
 	w, err := l.Create(path)
 	if err != nil {
-		return 0, "", err
+		return Digest{}, err
 	}
 	d, werr := Transfer(context.TODO(), w, r, Digest{})
 	cerr := w.Close()
@@ -266,12 +272,12 @@ func (l *Layer) WriteChecksummed(path string, r io.Reader) (units.Bytes, string,
 		if cerr == nil {
 			_ = l.Remove(path)
 		}
-		return 0, "", fmt.Errorf("adal: writing %s: %w", path, werr)
+		return Digest{}, fmt.Errorf("adal: writing %s: %w", path, werr)
 	}
 	if cerr != nil {
-		return 0, "", cerr
+		return Digest{}, cerr
 	}
-	return d.Size, d.Sum, nil
+	return d, nil
 }
 
 // NewChecksumWriter wraps w so every written byte is SHA-256-hashed
@@ -335,24 +341,24 @@ func (l *Layer) Checksum(path string) (string, error) {
 // partial destination, so callers never observe a half-written
 // replica.
 func (l *Layer) CopyObject(src, dst string) error {
-	_, _, err := l.CopyObjectChecksummed(src, dst)
+	_, err := l.CopyObjectChecksummed(src, dst)
 	return err
 }
 
-// CopyObjectChecksummed is CopyObject returning the byte count and
-// the hex SHA-256 of the copied content, so replication callers can
-// verify the new replica against the catalog without a second read.
-func (l *Layer) CopyObjectChecksummed(src, dst string) (units.Bytes, string, error) {
+// CopyObjectChecksummed is CopyObject returning the digest of the
+// copied content — size, SHA-256 and checkpoint chain — so replication
+// callers can record the new replica without a second read.
+func (l *Layer) CopyObjectChecksummed(src, dst string) (Digest, error) {
 	r, err := l.Open(src)
 	if err != nil {
-		return 0, "", err
+		return Digest{}, err
 	}
 	defer r.Close()
-	n, sum, err := l.WriteChecksummed(dst, r)
+	d, err := l.writeDigest(dst, r)
 	if err != nil {
-		return 0, "", fmt.Errorf("adal: copying %s: %w", src, err)
+		return Digest{}, fmt.Errorf("adal: copying %s: %w", src, err)
 	}
-	return n, sum, nil
+	return d, nil
 }
 
 // ParseURI splits "lsdf://host/path" into its host and federated

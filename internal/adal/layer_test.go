@@ -217,12 +217,12 @@ func TestCopyObjectChecksummed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n, sum, err := l.CopyObjectChecksummed("/src/x", "/dst/x")
+	d, err := l.CopyObjectChecksummed("/src/x", "/dst/x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != wantN || sum != wantSum {
-		t.Fatalf("copy = (%d, %.12s), want (%d, %.12s)", n, sum, wantN, wantSum)
+	if d.Size != wantN || d.Sum != wantSum || !d.Chained() {
+		t.Fatalf("copy = (%d, %.12s, chained %v), want (%d, %.12s, chained)", d.Size, d.Sum, d.Chained(), wantN, wantSum)
 	}
 	if again, err := l.Checksum("/dst/x"); err != nil || again != wantSum {
 		t.Fatalf("destination checksum = %q err=%v", again, err)

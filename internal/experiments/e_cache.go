@@ -93,10 +93,8 @@ func E16HotSetReadCache() (*Table, error) {
 		replication.NewSite("far1", far1, 1),
 		replication.NewSite("far2", far2, 2),
 	}
-	cat := replication.NewCatalog(replication.CatalogConfig{Meta: meta, MountPrefix: "/sites"})
 	eng, err := replication.NewEngine(replication.Config{
-		Catalog: cat, Sites: sites, MinReplicas: 2,
-		Meta: meta, MountPrefix: "/sites",
+		Sites: sites, MinReplicas: 2, Meta: meta, MountPrefix: "/sites",
 	})
 	if err != nil {
 		return nil, err

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/adal"
 	"repro/internal/metadata"
 )
 
@@ -68,9 +69,10 @@ func E15ChildMain() bool {
 				fmt.Fprintf(os.Stderr, "e15 child: create: %v\n", res.Err)
 				os.Exit(2)
 			}
-			// These block until their WAL records are fsynced too.
+			// The placement note blocks until its WAL record is fsynced,
+			// and with it the replica note staged before it.
+			s.AddReplica(res.Dataset.Path, "gridka", adal.Digest{Size: 1, Sum: "e15"}) // a stand-in: no byte is read back
 			s.NotePlacement("/ddn"+res.Dataset.Path, "resident")
-			s.NoteReplica(res.Dataset.Path, "gridka", "valid")
 		}
 		if n := s.WALErrors(); n > 0 {
 			fmt.Fprintf(os.Stderr, "e15 child: %d WAL errors\n", n)
@@ -159,7 +161,7 @@ func E15DurableMetadata() (*Table, error) {
 			default:
 				if p, _ := s.Placement("/ddn" + path); p != "resident" {
 					badState++
-				} else if s.Replicas(path)["gridka"] != "valid" {
+				} else if st, _ := s.Replica(path, "gridka"); st != metadata.ReplicaValid {
 					badState++
 				}
 			}

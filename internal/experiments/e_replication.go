@@ -110,7 +110,7 @@ func E14MultiSiteReplication() (*Table, error) {
 	total := preObjects + outObjects
 	converged := 0
 	for i := 0; i < total; i++ {
-		if f.ReplicaCatalog.CountValid(fmt.Sprintf("/e14/obj%04d", i)) >= 2 {
+		if len(f.Meta.ValidSites(fmt.Sprintf("/sites/e14/obj%04d", i))) >= 2 {
 			converged++
 		}
 	}

@@ -188,11 +188,11 @@ type Facility struct {
 	Tape *tape.FS
 
 	// Multi-site replication (mounted at /sites); all nil unless
-	// Options.Sites was set.
-	ReplicaCatalog *replication.Catalog
-	Replicator     *replication.Engine
-	Federation     *replication.FederatedBackend
-	FedSites       []*replication.Site
+	// Options.Sites was set. The replica catalogue is Meta's, keyed by
+	// federated path ("/sites/...").
+	Replicator *replication.Engine
+	Federation *replication.FederatedBackend
+	FedSites   []*replication.Site
 
 	// ReadCache fronts the federation at /sites; nil unless
 	// Options.ReadCacheMemory or ReadCacheDisk was set.
@@ -288,7 +288,6 @@ func New(opts Options) (*Facility, error) {
 
 	// The replication federation: one site per Options.Sites name,
 	// nearest first, behind a federated backend at /sites.
-	var repCatalog *replication.Catalog
 	var repEngine *replication.Engine
 	var fedBackend *replication.FederatedBackend
 	var fedSites []*replication.Site
@@ -296,12 +295,7 @@ func New(opts Options) (*Facility, error) {
 		for i, name := range opts.Sites {
 			fedSites = append(fedSites, replication.NewSite(name, adal.NewMemFS(name), i))
 		}
-		repCatalog = replication.NewCatalog(replication.CatalogConfig{
-			Meta:        meta,
-			MountPrefix: "/sites",
-		})
 		repEngine, err = replication.NewEngine(replication.Config{
-			Catalog:     repCatalog,
 			Sites:       fedSites,
 			MinReplicas: opts.MinReplicas,
 			Meta:        meta,
@@ -360,24 +354,23 @@ func New(opts Options) (*Facility, error) {
 	}
 
 	f := &Facility{
-		Layer:          layer,
-		Meta:           meta,
-		Browser:        databrowser.New(layer, meta),
-		DFS:            cluster,
-		DDN:            ddn,
-		IBM:            ibm,
-		Archive:        arc,
-		ObjectStore:    objStore,
-		Tier:           tier,
-		Tape:           tapeFS,
-		ReplicaCatalog: repCatalog,
-		Replicator:     repEngine,
-		Federation:     fedBackend,
-		FedSites:       fedSites,
-		ReadCache:      cache,
-		Obs:            reg,
-		Tracer:         tracer,
-		shuffleMemory:  opts.ShuffleMemory,
+		Layer:         layer,
+		Meta:          meta,
+		Browser:       databrowser.New(layer, meta),
+		DFS:           cluster,
+		DDN:           ddn,
+		IBM:           ibm,
+		Archive:       arc,
+		ObjectStore:   objStore,
+		Tier:          tier,
+		Tape:          tapeFS,
+		Replicator:    repEngine,
+		Federation:    fedBackend,
+		FedSites:      fedSites,
+		ReadCache:     cache,
+		Obs:           reg,
+		Tracer:        tracer,
+		shuffleMemory: opts.ShuffleMemory,
 	}
 	f.Browser.SetObs(reg)
 	f.Orchestrator = workflow.NewOrchestrator(layer, meta, opts.AsyncWorkflows)

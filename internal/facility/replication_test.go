@@ -43,7 +43,7 @@ func TestFacilityMultiSiteReplication(t *testing.T) {
 
 	for i := 0; i < objects; i++ {
 		rel := fmt.Sprintf("/run/%03d", i)
-		if n := f.ReplicaCatalog.CountValid(rel); n < 2 {
+		if n := len(f.Meta.ValidSites("/sites" + rel)); n < 2 {
 			t.Fatalf("%s: %d valid replicas, want >= 2", rel, n)
 		}
 	}
@@ -81,7 +81,7 @@ func TestFacilityMultiSiteReplication(t *testing.T) {
 	f.Replicator.Wait()
 	for i := 0; i < objects; i++ {
 		rel := fmt.Sprintf("/run/%03d", i)
-		if n := f.ReplicaCatalog.CountValid(rel); n < 2 {
+		if n := len(f.Meta.ValidSites("/sites" + rel)); n < 2 {
 			t.Fatalf("%s after revive: %d valid replicas", rel, n)
 		}
 	}
@@ -129,7 +129,7 @@ func TestRulesDriveReplication(t *testing.T) {
 	f.Replicator.Wait()
 	f.Meta.Flush()
 
-	if n := f.ReplicaCatalog.CountValid("/exp/x"); n != 2 {
+	if n := len(f.Meta.ValidSites("/sites/exp/x")); n != 2 {
 		t.Fatalf("valid = %d, want 2", n)
 	}
 	got, _ := f.Meta.Get(ds.ID)

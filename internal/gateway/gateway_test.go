@@ -595,9 +595,8 @@ func TestPlainPutFailsWhenItsNoteIsNotDurable(t *testing.T) {
 	}
 	t.Cleanup(meta.Close)
 	engine, err := replication.NewEngine(replication.Config{
-		Catalog: replication.NewCatalog(replication.CatalogConfig{Meta: meta, MountPrefix: "/ddn"}),
-		Sites:   []*replication.Site{replication.NewSite("kit", adal.NewMemFS("kit"), 0)},
-		Meta:    meta, MountPrefix: "/ddn",
+		Sites: []*replication.Site{replication.NewSite("kit", adal.NewMemFS("kit"), 0)},
+		Meta:  meta, MountPrefix: "/ddn",
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -358,13 +358,12 @@ func replicatedParts(t *testing.T, opts metadata.Options, sites ...string) (*rig
 		t.Fatal(err)
 	}
 	t.Cleanup(meta.Close)
-	catalog := replication.NewCatalog(replication.CatalogConfig{Meta: meta, MountPrefix: "/ddn"})
 	var fed []*replication.Site
 	for i, name := range sites {
 		fed = append(fed, replication.NewSite(name, adal.NewMemFS(name), i))
 	}
 	engine, err := replication.NewEngine(replication.Config{
-		Catalog: catalog, Sites: fed, Meta: meta, MountPrefix: "/ddn",
+		Sites: fed, Meta: meta, MountPrefix: "/ddn",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -375,6 +374,12 @@ func replicatedParts(t *testing.T, opts metadata.Options, sites ...string) (*rig
 		t.Fatal(err)
 	}
 	return &rig{layer: layer, meta: meta}, counter, engine
+}
+
+// stateOf is the state the store notes for site's replica of path.
+func stateOf(meta *metadata.Store, path, site string) string {
+	st, _ := meta.Replica(path, site)
+	return st.String()
 }
 
 // killingReader takes the site down once its first bytes are read, so
@@ -399,8 +404,7 @@ func batchRetryAfterHomeSiteDied(t *testing.T) {
 	meta := metadata.NewStore()
 	kit := replication.NewSite("kit", adal.NewMemFS("kit"), 0)
 	engine, err := replication.NewEngine(replication.Config{
-		Catalog: replication.NewCatalog(replication.CatalogConfig{Meta: meta, MountPrefix: "/ddn"}),
-		Sites:   []*replication.Site{kit},
+		Sites: []*replication.Site{kit}, Meta: meta, MountPrefix: "/ddn",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -466,7 +470,7 @@ func batchSharesGroupCommits(t *testing.T) {
 		if cr.Dataset.Path != objs[i].Path {
 			t.Fatalf("result %d is for %s, want %s", i, cr.Dataset.Path, objs[i].Path)
 		}
-		if got := r.meta.Replicas(objs[i].Path)["kit"]; got != "valid" {
+		if got := stateOf(r.meta, objs[i].Path, "kit"); got != "valid" {
 			t.Errorf("%s: home replica noted as %q, want valid", objs[i].Path, got)
 		}
 	}
@@ -478,7 +482,7 @@ func batchSharesGroupCommits(t *testing.T) {
 	// The copies run on the engine's workers; the store's table shows
 	// each Valid note as soon as it is staged.
 	for _, o := range objs {
-		for deadline := time.Now().Add(10 * time.Second); r.meta.Replicas(o.Path)["far"] != "valid"; time.Sleep(time.Millisecond) {
+		for deadline := time.Now().Add(10 * time.Second); stateOf(r.meta, o.Path, "far") != "valid"; time.Sleep(time.Millisecond) {
 			if time.Now().After(deadline) {
 				t.Fatalf("%s never copied to far: %v", o.Path, r.meta.Replicas(o.Path))
 			}
@@ -502,7 +506,7 @@ func batchSharesGroupCommits(t *testing.T) {
 	}
 	defer re.Close()
 	for _, o := range objs {
-		if got := re.Replicas(o.Path); got["kit"] != "valid" || got["far"] != "valid" {
+		if got := re.Replicas(o.Path); len(re.ValidSites(o.Path)) != 2 {
 			t.Errorf("%s: after a power cut the replica notes read %v, want kit and far valid", o.Path, got)
 		}
 	}

@@ -225,7 +225,7 @@ feed:
 // The objects are written one after the other, in input order, so of
 // objects that repeat a path the first wins. A federated home copy's
 // Valid note is staged, not waited for: the CreateBatch makes it
-// durable with the registration (metadata.Store.StageReplica).
+// durable with the registration (metadata.Store.AddReplica).
 func StoreBatch(layer *adal.Layer, meta *metadata.Store, objs []*Object) []metadata.CreateResult {
 	results := make([]metadata.CreateResult, len(objs))
 	specs := make([]metadata.CreateSpec, 0, len(objs))

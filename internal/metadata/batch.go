@@ -38,7 +38,7 @@ type CreateResult struct {
 // shard once. No mutator ever holds a dataset-shard and a path-shard
 // lock together — freeze, which does, relies on that.
 // A registration also acknowledges the notes staged on its path (the
-// home copy's Valid note, StageReplica): they were staged before it, so
+// home copy's Valid note, AddReplica): they were staged before it, so
 // they are older in the one log and the batch's single wait covers
 // them.
 func (s *Store) CreateBatch(specs []CreateSpec) []CreateResult {

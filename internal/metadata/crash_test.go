@@ -138,7 +138,7 @@ func runCrashSeed(t *testing.T, seed int64) (RecoveryStats, int) {
 				if len(created) > 0 {
 					d := created[len(created)-1]
 					s.NotePlacement("/ddn"+d.Path, "resident")
-					s.NoteReplica(d.Path, "gridka", "valid")
+					s.AddReplica(d.Path, "gridka", testDigest(d.Path))
 				}
 				// Occasionally delete an earlier acked dataset.
 				if b%3 == 2 && len(created) > 2 {

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"maps"
 	"sort"
 	"strings"
 
@@ -66,7 +65,7 @@ func (s *Store) RecoveryStats() RecoveryStats { return s.recovered }
 func (s *Store) Durable() bool { return s.wal != nil }
 
 // WALErrors counts journaling failures that cannot reach a caller —
-// NotePlacement, NoteReplica, StageReplica, a failed Sync — and
+// NotePlacement, the replica notes, a failed Sync — and
 // snapshots that could not be written. A failed note or Sync means the
 // store has gone fail-stop and every later mutation errors; a failed
 // snapshot loses nothing (the log still holds it all).
@@ -109,18 +108,6 @@ func (s *Store) Placement(path string) (string, bool) {
 	defer ps.mu.RUnlock()
 	st, ok := ps.placement[path]
 	return st, ok
-}
-
-// Replicas returns a copy of the per-site replica states last noted
-// for path (via NoteReplica), surviving restarts on durable stores.
-func (s *Store) Replicas(path string) map[string]string {
-	ps := s.pathShardFor(path)
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	if len(ps.replicas[path]) == 0 {
-		return nil
-	}
-	return maps.Clone(ps.replicas[path])
 }
 
 // openWAL attaches the durability plane to a freshly constructed
@@ -240,9 +227,12 @@ func (s *Store) openWAL(opts Options) error {
 // evs non-nil the events the mutation publishes are appended to it, in
 // order, each with the dataset as it stood at that step.
 //
-// Two fields only the state can decide are filled in on the record, so
+// Fields only the state can decide are filled in on the record, so
 // that what is journaled replays to the same state: a processing's ID,
-// and a create's final tags and version. Path claims are not applied
+// a create's final tags and version, and whether a replica note carries
+// its path's digest (replicas.go). A replica note moves the live table
+// and the journal differently — Pending and Copying are not journaled —
+// so for one, changed means the journal moved. Path claims are not applied
 // here — they are derived from the datasets, never journaled: the
 // mutators take them in a round of their own and recovery rebuilds
 // them (rebuildPaths).
@@ -329,7 +319,7 @@ func (s *Store) apply(rec *walRecord, evs *[]Event) (changed bool, err error) {
 		ps.placement[rec.Path] = rec.State
 		return true, nil
 	case opReplica:
-		return ps.setReplica(rec.Path, rec.Site, rec.State), nil
+		return ps.noteReplica(rec), nil
 	}
 	return false, fmt.Errorf("%w: %q", errNoTransition, rec.Op)
 }

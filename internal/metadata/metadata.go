@@ -117,10 +117,11 @@ const (
 	// (resident/premigrated/migrated) for the object at Dataset.Path;
 	// published by the tiering backend, not by a store mutation.
 	EventPlacement
-	// EventReplica announces a replica-catalog state transition
+	// EventReplica announces a replica-catalogue state transition
 	// (pending/copying/valid/stale/lost/dropped) for the object at
 	// Dataset.Path on the site named by Event.Site; published by the
-	// replication catalog, not by a store mutation.
+	// store's replica notes (replicas.go), only when one moves the
+	// table.
 	EventReplica
 )
 
@@ -230,34 +231,13 @@ type shard struct {
 // pathShard holds the slice of the logical-path namespace that
 // hashes onto it. Claiming a path here is what makes Create's
 // duplicate detection race-free without a global lock. It also
-// carries the per-path placement and replica notes (keyed by the
+// carries the per-path placement notes and replica rows (keyed by the
 // same hash), which durable stores journal and recover.
 type pathShard struct {
 	mu        sync.RWMutex
-	byPath    map[string]string            // path -> id
-	placement map[string]string            // path -> tier placement state
-	replicas  map[string]map[string]string // path -> site -> replica state
-}
-
-// setReplica records a replica note, or clears the site's entry for a
-// transfer's ("pending", "copying": see NoteReplica), and reports
-// whether the table changed. Callers hold ps.mu (or run
-// single-threaded recovery).
-func (ps *pathShard) setReplica(path, site, state string) bool {
-	sites := ps.replicas[path]
-	if state == "pending" || state == "copying" {
-		_, had := sites[site]
-		if delete(sites, site); len(sites) == 0 {
-			delete(ps.replicas, path)
-		}
-		return had
-	}
-	if sites == nil {
-		sites = make(map[string]string)
-		ps.replicas[path] = sites
-	}
-	sites[site] = state
-	return true
+	byPath    map[string]string      // path -> id
+	placement map[string]string      // path -> tier placement state
+	replicas  map[string]*replicaRow // path -> its replica row (replicas.go)
 }
 
 // Store is the metadata repository. All methods are safe for
@@ -318,7 +298,7 @@ func Open(opts Options) (*Store, error) {
 			byTag:     make(map[string]map[string]bool),
 		}
 		s.pathShards[i] = &pathShard{byPath: make(map[string]string),
-			placement: make(map[string]string), replicas: make(map[string]map[string]string)}
+			placement: make(map[string]string), replicas: make(map[string]*replicaRow)}
 	}
 	if opts.WALDir != "" {
 		if err := s.openWAL(opts); err != nil {
@@ -503,29 +483,10 @@ func (s *Store) Delete(id string) error {
 // Journaling failures cannot be returned on this void path; they
 // land on the WALErrors counter and the store goes fail-stop.
 func (s *Store) NotePlacement(path, placement string) {
-	s.note(walRecord{Op: opPlacement, Path: path, State: placement}, EventPlacement, true)
-}
-
-// NoteReplica publishes an EventReplica on the store's bus for the
-// object at path: the replication catalog calls it on every replica
-// state transition so the DataBrowser and rule engines observe
-// multi-site convergence without polling the catalog. Like
-// NotePlacement, the event carries the registered dataset snapshot
-// when the path is known, or a synthetic path-only snapshot, and the
-// state lands in a table (see Replicas) — of replicas, not transfers:
-// "pending" and "copying" clear the site's entry and are journaled only
-// if there was one. NoteReplica is StageReplica, then a wait until the
-// note is durable; failures land on the WALErrors counter.
-func (s *Store) NoteReplica(path, site, state string) {
-	s.note(walRecord{Op: opReplica, Path: path, Site: site, State: state}, EventReplica, true)
-}
-
-// StageReplica is NoteReplica without the wait: the note is durable
-// once anything waits for the log past it — the CreateBatch that
-// registers path, Sync, Close, any later commit. Only a note whose
-// loss makes recovery believe less than is true may be staged.
-func (s *Store) StageReplica(path, site, state string) {
-	s.note(walRecord{Op: opReplica, Path: path, Site: site, State: state}, EventReplica, false)
+	if errs := s.commit([]walRecord{{Op: opPlacement, Path: path, State: placement}}, false, true); errs != nil {
+		s.walErrs.Add(1)
+	}
+	s.notePublish(EventPlacement, path, "", placement)
 }
 
 // Sync waits until everything staged in the log — staged notes
@@ -542,18 +503,14 @@ func (s *Store) Sync() error {
 	return err
 }
 
-// note commits a path note — waiting for it with wait — and then
-// publishes its event. The event's dataset snapshot lives on another
-// shard, so it is taken after the commit, with no lock held, and not
-// by apply.
-func (s *Store) note(rec walRecord, typ EventType, wait bool) {
-	if errs := s.commit([]walRecord{rec}, false, wait); errs != nil {
-		s.walErrs.Add(1)
-	}
-	ev := Event{Type: typ, Placement: rec.State, Site: rec.Site}
+// notePublish publishes a path note's event. Its dataset snapshot
+// lives on another shard than the note, so it is taken after the
+// commit, with no lock held, and not by apply.
+func (s *Store) notePublish(typ EventType, path, site, state string) {
+	ev := Event{Type: typ, Placement: state, Site: site}
 	var ok bool
-	if ev.Dataset, ok = s.ByPath(rec.Path); !ok {
-		ev.Dataset = Dataset{Path: rec.Path}
+	if ev.Dataset, ok = s.ByPath(path); !ok {
+		ev.Dataset = Dataset{Path: path}
 	}
 	s.stage(ev)
 	s.publish(ev)

@@ -13,6 +13,7 @@ import (
 	"maps"
 	"sort"
 
+	"repro/internal/adal"
 	"repro/internal/metadata/durafs"
 )
 
@@ -24,12 +25,14 @@ import (
 var ErrSnapshotCorrupt = errors.New("metadata: snapshot corrupt")
 
 // storeDump is the Export/Import document: the store's state, as
-// of one point of its history.
+// of one point of its history. A replica row is its digest and its
+// journaled sites; a transfer in flight is not state.
 type storeDump struct {
 	Seq        int64                        `json:"seq"`
 	Datasets   []Dataset                    `json:"datasets"`
 	Placements map[string]string            `json:"placements,omitempty"`
 	Replicas   map[string]map[string]string `json:"replicas,omitempty"`
+	Digests    map[string]adal.Digest       `json:"digests,omitempty"`
 }
 
 // sort puts the datasets in ID order, which (JSON map keys being
@@ -39,11 +42,11 @@ func (dump *storeDump) sort() {
 }
 
 // records is the dump as mutations: one create per dataset, one note
-// per placement and per replica. Applying them to an empty store is
-// installing the dump — recovery does that with the snapshot; Import
-// commits them, so they are journaled as well.
+// per placement, per replica and per row's digest. Applying them to an
+// empty store is installing the dump — recovery does that with the
+// snapshot; Import commits them, so they are journaled as well.
 func (dump *storeDump) records() []walRecord {
-	recs := make([]walRecord, 0, len(dump.Datasets)+len(dump.Placements)+len(dump.Replicas))
+	recs := make([]walRecord, 0, dump.items())
 	for i := range dump.Datasets {
 		recs = append(recs, walRecord{Op: opCreate, Seq: dump.Seq, Dataset: &dump.Datasets[i]})
 	}
@@ -55,6 +58,9 @@ func (dump *storeDump) records() []walRecord {
 			recs = append(recs, walRecord{Op: opReplica, Path: p, Site: site, State: st})
 		}
 	}
+	for p, d := range dump.Digests {
+		recs = append(recs, walRecord{Op: opReplica, Path: p, Digest: &d})
+	}
 	return recs
 }
 
@@ -62,7 +68,7 @@ func (dump *storeDump) records() []walRecord {
 // costs, and so how many records must pass before the log compacts
 // again.
 func (dump *storeDump) items() int {
-	return len(dump.Datasets) + len(dump.Placements) + len(dump.Replicas)
+	return len(dump.Datasets) + len(dump.Placements) + len(dump.Replicas) + len(dump.Digests)
 }
 
 // storeSnapshot is the store's compacted state: its dump, and the LSN
@@ -104,14 +110,26 @@ func (s *Store) dump() storeDump {
 		n += len(sh.datasets)
 	}
 	dump := storeDump{Seq: s.seq.Load(), Datasets: make([]Dataset, 0, n),
-		Placements: make(map[string]string), Replicas: make(map[string]map[string]string)}
+		Placements: make(map[string]string), Replicas: make(map[string]map[string]string),
+		Digests: make(map[string]adal.Digest)}
 	for i, sh := range s.shards {
 		for _, d := range sh.datasets {
 			dump.Datasets = append(dump.Datasets, d.clone())
 		}
 		maps.Copy(dump.Placements, s.pathShards[i].placement)
-		for p, sites := range s.pathShards[i].replicas {
-			dump.Replicas[p] = maps.Clone(sites)
+		for p, row := range s.pathShards[i].replicas {
+			if row.digest.Sum != "" {
+				dump.Digests[p] = row.digest
+			}
+			for _, r := range row.sites {
+				if !r.State.durable() {
+					continue
+				}
+				if dump.Replicas[p] == nil {
+					dump.Replicas[p] = make(map[string]string)
+				}
+				dump.Replicas[p][r.Site] = r.State.String()
+			}
 		}
 	}
 	return dump
@@ -210,6 +228,8 @@ func writeSnapshot(fsys durafs.FS, name string, lastLSN uint64, dump *storeDump)
 	streamObject(dump.Placements, raw, val)
 	raw(`,"replicas":`)
 	streamObject(dump.Replicas, raw, val)
+	raw(`,"digests":`)
+	streamObject(dump.Digests, raw, val)
 	raw("}")
 	if err == nil {
 		err = bw.Flush()

@@ -45,7 +45,7 @@ func buildDeterministic(t *testing.T) (*Store, *durafs.MemFS) {
 			t.Fatal(res.Err)
 		}
 		s.NotePlacement("/cache"+res.Dataset.Path, "resident")
-		s.NoteReplica(res.Dataset.Path, "dkrz", "valid")
+		s.AddReplica(res.Dataset.Path, "dkrz", testDigest(res.Dataset.Path))
 	}
 	if err := s.Checkpoint(); err != nil {
 		t.Fatal(err)

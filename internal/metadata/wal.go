@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/adal"
 	"repro/internal/metadata/durafs"
 )
 
@@ -41,25 +42,31 @@ const (
 	opProc      = "proc"      // ID + Proc
 	opDelete    = "delete"    // ID
 	opPlacement = "placement" // Path + State
-	opReplica   = "replica"   // Path + Site + State
+	opReplica   = "replica"   // Path + Site + State (+ Digest); no Site: the path's row (replicas.go)
 )
 
 // walRecord is one journaled mutation. LSN is monotonically
 // increasing along the log, and stays the first field: appendRecord
 // writes it into a record marshalled with LSN 0. Seq is the store's
 // ID-allocation watermark at stage time, so recovery can restore the
-// counter without parsing dataset IDs.
+// counter without parsing dataset IDs. The unexported fields are not
+// journaled: the live caller and apply talk through them.
 type walRecord struct {
-	LSN     uint64      `json:"lsn"`
-	Seq     int64       `json:"seq,omitempty"`
-	Op      string      `json:"op"`
-	Dataset *Dataset    `json:"dataset,omitempty"`
-	ID      string      `json:"id,omitempty"`
-	Tag     string      `json:"tag,omitempty"`
-	Proc    *Processing `json:"proc,omitempty"`
-	Path    string      `json:"path,omitempty"`
-	Site    string      `json:"site,omitempty"`
-	State   string      `json:"state,omitempty"`
+	LSN     uint64       `json:"lsn"`
+	Seq     int64        `json:"seq,omitempty"`
+	Op      string       `json:"op"`
+	Dataset *Dataset     `json:"dataset,omitempty"`
+	ID      string       `json:"id,omitempty"`
+	Tag     string       `json:"tag,omitempty"`
+	Proc    *Processing  `json:"proc,omitempty"`
+	Path    string       `json:"path,omitempty"`
+	Site    string       `json:"site,omitempty"`
+	State   string       `json:"state,omitempty"`
+	Digest  *adal.Digest `json:"digest,omitempty"` // a path's, with its first Valid note
+
+	needRow bool      // in: a replica note on a path without a row is refused
+	noop    bool      // out: the replica note moved nothing
+	dropped []Replica // out: the sites of a dropped replica row
 }
 
 // Frame layout: [u32 payload length][u32 CRC32-C of payload][payload].

@@ -88,7 +88,7 @@ func TestDurableBasicRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.NotePlacement("/ddn/a/1", "migrated")
-	s.NoteReplica("/a/1", "gridka", "valid")
+	s.AddReplica("/a/1", "gridka", testDigest("/a/1"))
 	s.Close()
 
 	r := openMem(t, fs, Options{})
@@ -117,8 +117,11 @@ func TestDurableBasicRecovery(t *testing.T) {
 	if pl, ok := r.Placement("/ddn/a/1"); !ok || pl != "migrated" {
 		t.Fatalf("placement = %q, %v", pl, ok)
 	}
-	if reps := r.Replicas("/a/1"); reps["gridka"] != "valid" {
-		t.Fatalf("replicas = %v", reps)
+	if st, _ := r.Replica("/a/1", "gridka"); st != ReplicaValid {
+		t.Fatalf("replicas = %v", r.Replicas("/a/1"))
+	}
+	if d, ok := r.Digest("/a/1"); !ok || !sameDigest(d, testDigest("/a/1")) {
+		t.Fatalf("digest = %+v, %v", d, ok)
 	}
 	// Indexes rebuilt: tag query finds the dataset.
 	if hits := r.Find(Query{Tags: []string{"raw"}}); len(hits) != 1 || hits[0].ID != d1.ID {
@@ -295,7 +298,7 @@ func TestDurableReopensAtAnyShardCount(t *testing.T) {
 			t.Fatal(err)
 		}
 		s.NotePlacement("/ddn"+path, "premigrated")
-		s.NoteReplica(path, "kit", "valid")
+		s.AddReplica(path, "kit", testDigest(path))
 	}
 	var want bytes.Buffer
 	if err := s.Export(&want); err != nil {
@@ -324,8 +327,8 @@ func TestDurableReopensAtAnyShardCount(t *testing.T) {
 			if pl, _ := r.Placement("/ddn" + path); pl != "premigrated" {
 				t.Fatalf("at %d shards the placement of %s is %q", shards, path, pl)
 			}
-			if reps := r.Replicas(path); reps["kit"] != "valid" {
-				t.Fatalf("at %d shards the replicas of %s are %v", shards, path, reps)
+			if st, _ := r.Replica(path, "kit"); st != ReplicaValid {
+				t.Fatalf("at %d shards the replicas of %s are %v", shards, path, r.Replicas(path))
 			}
 		}
 		if err := r.Checkpoint(); err != nil { // the next reopen starts from a snapshot
@@ -434,7 +437,12 @@ func equivalenceWorkload(t *testing.T, s *Store, rng *rand.Rand) {
 			live, freed = append(live, d), freed[1:]
 		},
 		func() { s.NotePlacement("/ddn"+live[rng.Intn(len(live))].Path, pick(states)) },
-		func() { s.NoteReplica(live[rng.Intn(len(live))].Path, pick(sites), pick(states)) }, // few sites: states get overwritten
+		// Few sites: states get overwritten. Notes on a path without a
+		// row, or on a site its row lacks, are refused.
+		func() { p := live[rng.Intn(len(live))].Path; s.AddReplica(p, pick(sites), testDigest(p)) },
+		func() { s.SetReplica(live[rng.Intn(len(live))].Path, pick(sites), ReplicaState(1+rng.Intn(5))) },
+		func() { s.DropReplica(live[rng.Intn(len(live))].Path, pick(sites)) },
+		func() { s.DropReplicas(live[rng.Intn(len(live))].Path) },
 	}
 	for _, op := range ops {
 		op()

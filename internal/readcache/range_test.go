@@ -101,9 +101,8 @@ func (r *patternReader) Close() error { return nil }
 func patternFed(t testing.TB, size int64, cfg Config) (*Cache, *patternFS) {
 	t.Helper()
 	site := &patternFS{Backend: adal.NewMemFS("site"), sizes: make(map[string]int64)}
-	cat := replication.NewCatalog(replication.CatalogConfig{})
 	eng, err := replication.NewEngine(replication.Config{
-		Catalog: cat, Sites: []*replication.Site{replication.NewSite("site", site, 0)}, MinReplicas: 1,
+		Meta: metadata.NewStore(), Sites: []*replication.Site{replication.NewSite("site", site, 0)}, MinReplicas: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -413,7 +412,7 @@ func TestDigestWithoutChainIsReadWholeOnceAndDerived(t *testing.T) {
 		t.Fatalf("verified flags %v", verified)
 	}
 	for p := range verified {
-		meta.NoteReplica("/sites"+p, "kit", "stale")
+		noteKit(meta, "/sites"+p, metadata.ReplicaStale)
 	}
 	if got := c.Entries(); len(got) != 1 || got[0].Path != "/d/good" {
 		t.Fatalf("after stale events: %+v, want only the verified object", got)

@@ -329,6 +329,20 @@ func TestRemoveInvalidates(t *testing.T) {
 	}
 }
 
+// noteKit moves site kit's replica of path to st — 0 drops the path's
+// row — through the store, giving the path a row first as a write would:
+// the store publishes the replica event the cache listens for.
+func noteKit(meta *metadata.Store, path string, st metadata.ReplicaState) {
+	if meta.Replicas(path) == nil {
+		meta.AddReplica(path, "kit", adal.Digest{})
+	}
+	if st == 0 {
+		meta.DropReplicas(path)
+		return
+	}
+	meta.SetReplica(path, "kit", st)
+}
+
 // TestBusInvalidation: replica events on the bus evict — "dropped"
 // unconditionally, "stale" only unverified entries.
 func TestBusInvalidation(t *testing.T) {
@@ -342,7 +356,7 @@ func TestBusInvalidation(t *testing.T) {
 	readCache(t, c, path)
 	// MemFS has no checksum reporter, so the entry is unverified: a
 	// stale transition must evict it.
-	meta.NoteReplica("/sites"+path, "kit", "stale")
+	noteKit(meta, "/sites"+path, metadata.ReplicaStale)
 	if _, ok := c.CacheTier(path); ok {
 		t.Fatal("unverified entry survived a stale event")
 	}
@@ -352,12 +366,12 @@ func TestBusInvalidation(t *testing.T) {
 
 	// Events outside the mount prefix must not touch the cache.
 	readCache(t, c, path)
-	meta.NoteReplica("/elsewhere"+path, "kit", "dropped")
+	noteKit(meta, "/elsewhere"+path, 0)
 	if _, ok := c.CacheTier(path); !ok {
 		t.Fatal("event outside the mount prefix evicted the entry")
 	}
 	// "dropped" under the prefix always evicts.
-	meta.NoteReplica("/sites"+path, "kit", "dropped")
+	noteKit(meta, "/sites"+path, 0)
 	if _, ok := c.CacheTier(path); ok {
 		t.Fatal("entry survived a dropped event")
 	}
@@ -380,8 +394,8 @@ func TestStaleKeepsVerifiedEntry(t *testing.T) {
 	defer c.Close()
 
 	readCache(t, c, path)
-	meta.NoteReplica("/sites"+path, "kit", "stale")
-	meta.NoteReplica("/sites"+path, "kit", "lost")
+	noteKit(meta, "/sites"+path, metadata.ReplicaStale)
+	noteKit(meta, "/sites"+path, metadata.ReplicaLost)
 	if _, ok := c.CacheTier(path); !ok {
 		t.Fatal("verified entry evicted by stale/lost events")
 	}
@@ -393,7 +407,7 @@ func TestStaleKeepsVerifiedEntry(t *testing.T) {
 		t.Fatal("verified entry re-fetched instead of served from cache")
 	}
 	// A dropped event still wins over verification.
-	meta.NoteReplica("/sites"+path, "kit", "dropped")
+	noteKit(meta, "/sites"+path, 0)
 	if _, ok := c.CacheTier(path); ok {
 		t.Fatal("verified entry survived dropped")
 	}
@@ -487,7 +501,7 @@ func TestDiskRecovery(t *testing.T) {
 			t.Fatalf("recovered blocks of %s are marked verified", e.Path)
 		}
 	}
-	meta.NoteReplica("/sites/data/big", "kit", "stale")
+	noteKit(meta, "/sites/data/big", metadata.ReplicaStale)
 	if _, ok := c.CacheTier("/data/big"); ok {
 		t.Fatal("recovered (unverified) blocks survived a stale event")
 	}

@@ -29,10 +29,8 @@ func testFedCache(t testing.TB, cacheCfg Config) (*Cache, *replication.Federated
 		replication.NewSite("gridka", adal.NewMemFS("gridka"), 1),
 		replication.NewSite("desy", adal.NewMemFS("desy"), 2),
 	}
-	cat := replication.NewCatalog(replication.CatalogConfig{Meta: meta, MountPrefix: "/sites"})
 	eng, err := replication.NewEngine(replication.Config{
-		Catalog: cat, Sites: sites, MinReplicas: 3,
-		Meta: meta, MountPrefix: "/sites",
+		Sites: sites, MinReplicas: 3, Meta: meta, MountPrefix: "/sites",
 	})
 	if err != nil {
 		t.Fatal(err)

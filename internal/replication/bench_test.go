@@ -12,20 +12,15 @@ import (
 	"repro/internal/units"
 )
 
-func benchFed(b *testing.B, min int) (*FederatedBackend, *Engine, *Catalog, []*Site) {
+func benchFed(b *testing.B, min int) (*FederatedBackend, *Engine, catView, []*Site) {
 	b.Helper()
 	sites := []*Site{
 		NewSite("kit", adal.NewMemFS("kit"), 0),
 		NewSite("gridka", adal.NewMemFS("gridka"), 1),
 		NewSite("desy", adal.NewMemFS("desy"), 2),
 	}
-	cat := NewCatalog(CatalogConfig{}) // no bus: measure the data path
-	eng, err := NewEngine(Config{Catalog: cat, Sites: sites, MinReplicas: min, Streams: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(eng.Close)
-	return NewFederated("fed", eng), eng, cat, sites
+	fb, eng, cat := newFed(b, sites, Config{MinReplicas: min, Streams: 8})
+	return fb, eng, cat, sites
 }
 
 // BenchmarkReplicate measures end-to-end fan-out: a federated write
@@ -88,7 +83,7 @@ func BenchmarkFailoverRead(b *testing.B) {
 	b.SetBytes(int64(objSize))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cat.Mark("/b/obj", nearest.Name, Valid, "")
+		cat.Mark("/b/obj", nearest.Name, Valid)
 		readBench(b, fb, "/b/obj")
 	}
 	b.StopTimer()
@@ -111,13 +106,7 @@ func TestFederatedReadCopyIsPooled(t *testing.T) {
 		NewSite("gridka", adal.NewMemFS("gridka"), 1),
 		NewSite("desy", adal.NewMemFS("desy"), 2),
 	}
-	cat := NewCatalog(CatalogConfig{})
-	eng, err := NewEngine(Config{Catalog: cat, Sites: sites, MinReplicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.Close)
-	fb := NewFederated("fed", eng)
+	fb, eng, _ := newFed(t, sites, Config{MinReplicas: 2})
 
 	const objSize = 256 * units.KiB
 	writeObject(t, fb, "/b/obj", bytes.Repeat([]byte("p"), int(objSize)))

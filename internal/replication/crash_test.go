@@ -43,7 +43,6 @@ func openCrashRig(t *testing.T, fs durafs.FS, far adal.Backend) *crashRig {
 		t.Fatal(err)
 	}
 	engine, err := NewEngine(Config{
-		Catalog:     NewCatalog(CatalogConfig{Meta: meta, MountPrefix: "/sites"}),
 		Sites:       []*Site{NewSite("near", adal.NewMemFS("near"), 0), NewSite("far", far, 1)},
 		Meta:        meta,
 		MountPrefix: "/sites",
@@ -91,17 +90,17 @@ func checkRecovered(t *testing.T, at string, mem *durafs.MemFS, acked []string) 
 		if _, ok := re.ByPath(p); !ok {
 			t.Errorf("%s: lost acknowledged dataset %s", at, p)
 		}
-		if st := re.Replicas(p)["near"]; st != "valid" {
+		if st, _ := re.Replica(p, "near"); st != metadata.ReplicaValid {
 			t.Errorf("%s: acknowledged %s recovered its home note as %q, want valid", at, p, st)
 		}
 	}
 	for i := 0; i < crashObjects; i++ {
-		for site, st := range re.Replicas(crashPath(i)) {
-			if st == "pending" || st == "copying" {
-				t.Errorf("%s: %s recovered a transfer note: %s is %s", at, crashPath(i), site, st)
+		for _, r := range re.Replicas(crashPath(i)) {
+			if r.State == metadata.ReplicaPending || r.State == metadata.ReplicaCopying {
+				t.Errorf("%s: %s recovered a transfer note: %s is %s", at, crashPath(i), r.Site, r.State)
 			}
-			if site == "far" && st != "valid" {
-				t.Errorf("%s: %s recovered the second site as %q, want absent or valid", at, crashPath(i), st)
+			if r.Site == "far" && r.State != metadata.ReplicaValid {
+				t.Errorf("%s: %s recovered the second site as %q, want absent or valid", at, crashPath(i), r.State)
 			}
 		}
 	}
@@ -194,8 +193,9 @@ func TestCrashBetweenCopyingAndValid(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("no copy to far reached Copying")
 	}
-	if st := r.meta.Replicas(inFlight)["far"]; st != "" {
-		t.Fatalf("the store's table holds a transfer: far is %q for %s", st, inFlight)
+	// The transfer lives in the table, not in the journal.
+	if st, _ := r.meta.Replica(inFlight, "far"); st != metadata.ReplicaCopying {
+		t.Fatalf("the store's table reads far as %q for %s, want copying", st, inFlight)
 	}
 	fault.CrashAfterOps(1) // the next I/O is the crash
 	close(far.open)
@@ -204,7 +204,7 @@ func TestCrashBetweenCopyingAndValid(t *testing.T) {
 
 	re := checkRecovered(t, "crash while Copying", mem, acked)
 	for i := 0; i < crashObjects; i++ {
-		if st, ok := re.Replicas(crashPath(i))["far"]; ok {
+		if st, ok := re.Replica(crashPath(i), "far"); ok {
 			t.Errorf("%s: far recovered as %q, want no entry (copying at the crash: %s)", crashPath(i), st, inFlight)
 		}
 	}

@@ -24,8 +24,15 @@ var ErrNoSource = errors.New("replication: no valid source replica")
 
 // Config tunes an Engine.
 type Config struct {
-	// Catalog is the replica catalog the engine converges. Required.
-	Catalog *Catalog
+	// Meta is the replica catalogue the engine converges, keyed by
+	// federated path. Required. The engine subscribes to it for
+	// EventCreated under MountPrefix: new datasets are replicated as
+	// they are registered, with no polling.
+	Meta *metadata.Store
+	// MountPrefix is the federation's mount point in the ADAL
+	// namespace (e.g. "/sites"): prepended to a backend-relative path
+	// it gives the path's key in Meta.
+	MountPrefix string
 	// Sites is the federation. Required, ≥ 1 site.
 	Sites []*Site
 	// MinReplicas is the default replication target (default 2,
@@ -42,13 +49,6 @@ type Config struct {
 	// WAN, when set, paces transfers by per-site-pair bandwidth and
 	// latency. nil means LAN-speed copies.
 	WAN *WAN
-	// Meta, when set, is subscribed for EventCreated under
-	// MountPrefix: new datasets are replicated as they are
-	// registered, with no polling.
-	Meta *metadata.Store
-	// MountPrefix is the federation's mount point in the ADAL
-	// namespace (e.g. "/sites"); events and EnsureFederated strip it.
-	MountPrefix string
 }
 
 // Stats is a snapshot of the engine's lifetime counters.
@@ -63,28 +63,32 @@ type Stats struct {
 	Pending         int         // queued + in-flight jobs right now
 }
 
+// job is one (path, site) transfer; key is the path's federated key.
 type job struct {
-	path string
-	dst  string
+	key string
+	dst string
 }
 
-// Engine converges the catalog toward MinReplicas valid replicas per
+// Engine converges the catalogue toward MinReplicas valid replicas per
 // path with a pool of transfer workers. Ensure (and the metadata
 // subscription feeding it) is cheap and non-blocking: it schedules
 // jobs into an unbounded queue guarded by a per-(path, site)
 // singleflight, so repeated triggers for the same replica — a create
 // event racing a rules action racing a read-failure requeue — cost
 // one transfer. Wait is the quiescence barrier; Reconcile re-examines
-// every cataloged path (the site-revive entry point).
+// every catalogued path (the site-revive entry point).
+//
+// Internally a path is its federated key, computed once per operation;
+// the backend-relative path a site is addressed by is a slice of it.
 type Engine struct {
-	cfg     Config
-	catalog *Catalog
-	sites   map[string]*Site
-	order   []*Site // nearest first
+	cfg   Config
+	meta  *metadata.Store
+	sites map[string]*Site
+	order []*Site // nearest first
 
 	mu       sync.Mutex
 	queue    []job
-	inflight map[string]struct{} // path+"\x00"+site
+	inflight map[string]struct{} // key+"\x00"+site
 	pending  int
 	closed   bool
 	work     *sync.Cond // signaled when the queue gains a job or the engine closes
@@ -107,8 +111,8 @@ type Engine struct {
 
 // NewEngine builds an engine over the sites and starts its workers.
 func NewEngine(cfg Config) (*Engine, error) {
-	if cfg.Catalog == nil {
-		return nil, errors.New("replication: Config.Catalog is required")
+	if cfg.Meta == nil {
+		return nil, errors.New("replication: Config.Meta is required")
 	}
 	if len(cfg.Sites) == 0 {
 		return nil, errors.New("replication: at least one site required")
@@ -130,7 +134,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:       cfg,
-		catalog:   cfg.Catalog,
+		meta:      cfg.Meta,
 		sites:     make(map[string]*Site, len(cfg.Sites)),
 		order:     append([]*Site(nil), cfg.Sites...),
 		inflight:  make(map[string]struct{}),
@@ -149,9 +153,7 @@ func NewEngine(cfg Config) (*Engine, error) {
 		e.wg.Add(1)
 		go e.worker()
 	}
-	if cfg.Meta != nil {
-		e.unsub = cfg.Meta.Subscribe(e.onEvent)
-	}
+	e.unsub = cfg.Meta.Subscribe(e.onEvent)
 	return e, nil
 }
 
@@ -170,7 +172,7 @@ func (e *Engine) Close() {
 	e.closed = true
 	e.pending -= len(e.queue)
 	for _, j := range e.queue {
-		delete(e.inflight, j.path+"\x00"+j.dst)
+		delete(e.inflight, j.key+"\x00"+j.dst)
 	}
 	e.queue = nil
 	if e.pending == 0 {
@@ -222,25 +224,33 @@ func (e *Engine) onEvent(ev metadata.Event) {
 // EnsureFederated is Ensure for a federated (mount-table) path; paths
 // outside the federation mount are ignored.
 func (e *Engine) EnsureFederated(fed string) {
-	if e.cfg.MountPrefix != "" {
-		if !strings.HasPrefix(fed, e.cfg.MountPrefix+"/") {
-			return
-		}
-		fed = strings.TrimPrefix(fed, e.cfg.MountPrefix)
+	if e.cfg.MountPrefix == "" || strings.HasPrefix(fed, e.cfg.MountPrefix+"/") {
+		e.ensure(fed)
 	}
-	e.Ensure(fed)
 }
 
-// Ensure schedules whatever transfers path needs to reach the
-// engine's MinReplicas target (capped at the site count). It never
-// blocks on transfer work. Replica selection prefers refreshing an
+// key is the federated key of a backend-relative path.
+func (e *Engine) key(path string) string { return e.cfg.MountPrefix + path }
+
+// rel is the backend-relative path of a federated key.
+func (e *Engine) rel(key string) string { return key[len(e.cfg.MountPrefix):] }
+
+// Ensure schedules whatever transfers the backend-relative path needs
+// to reach the engine's MinReplicas target (capped at the site count).
+// It never blocks on transfer work, and schedules nothing for a path the
+// catalogue does not know. Replica selection prefers refreshing an
 // existing stale or lost replica on a reachable site (often a cheap
 // re-verify, never a duplicate copy) over opening a new site.
-func (e *Engine) Ensure(path string) {
-	reps := e.catalog.Replicas(path)
-	bySite := make(map[string]Replica, len(reps))
+func (e *Engine) Ensure(path string) { e.ensure(e.key(path)) }
+
+func (e *Engine) ensure(key string) {
+	reps := e.meta.Replicas(key)
+	if reps == nil {
+		return
+	}
+	bySite := make(map[string]metadata.ReplicaState, len(reps))
 	for _, r := range reps {
-		bySite[r.Site] = r
+		bySite[r.Site] = r.State
 	}
 
 	e.mu.Lock()
@@ -251,18 +261,16 @@ func (e *Engine) Ensure(path string) {
 	// A site counts toward the target if it holds a valid replica or
 	// has a job in flight (which will make it valid, or fail and be
 	// requeued by a later Ensure). The in-flight check must not
-	// depend on a catalog record existing — the Pending entry is made
-	// when the job starts, and never journaled — and counting only
-	// cataloged sites here would let an Ensure storm schedule surplus.
+	// depend on a catalogue entry existing — the Pending entry is made
+	// when the job starts — and counting only catalogued sites here
+	// would let an Ensure storm schedule surplus.
 	good := 0
 	busy := func(site string) bool {
-		_, b := e.inflight[path+"\x00"+site]
+		_, b := e.inflight[key+"\x00"+site]
 		return b
 	}
 	for _, s := range e.order {
-		if r, has := bySite[s.Name]; has && r.State == Valid {
-			good++
-		} else if busy(s.Name) {
+		if bySite[s.Name] == metadata.ReplicaValid || busy(s.Name) {
 			good++
 		}
 	}
@@ -274,8 +282,8 @@ func (e *Engine) Ensure(path string) {
 	// without one.
 	var targets []string
 	for _, s := range e.order {
-		r, has := bySite[s.Name]
-		if has && r.State != Valid && !s.IsDown() && !busy(s.Name) {
+		st, has := bySite[s.Name]
+		if has && st != metadata.ReplicaValid && !s.IsDown() && !busy(s.Name) {
 			targets = append(targets, s.Name)
 		}
 	}
@@ -288,7 +296,7 @@ func (e *Engine) Ensure(path string) {
 		if good >= e.cfg.MinReplicas {
 			return
 		}
-		if e.enqueueLocked(path, dst) {
+		if e.enqueueLocked(key, dst) {
 			good++
 		}
 	}
@@ -296,24 +304,25 @@ func (e *Engine) Ensure(path string) {
 
 // enqueueLocked schedules one (path, dst) job under the singleflight.
 // Callers hold e.mu.
-func (e *Engine) enqueueLocked(path, dst string) bool {
-	key := path + "\x00" + dst
-	if _, busy := e.inflight[key]; busy {
+func (e *Engine) enqueueLocked(key, dst string) bool {
+	flight := key + "\x00" + dst
+	if _, busy := e.inflight[flight]; busy {
 		e.dedupSkips.Add(1)
 		return false
 	}
-	e.inflight[key] = struct{}{}
+	e.inflight[flight] = struct{}{}
 	e.pending++
-	e.queue = append(e.queue, job{path: path, dst: dst})
+	e.queue = append(e.queue, job{key: key, dst: dst})
 	e.work.Signal()
 	return true
 }
 
-// Reconcile re-examines every cataloged path — the convergence sweep
-// run after a site revival or a policy change.
+// Reconcile re-examines every catalogued path under the federation
+// mount — the convergence sweep run after a site revival or a policy
+// change.
 func (e *Engine) Reconcile() {
-	for _, path := range e.catalog.Paths() {
-		e.Ensure(path)
+	for _, key := range e.meta.ReplicaPaths() {
+		e.EnsureFederated(key)
 	}
 }
 
@@ -325,9 +334,7 @@ func (e *Engine) Wait() {
 		e.idle.Wait()
 	}
 	e.mu.Unlock()
-	if m := e.catalog.meta; m != nil {
-		_ = m.Sync()
-	}
+	_ = e.meta.Sync()
 }
 
 func (e *Engine) worker() {
@@ -348,7 +355,7 @@ func (e *Engine) worker() {
 		e.process(j)
 
 		e.mu.Lock()
-		delete(e.inflight, j.path+"\x00"+j.dst)
+		delete(e.inflight, j.key+"\x00"+j.dst)
 		e.pending--
 		if e.pending == 0 {
 			e.idle.Broadcast()
@@ -358,17 +365,18 @@ func (e *Engine) worker() {
 }
 
 // process drives one (path, dst) job to a verified replica or
-// records the failure. The catalog state it leaves behind is always
+// records the failure. The catalogue state it leaves behind is always
 // re-schedulable: anything short of Valid is picked up by the next
-// Ensure/Reconcile because the singleflight entry is gone.
+// Ensure/Reconcile because the singleflight entry is gone. A path
+// removed before the job starts is left alone.
 func (e *Engine) process(j job) {
 	dst, ok := e.sites[j.dst]
 	if !ok {
 		e.failures.Add(1)
 		return
 	}
-	if _, has := e.catalog.Get(j.path, j.dst); !has {
-		e.catalog.Set(j.path, Replica{Site: j.dst, State: Pending})
+	if _, has := e.meta.Replica(j.key, j.dst); !has && !e.meta.SetReplica(j.key, j.dst, metadata.ReplicaPending) {
+		return
 	}
 	if dst.IsDown() {
 		// The replica keeps its state: a Stale one still holds its
@@ -378,16 +386,16 @@ func (e *Engine) process(j job) {
 		return
 	}
 
-	want, known := e.catalog.Digest(j.path)
+	want, known := e.meta.Digest(j.key)
 
 	// Cheap path: the destination may already hold the bytes (a
 	// stale replica that survived an outage, a recovered partial
-	// world). A checksum match revalidates without moving a byte —
+	// world). A digest match revalidates without moving a byte —
 	// this is what makes revive-convergence transfer-free.
 	if known {
-		got, err := e.verifySite(dst, j.path, want)
+		err := e.verifySite(dst, j.key, want)
 		if err == nil {
-			e.catalog.Set(j.path, validReplica(j.dst, got))
+			e.meta.SetReplica(j.key, j.dst, metadata.ReplicaValid)
 			e.reverifies.Add(1)
 			return
 		}
@@ -406,43 +414,42 @@ func (e *Engine) process(j job) {
 		if attempt > 0 {
 			e.retries.Add(1)
 		}
-		lastErr = e.copyOnce(j.path, dst, want)
-		if lastErr == nil {
+		lastErr = e.copyOnce(j.key, dst, want)
+		if lastErr == nil || errors.Is(lastErr, errRemoved) {
 			return
 		}
 		if errors.Is(lastErr, ErrSiteDown) && dst.IsDown() {
 			break // destination died; retrying cannot help until revival
 		}
 	}
-	st := Pending
-	if rep, _ := e.catalog.Get(j.path, j.dst); rep.State == Stale {
+	st := metadata.ReplicaPending
+	if cur, _ := e.meta.Replica(j.key, j.dst); cur == metadata.ReplicaStale {
 		// copyOnce marks Copying once it has cleared the destination;
 		// still Stale means no attempt got that far and the old bytes
 		// are in place, so the replica stays readable as a last resort.
 		// A destination a failed attempt cleared holds nothing to read,
 		// whatever failed — a checksum included, which convicts the
 		// source, not this site.
-		st = Stale
+		st = metadata.ReplicaStale
 	}
-	e.catalog.Mark(j.path, j.dst, st, lastErr.Error())
+	e.meta.SetReplica(j.key, j.dst, st)
 	e.failures.Add(1)
 }
 
-// validReplica is the catalog record of a copy whose hash pass gave d.
-func validReplica(site string, d adal.Digest) Replica {
-	return Replica{Site: site, State: Valid, Size: d.Size, Checksum: d.Sum, Chain: d.Chain}
-}
+// errRemoved ends a job whose path was removed while it copied.
+var errRemoved = errors.New("replication: path removed during the copy")
 
-// verifySite scrubs the site's copy of path against want, stopping at
-// the first block off its chain, and returns the copy's digest, or the
-// open, read or checksum error that stopped it.
-func (e *Engine) verifySite(s *Site, path string, want adal.Digest) (adal.Digest, error) {
-	r, err := s.openAt(path, 0)
+// verifySite scrubs the site's copy of key against want, stopping at
+// the first block off its chain: nil, or the open, read or checksum
+// error that stopped it.
+func (e *Engine) verifySite(s *Site, key string, want adal.Digest) error {
+	r, err := s.openAt(e.rel(key), 0)
 	if err != nil {
-		return adal.Digest{}, err
+		return err
 	}
 	defer r.Close()
-	return adal.Transfer(context.TODO(), io.Discard, r, want)
+	_, err = adal.Transfer(context.TODO(), io.Discard, r, want)
+	return err
 }
 
 // pairSlot returns the semaphore bounding concurrent transfers on
@@ -460,15 +467,17 @@ func (e *Engine) pairSlot(src, dst string) chan struct{} {
 }
 
 // copyOnce performs one transfer attempt: adal.Transfer, WAN-paced,
-// from a failoverReader over every other holder of path into dst. The
-// copy reads as a client does — nearest valid replica first, a source
-// that fails marked and re-queued, the stream resumed on the next at
-// the same offset — except that stale replicas are offered only when
-// want can convict them. Any terminal error removes the partial
-// destination object.
-func (e *Engine) copyOnce(path string, dst *Site, want adal.Digest) error {
+// from a failoverReader over every other holder of the path into dst.
+// The copy reads as a client does — nearest valid replica first, a
+// source that fails marked and re-queued, the stream resumed on the
+// next at the same offset — except that stale replicas are offered only
+// when want can convict them. Any terminal error removes the partial
+// destination object, and so does a commit the catalogue refuses: the
+// path was removed while its bytes moved (errRemoved).
+func (e *Engine) copyOnce(key string, dst *Site, want adal.Digest) error {
+	path := e.rel(key)
 	src := &failoverReader{
-		eng: e, path: path, remain: -1, stale: want.Sum != "",
+		eng: e, key: key, remain: -1, stale: want.Sum != "",
 		switched: &e.sourceFailovers, tried: map[string]bool{dst.Name: false},
 	}
 	if err := src.switchSource(); err != nil {
@@ -493,7 +502,7 @@ func (e *Engine) copyOnce(path string, dst *Site, want adal.Digest) error {
 	if err != nil {
 		return fmt.Errorf("replication: destination %s: %w", dst.Name, err)
 	}
-	e.catalog.Mark(path, dst.Name, Copying, "")
+	e.meta.SetReplica(key, dst.Name, metadata.ReplicaCopying)
 
 	got, err := adal.Transfer(context.TODO(), &pacedWriter{w: w, wan: e.cfg.WAN, src: src, dst: dst.Name}, src, want)
 	if cerr := w.Close(); err == nil {
@@ -504,18 +513,21 @@ func (e *Engine) copyOnce(path string, dst *Site, want adal.Digest) error {
 		// One source served every byte of a copy that failed its check:
 		// that replica is the corrupt one.
 		if src.sources == 1 && errors.Is(err, ErrChecksum) {
-			e.noteFailure(src.served, path, err)
+			e.noteFailure(src.served, key, err)
 		}
 		return fmt.Errorf("replication: copying %s to %s: %w", path, dst.Name, err)
 	}
-	e.catalog.Set(path, validReplica(dst.Name, got))
+	if !e.meta.SetReplica(key, dst.Name, metadata.ReplicaValid) {
+		_ = dst.remove(path)
+		return fmt.Errorf("%w: %s", errRemoved, path)
+	}
 	e.transfers.Add(1)
 	e.transferBytes.Add(int64(got.Size))
 	// A verified single-source copy also proved the source's bytes:
 	// if that source was a stale replica, it just revalidated itself.
 	if src.sources == 1 && want.Sum != "" {
-		if rep, ok := e.catalog.Get(path, src.served.Name); ok && rep.State == Stale {
-			e.catalog.Set(path, validReplica(src.served.Name, got))
+		if st, _ := e.meta.Replica(key, src.served.Name); st == metadata.ReplicaStale {
+			e.meta.SetReplica(key, src.served.Name, metadata.ReplicaValid)
 			e.reverifies.Add(1)
 		}
 	}
@@ -547,34 +559,35 @@ func (p *pacedWriter) Write(b []byte) (int, error) {
 	return n, err
 }
 
-// Verify re-hashes every replica of path against the recorded
-// checksum, marking mismatches Stale and scheduling their refresh.
+// Verify re-hashes every replica of the backend-relative path against
+// its digest, marking mismatches Stale and scheduling their refresh.
 // It returns the number of replicas confirmed valid.
 func (e *Engine) Verify(path string) (int, error) {
-	want, known := e.catalog.Digest(path)
+	key := e.key(path)
+	want, known := e.meta.Digest(key)
 	if !known {
-		return 0, fmt.Errorf("replication: no recorded checksum for %s", path)
+		return 0, fmt.Errorf("replication: no recorded digest for %s", path)
 	}
 	valid := 0
 	dirty := false
-	for _, rep := range e.catalog.Replicas(path) {
+	for _, rep := range e.meta.Replicas(key) {
 		s, ok := e.sites[rep.Site]
 		if !ok || s.IsDown() {
 			continue
 		}
-		if rep.State != Valid && rep.State != Stale {
+		if rep.State != metadata.ReplicaValid && rep.State != metadata.ReplicaStale {
 			continue
 		}
-		if got, err := e.verifySite(s, path, want); err == nil {
-			e.catalog.Set(path, validReplica(rep.Site, got))
+		if err := e.verifySite(s, key, want); err == nil {
+			e.meta.SetReplica(key, rep.Site, metadata.ReplicaValid)
 			valid++
 		} else {
-			e.catalog.Mark(path, rep.Site, Stale, "verify: checksum mismatch or unreadable")
+			e.meta.SetReplica(key, rep.Site, metadata.ReplicaStale)
 			dirty = true
 		}
 	}
 	if dirty {
-		e.Ensure(path)
+		e.ensure(key)
 	}
 	return valid, nil
 }

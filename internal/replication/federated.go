@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/adal"
+	"repro/internal/metadata"
 	"repro/internal/obs"
 )
 
@@ -22,9 +23,9 @@ import (
 // fan-out to MinReplicas. This is PR 2's refresh-on-failure reader
 // discipline lifted from DFS replicas to sites.
 type FederatedBackend struct {
-	name    string
-	catalog *Catalog
-	engine  *Engine
+	name   string
+	meta   *metadata.Store
+	engine *Engine
 
 	mu      sync.Mutex
 	writing map[string]struct{} // paths between Create and their writer's Close
@@ -47,7 +48,7 @@ type FederatedStats struct {
 func NewFederated(name string, engine *Engine) *FederatedBackend {
 	return &FederatedBackend{
 		name:    name,
-		catalog: engine.catalog,
+		meta:    engine.meta,
 		engine:  engine,
 		writing: make(map[string]struct{}),
 	}
@@ -65,24 +66,24 @@ func (f *FederatedBackend) FedStats() FederatedStats {
 	}
 }
 
-// ObjectDigest reports the catalog's recorded size, content hash and
-// checkpoint chain for the backend-relative path. The read cache
+// ObjectDigest reports the catalogue's digest — size, content hash and
+// checkpoint chain — for the backend-relative path. The read cache
 // discovers this structurally to size admission and verify the blocks
 // it fetches without an extra WAN round trip.
 func (f *FederatedBackend) ObjectDigest(rel string) (adal.Digest, bool) {
-	return f.catalog.Digest(rel)
+	return f.meta.Digest(f.engine.key(rel))
 }
 
 // noteFailure records a failed site read, a client's or a copy's: the
 // replica is marked Stale (Lost when the site reports the object
 // missing) and its re-replication is enqueued.
-func (e *Engine) noteFailure(s *Site, path string, err error) {
-	st := Stale
+func (e *Engine) noteFailure(s *Site, key string, err error) {
+	st := metadata.ReplicaStale
 	if errors.Is(err, adal.ErrNotFound) {
-		st = Lost
+		st = metadata.ReplicaLost
 	}
-	e.catalog.Mark(path, s.Name, st, err.Error())
-	e.Ensure(path)
+	e.meta.SetReplica(key, s.Name, st)
+	e.ensure(key)
 }
 
 // readCandidates orders the sites worth trying for a read of path:
@@ -98,9 +99,9 @@ func (e *Engine) noteFailure(s *Site, path string, err error) {
 // dialing them is pointless, but the caller still owes them the
 // read-triggered bookkeeping (stale mark, failover count) so outage
 // detection keeps working.
-func (e *Engine) readCandidates(path string, tried map[string]bool, takeStale bool) (cands, down []*Site) {
+func (e *Engine) readCandidates(key string, tried map[string]bool, takeStale bool) (cands, down []*Site) {
 	var valid, stale []*Site
-	for _, rep := range e.catalog.Replicas(path) {
+	for _, rep := range e.meta.Replicas(key) {
 		if _, seen := tried[rep.Site]; seen {
 			continue
 		}
@@ -108,14 +109,14 @@ func (e *Engine) readCandidates(path string, tried map[string]bool, takeStale bo
 		if !ok {
 			continue
 		}
-		if rep.State != Valid && !(takeStale && rep.State == Stale) {
+		if rep.State != metadata.ReplicaValid && !(takeStale && rep.State == metadata.ReplicaStale) {
 			continue
 		}
 		if s.IsDown() {
 			down = append(down, s)
 			continue
 		}
-		if rep.State == Valid {
+		if rep.State == metadata.ReplicaValid {
 			valid = append(valid, s)
 		} else {
 			stale = append(stale, s)
@@ -129,14 +130,13 @@ func (e *Engine) readCandidates(path string, tried map[string]bool, takeStale bo
 // noteDown records that a read skipped a known-down site: the replica
 // is marked Stale, and re-replication is enqueued only on the actual
 // state transition — a site that stays down through a thousand reads
-// costs one catalog event and one Ensure, not a thousand.
-func (e *Engine) noteDown(s *Site, path string, tried map[string]bool) error {
+// costs one catalogue record and event and one Ensure, not a thousand.
+func (e *Engine) noteDown(s *Site, key string, tried map[string]bool) error {
 	tried[s.Name] = true
-	err := s.errDown()
-	if e.catalog.Mark(path, s.Name, Stale, err.Error()) {
-		e.Ensure(path)
+	if e.meta.SetReplica(key, s.Name, metadata.ReplicaStale) {
+		e.ensure(key)
 	}
-	return err
+	return s.errDown()
 }
 
 // readmit is called when a read has run out of candidates: it puts
@@ -179,11 +179,12 @@ func (f *FederatedBackend) OpenCtx(ctx context.Context, path string) (io.ReadClo
 func (f *FederatedBackend) OpenRange(ctx context.Context, path string, off, n int64) (io.ReadCloser, error) {
 	sp := obs.StartSpan(ctx, "fed.open")
 	defer sp.End()
-	if !f.catalog.Known(path) {
+	key := f.engine.key(path)
+	if f.meta.Replicas(key) == nil {
 		return nil, fmt.Errorf("%w: %s:%s", adal.ErrNotFound, f.name, path)
 	}
 	r := &failoverReader{
-		eng: f.engine, path: path, offset: off, remain: n, stale: true,
+		eng: f.engine, key: key, offset: off, remain: n, stale: true,
 		switched: &f.midStream, tried: make(map[string]bool),
 	}
 	err := r.switchSource()
@@ -202,7 +203,7 @@ func (f *FederatedBackend) OpenRange(ctx context.Context, path string, off, n in
 // copies (copyOnce) both read through it, each with its own counters.
 type failoverReader struct {
 	eng      *Engine
-	path     string
+	key      string // the path's federated key
 	site     *Site
 	cur      io.ReadCloser // nil until the first source is open
 	offset   int64
@@ -218,7 +219,7 @@ type failoverReader struct {
 
 func (r *failoverReader) Read(p []byte) (int, error) {
 	if r.closed {
-		return 0, fmt.Errorf("replication: read after close: %s", r.path)
+		return 0, fmt.Errorf("replication: read after close: %s", r.key)
 	}
 	if r.remain == 0 {
 		return 0, io.EOF
@@ -238,7 +239,7 @@ func (r *failoverReader) Read(p []byte) (int, error) {
 		if err == nil || err == io.EOF {
 			return n, err
 		}
-		r.eng.noteFailure(r.site, r.path, err)
+		r.eng.noteFailure(r.site, r.key, err)
 		r.tried[r.site.Name] = errors.Is(err, ErrSiteDown)
 		if r.switchSource() != nil {
 			return n, err
@@ -257,9 +258,9 @@ func (r *failoverReader) Read(p []byte) (int, error) {
 func (r *failoverReader) switchSource() error {
 	var lastErr error
 	for {
-		cands, down := r.eng.readCandidates(r.path, r.tried, r.stale)
+		cands, down := r.eng.readCandidates(r.key, r.tried, r.stale)
 		for _, s := range down {
-			lastErr = r.eng.noteDown(s, r.path, r.tried)
+			lastErr = r.eng.noteDown(s, r.key, r.tried)
 			r.gaveUp++
 		}
 		if len(cands) == 0 {
@@ -267,15 +268,15 @@ func (r *failoverReader) switchSource() error {
 				continue
 			}
 			if lastErr == nil {
-				lastErr = fmt.Errorf("%w: %s (no readable replica)", adal.ErrNotFound, r.path)
+				lastErr = fmt.Errorf("%w: %s (no readable replica)", adal.ErrNotFound, r.key)
 			}
 			return lastErr
 		}
 		s := cands[0]
-		nr, err := s.openAt(r.path, r.offset)
+		nr, err := s.openAt(r.eng.rel(r.key), r.offset)
 		r.tried[s.Name] = errors.Is(err, ErrSiteDown)
 		if err != nil {
-			r.eng.noteFailure(s, r.path, err)
+			r.eng.noteFailure(s, r.key, err)
 			lastErr = err
 			r.gaveUp++
 			continue
@@ -309,16 +310,18 @@ func (r *failoverReader) Close() error {
 }
 
 // Create implements adal.Backend: the object's home is the nearest
-// reachable site; closing the writer registers the home replica
-// (size + SHA-256) in the catalog and schedules fan-out to
-// MinReplicas. The path is held in writing from here to that Close, so
-// of two creators one is refused and whatever a site already has under
-// a path the catalog does not know is an orphan — the home copy of a
-// write whose site died before Close could clear it — and is replaced.
+// reachable site; closing the writer registers the home replica and the
+// object's digest in the catalogue (metadata.Store.AddReplica) and
+// schedules fan-out to MinReplicas. The path is held in writing from
+// here to that Close, so of two creators one is refused and whatever a
+// site already has under a path the catalogue does not know is an
+// orphan — the home copy of a write whose site died before Close could
+// clear it — and is replaced.
 func (f *FederatedBackend) Create(path string) (io.WriteCloser, error) {
+	key := f.engine.key(path)
 	f.mu.Lock()
 	_, busy := f.writing[path]
-	if busy || f.catalog.Known(path) {
+	if busy || f.meta.Replicas(key) != nil {
 		f.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s:%s", adal.ErrExists, f.name, path)
 	}
@@ -345,8 +348,8 @@ func (f *FederatedBackend) Create(path string) (io.WriteCloser, error) {
 				_ = s.remove(path)
 				return werr
 			}
-			f.catalog.Set(path, validReplica(s.Name, d))
-			f.engine.Ensure(path)
+			f.meta.AddReplica(key, s.Name, d)
+			f.engine.ensure(key)
 			return nil
 		}), nil
 	}
@@ -364,43 +367,33 @@ func (f *FederatedBackend) wrote(path string) {
 	f.mu.Unlock()
 }
 
-// Stat implements adal.Backend from the catalog record (size and
-// content hash are recorded at write time), falling back to a
-// failover stat across sites for catalogs built by recovery.
+// Stat implements adal.Backend: the nearest reachable valid replica's
+// stat, or — every valid site down — the catalogue's digest, which
+// records the size at write time.
 func (f *FederatedBackend) Stat(path string) (adal.FileInfo, error) {
-	if !f.catalog.Known(path) {
+	key := f.engine.key(path)
+	if f.meta.Replicas(key) == nil {
 		return adal.FileInfo{}, fmt.Errorf("%w: %s:%s", adal.ErrNotFound, f.name, path)
 	}
-	valid := f.catalog.ValidSites(path)
-	if d, ok := f.catalog.Digest(path); ok && d.Size > 0 {
-		for _, name := range valid {
-			if s, ok := f.engine.Site(name); ok {
-				if info, err := s.stat(path); err == nil {
-					info.Path, info.Replicas = path, valid
-					return info, nil
-				}
+	valid := f.meta.ValidSites(key)
+	for _, name := range valid {
+		if s, ok := f.engine.Site(name); ok {
+			if info, err := s.stat(path); err == nil {
+				info.Path, info.Replicas = path, valid
+				return info, nil
 			}
 		}
-		return adal.FileInfo{Path: path, Size: d.Size, Replicas: valid}, nil
 	}
-	var lastErr error
-	for _, s := range f.engine.Sites() {
-		info, err := s.stat(path)
-		if err == nil {
-			info.Path, info.Replicas = path, valid
-			return info, nil
-		}
-		lastErr = err
-	}
-	return adal.FileInfo{}, lastErr
+	d, _ := f.meta.Digest(key)
+	return adal.FileInfo{Path: path, Size: d.Size, Replicas: valid}, nil
 }
 
 // List implements adal.Backend as a union across sites: every
 // reachable site lists the prefix (an object-store site pages through
 // start-after here), per-path duplicates keep the nearest site's
-// entry, and entries are filtered against the catalog so half-copied
-// replicas (Pending/Copying) never surface. Sites that fail to list
-// are absorbed by the union, not surfaced — listing survives an
+// entry, and entries are filtered against the catalogue so half-copied
+// replicas (Pending/Copying) and orphans never surface. Sites that fail
+// to list are absorbed by the union, not surfaced — listing survives an
 // outage exactly as Open does.
 func (f *FederatedBackend) List(prefix string) ([]adal.FileInfo, error) {
 	seen := make(map[string]adal.FileInfo)
@@ -418,8 +411,8 @@ func (f *FederatedBackend) List(prefix string) ([]adal.FileInfo, error) {
 			if _, dup := seen[info.Path]; dup {
 				continue
 			}
-			rep, has := f.catalog.Get(info.Path, s.Name)
-			if !has || (rep.State != Valid && rep.State != Stale) {
+			st, _ := f.meta.Replica(f.engine.key(info.Path), s.Name)
+			if st != metadata.ReplicaValid && st != metadata.ReplicaStale {
 				continue
 			}
 			seen[info.Path] = info
@@ -439,22 +432,24 @@ func (f *FederatedBackend) List(prefix string) ([]adal.FileInfo, error) {
 	return out, nil
 }
 
-// Remove implements adal.Backend: best-effort removal on every site
-// holding a replica, then the catalog entry is dropped. A site that
-// is down at removal time keeps orphaned bytes permanently — with
-// the catalog entry gone, no verify or reconcile will revisit them
-// (they stay invisible to reads and List, which filter through the
-// catalog). A garbage collector diffing site contents against the
-// catalog is the missing piece, deliberately out of scope here.
+// Remove implements adal.Backend: the catalogue row is dropped first —
+// so a copy still in flight has its commit refused and removes its own
+// bytes — and then the replica is removed, best effort, from every site
+// the row held. A site that is down at removal time keeps orphaned
+// bytes permanently — with the row gone, no verify or reconcile will
+// revisit them (they stay invisible to reads and List, which filter
+// through the catalogue, and Create replaces them). A garbage collector
+// diffing site contents against the catalogue is the missing piece,
+// deliberately out of scope here.
 func (f *FederatedBackend) Remove(path string) error {
-	if !f.catalog.Known(path) {
+	reps := f.meta.DropReplicas(f.engine.key(path))
+	if reps == nil {
 		return fmt.Errorf("%w: %s:%s", adal.ErrNotFound, f.name, path)
 	}
-	for _, rep := range f.catalog.Replicas(path) {
+	for _, rep := range reps {
 		if s, ok := f.engine.Site(rep.Site); ok {
 			_ = s.remove(path)
 		}
 	}
-	f.catalog.DropPath(path)
 	return nil
 }

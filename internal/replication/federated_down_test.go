@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/adal"
 	"repro/internal/metadata"
+	"repro/internal/metadata/durafs"
 )
 
 // dialCountingBackend counts Open calls — a dial on a site that the
@@ -26,9 +27,14 @@ func (b *dialCountingBackend) Open(path string) (io.ReadCloser, error) {
 // TestOpenSkipsDownSitesWithoutDial: once a site is marked down,
 // federated reads must stop dialing its backend entirely — the old
 // candidate loop re-attempted known-down sites on every Open, paying
-// a failing dial plus unbounded catalog/Ensure churn per read.
+// a failing dial plus unbounded catalogue/Ensure churn per read. On a
+// durable store the outage costs one journal record, not one per read.
 func TestOpenSkipsDownSitesWithoutDial(t *testing.T) {
-	meta := metadata.NewStore()
+	meta, err := metadata.Open(metadata.Options{WALDir: "/wal", FS: durafs.NewMem()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(meta.Close)
 	backends := map[string]*dialCountingBackend{
 		"kit":    {Backend: adal.NewMemFS("kit")},
 		"gridka": {Backend: adal.NewMemFS("gridka")},
@@ -39,10 +45,9 @@ func TestOpenSkipsDownSitesWithoutDial(t *testing.T) {
 		NewSite("gridka", backends["gridka"], 1),
 		NewSite("desy", backends["desy"], 2),
 	}
-	cat := NewCatalog(CatalogConfig{Meta: meta, MountPrefix: "/sites"})
+	cat := catView{meta, "/sites"}
 	eng, err := NewEngine(Config{
-		Catalog: cat, Sites: sites, MinReplicas: 3,
-		Meta: meta, MountPrefix: "/sites",
+		Sites: sites, MinReplicas: 3, Meta: meta, MountPrefix: "/sites",
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,6 +74,7 @@ func TestOpenSkipsDownSitesWithoutDial(t *testing.T) {
 
 	sites[0].SetDown(true) // kit, distance 0: the site every read prefers
 	dialsBefore := backends["kit"].opens.Load()
+	recordsBefore := meta.WALTailRecords()
 
 	const readers, reads = 8, 25
 	var wg sync.WaitGroup
@@ -92,11 +98,14 @@ func TestOpenSkipsDownSitesWithoutDial(t *testing.T) {
 	if fb.FedStats().Failovers == 0 {
 		t.Fatal("failover counter never moved")
 	}
-	if rep, ok := cat.Get(path, "kit"); !ok || rep.State == Valid {
-		t.Fatalf("dead replica state = %v, want stale", rep.State)
+	if st, ok := cat.Get(path, "kit"); !ok || st == Valid {
+		t.Fatalf("dead replica state = %v, want stale", st)
 	}
 	if n := staleEvents.Load(); n != 1 {
 		t.Fatalf("stale transitions for the dead site = %d across %d reads, want 1", n, readers*reads)
+	}
+	if n := meta.WALTailRecords() - recordsBefore; n != 1 {
+		t.Fatalf("the outage journaled %d records across %d reads, want the one stale note", n, readers*reads)
 	}
 	// Re-replication still triggered from the read path: the object
 	// stays at target on the survivors.

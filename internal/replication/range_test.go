@@ -109,10 +109,8 @@ func TestRangedReadStartsAndResumesAtItsOffset(t *testing.T) {
 	if !want.Chained() || want.Blocks() != 6 {
 		t.Fatalf("catalog digest %d blocks, chained %v", want.Blocks(), want.Chained())
 	}
-	for _, rep := range cat.Replicas("/exp/vol") {
-		if rep.State != Valid || !bytes.Equal(rep.Chain, want.Chain) {
-			t.Fatalf("replica on %s: state %s, chain of %d bytes, want the home copy's %d", rep.Site, rep.State, len(rep.Chain), len(want.Chain))
-		}
+	if n := cat.CountValid("/exp/vol"); n != 3 {
+		t.Fatalf("%d replicas verified against the home copy's chain, want 3: %v", n, cat.Replicas("/exp/vol"))
 	}
 	for j := int64(0); j < want.Blocks(); j++ {
 		if !want.VerifyBlock(j, data[j*adal.ChainBlock:min(int64(len(data)), (j+1)*adal.ChainBlock)]) {
@@ -168,7 +166,7 @@ func TestRangedReadStartsAndResumesAtItsOffset(t *testing.T) {
 type trackedFed struct {
 	fb    *FederatedBackend
 	eng   *Engine
-	cat   *Catalog
+	cat   catView
 	sites []*Site
 }
 
@@ -183,11 +181,6 @@ func testFedTracked(t *testing.T) (trackedFed, []*offsetFS) {
 		track = append(track, f)
 		sites = append(sites, NewSite(name, f, i))
 	}
-	cat := NewCatalog(CatalogConfig{})
-	eng, err := NewEngine(Config{Catalog: cat, Sites: sites, MinReplicas: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(eng.Close)
-	return trackedFed{NewFederated("fed", eng), eng, cat, sites}, track
+	fb, eng, cat := newFed(t, sites, Config{MinReplicas: 3})
+	return trackedFed{fb, eng, cat, sites}, track
 }

@@ -16,9 +16,66 @@ import (
 	"repro/internal/units"
 )
 
+// The replica states, as the tests spell them.
+const (
+	Pending = metadata.ReplicaPending
+	Copying = metadata.ReplicaCopying
+	Valid   = metadata.ReplicaValid
+	Stale   = metadata.ReplicaStale
+	Lost    = metadata.ReplicaLost
+)
+
+// catView reads and writes a federation's rows in the store by
+// backend-relative path.
+type catView struct {
+	meta   *metadata.Store
+	prefix string
+}
+
+func (c catView) key(path string) string                  { return c.prefix + path }
+func (c catView) Known(path string) bool                  { return c.meta.Replicas(c.key(path)) != nil }
+func (c catView) Replicas(path string) []metadata.Replica { return c.meta.Replicas(c.key(path)) }
+func (c catView) ValidSites(path string) []string         { return c.meta.ValidSites(c.key(path)) }
+func (c catView) CountValid(path string) int              { return len(c.ValidSites(path)) }
+func (c catView) Digest(path string) (adal.Digest, bool)  { return c.meta.Digest(c.key(path)) }
+func (c catView) Add(path, site string, d adal.Digest)    { c.meta.AddReplica(c.key(path), site, d) }
+func (c catView) Drop(path, site string)                  { c.meta.DropReplica(c.key(path), site) }
+
+func (c catView) Get(path, site string) (metadata.ReplicaState, bool) {
+	return c.meta.Replica(c.key(path), site)
+}
+
+func (c catView) Mark(path, site string, st metadata.ReplicaState) bool {
+	return c.meta.SetReplica(c.key(path), site, st)
+}
+
+// Paths lists the federation's rows, sorted.
+func (c catView) Paths() []string {
+	var out []string
+	for _, key := range c.meta.ReplicaPaths() {
+		if strings.HasPrefix(key, c.prefix) {
+			out = append(out, strings.TrimPrefix(key, c.prefix))
+		}
+	}
+	return out
+}
+
+// newFed builds an engine over sites with cfg, cataloguing in a fresh
+// store under no mount prefix, and its federated backend.
+func newFed(t testing.TB, sites []*Site, cfg Config) (*FederatedBackend, *Engine, catView) {
+	t.Helper()
+	cfg.Meta, cfg.Sites = metadata.NewStore(), sites
+	eng, err := NewEngine(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(eng.Close)
+	return NewFederated("fed", eng), eng, catView{meta: cfg.Meta}
+}
+
 // testFed builds a 3-site federation with MinReplicas=2 over MemFS
 // backends, wired to a metadata store.
-func testFed(t *testing.T, cfg Config) (*FederatedBackend, *Engine, *Catalog, []*Site, *metadata.Store) {
+func testFed(t *testing.T, cfg Config) (*FederatedBackend, *Engine, catView, []*Site, *metadata.Store) {
 	t.Helper()
 	meta := metadata.NewStore()
 	sites := []*Site{
@@ -26,8 +83,6 @@ func testFed(t *testing.T, cfg Config) (*FederatedBackend, *Engine, *Catalog, []
 		NewSite("gridka", adal.NewMemFS("gridka"), 1),
 		NewSite("desy", adal.NewMemFS("desy"), 2),
 	}
-	cat := NewCatalog(CatalogConfig{Meta: meta, MountPrefix: "/sites"})
-	cfg.Catalog = cat
 	cfg.Sites = sites
 	if cfg.MinReplicas == 0 {
 		cfg.MinReplicas = 2
@@ -39,7 +94,7 @@ func testFed(t *testing.T, cfg Config) (*FederatedBackend, *Engine, *Catalog, []
 		t.Fatal(err)
 	}
 	t.Cleanup(eng.Close)
-	return NewFederated("fed", eng), eng, cat, sites, meta
+	return NewFederated("fed", eng), eng, catView{meta, "/sites"}, sites, meta
 }
 
 func writeObject(t *testing.T, fb *FederatedBackend, path string, data []byte) {
@@ -73,7 +128,7 @@ func readAll(t *testing.T, fb *FederatedBackend, path string) []byte {
 // nearestValid returns the site a federated read would be served
 // from: the nearest (sites are in distance order) holder of a valid
 // replica.
-func nearestValid(t *testing.T, cat *Catalog, sites []*Site, path string) *Site {
+func nearestValid(t *testing.T, cat catView, sites []*Site, path string) *Site {
 	t.Helper()
 	valid := make(map[string]bool)
 	for _, name := range cat.ValidSites(path) {
@@ -88,14 +143,16 @@ func nearestValid(t *testing.T, cat *Catalog, sites []*Site, path string) *Site 
 	return nil
 }
 
+// TestStateStrings: a state's String is the word the journal writes
+// and the replica event carries.
 func TestStateStrings(t *testing.T) {
-	want := map[State]string{
+	want := map[metadata.ReplicaState]string{
 		Pending: "pending", Copying: "copying", Valid: "valid",
-		Stale: "stale", Lost: "lost", State(42): "state(42)",
+		Stale: "stale", Lost: "lost", 0: "dropped", 42: "state(42)",
 	}
 	for st, s := range want {
 		if st.String() != s {
-			t.Errorf("State(%d).String() = %q, want %q", int(st), st.String(), s)
+			t.Errorf("ReplicaState(%d).String() = %q, want %q", int(st), st.String(), s)
 		}
 	}
 }
@@ -196,15 +253,16 @@ func TestCatalogPublishesReplicaEvents(t *testing.T) {
 		got = append(got, fmt.Sprintf("%s@%s=%s", ev.Dataset.Path, ev.Site, ev.Placement))
 		mu.Unlock()
 	})
-	cat := NewCatalog(CatalogConfig{Meta: meta, MountPrefix: "/sites"})
-	cat.Set("/x", Replica{Site: "kit", State: Pending})
-	cat.Mark("/x", "kit", Copying, "")
-	cat.Mark("/x", "kit", Copying, "") // idempotent: no event
-	cat.Mark("/x", "kit", Valid, "")
-	cat.Drop("/x", "kit")
+	cat := catView{meta, "/sites"}
+	cat.Add("/x", "kit", adal.Digest{Size: 1, Sum: "00"})
+	cat.Mark("/x", "desy", Pending)
+	cat.Mark("/x", "desy", Copying)
+	cat.Mark("/x", "desy", Copying) // idempotent: no event
+	cat.Mark("/x", "desy", Valid)
+	cat.Drop("/x", "desy")
 	want := []string{
-		"/sites/x@kit=pending", "/sites/x@kit=copying",
-		"/sites/x@kit=valid", "/sites/x@kit=dropped",
+		"/sites/x@kit=valid", "/sites/x@desy=pending", "/sites/x@desy=copying",
+		"/sites/x@desy=valid", "/sites/x@desy=dropped",
 	}
 	mu.Lock()
 	defer mu.Unlock()
@@ -235,8 +293,8 @@ func TestFailoverReadMarksStaleAndReReplicates(t *testing.T) {
 	// The dead site's replica was marked and re-replication restored
 	// MinReplicas on the surviving sites.
 	eng.Wait()
-	if rep, ok := cat.Get("/exp/f", killed.Name); !ok || rep.State == Valid {
-		t.Fatalf("killed site replica = %+v, want stale/lost", rep)
+	if st, ok := cat.Get("/exp/f", killed.Name); !ok || st == Valid {
+		t.Fatalf("killed site replica = %v, want stale/lost", st)
 	}
 	if n := cat.CountValid("/exp/f"); n < 2 {
 		t.Fatalf("valid after failover = %d, want >= 2", n)
@@ -335,8 +393,8 @@ func TestReviveReverifiesWithoutTransfer(t *testing.T) {
 	if st.Transfers != transfersBefore {
 		t.Fatalf("revive caused %d duplicate transfers", st.Transfers-transfersBefore)
 	}
-	if rep, _ := cat.Get("/exp/rv", victim.Name); rep.State != Valid {
-		t.Fatalf("revived replica = %+v, want valid (reverifies=%d)", rep, st.Reverifies)
+	if rs, _ := cat.Get("/exp/rv", victim.Name); rs != Valid {
+		t.Fatalf("revived replica = %v, want valid (reverifies=%d)", rs, st.Reverifies)
 	}
 }
 
@@ -424,7 +482,6 @@ func (fr *flakyReader) Read(p []byte) (int, error) {
 func (fr *flakyReader) Close() error { return fr.r.Close() }
 
 func TestTransferResumesAcrossSourceFailure(t *testing.T) {
-	meta := metadata.NewStore()
 	flaky := &flakyBackend{Backend: adal.NewMemFS("a"), failAfter: 10 * 1024}
 	resumed := newOffsetFS(adal.NewMemFS("b"))
 	sites := []*Site{
@@ -432,15 +489,7 @@ func TestTransferResumesAcrossSourceFailure(t *testing.T) {
 		NewSite("b", resumed, 1),
 		NewSite("c", adal.NewMemFS("c"), 2),
 	}
-	cat := NewCatalog(CatalogConfig{Meta: meta})
-	eng, err := NewEngine(Config{
-		Catalog: cat, Sites: sites, MinReplicas: 3,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	fb := NewFederated("fed", eng)
+	fb, eng, cat := newFed(t, sites, Config{MinReplicas: 3})
 
 	data := make([]byte, 64*1024)
 	for i := range data {
@@ -456,17 +505,11 @@ func TestTransferResumesAcrossSourceFailure(t *testing.T) {
 		w.Write(data)
 		w.Close()
 	}
-	sum := ""
-	{
-		layer := adal.NewLayer()
-		layer.Mount("/", sites[1].Backend)
-		sum, err = layer.Checksum("/big")
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	cat.Set("/big", Replica{Site: "a", State: Valid, Size: units.Bytes(len(data)), Checksum: sum})
-	cat.Set("/big", Replica{Site: "b", State: Valid, Size: units.Bytes(len(data)), Checksum: sum})
+	h := adal.NewChainHasher()
+	h.Write(data)
+	want := h.Digest()
+	cat.Add("/big", "a", want)
+	cat.Add("/big", "b", want)
 	resumed.reset()
 
 	eng.Ensure("/big")
@@ -481,9 +524,10 @@ func TestTransferResumesAcrossSourceFailure(t *testing.T) {
 	if _, read, lowest := resumed.snapshot(); lowest != int64(flaky.failAfter) || read != int64(len(data)-flaky.failAfter) {
 		t.Fatalf("resume source read %d bytes from offset %d, want %d from %d", read, lowest, len(data)-flaky.failAfter, flaky.failAfter)
 	}
-	// The transfer's own hash pass gave the new replica its chain.
-	if rep, _ := cat.Get("/big", "c"); rep.Checksum != sum || len(rep.Chain) != 0 {
-		t.Fatalf("replica on c: sum %.12s, chain of %d bytes for a one-block object", rep.Checksum, len(rep.Chain))
+	// The copy was checked against the path's one digest, which it left
+	// as it was.
+	if d, _ := cat.Digest("/big"); d.Sum != want.Sum || len(d.Chain) != 0 {
+		t.Fatalf("digest after the copy: sum %.12s, chain of %d bytes for a one-block object", d.Sum, len(d.Chain))
 	}
 	if got := readAll(t, fb, "/big"); !bytes.Equal(got, data) {
 		t.Fatal("resumed copy corrupted the object")
@@ -500,18 +544,11 @@ func TestReplicateFromTieredSiteRecalls(t *testing.T) {
 	}
 	defer tier.Close()
 
-	meta := metadata.NewStore()
 	sites := []*Site{
 		NewSite("tiered", tier, 0),
 		NewSite("plain", adal.NewMemFS("plain"), 1),
 	}
-	cat := NewCatalog(CatalogConfig{Meta: meta})
-	eng, err := NewEngine(Config{Catalog: cat, Sites: sites, MinReplicas: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	fb := NewFederated("fed", eng)
+	fb, eng, cat := newFed(t, sites, Config{MinReplicas: 2})
 
 	data := bytes.Repeat([]byte("cold data "), 1000)
 	writeObject(t, fb, "/arch/x", data)
@@ -619,21 +656,12 @@ func TestWANPacing(t *testing.T) {
 }
 
 func TestWANPacedTransferRespectsPairCap(t *testing.T) {
-	meta := metadata.NewStore()
 	sites := []*Site{
 		NewSite("src", adal.NewMemFS("src"), 0),
 		NewSite("dst", adal.NewMemFS("dst"), 1),
 	}
-	cat := NewCatalog(CatalogConfig{Meta: meta})
 	wan := NewWAN(units.BytesPerSecond(64*units.MiB), 0)
-	eng, err := NewEngine(Config{
-		Catalog: cat, Sites: sites, MinReplicas: 2,
-		Streams: 8, PairStreams: 1, WAN: wan,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
+	fb, eng, cat := newFed(t, sites, Config{MinReplicas: 2, Streams: 8, PairStreams: 1, WAN: wan})
 
 	// Track concurrent holders of the src->dst pair by wrapping sleep.
 	var mu sync.Mutex
@@ -651,7 +679,6 @@ func TestWANPacedTransferRespectsPairCap(t *testing.T) {
 		mu.Unlock()
 	}
 
-	fb := NewFederated("fed", eng)
 	for i := 0; i < 6; i++ {
 		writeObject(t, fb, fmt.Sprintf("/p/%d", i), bytes.Repeat([]byte{byte(i)}, 64*1024))
 	}

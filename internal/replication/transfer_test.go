@@ -6,10 +6,13 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/adal"
+	"repro/internal/units"
 )
 
 // streamMax remembers how many streams were opened and the most bytes
@@ -106,16 +109,8 @@ func TestCorruptBlockStopsCopyAndScrub(t *testing.T) {
 	src.corruptAt = bad*adal.ChainBlock + 4321
 	src.reads = streamMax{}
 
-	cat := NewCatalog(CatalogConfig{})
-	eng, err := NewEngine(Config{
-		Catalog: cat, Sites: []*Site{NewSite("src", src, 0), NewSite("dst", dst, 1)},
-		MinReplicas: 2, Retries: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer eng.Close()
-	cat.Set("/big", validReplica("src", want))
+	_, eng, cat := newFed(t, []*Site{NewSite("src", src, 0), NewSite("dst", dst, 1)}, Config{MinReplicas: 2, Retries: 1})
+	cat.Add("/big", "src", want)
 
 	eng.Ensure("/big")
 	eng.Wait()
@@ -126,8 +121,8 @@ func TestCorruptBlockStopsCopyAndScrub(t *testing.T) {
 	if _, err := dst.Stat("/big"); !errors.Is(err, adal.ErrNotFound) {
 		t.Fatalf("the failed copy left a destination object (stat: %v)", err)
 	}
-	if rep, _ := cat.Get("/big", "src"); rep.State != Stale {
-		t.Fatalf("the corrupt source is %v, want stale", rep.State)
+	if st, _ := cat.Get("/big", "src"); st != Stale {
+		t.Fatalf("the corrupt source is %v, want stale", st)
 	}
 	if st := eng.Stats(); st.Transfers != 0 || st.Failures == 0 {
 		t.Fatalf("stats after the failed copy: %+v", st)
@@ -181,4 +176,60 @@ func TestCreateAfterHomeSiteDiedMidWrite(t *testing.T) {
 	if n := cat.CountValid("/x/obj"); n != 2 {
 		t.Fatalf("valid replicas after the retry = %d, want 2", n)
 	}
+}
+
+// TestLateEnsureAfterRemoveSchedulesNothing: an Ensure that arrives
+// after the object's removal — an asynchronous EventCreated, a rule
+// action — finds no row and schedules nothing, so the path is free to
+// be created again.
+func TestLateEnsureAfterRemoveSchedulesNothing(t *testing.T) {
+	fb, eng, cat, _, _ := testFed(t, Config{})
+	writeObject(t, fb, "/x", []byte("short-lived"))
+	eng.Wait()
+	if err := fb.Remove("/x"); err != nil {
+		t.Fatal(err)
+	}
+	eng.Ensure("/x")
+	eng.Wait()
+	if cat.Known("/x") {
+		t.Fatalf("a late Ensure brought the removed path back: %v", cat.Replicas("/x"))
+	}
+	writeObject(t, fb, "/x", []byte("created again"))
+}
+
+// TestRemoveDuringCopyDoesNotResurrect: an object removed while a
+// WAN-paced copy of it is in flight stays removed. The copy's commit
+// is refused, the copy removes the bytes it wrote, and the path can be
+// created again.
+func TestRemoveDuringCopyDoesNotResurrect(t *testing.T) {
+	wan := NewWAN(units.BytesPerSecond(64*units.MiB), time.Millisecond)
+	reached, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	wan.sleep = func(time.Duration) { once.Do(func() { close(reached); <-release }) }
+	sites := []*Site{NewSite("kit", adal.NewMemFS("kit"), 0), NewSite("far", adal.NewMemFS("far"), 1)}
+	fb, eng, cat := newFed(t, sites, Config{MinReplicas: 2, WAN: wan})
+
+	writeObject(t, fb, "/y", bytes.Repeat([]byte("y"), 4096))
+	select {
+	case <-reached: // the copy to far has its destination open and waits on the link
+	case <-time.After(10 * time.Second):
+		t.Fatal("the copy to far never started")
+	}
+	if err := fb.Remove("/y"); err != nil {
+		t.Fatal(err)
+	}
+	close(release)
+	eng.Wait()
+	if cat.Known("/y") {
+		t.Fatalf("the copy in flight re-registered the removed path: %v", cat.Replicas("/y"))
+	}
+	for _, s := range sites {
+		if _, err := s.Backend.Stat("/y"); !errors.Is(err, adal.ErrNotFound) {
+			t.Fatalf("%s still holds the removed object (stat: %v)", s.Name, err)
+		}
+	}
+	if st := eng.Stats(); st.Transfers != 0 {
+		t.Fatalf("a refused copy counted as %d transfers", st.Transfers)
+	}
+	writeObject(t, fb, "/y", []byte("created again"))
 }

@@ -6,7 +6,8 @@
 // The directory holds:
 //
 //	lock         an exclusive flock, held while the directory is open
-//	wal/         the metadata journal (metadata.Open): the catalogue's only state
+//	wal/         the metadata journal (metadata.Open): the catalogue's only
+//	             state, replica rows and their digests included
 //	objects/     the hot tier; a migrated object leaves its stub here
 //	cold/        the cold tier
 //	cache/       the read cache's disk tier
@@ -15,8 +16,8 @@
 // One process at a time opens a directory: two processes appending to
 // one journal could corrupt it, so a second Open fails at once.
 // Placement survives invocations without a side database: tier state is
-// recovered from the stubs in objects/, replica state from the site
-// directories.
+// recovered from the stubs in objects/, replica state from the journal.
+// A site file the journal has no note for is not a replica.
 package statedir
 
 import (
@@ -41,7 +42,6 @@ import (
 	"repro/internal/metadata"
 	"repro/internal/mrpc"
 	"repro/internal/readcache"
-	"repro/internal/replication"
 	"repro/internal/tiering"
 	"repro/internal/units"
 )
@@ -52,9 +52,6 @@ type Dir struct {
 	Meta  *metadata.Store
 	Tier  *tiering.TierBackend
 	Cache *readcache.Cache // nil when both cache budgets are 0
-	// Replicas is rebuilt from the site directories on every Open: their
-	// objects load as valid replicas, which replica verify re-checksums.
-	Replicas *replication.Catalog
 
 	root   string
 	lock   *os.File
@@ -79,8 +76,7 @@ func Open(root string, cacheMem, cacheDisk units.Bytes) (*Dir, error) {
 		lock.Close()
 		return nil, fmt.Errorf("state directory %s is locked by another process: %w", root, err)
 	}
-	d := &Dir{root: root, lock: lock, sites: make(map[string]*adal.FSBackend),
-		Replicas: replication.NewCatalog(replication.CatalogConfig{})}
+	d := &Dir{root: root, lock: lock, sites: make(map[string]*adal.FSBackend)}
 	if err := d.assemble(cacheMem, cacheDisk); err != nil {
 		d.Close()
 		return nil, err
@@ -153,8 +149,9 @@ func (d *Dir) localFS(name, sub string) (*adal.FSBackend, error) {
 	return adal.NewLocalFS(name, dir)
 }
 
-// MountSite attaches mirror site name, creating its directory if
-// needed, and loads its objects into Replicas as valid replicas.
+// MountSite attaches mirror site name at /site/NAME, creating its
+// directory if needed. What the site holds is the journal's to say:
+// Meta's replica rows, keyed by the main copy's path.
 func (d *Dir) MountSite(name string) error {
 	// The name becomes both a directory under sites/ and a mount
 	// prefix; reject anything that could escape either namespace.
@@ -173,13 +170,6 @@ func (d *Dir) MountSite(name string) error {
 		return err
 	}
 	d.sites[name] = b
-	infos, err := b.List("/")
-	if err != nil {
-		return err
-	}
-	for _, info := range infos {
-		d.Replicas.Set(info.Path, replication.Replica{Site: name, State: replication.Valid, Size: info.Size})
-	}
 	return nil
 }
 
