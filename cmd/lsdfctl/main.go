@@ -94,9 +94,9 @@ commands:
   traces [-n N] [ID]          show recent request traces, or one trace's spans
   export                      dump the metadata DB as JSON to stdout
   tier                        show per-object tier placement and counters
-  tier migrate PATH           move an object to the cold tier (stub stays)
+  tier migrate PATH           move an object's bytes to the cold tier
   tier recall PATH            bring a migrated object's bytes back
-  tier pin PATH               exempt an object from migration (this run)
+  tier pin PATH               exempt an object from migration (until unpin)
   tier unpin PATH             re-admit an object to migration
   replica status              show the replica catalogue (per-object site states)
   replica add PATH SITE       copy an object to a mirror site (created on demand)
@@ -453,7 +453,11 @@ func replicaCmd(w io.Writer, d *statedir.Dir, args []string) error {
 			} else {
 				st, verdict = metadata.ReplicaLost, fmt.Sprintf("LOST (%v)", err)
 			}
-			d.Meta.SetReplica(path, r.Site, st)
+			if st == metadata.ReplicaValid {
+				d.Meta.SetReplicaValid(path, r.Site, want)
+			} else {
+				d.Meta.SetReplica(path, r.Site, st)
+			}
 			fmt.Fprintf(w, "%-12s  %s  %s\n", r.Site, path, verdict)
 		}
 		return nil
@@ -555,12 +559,18 @@ func tierCmd(w io.Writer, d *statedir.Dir, args []string) error {
 			st.Resident, st.Premigrated, st.Migrated, st.Pinned)
 		fmt.Fprintf(w, "lifetime: %d premigrations, %d migrations (%s), %d recalls (%s)\n",
 			st.Premigrations, st.Migrations, st.MigratedBytes.SI(), st.Recalls, st.RecallBytes.SI())
-		for _, e := range d.Tier.Entries() {
+		rows := d.Meta.Placements("") // the tier is mounted at the root
+		paths := make([]string, 0, len(rows))
+		for p := range rows {
+			paths = append(paths, p)
+		}
+		sort.Strings(paths)
+		for _, p := range paths {
 			mark := ""
-			if e.Pinned {
+			if rows[p].Pinned {
 				mark = " [pinned]"
 			}
-			fmt.Fprintf(w, "%-12s  %-10s  %s%s\n", e.State, e.Size.SI(), e.Path, mark)
+			fmt.Fprintf(w, "%-12s  %-10s  %s%s\n", rows[p].State, rows[p].Digest.Size.SI(), p, mark)
 		}
 		return nil
 	}
@@ -583,7 +593,7 @@ func tierCmd(w io.Writer, d *statedir.Dir, args []string) error {
 		if err := d.Tier.Pin(path); err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "pinned %s (in-memory; lasts for this invocation's scans)\n", path)
+		fmt.Fprintf(w, "pinned %s (journaled; migrate refuses it until unpin)\n", path)
 	case "unpin":
 		if err := d.Tier.Unpin(path); err != nil {
 			return err

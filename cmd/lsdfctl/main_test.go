@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"slices"
@@ -10,6 +11,7 @@ import (
 
 	"repro/internal/metadata"
 	"repro/internal/statedir"
+	"repro/internal/tiering"
 	"repro/internal/units"
 )
 
@@ -167,6 +169,37 @@ func TestReplicaVerdictSurvivesReopen(t *testing.T) {
 	do("replica", "add", "/data/x.raw", "m1")
 	expect(do("replica", "verify", "/data/x.raw"), "valid (sha256")
 	expect(do("replica", "status"), "m1=valid", "1 valid, 0 stale")
+}
+
+// TestTierPinSurvivesReopen: a pin is journaled in the object's row,
+// so the invocation after the one that pinned it refuses to migrate it,
+// until an unpin.
+func TestTierPinSurvivesReopen(t *testing.T) {
+	tmp := t.TempDir()
+	o := options{state: filepath.Join(tmp, "state")}
+	do := func(args ...string) (string, error) {
+		var out bytes.Buffer
+		err := run(&out, o, args)
+		return out.String(), err
+	}
+	if _, err := do("ingest", "-project", "p", writeFile(t, tmp, "p.raw", []byte("pinned bytes"))); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := do("tier", "pin", "/data/p.raw"); err != nil || !strings.Contains(out, "pinned /data/p.raw") {
+		t.Fatalf("tier pin: %q, %v", out, err)
+	}
+	if _, err := do("tier", "migrate", "/data/p.raw"); !errors.Is(err, tiering.ErrPinned) {
+		t.Fatalf("tier migrate after a reopen: %v, want ErrPinned", err)
+	}
+	if out, _ := do("tier"); !strings.Contains(out, "(1 pinned)") || !strings.Contains(out, "[pinned]") {
+		t.Fatalf("tier status:\n%s", out)
+	}
+	if _, err := do("tier", "unpin", "/data/p.raw"); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := do("tier", "migrate", "/data/p.raw"); err != nil || !strings.Contains(out, "migrated /data/p.raw") {
+		t.Fatalf("tier migrate after unpin: %q, %v", out, err)
+	}
 }
 
 func writeFile(t *testing.T, dir, name string, data []byte) string {

@@ -193,7 +193,7 @@ func TestObjectCrashPointSweep(t *testing.T) {
 	const rounds = 16
 	payload := func(i int) string { return strings.Repeat(fmt.Sprintf("object %02d. ", i), 50*(i+1)) }
 	run := func(fault *durafs.Fault) map[string]bool {
-		b := newFSBackend("sweep", fault, "")
+		b := NewFS("sweep", fault, "")
 		acked := map[string]bool{}
 		for i := 0; i < rounds; i++ {
 			p := fmt.Sprintf("/run%d/obj%02d", i%3, i)
@@ -221,7 +221,7 @@ func TestObjectCrashPointSweep(t *testing.T) {
 		fault := durafs.NewFault(durafs.NewMem(), rand.New(rand.NewSource(n)))
 		fault.CrashAfterOps(n)
 		acked := run(fault)
-		b := newFSBackend("reopened", fault.Inner(), "")
+		b := NewFS("reopened", fault.Inner(), "")
 		list, err := b.List("/")
 		if err != nil {
 			t.Fatal(err)

@@ -88,7 +88,7 @@ type FSBackend struct {
 }
 
 // NewMemFS creates an empty in-memory object store.
-func NewMemFS(name string) *FSBackend { return newFSBackend(name, durafs.NewMem(), "") }
+func NewMemFS(name string) *FSBackend { return NewFS(name, durafs.NewMem(), "") }
 
 // NewLocalFS creates an object store in the existing directory root: the
 // facility's POSIX-mounted storage (GPFS in the paper).
@@ -103,12 +103,13 @@ func NewLocalFS(name, root string) (*FSBackend, error) {
 	if err != nil {
 		return nil, fmt.Errorf("adal: localfs root: %w", err)
 	}
-	return newFSBackend(name, durafs.OS(), strings.TrimSuffix(filepath.ToSlash(abs), "/")), nil
+	return NewFS(name, durafs.OS(), strings.TrimSuffix(filepath.ToSlash(abs), "/")), nil
 }
 
-// newFSBackend opens the store in root on fsys, removing the temp files of
-// writers that died uncommitted (one that cannot be removed is never listed).
-func newFSBackend(name string, fsys durafs.FS, root string) *FSBackend {
+// NewFS opens the object store in root ("" for the top) on fsys, removing
+// the temp files of writers that died uncommitted (one that cannot be
+// removed is never listed). Crash tests open it on a durafs.Fault.
+func NewFS(name string, fsys durafs.FS, root string) *FSBackend {
 	files, _ := fsys.Walk(root + "/")
 	for _, f := range files {
 		if strings.Contains(f.Name, tempMarker) {

@@ -234,7 +234,7 @@ func TestPlacementColumn(t *testing.T) {
 	if err := layer.Mount("/plain", adal.NewMemFS("plain")); err != nil {
 		t.Fatal(err)
 	}
-	tier, err := tiering.New("tier", adal.NewMemFS("hot"), adal.NewMemFS("cold"), tiering.Config{})
+	tier, err := tiering.New("tier", adal.NewMemFS("hot"), adal.NewMemFS("cold"), tiering.Config{Meta: metadata.NewStore()})
 	if err != nil {
 		t.Fatal(err)
 	}

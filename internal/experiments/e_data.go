@@ -299,9 +299,10 @@ func E13TieredDataPath() (*Table, error) {
 	// Recall latency: read one migrated object back through the
 	// ordinary mount-table path.
 	var recallPath string
-	for _, e := range f.Tier.Entries() {
-		if e.State == tiering.Migrated {
-			recallPath = e.Path
+	rows := f.Meta.Placements("/ddn")
+	for p, row := range rows {
+		if row.State == tiering.Migrated {
+			recallPath = p
 			break
 		}
 	}
@@ -322,9 +323,9 @@ func E13TieredDataPath() (*Table, error) {
 	// Dedup: a second migrated object read by many concurrent
 	// readers must cost exactly one additional recall.
 	var sharedPath string
-	for _, e := range f.Tier.Entries() {
-		if e.State == tiering.Migrated && e.Path != recallPath {
-			sharedPath = e.Path
+	for p, row := range rows {
+		if row.State == tiering.Migrated && p != recallPath {
+			sharedPath = p
 			break
 		}
 	}

@@ -21,12 +21,12 @@ import (
 // them. This experiment proves the reproduction's WAL+snapshot
 // durability plane against the real failure, not a simulation: a
 // child process ingests datasets in durable batches — printing an ACK
-// only after the batch's group commit and its placement/replica notes
-// are fsynced — until the parent SIGKILLs it mid-ingest. The parent
-// then reopens the store on the same directory and audits the
-// crash-consistency contract: every acknowledged dataset recovered
-// with tags, placement and replica state; nothing recovered that was
-// never submitted.
+// only after the batch's group commit, which its placement rows and
+// replica notes ride, is fsynced — until the parent SIGKILLs it
+// mid-ingest. The parent then reopens the store on the same directory
+// and audits the crash-consistency contract: every acknowledged dataset
+// recovered with tags, placement and replica state; nothing recovered
+// that was never submitted.
 
 const (
 	e15ChildEnv = "LSDF_E15_CHILD"
@@ -54,6 +54,7 @@ func E15ChildMain() bool {
 		fmt.Fprintf(os.Stderr, "e15 child: open: %v\n", err)
 		os.Exit(2)
 	}
+	digest := adal.Digest{Size: 1, Sum: "e15"} // a stand-in: no byte is read back
 	for b := 0; ; b++ {
 		specs := make([]metadata.CreateSpec, e15Batch)
 		for i := range specs {
@@ -63,16 +64,18 @@ func E15ChildMain() bool {
 				Size:    1,
 				Tags:    []string{"raw", "e15"},
 			}
+			// As a store does: the tier's row and the home replica's
+			// note are staged when the bytes land, and the batch's
+			// registration makes them durable with it (or fails with
+			// the log that refused them).
+			s.Place("/ddn"+specs[i].Path, &metadata.Placement{Digest: digest})
+			s.AddReplica(specs[i].Path, "gridka", digest)
 		}
 		for _, res := range s.CreateBatch(specs) {
 			if res.Err != nil {
 				fmt.Fprintf(os.Stderr, "e15 child: create: %v\n", res.Err)
 				os.Exit(2)
 			}
-			// The placement note blocks until its WAL record is fsynced,
-			// and with it the replica note staged before it.
-			s.AddReplica(res.Dataset.Path, "gridka", adal.Digest{Size: 1, Sum: "e15"}) // a stand-in: no byte is read back
-			s.NotePlacement("/ddn"+res.Dataset.Path, "resident")
 		}
 		if n := s.WALErrors(); n > 0 {
 			fmt.Fprintf(os.Stderr, "e15 child: %d WAL errors\n", n)
@@ -149,6 +152,7 @@ func E15DurableMetadata() (*Table, error) {
 	stats := s.RecoveryStats()
 
 	lost, badState := 0, 0
+	placed := s.Placements("/ddn")
 	for b := 0; b < acked; b++ {
 		for i := 0; i < e15Batch; i++ {
 			path := e15Path(b, i)
@@ -159,7 +163,7 @@ func E15DurableMetadata() (*Table, error) {
 			case !d.HasTag("raw") || !d.HasTag("e15"):
 				badState++
 			default:
-				if p, _ := s.Placement("/ddn" + path); p != "resident" {
+				if p, ok := placed[path]; !ok || p.State != metadata.TierResident {
 					badState++
 				} else if st, _ := s.Replica(path, "gridka"); st != metadata.ReplicaValid {
 					badState++
@@ -193,7 +197,7 @@ func E15DurableMetadata() (*Table, error) {
 			{"torn WAL tails truncated", fmt.Sprint(stats.TornTails)},
 			{"recovery time", recoveryTime.Round(time.Millisecond).String()},
 		},
-		Notes: fmt.Sprintf("child ACKs only after group commit + placement/replica fsync; "+
+		Notes: fmt.Sprintf("child ACKs only after the batch's group commit, which its placement rows and replica notes ride; "+
 			"recovered set may include at most one in-flight batch (got %d datasets beyond the acked %d)",
 			len(all)-(acked*e15Batch-lost), acked*e15Batch),
 	}

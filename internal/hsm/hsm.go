@@ -29,8 +29,8 @@ import (
 type State = tiering.State
 
 // Placement states. Premigrated files have a tape copy but still
-// occupy disk; Migrated files are tape-only (a zero-size stub remains
-// in the namespace).
+// occupy disk; Migrated files are tape-only, and stay in the namespace
+// as metadata alone.
 const (
 	Resident    = tiering.Resident
 	Premigrated = tiering.Premigrated

@@ -65,8 +65,8 @@ func (s *SliceProducer) Next() (*Object, error) {
 // Premigrater is implemented by ADAL backends that can eagerly copy
 // a freshly stored object toward their cold tier (the tiering
 // backend): premigrate-on-ingest makes later watermark migrations a
-// cheap stub swap instead of a full copy, at the price of writing
-// every ingested byte twice up front.
+// cheap drop of the hot bytes instead of a full copy, at the price of
+// writing every ingested byte twice up front.
 type Premigrater interface {
 	Premigrate(rel string) error
 }

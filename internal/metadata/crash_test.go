@@ -137,7 +137,7 @@ func runCrashSeed(t *testing.T, seed int64) (RecoveryStats, int) {
 				// Placement/replica notes ride the same WALs.
 				if len(created) > 0 {
 					d := created[len(created)-1]
-					s.NotePlacement("/ddn"+d.Path, "resident")
+					placeRow(s, "/ddn"+d.Path, TierResident)
 					s.AddReplica(d.Path, "gridka", testDigest(d.Path))
 				}
 				// Occasionally delete an earlier acked dataset.
@@ -329,7 +329,7 @@ func sweepWorkload(t *testing.T, s *Store, tolerate bool) map[string]bool {
 				return acked
 			}
 		}
-		s.NotePlacement("/ddn"+path, "resident")
+		placeRow(s, "/ddn"+path, TierResident)
 		if i == 20 {
 			if err := s.Delete(d.ID); err != nil {
 				fatal(err)

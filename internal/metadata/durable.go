@@ -65,10 +65,10 @@ func (s *Store) RecoveryStats() RecoveryStats { return s.recovered }
 func (s *Store) Durable() bool { return s.wal != nil }
 
 // WALErrors counts journaling failures that cannot reach a caller —
-// NotePlacement, the replica notes, a failed Sync — and
-// snapshots that could not be written. A failed note or Sync means the
-// store has gone fail-stop and every later mutation errors; a failed
-// snapshot loses nothing (the log still holds it all).
+// the replica notes, a failed Sync — and snapshots that could not be
+// written. A failed note or Sync means the store has gone fail-stop and
+// every later mutation errors; a failed snapshot loses nothing (the log
+// still holds it all).
 func (s *Store) WALErrors() int64 { return s.walErrs.Load() }
 
 // Snapshots returns the number of compacted snapshots written since
@@ -97,17 +97,6 @@ func (s *Store) WALTailRecords() int64 {
 	s.wal.mu.Lock()
 	defer s.wal.mu.Unlock()
 	return int64(s.wal.recordsSinceSnap)
-}
-
-// Placement returns the last journaled storage-tier placement noted
-// for path (via NotePlacement), surviving restarts on durable
-// stores.
-func (s *Store) Placement(path string) (string, bool) {
-	ps := s.pathShardFor(path)
-	ps.mu.RLock()
-	defer ps.mu.RUnlock()
-	st, ok := ps.placement[path]
-	return st, ok
 }
 
 // openWAL attaches the durability plane to a freshly constructed
@@ -229,13 +218,13 @@ func (s *Store) openWAL(opts Options) error {
 //
 // Fields only the state can decide are filled in on the record, so
 // that what is journaled replays to the same state: a processing's ID,
-// a create's final tags and version, and whether a replica note carries
-// its path's digest (replicas.go). A replica note moves the live table
-// and the journal differently — Pending and Copying are not journaled —
-// so for one, changed means the journal moved. Path claims are not applied
-// here — they are derived from the datasets, never journaled: the
-// mutators take them in a round of their own and recovery rebuilds
-// them (rebuildPaths).
+// a create's final tags and version, and whether a replica or placement
+// note carries its path's digest (replicas.go, placement.go). A replica
+// note moves the live table and the journal differently — Pending and
+// Copying are not journaled — so for one, changed means the journal
+// moved. Path claims are not applied here — they are derived from the
+// datasets, never journaled: the mutators take them in a round of their
+// own and recovery rebuilds them (rebuildPaths).
 func (s *Store) apply(rec *walRecord, evs *[]Event) (changed bool, err error) {
 	wi, _ := s.route(rec)
 	sh, ps := s.shards[wi], s.pathShards[wi]
@@ -316,8 +305,7 @@ func (s *Store) apply(rec *walRecord, evs *[]Event) (changed bool, err error) {
 		emit(EventDeleted, d, "")
 		return true, nil
 	case opPlacement:
-		ps.placement[rec.Path] = rec.State
-		return true, nil
+		return ps.place(rec), nil
 	case opReplica:
 		return ps.noteReplica(rec), nil
 	}

@@ -115,7 +115,7 @@ const (
 	EventDeleted
 	// EventPlacement announces a storage-tier placement transition
 	// (resident/premigrated/migrated) for the object at Dataset.Path;
-	// published by the tiering backend, not by a store mutation.
+	// published by Place, when a tier's row is new or changes state.
 	EventPlacement
 	// EventReplica announces a replica-catalogue state transition
 	// (pending/copying/valid/stale/lost/dropped) for the object at
@@ -231,13 +231,13 @@ type shard struct {
 // pathShard holds the slice of the logical-path namespace that
 // hashes onto it. Claiming a path here is what makes Create's
 // duplicate detection race-free without a global lock. It also
-// carries the per-path placement notes and replica rows (keyed by the
-// same hash), which durable stores journal and recover.
+// carries the per-path placement and replica rows (keyed by the same
+// hash), which durable stores journal and recover.
 type pathShard struct {
-	mu        sync.RWMutex
-	byPath    map[string]string      // path -> id
-	placement map[string]string      // path -> tier placement state
-	replicas  map[string]*replicaRow // path -> its replica row (replicas.go)
+	mu         sync.RWMutex
+	byPath     map[string]string      // path -> id
+	placements map[string]Placement   // path -> its tier's row (placement.go)
+	replicas   map[string]*replicaRow // path -> its replica row (replicas.go)
 }
 
 // Store is the metadata repository. All methods are safe for
@@ -298,7 +298,7 @@ func Open(opts Options) (*Store, error) {
 			byTag:     make(map[string]map[string]bool),
 		}
 		s.pathShards[i] = &pathShard{byPath: make(map[string]string),
-			placement: make(map[string]string), replicas: make(map[string]*replicaRow)}
+			placements: make(map[string]Placement), replicas: make(map[string]*replicaRow)}
 	}
 	if opts.WALDir != "" {
 		if err := s.openWAL(opts); err != nil {
@@ -468,25 +468,6 @@ func (s *Store) Delete(id string) error {
 	}
 	ps.mu.Unlock()
 	return err
-}
-
-// NotePlacement publishes an EventPlacement on the store's bus for
-// the object at path: the tiering backend calls it on every
-// Resident/Premigrated/Migrated transition so rule engines and
-// workflow triggers can react to data aging exactly as they react to
-// mutations. The event carries the registered dataset snapshot when
-// the path is known to the store, or a synthetic path-only snapshot
-// for unregistered objects (e.g. MapReduce intermediates).
-// NotePlacement also records the state in the store's placement
-// table (see Placement), which durable stores journal — after a
-// restart the tier's placements recover without re-scanning stubs.
-// Journaling failures cannot be returned on this void path; they
-// land on the WALErrors counter and the store goes fail-stop.
-func (s *Store) NotePlacement(path, placement string) {
-	if errs := s.commit([]walRecord{{Op: opPlacement, Path: path, State: placement}}, false, true); errs != nil {
-		s.walErrs.Add(1)
-	}
-	s.notePublish(EventPlacement, path, "", placement)
 }
 
 // Sync waits until everything staged in the log — staged notes

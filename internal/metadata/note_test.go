@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/adal"
 	"repro/internal/metadata/durafs"
@@ -35,6 +36,17 @@ func sameDigest(a, b adal.Digest) bool {
 
 // testDigest is the digest of a short object named by s.
 func testDigest(s string) adal.Digest { return digestOf([]byte("content of " + s)) }
+
+// placeRow stages path's placement row in st, with path's test digest.
+func placeRow(s *Store, path string, st TierState) {
+	s.Place(path, &Placement{State: st, Digest: testDigest(path), ModTime: time.Date(2011, 5, 16, 9, 0, 0, 0, time.UTC)})
+}
+
+// placed reports path's placement state, and whether it has a row.
+func placed(s *Store, path string) (TierState, bool) {
+	p, ok := s.Placements("")[path]
+	return p.State, ok
+}
 
 // TestCreateMakesItsPathNotesDurable: a note staged on a path becomes
 // durable with the registration of that path, even when the path's
@@ -71,7 +83,7 @@ func TestStagedNoteDurableWhenWaitedFor(t *testing.T) {
 	}{
 		{"nothing", func(*Store, string) {}, false},
 		{"Sync", func(s *Store, _ string) { s.Sync() }, true},
-		{"later-commit", func(s *Store, _ string) { s.NotePlacement("/elsewhere", "resident") }, true},
+		{"later-commit", func(s *Store, _ string) { s.Create("p", "/elsewhere", 1, "", nil) }, true},
 		{"Close", func(s *Store, _ string) { s.Close() }, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -174,7 +186,7 @@ func TestDigestSurvivesReopen(t *testing.T) {
 			s := openMem(t, mem, Options{Shards: 4})
 			s.AddReplica("/d/obj", "kit", want)
 			s.SetReplica("/d/obj", "desy", ReplicaPending)
-			s.SetReplica("/d/obj", "desy", ReplicaValid)
+			s.SetReplicaValid("/d/obj", "desy", want)
 			s.Sync()
 			if route == "snapshot" {
 				if err := s.Checkpoint(); err != nil {
@@ -215,7 +227,7 @@ func TestDigestSurvivesReopen(t *testing.T) {
 	s := openMem(t, mem, Options{Shards: 1})
 	s.AddReplica("/d/obj", "kit", want)
 	s.SetReplica("/d/obj", "desy", ReplicaPending)
-	s.SetReplica("/d/obj", "desy", ReplicaValid)
+	s.SetReplicaValid("/d/obj", "desy", want)
 	s.Close()
 	f, err := mem.Open("/wal/log-000000.wal")
 	if err != nil {
@@ -236,8 +248,9 @@ func TestDigestSurvivesReopen(t *testing.T) {
 
 // TestReplicaNotesNeedARow: a path enters the catalogue with AddReplica.
 // Pending and Valid notes for a path without a row are refused, as are
-// Copying, Stale and Lost for a site the row lacks, and none of them
-// publishes; a removed row takes no notes, so a copy or a late schedule
+// Copying, Stale and Lost for a site the row lacks, and a Valid whose
+// digest is not the row's, or that carries none; none of them
+// publishes. A removed row takes no notes, so a copy or a late schedule
 // cannot bring the path back.
 func TestReplicaNotesNeedARow(t *testing.T) {
 	s := NewStore()
@@ -247,22 +260,28 @@ func TestReplicaNotesNeedARow(t *testing.T) {
 			events = append(events, ev.Site+"="+ev.Placement)
 		}
 	})
-	for _, st := range []ReplicaState{ReplicaPending, ReplicaCopying, ReplicaValid, ReplicaStale, ReplicaLost} {
+	for _, st := range []ReplicaState{ReplicaPending, ReplicaCopying, ReplicaStale, ReplicaLost} {
 		if s.SetReplica("/r/x", "kit", st) {
 			t.Fatalf("%s note took a row for an unknown path", st)
 		}
 	}
+	if s.SetReplicaValid("/r/x", "kit", testDigest("/r/x")) {
+		t.Fatal("valid note took a row for an unknown path")
+	}
 	s.AddReplica("/r/x", "kit", testDigest("/r/x"))
-	if s.SetReplica("/r/x", "desy", ReplicaStale) || s.SetReplica("/r/x", "kit", ReplicaValid) {
+	if s.SetReplica("/r/x", "desy", ReplicaStale) || s.SetReplicaValid("/r/x", "kit", testDigest("/r/x")) {
 		t.Fatal("a mark for an absent site, or a repeated state, moved the table")
 	}
 	if !s.SetReplica("/r/x", "desy", ReplicaPending) {
 		t.Fatal("pending refused on a known path")
 	}
+	if s.SetReplicaValid("/r/x", "desy", testDigest("/r/y")) || s.SetReplica("/r/x", "desy", ReplicaValid) {
+		t.Fatal("a valid note checked against other bytes, or against none, moved the table")
+	}
 	if got := s.DropReplicas("/r/x"); len(got) != 2 {
 		t.Fatalf("DropReplicas returned %v, want both sites", got)
 	}
-	if s.SetReplica("/r/x", "desy", ReplicaValid) || s.Replicas("/r/x") != nil || s.DropReplicas("/r/x") != nil {
+	if s.SetReplicaValid("/r/x", "desy", testDigest("/r/x")) || s.Replicas("/r/x") != nil || s.DropReplicas("/r/x") != nil {
 		t.Fatal("a dropped row took a note")
 	}
 	want := []string{"kit=valid", "desy=pending", "desy=dropped", "kit=dropped"} // a dropped row's sites in site order

@@ -76,7 +76,9 @@ type replicaRow struct {
 // A Valid note's digest becomes the row's if the row has none; else it
 // is left off the record, so a path's digest is journaled once, with its
 // first Valid note. It cannot change while the row lives: the federation
-// refuses to create a path it knows.
+// refuses to create a path it knows. A live Valid note (SetReplicaValid)
+// whose digest is not the row's is refused: its copy checked the bytes
+// of a path since removed and created again.
 func (ps *pathShard) noteReplica(rec *walRecord) (journal bool) {
 	row := ps.replicas[rec.Path]
 	st := parseReplicaState(rec.State)
@@ -97,6 +99,10 @@ func (ps *pathShard) noteReplica(rec *walRecord) (journal bool) {
 		}
 		row = &replicaRow{sites: []Replica{}}
 		ps.replicas[rec.Path] = row
+	}
+	if rec.needRow && st == ReplicaValid && (rec.Digest == nil || row.digest.Sum != "" && rec.Digest.Sum != row.digest.Sum) {
+		rec.noop = true // checked against other bytes than the row's
+		return false
 	}
 	digest := rec.Digest != nil && rec.Digest.Sum != "" && row.digest.Sum == "" && (rec.Site == "" || st == ReplicaValid)
 	if digest {
@@ -166,11 +172,22 @@ func (s *Store) AddReplica(path, site string, d adal.Digest) {
 // SetReplica moves site's replica of path to st, and reports whether it
 // did. Only a path with a row takes it, and Copying, Stale and Lost only
 // for a site the row holds: a transfer or a read that outlives the
-// path's removal cannot bring the path back. A Valid note is staged, as
-// AddReplica's; any other is durable when SetReplica returns. Journaling
-// failures land on WALErrors.
+// path's removal cannot bring the path back. A Valid carries the digest
+// its copy checked, so it is SetReplicaValid's; SetReplica refuses one.
+// The note is durable when SetReplica returns. Journaling failures land
+// on WALErrors.
 func (s *Store) SetReplica(path, site string, st ReplicaState) bool {
 	return !s.replicaNote(walRecord{Path: path, Site: site, State: st.String(), needRow: true}).noop
+}
+
+// SetReplicaValid moves site's replica of path to Valid, d being the
+// digest the copy or scrub that proved it checked, and reports whether it
+// did. A path without a row refuses it, and so does a row whose digest is
+// not d — the path was removed and created again while the copy ran —
+// so a copy that outlives its path's bytes is never served. The note is
+// staged, as AddReplica's.
+func (s *Store) SetReplicaValid(path, site string, d adal.Digest) bool {
+	return !s.replicaNote(walRecord{Path: path, Site: site, State: ReplicaValid.String(), Digest: &d, needRow: true}).noop
 }
 
 // DropReplica removes site's replica of path. The row stays, with its

@@ -26,13 +26,14 @@ var ErrSnapshotCorrupt = errors.New("metadata: snapshot corrupt")
 
 // storeDump is the Export/Import document: the store's state, as
 // of one point of its history. A replica row is its digest and its
-// journaled sites; a transfer in flight is not state.
+// journaled sites; a transfer in flight is not state. Placement rows are
+// under "tier" (an earlier build's untyped "placements" are ignored).
 type storeDump struct {
-	Seq        int64                        `json:"seq"`
-	Datasets   []Dataset                    `json:"datasets"`
-	Placements map[string]string            `json:"placements,omitempty"`
-	Replicas   map[string]map[string]string `json:"replicas,omitempty"`
-	Digests    map[string]adal.Digest       `json:"digests,omitempty"`
+	Seq      int64                        `json:"seq"`
+	Datasets []Dataset                    `json:"datasets"`
+	Tier     map[string]Placement         `json:"tier,omitempty"`
+	Replicas map[string]map[string]string `json:"replicas,omitempty"`
+	Digests  map[string]adal.Digest       `json:"digests,omitempty"`
 }
 
 // sort puts the datasets in ID order, which (JSON map keys being
@@ -42,16 +43,16 @@ func (dump *storeDump) sort() {
 }
 
 // records is the dump as mutations: one create per dataset, one note
-// per placement, per replica and per row's digest. Applying them to an
-// empty store is installing the dump — recovery does that with the
-// snapshot; Import commits them, so they are journaled as well.
+// per placement row, per replica and per replica row's digest. Applying
+// them to an empty store is installing the dump — recovery does that
+// with the snapshot; Import commits them, so they are journaled as well.
 func (dump *storeDump) records() []walRecord {
 	recs := make([]walRecord, 0, dump.items())
 	for i := range dump.Datasets {
 		recs = append(recs, walRecord{Op: opCreate, Seq: dump.Seq, Dataset: &dump.Datasets[i]})
 	}
-	for p, st := range dump.Placements {
-		recs = append(recs, walRecord{Op: opPlacement, Path: p, State: st})
+	for p, row := range dump.Tier {
+		recs = append(recs, walRecord{Op: opPlacement, Path: p, Placement: &row})
 	}
 	for p, sites := range dump.Replicas {
 		for site, st := range sites {
@@ -68,7 +69,7 @@ func (dump *storeDump) records() []walRecord {
 // costs, and so how many records must pass before the log compacts
 // again.
 func (dump *storeDump) items() int {
-	return len(dump.Datasets) + len(dump.Placements) + len(dump.Replicas) + len(dump.Digests)
+	return len(dump.Datasets) + len(dump.Tier) + len(dump.Replicas) + len(dump.Digests)
 }
 
 // storeSnapshot is the store's compacted state: its dump, and the LSN
@@ -110,13 +111,13 @@ func (s *Store) dump() storeDump {
 		n += len(sh.datasets)
 	}
 	dump := storeDump{Seq: s.seq.Load(), Datasets: make([]Dataset, 0, n),
-		Placements: make(map[string]string), Replicas: make(map[string]map[string]string),
+		Tier: make(map[string]Placement), Replicas: make(map[string]map[string]string),
 		Digests: make(map[string]adal.Digest)}
 	for i, sh := range s.shards {
 		for _, d := range sh.datasets {
 			dump.Datasets = append(dump.Datasets, d.clone())
 		}
-		maps.Copy(dump.Placements, s.pathShards[i].placement)
+		maps.Copy(dump.Tier, s.pathShards[i].placements)
 		for p, row := range s.pathShards[i].replicas {
 			if row.digest.Sum != "" {
 				dump.Digests[p] = row.digest
@@ -224,8 +225,8 @@ func writeSnapshot(fsys durafs.FS, name string, lastLSN uint64, dump *storeDump)
 		}
 		val(&dump.Datasets[i])
 	}
-	raw(`],"placements":`)
-	streamObject(dump.Placements, raw, val)
+	raw(`],"tier":`)
+	streamObject(dump.Tier, raw, val)
 	raw(`,"replicas":`)
 	streamObject(dump.Replicas, raw, val)
 	raw(`,"digests":`)

@@ -44,7 +44,7 @@ func buildDeterministic(t *testing.T) (*Store, *durafs.MemFS) {
 		if res.Err != nil {
 			t.Fatal(res.Err)
 		}
-		s.NotePlacement("/cache"+res.Dataset.Path, "resident")
+		placeRow(s, "/cache"+res.Dataset.Path, TierResident)
 		s.AddReplica(res.Dataset.Path, "dkrz", testDigest(res.Dataset.Path))
 	}
 	if err := s.Checkpoint(); err != nil {
@@ -116,7 +116,7 @@ func TestSnapshotExportEquivalence(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("loadSnapshot: ok=%v err=%v", ok, err)
 	}
-	fromSnaps, places := snap.Datasets, snap.Placements
+	fromSnaps, places := snap.Datasets, snap.Tier
 	if got, want := len(fromSnaps), len(s.Find(Query{})); got != want {
 		t.Fatalf("the snapshot holds %d datasets, store has %d", got, want)
 	}
@@ -135,8 +135,8 @@ func TestSnapshotExportEquivalence(t *testing.T) {
 	}
 	for i := 0; i < 24; i++ {
 		p := fmt.Sprintf("/cache/det/%02d", i)
-		if places[p] != "resident" {
-			t.Fatalf("placement %s missing from the snapshot (got %q)", p, places[p])
+		if row, ok := places[p]; !ok || row.State != TierResident || !sameDigest(row.Digest, testDigest(p)) {
+			t.Fatalf("placement %s missing from the snapshot (got %+v, %v)", p, row, ok)
 		}
 	}
 

@@ -41,7 +41,7 @@ const (
 	opUntag     = "untag"     // ID + Tag
 	opProc      = "proc"      // ID + Proc
 	opDelete    = "delete"    // ID
-	opPlacement = "placement" // Path + State
+	opPlacement = "placement" // Path + Placement (nil: the row's removal; placement.go)
 	opReplica   = "replica"   // Path + Site + State (+ Digest); no Site: the path's row (replicas.go)
 )
 
@@ -63,9 +63,11 @@ type walRecord struct {
 	Site    string       `json:"site,omitempty"`
 	State   string       `json:"state,omitempty"`
 	Digest  *adal.Digest `json:"digest,omitempty"` // a path's, with its first Valid note
+	// Placement is a placement note's row; nil drops the path's row.
+	Placement *Placement `json:"placement,omitempty"`
 
 	needRow bool      // in: a replica note on a path without a row is refused
-	noop    bool      // out: the replica note moved nothing
+	noop    bool      // out: the note moved nothing its event reports
 	dropped []Replica // out: the sites of a dropped replica row
 }
 

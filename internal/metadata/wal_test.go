@@ -87,7 +87,7 @@ func TestDurableBasicRecovery(t *testing.T) {
 	if err := s.Delete(d2.ID); err != nil {
 		t.Fatal(err)
 	}
-	s.NotePlacement("/ddn/a/1", "migrated")
+	placeRow(s, "/ddn/a/1", TierMigrated)
 	s.AddReplica("/a/1", "gridka", testDigest("/a/1"))
 	s.Close()
 
@@ -114,8 +114,8 @@ func TestDurableBasicRecovery(t *testing.T) {
 	if _, ok := r.ByPath("/a/2"); ok {
 		t.Fatal("deleted dataset's path still claimed")
 	}
-	if pl, ok := r.Placement("/ddn/a/1"); !ok || pl != "migrated" {
-		t.Fatalf("placement = %q, %v", pl, ok)
+	if pl, ok := placed(r, "/ddn/a/1"); !ok || pl != TierMigrated {
+		t.Fatalf("placement = %v, %v", pl, ok)
 	}
 	if st, _ := r.Replica("/a/1", "gridka"); st != ReplicaValid {
 		t.Fatalf("replicas = %v", r.Replicas("/a/1"))
@@ -297,7 +297,7 @@ func TestDurableReopensAtAnyShardCount(t *testing.T) {
 		if err := s.Tag(d.ID, fmt.Sprintf("t%d", i%3)); err != nil {
 			t.Fatal(err)
 		}
-		s.NotePlacement("/ddn"+path, "premigrated")
+		placeRow(s, "/ddn"+path, TierPremigrated)
 		s.AddReplica(path, "kit", testDigest(path))
 	}
 	var want bytes.Buffer
@@ -324,8 +324,8 @@ func TestDurableReopensAtAnyShardCount(t *testing.T) {
 			if !ok || !d.HasTag(fmt.Sprintf("t%d", i%3)) {
 				t.Fatalf("at %d shards %s recovered as %+v, %v", shards, path, d, ok)
 			}
-			if pl, _ := r.Placement("/ddn" + path); pl != "premigrated" {
-				t.Fatalf("at %d shards the placement of %s is %q", shards, path, pl)
+			if pl, _ := placed(r, "/ddn"+path); pl != TierPremigrated {
+				t.Fatalf("at %d shards the placement of %s is %v", shards, path, pl)
 			}
 			if st, _ := r.Replica(path, "kit"); st != ReplicaValid {
 				t.Fatalf("at %d shards the replicas of %s are %v", shards, path, r.Replicas(path))
@@ -382,7 +382,6 @@ func equivalenceWorkload(t *testing.T, s *Store, rng *rand.Rand) {
 	}
 	tags := []string{"raw", "hot", "cal", "done"}
 	sites := []string{"kit", "desy", "gridka"}
-	states := []string{"pending", "copying", "valid", "stale"}
 	pick := func(from []string) string { return from[rng.Intn(len(from))] }
 	var live []Dataset // registered and not deleted
 	var freed []string // paths of deleted datasets
@@ -436,11 +435,20 @@ func equivalenceWorkload(t *testing.T, s *Store, rng *rand.Rand) {
 			check(err)
 			live, freed = append(live, d), freed[1:]
 		},
-		func() { s.NotePlacement("/ddn"+live[rng.Intn(len(live))].Path, pick(states)) },
+		func() { // a tier's row: moved, re-pinned or dropped
+			p := live[rng.Intn(len(live))].Path
+			if rng.Intn(4) == 0 {
+				check(s.Place("/ddn"+p, nil))
+				return
+			}
+			check(s.Place("/ddn"+p, &Placement{State: TierState(rng.Intn(3)), Digest: testDigest(p),
+				ModTime: time.Date(2011, 5, 16, 9, rng.Intn(60), 0, 0, time.UTC), Pinned: rng.Intn(2) == 0}))
+		},
 		// Few sites: states get overwritten. Notes on a path without a
 		// row, or on a site its row lacks, are refused.
 		func() { p := live[rng.Intn(len(live))].Path; s.AddReplica(p, pick(sites), testDigest(p)) },
 		func() { s.SetReplica(live[rng.Intn(len(live))].Path, pick(sites), ReplicaState(1+rng.Intn(5))) },
+		func() { p := live[rng.Intn(len(live))].Path; s.SetReplicaValid(p, pick(sites), testDigest(p)) },
 		func() { s.DropReplica(live[rng.Intn(len(live))].Path, pick(sites)) },
 		func() { s.DropReplicas(live[rng.Intn(len(live))].Path) },
 	}
@@ -482,7 +490,7 @@ func TestDurableExportImportEquivalence(t *testing.T) {
 				if s.WALTailRecords() == 0 {
 					// The workload ended on a snapshot: one record past it,
 					// so that recovery replays a tail.
-					s.NotePlacement("/tail", "resident")
+					placeRow(s, "/tail", TierResident)
 				}
 				before := export(s)
 				snapshots := s.Snapshots()
@@ -533,7 +541,7 @@ func TestDurableOSFilesystem(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	s.NotePlacement("/ddn/os/000", "premigrated")
+	placeRow(s, "/ddn/os/000", TierPremigrated)
 	s.Close()
 
 	r, err := Open(Options{WALDir: dir, SnapshotEvery: 16})
@@ -543,8 +551,8 @@ func TestDurableOSFilesystem(t *testing.T) {
 	if r.Count() != 50 {
 		t.Fatalf("recovered %d, want 50", r.Count())
 	}
-	if pl, ok := r.Placement("/ddn/os/000"); !ok || pl != "premigrated" {
-		t.Fatalf("placement = %q, %v", pl, ok)
+	if pl, ok := placed(r, "/ddn/os/000"); !ok || pl != TierPremigrated {
+		t.Fatalf("placement = %v, %v", pl, ok)
 	}
 	r.Close()
 }
@@ -555,7 +563,7 @@ func TestWALRecordRoundTrip(t *testing.T) {
 	recs := []walRecord{
 		{LSN: 1, Op: opCreate, Seq: 7, Dataset: &Dataset{ID: "ds-000007", Path: "/x", Project: "p", Version: 1}},
 		{LSN: 2, Op: opTag, ID: "ds-000007", Tag: "raw"},
-		{LSN: 3, Op: opPlacement, Path: "/x", State: "migrated"},
+		{LSN: 3, Op: opPlacement, Path: "/x", Placement: &Placement{State: TierMigrated}},
 		{LSN: 4, Op: opReplica, Path: "/x", Site: "kit", State: "valid"},
 	}
 	var buf []byte

@@ -395,7 +395,7 @@ func (e *Engine) process(j job) {
 	if known {
 		err := e.verifySite(dst, j.key, want)
 		if err == nil {
-			e.meta.SetReplica(j.key, j.dst, metadata.ReplicaValid)
+			e.meta.SetReplicaValid(j.key, j.dst, want)
 			e.reverifies.Add(1)
 			return
 		}
@@ -436,7 +436,8 @@ func (e *Engine) process(j job) {
 	e.failures.Add(1)
 }
 
-// errRemoved ends a job whose path was removed while it copied.
+// errRemoved ends a job whose path was removed while it copied, or
+// removed and created again: its commit checked the old bytes.
 var errRemoved = errors.New("replication: path removed during the copy")
 
 // verifySite scrubs the site's copy of key against want, stopping at
@@ -473,7 +474,8 @@ func (e *Engine) pairSlot(src, dst string) chan struct{} {
 // next at the same offset — except that stale replicas are offered only
 // when want can convict them. Any terminal error removes the partial
 // destination object, and so does a commit the catalogue refuses: the
-// path was removed while its bytes moved (errRemoved).
+// path was removed — and maybe created again, with other bytes — while
+// its bytes moved (errRemoved).
 func (e *Engine) copyOnce(key string, dst *Site, want adal.Digest) error {
 	path := e.rel(key)
 	src := &failoverReader{
@@ -517,7 +519,7 @@ func (e *Engine) copyOnce(key string, dst *Site, want adal.Digest) error {
 		}
 		return fmt.Errorf("replication: copying %s to %s: %w", path, dst.Name, err)
 	}
-	if !e.meta.SetReplica(key, dst.Name, metadata.ReplicaValid) {
+	if !e.meta.SetReplicaValid(key, dst.Name, got) {
 		_ = dst.remove(path)
 		return fmt.Errorf("%w: %s", errRemoved, path)
 	}
@@ -527,7 +529,7 @@ func (e *Engine) copyOnce(key string, dst *Site, want adal.Digest) error {
 	// if that source was a stale replica, it just revalidated itself.
 	if src.sources == 1 && want.Sum != "" {
 		if st, _ := e.meta.Replica(key, src.served.Name); st == metadata.ReplicaStale {
-			e.meta.SetReplica(key, src.served.Name, metadata.ReplicaValid)
+			e.meta.SetReplicaValid(key, src.served.Name, want)
 			e.reverifies.Add(1)
 		}
 	}
@@ -579,7 +581,7 @@ func (e *Engine) Verify(path string) (int, error) {
 			continue
 		}
 		if err := e.verifySite(s, key, want); err == nil {
-			e.meta.SetReplica(key, rep.Site, metadata.ReplicaValid)
+			e.meta.SetReplicaValid(key, rep.Site, want)
 			valid++
 		} else {
 			e.meta.SetReplica(key, rep.Site, metadata.ReplicaStale)

@@ -45,7 +45,13 @@ func (c catView) Get(path, site string) (metadata.ReplicaState, bool) {
 	return c.meta.Replica(c.key(path), site)
 }
 
+// Mark moves site's replica of path to st; a Valid carries the row's
+// digest, as a copy that checked the path's bytes would.
 func (c catView) Mark(path, site string, st metadata.ReplicaState) bool {
+	if st == Valid {
+		d, _ := c.Digest(path)
+		return c.meta.SetReplicaValid(c.key(path), site, d)
+	}
 	return c.meta.SetReplica(c.key(path), site, st)
 }
 
@@ -538,7 +544,7 @@ func TestReplicateFromTieredSiteRecalls(t *testing.T) {
 	// A site whose backend is a TierBackend: replicating a migrated
 	// object recalls it transparently, then copies.
 	hot, cold := adal.NewMemFS("hot"), adal.NewMemFS("cold")
-	tier, err := tiering.New("tiersite", hot, cold, tiering.Config{})
+	tier, err := tiering.New("tiersite", hot, cold, tiering.Config{Meta: metadata.NewStore()})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -233,3 +233,56 @@ func TestRemoveDuringCopyDoesNotResurrect(t *testing.T) {
 	}
 	writeObject(t, fb, "/y", []byte("created again"))
 }
+
+// TestRecreateDuringCopyRefusesTheOldValid: an object removed and
+// created again, with other bytes, while a WAN-paced copy of its first
+// version is in flight. The old copy's Valid commit carries the digest
+// it checked, which is not the new row's: the store refuses it and the
+// copy removes the bytes it wrote, so the far site is never a valid
+// holder of the old bytes, and the next Ensure gives it the new ones.
+func TestRecreateDuringCopyRefusesTheOldValid(t *testing.T) {
+	wan := NewWAN(units.BytesPerSecond(64*units.MiB), time.Millisecond)
+	reached, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	wan.sleep = func(time.Duration) { once.Do(func() { close(reached); <-release }) }
+	sites := []*Site{NewSite("kit", adal.NewMemFS("kit"), 0), NewSite("far", adal.NewMemFS("far"), 1)}
+	fb, eng, cat := newFed(t, sites, Config{MinReplicas: 2, WAN: wan})
+
+	old, fresh := bytes.Repeat([]byte("o"), 4096), bytes.Repeat([]byte("n"), 4096)
+	writeObject(t, fb, "/y", old)
+	select {
+	case <-reached: // the copy to far has its destination open and waits on the link
+	case <-time.After(10 * time.Second):
+		t.Fatal("the copy to far never started")
+	}
+	if err := fb.Remove("/y"); err != nil {
+		t.Fatal(err)
+	}
+	writeObject(t, fb, "/y", fresh)
+	close(release)
+	eng.Wait()
+	if st, _ := cat.Get("/y", "far"); st == Valid {
+		t.Fatalf("far is valid for the new row after a copy of the old bytes: %v", cat.Replicas("/y"))
+	}
+	if _, err := sites[1].Backend.Stat("/y"); !errors.Is(err, adal.ErrNotFound) {
+		t.Fatalf("far still holds the refused copy (stat: %v)", err)
+	}
+	if st := eng.Stats(); st.Transfers != 0 {
+		t.Fatalf("a refused copy counted as %d transfers", st.Transfers)
+	}
+
+	eng.Ensure("/y")
+	eng.Wait()
+	if st, _ := cat.Get("/y", "far"); st != Valid {
+		t.Fatalf("far after a fresh Ensure: %v", cat.Replicas("/y"))
+	}
+	r, err := sites[1].Backend.Open("/y")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _ := io.ReadAll(r)
+	r.Close()
+	if !bytes.Equal(got, fresh) {
+		t.Fatalf("far holds %q…, want the new bytes", got[:min(8, len(got))])
+	}
+}

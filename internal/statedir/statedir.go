@@ -7,17 +7,19 @@
 //
 //	lock         an exclusive flock, held while the directory is open
 //	wal/         the metadata journal (metadata.Open): the catalogue's only
-//	             state, replica rows and their digests included
-//	objects/     the hot tier; a migrated object leaves its stub here
+//	             state, placement and replica rows and their digests included
+//	objects/     the hot tier
 //	cold/        the cold tier
 //	cache/       the read cache's disk tier
 //	sites/NAME/  mirror site NAME, mounted at /site/NAME
 //
 // One process at a time opens a directory: two processes appending to
 // one journal could corrupt it, so a second Open fails at once.
-// Placement survives invocations without a side database: tier state is
-// recovered from the stubs in objects/, replica state from the journal.
-// A site file the journal has no note for is not a replica.
+// Placement survives invocations in the journal alone: the tier is
+// rebuilt from its placement rows — state, digest, modification time,
+// pin — without opening an object, and replica state from the replica
+// rows. An object under objects/ with no row is not served, and a site
+// file the journal has no note for is not a replica.
 package statedir
 
 import (
@@ -105,8 +107,16 @@ func (d *Dir) assemble(cacheMem, cacheDisk units.Bytes) error {
 		return err
 	}
 	// No hot capacity: the tools migrate on demand, not by watermark.
-	if d.Tier, err = tiering.New("tier", hot, cold, tiering.Config{}); err != nil {
+	if d.Tier, err = tiering.New("tier", hot, cold, tiering.Config{Meta: d.Meta}); err != nil {
 		return err
+	}
+	// An older build kept tier placement in stubs under objects/, not in
+	// the journal: its directory has datasets and objects but no row, and
+	// is refused by name rather than opened with every object unlisted.
+	if d.Meta.Count() > 0 && d.Tier.Stats().Files == 0 {
+		if infos, err := hot.List("/"); err == nil && len(infos) > 0 {
+			return fmt.Errorf("%s has no placement row in the journal: %s was written by an older build, which kept tier placement in stubs; recall and copy its objects out with that build", filepath.Join(d.root, "objects", infos[0].Path), d.root)
+		}
 	}
 	// The read cache sits in front of the tier, so a hit skips recall
 	// and cold read alike; its disk tier outlives the invocation.

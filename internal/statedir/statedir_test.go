@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/gateway"
 	"repro/internal/gateway/client"
+	"repro/internal/metadata"
 )
 
 // TestOpenRefusesMetadataDump: a directory that still holds the JSON
@@ -30,6 +31,32 @@ func TestOpenRefusesMetadataDump(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Close()
+}
+
+// TestOpenRefusesStubEraDirectory: a directory whose journal holds
+// datasets but no placement row, and whose objects/ holds objects — the
+// layout of a build that kept tier placement in stubs — is refused with
+// an error naming an object, not opened with every object unlisted.
+func TestOpenRefusesStubEraDirectory(t *testing.T) {
+	dir := t.TempDir()
+	meta, err := metadata.Open(metadata.Options{WALDir: filepath.Join(dir, "wal")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := meta.Create("p", "/data/a.raw", 2, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	meta.Close()
+	obj := filepath.Join(dir, "objects", "data", "a.raw")
+	if err := os.MkdirAll(filepath.Dir(obj), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(obj, []byte("hi"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir, 0, 0); err == nil || !strings.Contains(err.Error(), obj) {
+		t.Fatalf("Open of a stub-era directory: %v, want an error naming %s", err, obj)
+	}
 }
 
 // TestLockHeldUntilClose: the lock keeps a second Open out while the

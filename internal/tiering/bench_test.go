@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/adal"
+	"repro/internal/metadata"
 	"repro/internal/units"
 )
 
@@ -18,7 +19,7 @@ func BenchmarkRecall(b *testing.B) {
 		b.Run(size.SI(), func(b *testing.B) {
 			hot := adal.NewMemFS("hot")
 			cold := adal.NewMemFS("cold")
-			tier, err := New("tier", hot, cold, Config{})
+			tier, err := New("tier", hot, cold, Config{Meta: metadata.NewStore()})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -70,6 +71,7 @@ func BenchmarkMigrationUnderIngest(b *testing.B) {
 				Policy:           Policy{HighWatermark: 0.85, LowWatermark: 0.60},
 				HotCapacity:      4 * units.MiB,
 				MigrationWorkers: workers,
+				Meta:             metadata.NewStore(),
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -105,7 +107,7 @@ func BenchmarkMigrationUnderIngest(b *testing.B) {
 func BenchmarkHotOpen(b *testing.B) {
 	hot := adal.NewMemFS("hot")
 	cold := adal.NewMemFS("cold")
-	tier, err := New("tier", hot, cold, Config{})
+	tier, err := New("tier", hot, cold, Config{Meta: metadata.NewStore()})
 	if err != nil {
 		b.Fatal(err)
 	}

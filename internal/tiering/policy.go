@@ -15,36 +15,25 @@
 package tiering
 
 import (
-	"fmt"
 	"time"
 
+	"repro/internal/metadata"
 	"repro/internal/units"
 )
 
-// State is a file's placement state.
-type State int
+// State is a file's placement state: the type of the row the tier
+// journals in the metadata store (metadata.Placement), so the state it
+// reports and the state it recovers are one vocabulary.
+type State = metadata.TierState
 
 // Placement states. Premigrated files have a cold copy but still
-// occupy hot storage; Migrated files are cold-only (a small
-// self-describing stub remains in the hot namespace).
+// occupy hot storage; Migrated files are cold-only, and their row is
+// all the hot side keeps of them.
 const (
-	Resident State = iota
-	Premigrated
-	Migrated
+	Resident    = metadata.TierResident
+	Premigrated = metadata.TierPremigrated
+	Migrated    = metadata.TierMigrated
 )
-
-// String implements fmt.Stringer for diagnostics.
-func (s State) String() string {
-	switch s {
-	case Resident:
-		return "resident"
-	case Premigrated:
-		return "premigrated"
-	case Migrated:
-		return "migrated"
-	}
-	return fmt.Sprintf("state(%d)", int(s))
-}
 
 // Policy controls migration. The same hysteresis pair governs the
 // discrete-event hsm.Manager and the live TierBackend: migration

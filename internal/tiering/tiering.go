@@ -38,54 +38,51 @@ type Config struct {
 	HotCapacity units.Bytes
 	// MigrationWorkers sizes the background migration pool (default 2).
 	MigrationWorkers int
-	// Meta, when set, receives a placement event on the metadata bus
-	// for every state transition (metadata.EventPlacement).
+	// Meta is the tier's placement record, and required: each object's
+	// row (metadata.Placement: state, digest, modification time, pin)
+	// is journaled there, New rebuilds the tier from the rows, and every
+	// state transition is published on its bus (metadata.EventPlacement)
+	// while the transition holds its path: a synchronous subscriber must
+	// not call back into the tier for that path.
 	Meta *metadata.Store
-	// MountPrefix is prepended to backend-relative paths in placement
-	// events so they match the federated paths ingest registers.
+	// MountPrefix is prepended to backend-relative paths in the rows and
+	// their events, so they match the federated paths ingest registers.
 	MountPrefix string
 	// Clock injects a timestamp source (default time.Now).
 	Clock func() time.Time
 }
 
-// entry is the authoritative placement record of one object.
+// entry is one object as the tier holds it: its row, as journaled, and
+// what only this process needs to know.
 type entry struct {
-	size       units.Bytes
-	modTime    time.Time
+	metadata.Placement
 	created    time.Time
 	lastAccess time.Time
-	state      State
-	checksum   string // hex SHA-256 of the content; learned at write or first copy
-	pinned     bool
 	migrating  bool // a premigrate/migrate transition is in flight
 	writing    bool // Create issued, Close not yet seen
 }
 
-// opKind classifies a per-path exclusive transition.
-type opKind int
-
-const (
-	opRecall opKind = iota
-	opStubSwap
-)
-
-// op serializes Open/Remove against a transition that makes the hot
-// copy temporarily inconsistent (recall rewriting the stub, migration
-// swapping bytes for a stub). Readers wait on done and re-examine the
-// entry's state — that re-check loop is what makes concurrent readers
-// of a migrated path share one recall.
+// op makes one transition of a path exclusive: it journals the path's
+// row and, for a recall or a migration, rewrites or removes the hot
+// copy. Open, Remove and the other transitions wait on done and
+// re-examine the entry — that re-check loop is what makes concurrent
+// readers of a migrated path share one recall, and what keeps the rows
+// of one path in the journal in the order the tier made them.
 type op struct {
-	kind opKind
-	done chan struct{}
-	err  error
+	recall bool // readers' waits on it count as recall wait
+	done   chan struct{}
 }
+
+// errGone ends a transition whose path no longer names the entry it
+// began on: the object was removed, or removed and created again.
+var errGone = errors.New("tiering: object removed")
 
 // TierBackend federates a hot and a cold adal.Backend behind the
 // plain Backend contract. All methods are safe for concurrent use.
 //
-// Lock ordering: mu is never held across backend I/O. Transitions
-// that rewrite the hot copy register an op (per path) first; Open and
-// Remove wait for in-flight ops before acting on the path.
+// Lock ordering: mu is never held across backend or journal I/O.
+// Transitions that journal a row register an op (per path) first; Open
+// and Remove wait for in-flight ops before acting on the path.
 type TierBackend struct {
 	name string
 	hot  adal.Backend
@@ -101,7 +98,7 @@ type TierBackend struct {
 	idle       *sync.Cond // broadcast when pendingMig drops to zero
 	files      map[string]*entry
 	ops        map[string]*op
-	hotUsed    units.Bytes // logical data bytes on the hot tier (stubs excluded)
+	hotUsed    units.Bytes // logical data bytes on the hot tier
 	pendingMig int         // queued + running migration jobs
 	closed     bool
 
@@ -122,12 +119,14 @@ type TierBackend struct {
 
 var _ adal.Backend = (*TierBackend)(nil)
 
-// New builds a tier over hot and cold and starts the background
-// migration machinery. Existing hot-tier objects are recovered into
-// the placement map: small objects carrying the stub magic become
-// Migrated entries (their metadata read back from the stub), all
-// others Resident.
+// New builds a tier over hot and cold from its rows in cfg.Meta and
+// starts the background migration machinery. Opening reads the journal,
+// not the data: no hot object is opened, and hot bytes no row names —
+// the orphans of a crash — are never listed or served.
 func New(name string, hot, cold adal.Backend, cfg Config) (*TierBackend, error) {
+	if cfg.Meta == nil {
+		return nil, fmt.Errorf("tiering: %s: Config.Meta is required, it holds the tier's placement", name)
+	}
 	if cfg.Policy == (Policy{}) {
 		cfg.Policy = DefaultPolicy()
 	}
@@ -153,8 +152,11 @@ func New(name string, hot, cold adal.Backend, cfg Config) (*TierBackend, error) 
 		quit:     make(chan struct{}),
 	}
 	t.idle = sync.NewCond(&t.mu)
-	if err := t.recover(); err != nil {
-		return nil, err
+	for path, row := range cfg.Meta.Placements(cfg.MountPrefix) {
+		t.files[path] = &entry{Placement: row, created: row.ModTime, lastAccess: row.ModTime}
+		if row.State != Migrated {
+			t.hotUsed += row.Digest.Size
+		}
 	}
 	t.wg.Add(1)
 	go t.scanner()
@@ -162,59 +164,10 @@ func New(name string, hot, cold adal.Backend, cfg Config) (*TierBackend, error) 
 		t.wg.Add(1)
 		go t.worker()
 	}
-	// Recovery may have rebuilt a hot tier already past the
-	// watermark; wake the scanner rather than waiting for a write.
+	// The rows may describe a hot tier already past the watermark; wake
+	// the scanner rather than waiting for a write.
 	t.maybeScan()
 	return t, nil
-}
-
-// recover rebuilds the placement map from the hot tier: the stub
-// format is self-describing precisely so that no side database is
-// needed to survive a restart (the lsdfctl persistence model).
-func (t *TierBackend) recover() error {
-	infos, err := t.hot.List("/")
-	if err != nil {
-		return fmt.Errorf("tiering: recovering %s: %w", t.name, err)
-	}
-	now := t.clock()
-	for _, info := range infos {
-		e := &entry{
-			size:       info.Size,
-			modTime:    info.ModTime,
-			created:    info.ModTime,
-			lastAccess: info.ModTime,
-			state:      Resident,
-		}
-		if e.modTime.IsZero() {
-			e.created, e.lastAccess = now, now
-		}
-		if info.Size <= maxStubSize {
-			if stub, ok := t.sniffStub(info.Path); ok {
-				e.size = stub.size
-				e.checksum = stub.checksum
-				e.modTime = stub.modTime
-				e.state = Migrated
-			}
-		}
-		if e.state != Migrated {
-			t.hotUsed += e.size
-		}
-		t.files[info.Path] = e
-	}
-	return nil
-}
-
-func (t *TierBackend) sniffStub(path string) (stubInfo, bool) {
-	r, err := t.hot.Open(path)
-	if err != nil {
-		return stubInfo{}, false
-	}
-	defer r.Close()
-	data, err := io.ReadAll(io.LimitReader(r, maxStubSize+1))
-	if err != nil || len(data) > maxStubSize {
-		return stubInfo{}, false
-	}
-	return decodeStub(data)
 }
 
 // Close stops the scanner and the migration workers, waiting for
@@ -251,56 +204,115 @@ func (t *TierBackend) Close() {
 // Name implements adal.Backend.
 func (t *TierBackend) Name() string { return t.name }
 
-// event publishes a placement transition on the metadata bus.
-func (t *TierBackend) event(path string, st State) {
-	if t.meta == nil {
-		return
+// get returns path's entry, or ErrNotFound for a path the tier does not
+// hold or is still writing. Callers hold mu.
+func (t *TierBackend) get(path string) (*entry, error) {
+	if e := t.files[path]; e != nil && !e.writing {
+		return e, nil
 	}
-	t.meta.NotePlacement(t.prefix+path, st.String())
+	return nil, fmt.Errorf("%w: %s:%s", adal.ErrNotFound, t.name, path)
+}
+
+// note journals path's row — nil drops it — and, with sync, waits until
+// it is durable. The store publishes the placement event.
+func (t *TierBackend) note(path string, row *metadata.Placement, sync bool) error {
+	err := t.meta.Place(t.prefix+path, row)
+	if err == nil && sync {
+		err = t.meta.Sync()
+	}
+	return err
+}
+
+// begin registers an op on path once the op in flight there, if any,
+// is done, provided path still names e.
+func (t *TierBackend) begin(path string, e *entry) (*op, error) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for t.ops[path] != nil {
+		o := t.ops[path]
+		t.mu.Unlock()
+		<-o.done
+		t.mu.Lock()
+	}
+	if t.files[path] != e {
+		return nil, errGone
+	}
+	o := &op{done: make(chan struct{})}
+	t.ops[path] = o
+	return o, nil
+}
+
+func (t *TierBackend) finishOp(path string, o *op) {
+	t.mu.Lock()
+	delete(t.ops, path)
+	t.mu.Unlock()
+	close(o.done)
+}
+
+// transition journals e's row with edit applied, durably, under an op
+// on path, and then makes it the entry's.
+func (t *TierBackend) transition(path string, e *entry, edit func(*metadata.Placement)) error {
+	o, err := t.begin(path, e)
+	if err != nil {
+		return err
+	}
+	row := e.Placement // only an op holder writes it
+	edit(&row)
+	if err = t.note(path, &row, true); err == nil {
+		t.mu.Lock()
+		e.Placement = row
+		t.mu.Unlock()
+	}
+	t.finishOp(path, o)
+	return err
 }
 
 // Create implements adal.Backend. The name is reserved immediately
-// (concurrent creators collide here); the entry becomes visible once
-// the writer is closed, with size and SHA-256 recorded for later
-// migration verification.
+// (concurrent creators collide here, and so does one racing the path's
+// Remove); the entry becomes visible once the writer is closed and its
+// row — size, digest and modification time — is staged in the store,
+// durable with the registration that follows. Hot bytes at a path the
+// tier holds no row for are a crash's orphan, and are replaced.
 func (t *TierBackend) Create(path string) (io.WriteCloser, error) {
 	now := t.clock()
 	t.mu.Lock()
-	if _, ok := t.files[path]; ok {
+	if t.files[path] != nil || t.ops[path] != nil {
 		t.mu.Unlock()
 		return nil, fmt.Errorf("%w: %s:%s", adal.ErrExists, t.name, path)
 	}
-	t.files[path] = &entry{state: Resident, writing: true, created: now}
+	t.files[path] = &entry{writing: true, created: now}
 	t.mu.Unlock()
-	w, err := t.hot.Create(path)
-	if err != nil {
+	fail := func(err error) error {
+		// The hot object's state is unknown; drop the reservation and
+		// make a best effort to clear the partial object.
 		t.mu.Lock()
 		delete(t.files, path)
 		t.mu.Unlock()
-		return nil, err
+		_ = t.hot.Remove(path)
+		return err
+	}
+	if err := t.hot.Remove(path); err != nil && !errors.Is(err, adal.ErrNotFound) {
+		return nil, fail(err)
+	}
+	w, err := t.hot.Create(path)
+	if err != nil {
+		return nil, fail(err)
 	}
 	return adal.NewChecksumWriter(w, func(d adal.Digest, err error) error {
-		if err != nil {
-			// The hot object's state is unknown; drop the reservation and
-			// make a best effort to clear the partial object.
-			t.mu.Lock()
-			delete(t.files, path)
-			t.mu.Unlock()
-			_ = t.hot.Remove(path)
-			return err
-		}
 		now := t.clock()
+		row := metadata.Placement{State: Resident, Digest: d, ModTime: now}
+		if err == nil {
+			err = t.note(path, &row, false)
+		}
+		if err != nil {
+			return fail(err)
+		}
 		t.mu.Lock()
 		if e := t.files[path]; e != nil {
-			e.size = d.Size
-			e.checksum = d.Sum
-			e.modTime = now
-			e.lastAccess = now
-			e.writing = false
-			t.hotUsed += e.size
+			e.Placement, e.lastAccess, e.writing = row, now, false
+			t.hotUsed += d.Size
 		}
 		t.mu.Unlock()
-		t.event(path, Resident)
 		t.maybeScan()
 		return nil
 	}), nil
@@ -313,32 +325,31 @@ func (t *TierBackend) Create(path string) (io.WriteCloser, error) {
 func (t *TierBackend) Open(path string) (io.ReadCloser, error) {
 	for {
 		t.mu.Lock()
-		e, ok := t.files[path]
-		if !ok || e.writing {
+		e, err := t.get(path)
+		if err != nil {
 			t.mu.Unlock()
-			return nil, fmt.Errorf("%w: %s:%s", adal.ErrNotFound, t.name, path)
+			return nil, err
 		}
 		e.lastAccess = t.clock()
 		if o := t.ops[path]; o != nil {
-			kind := o.kind
 			t.mu.Unlock()
 			start := time.Now()
 			<-o.done
-			if kind == opRecall {
+			if o.recall {
 				t.recallWaitNs.Add(time.Since(start).Nanoseconds())
 			}
 			continue // re-examine the state the op left behind
 		}
-		if e.state != Migrated {
+		if e.State != Migrated {
 			t.mu.Unlock()
 			r, err := t.hot.Open(path)
-			// The hot open ran outside mu: a stub swap (or a recall's
-			// rewrite) may have replaced the object in that window,
-			// handing us stub bytes or a not-found. Re-examine; only a
+			// The hot open ran outside mu: a migration (or a recall's
+			// rewrite) may have removed or replaced the hot object in
+			// that window, handing us a not-found. Re-examine; only a
 			// result obtained with no transition in sight is valid.
 			t.mu.Lock()
 			e2, ok := t.files[path]
-			raced := t.ops[path] != nil || (ok && e2.state == Migrated)
+			raced := t.ops[path] != nil || (ok && e2.State == Migrated)
 			t.mu.Unlock()
 			if !ok {
 				if r != nil {
@@ -354,14 +365,13 @@ func (t *TierBackend) Open(path string) (io.ReadCloser, error) {
 			}
 			continue // wait out the transition and re-resolve
 		}
-		o := &op{kind: opRecall, done: make(chan struct{})}
+		o := &op{recall: true, done: make(chan struct{})}
 		t.ops[path] = o
-		stub := stubInfo{size: e.size, checksum: e.checksum, modTime: e.modTime}
 		t.mu.Unlock()
 
 		start := time.Now()
-		err := t.doRecall(path, stub)
-		t.finishOp(path, o, err)
+		err = t.recall(path, e)
+		t.finishOp(path, o)
 		t.recallWaitNs.Add(time.Since(start).Nanoseconds())
 		if err != nil {
 			t.recallErrors.Add(1)
@@ -370,23 +380,28 @@ func (t *TierBackend) Open(path string) (io.ReadCloser, error) {
 	}
 }
 
-// doRecall brings the cold bytes back to the hot tier and flips the
-// entry to Premigrated (the cold copy remains valid until the file
-// is next rewritten). Recalled bytes count toward the watermark, so
-// a recall burst can wake the scanner just like a write burst.
-func (t *TierBackend) doRecall(path string, stub stubInfo) error {
-	if err := t.copyColdToHot(path, stub); err != nil {
-		return err
+// recall, run under path's recall op, moves the cold copy over whatever
+// the hot tier holds at path, checked block by block against the row's
+// digest — a corrupt cold copy fails at its bad block, leaving the object
+// Migrated and its hot path cleared — and then journals the object
+// Premigrated: the cold copy stays valid until the object is removed.
+// Recalled bytes count toward the watermark, so a recall burst can wake
+// the scanner just like a write burst.
+func (t *TierBackend) recall(path string, e *entry) error {
+	row := e.Placement
+	if err := moveObject(t.cold, t.hot, path, row.Digest); err != nil {
+		return fmt.Errorf("tiering: recall %s: %w", path, err)
+	}
+	row.State = Premigrated
+	if err := t.note(path, &row, true); err != nil {
+		return fmt.Errorf("tiering: recall %s: %w", path, err)
 	}
 	t.mu.Lock()
-	if e := t.files[path]; e != nil {
-		e.state = Premigrated
-		t.hotUsed += stub.size
-	}
+	e.Placement = row
+	t.hotUsed += row.Digest.Size
 	t.mu.Unlock()
 	t.recalls.Add(1)
-	t.recallBytes.Add(int64(stub.size))
-	t.event(path, Premigrated)
+	t.recallBytes.Add(int64(row.Digest.Size))
 	t.maybeScan()
 	return nil
 }
@@ -394,68 +409,29 @@ func (t *TierBackend) doRecall(path string, stub stubInfo) error {
 // moveObject is the one tier move: it streams from's copy of path over
 // whatever to holds there, checked against want as it lands (memory
 // stays one block, whatever the object's size), and clears a failed
-// copy's partial destination. What the failure owes the namespace —
-// a stub back, a migrating flag cleared — is the caller's.
-func moveObject(from, to adal.Backend, path string, want adal.Digest) (adal.Digest, error) {
+// copy's partial destination. What the failure owes the entry — a
+// migrating flag cleared — is the caller's.
+func moveObject(from, to adal.Backend, path string, want adal.Digest) error {
 	r, err := from.Open(path)
 	if err != nil {
-		return adal.Digest{}, err
+		return err
 	}
 	defer r.Close()
 	if err := to.Remove(path); err != nil && !errors.Is(err, adal.ErrNotFound) {
-		return adal.Digest{}, fmt.Errorf("clearing the destination: %w", err)
+		return fmt.Errorf("clearing the destination: %w", err)
 	}
 	w, err := to.Create(path)
 	if err != nil {
-		return adal.Digest{}, err
+		return err
 	}
-	got, err := adal.Transfer(context.TODO(), w, r, want)
+	_, err = adal.Transfer(context.TODO(), w, r, want)
 	if cerr := w.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		_ = to.Remove(path)
 	}
-	return got, err
-}
-
-// copyColdToHot moves the cold copy over the hot object (stub or
-// absent), verifying the recorded checksum. On any failure the hot
-// namespace is restored to a stub (a no-op while the old one is still
-// there), so the tier's restart-recovery invariant (every migrated
-// object is represented by its stub) survives partial recalls.
-func (t *TierBackend) copyColdToHot(path string, stub stubInfo) error {
-	_, err := moveObject(t.cold, t.hot, path, adal.Digest{Size: stub.size, Sum: stub.checksum})
-	if err != nil {
-		_ = t.writeStub(path, stub)
-		return fmt.Errorf("tiering: recall %s: %w", path, err)
-	}
-	return nil
-}
-
-// writeStub creates a migrated file's stub in the hot namespace, which
-// keeps the hot tier self-describing for restart recovery.
-func (t *TierBackend) writeStub(path string, info stubInfo) error {
-	w, err := t.hot.Create(path)
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(encodeStub(info))
-	if cerr := w.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		_ = t.hot.Remove(path)
-	}
 	return err
-}
-
-func (t *TierBackend) finishOp(path string, o *op, err error) {
-	o.err = err
-	t.mu.Lock()
-	delete(t.ops, path)
-	t.mu.Unlock()
-	close(o.done)
 }
 
 // Stat implements adal.Backend. Migrated files report their logical
@@ -464,11 +440,11 @@ func (t *TierBackend) finishOp(path string, o *op, err error) {
 func (t *TierBackend) Stat(path string) (adal.FileInfo, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.files[path]
-	if !ok || e.writing {
-		return adal.FileInfo{}, fmt.Errorf("%w: %s:%s", adal.ErrNotFound, t.name, path)
+	e, err := t.get(path)
+	if err != nil {
+		return adal.FileInfo{}, err
 	}
-	return adal.FileInfo{Path: path, Size: e.size, ModTime: e.modTime, Placement: e.state.String()}, nil
+	return adal.FileInfo{Path: path, Size: e.Digest.Size, ModTime: e.ModTime, Placement: e.State.String()}, nil
 }
 
 // List implements adal.Backend, reporting logical sizes regardless of
@@ -480,48 +456,51 @@ func (t *TierBackend) List(prefix string) ([]adal.FileInfo, error) {
 		if e.writing || !strings.HasPrefix(p, prefix) {
 			continue
 		}
-		out = append(out, adal.FileInfo{Path: p, Size: e.size, ModTime: e.modTime})
+		out = append(out, adal.FileInfo{Path: p, Size: e.Digest.Size, ModTime: e.ModTime})
 	}
 	t.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
 	return out, nil
 }
 
-// Remove implements adal.Backend, deleting the object from both tiers.
+// Remove implements adal.Backend. The row goes first, durably — a
+// restart never brings the object back — and then the bytes, from both
+// tiers whatever the state: a crash between a cold copy and its note
+// leaves cold bytes under a Resident row. The path stays reserved until
+// they are gone, so a Create racing the Remove is refused.
 func (t *TierBackend) Remove(path string) error {
-	for {
-		t.mu.Lock()
-		e, ok := t.files[path]
-		if !ok || e.writing {
-			t.mu.Unlock()
-			return fmt.Errorf("%w: %s:%s", adal.ErrNotFound, t.name, path)
-		}
-		if o := t.ops[path]; o != nil {
-			t.mu.Unlock()
-			<-o.done
-			continue
-		}
-		delete(t.files, path)
-		if e.state != Migrated {
-			t.hotUsed -= e.size
-		}
-		st := e.state
-		t.mu.Unlock()
-		if err := t.hot.Remove(path); err != nil && !errors.Is(err, adal.ErrNotFound) {
-			return err
-		}
-		if st != Resident {
-			if err := t.cold.Remove(path); err != nil && !errors.Is(err, adal.ErrNotFound) {
-				return err
+	t.mu.Lock()
+	e, err := t.get(path)
+	t.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	o, err := t.begin(path, e)
+	if err != nil {
+		return fmt.Errorf("%w: %s:%s", adal.ErrNotFound, t.name, path)
+	}
+	t.mu.Lock()
+	delete(t.files, path)
+	if e.State != Migrated {
+		t.hotUsed -= e.Digest.Size
+	}
+	t.mu.Unlock()
+	err = t.note(path, nil, true)
+	for _, b := range []adal.Backend{t.hot, t.cold} {
+		if err == nil {
+			if err = b.Remove(path); errors.Is(err, adal.ErrNotFound) {
+				err = nil
 			}
 		}
-		return nil
 	}
+	t.finishOp(path, o)
+	return err
 }
 
 // Pin exempts a file from migration; a pinned premigrated or
 // migrated file keeps its current placement but will not move
-// further toward tape.
+// further toward tape. The pin is in the file's row, so it outlasts
+// the process.
 func (t *TierBackend) Pin(path string) error { return t.setPin(path, true) }
 
 // Unpin re-admits a file to migration.
@@ -529,78 +508,76 @@ func (t *TierBackend) Unpin(path string) error { return t.setPin(path, false) }
 
 func (t *TierBackend) setPin(path string, pinned bool) error {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	e, ok := t.files[path]
-	if !ok || e.writing {
-		return fmt.Errorf("%w: %s:%s", adal.ErrNotFound, t.name, path)
+	e, err := t.get(path)
+	t.mu.Unlock()
+	if err == nil {
+		err = t.transition(path, e, func(row *metadata.Placement) { row.Pinned = pinned })
 	}
-	e.pinned = pinned
-	return nil
+	if errors.Is(err, errGone) {
+		err = fmt.Errorf("%w: %s:%s", adal.ErrNotFound, t.name, path)
+	}
+	return err
 }
 
 // State reports a file's placement state.
 func (t *TierBackend) State(path string) (State, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	e, ok := t.files[path]
-	if !ok || e.writing {
+	e, err := t.get(path)
+	if err != nil {
 		return 0, false
 	}
-	return e.state, true
+	return e.State, true
 }
 
 // Premigrate eagerly copies a resident file to the cold tier
 // (ingest's premigrate-on-ingest mode): the file keeps its hot bytes
-// but a later watermark migration degrades to a cheap stub swap.
+// but a later watermark migration only has to drop them.
 func (t *TierBackend) Premigrate(path string) error {
 	t.mu.Lock()
-	e, ok := t.files[path]
-	if !ok || e.writing {
+	e, err := t.get(path)
+	if err != nil {
 		t.mu.Unlock()
-		return fmt.Errorf("%w: %s:%s", adal.ErrNotFound, t.name, path)
+		return err
 	}
-	if e.state != Resident || e.migrating {
+	if e.State != Resident || e.migrating {
 		t.mu.Unlock()
 		return nil // already has (or is getting) a cold copy
 	}
 	e.migrating = true
 	t.mu.Unlock()
-	err := t.toCold(path)
+	err = t.toCold(path)
 	t.clearMigrating(path)
 	return err
 }
 
 // toCold gives a resident file, whose migrating flag the caller holds,
 // a cold copy and flips it to Premigrated; any other file it leaves
-// alone. The recorded checksum is verified as the bytes land and
-// learned when there is none (recovered entries have no checksum until
-// their first copy).
+// alone. The copy is checked against the row's digest as it lands, so
+// hot bytes that no longer match it — corrupted at rest — never reach
+// the cold tier.
 func (t *TierBackend) toCold(path string) error {
 	t.mu.Lock()
 	e, ok := t.files[path]
-	if !ok || e.state != Resident {
+	if !ok || e.State != Resident {
 		t.mu.Unlock()
 		return nil
 	}
-	want := adal.Digest{Size: e.size, Sum: e.checksum}
+	want := e.Digest
 	t.mu.Unlock()
 
-	got, err := moveObject(t.hot, t.cold, path, want)
-	if err != nil {
+	if err := moveObject(t.hot, t.cold, path, want); err != nil {
 		return fmt.Errorf("tiering: premigrate %s: %w", path, err)
 	}
-	t.mu.Lock()
-	same := t.files[path] == e
-	if same {
-		e.state, e.checksum = Premigrated, got.Sum
-	}
-	t.mu.Unlock()
-	if !same {
+	err := t.transition(path, e, func(row *metadata.Placement) { row.State = Premigrated })
+	if errors.Is(err, errGone) {
 		_ = t.cold.Remove(path) // removed underneath us; drop the orphan copy
 		return nil
 	}
+	if err != nil {
+		return fmt.Errorf("tiering: premigrate %s: %w", path, err)
+	}
 	t.premigrations.Add(1)
-	t.event(path, Premigrated)
 	return nil
 }
 
@@ -609,16 +586,16 @@ func (t *TierBackend) toCold(path string) error {
 // refuse; files already migrated are a no-op.
 func (t *TierBackend) Migrate(path string) error {
 	t.mu.Lock()
-	e, ok := t.files[path]
-	if !ok || e.writing {
+	e, err := t.get(path)
+	if err != nil {
 		t.mu.Unlock()
-		return fmt.Errorf("%w: %s:%s", adal.ErrNotFound, t.name, path)
+		return err
 	}
-	if e.state == Migrated {
+	if e.State == Migrated {
 		t.mu.Unlock()
 		return nil
 	}
-	if e.pinned {
+	if e.Pinned {
 		t.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrPinned, path)
 	}
@@ -632,65 +609,43 @@ func (t *TierBackend) Migrate(path string) error {
 }
 
 // migrateOne drives one file (whose migrating flag the caller has
-// set) to Migrated: copy to cold if still resident, then swap the
-// hot bytes for a stub under a per-path op so concurrent readers
-// never observe the intermediate hole.
+// set) to Migrated: a cold copy if it is still resident, then, under a
+// per-path op so readers wait out the swap, the Migrated row made
+// durable and only then the hot bytes removed. A crash between the two
+// leaves hot bytes no row counts, which the next recall overwrites.
 func (t *TierBackend) migrateOne(path string) error {
+	defer t.clearMigrating(path)
 	if err := t.toCold(path); err != nil {
-		t.clearMigrating(path)
 		return err // stays resident; the next scan retries
 	}
-
-	// Premigrated → Migrated: replace the hot bytes with a stub.
 	t.mu.Lock()
 	e, ok := t.files[path]
+	t.mu.Unlock()
 	if !ok {
-		t.mu.Unlock()
 		return nil // removed while queued, or under the copy
 	}
-	if e.state != Premigrated || e.pinned {
-		e.migrating = false
-		t.mu.Unlock()
+	o, err := t.begin(path, e)
+	if err != nil {
 		return nil
 	}
-	o := &op{kind: opStubSwap, done: make(chan struct{})}
-	t.ops[path] = o
-	stub := stubInfo{size: e.size, checksum: e.checksum, modTime: e.modTime}
-	t.mu.Unlock()
-
-	err := t.hot.Remove(path)
-	if err != nil && !errors.Is(err, adal.ErrNotFound) {
-		t.mu.Lock()
-		e.migrating = false
-		t.mu.Unlock()
-		t.finishOp(path, o, err)
+	row := e.Placement
+	if row.State != Premigrated || row.Pinned {
+		t.finishOp(path, o)
+		return nil
+	}
+	row.State = Migrated
+	if err := t.note(path, &row, true); err != nil {
+		t.finishOp(path, o)
 		return fmt.Errorf("tiering: migrate %s: %w", path, err)
 	}
-	if t.writeStub(path, stub) != nil {
-		// Without a stub the object would vanish from restart
-		// recovery despite valid cold bytes. Put the hot bytes back
-		// from the verified cold copy and stay Premigrated; the next
-		// scan retries the swap.
-		if rerr := t.copyColdToHot(path, stub); rerr == nil {
-			t.mu.Lock()
-			e.migrating = false
-			t.mu.Unlock()
-			t.finishOp(path, o, nil)
-			return fmt.Errorf("tiering: migrate %s: stub write failed", path)
-		}
-		// Restore failed too (copyColdToHot retried the stub
-		// itself); fall through — the in-memory entry still reaches
-		// the cold bytes.
-	}
 	t.mu.Lock()
-	e.state = Migrated
-	e.migrating = false
-	t.hotUsed -= stub.size
+	e.Placement = row
+	t.hotUsed -= row.Digest.Size
 	t.mu.Unlock()
+	_ = t.hot.Remove(path) // what a failed remove leaves, the next recall overwrites
+	t.finishOp(path, o)
 	t.migrations.Add(1)
-	t.migratedBytes.Add(int64(stub.size))
-	t.finishOp(path, o, nil)
-	t.event(path, Migrated)
+	t.migratedBytes.Add(int64(row.Digest.Size))
 	return nil
 }
 
@@ -768,21 +723,21 @@ func (t *TierBackend) Scan() {
 	}
 	var cands []cand
 	for p, e := range t.files {
-		if e.migrating && e.state != Migrated {
+		if e.migrating && e.State != Migrated {
 			// Already queued by an earlier pass (or a forced Migrate)
 			// and not yet subtracted from hotUsed: its bytes are as
 			// good as freed. Counting them again would make overlapping
 			// passes migrate past the low watermark, newest files
 			// included.
-			toFree -= e.size
+			toFree -= e.Digest.Size
 		}
-		if e.writing || e.migrating || e.pinned || e.state == Migrated {
+		if e.writing || e.migrating || e.Pinned || e.State == Migrated {
 			continue
 		}
 		if now.Sub(e.created) < t.pol.MinAge {
 			continue
 		}
-		cands = append(cands, cand{p, e.lastAccess, e.size})
+		cands = append(cands, cand{p, e.lastAccess, e.Digest.Size})
 	}
 	// Oldest access first; path breaks ties for determinism.
 	sort.Slice(cands, func(i, j int) bool {
@@ -852,30 +807,6 @@ func (t *TierBackend) Wait() {
 	t.mu.Unlock()
 }
 
-// EntryInfo is one row of the tier status listing.
-type EntryInfo struct {
-	Path       string
-	Size       units.Bytes
-	State      State
-	Pinned     bool
-	LastAccess time.Time
-}
-
-// Entries lists every managed file sorted by path (lsdfctl tier).
-func (t *TierBackend) Entries() []EntryInfo {
-	t.mu.Lock()
-	out := make([]EntryInfo, 0, len(t.files))
-	for p, e := range t.files {
-		if e.writing {
-			continue
-		}
-		out = append(out, EntryInfo{Path: p, Size: e.size, State: e.state, Pinned: e.pinned, LastAccess: e.lastAccess})
-	}
-	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out
-}
-
 // Stats is a snapshot of the tier's counters and gauges.
 type Stats struct {
 	Files       int
@@ -888,7 +819,7 @@ type Stats struct {
 	HotCapacity    units.Bytes
 	HotUtilization float64
 
-	Migrations    uint64 // completed Premigrated→Migrated stub swaps
+	Migrations    uint64 // completed Premigrated→Migrated transitions
 	Premigrations uint64 // completed cold copies
 	Recalls       uint64 // cold reads performed (deduplicated)
 	RecallErrors  uint64
@@ -930,10 +861,10 @@ func (t *TierBackend) Stats() Stats {
 			continue
 		}
 		s.Files++
-		if e.pinned {
+		if e.Pinned {
 			s.Pinned++
 		}
-		switch e.state {
+		switch e.State {
 		case Resident:
 			s.Resident++
 		case Premigrated:

@@ -41,6 +41,9 @@ func newTier(t *testing.T, cfg Config) (*TierBackend, *adal.FSBackend, *adal.FSB
 	t.Helper()
 	hot := adal.NewMemFS("hot")
 	cold := adal.NewMemFS("cold")
+	if cfg.Meta == nil {
+		cfg.Meta = metadata.NewStore()
+	}
 	tier, err := New("tier", hot, cold, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,13 +126,9 @@ func TestMigrateAndTransparentRecall(t *testing.T) {
 	if st, _ := tier.State("/exp/big"); st != Migrated {
 		t.Fatalf("state = %v, want migrated", st)
 	}
-	// The hot tier now holds only a small stub; the cold tier the bytes.
-	stubInfo, err := hot.Stat("/exp/big")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stubInfo.Size >= units.Bytes(len(data)) || stubInfo.Size > maxStubSize {
-		t.Fatalf("stub size = %d", stubInfo.Size)
+	// The hot tier holds nothing of it now; the cold tier the bytes.
+	if _, err := hot.Stat("/exp/big"); !errors.Is(err, adal.ErrNotFound) {
+		t.Fatalf("hot tier after the migration: %v, want not found", err)
 	}
 	if got := readObj(t, cold, "/exp/big"); !bytes.Equal(got, data) {
 		t.Fatal("cold copy differs")
@@ -294,7 +293,7 @@ func TestPremigrateThenCheapMigrate(t *testing.T) {
 	if st := tier.Stats(); st.Premigrations != 1 {
 		t.Fatalf("premigrations = %d, want 1", st.Premigrations)
 	}
-	// The final migration is a stub swap, no second cold copy.
+	// The final migration only drops the hot bytes: no second cold copy.
 	if err := tier.Migrate("/d/x"); err != nil {
 		t.Fatal(err)
 	}
@@ -307,10 +306,14 @@ func TestPremigrateThenCheapMigrate(t *testing.T) {
 	}
 }
 
-func TestRecoveryFromStubs(t *testing.T) {
+// TestRecoveryFromRows: a fresh TierBackend over the same store
+// recovers placement, logical size and modification time from the rows
+// alone, and recalls the migrated object.
+func TestRecoveryFromRows(t *testing.T) {
+	meta := metadata.NewStore()
 	hot := adal.NewMemFS("hot")
 	cold := adal.NewMemFS("cold")
-	tier, err := New("tier", hot, cold, Config{})
+	tier, err := New("tier", hot, cold, Config{Meta: meta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,9 +327,7 @@ func TestRecoveryFromStubs(t *testing.T) {
 	wantMod, _ := tier.Stat("/d/archived")
 	tier.Close()
 
-	// A fresh TierBackend over the same tiers recovers placement from
-	// the stubs alone.
-	tier2, err := New("tier2", hot, cold, Config{})
+	tier2, err := New("tier2", hot, cold, Config{Meta: meta})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,15 +369,22 @@ func TestRecallChecksumMismatch(t *testing.T) {
 	}
 }
 
-// TestRecallMidObjectMismatchRestoresStub: a cold copy corrupted in a
-// middle block fails the recall with ErrChecksum, the half-recalled hot
-// object is gone and the stub is back in its place — so the file is
-// still Migrated, for this tier and for one recovering from the hot
-// namespace — and once the cold copy is repaired the same stub recalls
-// the right bytes.
-func TestRecallMidObjectMismatchRestoresStub(t *testing.T) {
-	tier, hot, cold := newTier(t, Config{})
-	data := payload('m', 3*adal.ChainBlock+99)
+// TestRecallMidObjectMismatchStaysMigrated: the cold copy of a 64-block
+// object corrupted in block 3 fails its recall with ErrChecksum after at
+// most four blocks read from cold, checked against the chain the row
+// carries. The object stays Migrated and listed — for this tier and for
+// one reopened from the store — nothing is left at its hot path, and
+// once the cold copy is repaired it recalls the right bytes.
+func TestRecallMidObjectMismatchStaysMigrated(t *testing.T) {
+	meta := metadata.NewStore()
+	hot := adal.NewMemFS("hot")
+	cold := &countingBackend{Backend: adal.NewMemFS("cold")}
+	tier, err := New("tier", hot, cold, Config{Meta: meta})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tier.Close()
+	data := payload('m', 64*adal.ChainBlock)
 	writeObj(t, tier, "/d/m", data)
 	if err := tier.Migrate("/d/m"); err != nil {
 		t.Fatal(err)
@@ -389,26 +397,32 @@ func TestRecallMidObjectMismatchRestoresStub(t *testing.T) {
 		writeObj(t, cold, "/d/m", content)
 	}
 	bad := bytes.Clone(data)
-	bad[adal.ChainBlock+adal.ChainBlock/2] ^= 1
+	bad[3*adal.ChainBlock+adal.ChainBlock/2] ^= 1
 	setCold(bad)
+	cold.bytes.Store(0)
 	if _, err := tier.Open("/d/m"); !errors.Is(err, ErrChecksum) {
 		t.Fatalf("open err = %v, want checksum mismatch", err)
 	}
-	stub, ok := decodeStub(readObj(t, hot, "/d/m"))
-	if !ok || stub.size != units.Bytes(len(data)) {
-		t.Fatalf("hot object after the failed recall: stub %v, %+v", ok, stub)
+	if n := cold.bytes.Load(); n > 4*adal.ChainBlock {
+		t.Fatalf("the failed recall read %d blocks from cold, want <= 4", (n+adal.ChainBlock-1)/adal.ChainBlock)
+	}
+	if _, err := hot.Stat("/d/m"); !errors.Is(err, adal.ErrNotFound) {
+		t.Fatalf("hot object after the failed recall: %v, want none", err)
 	}
 	if st, _ := tier.State("/d/m"); st != Migrated {
 		t.Fatalf("state after the failed recall = %v, want migrated", st)
 	}
-	again, err := New("again", hot, cold, Config{})
+	if infos, _ := tier.List("/d"); len(infos) != 1 || infos[0].Size != units.Bytes(len(data)) {
+		t.Fatalf("listing after the failed recall = %+v", infos)
+	}
+	again, err := New("again", hot, cold, Config{Meta: meta})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, _ := again.State("/d/m")
 	again.Close()
 	if st != Migrated {
-		t.Fatalf("a tier recovering from the hot namespace sees %v, want migrated", st)
+		t.Fatalf("a tier reopened from the store sees %v, want migrated", st)
 	}
 
 	setCold(data)
@@ -430,7 +444,7 @@ func TestRemoveClearsBothTiers(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := hot.Stat("/d/x"); !errors.Is(err, adal.ErrNotFound) {
-		t.Fatalf("hot still holds the stub: %v", err)
+		t.Fatalf("hot still holds the object: %v", err)
 	}
 	if _, err := cold.Stat("/d/x"); !errors.Is(err, adal.ErrNotFound) {
 		t.Fatalf("cold still holds the copy: %v", err)
@@ -558,29 +572,11 @@ func TestSustainedIngestStress(t *testing.T) {
 	}
 }
 
-func TestStubEncodeDecode(t *testing.T) {
-	in := stubInfo{
-		size:     123456,
-		checksum: "abcdef0123",
-		modTime:  time.Date(2011, 5, 16, 12, 30, 45, 123456789, time.UTC),
-	}
-	out, ok := decodeStub(encodeStub(in))
-	if !ok {
-		t.Fatal("round trip did not decode")
-	}
-	if out.size != in.size || out.checksum != in.checksum || !out.modTime.Equal(in.modTime) {
-		t.Fatalf("round trip = %+v, want %+v", out, in)
-	}
-	if _, ok := decodeStub([]byte("just some data")); ok {
-		t.Fatal("plain data decoded as stub")
-	}
-}
-
 // TestOpenNeverObservesSwapWindow hammers Open against continuous
 // migrate/recall cycles of the same path (run with -race): no reader
-// may ever see the stub bytes, an empty object, or a not-found — the
-// op re-check in Open closes the unlocked window between the state
-// check and the hot open.
+// may ever see an empty object or a not-found — the op re-check in
+// Open closes the unlocked window between the state check and the hot
+// open.
 func TestOpenNeverObservesSwapWindow(t *testing.T) {
 	tier, _, _ := newTier(t, Config{})
 	data := payload('q', 32*1024)
