@@ -5,13 +5,13 @@
 // scenario models for the facility-scale numbers (petabytes, tape,
 // 10 GE) that cannot run for real on a laptop.
 //
-// The metadata DB is sharded (Options.MetadataShards, default 16)
-// and by default delivers mutation events synchronously on the
-// mutating goroutine, which keeps workflow triggers and rules
-// deterministic. Options.AsyncEvents switches delivery to the
-// store's background event bus; after bulk operations call
-// Meta.Flush to wait for trigger/rule quiescence. Close flushes and
-// stops the bus before detaching the orchestrator and rule engine,
+// The metadata DB is one store (journaled to one log under
+// Options.WALDir when set) and by default delivers mutation events
+// synchronously on the mutating goroutine, which keeps workflow
+// triggers and rules deterministic. Options.AsyncEvents switches
+// delivery to the store's background event bus; after bulk operations
+// call Meta.Flush to wait for trigger/rule quiescence. Close flushes
+// and stops the bus before detaching the orchestrator and rule engine,
 // so no event is lost on shutdown.
 package facility
 
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/adal"
-	"repro/internal/cloud"
 	"repro/internal/databrowser"
 	"repro/internal/dfs"
 	"repro/internal/mapreduce"
@@ -31,7 +30,6 @@ import (
 	"repro/internal/readcache"
 	"repro/internal/replication"
 	"repro/internal/rules"
-	"repro/internal/tape"
 	"repro/internal/tiering"
 	"repro/internal/units"
 	"repro/internal/workflow"
@@ -80,7 +78,7 @@ type Options struct {
 	// before inspecting trigger/rule effects.
 	AsyncEvents bool
 	// WALDir enables durable metadata when non-empty: every mutation
-	// is journaled to a per-shard write-ahead log under this
+	// is journaled to the store's write-ahead log under this
 	// directory before it is acknowledged, compacted snapshots are
 	// taken as the logs grow, and reopening a facility on the same
 	// directory recovers the full metadata state — datasets, tags,
@@ -99,10 +97,12 @@ type Options struct {
 
 	// TierHotCapacity enables the live tiered data path when > 0:
 	// the /ddn mount becomes a tiering.TierBackend federating the DDN
-	// MemFS (hot) with a real-time tape store (cold, also mounted at
-	// /tape for inspection). Writes past the high watermark trigger
+	// MemFS (hot) with an in-memory cold store (also mounted at /tape
+	// for inspection). Writes past the high watermark trigger
 	// background migration to tape; opening a migrated path recalls
-	// it transparently. 0 (the default) keeps /ddn a plain MemFS.
+	// it transparently. 0 (the default) keeps /ddn a plain MemFS. The
+	// tier's stores live in memory, so New refuses it with WALDir,
+	// whose journal would outlive their bytes.
 	TierHotCapacity units.Bytes
 	// TierPolicy sets the tier's watermarks/age policy. The zero
 	// value takes tiering.DefaultPolicy with MinAge and ScanInterval
@@ -170,7 +170,6 @@ type Facility struct {
 	Orchestrator *workflow.Orchestrator
 	Rules        *rules.Engine
 	DFS          *dfs.Cluster
-	Cloud        *cloud.Cloud // nil unless a scenario attaches one
 
 	// Mounts, for reference: /ddn and /ibm are the disk systems,
 	// /archive the tape-backed store, /hdfs the analysis cluster,
@@ -185,7 +184,7 @@ type Facility struct {
 	// Options.TierHotCapacity was set.
 	Tier *tiering.TierBackend
 	// Tape is the tier's cold backend; nil unless tiering is enabled.
-	Tape *tape.FS
+	Tape *adal.FSBackend
 
 	// Multi-site replication (mounted at /sites); all nil unless
 	// Options.Sites was set. The replica catalogue is Meta's, keyed by
@@ -221,6 +220,11 @@ type Facility struct {
 // New assembles a facility.
 func New(opts Options) (*Facility, error) {
 	opts = opts.withDefaults()
+	if opts.WALDir != "" && opts.TierHotCapacity > 0 {
+		// The journal would recover the tier's placement rows over
+		// empty in-memory stores: listed objects that cannot be read.
+		return nil, fmt.Errorf("facility: WALDir and TierHotCapacity cannot be combined: the tier's stores are in memory")
+	}
 	reg := obs.New()
 	tracer := obs.NewTracer(512)
 
@@ -261,10 +265,10 @@ func New(opts Options) (*Facility, error) {
 
 	// The /ddn mount: plain MemFS, or — with tiering on — a
 	// TierBackend whose hot store is that same MemFS and whose cold
-	// store is a real-time tape FS.
+	// store is another.
 	var ddnMount adal.Backend = ddn
 	var tier *tiering.TierBackend
-	var tapeFS *tape.FS
+	var tapeFS *adal.FSBackend
 	if opts.TierHotCapacity > 0 {
 		pol := opts.TierPolicy
 		if pol == (tiering.Policy{}) {
@@ -272,7 +276,7 @@ func New(opts Options) (*Facility, error) {
 			pol.MinAge = 0
 			pol.ScanInterval = 0
 		}
-		tapeFS = tape.NewFS("tape", tape.FSConfig{CartridgeSize: pol.CartridgeSize})
+		tapeFS = adal.NewMemFS("tape")
 		tier, err = tiering.New("ddn-tier", ddn, tapeFS, tiering.Config{
 			Policy:           pol,
 			HotCapacity:      opts.TierHotCapacity,

@@ -24,7 +24,7 @@ func (f *Facility) registerObs() {
 	reg.CounterFunc("lsdf_dfs_bytes_written_total", "Bytes written to the cluster.", func() int64 { return int64(f.DFS.Report().BytesWritten) })
 	reg.CounterFunc("lsdf_dfs_rereplicated_total", "Blocks re-replicated after node failures.", func() int64 { return int64(f.DFS.Report().ReReplicated) })
 
-	// Metadata durability (per-shard WAL + snapshots).
+	// Metadata durability (one WAL + snapshots).
 	reg.GaugeFunc("lsdf_meta_durable", "1 when mutations are journaled to a WAL.", func() int64 {
 		if f.Meta.Durable() {
 			return 1

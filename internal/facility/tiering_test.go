@@ -52,8 +52,8 @@ func TestTieredMountTransparentRecall(t *testing.T) {
 		t.Fatalf("state = %v", st)
 	}
 	// The cold bytes physically live in the tape store.
-	if f.Tape.FSStats().BytesIn != units.Bytes(len(data)) {
-		t.Fatalf("tape holds %d bytes", f.Tape.FSStats().BytesIn)
+	if info, err := f.Tape.Stat("/katrin/run1.raw"); err != nil || info.Size != units.Bytes(len(data)) {
+		t.Fatalf("tape copy = %+v, %v", info, err)
 	}
 	// A plain Layer.Open — the call every existing client makes —
 	// recalls transparently and byte-identically.
@@ -194,16 +194,22 @@ func TestTieredPremigrateOnIngest(t *testing.T) {
 	if ts.Premigrated != n || ts.Premigrations != uint64(n) {
 		t.Fatalf("stats = %+v, want %d premigrated", ts, n)
 	}
-	if f.Tape.FSStats().Objects != n {
-		t.Fatalf("tape objects = %d", f.Tape.FSStats().Objects)
+	if infos, err := f.Tape.List("/"); err != nil || len(infos) != n {
+		t.Fatalf("tape objects = %d, %v", len(infos), err)
 	}
 	// Migration of a premigrated object copies nothing more to tape.
-	before := f.Tape.FSStats().BytesIn
+	before, err := f.Tape.Stat("/pm/00")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := f.Tier.Migrate("/pm/00"); err != nil {
 		t.Fatal(err)
 	}
-	if after := f.Tape.FSStats().BytesIn; after != before {
-		t.Fatalf("stub swap wrote %d new tape bytes", after-before)
+	if st := f.Tier.Stats(); st.Premigrations != uint64(n) || st.Migrations != 1 {
+		t.Fatalf("after migrating a premigrated object: %+v", st)
+	}
+	if after, err := f.Tape.Stat("/pm/00"); err != nil || !after.ModTime.Equal(before.ModTime) {
+		t.Fatalf("tape copy rewritten: %v -> %+v, %v", before.ModTime, after, err)
 	}
 }
 
@@ -243,5 +249,21 @@ func TestTieredPlacementEventsReachSubscribers(t *testing.T) {
 	defer mu.Unlock()
 	if events["resident"] != 1 || events["migrated"] != 1 || events["premigrated"] != 2 {
 		t.Fatalf("placement events = %v", events)
+	}
+}
+
+// TestDurableMetadataWithTierIsRefused: the journal would recover the
+// tier's placement rows over empty in-memory hot and cold stores, so a
+// reopened facility would list objects it cannot open.
+func TestDurableMetadataWithTierIsRefused(t *testing.T) {
+	f, err := New(Options{WALDir: t.TempDir(), TierHotCapacity: units.MiB})
+	if err == nil {
+		f.Close()
+		t.Fatal("New accepted WALDir with TierHotCapacity")
+	}
+	for _, opt := range []string{"WALDir", "TierHotCapacity"} {
+		if !strings.Contains(err.Error(), opt) {
+			t.Errorf("error %q does not name %s", err, opt)
+		}
 	}
 }

@@ -4,17 +4,18 @@
 // files live on disk while hot, migrate to tape when the disk fills
 // past a watermark, and are recalled transparently on access.
 //
-// The placement states and the migration policy are shared with
-// internal/tiering, which implements the same life cycle on the live
-// concurrent data path (real bytes through the ADAL mount table);
-// this package keeps the simulation-scale counterpart in lockstep
-// with it by construction.
+// The placement states, the policy and the migration plan are
+// internal/tiering's, which runs the same life cycle on the live
+// concurrent data path (real bytes through the ADAL mount table): a
+// Manager scan and a TierBackend scan choose their victims with the
+// one Policy.Plan. What this package adds is time — tape writes,
+// mounts and recalls cost virtual time in a tape.Library — and a
+// twin test holds the two to the same placements on one trace.
 package hsm
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/sim"
@@ -154,9 +155,8 @@ func (m *Manager) Files() int { return len(m.files) }
 
 // Access touches a file; done fires once the bytes are disk-resident.
 // Resident and premigrated files complete immediately; migrated files
-// trigger a tape recall. A premigrated file that is accessed becomes
-// plain resident again (its tape copy is treated as stale, matching
-// write-once LSDF data that may be reprocessed in place).
+// trigger a tape recall and end premigrated: the tape copy stays
+// valid, so migrating the file again only frees its disk copy.
 func (m *Manager) Access(name string, done func(error)) {
 	f, ok := m.files[name]
 	if !ok {
@@ -216,43 +216,32 @@ func (m *Manager) Delete(name string) error {
 	return nil
 }
 
-// Scan runs one migration pass: while utilization exceeds the high
-// watermark, the oldest eligible resident files are copied to tape and
-// their disk space freed, until the projection drops below the low
-// watermark. Copies complete in virtual time; disk space frees when
-// the tape write finishes.
+// Scan runs one migration pass: the victims tiering.Policy.Plan picks
+// are copied to tape, their disk space freed when the tape write
+// finishes in virtual time; a premigrated victim's disk copy is freed
+// at once. Copies still in flight count as freed for a later pass.
 func (m *Manager) Scan() {
-	if m.disk.Utilization() <= m.pol.HighWatermark {
-		return
-	}
-	target := units.Bytes(float64(m.disk.Capacity) * m.pol.LowWatermark)
-	toFree := m.disk.Used() - target
-
-	var candidates []*File
+	objs := make([]tiering.Candidate, 0, len(m.files))
 	for _, f := range m.files {
-		if f.State == Resident && !f.migrating &&
-			m.eng.Now()-f.Created >= m.pol.MinAge {
-			candidates = append(candidates, f)
-		}
+		objs = append(objs, tiering.Candidate{Path: f.Name, Size: f.Size, State: f.State,
+			Created: epoch.Add(f.Created), LastAccess: epoch.Add(f.LastAccess), InFlight: f.migrating})
 	}
-	// Oldest access first; name breaks ties for determinism.
-	sort.Slice(candidates, func(i, j int) bool {
-		if candidates[i].LastAccess != candidates[j].LastAccess {
-			return candidates[i].LastAccess < candidates[j].LastAccess
-		}
-		return candidates[i].Name < candidates[j].Name
-	})
-	var planned units.Bytes
-	for _, f := range candidates {
-		if planned >= toFree {
-			break
-		}
-		planned += f.Size
-		m.migrate(f)
+	for _, name := range m.pol.Plan(m.disk.Capacity, m.disk.Used(), epoch.Add(m.eng.Now()), objs) {
+		m.migrate(m.files[name])
 	}
 }
 
+// epoch anchors virtual time for the plan, which compares wall-clock
+// instants.
+var epoch time.Time
+
 func (m *Manager) migrate(f *File) {
+	if f.State == Premigrated {
+		if m.disk.Free(m.volume, f.Size) == nil {
+			m.migrated(f)
+		}
+		return
+	}
 	f.migrating = true
 	cart := m.pickCartridge(f.Size)
 	m.lib.Write(cart, f.Size, func(err error) {
@@ -265,11 +254,15 @@ func (m *Manager) migrate(f *File) {
 		if ferr := m.disk.Free(m.volume, f.Size); ferr != nil {
 			return
 		}
-		f.State = Migrated
 		f.Cartridge = cart
-		m.migratedFiles++
-		m.migratedBytes += f.Size
+		m.migrated(f)
 	})
+}
+
+func (m *Manager) migrated(f *File) {
+	f.State = Migrated
+	m.migratedFiles++
+	m.migratedBytes += f.Size
 }
 
 // pickCartridge returns the current fill cartridge, opening a new one

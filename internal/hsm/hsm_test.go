@@ -257,3 +257,76 @@ func TestCartridgeRotation(t *testing.T) {
 		t.Fatalf("cartridges = %d, want >= 2 (rotation)", got)
 	}
 }
+
+// TestOverlappingScansStopAtTheLowWatermark: a second pass while the
+// first pass's tape writes are still in flight counts their bytes as
+// freed and plans nothing more.
+func TestOverlappingScansStopAtTheLowWatermark(t *testing.T) {
+	pol := quickPolicy()
+	pol.ScanInterval = 0
+	eng, disk, _, m := newManager(t, 100*units.GB, pol)
+	for i := 0; i < 9; i++ {
+		if err := m.Store(fileName(i), 10*units.GB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Scan()
+	m.Scan()
+	eng.Run()
+	if st := m.Stats(); st.MigratedFiles != 2 || disk.Used() != 70*units.GB {
+		t.Fatalf("migrated %d files, %v left on disk; want 2 and 70 GB", st.MigratedFiles, disk.Used())
+	}
+}
+
+// TestRecalledFileMigratesWithoutATapeWrite: a recalled file is
+// premigrated; when it is the oldest again, migrating it frees its disk
+// copy and writes nothing to tape.
+func TestRecalledFileMigratesWithoutATapeWrite(t *testing.T) {
+	pol := quickPolicy()
+	pol.ScanInterval = 0
+	eng, disk, lib, m := newManager(t, 100*units.GB, pol)
+	if err := m.Store("big", 20*units.GB); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 7; i++ {
+		if err := m.Store(fileName(i), 10*units.GB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	m.Scan() // 90 %: "big" alone brings the disk to 70 %
+	eng.Run()
+	m.Access("big", func(err error) {
+		if err != nil {
+			t.Errorf("recall: %v", err)
+		}
+	})
+	eng.Run()
+	if f, _ := m.Lookup("big"); f.State != Premigrated {
+		t.Fatalf("after recall: %v", f.State)
+	}
+	eng.RunUntil(eng.Now() + time.Minute)
+	for i := 0; i < 7; i++ {
+		m.Access(fileName(i), func(error) {})
+	}
+	eng.Run()
+	before, cart := lib.Stats().BytesIn, mustLookup(t, m, "big").Cartridge
+
+	m.Scan() // 90 % again, and "big" is the oldest access
+	f := mustLookup(t, m, "big")
+	if f.State != Migrated || f.Cartridge != cart || disk.Used() != 70*units.GB {
+		t.Fatalf("after the second scan: %+v, disk %v", f, disk.Used())
+	}
+	eng.Run()
+	if after := lib.Stats().BytesIn; after != before {
+		t.Fatalf("migrating a premigrated file wrote %v to tape", after-before)
+	}
+}
+
+func mustLookup(t *testing.T, m *Manager, name string) File {
+	t.Helper()
+	f, ok := m.Lookup(name)
+	if !ok {
+		t.Fatalf("%s not managed", name)
+	}
+	return f
+}

@@ -8,13 +8,14 @@
 // tier while hot, migrate to the cold tier past a utilization
 // watermark, and are recalled invisibly on Open.
 //
-// The placement states and the migration policy here are shared with
-// internal/hsm, whose discrete-event Manager models the same life
+// The placement states and the migration plan (Policy.Plan) are shared
+// with internal/hsm, whose discrete-event Manager models the same life
 // cycle at petabyte scale in virtual time; this package moves real
 // bytes concurrently.
 package tiering
 
 import (
+	"sort"
 	"time"
 
 	"repro/internal/metadata"
@@ -44,7 +45,7 @@ type Policy struct {
 	LowWatermark  float64       // stop once utilization is below this
 	MinAge        time.Duration // never migrate files younger than this
 	ScanInterval  time.Duration // period of the migration scan
-	CartridgeSize units.Bytes   // size of auto-created cartridges (tape backends)
+	CartridgeSize units.Bytes   // size of the cartridges the hsm model fills; the live tier ignores it
 }
 
 // DefaultPolicy is a conventional 85/70 watermark pair with hourly
@@ -57,4 +58,64 @@ func DefaultPolicy() Policy {
 		ScanInterval:  time.Hour,
 		CartridgeSize: units.Bytes(1500) * units.GB,
 	}
+}
+
+// Candidate is one object as a migration plan sees it.
+type Candidate struct {
+	Path       string
+	Size       units.Bytes
+	State      State
+	Created    time.Time
+	LastAccess time.Time
+	Pinned     bool
+	Writing    bool // created, not yet committed
+	InFlight   bool // a copy or migration toward the cold tier is under way
+}
+
+// over reports whether used bytes of capacity exceed the high
+// watermark. A zero capacity never does.
+func (p Policy) over(capacity, used units.Bytes) bool {
+	return capacity > 0 && float64(used) > p.HighWatermark*float64(capacity)
+}
+
+// Plan is one migration pass over objs, a tier of capacity bytes of
+// which used are hot, at time now: nothing while used is at or below
+// the high watermark (hysteresis), otherwise the paths to move to the
+// cold tier, in order, until the projection drops below the low
+// watermark. Bytes already in flight count as freed, so an overlapping
+// pass plans only what the earlier one left. Victims go oldest access
+// first, path breaking ties; writing, pinned, in-flight and migrated
+// objects and those younger than MinAge stay. A Premigrated victim
+// only has its hot copy dropped.
+func (p Policy) Plan(capacity, used units.Bytes, now time.Time, objs []Candidate) []string {
+	if !p.over(capacity, used) {
+		return nil
+	}
+	toFree := used - units.Bytes(p.LowWatermark*float64(capacity))
+	var cands []Candidate
+	for _, c := range objs {
+		if c.InFlight && c.State != Migrated {
+			toFree -= c.Size
+		}
+		if c.Writing || c.InFlight || c.Pinned || c.State == Migrated || now.Sub(c.Created) < p.MinAge {
+			continue
+		}
+		cands = append(cands, c)
+	}
+	sort.Slice(cands, func(i, j int) bool {
+		if !cands[i].LastAccess.Equal(cands[j].LastAccess) {
+			return cands[i].LastAccess.Before(cands[j].LastAccess)
+		}
+		return cands[i].Path < cands[j].Path
+	})
+	var planned units.Bytes
+	var picked []string
+	for _, c := range cands {
+		if planned >= toFree {
+			break
+		}
+		planned += c.Size
+		picked = append(picked, c.Path)
+	}
+	return picked
 }

@@ -672,7 +672,7 @@ func (t *TierBackend) Recall(path string) error {
 // is only a safety net.
 func (t *TierBackend) maybeScan() {
 	t.mu.Lock()
-	over := t.capacity > 0 && float64(t.hotUsed) > t.pol.HighWatermark*float64(t.capacity)
+	over := t.pol.over(t.capacity, t.hotUsed)
 	t.mu.Unlock()
 	if over {
 		select {
@@ -703,59 +703,20 @@ func (t *TierBackend) scanner() {
 	}
 }
 
-// Scan runs one migration planning pass: while hot utilization
-// exceeds the high watermark, the oldest-access eligible files are
-// queued for the worker pool until the projection drops below the
-// low watermark (hysteresis — scans do nothing between the marks).
+// Scan runs one migration planning pass (Policy.Plan) and queues its
+// victims for the worker pool.
 func (t *TierBackend) Scan() {
 	t.mu.Lock()
-	if t.capacity <= 0 || float64(t.hotUsed) <= t.pol.HighWatermark*float64(t.capacity) {
-		t.mu.Unlock()
-		return
-	}
-	target := units.Bytes(t.pol.LowWatermark * float64(t.capacity))
-	toFree := t.hotUsed - target
-	now := t.clock()
-	type cand struct {
-		path string
-		last time.Time
-		size units.Bytes
-	}
-	var cands []cand
+	objs := make([]Candidate, 0, len(t.files))
 	for p, e := range t.files {
-		if e.migrating && e.State != Migrated {
-			// Already queued by an earlier pass (or a forced Migrate)
-			// and not yet subtracted from hotUsed: its bytes are as
-			// good as freed. Counting them again would make overlapping
-			// passes migrate past the low watermark, newest files
-			// included.
-			toFree -= e.Digest.Size
-		}
-		if e.writing || e.migrating || e.Pinned || e.State == Migrated {
-			continue
-		}
-		if now.Sub(e.created) < t.pol.MinAge {
-			continue
-		}
-		cands = append(cands, cand{p, e.lastAccess, e.Digest.Size})
+		objs = append(objs, Candidate{Path: p, Size: e.Digest.Size, State: e.State,
+			Created: e.created, LastAccess: e.lastAccess,
+			Pinned: e.Pinned, Writing: e.writing, InFlight: e.migrating})
 	}
-	// Oldest access first; path breaks ties for determinism.
-	sort.Slice(cands, func(i, j int) bool {
-		if !cands[i].last.Equal(cands[j].last) {
-			return cands[i].last.Before(cands[j].last)
-		}
-		return cands[i].path < cands[j].path
-	})
-	var planned units.Bytes
-	var picked []string
-	for _, c := range cands {
-		if planned >= toFree {
-			break
-		}
-		planned += c.size
-		t.files[c.path].migrating = true
+	picked := t.pol.Plan(t.capacity, t.hotUsed, t.clock(), objs)
+	for _, p := range picked {
+		t.files[p].migrating = true
 		t.pendingMig++
-		picked = append(picked, c.path)
 	}
 	t.mu.Unlock()
 	for i, p := range picked {

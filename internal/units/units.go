@@ -10,6 +10,7 @@ package units
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -145,15 +146,15 @@ func (r Rate) String() string {
 	return fmt.Sprintf("%.2fB/s", float64(r))
 }
 
-// TimeFor returns how long moving b bytes takes at rate r.
-// A zero or negative rate yields an infinite-like sentinel of 1<<62 ns
+// TimeFor returns how long moving b bytes takes at rate r, to the
+// nearest nanosecond. A zero or negative rate yields an infinite-like sentinel of 1<<62 ns
 // rather than dividing by zero; callers treat it as "never".
 func (r Rate) TimeFor(b Bytes) time.Duration {
 	if r <= 0 {
 		return time.Duration(1 << 62)
 	}
 	sec := float64(b) / float64(r)
-	return time.Duration(sec * float64(time.Second))
+	return time.Duration(math.Round(sec * float64(time.Second)))
 }
 
 // BytesIn returns how many bytes flow in d at rate r.

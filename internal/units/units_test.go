@@ -176,13 +176,22 @@ func TestDaysYears(t *testing.T) {
 }
 
 func TestTimeForRoundTripQuick(t *testing.T) {
-	// r.BytesIn(r.TimeFor(b)) ~= b for sane magnitudes.
+	// r.BytesIn(r.TimeFor(b)) ~= b for sane magnitudes: within 1e-6 of
+	// b for a transfer of 1 ms or more; below that, within what a 1-ns
+	// Duration resolves (r·1ns) plus the byte BytesIn truncates.
 	f := func(megs uint16, mbps uint16) bool {
 		b := Bytes(int64(megs)+1) * MiB
 		r := Rate(float64(mbps)+1) * Rate(MB)
-		back := r.BytesIn(r.TimeFor(b))
-		diff := float64(back-b) / float64(b)
-		return math.Abs(diff) < 1e-6
+		d := r.TimeFor(b)
+		back := r.BytesIn(d)
+		if d >= time.Millisecond {
+			return math.Abs(float64(back-b)/float64(b)) < 1e-6
+		}
+		return math.Abs(float64(back-b)) <= float64(r)*1e-9+1
+	}
+	// 1 MiB at 62.6 GB/s: a 16 µs transfer, the worst case of the domain.
+	if !f(0, 62567) {
+		t.Error("megs=0, mbps=62567 does not round-trip")
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
