@@ -1,33 +1,42 @@
 // Command databrowser is the end-user DataBrowser (slide 9): list and
 // inspect data joined with its metadata, preview objects, tag datasets
-// — or serve the JSON web API the paper announces as the upcoming web
-// GUI.
+// — or serve the facility's authenticated /v1 API, which a web GUI
+// would call.
 //
 //	databrowser -state /tmp/lsdf list /data
 //	databrowser -state /tmp/lsdf preview /data/img1.raw
 //	databrowser -state /tmp/lsdf tag /data/img1.raw analyze
-//	databrowser -state /tmp/lsdf serve :8080
+//	databrowser -state /tmp/lsdf -token SECRET serve 127.0.0.1:8080
 //
-// list, preview and tag are gateway client calls: with -server against
-// a live lsdfd, as an authenticated tenant; with -state against a
-// gateway this process serves on loopback over the state directory
-// lsdfctl uses (internal/statedir; one process at a time). preview is
-// a range read, so only the first bytes cross the wire, and a migrated
-// object's bytes are recalled from the cold tier:
+// Every verb is a gateway client call: with -server against a live
+// lsdfd, as an authenticated tenant; with -state against a gateway this
+// process serves on loopback over the state directory lsdfctl uses
+// (internal/statedir; one process at a time). preview is a range read,
+// so only the first bytes cross the wire, and a migrated object's bytes
+// are recalled from the cold tier:
 //
 //	databrowser -server http://lsdf.example:7420 -token SECRET list /data
+//
+// serve is that same gateway on ADDR, with one tenant owning the whole
+// namespace whose bearer token is -token: GET /v1/list, /v1/stat/PATH,
+// /v1/dataset, /v1/datasets, POST /v1/datasets/tag and untag, and the
+// rest of lsdfd's API. It holds the directory until SIGTERM or
+// interrupt, then drains like lsdfd.
 package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"os"
 	"strings"
+	"syscall"
+	"time"
 
-	"repro/internal/databrowser"
 	"repro/internal/gateway/client"
 	"repro/internal/statedir"
 )
@@ -35,18 +44,19 @@ import (
 func main() {
 	state := flag.String("state", "", "state directory shared with lsdfctl")
 	server := flag.String("server", "", "lsdfd gateway URL: browse remotely instead of a local -state")
-	token := flag.String("token", "", "bearer token for -server")
+	token := flag.String("token", "", "bearer token: presented to -server, or required by serve")
 	flag.Parse()
 	if (*state == "" && *server == "") || flag.NArg() == 0 {
 		fmt.Fprintln(os.Stderr, `usage: databrowser -state DIR COMMAND [args]
        databrowser -server URL -token SECRET COMMAND [args]
+       databrowser -state DIR -token SECRET serve ADDR
 
 commands:
   list PREFIX       browse objects joined with metadata
   preview PATH      print the first 256 bytes of an object
   tag PATH TAG      tag the dataset at PATH
-  serve ADDR        serve the JSON web API (-state only;
-                    GET /list, /stat, /dataset, /find; POST /tag)`)
+  serve ADDR        serve the gateway's /v1 API over DIR on ADDR;
+                    every request needs "Authorization: Bearer SECRET"`)
 		os.Exit(2)
 	}
 	if err := run(os.Stdout, *state, *server, *token, flag.Args()); err != nil {
@@ -75,10 +85,9 @@ func run(w io.Writer, state, server, token string, args []string) error {
 		defer d.Close()
 		if cmd == "serve" {
 			if len(rest) != 1 {
-				return fmt.Errorf("serve: need ADDR (e.g. :8080)")
+				return fmt.Errorf("serve: need ADDR (e.g. 127.0.0.1:8080)")
 			}
-			fmt.Fprintf(w, "databrowser web API on %s\n", rest[0])
-			return http.ListenAndServe(rest[0], databrowser.New(d.Layer, d.Meta).Handler())
+			return serve(w, d, token, rest[0])
 		}
 		if c, err = d.Client(); err != nil {
 			return err
@@ -107,12 +116,7 @@ func run(w io.Writer, state, server, token string, args []string) error {
 		if len(rest) != 1 {
 			return fmt.Errorf("preview: need PATH")
 		}
-		rc, err := c.GetRange(ctx, rest[0], 0, 256)
-		if err != nil {
-			return err
-		}
-		defer rc.Close()
-		head, err := io.ReadAll(rc)
+		head, err := preview(ctx, c, rest[0])
 		if err != nil {
 			return err
 		}
@@ -126,4 +130,33 @@ func run(w io.Writer, state, server, token string, args []string) error {
 		return err
 	}
 	return fmt.Errorf("unknown command %q", cmd)
+}
+
+// preview returns the first 256 bytes of the object at path.
+func preview(ctx context.Context, c *client.Client, path string) ([]byte, error) {
+	rc, err := c.GetRange(ctx, path, 0, 256)
+	var ae *client.APIError
+	if errors.As(err, &ae) && ae.Status == http.StatusRequestedRangeNotSatisfiable {
+		return nil, nil // a range from offset 0 is unsatisfiable only on an empty object
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer rc.Close()
+	return io.ReadAll(rc)
+}
+
+// serve serves d's gateway on addr, with token as its one tenant's
+// bearer token, until SIGTERM or interrupt; then it drains like lsdfd.
+func serve(w io.Writer, d *statedir.Dir, token, addr string) error {
+	srv, err := d.Gateway(token)
+	if err != nil {
+		return err
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "databrowser: gateway /v1 API on http://%s\n", ln.Addr())
+	return srv.ServeDraining(&http.Server{ReadHeaderTimeout: 10 * time.Second}, ln, 10*time.Second, syscall.SIGTERM, os.Interrupt)
 }

@@ -44,12 +44,8 @@ func main() {
 	}
 
 	// Browse what the facility holds.
-	entries, err := fac.Browser().List("/ddn/demo")
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, e := range entries {
-		fmt.Printf("browse: %s %s tags=%v\n", e.Path, e.Size, e.Tags)
+	for _, ds := range fac.Query(lsdf.Query{PathPrefix: "/ddn/demo"}) {
+		fmt.Printf("browse: %s %s tags=%v\n", ds.Path, ds.Size, ds.Tags)
 	}
 
 	// Tagging triggers the workflow; provenance lands on the dataset.

@@ -38,17 +38,11 @@ var (
 	ErrNoMount  = errors.New("adal: no backend mounted for path")
 )
 
-// FileInfo describes one object. The listing facts are filled by the
-// Stat of a backend that knows them and pass through the layers above
-// it; they are empty elsewhere, and in List results.
+// FileInfo describes one object.
 type FileInfo struct {
 	Path    string
 	Size    units.Bytes
 	ModTime time.Time
-
-	Placement string   // tier state (resident, premigrated, migrated) under a tiering backend
-	Replicas  []string // sites holding a valid replica, under a replication federation
-	Cached    string   // read-cache tier holding blocks of it ("memory" or "disk")
 }
 
 // Backend is the minimal contract a storage system must offer to be

@@ -1,15 +1,15 @@
 // Package core is the public face of the LSDF reproduction: one
 // Facility handle that exposes the paper's integrated data lifecycle
 // — ingest with checksums and metadata registration, unified access
-// through ADAL, browsing and tagging via the DataBrowser, tag-
-// triggered Kepler-style workflows with provenance, policy-driven
-// data management, and MapReduce analysis on the Hadoop cluster.
+// through ADAL, querying and tagging datasets, tag-triggered
+// Kepler-style workflows with provenance, policy-driven data
+// management, and MapReduce analysis on the Hadoop cluster.
 //
-// The metadata repository behind the handle is sharded (see
-// internal/metadata): queries fan out over all shards, and the bulk
-// paths (Ingest with a batch size, StoreBatch) register whole groups
-// of datasets with one shard-lock round per shard. Event delivery to
-// workflow triggers and rules is synchronous by default; with
+// The metadata repository behind the handle is one store (see
+// internal/metadata), and the bulk paths (Ingest with a batch size,
+// StoreBatch) register whole groups of datasets in one batch — on a
+// durable store, one journal commit. Event delivery to workflow
+// triggers and rules is synchronous by default; with
 // Options.AsyncEvents it moves to a background bus, and Flush is the
 // barrier that waits for all deliveries.
 //
@@ -19,10 +19,10 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"io"
 
 	"repro/internal/adal"
-	"repro/internal/databrowser"
 	"repro/internal/dfs"
 	"repro/internal/facility"
 	"repro/internal/ingest"
@@ -59,9 +59,6 @@ func (fc *Facility) Layer() *adal.Layer { return fc.f.Layer }
 // Metadata exposes the project metadata DB.
 func (fc *Facility) Metadata() *metadata.Store { return fc.f.Meta }
 
-// Browser exposes the DataBrowser.
-func (fc *Facility) Browser() *databrowser.Browser { return fc.f.Browser }
-
 // Orchestrator exposes the workflow orchestrator.
 func (fc *Facility) Orchestrator() *workflow.Orchestrator { return fc.f.Orchestrator }
 
@@ -89,7 +86,7 @@ func (fc *Facility) Store(project, path string, data io.Reader, basic map[string
 }
 
 // StoreBatch writes a group of objects and registers them in one
-// batched metadata round per touched shard (ingest.StoreBatch).
+// metadata batch (ingest.StoreBatch).
 // Results are per-item and aligned with the input; a failed item's
 // stored bytes are rolled back so the facility never holds
 // unregistered data.
@@ -117,7 +114,13 @@ func (fc *Facility) Query(q metadata.Query) []metadata.Dataset { return fc.f.Met
 
 // Tag tags the dataset registered at path; tags drive workflow
 // triggers and rules.
-func (fc *Facility) Tag(path, tag string) error { return fc.f.Browser.Tag(path, tag) }
+func (fc *Facility) Tag(path, tag string) error {
+	ds, ok := fc.f.Meta.ByPath(path)
+	if !ok {
+		return fmt.Errorf("%w: %q", metadata.ErrNotFound, path)
+	}
+	return fc.f.Meta.Tag(ds.ID, tag)
+}
 
 // AddTrigger registers a tag-triggered workflow.
 func (fc *Facility) AddTrigger(t workflow.Trigger) { fc.f.Orchestrator.AddTrigger(t) }

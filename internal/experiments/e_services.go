@@ -62,7 +62,7 @@ func E7TagTriggeredWorkflow() (*Table, error) {
 	datasets := f.Meta.Find(metadata.Query{Project: "zebrafish"})
 	start := time.Now()
 	for _, ds := range datasets {
-		if err := f.Browser.Tag(ds.Path, "analyze"); err != nil {
+		if err := f.Meta.Tag(ds.ID, "analyze"); err != nil {
 			return nil, err
 		}
 	}

@@ -1,9 +1,9 @@
 // Package facility assembles the LSDF (slide 10's architecture
 // figure): the federated storage namespace (ADAL), the project
-// metadata DB, the DataBrowser, the workflow orchestrator, the rule
-// engine, and the Hadoop analysis cluster — plus discrete-event
-// scenario models for the facility-scale numbers (petabytes, tape,
-// 10 GE) that cannot run for real on a laptop.
+// metadata DB, the workflow orchestrator, the rule engine, and the
+// Hadoop analysis cluster — plus discrete-event scenario models for
+// the facility-scale numbers (petabytes, tape, 10 GE) that cannot run
+// for real on a laptop.
 //
 // The metadata DB is one store (journaled to one log under
 // Options.WALDir when set) and by default delivers mutation events
@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"repro/internal/adal"
-	"repro/internal/databrowser"
 	"repro/internal/dfs"
 	"repro/internal/mapreduce"
 	"repro/internal/metadata"
@@ -166,7 +165,6 @@ func (o Options) withDefaults() Options {
 type Facility struct {
 	Layer        *adal.Layer
 	Meta         *metadata.Store
-	Browser      *databrowser.Browser
 	Orchestrator *workflow.Orchestrator
 	Rules        *rules.Engine
 	DFS          *dfs.Cluster
@@ -360,7 +358,6 @@ func New(opts Options) (*Facility, error) {
 	f := &Facility{
 		Layer:         layer,
 		Meta:          meta,
-		Browser:       databrowser.New(layer, meta),
 		DFS:           cluster,
 		DDN:           ddn,
 		IBM:           ibm,
@@ -376,7 +373,6 @@ func New(opts Options) (*Facility, error) {
 		Tracer:        tracer,
 		shuffleMemory: opts.ShuffleMemory,
 	}
-	f.Browser.SetObs(reg)
 	f.Orchestrator = workflow.NewOrchestrator(layer, meta, opts.AsyncWorkflows)
 	f.Rules = rules.NewEngine(layer, meta)
 

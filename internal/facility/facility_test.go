@@ -82,21 +82,22 @@ func TestFacilityEndToEndLifecycle(t *testing.T) {
 		t.Fatalf("replicas = %d, want %d", len(replicas), cfg.TotalImages())
 	}
 
-	// Browse and trigger analysis through the DataBrowser.
-	entries, err := f.Browser.List("/ddn/itg")
+	// Every stored object is registered; tagging one runs the analysis.
+	entries, err := f.Layer.List("/ddn/itg")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(entries) != cfg.TotalImages() || !entries[0].Registered {
+	if len(entries) != cfg.TotalImages() {
 		t.Fatalf("browse = %d entries", len(entries))
 	}
-	if err := f.Browser.Tag(entries[0].Path, "analyze"); err != nil {
+	ds, ok := f.Meta.ByPath(entries[0].Path)
+	if !ok {
+		t.Fatalf("%s is not registered", entries[0].Path)
+	}
+	if err := f.Meta.Tag(ds.ID, "analyze"); err != nil {
 		t.Fatal(err)
 	}
-	ds, err := f.Browser.Dataset(entries[0].Path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ds, _ = f.Meta.Get(ds.ID)
 	if len(ds.Processings) != 1 || ds.Processings[0].Results["bytes"] != "2048" {
 		t.Fatalf("provenance = %+v", ds.Processings)
 	}

@@ -3,6 +3,7 @@ package facility
 import (
 	"context"
 	"fmt"
+	"io"
 	"strings"
 	"testing"
 
@@ -125,17 +126,22 @@ func TestIngestIntoObjectStoreMount(t *testing.T) {
 			t.Fatalf("size = %v", head.Size)
 		}
 	}
-	// The DataBrowser sees the object store like any mount.
-	entries, err := f.Browser.List("/s3/itg")
+	// The namespace lists the object store like any mount, each entry
+	// registered under its mounted path.
+	entries, err := f.Layer.List("/s3/itg")
 	if err != nil || len(entries) != cfg.TotalImages() {
 		t.Fatalf("browse = %d entries, err %v", len(entries), err)
 	}
-	if !entries[0].Registered {
+	if _, ok := f.Meta.ByPath(entries[0].Path); !ok {
 		t.Fatal("object-store entries not joined with metadata")
 	}
-	// Preview works through the adapter too.
-	head, err := f.Browser.Preview(entries[0].Path, 16)
-	if err != nil || len(head) != 16 {
-		t.Fatalf("preview: %v", err)
+	// A ranged read works through the adapter too.
+	rc, err := f.Layer.OpenRange(context.Background(), entries[0].Path, 0, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+	if head, err := io.ReadAll(rc); err != nil || len(head) != 16 {
+		t.Fatalf("preview: %d bytes, %v", len(head), err)
 	}
 }

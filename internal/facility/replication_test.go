@@ -14,8 +14,8 @@ import (
 
 // TestFacilityMultiSiteReplication wires the whole stack: ingest
 // through the mount table registers datasets, the metadata event bus
-// drives the replication engine, the DataBrowser reports the replica
-// column, and a site outage is invisible to readers.
+// drives the replication engine, the catalogue records the replica
+// sites, and a site outage is invisible to readers.
 func TestFacilityMultiSiteReplication(t *testing.T) {
 	f, err := New(Options{
 		Sites:       []string{"kit", "gridka", "desy"},
@@ -48,16 +48,13 @@ func TestFacilityMultiSiteReplication(t *testing.T) {
 		}
 	}
 
-	// The browser's replica column, through the ordinary mount table.
-	entry, err := f.Browser.Stat("/sites/run/000")
-	if err != nil {
-		t.Fatal(err)
+	// The catalogue's replica sites, and the registration, of a path
+	// ingested through the ordinary mount table.
+	if sites := f.Meta.ValidSites("/sites/run/000"); len(sites) < 2 {
+		t.Fatalf("valid sites of /sites/run/000 = %v, want >= 2", sites)
 	}
-	if entry.Replicas < 2 || len(entry.ReplicaSites) != entry.Replicas {
-		t.Fatalf("browser entry = %+v, want >= 2 replica sites", entry)
-	}
-	if !entry.Registered {
-		t.Fatalf("ingest did not register %s", entry.Path)
+	if _, ok := f.Meta.ByPath("/sites/run/000"); !ok {
+		t.Fatal("ingest did not register /sites/run/000")
 	}
 
 	// Kill the nearest site: reads keep working through the same

@@ -26,6 +26,7 @@ import (
 	"repro/internal/mrpc"
 	"repro/internal/replication"
 	"repro/internal/units"
+	"repro/internal/workflow"
 )
 
 // startGateway assembles a full facility, fronts it with a gateway
@@ -731,5 +732,39 @@ func TestRangeIsValidatedBeforeAnythingIsOpened(t *testing.T) {
 	}
 	if st := fac.ReadCache.Stats(); st.FillBytes != 640_000-2*256*1024 || st.MemHits != 1 {
 		t.Fatalf("cache fetched %d bytes and served %d hits; want the last block alone, then a hit", st.FillBytes, st.MemHits)
+	}
+}
+
+// TestTagTriggersWorkflow: a tag set through the gateway is the
+// workflow trigger of slide 12. The tagged dataset's workflow runs, and
+// its provenance is on the dataset the gateway then serves.
+func TestTagTriggersWorkflow(t *testing.T) {
+	fac, _, hs := startGateway(t, facility.Options{},
+		gateway.Config{Tenants: []gateway.Tenant{{Name: "bio", Token: "tb", Prefixes: []string{"/ddn/bio"}}}})
+	wf := workflow.New("measure")
+	wf.MustAddNode("size", workflow.ActorFunc(func(ctx *workflow.Context, in workflow.Values) (workflow.Values, error) {
+		info, err := ctx.Layer.Stat(in["dataset.path"].(string))
+		if err != nil {
+			return nil, err
+		}
+		return workflow.Values{"bytes": fmt.Sprint(int64(info.Size))}, nil
+	}))
+	fac.Orchestrator.AddTrigger(workflow.Trigger{Tag: "analyze", Workflow: wf})
+
+	c := newClient(t, hs, "tb")
+	ctx := context.Background()
+	if _, err := c.PutObject(ctx, "/ddn/bio/a.raw", []byte("fourteen bytes"), "zebrafish"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Tag(ctx, "/ddn/bio/a.raw", "analyze"); err != nil {
+		t.Fatal(err)
+	}
+	fac.Meta.Flush()
+	ds, err := c.Dataset(ctx, "/ddn/bio/a.raw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.Processings) != 1 || ds.Processings[0].Results["bytes"] != "14" {
+		t.Fatalf("provenance after tagging through the gateway = %+v", ds.Processings)
 	}
 }

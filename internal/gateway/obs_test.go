@@ -4,6 +4,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,6 +12,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/gateway/client"
 	"repro/internal/obs"
+	"repro/internal/units"
 )
 
 func obsGateway(t *testing.T) (*gateway.Server, string, *client.Client) {
@@ -163,5 +165,108 @@ func TestRequestTracing(t *testing.T) {
 	}
 	if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
 		t.Fatalf("404 content type %q, want JSON envelope", ct)
+	}
+}
+
+// scrapeNames is the metric families a facility scrape exposes, in
+// exposition order (sorted by name).
+func scrapeNames(t *testing.T, base string) []string {
+	t.Helper()
+	resp, err := http.Get(base + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			name, _, _ := strings.Cut(rest, " ")
+			names = append(names, name)
+		}
+	}
+	return names
+}
+
+// TestScrapeMetricNames pins the metric families one scrape of a fully
+// assembled facility exposes — federation, read cache, compute plane
+// and durable journal, with a gateway in front — so a family that is
+// renamed or dropped fails here by name.
+func TestScrapeMetricNames(t *testing.T) {
+	_, _, hs := startGateway(t, facility.Options{
+		Sites: []string{"near", "far"}, ReadCacheMemory: 8 * units.MiB,
+		ComputeWorkers: 2, WALDir: t.TempDir(),
+	}, gateway.Config{Tenants: []gateway.Tenant{{Name: "t", Token: "tok", Prefixes: []string{"/"}}}})
+	c := newClient(t, hs, "tok")
+	ctx := context.Background()
+	if _, err := c.PutObject(ctx, "/sites/a", []byte("payload"), "p"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.ReadObject(ctx, "/sites/a"); err != nil {
+		t.Fatal(err)
+	}
+	want := strings.Fields(`
+		lsdf_cache_disk_hits_total
+		lsdf_cache_evictions_total
+		lsdf_cache_fill_bytes_total
+		lsdf_cache_fill_ns
+		lsdf_cache_fills_total
+		lsdf_cache_invalidations_total
+		lsdf_cache_mem_budget_bytes
+		lsdf_cache_mem_hits_total
+		lsdf_cache_mem_used_bytes
+		lsdf_cache_misses_total
+		lsdf_cache_neg_hits_total
+		lsdf_dfs_blocks
+		lsdf_dfs_bytes_read_total
+		lsdf_dfs_bytes_written_total
+		lsdf_dfs_capacity_bytes
+		lsdf_dfs_files
+		lsdf_dfs_live_nodes
+		lsdf_dfs_local_reads_total
+		lsdf_dfs_nodes
+		lsdf_dfs_remote_reads_total
+		lsdf_dfs_rereplicated_total
+		lsdf_dfs_used_bytes
+		lsdf_gateway_bytes_in_total
+		lsdf_gateway_bytes_out_total
+		lsdf_gateway_draining
+		lsdf_gateway_in_flight
+		lsdf_gateway_rejected_total
+		lsdf_gateway_request_ns
+		lsdf_gateway_requests_total
+		lsdf_gateway_throttled_total
+		lsdf_go_gc_total
+		lsdf_go_goroutines
+		lsdf_go_heap_bytes
+		lsdf_meta_durable
+		lsdf_meta_snapshot_bytes_total
+		lsdf_meta_snapshots_total
+		lsdf_meta_wal_errors_total
+		lsdf_meta_wal_tail_records
+		lsdf_mr_jobs
+		lsdf_mr_live_workers
+		lsdf_mr_map_tasks_total
+		lsdf_mr_reduce_tasks_total
+		lsdf_mr_remote_shuffle_bytes_total
+		lsdf_mr_retries_total
+		lsdf_mr_running_jobs
+		lsdf_mr_running_slots
+		lsdf_mr_shuffle_bytes_total
+		lsdf_mr_spec_launched_total
+		lsdf_mr_spec_won_total
+		lsdf_mr_workers
+		lsdf_repl_failures_total
+		lsdf_repl_pending
+		lsdf_repl_retries_total
+		lsdf_repl_reverifies_total
+		lsdf_repl_transfer_bytes_total
+		lsdf_repl_transfers_total
+	`)
+	if got := scrapeNames(t, hs.URL); !slices.Equal(got, want) {
+		t.Fatalf("scrape families:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 }

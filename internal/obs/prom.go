@@ -80,8 +80,8 @@ func escapeHelp(s string) string {
 	return strings.ReplaceAll(s, "\n", `\n`)
 }
 
-// MetricPoint is one series in a JSON snapshot (databrowser, lsdfctl
-// local mode). Histograms carry quantiles instead of a raw value.
+// MetricPoint is one series in a JSON snapshot. Histograms carry
+// quantiles instead of a raw value.
 type MetricPoint struct {
 	Name  string `json:"name"`
 	Label string `json:"label,omitempty"`
@@ -114,7 +114,7 @@ func (r *Registry) Snapshot() []MetricPoint {
 }
 
 // Handler serves the text exposition over HTTP (the /metrics
-// endpoint on lsdfd, lsdf-worker and the databrowser).
+// endpoint of every gateway, lsdfd's included, and of lsdf-worker).
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")

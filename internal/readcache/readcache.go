@@ -297,8 +297,7 @@ func (c *Cache) Create(path string) (io.WriteCloser, error) {
 
 // Stat implements adal.Backend by delegating to the inner backend —
 // unless a live negative entry answers (or records) the absence
-// first — and adds the tier caching the object to the inner backend's
-// listing facts.
+// first.
 func (c *Cache) Stat(path string) (adal.FileInfo, error) {
 	if c.negLookup(path) {
 		return adal.FileInfo{}, c.negErr(path)
@@ -307,7 +306,6 @@ func (c *Cache) Stat(path string) (adal.FileInfo, error) {
 	if err != nil && errors.Is(err, adal.ErrNotFound) {
 		c.negStore(path)
 	}
-	info.Cached, _ = c.CacheTier(path)
 	return info, err
 }
 
@@ -936,30 +934,6 @@ func (c *Cache) Stats() Stats {
 	st.NegObjects = len(c.neg)
 	c.mu.Unlock()
 	return st
-}
-
-// CacheCounters exports the counters as a flat map — the structural
-// surface the DataBrowser and lsdfctl render.
-func (c *Cache) CacheCounters() map[string]uint64 {
-	st := c.Stats()
-	return map[string]uint64{
-		"mem_hits":      st.MemHits,
-		"disk_hits":     st.DiskHits,
-		"misses":        st.Misses,
-		"bypasses":      st.Bypasses,
-		"fills":         st.Fills,
-		"fill_bytes":    st.FillBytes,
-		"dedups":        st.Dedups,
-		"evictions":     st.Evictions,
-		"invalidations": st.Invalidations,
-		"fill_errors":   st.FillErrors,
-		"neg_hits":      st.NegHits,
-		"neg_objects":   uint64(st.NegObjects),
-		"mem_used":      uint64(st.MemUsed),
-		"mem_objects":   uint64(st.MemObjects),
-		"disk_used":     uint64(st.DiskUsed),
-		"disk_objects":  uint64(st.DiskObjects),
-	}
 }
 
 // Entry describes what one tier holds of one object, for listings.

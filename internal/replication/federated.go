@@ -375,17 +375,16 @@ func (f *FederatedBackend) Stat(path string) (adal.FileInfo, error) {
 	if f.meta.Replicas(key) == nil {
 		return adal.FileInfo{}, fmt.Errorf("%w: %s:%s", adal.ErrNotFound, f.name, path)
 	}
-	valid := f.meta.ValidSites(key)
-	for _, name := range valid {
+	for _, name := range f.meta.ValidSites(key) {
 		if s, ok := f.engine.Site(name); ok {
 			if info, err := s.stat(path); err == nil {
-				info.Path, info.Replicas = path, valid
+				info.Path = path
 				return info, nil
 			}
 		}
 	}
 	d, _ := f.meta.Digest(key)
-	return adal.FileInfo{Path: path, Size: d.Size, Replicas: valid}, nil
+	return adal.FileInfo{Path: path, Size: d.Size}, nil
 }
 
 // List implements adal.Backend as a union across sites: every

@@ -193,24 +193,30 @@ func (d *Dir) Sites() []string {
 	return names
 }
 
-// Client serves the directory through a gateway on a loopback listener
-// and returns a client of it. The gateway has one tenant, owning the
-// whole namespace, with a token minted for this process and limits that
-// never bind; its jobs run on a transient analysis cluster (runJob).
-// The listener closes with the directory; call Client at most once.
-func (d *Dir) Client() (*client.Client, error) {
-	raw := make([]byte, 16)
-	if _, err := rand.Read(raw); err != nil {
-		return nil, err
-	}
-	token := hex.EncodeToString(raw)
-	srv, err := gateway.New(gateway.Config{
+// Gateway builds the gateway that serves the directory. It has one
+// tenant, owning the whole namespace, with bearer token token (an empty
+// one is refused) and limits that never bind; its jobs run on a
+// transient analysis cluster (runJob).
+func (d *Dir) Gateway(token string) (*gateway.Server, error) {
+	return gateway.New(gateway.Config{
 		Layer: d.Layer,
 		Meta:  d.Meta,
 		Tenants: []gateway.Tenant{{Name: "local", Token: token, Prefixes: []string{"/"},
 			RPS: 1e9, Burst: 1 << 30, MaxInFlight: 1 << 20}},
 		RunSpec: d.runJob,
 	})
+}
+
+// Client serves the directory's Gateway on a loopback listener, with a
+// token minted for this process, and returns a client of it. The
+// listener closes with the directory; call Client at most once.
+func (d *Dir) Client() (*client.Client, error) {
+	raw := make([]byte, 16)
+	if _, err := rand.Read(raw); err != nil {
+		return nil, err
+	}
+	token := hex.EncodeToString(raw)
+	srv, err := d.Gateway(token)
 	if err != nil {
 		return nil, err
 	}

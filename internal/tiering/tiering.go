@@ -435,8 +435,7 @@ func moveObject(from, to adal.Backend, path string, want adal.Digest) error {
 }
 
 // Stat implements adal.Backend. Migrated files report their logical
-// size and original modification time; where the bytes are is the
-// Placement fact.
+// size and original modification time.
 func (t *TierBackend) Stat(path string) (adal.FileInfo, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -444,7 +443,7 @@ func (t *TierBackend) Stat(path string) (adal.FileInfo, error) {
 	if err != nil {
 		return adal.FileInfo{}, err
 	}
-	return adal.FileInfo{Path: path, Size: e.Digest.Size, ModTime: e.ModTime, Placement: e.State.String()}, nil
+	return adal.FileInfo{Path: path, Size: e.Digest.Size, ModTime: e.ModTime}, nil
 }
 
 // List implements adal.Backend, reporting logical sizes regardless of

@@ -10,7 +10,7 @@
 //	fac.Tag(ds.Path, "analyze")            // triggers workflows
 //	out := fac.Query(lsdf.Query{Tags: []string{"processed:seg"}})
 //
-// The metadata repository behind the handle is sharded; bulk ingest
+// The metadata repository behind the handle is one store; bulk ingest
 // can batch registrations (Facility.StoreBatch, IngestWith), and
 // Options.AsyncEvents moves workflow/rule triggering onto a
 // background event bus with Facility.Flush as the delivery barrier.
