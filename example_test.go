@@ -51,7 +51,8 @@ func ExampleFacility_Tag() {
 			}
 			return workflow.Values{"bytes": fmt.Sprint(int64(info.Size))}, nil
 		}))
-	fac.AddTrigger(workflow.Trigger{Tag: "measure", Workflow: wf})
+	fac.AddRule(rules.Rule{Name: "measure", Event: rules.OnTag, Tag: "measure",
+		Actions: rules.RunWorkflow(wf, nil, 0)})
 
 	if _, err := fac.Store("demo", "/ddn/run.dat", strings.NewReader("12345"), nil); err != nil {
 		panic(err)

@@ -12,6 +12,7 @@ import (
 
 	lsdf "repro"
 	"repro/internal/ingest"
+	"repro/internal/rules"
 	"repro/internal/workflow"
 )
 
@@ -27,7 +28,8 @@ func main() {
 		func(ctx *workflow.Context, in workflow.Values) (workflow.Values, error) {
 			return workflow.Values{"cells": "42"}, nil
 		}))
-	fac.AddTrigger(workflow.Trigger{Tag: "analyze", Workflow: wf})
+	fac.AddRule(rules.Rule{Name: "analyze", Event: rules.OnTag, Tag: "analyze",
+		Actions: rules.RunWorkflow(wf, nil, 0)})
 
 	objs := make([]ingest.Object, 100)
 	for i := range objs {

@@ -10,6 +10,7 @@ import (
 	"strings"
 
 	lsdf "repro"
+	"repro/internal/rules"
 	"repro/internal/workflow"
 )
 
@@ -30,7 +31,8 @@ func main() {
 			}
 			return workflow.Values{"bytes": fmt.Sprint(int64(info.Size))}, nil
 		}))
-	fac.AddTrigger(workflow.Trigger{Tag: "measure", Workflow: wf})
+	fac.AddRule(rules.Rule{Name: "measure", Event: rules.OnTag, Tag: "measure",
+		Actions: rules.RunWorkflow(wf, nil, 0)})
 
 	// Store two objects into the DDN mount.
 	for i, content := range []string{"first acquisition", "second acquisition"} {

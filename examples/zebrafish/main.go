@@ -69,7 +69,8 @@ func main() {
 				"cells":       fmt.Sprint(bright / 1000),
 			}, nil
 		}))
-	fac.AddTrigger(workflow.Trigger{Tag: "segment", Workflow: wf})
+	fac.AddRule(rules.Rule{Name: "segment", Event: rules.OnTag, Tag: "segment",
+		Actions: rules.RunWorkflow(wf, nil, 0)})
 
 	// One plate of the campaign: 96 wells x 24 images x 2 channels at
 	// a laptop-friendly frame size (the paper's frames are 4 MB).

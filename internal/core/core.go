@@ -30,7 +30,6 @@ import (
 	"repro/internal/metadata"
 	"repro/internal/rules"
 	"repro/internal/units"
-	"repro/internal/workflow"
 )
 
 // Options configures a facility; see facility.Options for fields.
@@ -59,10 +58,7 @@ func (fc *Facility) Layer() *adal.Layer { return fc.f.Layer }
 // Metadata exposes the project metadata DB.
 func (fc *Facility) Metadata() *metadata.Store { return fc.f.Meta }
 
-// Orchestrator exposes the workflow orchestrator.
-func (fc *Facility) Orchestrator() *workflow.Orchestrator { return fc.f.Orchestrator }
-
-// Rules exposes the policy engine.
+// Rules exposes the rule engine: policies and workflow triggers.
 func (fc *Facility) Rules() *rules.Engine { return fc.f.Rules }
 
 // Ingest drains a producer through a checksumming worker pool,
@@ -99,11 +95,12 @@ func (fc *Facility) StoreBatch(objs []ingest.Object) []metadata.CreateResult {
 }
 
 // Flush blocks until every metadata event published so far has been
-// delivered to workflow triggers and rules, and until every workflow
-// run the orchestrator handed to its AsyncWorkflows pool has
-// finished. With the default synchronous event mode and no pool it
-// returns immediately; with Options.AsyncEvents (or AsyncWorkflows)
-// it is the barrier to call before inspecting trigger effects.
+// delivered to the rule engine, and until every firing its executor
+// (Options.AsyncWorkflows) holds — workflow runs included — has
+// finished. With the default synchronous event mode and no executor
+// it returns immediately; with Options.AsyncEvents (or
+// AsyncWorkflows) it is the barrier to call before inspecting rule
+// and trigger effects.
 func (fc *Facility) Flush() { fc.f.Meta.Flush() }
 
 // Open reads a stored object.
@@ -122,10 +119,8 @@ func (fc *Facility) Tag(path, tag string) error {
 	return fc.f.Meta.Tag(ds.ID, tag)
 }
 
-// AddTrigger registers a tag-triggered workflow.
-func (fc *Facility) AddTrigger(t workflow.Trigger) { fc.f.Orchestrator.AddTrigger(t) }
-
-// AddRule registers a policy rule.
+// AddRule registers a rule. A tag-triggered workflow is one too:
+// Rule{Event: rules.OnTag, Tag: tag, Actions: rules.RunWorkflow(w, nil, 0)}.
 func (fc *Facility) AddRule(r rules.Rule) { fc.f.Rules.Add(r) }
 
 // RunJob executes a MapReduce job on the analysis cluster. Input and

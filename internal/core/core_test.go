@@ -72,7 +72,8 @@ func TestTriggerAndRuleViaFacade(t *testing.T) {
 	wf.MustAddNode("n", workflow.ActorFunc(func(ctx *workflow.Context, in workflow.Values) (workflow.Values, error) {
 		return workflow.Values{"seen": "yes"}, nil
 	}))
-	fc.AddTrigger(workflow.Trigger{Tag: "go", Workflow: wf})
+	fc.AddRule(rules.Rule{Name: "go", Event: rules.OnTag, Tag: "go",
+		Actions: rules.RunWorkflow(wf, nil, 0)})
 	fc.AddRule(rules.Rule{
 		Name: "replicate", Event: rules.OnCreate,
 		Actions: []rules.Action{rules.Replicate("/archive")},
@@ -97,8 +98,8 @@ func TestTriggerAndRuleViaFacade(t *testing.T) {
 // TestAsyncFacilityTriggersAfterFlush: with AsyncEvents the Tag call
 // returns before the workflow runs; Flush is the barrier after which
 // every trigger and its provenance write are visible — including
-// runs handed to the AsyncWorkflows pool, which register with the
-// flush barrier via HoldFlush.
+// firings handed to the rule engine's executor (AsyncWorkflows),
+// which register with the flush barrier via HoldFlush.
 func TestAsyncFacilityTriggersAfterFlush(t *testing.T) {
 	fc, err := New(Options{AsyncEvents: true, MetadataShards: 4, AsyncWorkflows: 2})
 	if err != nil {
@@ -110,7 +111,8 @@ func TestAsyncFacilityTriggersAfterFlush(t *testing.T) {
 	wf.MustAddNode("n", workflow.ActorFunc(func(ctx *workflow.Context, in workflow.Values) (workflow.Values, error) {
 		return workflow.Values{"seen": "yes"}, nil
 	}))
-	fc.AddTrigger(workflow.Trigger{Tag: "analyze", Workflow: wf})
+	fc.AddRule(rules.Rule{Name: "analyze", Event: rules.OnTag, Tag: "analyze",
+		Actions: rules.RunWorkflow(wf, nil, 0)})
 
 	const n = 20
 	var ids []string

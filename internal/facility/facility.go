@@ -1,18 +1,18 @@
 // Package facility assembles the LSDF (slide 10's architecture
 // figure): the federated storage namespace (ADAL), the project
-// metadata DB, the workflow orchestrator, the rule engine, and the
-// Hadoop analysis cluster — plus discrete-event scenario models for
-// the facility-scale numbers (petabytes, tape, 10 GE) that cannot run
-// for real on a laptop.
+// metadata DB, the rule engine that runs its policies and workflow
+// triggers, and the Hadoop analysis cluster — plus discrete-event
+// scenario models for the facility-scale numbers (petabytes, tape,
+// 10 GE) that cannot run for real on a laptop.
 //
 // The metadata DB is one store (journaled to one log under
 // Options.WALDir when set) and by default delivers mutation events
-// synchronously on the mutating goroutine, which keeps workflow
-// triggers and rules deterministic. Options.AsyncEvents switches
+// synchronously on the mutating goroutine, which keeps rules (workflow
+// triggers among them) deterministic. Options.AsyncEvents switches
 // delivery to the store's background event bus; after bulk operations
-// call Meta.Flush to wait for trigger/rule quiescence. Close flushes
-// and stops the bus before detaching the orchestrator and rule engine,
-// so no event is lost on shutdown.
+// call Meta.Flush to wait for rule quiescence. Close flushes and stops
+// the bus before detaching the rule engine, so no event is lost on
+// shutdown.
 package facility
 
 import (
@@ -24,14 +24,12 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/metadata"
 	"repro/internal/mrpc"
-	"repro/internal/objectstore"
 	"repro/internal/obs"
 	"repro/internal/readcache"
 	"repro/internal/replication"
 	"repro/internal/rules"
 	"repro/internal/tiering"
 	"repro/internal/units"
-	"repro/internal/workflow"
 )
 
 // Options configures a real (executable) facility instance. Zero
@@ -65,7 +63,9 @@ type Options struct {
 	// ("" = loopback ephemeral). Set it to a routable address to let
 	// out-of-process lsdf-worker runtimes join the facility's fleet.
 	ComputeAddr string
-	// AsyncWorkflows > 0 runs triggered workflows on that many workers.
+	// AsyncWorkflows > 0 runs rule firings — triggered workflows
+	// among them — on up to that many background goroutines of the
+	// rule engine; Meta.Flush waits for them.
 	AsyncWorkflows int
 	// MetadataShards overrides the metadata store's count of
 	// in-memory lock stripes (default 16; rounded up to a power of
@@ -163,20 +163,18 @@ func (o Options) withDefaults() Options {
 // Facility is the executable LSDF: every service of the paper's
 // architecture, wired and running in-process.
 type Facility struct {
-	Layer        *adal.Layer
-	Meta         *metadata.Store
-	Orchestrator *workflow.Orchestrator
-	Rules        *rules.Engine
-	DFS          *dfs.Cluster
+	Layer *adal.Layer
+	Meta  *metadata.Store
+	Rules *rules.Engine // policies and workflow triggers (rules.RunWorkflow)
+	DFS   *dfs.Cluster
 
 	// Mounts, for reference: /ddn and /ibm are the disk systems,
 	// /archive the tape-backed store, /hdfs the analysis cluster,
-	// /s3 the slide-14 object store (versioned). With tiering enabled
+	// /s3 the slide-14 object store. With tiering enabled
 	// /ddn resolves to Tier (DDN remains its hot store) and /tape to
 	// the cold tape store. With Options.Sites set, /sites is the
 	// multi-site replication federation.
 	DDN, IBM, Archive *adal.FSBackend
-	ObjectStore       *objectstore.Store
 
 	// Tier is the live tiered data path over DDN + Tape; nil unless
 	// Options.TierHotCapacity was set.
@@ -242,14 +240,6 @@ func New(opts Options) (*Facility, error) {
 	ddn := adal.NewMemFS("ddn")
 	ibm := adal.NewMemFS("ibm")
 	arc := adal.NewMemFS("archive")
-	objStore := objectstore.New(true)
-	if err := objStore.CreateBucket("lsdf"); err != nil {
-		return nil, err
-	}
-	objBackend, err := objectstore.NewBackend("s3", objStore, "lsdf")
-	if err != nil {
-		return nil, err
-	}
 	meta, err := metadata.Open(metadata.Options{
 		Shards:              opts.MetadataShards,
 		Async:               opts.AsyncEvents,
@@ -341,7 +331,7 @@ func New(opts Options) (*Facility, error) {
 		"/ibm":     ibm,
 		"/archive": arc,
 		"/hdfs":    adal.NewDFSBackend("hdfs", cluster, "dn000"),
-		"/s3":      objBackend,
+		"/s3":      adal.NewMemFS("s3"),
 	}
 	if tapeFS != nil {
 		mounts["/tape"] = tapeFS
@@ -362,7 +352,6 @@ func New(opts Options) (*Facility, error) {
 		DDN:           ddn,
 		IBM:           ibm,
 		Archive:       arc,
-		ObjectStore:   objStore,
 		Tier:          tier,
 		Tape:          tapeFS,
 		Replicator:    repEngine,
@@ -373,8 +362,7 @@ func New(opts Options) (*Facility, error) {
 		Tracer:        tracer,
 		shuffleMemory: opts.ShuffleMemory,
 	}
-	f.Orchestrator = workflow.NewOrchestrator(layer, meta, opts.AsyncWorkflows)
-	f.Rules = rules.NewEngine(layer, meta)
+	f.Rules = rules.NewEngine(layer, meta, opts.AsyncWorkflows)
 
 	f.templates = mapreduce.Builtin()
 	if opts.ComputeWorkers > 0 {
@@ -412,10 +400,10 @@ func New(opts Options) (*Facility, error) {
 }
 
 // Close stops the tier's migration machinery (its last placement
-// events still reach the bus), drains the metadata event bus, then
-// releases orchestrator workers and detaches the rule engine — in
-// that order, so every event published before Close still reaches
-// its triggers.
+// events still reach the bus), drains the metadata event bus — and
+// with it every rule firing the engine's executor holds — then
+// detaches the rule engine, in that order, so every event published
+// before Close still reaches its rules.
 func (f *Facility) Close() {
 	for _, w := range f.computeWorkers {
 		w.Close()
@@ -434,9 +422,6 @@ func (f *Facility) Close() {
 	}
 	if f.Meta != nil {
 		f.Meta.Close()
-	}
-	if f.Orchestrator != nil {
-		f.Orchestrator.Close()
 	}
 	if f.Rules != nil {
 		f.Rules.Close()

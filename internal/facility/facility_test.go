@@ -56,7 +56,8 @@ func TestFacilityEndToEndLifecycle(t *testing.T) {
 		}
 		return workflow.Values{"bytes": fmt.Sprint(int64(info.Size))}, nil
 	}))
-	f.Orchestrator.AddTrigger(workflow.Trigger{Tag: "analyze", Workflow: wf})
+	f.Rules.Add(rules.Rule{Name: "analyze", Event: rules.OnTag, Tag: "analyze",
+		Actions: rules.RunWorkflow(wf, nil, 0)})
 
 	cfg := workloads.DefaultMicroscopy()
 	cfg.Plates = 1

@@ -25,6 +25,7 @@ import (
 	"repro/internal/metadata/durafs"
 	"repro/internal/mrpc"
 	"repro/internal/replication"
+	"repro/internal/rules"
 	"repro/internal/units"
 	"repro/internal/workflow"
 )
@@ -735,6 +736,43 @@ func TestRangeIsValidatedBeforeAnythingIsOpened(t *testing.T) {
 	}
 }
 
+// TestObjectStoreMountRoundTrip: the /s3 mount is an ADAL object store
+// like any other, so a PUT, a ranged GET, a list and a delete under it
+// round-trip through the gateway.
+func TestObjectStoreMountRoundTrip(t *testing.T) {
+	_, _, hs := startGateway(t, facility.Options{},
+		gateway.Config{Tenants: []gateway.Tenant{{Name: "bio", Token: "tb", Prefixes: []string{"/s3/bio"}}}})
+	c := newClient(t, hs, "tb")
+	ctx := context.Background()
+	const p = "/s3/bio/plate1/img.raw"
+	data := []byte("0123456789abcdefghij")
+	if _, err := c.PutObject(ctx, p, data, "zebrafish"); err != nil {
+		t.Fatal(err)
+	}
+	rc, err := c.GetRange(ctx, p, 5, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := io.ReadAll(rc)
+	rc.Close()
+	if err != nil || string(got) != "56789abcde" {
+		t.Fatalf("ranged get = %q, %v", got, err)
+	}
+	objs, err := c.List(ctx, "/s3/bio")
+	if err != nil || len(objs) != 1 || objs[0].Path != p || objs[0].Size != units.Bytes(len(data)) || objs[0].DatasetID == "" {
+		t.Fatalf("list = %+v, %v", objs, err)
+	}
+	if rm, err := c.Remove(ctx, p); err != nil || !rm.Removed {
+		t.Fatalf("remove: %v %+v", err, rm)
+	}
+	if _, err := c.Stat(ctx, p); !client.IsNotFound(err) {
+		t.Fatalf("stat after remove: %v", err)
+	}
+	if objs, err := c.List(ctx, "/s3/bio"); err != nil || len(objs) != 0 {
+		t.Fatalf("list after remove = %+v, %v", objs, err)
+	}
+}
+
 // TestTagTriggersWorkflow: a tag set through the gateway is the
 // workflow trigger of slide 12. The tagged dataset's workflow runs, and
 // its provenance is on the dataset the gateway then serves.
@@ -749,7 +787,8 @@ func TestTagTriggersWorkflow(t *testing.T) {
 		}
 		return workflow.Values{"bytes": fmt.Sprint(int64(info.Size))}, nil
 	}))
-	fac.Orchestrator.AddTrigger(workflow.Trigger{Tag: "analyze", Workflow: wf})
+	fac.Rules.Add(rules.Rule{Name: "analyze", Event: rules.OnTag, Tag: "analyze",
+		Actions: rules.RunWorkflow(wf, nil, 0)})
 
 	c := newClient(t, hs, "tb")
 	ctx := context.Background()

@@ -255,16 +255,17 @@ func (b *bus) flush() {
 	b.mu.Unlock()
 }
 
-// close flushes, then stops the pump and all workers. Events
-// published after close are dropped.
+// close flushes — in sync mode that waits out HoldFlush work — then
+// stops the pump and all workers. Events published after close are
+// dropped.
 func (b *bus) close() {
+	b.flush()
 	if !b.async {
 		b.mu.Lock()
 		b.closed = true
 		b.mu.Unlock()
 		return
 	}
-	b.flush()
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()

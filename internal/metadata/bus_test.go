@@ -77,7 +77,7 @@ func TestAsyncPerDatasetOrdering(t *testing.T) {
 }
 
 // TestAsyncFlushCascade: Flush must cover events published *by
-// subscriber callbacks* — the orchestrator pattern, where a Tagged
+// subscriber callbacks* — the rule engine's pattern, where a Tagged
 // event triggers work that tags again.
 func TestAsyncFlushCascade(t *testing.T) {
 	s := NewStoreWith(Options{Async: true})
@@ -224,6 +224,71 @@ func TestHoldFlushExtendsBarrier(t *testing.T) {
 		t.Fatal("Flush did not return after release")
 	}
 	s.Flush() // still balanced after double release
+}
+
+// TestSyncCloseWaitsForHolds: in sync mode too, Close is a flush —
+// it waits for HoldFlush work, so a handed-off rule firing still
+// delivers the events it publishes before the bus stops.
+func TestSyncCloseWaitsForHolds(t *testing.T) {
+	s := NewStore()
+	var seen atomic.Int64
+	s.Subscribe(func(Event) { seen.Add(1) })
+	release := s.HoldFlush()
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while HoldFlush outstanding")
+	case <-time.After(20 * time.Millisecond):
+	}
+	if _, err := s.Create("p", "/held", 1, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	release()
+	<-closed
+	if seen.Load() != 1 {
+		t.Fatalf("the held work's event was delivered %d times, want 1", seen.Load())
+	}
+}
+
+// TestCausedByStampsDepth: a CausedBy handle's mutations — a batch
+// and a path note included — publish at the cause's depth + 1 on
+// either bus, the store's own at 0, and both see one store.
+func TestCausedByStampsDepth(t *testing.T) {
+	for _, async := range []bool{false, true} {
+		s := NewStoreWith(Options{Async: async})
+		var mu sync.Mutex
+		depths := map[EventType][]int{}
+		s.Subscribe(func(ev Event) {
+			mu.Lock()
+			depths[ev.Type] = append(depths[ev.Type], ev.Depth)
+			mu.Unlock()
+		})
+		ds, err := s.Create("p", "/a", 1, "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		caused := s.CausedBy(Event{Depth: 2})
+		if err := caused.Tag(ds.ID, "x"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := caused.Create("p", "/b", 1, "", nil); err != nil {
+			t.Fatal(err)
+		}
+		caused.AddReplica("/a", "m1", testDigest("/a"))
+		s.Flush()
+		s.Close()
+		got := fmt.Sprint(depths[EventCreated], depths[EventTagged], depths[EventReplica])
+		if got != "[0 3] [3] [3]" {
+			t.Fatalf("async=%v: depths created/tagged/replica = %s, want [0 3] [3] [3]", async, got)
+		}
+		if _, ok := s.ByPath("/b"); !ok || s.Count() != 2 {
+			t.Fatalf("async=%v: the handle's create is not in the store", async)
+		}
+	}
 }
 
 // TestSyncModeNoDeliveryAfterClose: Close stops delivery in sync mode

@@ -154,6 +154,10 @@ type Event struct {
 	Tag       string // set for EventTagged/EventUntagged
 	Placement string // set for EventPlacement/EventReplica: the new state
 	Site      string // set for EventReplica: the replica's site
+	// Depth is how many rule firings caused this event: 0 for a
+	// mutation from outside the engine, the cause's Depth+1 for one
+	// made through CausedBy.
+	Depth int
 }
 
 // Options configures a Store.
@@ -247,15 +251,16 @@ type Store struct {
 	shards     []*shard
 	pathShards []*pathShard
 	mask       uint32
-	seq        atomic.Int64
+	seq        *atomic.Int64
 	now        func() time.Time
 	bus        *bus
+	depth      int // stamped on every event this handle publishes (CausedBy)
 
 	// Durability plane (nil for pure in-memory stores): one WAL and
 	// one snapshot behind the durafs seam. See wal.go, snapshot.go,
 	// durable.go.
 	wal       *walLog
-	walErrs   atomic.Int64
+	walErrs   *atomic.Int64
 	recovered RecoveryStats
 }
 
@@ -288,8 +293,10 @@ func Open(opts Options) (*Store, error) {
 		shards:     make([]*shard, opts.Shards),
 		pathShards: make([]*pathShard, opts.Shards),
 		mask:       uint32(opts.Shards - 1),
+		seq:        new(atomic.Int64),
 		now:        opts.Clock,
 		bus:        newBus(opts.Async, opts.QueueLen),
+		walErrs:    new(atomic.Int64),
 	}
 	for i := range s.shards {
 		s.shards[i] = &shard{
@@ -307,6 +314,16 @@ func Open(opts Options) (*Store, error) {
 		}
 	}
 	return s, nil
+}
+
+// CausedBy returns a handle on the same store whose mutations publish
+// their events at ev.Depth+1: the rule engine hands it to an action,
+// so the events that action causes carry the length of the chain that
+// led to them, on whichever goroutine and bus mode delivers them.
+func (s *Store) CausedBy(ev Event) *Store {
+	c := *s
+	c.depth = ev.Depth + 1
+	return &c
 }
 
 // Shards returns the shard count (always a power of two).
@@ -365,6 +382,7 @@ func (s *Store) publish(evs ...Event) {
 		return
 	}
 	for _, ev := range evs {
+		ev.Depth = s.depth
 		s.bus.deliverSync(ev)
 	}
 }
@@ -376,6 +394,7 @@ func (s *Store) stage(evs ...Event) {
 		return
 	}
 	for _, ev := range evs {
+		ev.Depth = s.depth
 		s.bus.enqueue(ev)
 	}
 }
@@ -514,12 +533,12 @@ func (s *Store) Subscribe(fn func(Event)) (unsubscribe func()) {
 func (s *Store) Flush() { s.bus.flush() }
 
 // HoldFlush registers one unit of external in-flight work with the
-// flush barrier and returns its release function. Subscribers that
-// hand an event to their own worker pool (the orchestrator's
-// AsyncWorkflows mode) call it before their callback returns, so
-// Flush keeps waiting until the handed-off work calls release — that
-// is what makes Flush a full quiescence barrier across chained
-// subsystems. release is idempotent.
+// flush barrier and returns its release function. A subscriber that
+// hands an event to a worker pool of its own (the rule engine's
+// executor) calls it before its callback returns, so Flush keeps
+// waiting until the handed-off work calls release — that is what
+// makes Flush a full quiescence barrier across chained subsystems.
+// release is idempotent.
 func (s *Store) HoldFlush() (release func()) { return s.bus.hold() }
 
 // Close flushes and stops the event bus, then commits anything still

@@ -3,7 +3,9 @@
 // (ongoing)"). Like iRODS micro-services, a rule binds an event, a
 // condition over the dataset, and a chain of actions; the engine
 // subscribes to the metadata store and executes matching rules as
-// data is created, tagged or processed.
+// data is created, tagged or processed. It is the facility's one
+// event engine: slide 12's tag-triggered workflows are rules too, whose
+// actions are RunWorkflow's.
 package rules
 
 import (
@@ -14,6 +16,7 @@ import (
 
 	"repro/internal/adal"
 	"repro/internal/metadata"
+	"repro/internal/workflow"
 )
 
 // On selects the metadata event a rule fires for.
@@ -74,7 +77,9 @@ func And(cs ...Condition) Condition {
 	}
 }
 
-// Context hands facility services to actions.
+// Context hands facility services to actions. Meta is the store
+// through CausedBy of the firing's event, so what an action mutates
+// publishes one level deeper in the cascade.
 type Context struct {
 	Layer *adal.Layer
 	Meta  *metadata.Store
@@ -169,6 +174,64 @@ func AddTag(tag string) Action {
 	}
 }
 
+// RunWorkflow is slide 12's trigger as a rule's chain of actions. The
+// first runs w on the dataset, re-running a failed run up to retries
+// more times, and writes the run's provenance — the paper's METADATA-N
+// block — onto the dataset; the second tags it "processed:<name>". A
+// failed run stops the chain, so it leaves no tag, and the audit log
+// lists the run before the rules its tag fires. A nil director is
+// workflow.SequentialDirector.
+func RunWorkflow(w *workflow.Workflow, director workflow.Director, retries int) []Action {
+	if director == nil {
+		director = workflow.SequentialDirector{}
+	}
+	run := ActionFunc{
+		Label: "workflow:" + w.Name,
+		Fn: func(ctx *Context, ds metadata.Dataset) error {
+			started := time.Now()
+			wctx := &workflow.Context{Layer: ctx.Layer, Meta: ctx.Meta, Dataset: ds}
+			var out workflow.Values
+			var err error
+			for attempt := 0; attempt <= retries; attempt++ {
+				out, err = director.Run(w, wctx, workflow.Values{"dataset.id": ds.ID, "dataset.path": ds.Path})
+				if err == nil {
+					break
+				}
+			}
+			results := map[string]string{"status": "ok"}
+			if err != nil {
+				results["status"] = "error"
+				results["error"] = err.Error()
+			}
+			var outputs []string
+			for k, v := range out {
+				if s, ok := v.(string); ok {
+					if k == "output.path" {
+						outputs = append(outputs, s)
+						continue
+					}
+					results[k] = s
+				}
+			}
+			_, perr := ctx.Meta.AddProcessing(ds.ID, metadata.Processing{
+				Tool:       "workflow:" + w.Name,
+				StartedAt:  started,
+				FinishedAt: time.Now(),
+				Results:    results,
+				Outputs:    outputs,
+			})
+			if err != nil {
+				return err
+			}
+			if perr != nil {
+				return fmt.Errorf("rules: provenance: %w", perr)
+			}
+			return nil
+		},
+	}
+	return []Action{run, AddTag("processed:" + w.Name)}
+}
+
 // Rule is an event-condition-action triple.
 type Rule struct {
 	Name      string
@@ -189,39 +252,59 @@ type AuditEntry struct {
 	At        time.Time
 }
 
-// Engine evaluates rules against metadata events.
+// Engine evaluates rules against metadata events. Each firing's
+// actions mutate the store through meta.CausedBy(ev), so an event a
+// rule causes carries its chain's depth, and the engine refuses to
+// fire at maxDepth: a rule that re-triggers itself stops there on
+// either bus, whichever goroutine delivers the event.
 type Engine struct {
-	ctx   *Context
+	layer *adal.Layer
+	meta  *metadata.Store
 	mu    sync.Mutex
 	rules []Rule
 	audit []AuditEntry
 	unsub func()
-	// depth guards against rule cascades that never terminate (a rule
-	// tagging a dataset can fire further rules).
-	maxDepth int
-	depth    map[string]int
+
+	// The executor: with workers > 0, each firing runs on its own
+	// goroutine, at most workers at a time, registered with the
+	// store's flush barrier. closed (under mu) stops hand-offs, so
+	// Close's wait cannot race a new one.
+	slots  chan struct{}
+	wg     sync.WaitGroup
+	closed bool
 }
+
+// maxDepth bounds rule cascades: an event that maxDepth firings
+// caused fires no rule and is audited as ErrCascade.
+const maxDepth = 8
 
 // ErrCascade is recorded when rule recursion exceeds the depth bound.
 var ErrCascade = errors.New("rules: cascade depth exceeded")
 
-// NewEngine attaches a rule engine to the facility services.
-func NewEngine(layer *adal.Layer, meta *metadata.Store) *Engine {
-	e := &Engine{
-		ctx:      &Context{Layer: layer, Meta: meta},
-		maxDepth: 8,
-		depth:    make(map[string]int),
+// NewEngine attaches a rule engine to the facility services. With
+// workers > 0 firings run on up to that many background goroutines,
+// and meta.Flush waits for them; with 0 they run on the goroutine
+// that delivers the event.
+func NewEngine(layer *adal.Layer, meta *metadata.Store, workers int) *Engine {
+	e := &Engine{layer: layer, meta: meta}
+	if workers > 0 {
+		e.slots = make(chan struct{}, workers)
 	}
 	e.unsub = meta.Subscribe(e.onEvent)
 	return e
 }
 
-// Close detaches the engine from the store.
+// Close detaches the engine from the store and waits for the firings
+// its executor holds.
 func (e *Engine) Close() {
+	e.mu.Lock()
+	e.closed = true
+	e.mu.Unlock()
 	if e.unsub != nil {
 		e.unsub()
 		e.unsub = nil
 	}
+	e.wg.Wait()
 }
 
 // Add registers a rule.
@@ -236,6 +319,15 @@ func (e *Engine) Audit() []AuditEntry {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	return append([]AuditEntry(nil), e.audit...)
+}
+
+func (e *Engine) record(r Rule, action string, ds metadata.Dataset, err error) {
+	e.mu.Lock()
+	e.audit = append(e.audit, AuditEntry{
+		Rule: r.Name, Action: action, DatasetID: ds.ID,
+		Path: ds.Path, Err: err, At: time.Now(),
+	})
+	e.mu.Unlock()
 }
 
 func (e *Engine) onEvent(ev metadata.Event) {
@@ -253,7 +345,7 @@ func (e *Engine) onEvent(ev metadata.Event) {
 		return
 	}
 	e.mu.Lock()
-	matched := make([]Rule, 0, len(e.rules))
+	var matched []Rule
 	for _, r := range e.rules {
 		if r.Event != on {
 			continue
@@ -269,37 +361,46 @@ func (e *Engine) onEvent(ev metadata.Event) {
 		}
 		matched = append(matched, r)
 	}
-	if len(matched) > 0 {
-		e.depth[ev.Dataset.ID]++
-		if e.depth[ev.Dataset.ID] > e.maxDepth {
-			e.audit = append(e.audit, AuditEntry{
-				Rule: matched[0].Name, DatasetID: ev.Dataset.ID,
-				Path: ev.Dataset.Path, Err: ErrCascade, At: time.Now(),
-			})
-			e.depth[ev.Dataset.ID]--
-			e.mu.Unlock()
-			return
-		}
-	}
 	e.mu.Unlock()
+	if len(matched) == 0 {
+		return
+	}
+	if ev.Depth >= maxDepth {
+		e.record(matched[0], "", ev.Dataset, ErrCascade)
+		return
+	}
+	if e.slots == nil {
+		e.fire(matched, ev)
+		return
+	}
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return
+	}
+	e.wg.Add(1)
+	e.mu.Unlock()
+	release := e.meta.HoldFlush()
+	go func() {
+		defer e.wg.Done()
+		defer release()
+		e.slots <- struct{}{}
+		defer func() { <-e.slots }()
+		e.fire(matched, ev)
+	}()
+}
 
+// fire runs each matched rule's actions in order, stopping a rule's
+// chain at its first error.
+func (e *Engine) fire(matched []Rule, ev metadata.Event) {
+	ctx := &Context{Layer: e.layer, Meta: e.meta.CausedBy(ev)}
 	for _, r := range matched {
 		for _, a := range r.Actions {
-			err := a.Apply(e.ctx, ev.Dataset)
-			e.mu.Lock()
-			e.audit = append(e.audit, AuditEntry{
-				Rule: r.Name, Action: a.Name(), DatasetID: ev.Dataset.ID,
-				Path: ev.Dataset.Path, Err: err, At: time.Now(),
-			})
-			e.mu.Unlock()
+			err := a.Apply(ctx, ev.Dataset)
+			e.record(r, a.Name(), ev.Dataset, err)
 			if err != nil {
 				break // remaining actions of this rule are skipped
 			}
 		}
-	}
-	if len(matched) > 0 {
-		e.mu.Lock()
-		e.depth[ev.Dataset.ID]--
-		e.mu.Unlock()
 	}
 }

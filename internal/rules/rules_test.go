@@ -5,20 +5,34 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/adal"
 	"repro/internal/metadata"
 	"repro/internal/units"
+	"repro/internal/workflow"
 )
 
 func newCtx(t *testing.T) (*adal.Layer, *metadata.Store) {
+	t.Helper()
+	return newCtxOn(t, false)
+}
+
+// newCtxOn is newCtx on the async event bus when async is set.
+func newCtxOn(t *testing.T, async bool) (*adal.Layer, *metadata.Store) {
 	t.Helper()
 	layer := adal.NewLayer()
 	if err := layer.Mount("/", adal.NewMemFS("store")); err != nil {
 		t.Fatal(err)
 	}
-	return layer, metadata.NewStore()
+	meta, err := metadata.Open(metadata.Options{Async: async})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(meta.Close)
+	return layer, meta
 }
 
 func putObject(t *testing.T, layer *adal.Layer, meta *metadata.Store, project, path, content string) metadata.Dataset {
@@ -36,7 +50,7 @@ func putObject(t *testing.T, layer *adal.Layer, meta *metadata.Store, project, p
 
 func TestAutoReplicationOnCreate(t *testing.T) {
 	layer, meta := newCtx(t)
-	e := NewEngine(layer, meta)
+	e := NewEngine(layer, meta, 0)
 	defer e.Close()
 	e.Add(Rule{
 		Name:      "replicate-zebrafish",
@@ -75,7 +89,7 @@ func TestAutoReplicationOnCreate(t *testing.T) {
 
 func TestChecksumVerification(t *testing.T) {
 	layer, meta := newCtx(t)
-	e := NewEngine(layer, meta)
+	e := NewEngine(layer, meta, 0)
 	defer e.Close()
 	e.Add(Rule{
 		Name:    "audit",
@@ -95,7 +109,7 @@ func TestChecksumVerification(t *testing.T) {
 
 func TestChecksumMismatchFlagsCorrupt(t *testing.T) {
 	layer, meta := newCtx(t)
-	e := NewEngine(layer, meta)
+	e := NewEngine(layer, meta, 0)
 	defer e.Close()
 	e.Add(Rule{
 		Name: "audit", Event: OnTag, Tag: "audit-me",
@@ -143,7 +157,7 @@ func TestConditions(t *testing.T) {
 
 func TestActionChainStopsOnError(t *testing.T) {
 	layer, meta := newCtx(t)
-	e := NewEngine(layer, meta)
+	e := NewEngine(layer, meta, 0)
 	defer e.Close()
 	boom := errors.New("boom")
 	var ran []string
@@ -177,7 +191,7 @@ func TestActionChainStopsOnError(t *testing.T) {
 
 func TestTagRuleFiltersByTag(t *testing.T) {
 	layer, meta := newCtx(t)
-	e := NewEngine(layer, meta)
+	e := NewEngine(layer, meta, 0)
 	defer e.Close()
 	count := 0
 	e.Add(Rule{
@@ -196,38 +210,112 @@ func TestTagRuleFiltersByTag(t *testing.T) {
 	}
 }
 
-func TestCascadeGuard(t *testing.T) {
-	layer, meta := newCtx(t)
-	e := NewEngine(layer, meta)
-	defer e.Close()
-	// Pathological rule: every firing removes and re-adds its own
-	// trigger tag, generating a fresh EventTagged each time — an
-	// unbounded cascade without the depth guard.
-	e.Add(Rule{
-		Name: "ping", Event: OnTag, Tag: "ping",
-		Actions: []Action{ActionFunc{Label: "flip", Fn: func(ctx *Context, ds metadata.Dataset) error {
-			if err := ctx.Meta.Untag(ds.ID, "ping"); err != nil {
-				return err
-			}
-			return ctx.Meta.Tag(ds.ID, "ping")
-		}}},
-	})
-	ds := putObject(t, layer, meta, "p", "/loop", "d")
-	meta.Tag(ds.ID, "ping") // must terminate via depth guard
-	var cascades int
+// cascadeCap stops a cascade the engine fails to bound, so a
+// regression fails the bound check instead of looping forever.
+const cascadeCap = 1000
+
+// cascadeCases are the delivery paths a cascade must stop on: the
+// sync bus (events nest on the stack), the async bus (each event is
+// delivered after its cause's callback returned) and the engine's
+// executor (each firing on a goroutine of its own).
+var cascadeCases = []struct {
+	name    string
+	async   bool
+	workers int
+}{{"sync", false, 0}, {"async", true, 0}, {"executor", false, 2}}
+
+// checkCascadeBound waits (bounded) for the store to go quiet, then
+// checks that the engine tripped ErrCascade and fired at most
+// maxDepth+1 times.
+func checkCascadeBound(t *testing.T, e *Engine, meta *metadata.Store, fired *atomic.Int64) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		meta.Flush()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("cascade still running after 10s, %d firings", fired.Load())
+	}
+	cascades := 0
 	for _, a := range e.Audit() {
 		if errors.Is(a.Err, ErrCascade) {
 			cascades++
 		}
 	}
-	if cascades == 0 {
-		t.Fatal("cascade guard never tripped")
+	if n := fired.Load(); cascades == 0 || n > maxDepth+1 {
+		t.Fatalf("%d firings and %d ErrCascade; want ErrCascade within %d firings", n, cascades, maxDepth+1)
+	}
+}
+
+// TestCascadeGuard: a rule that removes and re-adds its own trigger
+// tag generates a fresh EventTagged every firing. The depth rides the
+// events, not the call stack, so the guard stops it on every delivery
+// path.
+func TestCascadeGuard(t *testing.T) {
+	for _, c := range cascadeCases {
+		t.Run(c.name, func(t *testing.T) {
+			layer, meta := newCtxOn(t, c.async)
+			e := NewEngine(layer, meta, c.workers)
+			defer e.Close()
+			var fired atomic.Int64
+			e.Add(Rule{
+				Name: "ping", Event: OnTag, Tag: "ping",
+				Actions: []Action{ActionFunc{Label: "flip", Fn: func(ctx *Context, ds metadata.Dataset) error {
+					if fired.Add(1) > cascadeCap {
+						return errors.New("cascade past the cap")
+					}
+					if err := ctx.Meta.Untag(ds.ID, "ping"); err != nil {
+						return err
+					}
+					return ctx.Meta.Tag(ds.ID, "ping")
+				}}},
+			})
+			ds := putObject(t, layer, meta, "p", "/loop", "d")
+			if err := meta.Tag(ds.ID, "ping"); err != nil {
+				t.Fatal(err)
+			}
+			checkCascadeBound(t, e, meta, &fired)
+		})
+	}
+}
+
+// TestWorkflowTriggerCascadeGuard: a triggered workflow that re-tags
+// its own trigger tag is a cascade like any rule's, and stops at the
+// same bound.
+func TestWorkflowTriggerCascadeGuard(t *testing.T) {
+	for _, c := range cascadeCases {
+		t.Run(c.name, func(t *testing.T) {
+			layer, meta := newCtxOn(t, c.async)
+			e := NewEngine(layer, meta, c.workers)
+			defer e.Close()
+			var fired atomic.Int64
+			wf := workflow.New("retag")
+			wf.MustAddNode("flip", workflow.ActorFunc(func(ctx *workflow.Context, in workflow.Values) (workflow.Values, error) {
+				if fired.Add(1) > cascadeCap {
+					return nil, errors.New("cascade past the cap")
+				}
+				id := in["dataset.id"].(string)
+				if err := ctx.Meta.Untag(id, "loop"); err != nil {
+					return nil, err
+				}
+				return nil, ctx.Meta.Tag(id, "loop")
+			}))
+			e.Add(Rule{Name: "loop", Event: OnTag, Tag: "loop", Actions: RunWorkflow(wf, nil, 0)})
+			ds := putObject(t, layer, meta, "p", "/loop", "d")
+			if err := meta.Tag(ds.ID, "loop"); err != nil {
+				t.Fatal(err)
+			}
+			checkCascadeBound(t, e, meta, &fired)
+		})
 	}
 }
 
 func TestProcessingEventRule(t *testing.T) {
 	layer, meta := newCtx(t)
-	e := NewEngine(layer, meta)
+	e := NewEngine(layer, meta, 0)
 	defer e.Close()
 	fired := 0
 	e.Add(Rule{
@@ -248,7 +336,7 @@ func TestProcessingEventRule(t *testing.T) {
 
 func TestManyDatasetsManyRules(t *testing.T) {
 	layer, meta := newCtx(t)
-	e := NewEngine(layer, meta)
+	e := NewEngine(layer, meta, 0)
 	defer e.Close()
 	e.Add(Rule{
 		Name: "rep", Event: OnCreate,

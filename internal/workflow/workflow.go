@@ -6,22 +6,13 @@
 //
 // Following Kepler's model, a Workflow is a directed acyclic graph of
 // Actors; a Director decides the execution discipline (sequential or
-// parallel). The Orchestrator connects workflows to the metadata
-// store: tags act as triggers, and every run writes a provenance
-// record (the paper's "processing N metadata + results N") back onto
-// the dataset that triggered it.
-//
-// Trigger delivery follows the metadata store's event mode. In the
-// default synchronous mode the orchestrator's callback — and with it
-// the triggered workflow, unless AsyncWorkflows moves the run to a
-// worker pool — executes inline on the goroutine that tagged the
-// dataset. When the store runs its async event bus, the callback
-// executes on the store's delivery worker instead: Tag returns
-// immediately and metadata.Store.Flush is the barrier that waits
-// until all triggered runs (and the provenance they write) are
-// visible. Runs handed to the AsyncWorkflows pool register with that
-// barrier via HoldFlush, so Flush covers them too, in either event
-// mode. Events for one dataset arrive in commit order in both modes.
+// parallel). Tags trigger workflows through the rule engine: a rule
+// on a tag whose actions are rules.RunWorkflow runs the workflow on
+// the tagged dataset, writes a provenance record (the paper's
+// "processing N metadata + results N") back onto it and tags it
+// "processed:<name>". Delivery, retries, the executor and the cascade
+// bound live in package rules; this package holds the graph and its
+// directors.
 package workflow
 
 import (

@@ -3,15 +3,11 @@ package workflow
 import (
 	"errors"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/adal"
-	"repro/internal/metadata"
 )
 
 func appendActor(log *[]string, mu *sync.Mutex, name string) Actor {
@@ -171,247 +167,5 @@ func TestParallelDirectorError(t *testing.T) {
 	w.MustAddNode("dep", ActorFunc(func(*Context, Values) (Values, error) { return nil, nil }), "bad")
 	if _, err := (ParallelDirector{}).Run(w, &Context{}, Values{}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func newFacility(t *testing.T) (*adal.Layer, *metadata.Store) {
-	t.Helper()
-	layer := adal.NewLayer()
-	if err := layer.Mount("/", adal.NewMemFS("store")); err != nil {
-		t.Fatal(err)
-	}
-	return layer, metadata.NewStore()
-}
-
-// analysisWorkflow reads the triggering dataset, derives a result
-// object, and reports its path.
-func analysisWorkflow(t *testing.T) *Workflow {
-	t.Helper()
-	w := New("zebrafish-analysis")
-	w.MustAddNode("read", ActorFunc(func(ctx *Context, in Values) (Values, error) {
-		r, err := ctx.Layer.Open(in["dataset.path"].(string))
-		if err != nil {
-			return nil, err
-		}
-		defer r.Close()
-		data, err := io.ReadAll(r)
-		if err != nil {
-			return nil, err
-		}
-		return Values{"bytes": fmt.Sprint(len(data)), "data": data}, nil
-	}))
-	w.MustAddNode("segment", ActorFunc(func(ctx *Context, in Values) (Values, error) {
-		data := in["data"].([]byte)
-		outPath := in["dataset.path"].(string) + ".segmented"
-		wtr, err := ctx.Layer.Create(outPath)
-		if err != nil {
-			return nil, err
-		}
-		fmt.Fprintf(wtr, "segmented %d bytes", len(data))
-		wtr.Close()
-		return Values{"output.path": outPath, "cells": "42"}, nil
-	}), "read")
-	return w
-}
-
-func TestTagTriggeredRunWithProvenance(t *testing.T) {
-	layer, meta := newFacility(t)
-	orch := NewOrchestrator(layer, meta, 0)
-	defer orch.Close()
-	orch.AddTrigger(Trigger{Tag: "analyze", Workflow: analysisWorkflow(t)})
-
-	// Ingest one object manually.
-	w, _ := layer.Create("/itg/img1")
-	io.WriteString(w, strings.Repeat("p", 512))
-	w.Close()
-	ds, err := meta.Create("zebrafish", "/itg/img1", 512, "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Tagging runs the workflow synchronously.
-	if err := meta.Tag(ds.ID, "analyze"); err != nil {
-		t.Fatal(err)
-	}
-
-	hist := orch.History()
-	if len(hist) != 1 || hist[0].Err != nil {
-		t.Fatalf("history = %+v", hist)
-	}
-	// Result object exists.
-	if _, err := layer.Stat("/itg/img1.segmented"); err != nil {
-		t.Fatalf("derived object missing: %v", err)
-	}
-	// Provenance recorded on the dataset.
-	got, _ := meta.Get(ds.ID)
-	if len(got.Processings) != 1 {
-		t.Fatalf("processings = %+v", got.Processings)
-	}
-	p := got.Processings[0]
-	if p.Tool != "workflow:zebrafish-analysis" || p.Results["status"] != "ok" ||
-		p.Results["cells"] != "42" || len(p.Outputs) != 1 {
-		t.Fatalf("provenance = %+v", p)
-	}
-	if !got.HasTag("processed:zebrafish-analysis") {
-		t.Fatal("completion tag missing")
-	}
-}
-
-func TestTriggerOnlyOnMatchingTag(t *testing.T) {
-	layer, meta := newFacility(t)
-	orch := NewOrchestrator(layer, meta, 0)
-	defer orch.Close()
-	orch.AddTrigger(Trigger{Tag: "analyze", Workflow: analysisWorkflow(t)})
-	w, _ := layer.Create("/x")
-	io.WriteString(w, "d")
-	w.Close()
-	ds, _ := meta.Create("p", "/x", 1, "", nil)
-	if err := meta.Tag(ds.ID, "unrelated"); err != nil {
-		t.Fatal(err)
-	}
-	if len(orch.History()) != 0 {
-		t.Fatal("unrelated tag triggered a run")
-	}
-	// Re-tagging with same tag is idempotent: no second run.
-	if err := meta.Tag(ds.ID, "analyze"); err != nil {
-		t.Fatal(err)
-	}
-	if err := meta.Tag(ds.ID, "analyze"); err != nil {
-		t.Fatal(err)
-	}
-	if got := len(orch.History()); got != 1 {
-		t.Fatalf("runs = %d, want 1", got)
-	}
-}
-
-func TestFailedRunRecordsErrorProvenance(t *testing.T) {
-	layer, meta := newFacility(t)
-	orch := NewOrchestrator(layer, meta, 0)
-	defer orch.Close()
-	wf := New("broken")
-	wf.MustAddNode("explode", ActorFunc(func(*Context, Values) (Values, error) {
-		return nil, errors.New("detector offline")
-	}))
-	orch.AddTrigger(Trigger{Tag: "go", Workflow: wf})
-	ds, _ := meta.Create("p", "/y", 1, "", nil)
-	if err := meta.Tag(ds.ID, "go"); err != nil {
-		t.Fatal(err)
-	}
-	got, _ := meta.Get(ds.ID)
-	if len(got.Processings) != 1 {
-		t.Fatalf("processings = %d", len(got.Processings))
-	}
-	if got.Processings[0].Results["status"] != "error" {
-		t.Fatalf("provenance = %+v", got.Processings[0])
-	}
-	if got.HasTag("processed:broken") {
-		t.Fatal("failed run must not set the completion tag")
-	}
-}
-
-func TestAsyncOrchestrator(t *testing.T) {
-	layer, meta := newFacility(t)
-	orch := NewOrchestrator(layer, meta, 4)
-	orch.AddTrigger(Trigger{Tag: "analyze", Workflow: analysisWorkflow(t)})
-	const n = 12
-	for i := 0; i < n; i++ {
-		path := fmt.Sprintf("/a/%02d", i)
-		w, _ := layer.Create(path)
-		io.WriteString(w, "data")
-		w.Close()
-		ds, err := meta.Create("p", path, 4, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := meta.Tag(ds.ID, "analyze"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	orch.Close() // drains workers
-	if got := len(orch.History()); got != n {
-		t.Fatalf("runs = %d, want %d", got, n)
-	}
-	for _, rec := range orch.History() {
-		if rec.Err != nil {
-			t.Fatalf("run failed: %+v", rec)
-		}
-	}
-}
-
-func TestTriggerRetries(t *testing.T) {
-	layer, meta := newFacility(t)
-	orch := NewOrchestrator(layer, meta, 0)
-	defer orch.Close()
-	attempts := 0
-	wf := New("flaky")
-	wf.MustAddNode("step", ActorFunc(func(*Context, Values) (Values, error) {
-		attempts++
-		if attempts < 3 {
-			return nil, errors.New("transient")
-		}
-		return Values{"ok": "yes"}, nil
-	}))
-	orch.AddTrigger(Trigger{Tag: "go", Workflow: wf, Retries: 3})
-	ds, _ := meta.Create("p", "/retry", 1, "", nil)
-	if err := meta.Tag(ds.ID, "go"); err != nil {
-		t.Fatal(err)
-	}
-	hist := orch.History()
-	if len(hist) != 1 || hist[0].Err != nil {
-		t.Fatalf("history = %+v", hist)
-	}
-	if hist[0].Attempts != 3 {
-		t.Fatalf("attempts = %d, want 3", hist[0].Attempts)
-	}
-	got, _ := meta.Get(ds.ID)
-	if !got.HasTag("processed:flaky") {
-		t.Fatal("completion tag missing after retried success")
-	}
-}
-
-func TestTriggerRetriesExhausted(t *testing.T) {
-	layer, meta := newFacility(t)
-	orch := NewOrchestrator(layer, meta, 0)
-	defer orch.Close()
-	wf := New("doomed")
-	wf.MustAddNode("step", ActorFunc(func(*Context, Values) (Values, error) {
-		return nil, errors.New("permanent")
-	}))
-	orch.AddTrigger(Trigger{Tag: "go", Workflow: wf, Retries: 2})
-	ds, _ := meta.Create("p", "/doomed", 1, "", nil)
-	if err := meta.Tag(ds.ID, "go"); err != nil {
-		t.Fatal(err)
-	}
-	hist := orch.History()
-	if len(hist) != 1 || hist[0].Err == nil || hist[0].Attempts != 3 {
-		t.Fatalf("history = %+v", hist)
-	}
-}
-
-func TestWorkflowChaining(t *testing.T) {
-	// Workflow A's completion tag triggers workflow B.
-	layer, meta := newFacility(t)
-	orch := NewOrchestrator(layer, meta, 0)
-	defer orch.Close()
-	mkWF := func(name string) *Workflow {
-		w := New(name)
-		w.MustAddNode("step", ActorFunc(func(*Context, Values) (Values, error) {
-			return Values{"by": name}, nil
-		}))
-		return w
-	}
-	orch.AddTrigger(Trigger{Tag: "start", Workflow: mkWF("first")})
-	orch.AddTrigger(Trigger{Tag: "processed:first", Workflow: mkWF("second")})
-	ds, _ := meta.Create("p", "/chain", 1, "", nil)
-	if err := meta.Tag(ds.ID, "start"); err != nil {
-		t.Fatal(err)
-	}
-	hist := orch.History()
-	if len(hist) != 2 || hist[0].Workflow != "first" || hist[1].Workflow != "second" {
-		t.Fatalf("history = %+v", hist)
-	}
-	got, _ := meta.Get(ds.ID)
-	if len(got.Processings) != 2 {
-		t.Fatalf("processings = %d", len(got.Processings))
 	}
 }
