@@ -13,8 +13,8 @@ import (
 	"testing"
 	"time"
 
+	lsdf "repro"
 	"repro/internal/adal"
-	"repro/internal/core"
 	"repro/internal/facility"
 	"repro/internal/gateway"
 	"repro/internal/gateway/client"
@@ -138,17 +138,17 @@ func pipelineDoor(batch int) func(*testing.T, bool) *rig {
 	}
 }
 
-// coreDoor cannot be handed a filesystem — core.New takes facility
-// options, and they name a WAL directory, not an FS — so its durable
-// rig journals to a real directory: a commit is a WAL record found on
+// coreDoor is the root package's facade. It cannot be handed a
+// filesystem — lsdf.New takes facility options, and they name a WAL
+// directory, not an FS — so its durable rig journals to a real directory: a commit is a WAL record found on
 // reopen, and the journal is broken by closing it under the facility.
 func coreDoor(batched bool) func(*testing.T, bool) *rig {
 	return func(t *testing.T, durable bool) *rig {
-		opts := core.Options{}
+		opts := lsdf.Options{}
 		if durable {
 			opts.WALDir = t.TempDir()
 		}
-		fc, err := core.New(opts)
+		fc, err := lsdf.New(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,7 +173,7 @@ func coreDoor(batched bool) func(*testing.T, bool) *rig {
 					ds, err := fc.Store("p", o.path, bytes.NewReader(o.data), nil, o.tags...)
 					out[i] = err
 					if err == nil && !reflect.DeepEqual(ds.Tags, o.tags) {
-						t.Errorf("core.Store returned tags %v, want %v", ds.Tags, o.tags)
+						t.Errorf("lsdf.Store returned tags %v, want %v", ds.Tags, o.tags)
 					}
 				}
 				return out
@@ -185,7 +185,7 @@ func coreDoor(batched bool) func(*testing.T, bool) *rig {
 			for i, cr := range fc.StoreBatch(in) {
 				out[i] = cr.Err
 				if cr.Err == nil && !reflect.DeepEqual(cr.Dataset.Tags, objs[i].tags) {
-					t.Errorf("core.StoreBatch returned tags %v, want %v", cr.Dataset.Tags, objs[i].tags)
+					t.Errorf("lsdf.StoreBatch returned tags %v, want %v", cr.Dataset.Tags, objs[i].tags)
 				}
 			}
 			return out

@@ -114,10 +114,11 @@ func TestMapAttemptAllocatesPerKeyNotPerRecord(t *testing.T) {
 }
 
 // TestReduceAllocatesNothingPerGroup drives the group loop reducers and
-// combiners share over an ordered run of 1 000 keys × 5 values, with a
-// reducer that allocates nothing itself: the loop's allocations are a
-// handful for the whole run, none per group — one Values serves every
-// key, and a run's keys reach the reducer as views, not copies.
+// combiners share over an ordered run of 1 000 keys × 5 values, walked
+// in place as a combiner walks it, with a reducer that allocates
+// nothing itself: the loop's allocations are a handful for the whole
+// run, none per group — one Values serves every key, and a run's keys
+// reach the reducer as views, not copies.
 func TestReduceAllocatesNothingPerGroup(t *testing.T) {
 	const keys, perKey = 1_000, 5
 	var r run
@@ -136,10 +137,7 @@ func TestReduceAllocatesNothingPerGroup(t *testing.T) {
 	})
 	allocs := testing.AllocsPerRun(3, func() {
 		groups, values = 0, 0
-		m, err := newMerger([]mergeSource{{s: &memStream{r: &r}}})
-		if err == nil {
-			_, err = drainGroups(m, count, func(string, []byte) {}, func() error { return nil })
-		}
+		_, err := drainGroups(&Values{r: &r}, count, func(string, []byte) {}, func() error { return nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -189,31 +187,51 @@ func TestRunIsCutBeforeItsOffsetsCouldWrap(t *testing.T) {
 	}
 }
 
+// countWordsLines are the lines the built-in wordcount's field loop is
+// held to bytes.Fields on, and FuzzCountWords's seeds.
+var countWordsLines = []string{
+	"", " ", "a", " a ", "fish  embryo\tplate\v\f\rwell",
+	"naïve café no-break  em　ideographicnel",
+	"bad\xffutf8 \xc2 trailing\xe2\x80", "  x ",
+}
+
 // TestCountWordsSplitsLikeBytesFields holds the built-in wordcount's
 // field loop to the rule it replaced.
 func TestCountWordsSplitsLikeBytesFields(t *testing.T) {
-	for _, line := range []string{
-		"", " ", "a", " a ", "fish  embryo\tplate\v\f\rwell",
-		"naïve café no-break  em　ideographicnel",
-		"bad\xffutf8 \xc2 trailing\xe2\x80", "  x ",
-	} {
-		var got []string
-		err := countWords("", []byte(line), func(key string, value []byte) {
-			if string(value) != "1" {
-				t.Errorf("%q: value %q", line, value)
-			}
-			got = append(got, strings.Clone(key))
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, line := range countWordsLines {
+		splitsLikeFields(t, []byte(line))
+	}
+}
+
+// FuzzCountWords: whatever the line, countWords splits it exactly as
+// bytes.Fields does.
+func FuzzCountWords(f *testing.F) {
+	for _, line := range countWordsLines {
+		f.Add([]byte(line))
+	}
+	for _, line := range []string{"\u0085a\u0085", "a\u00a0b", "em\u2003space", "\xff\xfe \x80x", "cut at the end \xe2\x80"} {
+		f.Add([]byte(line))
+	}
+	f.Fuzz(splitsLikeFields)
+}
+
+func splitsLikeFields(t *testing.T, line []byte) {
+	var got []string
+	err := countWords("", line, func(key string, value []byte) {
+		if string(value) != "1" {
+			t.Errorf("%q: value %q", line, value)
 		}
-		var want []string
-		for _, f := range bytes.Fields([]byte(line)) {
-			want = append(want, string(f))
-		}
-		if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
-			t.Errorf("%q: fields %q, bytes.Fields has %q", line, got, want)
-		}
+		got = append(got, strings.Clone(key))
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, f := range bytes.Fields(line) {
+		want = append(want, string(f))
+	}
+	if fmt.Sprintf("%q", got) != fmt.Sprintf("%q", want) {
+		t.Errorf("%q: fields %q, bytes.Fields has %q", line, got, want)
 	}
 }
 

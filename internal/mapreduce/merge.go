@@ -4,51 +4,18 @@ import "strings"
 
 // The shuffle merge: every committed map task contributes its runs
 // for one partition — segments streamed from the DFS or fetched from
-// the mapper's worker, plus, for a map-only task merging its own
-// output, the final in-memory run — and a k-way heap merge interleaves
-// them into one key-ordered record stream. Ties on the key break by
+// the mapper's worker — and a k-way heap merge interleaves them into
+// one key-ordered record stream. Ties on the key break by
 // (task, run) sequence, which makes the merged value order per key
 // exactly (map task index, emission order): the order of one in-memory
 // run over the tasks in index order, so spilled and in-memory jobs emit
 // identical bytes.
 
-// kvStream yields one run's records in sorted order. next reports
-// ok=false at end of run; returned slices stay valid after the next
-// call (memory runs point into the run's buffer, spill cursors
-// into chunks they never rewrite).
-type kvStream interface {
-	next() (key string, val []byte, ok bool, err error)
-	close() // releases the run file, if the stream holds one
-}
-
-// memStream cursors over an ordered in-memory run: keys and values are
-// views of the run's buffer, which nothing writes while it is read.
-type memStream struct {
-	r         *run
-	k, j, end int // next key in r.ids, next record in r.ord, end of the current key's records
-	key       string
-}
-
-func (s *memStream) next() (string, []byte, bool, error) {
-	if s.j == len(s.r.ord) {
-		return "", nil, false, nil
-	}
-	if s.j == s.end {
-		id := s.r.ids[s.k]
-		s.k++
-		s.key, s.end = bytesString(s.r.key(id)), int(s.r.ents[id].end)
-	}
-	s.j++
-	return s.key, s.r.val(s.r.ord[s.j-1]), true, nil
-}
-
-func (s *memStream) close() {}
-
-// mergeSource is one run stream plus its deterministic tie-break
-// position: the owning map task's index and the run's index within
-// that task (spills in spill order, the in-memory run last).
+// mergeSource is one run's segment cursor plus its deterministic
+// tie-break position: the owning map task's index and the run's index
+// within that task (spills in spill order).
 type mergeSource struct {
-	s         kvStream
+	s         *spillCursor
 	task, run int
 }
 
@@ -62,7 +29,7 @@ func closeSources(srcs []mergeSource) {
 type mergeItem struct {
 	key       string
 	val       []byte
-	src       kvStream
+	src       *spillCursor
 	task, run int
 }
 
@@ -159,15 +126,42 @@ func (m *merger) pop() (string, []byte, error) {
 // drains any unconsumed values and checks Err, so reducers may stop
 // early.
 type Values struct {
-	m   *merger
-	key string
-	err error
+	m *merger // what a reducer reads
+	// What a combiner reads instead: its ordered run, in place. A key's
+	// records are contiguous in r.ord and end at its ents[id].end, so a
+	// group is a range and draining it is a jump.
+	r         *run
+	k, j, end int // r's next key in r.ids, next record in r.ord, end of the group's records
+	key       string
+	err       error
+	num       [20]byte // SumReducer's total, formatted: Emit copies it
+}
+
+// nextGroup aims v at the next key, reporting false past the last.
+func (v *Values) nextGroup() bool {
+	if v.r == nil {
+		head, ok := v.m.peek()
+		if ok {
+			v.key = head.key
+		}
+		return ok
+	}
+	if v.k == len(v.r.ids) {
+		return false
+	}
+	id := v.r.ids[v.k]
+	v.k, v.end, v.key = v.k+1, int(v.r.ents[id].end), bytesString(v.r.key(id))
+	return true
 }
 
 // Next returns the group's next value, or ok=false when the group
 // (or the stream, on error — check Err) is exhausted.
 func (v *Values) Next() ([]byte, bool) {
-	if v.err != nil {
+	if v.r != nil && v.j < v.end {
+		v.j++
+		return v.r.val(v.r.ord[v.j-1]), true
+	}
+	if v.r != nil || v.err != nil {
 		return nil, false
 	}
 	it, ok := v.m.peek()
@@ -188,11 +182,13 @@ func (v *Values) Next() ([]byte, bool) {
 func (v *Values) Err() error { return v.err }
 
 // drain consumes the rest of the group so the merge can advance to
-// the next key even when the reducer stopped early.
+// the next key even when the reducer stopped early; a run's group is
+// skipped in one step.
 func (v *Values) drain() {
-	for {
+	for v.r == nil {
 		if _, ok := v.Next(); !ok {
 			return
 		}
 	}
+	v.j = v.end
 }

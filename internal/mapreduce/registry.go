@@ -95,26 +95,43 @@ func Builtin() Registry {
 
 var one = []byte("1")
 
+// byteClass classes each byte for countWords: a field byte (ASCII, not
+// space), an ASCII space, or the start of a multi-byte rune, which
+// unicode.IsSpace judges once decoded.
+const fieldByte, asciiSpace, runeStart = 0, 1, 2
+
+var byteClass = func() (t [256]uint8) {
+	for c := utf8.RuneSelf; c < len(t); c++ {
+		t[c] = runeStart
+	}
+	for _, c := range "\t\n\v\f\r " {
+		t[c] = asciiSpace
+	}
+	return t
+}()
+
 // countWords emits a one for every field of the line by bytes.Fields's
-// rule, a field at a time: no [][]byte per line, no string per word.
+// rule, a field at a time: no [][]byte per line, no string per word. A
+// table classes each byte, and a field's ASCII bytes are passed over in
+// a loop of their own.
 func countWords(_ string, line []byte, emit Emit) error {
 	for start, i := -1, 0; i <= len(line); {
-		c, n := byte(' '), 1 // a space past the end closes the last field
-		if i < len(line) {
-			c = line[i]
-		}
-		space := c == ' ' || c-'\t' < 5
-		if c >= utf8.RuneSelf {
+		n, space := 1, i == len(line) || byteClass[line[i]] == asciiSpace // a space past the end closes the last field
+		if !space && byteClass[line[i]] == runeStart {
 			r, size := utf8.DecodeRune(line[i:])
-			space, n = unicode.IsSpace(r), size
+			n, space = size, unicode.IsSpace(r)
 		}
-		if space && start >= 0 {
+		switch {
+		case space && start >= 0:
 			emit.Bytes(line[start:i], one)
 			start = -1
-		} else if !space && start < 0 {
+		case !space && start < 0:
 			start = i
 		}
 		i += n
+		for !space && i < len(line) && byteClass[line[i]] == fieldByte {
+			i++
+		}
 	}
 	return nil
 }
@@ -134,8 +151,7 @@ func SumReducer() Reducer {
 		if err := values.Err(); err != nil {
 			return err
 		}
-		var buf [20]byte
-		emit(key, strconv.AppendInt(buf[:0], int64(total), 10))
+		emit(key, strconv.AppendInt(values.num[:0], int64(total), 10))
 		return nil
 	})
 }

@@ -59,7 +59,7 @@ func collect(col *mapCollector, keys []string) {
 }
 
 // TestStableSortMatchesSliceStable holds the collector's order to the
-// sort it replaced: what a task's merge yields is the sequence of (key,
+// sort it replaced: what a task's output yields is the sequence of (key,
 // record identity) sort.SliceStable produces — from one in-memory run,
 // across spill boundaries that fall in the middle of a key's records,
 // and through a combiner that passes every value on.
@@ -94,26 +94,31 @@ func TestStableSortMatchesSliceStable(t *testing.T) {
 				if mode != "memory" && n >= 1_000 && len(col.out.spills) < 2 {
 					t.Fatalf("%s/%s n=%d: %d spills, want the order to cross run boundaries", name, mode, n, len(col.out.spills))
 				}
+				vals := &Values{}
 				srcs, err := col.rt.taskSources(&col.out, 0, 0, "")
+				if col.out.mem != nil { // one run: walked in place
+					vals.r = &col.out.mem[0]
+				} else if err == nil {
+					vals.m, err = newMerger(srcs)
+				}
+				i := 0
+				if err == nil {
+					_, err = drainGroups(vals, nil, func(key string, val []byte) {
+						if i == n {
+							t.Fatalf("%s/%s n=%d: the task yields more than %d records", name, mode, n, n)
+						}
+						if w, got := want[i], int(binary.BigEndian.Uint32(val)); key != keys[w] || got != w {
+							t.Fatalf("%s/%s n=%d: record %d is (%q, #%d), sort.SliceStable has (%q, #%d)",
+								name, mode, n, i, key, got, keys[w], w)
+						}
+						i++
+					}, func() error { return nil })
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				m, err := newMerger(srcs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i, w := range want {
-					key, val, err := m.pop()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got := int(binary.BigEndian.Uint32(val)); key != keys[w] || got != w {
-						t.Fatalf("%s/%s n=%d: record %d is (%q, #%d), sort.SliceStable has (%q, #%d)",
-							name, mode, n, i, key, got, keys[w], w)
-					}
-				}
-				if _, more := m.peek(); more {
-					t.Fatalf("%s/%s n=%d: merge yields more than %d records", name, mode, n, n)
+				if i != n {
+					t.Fatalf("%s/%s n=%d: the task yields %d records, want %d", name, mode, n, i, n)
 				}
 				closeSources(srcs)
 			}

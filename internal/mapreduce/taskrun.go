@@ -2,12 +2,15 @@ package mapreduce
 
 import (
 	"bytes"
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 	"time"
 
 	"repro/internal/mrpc"
@@ -31,6 +34,7 @@ type run struct {
 }
 
 type keyEnt struct {
+	pre            uint64 // the key's first 8 bytes, big-endian and zero-padded: its order, but for ties
 	hash, off, len uint32 // the key is data[off : off+len]
 	end            uint32 // the key's record count; after order, where its records end in ord
 }
@@ -73,7 +77,9 @@ func (r *run) add(h uint32, key string, value []byte) {
 	}
 	s := r.find(h, key)
 	if *s == 0 {
-		r.ents = append(double(r.ents, 1), keyEnt{hash: h, off: uint32(len(r.data)), len: uint32(len(key))})
+		var pre [8]byte
+		copy(pre[:], key)
+		r.ents = append(double(r.ents, 1), keyEnt{pre: binary.BigEndian.Uint64(pre[:]), hash: h, off: uint32(len(r.data)), len: uint32(len(key))})
 		r.data = append(double(r.data, len(key)), key...)
 		*s = uint32(len(r.ents))
 	}
@@ -92,16 +98,22 @@ func double[T any](s []T, n int) []T {
 	return slices.Grow(s, len(s)+max(n, 64))
 }
 
-// order computes the run's order: the distinct keys are sorted and the
-// records counting-scattered by their key's rank, which keeps emission
-// order within a key by construction — O(n + d log d) for n records of
-// d keys, and the sequence a stable sort of the records by key gives.
+// order computes the run's order: the distinct keys are sorted — by
+// their 8-byte prefixes, the bytes only on a tie — and the records
+// counting-scattered by their key's rank, which keeps emission order
+// within a key by construction — O(n + d log d) for n records of d
+// keys, and the sequence a stable sort of the records by key gives.
 func (r *run) order() {
 	r.ids = double(r.ids[:0], len(r.ents))[:len(r.ents)]
 	for id := range r.ids {
 		r.ids[id] = uint32(id)
 	}
-	slices.SortFunc(r.ids, func(a, b uint32) int { return bytes.Compare(r.key(a), r.key(b)) })
+	slices.SortFunc(r.ids, func(a, b uint32) int {
+		if c := cmp.Compare(r.ents[a].pre, r.ents[b].pre); c != 0 {
+			return c
+		}
+		return bytes.Compare(r.key(a), r.key(b))
+	})
 	at := uint32(0)
 	for _, id := range r.ids { // a key's count becomes where its records start
 		e := &r.ents[id]
@@ -133,11 +145,10 @@ type taskRuntime struct {
 	shufDir  string
 	spillTag string // attempt-scoping prefix in spill names
 
-	// spillAll makes finish() write the final run to the store instead
-	// of keeping it in memory — a shuffled map's output must be entirely
-	// on the DFS so reducers elsewhere can fetch it (a map-only attempt
-	// merges its own runs and keeps the last one). Run contents and
-	// order are the same either way.
+	// spillAll makes finish() write the final run to the store — a
+	// shuffled map's output must be entirely on the DFS so reducers
+	// elsewhere can fetch it — as a map-only attempt does too when it
+	// spilled. Run contents and order are the same either way.
 	spillAll bool
 
 	stepDelay time.Duration      // injected per-record delay (straggler experiments)
@@ -156,16 +167,53 @@ type mapCollector struct {
 	rt    *taskRuntime
 	node  string
 	task  int
-	parts []run  // one per reduce partition
-	comb  run    // the combiner's output for the partition being folded
+	runs  []run  // one per reduce partition, then comb
+	parts []run  // runs[:NumReducers]
+	comb  *run   // the combiner's output for the partition being folded
 	buf   []byte // the run file write buffer, reused
 	mem   int64
 	err   error // first spill/combine failure; latched
 	out   taskOutput
 }
 
+// spares holds what grows with a map attempt's input — a run's record
+// and order arrays, the run-file write buffer — for the next attempt's
+// runs. Only an attempt whose runs all went to the store gives them
+// back, so the pool retains at most what the attempts running at once
+// grew.
+var spares sync.Pool // of *spare
+
+type spare struct {
+	recs []rec
+	ord  []uint32
+	buf  []byte // only in the first spare of an attempt
+}
+
 func newMapCollector(rt *taskRuntime, node string, task int) *mapCollector {
-	return &mapCollector{rt: rt, node: node, task: task, parts: make([]run, rt.cfg.NumReducers)}
+	c := &mapCollector{rt: rt, node: node, task: task, runs: make([]run, rt.cfg.NumReducers+1)}
+	c.parts, c.comb = c.runs[:rt.cfg.NumReducers], &c.runs[rt.cfg.NumReducers]
+	for i := range c.runs {
+		if s, ok := spares.Get().(*spare); ok {
+			c.runs[i].recs, c.runs[i].ord = s.recs, s.ord
+			if s.buf != nil {
+				c.buf = s.buf
+			}
+		}
+	}
+	return c
+}
+
+// release gives the collector's per-record arrays and write buffer to
+// spares, unless a run stayed in memory as the attempt's output.
+func (c *mapCollector) release() {
+	if c.out.mem != nil {
+		return
+	}
+	for i := range c.runs {
+		r := &c.runs[i]
+		spares.Put(&spare{recs: r.recs[:0], ord: r.ord[:0], buf: c.buf[:0]})
+		r.recs, r.ord, c.buf = nil, nil, nil
+	}
 }
 
 func (c *mapCollector) add(key string, value []byte) {
@@ -204,14 +252,14 @@ func (c *mapCollector) spill() {
 	}
 }
 
-// finish orders+combines the final run. It stays in memory unless the
-// runtime demands everything on the store (spillAll), in which case it
-// becomes the last run file — same contents, same run index, so merge
-// order is unchanged.
+// finish orders+combines the final run. It stays in memory if it is
+// the attempt's only run and the runtime does not demand everything on
+// the store (spillAll); otherwise it becomes the last run file — same
+// contents, same run index, so merge order is unchanged.
 func (c *mapCollector) finish() error {
 	switch {
 	case c.err != nil:
-	case !c.rt.spillAll:
+	case !c.rt.spillAll && len(c.out.spills) == 0:
 		c.out.mem, c.err = c.parts, c.orderAndCombine()
 	case c.mem > 0: // else nothing emitted since the last spill: no run
 		_, c.err = c.writeRun()
@@ -220,11 +268,11 @@ func (c *mapCollector) finish() error {
 }
 
 // orderAndCombine orders each partition's run by (key, emission index)
-// and, if a combiner is configured, folds it: the combiner reads the
-// ordered run through the same group loop a reducer reads the merge
-// through, its emits are collected in a run of their own, and that run
-// — ordered the same way, since a combiner need not emit the group key
-// — takes the partition's place.
+// and, if a combiner is configured, folds it: the combiner walks the
+// ordered run in place through the same group loop a reducer reads the
+// merge through, its emits are collected in a run of their own, and
+// that run — ordered the same way, since a combiner need not emit the
+// group key — takes the partition's place.
 func (c *mapCollector) orderAndCombine() error {
 	emit := func(key string, value []byte) { c.comb.add(fnv1a(key), key, value) }
 	for p := range c.parts {
@@ -233,15 +281,14 @@ func (c *mapCollector) orderAndCombine() error {
 		if c.rt.cfg.Combiner == nil {
 			continue
 		}
-		m, _ := newMerger([]mergeSource{{s: &memStream{r: r}}}) // a memStream never fails
-		if _, err := drainGroups(m, c.rt.cfg.Combiner, emit, func() error { return nil }); err != nil {
+		if _, err := drainGroups(&Values{r: r}, c.rt.cfg.Combiner, emit, func() error { return nil }); err != nil {
 			return err
 		}
 		c.rt.ctr.CombineInput += int64(len(r.recs))
 		c.rt.ctr.CombineOutput += int64(len(c.comb.recs))
 		c.comb.order()
 		r.reset()
-		*r, c.comb = c.comb, *r
+		*r, *c.comb = *c.comb, *r
 	}
 	return nil
 }
@@ -275,6 +322,7 @@ func (rt *taskRuntime) executeMap(node string, task int, s split) (*taskOutput, 
 	if err == nil {
 		err = col.finish()
 	}
+	col.release()
 	if err != nil {
 		rt.discardOutput(&col.out)
 		return nil, err
@@ -284,10 +332,9 @@ func (rt *taskRuntime) executeMap(node string, task int, s split) (*taskOutput, 
 
 // taskSources returns the merge sources for one task's partition p: a
 // streaming cursor per run segment on the store (empty segments
-// skipped), then the final in-memory run, carrying the (task, run)
-// tie-break indexes the merge's determinism relies on — spills in spill
-// order, the in-memory run last. Sources opened before a failure are
-// still returned, for the caller to close.
+// skipped), carrying the (task, run) tie-break indexes the merge's
+// determinism relies on — spills in spill order. Sources opened before
+// a failure are still returned, for the caller to close.
 func (rt *taskRuntime) taskSources(out *taskOutput, task, p int, node string) (srcs []mergeSource, err error) {
 	for ri, run := range out.spills {
 		cur, err := openSpillCursor(rt.store, run.File, run.Segs[p], node)
@@ -298,37 +345,33 @@ func (rt *taskRuntime) taskSources(out *taskOutput, task, p int, node string) (s
 			srcs = append(srcs, mergeSource{s: cur, task: task, run: ri})
 		}
 	}
-	if p < len(out.mem) && len(out.mem[p].recs) > 0 {
-		srcs = append(srcs, mergeSource{s: &memStream{r: &out.mem[p]}, task: task, run: len(out.spills)})
-	}
 	return srcs, nil
 }
 
-// writeMapOutput streams one task's partitions, in partition order,
-// each merged across its runs — Hadoop's NumReduceTasks=0 output
-// path. With a combiner configured, merged groups are re-folded
-// through it: each spilled run was combined independently, so without
-// the re-fold a spilled map-only job would emit partial aggregates
-// where the in-memory path emits one combined record per key.
+// writeMapOutput streams one task's partitions, in partition order —
+// Hadoop's NumReduceTasks=0 output path. A run kept in memory is
+// walked in place; runs on the store are merged, and with a combiner
+// configured the merged groups are re-folded through it: each spilled
+// run was combined independently, so without the re-fold a spilled
+// map-only job would emit partial aggregates where the in-memory path
+// emits one combined record per key.
 func (rt *taskRuntime) writeMapOutput(name, node string, task int, out *taskOutput) error {
 	w, err := rt.store.Create(name, node)
 	if err != nil {
 		return err
 	}
 	lw := &lineWriter{w: w}
-	var refold Reducer // identity
-	if len(out.spills) > 0 {
-		refold = rt.cfg.Combiner
-	}
 	for p := 0; p < rt.cfg.NumReducers; p++ {
-		srcs, err := rt.taskSources(out, task, p, node)
-		var m *merger
-		if err == nil {
+		var srcs []mergeSource
+		vals, refold := &Values{}, rt.cfg.Combiner
+		if out.mem != nil {
+			vals.r, refold = &out.mem[p], nil
+		} else if srcs, err = rt.taskSources(out, task, p, node); err == nil {
 			rt.ctr.MergeStreams += int64(len(srcs))
-			m, err = newMerger(srcs)
+			vals.m, err = newMerger(srcs)
 		}
 		if err == nil {
-			_, err = drainGroups(m, refold, lw.emit, lw.fail)
+			_, err = drainGroups(vals, refold, lw.emit, lw.fail)
 		}
 		closeSources(srcs)
 		if err != nil {
@@ -343,19 +386,14 @@ func (rt *taskRuntime) writeMapOutput(name, node string, task int, out *taskOutp
 	return nil
 }
 
-// drainGroups streams merged groups through red, a nil red passing
-// every value through under its key: one Values cursor, re-aimed at
-// each key and drained after the reducer returns so early-stopping
-// reducers still advance the merge. wfail surfaces a latched
-// output-write failure (or a kill order) after each group.
-func drainGroups(m *merger, red Reducer, emit Emit, wfail func() error) (groups int64, err error) {
-	vals := &Values{m: m}
-	for {
-		head, ok := m.peek()
-		if !ok {
-			return groups, nil
-		}
-		vals.key = head.key
+// drainGroups streams the groups of vals — a merge, or an ordered run
+// walked in place — through red, a nil red passing every value through
+// under its key: one Values cursor, re-aimed at each key and drained
+// after the reducer returns so early-stopping reducers still advance.
+// wfail surfaces a latched output-write failure (or a kill order)
+// after each group.
+func drainGroups(vals *Values, red Reducer, emit Emit, wfail func() error) (groups int64, err error) {
+	for vals.nextGroup() {
 		if red == nil {
 			for v, ok := vals.Next(); ok; v, ok = vals.Next() {
 				emit(vals.key, v)
@@ -372,6 +410,7 @@ func drainGroups(m *merger, red Reducer, emit Emit, wfail func() error) (groups 
 		}
 		groups++
 	}
+	return groups, nil
 }
 
 // lineWriter emits "key\tvalue\n" records into an output stream,

@@ -495,7 +495,7 @@ func (w *Worker) runReduce(a mrpc.Assignment, rt *taskRuntime, td *obs.TraceData
 		}
 		return lw.fail()
 	}
-	groups, err := drainGroups(m, rt.cfg.Reducer, lw.emit, check)
+	groups, err := drainGroups(&Values{m: m}, rt.cfg.Reducer, lw.emit, check)
 	if err == nil {
 		err = out.Close()
 	}

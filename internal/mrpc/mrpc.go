@@ -275,11 +275,19 @@ type Client struct {
 // Streaming calls that must outlive it pass a deadline or use Get/Put.
 const callTimeout = 30 * time.Second
 
-// NewClient dials base with a shared transport. Timeouts are per-call,
-// not per-client, so one slow streaming read doesn't dictate the
-// control-plane bound.
+// idlePerPeer is how many idle connections every Client's transport
+// keeps to one peer. A worker's parked heartbeat, its completions and
+// its reduces' segment fetches are in flight at once; net/http's
+// default keeps two, and a call past them dials a new connection.
+const idlePerPeer = 32
+
+var transport = &http.Transport{Proxy: http.ProxyFromEnvironment, MaxIdleConnsPerHost: idlePerPeer, IdleConnTimeout: 90 * time.Second}
+
+// NewClient dials base with the package's shared transport. Timeouts
+// are per-call, not per-client, so one slow streaming read doesn't
+// dictate the control-plane bound.
 func NewClient(base string) *Client {
-	return &Client{Base: base, HC: &http.Client{}}
+	return &Client{Base: base, HC: &http.Client{Transport: transport}}
 }
 
 // withDeadline applies the default call timeout when ctx has none.

@@ -2,7 +2,8 @@
 // Data Facility: Data Intensive Computing for Scientific Experiments"
 // (García et al., KIT, PDSEC/IPDPS 2011).
 //
-// It provides the paper's integrated data lifecycle as a library:
+// It provides the paper's integrated data lifecycle as a library, one
+// Facility handle from checksummed ingest to MapReduce analysis:
 //
 //	fac, _ := lsdf.New(lsdf.Options{})
 //	defer fac.Close()
@@ -11,9 +12,10 @@
 //	out := fac.Query(lsdf.Query{Tags: []string{"processed:seg"}})
 //
 // The metadata repository behind the handle is one store; bulk ingest
-// can batch registrations (Facility.StoreBatch, IngestWith), and
-// Options.AsyncEvents moves workflow/rule triggering onto a
-// background event bus with Facility.Flush as the delivery barrier.
+// batches registrations (Facility.StoreBatch: one journal commit on a
+// durable store), and Options.AsyncEvents moves workflow/rule
+// triggering onto a background event bus with Facility.Flush as the
+// delivery barrier.
 //
 // See README.md for the tour, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for the paper-versus-measured record of every
@@ -21,37 +23,107 @@
 package lsdf
 
 import (
-	"repro/internal/core"
+	"context"
+	"fmt"
+	"io"
+
+	"repro/internal/adal"
+	"repro/internal/dfs"
+	"repro/internal/facility"
+	"repro/internal/ingest"
+	"repro/internal/mapreduce"
 	"repro/internal/metadata"
-	"repro/internal/units"
+	"repro/internal/rules"
 )
 
-// Facility is the top-level handle; see internal/core for methods.
-type Facility = core.Facility
-
-// Options configures New.
-type Options = core.Options
+// Options configures New; see facility.Options for fields.
+type Options = facility.Options
 
 // Query selects datasets from the metadata DB.
 type Query = metadata.Query
 
-// Dataset is a metadata record.
-type Dataset = metadata.Dataset
-
-// Bytes is the byte-count type used across the API.
-type Bytes = units.Bytes
-
-// Size constants for convenience.
-const (
-	KiB = units.KiB
-	MiB = units.MiB
-	GiB = units.GiB
-	TiB = units.TiB
-	MB  = units.MB
-	GB  = units.GB
-	TB  = units.TB
-	PB  = units.PB
-)
+// Facility is the top-level handle.
+type Facility struct {
+	f *facility.Facility
+}
 
 // New assembles a facility.
-func New(opts Options) (*Facility, error) { return core.New(opts) }
+func New(opts Options) (*Facility, error) {
+	f, err := facility.New(opts)
+	if err != nil {
+		return nil, err
+	}
+	return &Facility{f: f}, nil
+}
+
+// Close releases background workers.
+func (fc *Facility) Close() { fc.f.Close() }
+
+// Layer exposes the ADAL federation.
+func (fc *Facility) Layer() *adal.Layer { return fc.f.Layer }
+
+// Metadata exposes the project metadata DB.
+func (fc *Facility) Metadata() *metadata.Store { return fc.f.Meta }
+
+// Ingest drains a producer through a checksumming worker pool,
+// storing every object and registering it in the metadata DB.
+func (fc *Facility) Ingest(ctx context.Context, prod ingest.Producer, workers int) (ingest.Stats, error) {
+	return ingest.New(fc.f.Layer, fc.f.Meta, ingest.Config{Workers: workers}).Run(ctx, prod)
+}
+
+// Store writes one object and registers it, tags included — the
+// single-file convenience over StoreBatch.
+func (fc *Facility) Store(project, path string, data io.Reader, basic map[string]string, tags ...string) (metadata.Dataset, error) {
+	r := fc.StoreBatch([]ingest.Object{{Project: project, Path: path, Data: data, Basic: basic, Tags: tags}})[0]
+	return r.Dataset, r.Err
+}
+
+// StoreBatch writes a group of objects and registers them in one
+// metadata batch. Results are aligned with the input; a failed item's
+// stored bytes are rolled back.
+func (fc *Facility) StoreBatch(objs []ingest.Object) []metadata.CreateResult {
+	ptrs := make([]*ingest.Object, len(objs))
+	for i := range objs {
+		ptrs[i] = &objs[i]
+	}
+	return ingest.StoreBatch(fc.f.Layer, fc.f.Meta, ptrs)
+}
+
+// Flush blocks until every metadata event published so far has been
+// delivered to the rule engine and every firing its executor holds has
+// finished: the barrier to call before inspecting rule and trigger
+// effects under Options.AsyncEvents or AsyncWorkflows.
+func (fc *Facility) Flush() { fc.f.Meta.Flush() }
+
+// Open reads a stored object.
+func (fc *Facility) Open(path string) (io.ReadCloser, error) { return fc.f.Layer.Open(path) }
+
+// Query finds datasets in the metadata DB.
+func (fc *Facility) Query(q Query) []metadata.Dataset { return fc.f.Meta.Find(q) }
+
+// Tag tags the dataset registered at path; tags drive workflow
+// triggers and rules.
+func (fc *Facility) Tag(path, tag string) error {
+	ds, ok := fc.f.Meta.ByPath(path)
+	if !ok {
+		return fmt.Errorf("%w: %q", metadata.ErrNotFound, path)
+	}
+	return fc.f.Meta.Tag(ds.ID, tag)
+}
+
+// AddRule registers a rule. A tag-triggered workflow is one too:
+// Rule{Event: rules.OnTag, Tag: tag, Actions: rules.RunWorkflow(w, nil, 0)}.
+func (fc *Facility) AddRule(r rules.Rule) { fc.f.Rules.Add(r) }
+
+// RunJob executes a MapReduce job on the analysis cluster. Input and
+// output paths are cluster paths (the /hdfs mount without its prefix).
+func (fc *Facility) RunJob(cfg mapreduce.Config) (*mapreduce.Result, error) {
+	return fc.f.RunJob(cfg)
+}
+
+// ClusterReport summarizes the analysis cluster's DFS.
+func (fc *Facility) ClusterReport() dfs.Report { return fc.f.DFS.Report() }
+
+// Cluster exposes the analysis cluster for advanced use (balancer,
+// failure injection, direct file IO).
+func (fc *Facility) Cluster() *dfs.Cluster { return fc.f.DFS }
