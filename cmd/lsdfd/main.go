@@ -19,7 +19,9 @@
 // SIGTERM/SIGINT drain gracefully: in-flight requests (including
 // streaming reads) finish, new ones get 503 + Retry-After. With -wal
 // set, every ingest acknowledged over HTTP is journaled before the
-// response, so even kill -9 loses nothing that was acked.
+// response, so even kill -9 loses nothing that was acked; replication
+// and the rules hear of a dataset only once it is journaled, and rule
+// firings run one at a time off the request goroutine.
 package main
 
 import (
@@ -106,7 +108,7 @@ func run(c daemonConfig) error {
 		DFSNodes:       c.dfsNodes,
 		MetadataShards: c.shards,
 		WALDir:         c.walDir,
-		AsyncEvents:    true,
+		AsyncWorkflows: 1,
 		ComputeWorkers: c.computeWorkers,
 		ComputeSlots:   c.computeSlots,
 		ComputeAddr:    c.computeAddr,

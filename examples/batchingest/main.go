@@ -1,8 +1,8 @@
-// Batched ingest + async events: store 100 objects through the
-// batched registration path (one metadata shard-lock round per
-// shard), let the async event bus trigger a segmentation workflow on
-// every one, and use Flush as the delivery barrier — the
-// high-throughput counterpart to examples/quickstart.
+// Batched ingest + asynchronous workflows: store 100 objects through
+// the batched registration path (one metadata shard-lock round per
+// shard), let each acknowledged registration trigger a segmentation
+// workflow on the rule engine's executor, and use Flush as the
+// barrier — the high-throughput counterpart to examples/quickstart.
 package main
 
 import (
@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	fac, err := lsdf.New(lsdf.Options{AsyncEvents: true, MetadataShards: 8})
+	fac, err := lsdf.New(lsdf.Options{AsyncWorkflows: 2, MetadataShards: 8})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +46,8 @@ func main() {
 		}
 	}
 
-	// Tagging returned before the workflows ran; Flush is the barrier.
+	// StoreBatch returned with the workflows still running on the
+	// executor; Flush is the barrier.
 	before := len(fac.Query(lsdf.Query{Tags: []string{"processed:seg"}}))
 	fac.Flush()
 	after := len(fac.Query(lsdf.Query{Tags: []string{"processed:seg"}}))

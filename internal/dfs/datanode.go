@@ -241,6 +241,19 @@ func (dn *DataNode) dropBlock(id BlockID) {
 	dn.retireLocked(rep)
 }
 
+// holds reports whether the node is serving and stores the block.
+// Called under the cluster lock, it decides whether a replica put
+// outside that lock may be listed: KillNode marks a node dead and
+// strips it from the listed blocks under the same lock, so a node
+// killed before the check fails it, and one killed after finds the
+// block listed and strips it.
+func (dn *DataNode) holds(id BlockID) bool {
+	dn.mu.Lock()
+	defer dn.mu.Unlock()
+	_, ok := dn.blocks[id]
+	return ok && dn.alive.Load()
+}
+
 // kill marks the node dead and returns the IDs of blocks it held.
 // Buffers are not recycled: readers that fetched before the
 // heartbeat loss may still hold them.

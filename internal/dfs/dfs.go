@@ -106,6 +106,10 @@ type Cluster struct {
 	rng    *rand.Rand
 	clock  func() time.Time // timestamp source for file mtimes
 
+	// afterBlockPut, when set, runs between a block's replica puts and
+	// its listing: tests kill nodes inside that window through it.
+	afterBlockPut func(BlockID)
+
 	// metrics (lock-free; reads never touch mu)
 	localReads   atomic.Uint64
 	remoteReads  atomic.Uint64

@@ -74,10 +74,23 @@ func (w *FileWriter) Write(p []byte) (int, error) {
 	return total, nil
 }
 
+// placeAttempts bounds how often flushBlock places one block: each
+// attempt after the first means a node died inside the last one's
+// window, and a cluster losing nodes that fast fails the write instead.
+const placeAttempts = 5
+
 // flushBlock commits the buffered bytes as one block: the CRC-32C is
 // computed once here on the writer side, then the block fans out to
 // every replica concurrently (the HDFS write pipeline), bounded
 // cluster-wide by repSem.
+//
+// The block is listed only if every node that took its put still holds
+// it when the namenode lock is taken to list it. The puts run outside
+// that lock, and a node killed between its put and the listing is not
+// stripped by KillNode, nor its copy restored (the block is not listed
+// yet); a revive then wipes it, and listing it would name a replica
+// that is gone. So if one of them died, the surviving copies — unlisted,
+// so no reader holds them — are dropped and the block is placed again.
 func (w *FileWriter) flushBlock() error {
 	if len(w.buf) == 0 {
 		return nil
@@ -85,49 +98,69 @@ func (w *FileWriter) flushBlock() error {
 	sz := units.Bytes(len(w.buf))
 	sum := crc32.Checksum(w.buf, crcTable)
 
-	w.c.mu.Lock()
-	id := BlockID{File: w.f.id, Index: len(w.f.blocks)}
-	replicas := w.c.choosePlacement(w.hint, sz)
-	w.c.mu.Unlock()
+	for attempt := 1; ; attempt++ {
+		w.c.mu.Lock()
+		id := BlockID{File: w.f.id, Index: len(w.f.blocks)}
+		replicas := w.c.choosePlacement(w.hint, sz)
+		w.c.mu.Unlock()
 
-	if len(replicas) == 0 {
-		return fmt.Errorf("%w: block %s (%s)", ErrNoSpace, id, sz)
-	}
-	ok := make([]bool, len(replicas))
-	var wg sync.WaitGroup
-	for i, nodeID := range replicas {
-		dn, found := w.c.Node(nodeID)
-		if !found {
-			continue
+		if len(replicas) == 0 {
+			return fmt.Errorf("%w: block %s (%s)", ErrNoSpace, id, sz)
 		}
-		wg.Add(1)
-		go func(i int, dn *DataNode) {
-			defer wg.Done()
-			w.c.repSem <- struct{}{}
-			defer func() { <-w.c.repSem }()
-			// Under-replicate rather than fail, like HDFS.
-			ok[i] = dn.putBlock(id, w.buf, sum) == nil
-		}(i, dn)
-	}
-	wg.Wait()
-	stored := make([]string, 0, len(replicas))
-	for i, nodeID := range replicas {
-		if ok[i] {
-			stored = append(stored, nodeID) // preserves placement order
+		ok := make([]bool, len(replicas))
+		var wg sync.WaitGroup
+		for i, nodeID := range replicas {
+			dn, found := w.c.Node(nodeID)
+			if !found {
+				continue
+			}
+			wg.Add(1)
+			go func(i int, dn *DataNode) {
+				defer wg.Done()
+				w.c.repSem <- struct{}{}
+				defer func() { <-w.c.repSem }()
+				// Under-replicate rather than fail, like HDFS.
+				ok[i] = dn.putBlock(id, w.buf, sum) == nil
+			}(i, dn)
+		}
+		wg.Wait()
+		if w.c.afterBlockPut != nil {
+			w.c.afterBlockPut(id)
+		}
+
+		w.c.mu.Lock()
+		stored := make([]string, 0, len(replicas))
+		lost := false
+		for i, nodeID := range replicas {
+			switch {
+			case !ok[i]:
+			case w.c.nodes[nodeID].holds(id):
+				stored = append(stored, nodeID) // preserves placement order
+			default:
+				lost = true
+			}
+		}
+		if !lost && len(stored) > 0 {
+			w.f.blocks = append(w.f.blocks, &blockMeta{id: id, size: sz, replicas: stored})
+			w.f.size += sz
+			w.c.mu.Unlock()
+			w.c.bytesWrit.Add(int64(sz) * int64(len(stored)))
+			w.buf = w.buf[:0]
+			return nil
+		}
+		w.c.mu.Unlock()
+		if !lost {
+			return fmt.Errorf("%w: block %s: all replicas failed", ErrNoSpace, id)
+		}
+		if attempt == placeAttempts {
+			return fmt.Errorf("%w: block %s: a replica node died before the block was listed, %d times", ErrDeadNode, id, attempt)
+		}
+		for _, nodeID := range stored {
+			if dn, found := w.c.Node(nodeID); found {
+				dn.dropBlock(id)
+			}
 		}
 	}
-	if len(stored) == 0 {
-		return fmt.Errorf("%w: block %s: all replicas failed", ErrNoSpace, id)
-	}
-
-	w.c.mu.Lock()
-	w.f.blocks = append(w.f.blocks, &blockMeta{id: id, size: sz, replicas: stored})
-	w.f.size += sz
-	w.c.mu.Unlock()
-	w.c.bytesWrit.Add(int64(sz) * int64(len(stored)))
-
-	w.buf = w.buf[:0]
-	return nil
 }
 
 // Close flushes the trailing partial block and marks the file

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -284,6 +285,57 @@ func TestConcurrentReadWriteStress(t *testing.T) {
 	}
 	if rep.BytesRead == 0 || rep.BytesWritten == 0 {
 		t.Fatalf("metrics lost under concurrency: %+v", rep)
+	}
+}
+
+// TestNodeDiesBetweenPutAndList: nodes a block landed on are killed
+// and revived empty after its put but before the block is listed — the
+// window TestConcurrentReadWriteStress hit, as "missing block" on a
+// read-back, when all three of its kill/revive cycles fell inside one
+// block's write, and as "has no replicas" when two did and the third
+// came after the listing. The write must leave the block readable and
+// fully replicated, listing only nodes that hold it.
+func TestNodeDiesBetweenPutAndList(t *testing.T) {
+	for _, dying := range []int{1, 3} {
+		t.Run(fmt.Sprintf("%d of 3", dying), func(t *testing.T) {
+			c := newTestCluster(t, 3, 1, 1024)
+			nodes := c.DataNodes()
+			var once sync.Once
+			c.afterBlockPut = func(BlockID) {
+				once.Do(func() {
+					for _, id := range nodes[:dying] {
+						if _, err := c.KillNode(id); err != nil {
+							t.Error(err)
+						}
+						if err := c.ReviveNode(id); err != nil {
+							t.Error(err)
+						}
+					}
+				})
+			}
+
+			data := pattern(1000)
+			if err := c.WriteFile("/window", nodes[0], data); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := c.ReadFile("/window", ""); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("read-back: %v", err)
+			}
+			locs, err := c.BlockLocations("/window")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, replicas := range locs {
+				for _, node := range replicas {
+					if !slices.ContainsFunc(c.BlockIDsOn(node), func(b BlockID) bool { return b.Index == i }) {
+						t.Errorf("block %d lists %s, which does not hold it", i, node)
+					}
+				}
+			}
+			if n := c.UnderReplicated(); n != 0 {
+				t.Errorf("%d blocks under-replicated", n)
+			}
+		})
 	}
 }
 

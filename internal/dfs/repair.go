@@ -120,6 +120,10 @@ func (c *Cluster) reReplicate(b *blockMeta) bool {
 		return false
 	}
 	c.mu.Lock()
+	if !target.holds(b.id) { // killed since the put: see flushBlock
+		c.mu.Unlock()
+		return false
+	}
 	b.replicas = append(b.replicas, target.ID)
 	c.mu.Unlock()
 	c.reReplicated.Add(1)

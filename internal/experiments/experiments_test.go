@@ -4,6 +4,7 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -15,16 +16,45 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// runs holds one run per experiment ID for this test binary: the
+// registry check and the acceptance tests read the same table, so no
+// experiment runs twice.
+var runs = func() map[string]*experimentRun {
+	m := make(map[string]*experimentRun)
+	for _, r := range All() {
+		m[r.ID] = &experimentRun{run: r.Run}
+	}
+	return m
+}()
+
+type experimentRun struct {
+	once sync.Once
+	run  func() (*Table, error)
+	tbl  *Table
+	err  error
+}
+
+// result runs experiment id on first use and returns its table; a
+// failed run fails every test that reads it.
+func result(t *testing.T, id string) *Table {
+	t.Helper()
+	r := runs[id]
+	if r == nil {
+		t.Fatalf("no experiment %s", id)
+	}
+	r.once.Do(func() { r.tbl, r.err = r.run() })
+	if r.err != nil {
+		t.Fatalf("%s: %v", id, r.err)
+	}
+	return r.tbl
+}
+
 // TestAllExperimentsRun executes the full registry; every experiment
 // must produce a well-formed table.
 func TestAllExperimentsRun(t *testing.T) {
 	for _, r := range All() {
-		r := r
 		t.Run(r.ID, func(t *testing.T) {
-			tbl, err := r.Run()
-			if err != nil {
-				t.Fatalf("%s: %v", r.ID, err)
-			}
+			tbl := result(t, r.ID)
 			if tbl.ID != r.ID {
 				t.Fatalf("table ID %q, want %q", tbl.ID, r.ID)
 			}
@@ -44,10 +74,7 @@ func TestAllExperimentsRun(t *testing.T) {
 }
 
 func TestE1SustainsPaperRate(t *testing.T) {
-	tbl, err := E1IngestHTM()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := result(t, "E1")
 	// DES row: ~500k objects/day, ~2 TB.
 	des := tbl.Rows[0]
 	objs, _ := strconv.Atoi(strings.TrimSuffix(des[1], "/day"))
@@ -63,10 +90,7 @@ func TestE1SustainsPaperRate(t *testing.T) {
 }
 
 func TestE5MatchesPaperFifteenDays(t *testing.T) {
-	tbl, err := E5Transfer()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := result(t, "E5")
 	ideal := parseDays(t, tbl.Rows[0][1])
 	realistic := parseDays(t, tbl.Rows[1][1])
 	shared := parseDays(t, tbl.Rows[2][1])
@@ -91,10 +115,7 @@ func parseDays(t *testing.T, s string) float64 {
 }
 
 func TestE8ProjectsTwentyMinutes(t *testing.T) {
-	tbl, err := E8Visualization()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := result(t, "E8")
 	var projected string
 	for _, row := range tbl.Rows {
 		if strings.Contains(row[0], "60-node model") {
@@ -111,10 +132,7 @@ func TestE8ProjectsTwentyMinutes(t *testing.T) {
 }
 
 func TestE11Reaches6PB(t *testing.T) {
-	tbl, err := E11Growth()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := result(t, "E11")
 	saw6PBin2012 := false
 	for _, row := range tbl.Rows {
 		if strings.HasPrefix(row[0], "2012") && strings.HasPrefix(row[1], "6.00PB") {
@@ -127,10 +145,7 @@ func TestE11Reaches6PB(t *testing.T) {
 }
 
 func TestE12CatchesCorruption(t *testing.T) {
-	tbl, err := E12Rules()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := result(t, "E12")
 	for _, row := range tbl.Rows {
 		if row[0] == "tampered dataset flagged corrupt" && row[1] != "yes" {
 			t.Fatalf("corruption not caught: %v", tbl.Rows)
@@ -139,10 +154,7 @@ func TestE12CatchesCorruption(t *testing.T) {
 }
 
 func TestE14ZeroFailedReadsAndConvergence(t *testing.T) {
-	tbl, err := E14MultiSiteReplication()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := result(t, "E14")
 	row := func(name string) string {
 		t.Helper()
 		for _, r := range tbl.Rows {
@@ -171,10 +183,7 @@ func TestE14ZeroFailedReadsAndConvergence(t *testing.T) {
 // The steady-state p99 ratio is reported by the experiment, not
 // asserted here: speed is the benchmark's job (bench/ ledger).
 func TestE16WANCollapseNoStaleReads(t *testing.T) {
-	tbl, err := E16HotSetReadCache()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := result(t, "E16")
 	row := func(name string) string {
 		t.Helper()
 		for _, r := range tbl.Rows {
@@ -212,10 +221,7 @@ func TestE16WANCollapseNoStaleReads(t *testing.T) {
 // acknowledged dataset (with tags, placement and replica state) and
 // nothing that was never submitted.
 func TestE15ZeroLostAcked(t *testing.T) {
-	tbl, err := E15DurableMetadata()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := result(t, "E15")
 	row := func(name string) string {
 		t.Helper()
 		for _, r := range tbl.Rows {
@@ -259,10 +265,7 @@ func TestE15ZeroLostAcked(t *testing.T) {
 // and the quiet neighbor's p99 are reported, not asserted (bench/
 // ledger: client.http.self_us).
 func TestE17GatewayAcceptance(t *testing.T) {
-	tbl, err := E17GatewayLoad()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := result(t, "E17")
 	row := func(prefix string) []string {
 		t.Helper()
 		for _, r := range tbl.Rows {
@@ -305,10 +308,7 @@ func TestE17GatewayAcceptance(t *testing.T) {
 // The instrument set's overhead on a hot cached read is reported, not
 // asserted (bench/ ledger: trace.overhead_ratio).
 func TestE19ObservabilityAcceptance(t *testing.T) {
-	tbl, err := E19Observability()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := result(t, "E19")
 	row := func(name string) string {
 		t.Helper()
 		for _, r := range tbl.Rows {
@@ -348,10 +348,7 @@ func TestE19ObservabilityAcceptance(t *testing.T) {
 // (the experiment errors internally otherwise). The scale-out speed-up
 // is reported, not asserted.
 func TestE18DistributedAcceptance(t *testing.T) {
-	tbl, err := E18DistributedCompute()
-	if err != nil {
-		t.Fatal(err)
-	}
+	tbl := result(t, "E18")
 	adversityJobs, fleetRows := 0, 0
 	for _, row := range tbl.Rows {
 		switch {

@@ -6,13 +6,13 @@
 // 10 GE) that cannot run for real on a laptop.
 //
 // The metadata DB is one store (journaled to one log under
-// Options.WALDir when set) and by default delivers mutation events
-// synchronously on the mutating goroutine, which keeps rules (workflow
-// triggers among them) deterministic. Options.AsyncEvents switches
-// delivery to the store's background event bus; after bulk operations
-// call Meta.Flush to wait for rule quiescence. Close flushes and stops
-// the bus before detaching the rule engine, so no event is lost on
-// shutdown.
+// Options.WALDir when set) that delivers each mutation's events on the
+// mutating goroutine once the journal has acknowledged it, which keeps
+// rules (workflow triggers among them) deterministic.
+// Options.AsyncWorkflows hands rule firings to the engine's executor
+// instead; after bulk operations call Meta.Flush to wait for rule
+// quiescence. Close flushes and stops delivery before detaching the
+// rule engine, so no event is lost on shutdown.
 package facility
 
 import (
@@ -71,11 +71,6 @@ type Options struct {
 	// in-memory lock stripes (default 16; rounded up to a power of
 	// two). The WAL does not depend on it.
 	MetadataShards int
-	// AsyncEvents delivers metadata events through the store's
-	// background bus instead of synchronously on the mutating
-	// goroutine. Deterministic consumers should call Meta.Flush
-	// before inspecting trigger/rule effects.
-	AsyncEvents bool
 	// WALDir enables durable metadata when non-empty: every mutation
 	// is journaled to the store's write-ahead log under this
 	// directory before it is acknowledged, compacted snapshots are
@@ -242,7 +237,6 @@ func New(opts Options) (*Facility, error) {
 	arc := adal.NewMemFS("archive")
 	meta, err := metadata.Open(metadata.Options{
 		Shards:              opts.MetadataShards,
-		Async:               opts.AsyncEvents,
 		WALDir:              opts.WALDir,
 		SnapshotEvery:       opts.SnapshotEvery,
 		GroupCommitInterval: opts.GroupCommitInterval,
@@ -400,10 +394,9 @@ func New(opts Options) (*Facility, error) {
 }
 
 // Close stops the tier's migration machinery (its last placement
-// events still reach the bus), drains the metadata event bus — and
-// with it every rule firing the engine's executor holds — then
-// detaches the rule engine, in that order, so every event published
-// before Close still reaches its rules.
+// events still reach the rules), drains every rule firing the engine's
+// executor holds, then detaches the rule engine, in that order, so
+// every event published before Close still reaches its rules.
 func (f *Facility) Close() {
 	for _, w := range f.computeWorkers {
 		w.Close()

@@ -98,11 +98,12 @@ func (s *Store) claimPath(path, id string) (string, error) {
 // commit is the one write path: every mutation, single or batched,
 // live or imported, is a record that goes through here. It groups the
 // records by shard; per shard it takes the lock the records need,
-// applies each record, journals it if it changed anything and stages
+// applies each record, journals it if it changed anything and collects
 // its events, and unlocks; with wait it then waits once for the log up
-// to the last record staged and publishes, per shard in commit order.
-// With observed false the events are not built at all (no subscriber,
-// or Import).
+// to the last record staged. Only then, with no lock held, does it
+// publish, per shard in commit order: a commit the log refused
+// publishes nothing. With observed false the events are not built at
+// all (no subscriber, or Import).
 //
 // It returns nil when every record committed, else one error per
 // record: what apply refused (ErrNotFound), or a WAL failure, which
@@ -147,7 +148,6 @@ func (s *Store) commit(recs []walRecord, observed, wait bool) (errs []error) {
 		if onPath {
 			mu = &s.pathShards[wi].mu
 		}
-		staged := len(evs)
 		mu.Lock()
 		for _, i := range order[lo:hi] {
 			rec := &recs[i]
@@ -163,7 +163,6 @@ func (s *Store) commit(recs []walRecord, observed, wait bool) (errs []error) {
 				break
 			}
 		}
-		s.stage(evs[staged:]...)
 		mu.Unlock()
 	}
 	if wait && walErr == nil {

@@ -8,91 +8,33 @@ import (
 	"time"
 )
 
-// TestAsyncPerDatasetOrdering is the async bus's ordering proof:
-// with one goroutine mutating each dataset, every subscriber must
-// observe that dataset's events in commit order (Created, Tagged...,
-// Untagged, Deleted, with monotonically increasing versions), even
-// while many datasets mutate concurrently across shards.
-func TestAsyncPerDatasetOrdering(t *testing.T) {
-	s := NewStoreWith(Options{Async: true, QueueLen: 8})
-	defer s.Close()
-
-	var mu sync.Mutex
-	got := map[string][]Event{}
-	defer s.Subscribe(func(ev Event) {
-		mu.Lock()
-		got[ev.Dataset.Path] = append(got[ev.Dataset.Path], ev)
-		mu.Unlock()
-	})()
-
-	const datasets = 32
-	var wg sync.WaitGroup
-	for i := 0; i < datasets; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			path := fmt.Sprintf("/ord/%03d", i)
-			d, err := s.Create("p", path, 1, "", nil)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			for _, tag := range []string{"t1", "t2", "t3"} {
-				if err := s.Tag(d.ID, tag); err != nil {
-					t.Error(err)
-				}
-			}
-			if err := s.Untag(d.ID, "t2"); err != nil {
-				t.Error(err)
-			}
-			if err := s.Delete(d.ID); err != nil {
-				t.Error(err)
-			}
-		}(i)
-	}
-	wg.Wait()
-	s.Flush()
-
-	want := []EventType{EventCreated, EventTagged, EventTagged, EventTagged, EventUntagged, EventDeleted}
-	if len(got) != datasets {
-		t.Fatalf("datasets observed = %d, want %d", len(got), datasets)
-	}
-	for path, evs := range got {
-		if len(evs) != len(want) {
-			t.Fatalf("%s: %d events, want %d", path, len(evs), len(want))
-		}
-		for i, ev := range evs {
-			if ev.Type != want[i] {
-				t.Fatalf("%s: event %d = %v, want %v", path, i, ev.Type, want[i])
-			}
-			if i > 0 && evs[i].Dataset.Version < evs[i-1].Dataset.Version {
-				t.Fatalf("%s: version regressed %d -> %d at event %d",
-					path, evs[i-1].Dataset.Version, evs[i].Dataset.Version, i)
-			}
-		}
-		if evs[1].Tag != "t1" || evs[2].Tag != "t2" || evs[3].Tag != "t3" {
-			t.Fatalf("%s: tag order %q %q %q", path, evs[1].Tag, evs[2].Tag, evs[3].Tag)
-		}
-	}
-}
-
-// TestAsyncFlushCascade: Flush must cover events published *by
-// subscriber callbacks* — the rule engine's pattern, where a Tagged
-// event triggers work that tags again.
+// TestAsyncFlushCascade: Flush must cover work a subscriber hands off
+// under HoldFlush and the work that work hands off in turn — the rule
+// engine's executor pattern, where a Tagged event starts a firing that
+// tags again off the mutator's goroutine.
 func TestAsyncFlushCascade(t *testing.T) {
-	s := NewStoreWith(Options{Async: true})
+	s := NewStore()
 	defer s.Close()
 
 	var processed atomic.Int64
+	handOff := func(work func()) {
+		release := s.HoldFlush()
+		go func() {
+			defer release()
+			time.Sleep(time.Millisecond)
+			work()
+		}()
+	}
 	unsub := s.Subscribe(func(ev Event) {
 		switch {
 		case ev.Type == EventTagged && ev.Tag == "analyze":
-			// Re-entrant mutation from the callback goroutine.
-			if err := s.Tag(ev.Dataset.ID, "processed"); err != nil {
-				t.Error(err)
-			}
+			handOff(func() {
+				if err := s.Tag(ev.Dataset.ID, "processed"); err != nil {
+					t.Error(err)
+				}
+			})
 		case ev.Type == EventTagged && ev.Tag == "processed":
-			processed.Add(1)
+			handOff(func() { processed.Add(1) })
 		}
 	})
 	defer unsub()
@@ -116,70 +58,20 @@ func TestAsyncFlushCascade(t *testing.T) {
 	}
 }
 
-// TestAsyncBackpressure: a slow subscriber's bounded queue must not
-// lose events — publishing far more events than QueueLen still
-// delivers every one by Flush time.
-func TestAsyncBackpressure(t *testing.T) {
-	s := NewStoreWith(Options{Async: true, QueueLen: 4})
-	defer s.Close()
-
-	var slow, fast atomic.Int64
-	defer s.Subscribe(func(ev Event) {
-		// ~memory-bound work to keep the queue saturated.
-		for i := 0; i < 100; i++ {
-			_ = fmt.Sprintf("%d", i)
-		}
-		slow.Add(1)
-	})()
-	defer s.Subscribe(func(ev Event) { fast.Add(1) })()
-
-	const n = 300
-	for i := 0; i < n; i++ {
-		if _, err := s.Create("p", fmt.Sprintf("/bp/%04d", i), 1, "", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Flush()
-	if slow.Load() != n || fast.Load() != n {
-		t.Fatalf("slow=%d fast=%d, want %d each", slow.Load(), fast.Load(), n)
-	}
-}
-
-// TestAsyncUnsubscribeDropsQueue: unsubscribing mid-stream stops
-// delivery and must not wedge Flush.
-func TestAsyncUnsubscribeDropsQueue(t *testing.T) {
-	s := NewStoreWith(Options{Async: true, QueueLen: 2})
-	var count atomic.Int64
-	unsub := s.Subscribe(func(ev Event) { count.Add(1) })
-	for i := 0; i < 100; i++ {
-		if _, err := s.Create("p", fmt.Sprintf("/u/%03d", i), 1, "", nil); err != nil {
-			t.Fatal(err)
-		}
-	}
-	unsub()
-	s.Flush() // must not hang on the dropped queue
-	n := count.Load()
-	if n > 100 {
-		t.Fatalf("delivered %d > published 100", n)
-	}
-	// After unsubscribe, no further delivery.
-	if _, err := s.Create("p", "/u/after", 1, "", nil); err != nil {
-		t.Fatal(err)
-	}
-	s.Flush()
-	if count.Load() != n {
-		t.Fatalf("event delivered after unsubscribe: %d -> %d", n, count.Load())
-	}
-	s.Close()
-}
-
 // TestCloseIdempotentAndMutableAfter: Close flushes, is safe to call
 // twice, and the store keeps accepting mutations afterwards (silently
 // dropping events).
 func TestCloseIdempotentAndMutableAfter(t *testing.T) {
-	s := NewStoreWith(Options{Async: true})
+	s := NewStore()
 	var count atomic.Int64
-	s.Subscribe(func(Event) { count.Add(1) })
+	s.Subscribe(func(ev Event) {
+		release := s.HoldFlush()
+		go func() {
+			time.Sleep(5 * time.Millisecond)
+			count.Add(1)
+			release()
+		}()
+	})
 	if _, err := s.Create("p", "/x", 1, "", nil); err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +86,45 @@ func TestCloseIdempotentAndMutableAfter(t *testing.T) {
 	if s.Count() != 2 {
 		t.Fatalf("count = %d", s.Count())
 	}
+	s.Flush()
 	if count.Load() != 1 {
 		t.Fatalf("event delivered after Close: %d", count.Load())
+	}
+	s.Subscribe(func(Event) { count.Add(1) })
+	if _, err := s.Create("p", "/z", 1, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if count.Load() != 1 {
+		t.Fatalf("a subscriber added after Close saw an event: %d", count.Load())
+	}
+}
+
+// TestDeliverInSubscriptionOrder: subscribers are called in the order
+// they subscribed, an unsubscribed one is skipped without disturbing
+// the rest, and delivering an event allocates nothing.
+func TestDeliverInSubscriptionOrder(t *testing.T) {
+	s := NewStore()
+	defer s.Close()
+	var order []int
+	unsubs := make([]func(), 5)
+	for i := range unsubs {
+		unsubs[i] = s.Subscribe(func(Event) { order = append(order, i) })
+	}
+	unsubs[2]()
+	if _, err := s.Create("p", "/x", 1, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	s.Subscribe(func(Event) { order = append(order, 5) })
+	if _, err := s.Create("p", "/y", 1, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprint(order); got != "[0 1 3 4 0 1 3 4 5]" {
+		t.Fatalf("delivery order = %s, want [0 1 3 4 0 1 3 4 5]", got)
+	}
+	order = make([]int, 0, 1024)
+	ev := Event{Type: EventTagged, Tag: "t"}
+	if n := testing.AllocsPerRun(100, func() { s.bus.deliver(ev); order = order[:0] }); n != 0 {
+		t.Fatalf("delivering one event to five subscribers allocated %.1f times, want 0", n)
 	}
 }
 
@@ -203,7 +132,7 @@ func TestCloseIdempotentAndMutableAfter(t *testing.T) {
 // HoldFlush keeps Flush blocked until released, and release is
 // idempotent.
 func TestHoldFlushExtendsBarrier(t *testing.T) {
-	s := NewStoreWith(Options{Async: true})
+	s := NewStore()
 	defer s.Close()
 	release := s.HoldFlush()
 	done := make(chan struct{})
@@ -226,9 +155,9 @@ func TestHoldFlushExtendsBarrier(t *testing.T) {
 	s.Flush() // still balanced after double release
 }
 
-// TestSyncCloseWaitsForHolds: in sync mode too, Close is a flush —
-// it waits for HoldFlush work, so a handed-off rule firing still
-// delivers the events it publishes before the bus stops.
+// TestSyncCloseWaitsForHolds: Close is a flush — it waits for
+// HoldFlush work, so a handed-off rule firing still delivers the
+// events it publishes before delivery stops.
 func TestSyncCloseWaitsForHolds(t *testing.T) {
 	s := NewStore()
 	var seen atomic.Int64
@@ -255,44 +184,41 @@ func TestSyncCloseWaitsForHolds(t *testing.T) {
 }
 
 // TestCausedByStampsDepth: a CausedBy handle's mutations — a batch
-// and a path note included — publish at the cause's depth + 1 on
-// either bus, the store's own at 0, and both see one store.
+// and a path note included — publish at the cause's depth + 1, the
+// store's own at 0, and both see one store.
 func TestCausedByStampsDepth(t *testing.T) {
-	for _, async := range []bool{false, true} {
-		s := NewStoreWith(Options{Async: async})
-		var mu sync.Mutex
-		depths := map[EventType][]int{}
-		s.Subscribe(func(ev Event) {
-			mu.Lock()
-			depths[ev.Type] = append(depths[ev.Type], ev.Depth)
-			mu.Unlock()
-		})
-		ds, err := s.Create("p", "/a", 1, "", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		caused := s.CausedBy(Event{Depth: 2})
-		if err := caused.Tag(ds.ID, "x"); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := caused.Create("p", "/b", 1, "", nil); err != nil {
-			t.Fatal(err)
-		}
-		caused.AddReplica("/a", "m1", testDigest("/a"))
-		s.Flush()
-		s.Close()
-		got := fmt.Sprint(depths[EventCreated], depths[EventTagged], depths[EventReplica])
-		if got != "[0 3] [3] [3]" {
-			t.Fatalf("async=%v: depths created/tagged/replica = %s, want [0 3] [3] [3]", async, got)
-		}
-		if _, ok := s.ByPath("/b"); !ok || s.Count() != 2 {
-			t.Fatalf("async=%v: the handle's create is not in the store", async)
-		}
+	s := NewStore()
+	var mu sync.Mutex
+	depths := map[EventType][]int{}
+	s.Subscribe(func(ev Event) {
+		mu.Lock()
+		depths[ev.Type] = append(depths[ev.Type], ev.Depth)
+		mu.Unlock()
+	})
+	ds, err := s.Create("p", "/a", 1, "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caused := s.CausedBy(Event{Depth: 2})
+	if err := caused.Tag(ds.ID, "x"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := caused.Create("p", "/b", 1, "", nil); err != nil {
+		t.Fatal(err)
+	}
+	caused.AddReplica("/a", "m1", testDigest("/a"))
+	s.Close()
+	got := fmt.Sprint(depths[EventCreated], depths[EventTagged], depths[EventReplica])
+	if got != "[0 3] [3] [3]" {
+		t.Fatalf("depths created/tagged/replica = %s, want [0 3] [3] [3]", got)
+	}
+	if _, ok := s.ByPath("/b"); !ok || s.Count() != 2 {
+		t.Fatal("the handle's create is not in the store")
 	}
 }
 
-// TestSyncModeNoDeliveryAfterClose: Close stops delivery in sync mode
-// too, honoring the documented contract.
+// TestSyncModeNoDeliveryAfterClose: Close stops delivery, honoring the
+// documented contract.
 func TestSyncModeNoDeliveryAfterClose(t *testing.T) {
 	s := NewStore()
 	seen := 0
@@ -309,7 +235,7 @@ func TestSyncModeNoDeliveryAfterClose(t *testing.T) {
 	}
 }
 
-// TestSyncModeFlushNoop: in the default sync mode Flush and Close are
+// TestSyncModeFlushNoop: with no HoldFlush work Flush and Close are
 // cheap no-ops and subscribers have already run inline.
 func TestSyncModeFlushNoop(t *testing.T) {
 	s := NewStore()

@@ -30,19 +30,15 @@
 //
 // # Event delivery
 //
-// Every mutation publishes an Event to subscribers. Two delivery
-// modes exist (see Options.Async):
+// Every mutation publishes an Event to subscribers, inline on the
+// mutating goroutine, in subscription order, after the mutation's shard
+// lock is released and — on a durable store — after the journal has
+// acknowledged it (a staged note, after it is staged): a mutation the
+// journal refused publishes nothing (see bus.go). Work that must not run on the mutator's goroutine is
+// handed off by the subscriber (the rule engine's executor), which
+// joins the Flush barrier through HoldFlush.
 //
-//   - Sync (default): subscribers run inline on the mutating
-//     goroutine after the mutation commits — the deterministic mode
-//     that internal/sim and internal/experiments depend on.
-//   - Async: events flow through a bounded per-subscriber queue
-//     drained by one worker goroutine per subscriber (see bus.go).
-//     Events for the same dataset are always delivered in commit
-//     order; Flush blocks until every published event — including
-//     events cascaded by subscriber callbacks — has been delivered.
-//
-// Close flushes and stops the bus; mutations remain possible after
+// Close flushes and stops delivery; mutations remain possible after
 // Close but no further events are delivered.
 package metadata
 
@@ -169,13 +165,6 @@ type Options struct {
 	Shards int
 	// Clock supplies timestamps; nil means time.Now.
 	Clock func() time.Time
-	// Async routes events through the background bus instead of
-	// invoking subscribers inline on the mutating goroutine.
-	Async bool
-	// QueueLen bounds each subscriber's event queue in async mode;
-	// 0 means the default of 256.
-	QueueLen int
-
 	// WALDir enables durability: every mutation is journaled to the
 	// store's one append-only WAL under this directory before it is
 	// acknowledged, a compacted snapshot of the whole store bounds
@@ -214,9 +203,6 @@ func (o Options) withDefaults() Options {
 	if o.Clock == nil {
 		o.Clock = time.Now
 	}
-	if o.QueueLen <= 0 {
-		o.QueueLen = 256
-	}
 	if o.SnapshotEvery <= 0 {
 		o.SnapshotEvery = DefaultSnapshotEvery
 	}
@@ -246,7 +232,7 @@ type pathShard struct {
 
 // Store is the metadata repository. All methods are safe for
 // concurrent use. See the package comment for the sharding layout
-// and the two event-delivery modes.
+// and event delivery.
 type Store struct {
 	shards     []*shard
 	pathShards []*pathShard
@@ -265,7 +251,7 @@ type Store struct {
 }
 
 // NewStore creates an empty repository with default options:
-// 16 shards, wall-clock time, synchronous event delivery.
+// 16 shards, wall-clock time, in-memory.
 func NewStore() *Store { return NewStoreWith(Options{}) }
 
 // NewStoreWith creates a repository from explicit options. It panics
@@ -295,7 +281,7 @@ func Open(opts Options) (*Store, error) {
 		mask:       uint32(opts.Shards - 1),
 		seq:        new(atomic.Int64),
 		now:        opts.Clock,
-		bus:        newBus(opts.Async, opts.QueueLen),
+		bus:        newBus(),
 		walErrs:    new(atomic.Int64),
 	}
 	for i := range s.shards {
@@ -319,7 +305,7 @@ func Open(opts Options) (*Store, error) {
 // CausedBy returns a handle on the same store whose mutations publish
 // their events at ev.Depth+1: the rule engine hands it to an action,
 // so the events that action causes carry the length of the chain that
-// led to them, on whichever goroutine and bus mode delivers them.
+// led to them, on whichever goroutine the action runs.
 func (s *Store) CausedBy(ev Event) *Store {
 	c := *s
 	c.depth = ev.Depth + 1
@@ -371,31 +357,15 @@ func (sh *shard) remove(d *Dataset) {
 	}
 }
 
-// publish commits events for a mutation. In async mode the events
-// must have been staged via bus.enqueue while the shard lock was
-// held (that is what makes per-dataset delivery order equal commit
-// order), so publish is a no-op; in sync mode it invokes the
-// subscribers inline, after the shard lock is released so callbacks
-// may call back into the store.
+// publish is the one place an event leaves the store: it stamps the
+// handle's depth and delivers to the subscribers inline. Callers hold
+// no lock, so callbacks may call back into the store, and publish only
+// what the log took: acknowledged, or — for the notes the store stages
+// by design (Place, a Valid replica note) — staged.
 func (s *Store) publish(evs ...Event) {
-	if s.bus.async {
-		return
-	}
 	for _, ev := range evs {
 		ev.Depth = s.depth
-		s.bus.deliverSync(ev)
-	}
-}
-
-// stage hands events to the async bus; callers hold the shard lock.
-// No-op in sync mode.
-func (s *Store) stage(evs ...Event) {
-	if !s.bus.async {
-		return
-	}
-	for _, ev := range evs {
-		ev.Depth = s.depth
-		s.bus.enqueue(ev)
+		s.bus.deliver(ev)
 	}
 }
 
@@ -512,24 +482,23 @@ func (s *Store) notePublish(typ EventType, path, site, state string) {
 	if ev.Dataset, ok = s.ByPath(path); !ok {
 		ev.Dataset = Dataset{Path: path}
 	}
-	s.stage(ev)
 	s.publish(ev)
 }
 
 // Subscribe registers a callback for every subsequent mutation; the
-// returned function unsubscribes. In sync mode callbacks run inline
-// on the mutating goroutine; in async mode each subscriber gets a
-// dedicated worker goroutine and a bounded queue, and callbacks may
-// freely call back into the store.
+// returned function unsubscribes. Callbacks run inline on the mutating
+// goroutine, after subscribers registered earlier, and may call back
+// into the store; a callback with slow work hands it to a goroutine of
+// its own under HoldFlush.
 func (s *Store) Subscribe(fn func(Event)) (unsubscribe func()) {
 	return s.bus.subscribe(fn)
 }
 
-// Flush blocks until every event published so far — including events
-// cascaded from subscriber callbacks and external work registered
-// via HoldFlush — has been delivered. It returns immediately in sync
-// mode when no HoldFlush work is outstanding. Flush must not be
-// called from a subscriber callback.
+// Flush blocks until the work subscribers handed off under HoldFlush —
+// and whatever that work published and handed off in turn — is done.
+// Events themselves are delivered before their mutation returns, so
+// with no HoldFlush work outstanding Flush returns at once. Flush must
+// not be called from a subscriber callback.
 func (s *Store) Flush() { s.bus.flush() }
 
 // HoldFlush registers one unit of external in-flight work with the
@@ -541,7 +510,7 @@ func (s *Store) Flush() { s.bus.flush() }
 // release is idempotent.
 func (s *Store) HoldFlush() (release func()) { return s.bus.hold() }
 
-// Close flushes and stops the event bus, then commits anything still
+// Close flushes and stops event delivery, then commits anything still
 // staged in the WAL and releases the log files. The store remains
 // readable, but on a durable store mutations after Close will fail.
 func (s *Store) Close() {

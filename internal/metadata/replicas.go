@@ -136,17 +136,19 @@ func (ps *pathShard) noteReplica(rec *walRecord) (journal bool) {
 
 // replicaNote commits a replica note — waiting for the log unless it
 // notes a Valid copy, which is staged — and publishes an EventReplica
-// for what it moved: the site, or every site of a dropped row. A Valid
-// note may be staged because losing it makes recovery believe less than
-// is true; the next copy job revalidates the bytes without moving them.
+// for what it moved: the site, or every site of a dropped row; a note
+// the log refused publishes nothing. A Valid note may be staged because
+// losing it makes recovery believe less than is true; the next copy job
+// revalidates the bytes without moving them.
 // It returns the record as apply left it.
 func (s *Store) replicaNote(rec walRecord) walRecord {
 	rec.Op = opReplica
 	recs := [1]walRecord{rec}
-	if errs := s.commit(recs[:], false, rec.State != ReplicaValid.String()); errs != nil {
+	errs := s.commit(recs[:], false, rec.State != ReplicaValid.String())
+	if errs != nil {
 		s.walErrs.Add(1)
 	}
-	if recs[0].noop {
+	if errs != nil || recs[0].noop {
 		return recs[0]
 	}
 	if rec.Site != "" {

@@ -204,7 +204,7 @@ func TestCreateBatch(t *testing.T) {
 	}
 }
 
-// TestCreateBatchEvents: in sync mode a batch publishes Created (and
+// TestCreateBatchEvents: a batch publishes Created (and
 // Tagged) events in commit order, same as the unbatched calls would.
 func TestCreateBatchEvents(t *testing.T) {
 	s := NewStore()

@@ -255,8 +255,8 @@ type AuditEntry struct {
 // Engine evaluates rules against metadata events. Each firing's
 // actions mutate the store through meta.CausedBy(ev), so an event a
 // rule causes carries its chain's depth, and the engine refuses to
-// fire at maxDepth: a rule that re-triggers itself stops there on
-// either bus, whichever goroutine delivers the event.
+// fire at maxDepth: a rule that re-triggers itself stops there,
+// whichever goroutine — the mutator's or the executor's — fires it.
 type Engine struct {
 	layer *adal.Layer
 	meta  *metadata.Store

@@ -17,20 +17,11 @@ import (
 
 func newCtx(t *testing.T) (*adal.Layer, *metadata.Store) {
 	t.Helper()
-	return newCtxOn(t, false)
-}
-
-// newCtxOn is newCtx on the async event bus when async is set.
-func newCtxOn(t *testing.T, async bool) (*adal.Layer, *metadata.Store) {
-	t.Helper()
 	layer := adal.NewLayer()
 	if err := layer.Mount("/", adal.NewMemFS("store")); err != nil {
 		t.Fatal(err)
 	}
-	meta, err := metadata.Open(metadata.Options{Async: async})
-	if err != nil {
-		t.Fatal(err)
-	}
+	meta := metadata.NewStore()
 	t.Cleanup(meta.Close)
 	return layer, meta
 }
@@ -214,15 +205,13 @@ func TestTagRuleFiltersByTag(t *testing.T) {
 // regression fails the bound check instead of looping forever.
 const cascadeCap = 1000
 
-// cascadeCases are the delivery paths a cascade must stop on: the
-// sync bus (events nest on the stack), the async bus (each event is
-// delivered after its cause's callback returned) and the engine's
-// executor (each firing on a goroutine of its own).
+// cascadeCases are the paths a cascade must stop on: the bus alone
+// (events nest on the stack) and the engine's executor (each firing on
+// a goroutine of its own).
 var cascadeCases = []struct {
 	name    string
-	async   bool
 	workers int
-}{{"sync", false, 0}, {"async", true, 0}, {"executor", false, 2}}
+}{{"sync", 0}, {"executor", 2}}
 
 // checkCascadeBound waits (bounded) for the store to go quiet, then
 // checks that the engine tripped ErrCascade and fired at most
@@ -257,7 +246,7 @@ func checkCascadeBound(t *testing.T, e *Engine, meta *metadata.Store, fired *ato
 func TestCascadeGuard(t *testing.T) {
 	for _, c := range cascadeCases {
 		t.Run(c.name, func(t *testing.T) {
-			layer, meta := newCtxOn(t, c.async)
+			layer, meta := newCtx(t)
 			e := NewEngine(layer, meta, c.workers)
 			defer e.Close()
 			var fired atomic.Int64
@@ -288,7 +277,7 @@ func TestCascadeGuard(t *testing.T) {
 func TestWorkflowTriggerCascadeGuard(t *testing.T) {
 	for _, c := range cascadeCases {
 		t.Run(c.name, func(t *testing.T) {
-			layer, meta := newCtxOn(t, c.async)
+			layer, meta := newCtx(t)
 			e := NewEngine(layer, meta, c.workers)
 			defer e.Close()
 			var fired atomic.Int64

@@ -13,9 +13,10 @@
 //
 // The metadata repository behind the handle is one store; bulk ingest
 // batches registrations (Facility.StoreBatch: one journal commit on a
-// durable store), and Options.AsyncEvents moves workflow/rule
-// triggering onto a background event bus with Facility.Flush as the
-// delivery barrier.
+// durable store). Its events reach the rules once the mutation is
+// acknowledged, on the mutating goroutine; Options.AsyncWorkflows
+// moves rule firings — triggered workflows among them — onto the rule
+// engine's executor, with Facility.Flush as the barrier.
 //
 // See README.md for the tour, DESIGN.md for the system inventory and
 // EXPERIMENTS.md for the paper-versus-measured record of every
@@ -89,10 +90,10 @@ func (fc *Facility) StoreBatch(objs []ingest.Object) []metadata.CreateResult {
 	return ingest.StoreBatch(fc.f.Layer, fc.f.Meta, ptrs)
 }
 
-// Flush blocks until every metadata event published so far has been
-// delivered to the rule engine and every firing its executor holds has
-// finished: the barrier to call before inspecting rule and trigger
-// effects under Options.AsyncEvents or AsyncWorkflows.
+// Flush blocks until every firing the rule engine's executor holds has
+// finished, with the firings those caused: the barrier to call before
+// inspecting rule and trigger effects under Options.AsyncWorkflows.
+// Events themselves are delivered before the mutation returns.
 func (fc *Facility) Flush() { fc.f.Meta.Flush() }
 
 // Open reads a stored object.

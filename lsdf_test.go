@@ -95,13 +95,13 @@ func TestTriggerAndRuleViaFacade(t *testing.T) {
 	}
 }
 
-// TestAsyncFacilityTriggersAfterFlush: with AsyncEvents the Tag call
-// returns before the workflow runs; Flush is the barrier after which
-// every trigger and its provenance write are visible — including
-// firings handed to the rule engine's executor (AsyncWorkflows),
-// which register with the flush barrier via HoldFlush.
+// TestAsyncFacilityTriggersAfterFlush: with AsyncWorkflows the Tag
+// call hands the firing to the rule engine's executor and may return
+// before the workflow runs; Flush is the barrier after which every
+// trigger and its provenance write are visible — the executor's
+// firings register with it via HoldFlush.
 func TestAsyncFacilityTriggersAfterFlush(t *testing.T) {
-	fc, err := New(Options{AsyncEvents: true, MetadataShards: 4, AsyncWorkflows: 2})
+	fc, err := New(Options{MetadataShards: 4, AsyncWorkflows: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
