@@ -11,10 +11,10 @@ import (
 	"repro/internal/units"
 )
 
-// ChainBlock is the spacing of SHA-256 checkpoints in a Digest, and
-// with it the read cache's block size: a block can only be verified
-// where the writer took a checkpoint.
-const ChainBlock = 256 << 10
+// ChainBlock is the spacing of SHA-256 checkpoints in a Digest, and with
+// it the read cache's block and Transfer's write unit: a block can only
+// be verified where the writer took a checkpoint.
+const ChainBlock = 64 << 10
 
 // Digest is what one hash pass over an object records: its size, its
 // SHA-256, and the checkpoint chain — the hash's 32-byte chaining value

@@ -17,9 +17,10 @@ import (
 )
 
 // chainSizes are the object sizes every block-level test walks: empty,
-// one byte, around one block boundary, a ragged multi-block object and
-// an exact multiple.
-var chainSizes = []int{0, 1, ChainBlock - 1, ChainBlock, ChainBlock + 1, 3*ChainBlock + 17, 8 * ChainBlock}
+// one byte, around the first and the fourth block boundary, a ragged
+// multi-block object and an exact multiple.
+var chainSizes = []int{0, 1, ChainBlock - 1, ChainBlock, ChainBlock + 1,
+	4*ChainBlock - 1, 4 * ChainBlock, 4*ChainBlock + 1, 12*ChainBlock + 17, 32 * ChainBlock}
 
 func seededBytes(seed int64, n int) []byte {
 	b := make([]byte, n)
@@ -205,7 +206,7 @@ func TestOneHashPassPerStoredByte(t *testing.T) {
 	fed := &digestingFS{FSBackend: NewMemFS("fed")}
 	l.Mount("/sites", fed)
 	l.Mount("/plain", NewMemFS("plain"))
-	payload := strings.Repeat("one pass. ", 70_000) // ~700 KiB: three blocks
+	payload := strings.Repeat("one pass. ", 5*ChainBlock/2/10) // 2.5 blocks: three
 	want := sha256.Sum256([]byte(payload))
 
 	for _, step := range []struct {

@@ -227,14 +227,17 @@ func (l *Layer) Remove(path string) error {
 	return b.Remove(rel)
 }
 
-// copyBufPool recycles the one-block transfer buffers of Transfer and
-// PooledCopy across concurrent ingest workers, copies and reads.
+// copyBufPool recycles copyBuf-byte buffers — PooledCopy's write unit,
+// of which Transfer fills a ChainBlock at a time — across concurrent
+// ingest workers, copies and reads.
 var copyBufPool = sync.Pool{
 	New: func() any {
-		b := make([]byte, ChainBlock)
+		b := make([]byte, copyBuf)
 		return &b
 	},
 }
+
+const copyBuf = 256 << 10
 
 // PooledCopy is io.Copy through the shared transfer-buffer pool: when
 // neither end short-circuits the buffer (src is a WriterTo — the DFS

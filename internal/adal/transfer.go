@@ -45,7 +45,7 @@ func Transfer(ctx context.Context, dst io.Writer, src io.Reader, want Digest) (D
 		n, rerr := 0, error(nil)
 		for n < ChainBlock && rerr == nil {
 			var k int
-			k, rerr = src.Read((*bp)[n:])
+			k, rerr = src.Read((*bp)[n:ChainBlock])
 			n += k
 		}
 		if n > 0 {

@@ -86,7 +86,7 @@ func transferCases(size int) []transferCase {
 // the digest is chained; a source error and a cancellation come back as
 // themselves, within a block of where they struck.
 func TestTransfer(t *testing.T) {
-	for _, size := range []int{5*ChainBlock + 1234, 4 * ChainBlock} {
+	for _, size := range []int{20*ChainBlock + 1234, 16 * ChainBlock} {
 		obj := seededBytes(int64(size), size)
 		full := digestOf(obj)
 		wants := []struct {

@@ -485,9 +485,7 @@ func (s *Server) getObject(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
 	w.Header().Set("X-LSDF-Object-Size", strconv.FormatInt(size, 10))
 	w.WriteHeader(status)
-	bp := streamBufPool.Get().(*[]byte)
-	defer streamBufPool.Put(bp)
-	n, _ := io.CopyBuffer(w, &bodyReader{r: rc, arm: chunkDeadline(http.NewResponseController(w).SetWriteDeadline)}, *bp)
+	n, _ := adal.PooledCopy(w, &bodyReader{r: rc, arm: chunkDeadline(http.NewResponseController(w).SetWriteDeadline)})
 	ai.tenant.bytesOut.Add(n)
 }
 
@@ -846,15 +844,6 @@ func (b *bodyReader) Read(p []byte) (int, error) {
 		b.err = err
 	}
 	return n, err
-}
-
-// streamBufPool holds the buffers objects are copied onto responses
-// through.
-var streamBufPool = sync.Pool{
-	New: func() any {
-		b := make([]byte, 128*1024)
-		return &b
-	},
 }
 
 // chunkDeadline returns the function that arms one connection deadline

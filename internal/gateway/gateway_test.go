@@ -684,7 +684,8 @@ func TestRangeIsValidatedBeforeAnythingIsOpened(t *testing.T) {
 		gateway.Config{Tenants: []gateway.Tenant{{Name: "bio", Token: "tkn", Prefixes: []string{"/sites/bio"}, RPS: 10000}}})
 	c := newClient(t, hs, "tkn")
 	ctx := context.Background()
-	data := bytes.Repeat([]byte("0123456789abcdef"), 40_000) // 640 000 bytes: three blocks
+	const size = 2*adal.ChainBlock + 50_000 // three blocks, the last one short
+	data := bytes.Repeat([]byte("0123456789abcdef"), size/16)
 	if _, err := c.PutObject(ctx, "/sites/bio/vol", data, ""); err != nil {
 		t.Fatal(err)
 	}
@@ -704,12 +705,12 @@ func TestRangeIsValidatedBeforeAnythingIsOpened(t *testing.T) {
 
 	req, _ := http.NewRequest("GET", hs.URL+"/v1/objects/sites/bio/vol", nil)
 	req.Header.Set("Authorization", "Bearer tkn")
-	req.Header.Set("Range", "bytes=640000-640099")
+	req.Header.Set("Range", fmt.Sprintf("bytes=%d-%d", size, size+99))
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable || resp.Header.Get("Content-Range") != "bytes */640000" {
+	if resp.StatusCode != http.StatusRequestedRangeNotSatisfiable || resp.Header.Get("Content-Range") != fmt.Sprintf("bytes */%d", size) {
 		t.Fatalf("unsatisfiable range: %d, Content-Range %q", resp.StatusCode, resp.Header.Get("Content-Range"))
 	}
 	assertEnvelope(t, resp)
@@ -718,20 +719,20 @@ func TestRangeIsValidatedBeforeAnythingIsOpened(t *testing.T) {
 	}
 
 	for round, wantOpens := range []int64{1, 1} {
-		rc, err := c.GetRange(ctx, "/sites/bio/vol", 639_000, 5_000) // clamped to the last 1000 bytes
+		rc, err := c.GetRange(ctx, "/sites/bio/vol", size-1000, 5_000) // clamped to the last 1000 bytes
 		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := io.ReadAll(rc)
 		rc.Close()
-		if err != nil || !bytes.Equal(got, data[639_000:]) {
+		if err != nil || !bytes.Equal(got, data[size-1000:]) {
 			t.Fatalf("round %d: ranged read returned %d bytes (err %v), want the last 1000", round, len(got), err)
 		}
 		if n := opens(); n != wantOpens {
 			t.Fatalf("round %d: %d site opens, want %d", round, n, wantOpens)
 		}
 	}
-	if st := fac.ReadCache.Stats(); st.FillBytes != 640_000-2*256*1024 || st.MemHits != 1 {
+	if st := fac.ReadCache.Stats(); st.FillBytes != size-2*adal.ChainBlock || st.MemHits != 1 {
 		t.Fatalf("cache fetched %d bytes and served %d hits; want the last block alone, then a hit", st.FillBytes, st.MemHits)
 	}
 }

@@ -1,7 +1,9 @@
 package durafs
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"io/fs"
 	"math/rand"
@@ -176,33 +178,91 @@ func TestMemFSTruncate(t *testing.T) {
 	}
 }
 
-// TestMemFSReadsInPlace: a synced 2 MiB file read in 256 KiB reads is
+// block is the unit objects are written to MemFS in: adal.ChainBlock,
+// what adal.Transfer writes at a time.
+const block = 64 << 10
+
+// TestMemFSReadsInPlace: a synced 2 MiB file written a block at a time
+// and read in 256 KiB reads, each spanning four of its extents, is
 // served from its durable bytes, allocating nothing per Read, and Sync
-// sized those bytes exactly.
+// kept exactly those bytes.
 func TestMemFSReadsInPlace(t *testing.T) {
 	m := NewMem()
 	f, _ := m.Create("/obj")
-	chunk := make([]byte, 256<<10)
-	for i := 0; i < 8; i++ {
+	chunk := make([]byte, block)
+	for i := 0; i < 32; i++ {
 		chunk[0] = byte(i)
 		f.Write(chunk)
 	}
 	f.Sync()
-	if mf := m.files["/obj"]; cap(mf.durable) != 2<<20 {
-		t.Fatalf("durable holds %d bytes of capacity for 2 MiB", cap(mf.durable))
+	mf := m.files["/obj"]
+	held := 0
+	for _, e := range mf.ext[:mf.synced] {
+		held += cap(e)
+	}
+	if mf.synced != len(mf.ext) || held != 2<<20 {
+		t.Fatalf("%d of %d extents durable, holding %d bytes of capacity for 2 MiB", mf.synced, len(mf.ext), held)
 	}
 	r, _ := m.Open("/obj")
-	buf := make([]byte, 256<<10)
+	buf := make([]byte, 4*block)
 	allocs := testing.AllocsPerRun(20, func() {
 		r.Seek(0, io.SeekStart)
 		for i := 0; i < 8; i++ {
-			if n, err := r.Read(buf); n != len(buf) || err != nil || buf[0] != byte(i) {
-				t.Fatalf("read %d: %d bytes, err %v, first byte %d", i, n, err, buf[0])
+			n, err := r.Read(buf)
+			if n != len(buf) || err != nil {
+				t.Fatalf("read %d: %d bytes, err %v", i, n, err)
+			}
+			for k := 0; k < 4; k++ {
+				if buf[k*block] != byte(4*i+k) {
+					t.Fatalf("read %d: block %d starts with %d", i, k, buf[k*block])
+				}
 			}
 		}
 	})
 	if allocs != 0 {
 		t.Fatalf("%.1f allocations per 2 MiB read, want 0", allocs)
+	}
+}
+
+// TestMemFSFirstSyncCopiesNothing: an object written as four blocks is
+// made durable by its first Sync without a copy or an allocation, and
+// reads back byte for byte after a crash; appending to it afterwards,
+// as a log does, coalesces it and loses nothing synced.
+func TestMemFSFirstSyncCopiesNothing(t *testing.T) {
+	const runs = 10
+	m := NewMem()
+	want := make([]byte, 4*block)
+	rand.New(rand.NewSource(1)).Read(want)
+	var files []File
+	for i := 0; i <= runs; i++ { // AllocsPerRun calls once more to warm up
+		f, _ := m.Create(fmt.Sprintf("/obj%d", i))
+		for k := 0; k < 4; k++ {
+			f.Write(want[k*block : (k+1)*block])
+		}
+		files = append(files, f)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		if err := files[next].Sync(); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per four-extent first Sync, want 0", allocs)
+	}
+	files[0].Write([]byte("tail"))
+	files[0].Sync()
+	files[1].Write([]byte("lost"))
+	m.Crash(nil)
+	for i := range files {
+		got, exp := readAll(t, m, fmt.Sprintf("/obj%d", i)), want
+		if i == 0 {
+			exp = append(want[:len(want):len(want)], "tail"...)
+		}
+		if !bytes.Equal(got, exp) {
+			t.Fatalf("/obj%d: read back %d bytes that differ from the %d synced", i, len(got), len(exp))
+		}
 	}
 }
 

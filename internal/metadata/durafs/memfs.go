@@ -27,60 +27,54 @@ type MemFS struct {
 	files map[string]*memFile
 }
 
-// memFile is one file's state: the durable prefix plus the unsynced
-// extents appended since the last Sync. Reads see durable+unsynced
-// (the OS page cache serves un-fsynced data); only Crash distinguishes
-// the two.
+// memFile is one file's state: its extents in order, the first synced
+// of them durable and the rest appended since the last Sync. Reads see
+// them all (the OS page cache serves un-fsynced data); only Crash
+// distinguishes the two.
 type memFile struct {
-	mu       sync.RWMutex
-	durable  []byte
-	unsynced [][]byte
-	mod      time.Time
+	mu     sync.RWMutex
+	ext    [][]byte
+	synced int // ext[:synced] is durable
+	mod    time.Time
 }
 
 func (mf *memFile) size() int64 {
-	n := int64(len(mf.durable))
-	for _, ext := range mf.unsynced {
-		n += int64(len(ext))
+	var n int64
+	for _, e := range mf.ext {
+		n += int64(len(e))
 	}
 	return n
 }
 
-// readAt copies the bytes from off into p straight from the durable
-// prefix and the extents. Callers hold mf.mu.
+// readAt copies the bytes from off into p straight from the extents.
+// Callers hold mf.mu.
 func (mf *memFile) readAt(p []byte, off int64) (n int) {
-	for i := -1; i < len(mf.unsynced) && n < len(p); i++ {
-		seg := mf.durable
-		if i >= 0 {
-			seg = mf.unsynced[i]
+	for _, e := range mf.ext {
+		if k := min(off, int64(len(e))); n < len(p) {
+			n += copy(p[n:], e[k:])
+			off -= k
 		}
-		if off >= int64(len(seg)) {
-			off -= int64(len(seg))
-			continue
-		}
-		n += copy(p[n:], seg[off:])
-		off = 0
 	}
 	return n
 }
 
-// sync promotes the extents, growing durable once: to its exact length
-// the first time (an object written and synced once carries no slack),
-// at least doubling after that (a log's Syncs stay linear). Callers hold mf.mu.
+// sync makes every extent durable. A file's first Sync keeps them as
+// they are: an object costs no copy however many writes it took. Later
+// ones coalesce them into one, grown at least double, so a log's Syncs
+// stay linear. Callers hold mf.mu.
 func (mf *memFile) sync() {
-	if n := int(mf.size()); n > cap(mf.durable) {
-		if len(mf.durable) == 0 && len(mf.unsynced) == 1 {
-			mf.durable, mf.unsynced = mf.unsynced[0], nil
-			return
-		}
-		grown := make([]byte, len(mf.durable), max(n, 2*len(mf.durable)))
-		copy(grown, mf.durable)
-		mf.durable = grown
+	if mf.synced == 0 || mf.synced == len(mf.ext) {
+		mf.synced = len(mf.ext)
+		return
 	}
-	for _, ext := range mf.unsynced {
-		mf.durable = append(mf.durable, ext...)
+	head, from := mf.ext[0], mf.synced
+	if n := int(mf.size()); from > 1 || n > cap(head) {
+		head, from = make([]byte, 0, max(n, 2*cap(head))), 0
 	}
-	mf.unsynced = nil
+	for _, e := range mf.ext[from:] {
+		head = append(head, e...)
+	}
+	mf.ext, mf.synced = [][]byte{head}, 1
 }
 
 func (mf *memFile) info(name string) Info {
@@ -228,17 +222,16 @@ func (m *MemFS) Crash(rng *rand.Rand) {
 	defer m.mu.Unlock()
 	for _, mf := range m.files {
 		mf.mu.Lock()
-		if rng != nil && len(mf.unsynced) > 0 {
-			keep := rng.Intn(len(mf.unsynced) + 1)
-			if keep < len(mf.unsynced) && rng.Intn(2) == 0 {
-				tear := mf.unsynced[keep]
-				mf.unsynced[keep] = tear[:rng.Intn(len(tear)+1)]
+		unsynced, keep := mf.ext[mf.synced:], 0
+		if rng != nil && len(unsynced) > 0 {
+			keep = rng.Intn(len(unsynced) + 1)
+			if keep < len(unsynced) && rng.Intn(2) == 0 {
+				unsynced[keep] = unsynced[keep][:rng.Intn(len(unsynced[keep])+1)]
 				keep++
 			}
-			mf.unsynced = mf.unsynced[:keep]
-			mf.sync()
 		}
-		mf.unsynced = nil
+		mf.ext = mf.ext[:mf.synced+keep]
+		mf.sync()
 		mf.mu.Unlock()
 	}
 }
@@ -294,7 +287,7 @@ func (h *memHandle) Write(p []byte) (int, error) {
 	if !h.write {
 		return 0, &fs.PathError{Op: "write", Err: fs.ErrPermission}
 	}
-	h.f.unsynced = append(h.f.unsynced, append([]byte(nil), p...))
+	h.f.ext = append(h.f.ext, append([]byte(nil), p...))
 	h.f.mod = time.Now()
 	return len(p), nil
 }
@@ -324,7 +317,7 @@ func (h *memHandle) Truncate(size int64) error {
 	}
 	kept := make([]byte, size)
 	h.f.readAt(kept, 0)
-	h.f.durable, h.f.unsynced, h.f.mod = kept, nil, time.Now()
+	h.f.ext, h.f.synced, h.f.mod = [][]byte{kept}, 1, time.Now()
 	if h.off > size {
 		h.off = size
 	}

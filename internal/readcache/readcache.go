@@ -6,10 +6,10 @@
 // federation pairs with its redirector, which hold partial files at
 // block granularity because analysis jobs read a fraction of each file.
 //
-// Both tiers hold 256 KiB blocks keyed by (path, block index); a ranged
-// read fetches only the blocks it lacks. Each tier is a segmented
-// (2Q-style) LRU whose probationary segment absorbs one-touch traffic,
-// behind an admission gate on the span a request touches. Concurrent
+// Both tiers hold 64 KiB blocks (adal.ChainBlock) keyed by (path,
+// block index); a ranged read fetches only the blocks it lacks. Each
+// tier is a segmented (2Q-style) LRU whose probationary segment absorbs
+// one-touch traffic, behind an admission gate on the span. Concurrent
 // misses of a block coalesce onto one fetch, every fetched block is
 // SHA-256-verified against the replica catalog's digest through its
 // checkpoint chain, and invalidation rides the metadata event bus: a
@@ -91,8 +91,12 @@ type digestReporter interface {
 // SHA-256 checkpoints, so any one block can be verified alone.
 const blockSize = adal.ChainBlock
 
+// spacingTag ends a disk-tier block file's name: a block cut at another
+// spacing is never taken for this spacing's block of the same index.
+var spacingTag = "@" + strconv.Itoa(blockSize>>10) + "k"
+
 // blockFile is the disk tier's name for a block (recoverDisk parses it).
-func blockFile(k blockKey) string { return k.path + "#" + strconv.FormatInt(k.idx, 10) }
+func blockFile(k blockKey) string { return k.path + "#" + strconv.FormatInt(k.idx, 10) + spacingTag }
 
 // fillOp is one in-flight fetch, entered in Cache.ops under each block
 // it claimed; readers that need one wait on done instead of opening
@@ -184,7 +188,8 @@ func New(inner adal.Backend, cfg Config) *Cache {
 
 // recoverDisk re-admits block files left in the disk backend by a
 // prior process, as unverified blocks: usable immediately, evicted by
-// the first stale/lost event on their path. Anything else is removed.
+// the first stale/lost event on their path. Anything else (a block cut
+// at another spacing too) is removed.
 func (c *Cache) recoverDisk() {
 	infos, err := c.cfg.Disk.List("/")
 	if err != nil {
@@ -193,13 +198,14 @@ func (c *Cache) recoverDisk() {
 	var stray []string
 	c.mu.Lock()
 	for _, info := range infos {
-		cut := strings.LastIndexByte(info.Path, '#')
-		idx, err := strconv.ParseInt(info.Path[cut+1:], 10, 64)
-		if cut <= 0 || err != nil || idx < 0 || info.Size > blockSize || !c.disk.admits(info.Size) {
+		name, ours := strings.CutSuffix(info.Path, spacingTag)
+		cut := strings.LastIndexByte(name, '#')
+		idx, err := strconv.ParseInt(name[cut+1:], 10, 64)
+		if !ours || cut <= 0 || err != nil || idx < 0 || info.Size > blockSize || !c.disk.admits(info.Size) {
 			stray = append(stray, info.Path)
 			continue
 		}
-		for _, e := range c.disk.add(&centry{key: blockKey{info.Path[:cut], idx}, size: info.Size}) {
+		for _, e := range c.disk.add(&centry{key: blockKey{name[:cut], idx}, size: info.Size}) {
 			stray = append(stray, blockFile(e.key))
 		}
 	}
@@ -388,19 +394,16 @@ func (c *Cache) OpenRange(ctx context.Context, path string, off, n int64) (io.Re
 		if sized && off >= 0 && off < lk.end {
 			lk.span(c, off/blockSize, (lk.end-1)/blockSize)
 		}
-		if !(lk.toMem || lk.toDisk) || attempt >= 3 {
+		// A digest without a chain at this spacing (none, or an older
+		// build's) cannot vouch for one block: a miss reads an admissible
+		// object whole once, deriving the chain (its cached blocks carry it)
+		// as it checks the digest; an inadmissible one is not cached.
+		derive := d.Sum != "" && !d.Chained()
+		if !(lk.toMem || lk.toDisk) || attempt >= 3 || derive && !c.mem.admits(d.Size) && !c.disk.admits(d.Size) {
 			// Unsizeable, empty, inadmissible, or losing repeated races:
 			// stream straight through, uncoalesced.
 			c.bypasses.Add(1)
 			return c.innerOpen(ctx, path, off, n)
-		}
-		// A digest without a chain cannot vouch for one block: a miss
-		// reads an admissible object whole once, deriving the chain as it
-		// checks the digest (its cached blocks carry it from then on);
-		// an inadmissible one is cached as unverified blocks.
-		derive := d.Sum != "" && !d.Chained()
-		if derive && !c.mem.admits(d.Size) && !c.disk.admits(d.Size) {
-			derive, lk.d.Sum = false, ""
 		}
 
 		var mine, onDisk []int64
@@ -703,14 +706,10 @@ type spanReader struct {
 	tail   io.ReadCloser // set once the rest comes from the inner backend
 }
 
-func (r *spanReader) Read(p []byte) (int, error) {
+// chunk is the rest of the block pos is in, up to the range's end: in hand,
+// read from the disk tier, or empty (evicted since the lookup, fetched short).
+func (r *spanReader) chunk() []byte {
 	lk := r.lk
-	if r.tail != nil {
-		return r.tail.Read(p)
-	}
-	if r.pos >= lk.end {
-		return 0, io.EOF
-	}
 	j, in := r.pos/blockSize, r.pos%blockSize
 	blk := lk.blocks[j-lk.b0]
 	if blk == nil {
@@ -719,30 +718,46 @@ func (r *spanReader) Read(p []byte) (int, error) {
 		}
 		blk = r.cur
 	}
-	if int64(len(blk)) <= in {
-		// Not cached after all (evicted since the lookup, or fetched
-		// short): the rest comes straight from the inner backend.
-		tail, err := r.c.innerOpen(r.ctx, lk.path, r.pos, lk.end-r.pos)
-		if err != nil {
-			return 0, err
-		}
-		r.tail = tail
-		return tail.Read(p)
-	}
-	k := copy(p, blk[in:min(int64(len(blk)), in+lk.end-r.pos)])
-	r.pos += int64(k)
-	return k, nil
+	return blk[min(int64(len(blk)), in):min(int64(len(blk)), in+lk.end-r.pos)]
 }
 
-// WriteTo hands the blocks in hand to w by reference, with no staging
-// copy, and streams whatever is not in hand through Read.
-func (r *spanReader) WriteTo(w io.Writer) (total int64, err error) {
-	for lk := r.lk; r.tail == nil && r.pos < lk.end; {
-		blk, in := lk.blocks[r.pos/blockSize-lk.b0], r.pos%blockSize
-		if int64(len(blk)) <= in {
+// Read fills p across as many blocks as it spans. From a block that is
+// not cached after all, the rest comes straight from the inner backend.
+func (r *spanReader) Read(p []byte) (n int, err error) {
+	for r.tail == nil && n < len(p) && r.pos < r.lk.end {
+		chunk := r.chunk()
+		if len(chunk) == 0 && n == 0 {
+			tail, err := r.c.innerOpen(r.ctx, r.lk.path, r.pos, r.lk.end-r.pos)
+			if err != nil {
+				return 0, err
+			}
+			r.tail = tail
+		}
+		if len(chunk) == 0 {
 			break
 		}
-		k, err := w.Write(blk[in:min(int64(len(blk)), in+lk.end-r.pos)])
+		k := copy(p[n:], chunk)
+		r.pos += int64(k)
+		n += k
+	}
+	switch {
+	case n > 0 || len(p) == 0:
+		return n, nil
+	case r.tail != nil:
+		return r.tail.Read(p)
+	}
+	return 0, io.EOF
+}
+
+// WriteTo hands the cached blocks to w by reference, with no staging
+// copy, and streams whatever is not cached through Read.
+func (r *spanReader) WriteTo(w io.Writer) (total int64, err error) {
+	for r.tail == nil && r.pos < r.lk.end {
+		chunk := r.chunk()
+		if len(chunk) == 0 {
+			break
+		}
+		k, err := w.Write(chunk)
 		r.pos += int64(k)
 		if total += int64(k); err != nil {
 			return total, err

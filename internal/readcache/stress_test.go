@@ -203,20 +203,20 @@ func TestCacheStressKillRevive(t *testing.T) {
 var propertySizes = []int64{0, 1, blockSize - 1, blockSize, blockSize + 1, 3*blockSize + 17, 8 * blockSize}
 
 // tierShapes are the cache configurations it rotates through. Budgets
-// are a few blocks, so blocks are evicted throughout; the admit cap
-// lets the largest object in whole on the big tiers, while the small
-// memory tier of "both" admits two blocks, so wider spans are served
-// from disk-tier blocks alone.
+// are a few blocks, fewer than the objects hold, so blocks are evicted
+// throughout; the admit cap lets the largest object in whole on the big
+// tiers, while the small memory tier of "both" admits two blocks, so
+// wider spans are served from disk-tier blocks alone.
 var tierShapes = []struct {
 	name string
 	cfg  func() Config
 }{
-	{"memory", func() Config { return Config{Memory: 3 * units.MiB, AdmitFraction: 0.7} }},
+	{"memory", func() Config { return Config{Memory: 10 * blockSize, AdmitFraction: 0.8} }},
 	{"disk", func() Config {
-		return Config{Disk: adal.NewMemFS("cachedisk"), DiskBudget: 3 * units.MiB, AdmitFraction: 0.7}
+		return Config{Disk: adal.NewMemFS("cachedisk"), DiskBudget: 10 * blockSize, AdmitFraction: 0.8}
 	}},
 	{"both", func() Config {
-		return Config{Memory: 768 * units.KiB, Disk: adal.NewMemFS("cachedisk"), DiskBudget: 3 * units.MiB, AdmitFraction: 0.7}
+		return Config{Memory: 3 * blockSize, Disk: adal.NewMemFS("cachedisk"), DiskBudget: 10 * blockSize, AdmitFraction: 0.8}
 	}},
 }
 
