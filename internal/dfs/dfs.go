@@ -104,7 +104,6 @@ type Cluster struct {
 	files  map[string]*fileEntry
 	nextID uint64
 	rng    *rand.Rand
-	clock  func() time.Time // timestamp source for file mtimes
 
 	// afterBlockPut, when set, runs between a block's replica puts and
 	// its listing: tests kill nodes inside that window through it.
@@ -136,16 +135,7 @@ func NewCluster(cfg Config) *Cluster {
 		nodes:  make(map[string]*DataNode),
 		files:  make(map[string]*fileEntry),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		clock:  time.Now,
 	}
-}
-
-// SetClock injects a timestamp source for file modification times
-// (virtual time in simulations, fixed clocks in tests).
-func (c *Cluster) SetClock(clock func() time.Time) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.clock = clock
 }
 
 // Config returns the cluster configuration.

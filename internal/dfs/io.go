@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 	"sync"
+	"time"
 
 	"repro/internal/units"
 )
@@ -21,7 +22,7 @@ func (c *Cluster) Create(name, clientHint string) (*FileWriter, error) {
 		return nil, fmt.Errorf("%w: %q", ErrExists, name)
 	}
 	c.nextID++
-	f := &fileEntry{name: name, id: c.nextID, modTime: c.clock()}
+	f := &fileEntry{name: name, id: c.nextID, modTime: time.Now()}
 	c.files[name] = f
 	return &FileWriter{
 		c:    c,
@@ -181,7 +182,7 @@ func (w *FileWriter) Close() error {
 	}
 	w.c.mu.Lock()
 	w.f.complete = true
-	w.f.modTime = w.c.clock()
+	w.f.modTime = time.Now()
 	w.c.mu.Unlock()
 	return nil
 }

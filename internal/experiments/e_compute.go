@@ -242,7 +242,7 @@ func E9DNASequencing() (*Table, error) {
 	}
 	kdur := time.Since(start)
 
-	// The coverage job runs the memory-bounded path: a 16 KiB spill
+	// The coverage job runs the memory-bounded path: a 1 KiB spill
 	// budget forces external sorted runs, and the reducer folds each
 	// bucket's counts as they stream without materializing the group.
 	start = time.Now()
@@ -250,7 +250,7 @@ func E9DNASequencing() (*Table, error) {
 		Inputs: []string{"/dna/reads"}, OutputDir: "/dna/cov",
 		Mapper: workloads.CoverageMapper(1000), Reducer: mapreduce.SumReducer(),
 		Combiner: mapreduce.SumReducer(), NumReducers: 4, Locality: true,
-		ShuffleMemory: 16 * units.KiB,
+		ShuffleMemory: units.KiB,
 	})
 	if err != nil {
 		return nil, err
@@ -275,7 +275,7 @@ func E9DNASequencing() (*Table, error) {
 		},
 		Notes: fmt.Sprintf("combiners collapse per-split duplicates before the shuffle — the same "+
 			"structure 2011 Hadoop genomics tools (Crossbow, Cloudburst) relied on. The coverage "+
-			"job ran under a 16 KiB shuffle budget with a streaming reducer: %d spill runs merged "+
+			"job ran under a 1 KiB shuffle budget with a streaming reducer: %d spill runs merged "+
 			"across %d streams.", cres.Counters.SpillRuns, cres.Counters.MergeStreams),
 	}, nil
 }

@@ -161,14 +161,21 @@ func (c *Client) GetRange(ctx context.Context, path string, offset, length int64
 	return c.get(ctx, path, http.Header{"Range": {spec}})
 }
 
-// ReadObject reads the whole object into memory.
+// ReadObject reads the whole object into memory: into one buffer of
+// the response's Content-Length when it has one up to 64 MiB, so the
+// read grows nothing.
 func (c *Client) ReadObject(ctx context.Context, path string) ([]byte, error) {
-	rc, err := c.Get(ctx, path)
+	resp, err := c.do(ctx, http.MethodGet, "/v1/objects"+path, nil, nil, "", nil)
 	if err != nil {
 		return nil, err
 	}
-	defer rc.Close()
-	return io.ReadAll(rc)
+	defer resp.Body.Close()
+	if n := resp.ContentLength; n >= 0 && n <= 64<<20 {
+		data := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, data)
+		return data, err
+	}
+	return io.ReadAll(resp.Body)
 }
 
 func (c *Client) get(ctx context.Context, path string, hdr http.Header) (io.ReadCloser, error) {

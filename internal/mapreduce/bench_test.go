@@ -38,15 +38,26 @@ func BenchmarkWordCount(b *testing.B) {
 // BenchmarkMapCollect emits one map-side partition of each key shape —
 // 10k records; zipf under 24-byte keys is the benchmark workload's —
 // into a collector and orders the run: the intern table, the buffers,
-// the sort of the distinct keys and the scatter.
+// the sort of the distinct keys and the scatter. zipf-sum emits the
+// zipf keys with counts to a collector that folds SumReducer: the
+// table and one add per record, one record per key when ordered.
 func BenchmarkMapCollect(b *testing.B) {
-	for _, shape := range []string{"uniform", "zipf", "equal", "sorted", "reversed"} {
-		keys, rt := sortInputs(10_000, 1)[shape], testRuntime(Config{})
+	for _, shape := range []string{"uniform", "zipf", "equal", "sorted", "reversed", "zipf-sum"} {
+		keys, rt := sortInputs(10_000, 1)[strings.TrimSuffix(shape, "-sum")], testRuntime(Config{})
+		if shape == "zipf-sum" {
+			rt = testRuntime(Config{Combiner: SumReducer()})
+		}
 		b.Run(shape, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				col := newMapCollector(rt, "", 0)
-				collect(col, keys)
+				if rt.cfg.Combiner == nil {
+					collect(col, keys)
+				} else {
+					for _, k := range keys {
+						col.add(k, one)
+					}
+				}
 				if err := col.orderAndCombine(); err != nil {
 					b.Fatal(err)
 				}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -121,11 +122,12 @@ func TestMapAttemptAllocatesPerKeyNotPerRecord(t *testing.T) {
 // reach the reducer as views, not copies.
 func TestReduceAllocatesNothingPerGroup(t *testing.T) {
 	const keys, perKey = 1_000, 5
-	var r run
+	var tab keyTable
+	runs := make([]run, 1)
 	for i := 0; i < keys*perKey; i++ {
-		key := fmt.Sprintf("key%04d", i%keys)
-		r.add(fnv1a(key), key, []byte{byte(i)})
+		tab.add(runs, fmt.Sprintf("key%04d", i%keys), []byte{byte(i)})
 	}
+	r := runs[0]
 	r.order()
 	var groups, values int
 	count := ReducerFunc(func(_ string, vals *Values, _ Emit) error {
@@ -152,38 +154,63 @@ func TestReduceAllocatesNothingPerGroup(t *testing.T) {
 
 // TestRunIsCutBeforeItsOffsetsCouldWrap lowers the limit a run's uint32
 // offsets and counts impose: an unbudgeted job then cuts its runs by
-// the same spill a budget makes, and its output is the uncut job's.
+// the same spill a budget makes, and its output is the uncut job's. A
+// run accounts for its records, or, when it folds the sum combiner, for
+// its distinct keys: a limit of exactly what the split's keys account
+// for cuts nothing there, and one byte less cuts.
 func TestRunIsCutBeforeItsOffsetsCouldWrap(t *testing.T) {
-	job := func() (map[string][]byte, Counters) {
+	lines := wcCorpus(300) // one split: about 1200 records under 309 keys
+	job := func(combiner Reducer, limit int64) (map[string][]byte, Counters) {
+		defer SetRunLimit(limit)()
 		c := testCluster(1, 64*units.KiB)
-		if err := writeCorpus(c, "/in/cut", wcCorpus(300)); err != nil { // one split, about 1200 records
+		if err := writeCorpus(c, "/in/cut", lines); err != nil {
 			t.Fatal(err)
 		}
 		res, err := Run(c, Config{
 			Inputs: []string{"/in/cut"}, OutputDir: "/out/cut",
-			Mapper: wordCountMapper, Combiner: SumReducer(), Reducer: SumReducer(), NumReducers: 2,
+			Mapper: wordCountMapper, Combiner: combiner, Reducer: SumReducer(), NumReducers: 2,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return readParts(t, c, res.OutputFiles), res.Counters
 	}
-	want, uncut := job()
-	defer SetRunLimit(20_000)() // 1200 records account for about 67 KB
-	got, cut := job()
-	if uncut.SpillRuns != 0 || cut.SpillRuns != 3 {
-		t.Fatalf("runs cut: %d without the limit, %d with it, want 0 and 3", uncut.SpillRuns, cut.SpillRuns)
+	keys, seen := int64(0), map[string]bool{}
+	for _, line := range lines {
+		for _, w := range strings.Fields(line) {
+			if !seen[w] {
+				seen[w], keys = true, keys+int64(len(w))+kvOverhead
+			}
+		}
 	}
-	for name := range want {
-		if !bytes.Equal(got[name], want[name]) {
-			t.Errorf("%s differs once the run is cut:\n got %q\nwant %q", name, got[name], want[name])
+	want, uncut := job(nil, math.MaxUint32)
+	for _, tc := range []struct {
+		name     string
+		combiner Reducer
+		limit    int64
+		runs     func(int64) bool
+	}{
+		{"records", nil, 20_000, func(n int64) bool { return n == 3 }}, // 1200 records account for about 67 KB
+		{"keys", SumReducer(), keys, func(n int64) bool { return n == 0 }},
+		{"keys-1", SumReducer(), keys - 1, func(n int64) bool { return n > 0 }},
+	} {
+		got, cut := job(tc.combiner, tc.limit)
+		if uncut.SpillRuns != 0 || !tc.runs(cut.SpillRuns) {
+			t.Fatalf("%s: runs cut: %d without the limit, %d under %d B", tc.name, uncut.SpillRuns, cut.SpillRuns, tc.limit)
+		}
+		for name := range want {
+			if !bytes.Equal(got[name], want[name]) {
+				t.Errorf("%s: %s differs once the run is cut:\n got %q\nwant %q", tc.name, name, got[name], want[name])
+			}
 		}
 	}
 
-	SetRunLimit(kvOverhead + 8)
-	col := newMapCollector(testRuntime(Config{}), "", 0)
-	if col.add("a-key-and", []byte("a value the run cannot address")); col.err == nil {
-		t.Error("a record larger than the limit was buffered")
+	defer SetRunLimit(kvOverhead + 8)()
+	for _, combiner := range []Reducer{nil, SumReducer()} {
+		col := newMapCollector(testRuntime(Config{Combiner: combiner}), "", 0)
+		if col.add("a-key-longer-than-eight", []byte("1")); col.err == nil {
+			t.Errorf("combiner %T: a record larger than the limit was buffered", combiner)
+		}
 	}
 }
 

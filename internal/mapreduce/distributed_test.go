@@ -122,7 +122,7 @@ func wcCorpus(n int) []string {
 // (golden_test.go) — the merge tie-break and spill-all invariants
 // crossing the wire intact.
 func TestDistributedByteIdentity(t *testing.T) {
-	for shape, budget := range map[string]int64{"byte-identity": 1024, "unspilled": 0} {
+	for shape, budget := range map[string]int64{"byte-identity": 256, "unspilled": 0} {
 		t.Run(shape, func(t *testing.T) { byteIdentity(t, shape, budget) })
 	}
 }

@@ -97,7 +97,7 @@ func experimentShapes() []shape {
 		{"e9-coverage", mr(16 * units.KiB), reads, mapreduce.Config{
 			Mapper: workloads.CoverageMapper(1000), Reducer: mapreduce.SumReducer(),
 			Combiner: mapreduce.SumReducer(), NumReducers: 4, Locality: true,
-			ShuffleMemory: 16 * units.KiB,
+			ShuffleMemory: units.KiB, // below what a split's keys account for, so the coverage job spills
 		}},
 		{"e18-bio", shapeCluster(8, 2, 2*units.KiB, 18), e18corpus(3), e18cfg},
 		{"e18-climate", shapeCluster(8, 2, 2*units.KiB, 18), e18corpus(5), e18cfg},

@@ -511,3 +511,42 @@ func TestWordCountMatchesSequentialQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestMapOnlyJob(t *testing.T) {
+	c := testCluster(4, 64)
+	if err := writeCorpus(c, "/in/m", []string{"a b", "c d", "e f"}); err != nil {
+		t.Fatal(err)
+	}
+	upper := MapperFunc(func(_ string, v []byte, emit Emit) error {
+		emit(strings.ToUpper(string(v)), []byte("x"))
+		return nil
+	})
+	res, err := Run(c, Config{
+		Inputs: []string{"/in/m"}, OutputDir: "/out/m",
+		Mapper: upper, MapOnly: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Counters.ReduceTasks != 0 {
+		t.Fatalf("reduce tasks = %d in map-only job", res.Counters.ReduceTasks)
+	}
+	if res.Counters.OutputRecords != 3 {
+		t.Fatalf("output records = %d", res.Counters.OutputRecords)
+	}
+	// Output files are part-m-*.
+	for _, f := range res.OutputFiles {
+		if !strings.Contains(f, "part-m-") {
+			t.Fatalf("map-only output file %q", f)
+		}
+	}
+	got, err := ReadTextOutput(c, res.OutputFiles)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []string{"A B", "C D", "E F"} {
+		if len(got[k]) != 1 {
+			t.Fatalf("missing %q in %v", k, got)
+		}
+	}
+}

@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -341,7 +340,7 @@ func (m *Master) Submit(spec mrpc.JobSpec, tenant string) (*Job, error) {
 		spec:    spec,
 		cfg:     cfg,
 		splits:  splits,
-		shuf:    fmt.Sprintf("%s/_shuffle-d%d", trimDir(cfg.OutputDir), shuffleEpoch.Add(1)),
+		shuf:    fmt.Sprintf("%s/_shuffle-d%d", strings.TrimRight(cfg.OutputDir, "/"), shuffleEpoch.Add(1)),
 		start:   time.Now(),
 		maps:    make([]mTask, len(splits)),
 		doneCh:  make(chan struct{}),
@@ -652,7 +651,7 @@ func (j *Job) takeLocked(w *mWorker, others bool) (mrpc.Assignment, bool) {
 		ShufDir: j.shuf,
 		MapOnly: j.cfg.MapOnly,
 	}
-	out := trimDir(j.cfg.OutputDir)
+	out := strings.TrimRight(j.cfg.OutputDir, "/")
 	if phase == mrpc.PhaseMap {
 		a.Split = j.splits[idx].ref()
 		if j.cfg.MapOnly {
@@ -1084,16 +1083,13 @@ func (m *Master) mountProxy(mux *http.ServeMux) {
 	})
 	mux.HandleFunc("GET "+mrpc.PathProxyRead, func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
-		off, _ := strconv.ParseInt(q.Get("off"), 10, 64)
-		length, _ := strconv.ParseInt(q.Get("len"), 10, 64)
 		f, err := c.Open(q.Get("name"), q.Get("hint"))
 		if err != nil {
 			writeProxyErr(w, err)
 			return
 		}
 		defer f.Close()
-		w.Header().Set("Content-Length", strconv.FormatInt(length, 10))
-		_, _ = io.Copy(w, io.NewSectionReader(f, off, length))
+		serveRange(w, q, f)
 	})
 	mux.HandleFunc("PUT "+mrpc.PathProxyCreate, func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()

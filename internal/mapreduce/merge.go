@@ -92,14 +92,6 @@ func newMerger(srcs []mergeSource) (*merger, error) {
 	return m, nil
 }
 
-// peek returns the smallest head record without consuming it.
-func (m *merger) peek() (*mergeItem, bool) {
-	if len(m.items) == 0 {
-		return nil, false
-	}
-	return m.items[0], true
-}
-
 // pop consumes the smallest record and refills its stream's heap slot.
 func (m *merger) pop() (string, []byte, error) {
 	it := m.items[0]
@@ -140,16 +132,15 @@ type Values struct {
 // nextGroup aims v at the next key, reporting false past the last.
 func (v *Values) nextGroup() bool {
 	if v.r == nil {
-		head, ok := v.m.peek()
-		if ok {
-			v.key = head.key
+		if len(v.m.items) > 0 { // the smallest head record is the next group's
+			v.key = v.m.items[0].key
 		}
-		return ok
+		return len(v.m.items) > 0
 	}
 	if v.k == len(v.r.ids) {
 		return false
 	}
-	id := v.r.ids[v.k]
+	id := v.r.ids[v.k].id
 	v.k, v.end, v.key = v.k+1, int(v.r.ents[id].end), bytesString(v.r.key(id))
 	return true
 }
@@ -164,8 +155,7 @@ func (v *Values) Next() ([]byte, bool) {
 	if v.r != nil || v.err != nil {
 		return nil, false
 	}
-	it, ok := v.m.peek()
-	if !ok || it.key != v.key {
+	if len(v.m.items) == 0 || v.m.items[0].key != v.key {
 		return nil, false
 	}
 	_, val, err := v.m.pop()

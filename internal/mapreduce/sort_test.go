@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -95,7 +96,7 @@ func TestStableSortMatchesSliceStable(t *testing.T) {
 					t.Fatalf("%s/%s n=%d: %d spills, want the order to cross run boundaries", name, mode, n, len(col.out.spills))
 				}
 				vals := &Values{}
-				srcs, err := col.rt.taskSources(&col.out, 0, 0, "")
+				srcs, _, err := openSources(context.Background(), col.rt.store, col.out.spills, 0, 0, "", nil)
 				if col.out.mem != nil { // one run: walked in place
 					vals.r = &col.out.mem[0]
 				} else if err == nil {

@@ -74,9 +74,9 @@ func (c *mapCollector) writeRun() (int64, error) {
 	for p := range c.parts {
 		r, j := &c.parts[p], 0
 		start := off + int64(len(buf))
-		for _, id := range r.ids {
-			key := r.key(id)
-			for end := int(r.ents[id].end); j < end; j++ {
+		for _, k := range r.ids {
+			key := r.key(k.id)
+			for end := int(r.ents[k.id].end); j < end; j++ {
 				val := r.val(r.ord[j])
 				buf = binary.AppendUvarint(buf, uint64(len(key)))
 				buf = binary.AppendUvarint(buf, uint64(len(val)))
@@ -110,11 +110,10 @@ func (rt *taskRuntime) discardOutput(out *taskOutput) {
 }
 
 // spillCursor streams one segment's records in sorted order. It reads
-// the segment a chunk at a time and decodes in place: values alias
-// their chunk, which is never rewritten, so slices handed to the merge
-// stay valid after the cursor advances, as merger.pop needs. A run
-// repeats its keys, so the key string is allocated once per distinct
-// key.
+// the segment a chunk at a time and decodes in place: keys and values
+// alias their chunk, which is never rewritten, so what it hands the
+// merge stays valid after the cursor advances, as merger.pop needs, and
+// a record costs no allocation.
 type spillCursor struct {
 	r    io.Reader // the rest of the segment; nil once buf holds it all
 	c    io.Closer // the run file; nil for a fetched segment
@@ -122,7 +121,6 @@ type spillCursor struct {
 	left int    // records not yet returned
 	rest int64  // bytes of the segment not yet read from r
 	buf  []byte // undecoded tail of the current chunk
-	key  string
 }
 
 // openSpillCursor positions a streaming reader over one segment of a
@@ -157,13 +155,10 @@ func (c *spillCursor) next() (string, []byte, bool, error) {
 		if n1 > 0 && n2 > 0 {
 			k, end := n1+n2, n1+n2+int(kl)+int(vl)
 			if end <= len(c.buf) {
-				if string(c.buf[k:k+int(kl)]) != c.key {
-					c.key = string(c.buf[k : k+int(kl)])
-				}
-				val := c.buf[k+int(kl) : end : end]
+				key, val := bytesString(c.buf[k:k+int(kl)]), c.buf[k+int(kl):end:end]
 				c.buf = c.buf[end:]
 				c.left--
-				return c.key, val, true, nil
+				return key, val, true, nil
 			}
 			need = end
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+	"sync"
 
 	"repro/internal/dfs"
 	"repro/internal/mrpc"
@@ -33,21 +34,13 @@ func buildSplits(cluster *dfs.Cluster, inputs []string) ([]split, error) {
 		if err != nil {
 			return nil, err
 		}
-		blockSize := int64(cluster.Config().BlockSize)
-		remaining := int64(info.Size)
-		off := int64(0)
-		for i := 0; remaining > 0; i++ {
-			l := blockSize
-			if l > remaining {
-				l = remaining
-			}
-			var nodes []string
+		block, size := int64(cluster.Config().BlockSize), int64(info.Size)
+		for i, off := 0, int64(0); off < size; i, off = i+1, off+block {
+			s := split{file: name, offset: off, length: min(block, size-off)}
 			if i < len(locs) {
-				nodes = locs[i]
+				s.locations = locs[i]
 			}
-			out = append(out, split{file: name, offset: off, length: l, locations: nodes})
-			off += l
-			remaining -= l
+			out = append(out, s)
 		}
 	}
 	return out, nil
@@ -86,6 +79,9 @@ func readRecords(store Store, s split, format InputFormat, node string,
 	return fmt.Errorf("mapreduce: unknown input format %d", format)
 }
 
+// lineReaders are the text splits' read buffers, kept across attempts.
+var lineReaders = sync.Pool{New: func() any { return bufio.NewReaderSize(nil, 64*1024) }}
+
 // readTextRecords implements the TextInputFormat boundary convention:
 // a split that does not start at offset zero discards the first
 // (partial) line; every split reads its final line to completion even
@@ -100,7 +96,9 @@ func readTextRecords(store Store, s split, node string,
 	if _, err := r.Seek(s.offset, io.SeekStart); err != nil {
 		return err
 	}
-	br := bufio.NewReaderSize(r, int(min(64*1024, max(4096, s.length)))) // a small split reads through a small buffer
+	br := lineReaders.Get().(*bufio.Reader)
+	defer func() { br.Reset(nil); lineReaders.Put(br) }()
+	br.Reset(r)
 	pos := s.offset
 	if s.offset > 0 {
 		skipped, err := br.ReadBytes('\n')

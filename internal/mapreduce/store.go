@@ -211,23 +211,33 @@ func (f *proxyFile) Seek(offset int64, whence int) (int64, error) {
 
 func (f *proxyFile) Close() error { return nil }
 
-// openSegment returns a cursor over partition p's segment of one run,
-// nil when it is empty: fetched whole from the shuffle server of the
-// worker that wrote the run when it has one, streamed from the run file
-// on the store otherwise and when that worker is unreachable — the
-// network shuffle with the DFS as the durable second copy. remote is
-// the bytes that came over HTTP.
-func openSegment(ctx context.Context, store Store, run mrpc.RunRef, p int, hint string) (cur *spillCursor, remote int64, err error) {
-	seg := run.Segs[p]
-	if run.Addr != "" && seg.Records > 0 {
-		if data, err := fetchRemoteSegment(ctx, run, seg); err == nil {
-			return &spillCursor{buf: data, left: seg.Records, file: run.File}, seg.Len, nil
+// openSources appends to srcs a cursor over partition p's non-empty
+// segment of each of a map task's runs, with the (task, run) tie-break
+// the merge's determinism relies on: fetched whole (remote bytes) from
+// the shuffle server of the worker that wrote the run if it has one,
+// streamed from the run file on the store otherwise or if that fails.
+// On an error, what was opened is still returned, for the caller to close.
+func openSources(ctx context.Context, store Store, runs []mrpc.RunRef, task, p int, hint string, srcs []mergeSource) (_ []mergeSource, remote int64, err error) {
+	for ri, run := range runs {
+		if p >= len(run.Segs) {
+			continue
 		}
-		// Fall through: the serving worker is gone or refused; the
-		// spill file itself may still be readable from the DFS.
+		var cur *spillCursor
+		if seg := run.Segs[p]; run.Addr != "" && seg.Records > 0 {
+			if data, ferr := fetchRemoteSegment(ctx, run, seg); ferr == nil {
+				cur, remote = &spillCursor{buf: data, left: seg.Records, file: run.File}, remote+seg.Len
+			}
+		}
+		if cur == nil {
+			if cur, err = openSpillCursor(store, run.File, run.Segs[p], hint); err != nil {
+				return srcs, remote, err
+			}
+		}
+		if cur != nil {
+			srcs = append(srcs, mergeSource{s: cur, task: task, run: ri})
+		}
 	}
-	cur, err = openSpillCursor(store, run.File, seg, hint)
-	return cur, 0, err
+	return srcs, remote, nil
 }
 
 func fetchRemoteSegment(ctx context.Context, run mrpc.RunRef, seg mrpc.SegRef) ([]byte, error) {

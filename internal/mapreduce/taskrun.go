@@ -3,13 +3,15 @@ package mapreduce
 import (
 	"bytes"
 	"cmp"
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"math"
-	"math/bits"
 	"slices"
+	"strconv"
 	"sync"
 	"time"
 
@@ -18,28 +20,32 @@ import (
 
 // run is one partition's buffered map output, and what a combiner's
 // emits are collected in. A run's order is (key, emission index) and
-// keys repeat, so a key is stored once: an open-addressing table on the
-// FNV-1a hash the partitioner needs anyway interns it to an ID, its
-// bytes and every value go into one append-only buffer, and a pair is
-// twelve bytes of offsets — no Go pointer per record, so a buffered
-// run is nothing for the GC to scan and nothing in it moves under a
-// write barrier.
+// keys repeat, so a key is stored once — a keyTable interns it to an ID
+// — its bytes and every value go into one append-only buffer, and a
+// pair is twelve bytes of offsets: no Go pointer per record, so a
+// buffered run is nothing for the GC to scan and nothing in it moves
+// under a write barrier. A run that folds the sum combiner keeps a
+// total per key instead, and makes a record of each when it is ordered.
 type run struct {
-	slots []uint32 // key ID + 1 by hash, 0 = free; a power of two long, at most half full
-	ents  []keyEnt // by key ID: first-emission order
-	data  []byte   // key and value bytes, as they came
-	recs  []rec    // emission order
-	ids   []uint32 // after order: key IDs in key order
-	ord   []uint32 // after order: record indexes in (key, emission) order
+	ents []keyEnt  // by key ID: first-emission order
+	data []byte    // key and value bytes, as they came
+	recs []rec     // emission order
+	sums []int     // by key ID, when folding
+	ids  []keyRank // after order: the keys in key order
+	ord  []uint32  // after order: record indexes in (key, emission) order
 }
 
 type keyEnt struct {
-	pre            uint64 // the key's first 8 bytes, big-endian and zero-padded: its order, but for ties
-	hash, off, len uint32 // the key is data[off : off+len]
-	end            uint32 // the key's record count; after order, where its records end in ord
+	off, len uint32 // the key is data[off : off+len]
+	end      uint32 // the key's record count; after order, where its records end in ord
 }
 
 type rec struct{ key, off, len uint32 } // key ID; the value is data[off : off+len]
+
+type keyRank struct {
+	pre uint64 // the key's first 8 bytes, big-endian and zero-padded: its order, but for ties
+	id  uint32
+}
 
 // runLimit is the most a run may account for (see mapCollector.add):
 // what keeps its uint32 offsets and counts from wrapping. Tests lower it.
@@ -55,36 +61,17 @@ func (r *run) val(i uint32) []byte {
 	return r.data[rc.off : rc.off+rc.len : rc.off+rc.len]
 }
 
-// find returns the table slot holding key's ID, or the free one its
-// probe ends at. The probe starts at the top bits of a multiplicative
-// mix of h, since one partition's keys share h mod R.
-func (r *run) find(h uint32, key string) *uint32 {
-	mask := uint32(len(r.slots) - 1)
-	for i := h * 2654435769 >> bits.LeadingZeros32(mask); ; i = (i + 1) & mask {
-		if s := &r.slots[i]; *s == 0 || r.ents[*s-1].hash == h && string(r.key(*s-1)) == key {
-			return s
-		}
-	}
+// intern copies a new key in and returns its ID.
+func (r *run) intern(key string) uint32 {
+	r.ents = append(double(r.ents, 1), keyEnt{off: uint32(len(r.data)), len: uint32(len(key))})
+	r.data = append(double(r.data, len(key)), key...)
+	return uint32(len(r.ents) - 1)
 }
 
-// add copies one pair in; h is fnv1a(key).
-func (r *run) add(h uint32, key string, value []byte) {
-	if 2*len(r.ents) >= len(r.slots) {
-		r.slots = make([]uint32, max(64, 2*len(r.slots)))
-		for id := range r.ents {
-			*r.find(r.ents[id].hash, bytesString(r.key(uint32(id)))) = uint32(id) + 1
-		}
-	}
-	s := r.find(h, key)
-	if *s == 0 {
-		var pre [8]byte
-		copy(pre[:], key)
-		r.ents = append(double(r.ents, 1), keyEnt{pre: binary.BigEndian.Uint64(pre[:]), hash: h, off: uint32(len(r.data)), len: uint32(len(key))})
-		r.data = append(double(r.data, len(key)), key...)
-		*s = uint32(len(r.ents))
-	}
-	r.ents[*s-1].end++
-	r.recs = append(double(r.recs, 1), rec{key: *s - 1, off: uint32(len(r.data)), len: uint32(len(value))})
+// push copies value in as key id's next record.
+func (r *run) push(id uint32, value []byte) {
+	r.ents[id].end++
+	r.recs = append(double(r.recs, 1), rec{key: id, off: uint32(len(r.data)), len: uint32(len(value))})
 	r.data = append(double(r.data, len(value)), value...)
 }
 
@@ -106,17 +93,19 @@ func double[T any](s []T, n int) []T {
 func (r *run) order() {
 	r.ids = double(r.ids[:0], len(r.ents))[:len(r.ents)]
 	for id := range r.ids {
-		r.ids[id] = uint32(id)
+		var pre [8]byte
+		copy(pre[:], r.key(uint32(id)))
+		r.ids[id] = keyRank{binary.BigEndian.Uint64(pre[:]), uint32(id)}
 	}
-	slices.SortFunc(r.ids, func(a, b uint32) int {
-		if c := cmp.Compare(r.ents[a].pre, r.ents[b].pre); c != 0 {
+	slices.SortFunc(r.ids, func(a, b keyRank) int {
+		if c := cmp.Compare(a.pre, b.pre); c != 0 {
 			return c
 		}
-		return bytes.Compare(r.key(a), r.key(b))
+		return bytes.Compare(r.key(a.id), r.key(b.id))
 	})
 	at := uint32(0)
-	for _, id := range r.ids { // a key's count becomes where its records start
-		e := &r.ents[id]
+	for _, k := range r.ids { // a key's count becomes where its records start
+		e := &r.ents[k.id]
 		at, e.end = at+e.end, at
 	}
 	r.ord = double(r.ord[:0], len(r.recs))[:len(r.recs)]
@@ -127,11 +116,59 @@ func (r *run) order() {
 	}
 }
 
-// reset empties the run and keeps its table and buffers for the next.
+// reset empties the run and keeps its buffers for the next.
 func (r *run) reset() {
-	clear(r.slots)
-	r.ents, r.data, r.recs, r.ids, r.ord = r.ents[:0], r.data[:0], r.recs[:0], r.ids[:0], r.ord[:0]
+	r.ents, r.data, r.recs, r.sums, r.ids, r.ord = r.ents[:0], r.data[:0], r.recs[:0], r.sums[:0], r.ids[:0], r.ord[:0]
 }
+
+// keyTable interns keys for a set of runs: an open-addressing table on
+// a key's maphash whose slot says which run holds the key and its ID
+// there, so a record costs one lookup whichever partition it goes to.
+type keyTable struct {
+	slots []keySlot // a power of two long, at most three quarters full
+	n     int
+}
+
+type keySlot struct{ hash, run, id uint32 } // the key is runs[run].key(id-1); id 0 = a free slot
+
+// keySeed seeds the tables' hash: their order is nobody's output.
+var keySeed = maphash.MakeSeed()
+
+// find returns key's slot, or the free one its probe ends at, which
+// stays valid until the next find; runs are what the IDs point into.
+func (t *keyTable) find(runs []run, h uint32, key string) *keySlot {
+	if 4*(t.n+1) > 3*len(t.slots) {
+		old := t.slots
+		t.slots = make([]keySlot, max(64, 2*len(old)))
+		for _, s := range old {
+			if s.id != 0 {
+				*t.find(runs, s.hash, bytesString(runs[s.run].key(s.id-1))) = s
+			}
+		}
+	}
+	mask := uint32(len(t.slots) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		if s := &t.slots[i]; s.id == 0 || s.hash == h && string(runs[s.run].key(s.id-1)) == key {
+			return s
+		}
+	}
+}
+
+// put fills the free slot find returned: the key is run's ID id.
+func (t *keyTable) put(s *keySlot, h, run, id uint32) { *s, t.n = keySlot{h, run, id + 1}, t.n+1 }
+
+// add copies a pair into runs[0], the one run t interns keys for: how
+// a combiner's emits are collected.
+func (t *keyTable) add(runs []run, key string, value []byte) {
+	h := uint32(maphash.String(keySeed, key))
+	s := t.find(runs, h, key)
+	if s.id == 0 {
+		t.put(s, h, 0, runs[0].intern(key))
+	}
+	runs[0].push(s.id-1, value)
+}
+
+func (t *keyTable) reset() { clear(t.slots); t.n = 0 }
 
 // taskRuntime is one attempt's execution machinery: running a mapper
 // over a split with sort-spill under the shuffle budget, combining,
@@ -164,60 +201,73 @@ var errCancelled = fmt.Errorf("mapreduce: attempt cancelled")
 // the budget fills. It is per-attempt and single-goroutine; its tables
 // and buffers are reset, not reallocated, between the attempt's runs.
 type mapCollector struct {
+	*grown
 	rt    *taskRuntime
 	node  string
 	task  int
-	runs  []run  // one per reduce partition, then comb
-	parts []run  // runs[:NumReducers]
-	comb  *run   // the combiner's output for the partition being folded
-	buf   []byte // the run file write buffer, reused
+	fold  bool  // the combiner is SumReducer: a run keeps a total per key, not records
+	parts []run // runs[:NumReducers]
+	comb  *run  // the combiner's output for the partition being folded
 	mem   int64
 	err   error // first spill/combine failure; latched
 	out   taskOutput
 }
 
-// spares holds what grows with a map attempt's input — a run's record
-// and order arrays, the run-file write buffer — for the next attempt's
-// runs. Only an attempt whose runs all went to the store gives them
-// back, so the pool retains at most what the attempts running at once
-// grew.
-var spares sync.Pool // of *spare
-
-type spare struct {
-	recs []rec
-	ord  []uint32
-	buf  []byte // only in the first spare of an attempt
+// grown is what a map attempt grows with its input, kept in spares for
+// the next attempt's collector: an attempt whose output stayed in memory
+// keeps its runs, so the pool retains at most what running attempts grew.
+type grown struct {
+	runs []run    // one per reduce partition, then comb
+	keys keyTable // the partitions' keys, or while a run is combined comb's
+	buf  []byte   // the run file write buffer
 }
 
+var spares = sync.Pool{New: func() any { return new(grown) }}
+
+// partitionHash is the partitioner, called once per distinct key in a
+// run. Tests count its calls.
+var partitionHash = fnv1a
+
 func newMapCollector(rt *taskRuntime, node string, task int) *mapCollector {
-	c := &mapCollector{rt: rt, node: node, task: task, runs: make([]run, rt.cfg.NumReducers+1)}
-	c.parts, c.comb = c.runs[:rt.cfg.NumReducers], &c.runs[rt.cfg.NumReducers]
-	for i := range c.runs {
-		if s, ok := spares.Get().(*spare); ok {
-			c.runs[i].recs, c.runs[i].ord = s.recs, s.ord
-			if s.buf != nil {
-				c.buf = s.buf
-			}
-		}
+	g := spares.Get().(*grown)
+	n := rt.cfg.NumReducers + 1
+	if cap(g.runs) < n {
+		g.runs = slices.Grow(g.runs[:cap(g.runs)], n-cap(g.runs))
 	}
+	_, fold := rt.cfg.Combiner.(sumReducer)
+	c := &mapCollector{grown: g, rt: rt, node: node, task: task, fold: fold}
+	c.runs = g.runs[:n]
+	c.parts, c.comb = c.runs[:n-1], &c.runs[n-1]
 	return c
 }
 
-// release gives the collector's per-record arrays and write buffer to
-// spares, unless a run stayed in memory as the attempt's output.
+// release gives what the collector grew to spares, but for its runs
+// when they are the attempt's output.
 func (c *mapCollector) release() {
 	if c.out.mem != nil {
-		return
+		c.runs = nil
 	}
 	for i := range c.runs {
-		r := &c.runs[i]
-		spares.Put(&spare{recs: r.recs[:0], ord: r.ord[:0], buf: c.buf[:0]})
-		r.recs, r.ord, c.buf = nil, nil, nil
+		c.runs[i].reset()
 	}
+	c.keys.reset()
+	spares.Put(c.grown)
 }
 
 func (c *mapCollector) add(key string, value []byte) {
-	n := int64(len(key)) + int64(len(value)) + kvOverhead
+	if c.err != nil {
+		return // a spill failed; drop further output
+	}
+	h := uint32(maphash.String(keySeed, key))
+	s := c.keys.find(c.parts, h, key)
+	n, v, err := int64(len(key))+int64(len(value))+kvOverhead, 0, error(nil)
+	if c.fold {
+		if v, err = count(key, value); err == nil && s.id == 0 { // a folding run holds a key and its total
+			n = int64(len(key)) + kvOverhead
+		} else if err == nil {
+			n = 0
+		}
+	}
 	if c.mem+n > runLimit {
 		// Budget or none, a run is cut before a uint32 in it could wrap —
 		// no buffer or count outgrows what the run accounts for — by the
@@ -225,12 +275,24 @@ func (c *mapCollector) add(key string, value []byte) {
 		if c.spill(); n > runLimit && c.err == nil {
 			c.err = errors.New("mapreduce: map output record too large for a run")
 		}
+		if c.err != nil {
+			return
+		}
+		s = c.keys.find(c.parts, h, key)
 	}
-	if c.err != nil {
-		return // a spill failed; drop further output
+	if s.id == 0 {
+		p := partitionHash(key) % uint32(len(c.parts))
+		c.keys.put(s, h, p, c.parts[p].intern(key))
+		if c.fold {
+			c.parts[p].sums = append(double(c.parts[p].sums, 1), 0)
+		}
 	}
-	h := fnv1a(key)
-	c.parts[h%uint32(len(c.parts))].add(h, key, value)
+	if r, id := &c.parts[s.run], s.id-1; c.fold && err == nil {
+		r.sums[id] += v
+		c.rt.ctr.CombineInput++
+	} else { // a record; in a folding run, a value that is not a count
+		r.push(id, value)
+	}
 	c.rt.ctr.MapOutputRecords++
 	c.mem += n
 	if budget := int64(c.rt.cfg.ShuffleMemory); budget > 0 && c.mem >= budget {
@@ -268,17 +330,28 @@ func (c *mapCollector) finish() error {
 }
 
 // orderAndCombine orders each partition's run by (key, emission index)
-// and, if a combiner is configured, folds it: the combiner walks the
-// ordered run in place through the same group loop a reducer reads the
-// merge through, its emits are collected in a run of their own, and
-// that run — ordered the same way, since a combiner need not emit the
-// group key — takes the partition's place.
+// and combines it. A folding run is combined already: its totals
+// become its records, formatted as SumReducer emits them — unless it
+// holds records, values that were not counts, and is combined as any
+// run is, to fail as SumReducer fails. Any other combiner walks the
+// ordered run in place through the same group loop a reducer reads
+// the merge through, its emits are collected in a run of their own,
+// and that run — ordered the same way, since a combiner need not emit
+// the group key — takes the partition's place.
 func (c *mapCollector) orderAndCombine() error {
-	emit := func(key string, value []byte) { c.comb.add(fnv1a(key), key, value) }
+	c.keys.reset()
+	emit := func(key string, value []byte) { c.keys.add(c.runs[len(c.parts):], key, value) }
+	var num [20]byte
 	for p := range c.parts {
 		r := &c.parts[p]
-		r.order()
-		if c.rt.cfg.Combiner == nil {
+		folded := c.fold && len(r.recs) == 0
+		for id, sum := range r.sums {
+			r.push(uint32(id), strconv.AppendInt(num[:0], int64(sum), 10))
+		}
+		if r.order(); folded {
+			c.rt.ctr.CombineOutput += int64(len(r.recs))
+		}
+		if folded || c.rt.cfg.Combiner == nil {
 			continue
 		}
 		if _, err := drainGroups(&Values{r: r}, c.rt.cfg.Combiner, emit, func() error { return nil }); err != nil {
@@ -288,6 +361,7 @@ func (c *mapCollector) orderAndCombine() error {
 		c.rt.ctr.CombineOutput += int64(len(c.comb.recs))
 		c.comb.order()
 		r.reset()
+		c.keys.reset()
 		*r, *c.comb = *c.comb, *r
 	}
 	return nil
@@ -330,24 +404,6 @@ func (rt *taskRuntime) executeMap(node string, task int, s split) (*taskOutput, 
 	return &col.out, nil
 }
 
-// taskSources returns the merge sources for one task's partition p: a
-// streaming cursor per run segment on the store (empty segments
-// skipped), carrying the (task, run) tie-break indexes the merge's
-// determinism relies on — spills in spill order. Sources opened before
-// a failure are still returned, for the caller to close.
-func (rt *taskRuntime) taskSources(out *taskOutput, task, p int, node string) (srcs []mergeSource, err error) {
-	for ri, run := range out.spills {
-		cur, err := openSpillCursor(rt.store, run.File, run.Segs[p], node)
-		if err != nil {
-			return srcs, err
-		}
-		if cur != nil { // nil: empty segment
-			srcs = append(srcs, mergeSource{s: cur, task: task, run: ri})
-		}
-	}
-	return srcs, nil
-}
-
 // writeMapOutput streams one task's partitions, in partition order —
 // Hadoop's NumReduceTasks=0 output path. A run kept in memory is
 // walked in place; runs on the store are merged, and with a combiner
@@ -366,7 +422,7 @@ func (rt *taskRuntime) writeMapOutput(name, node string, task int, out *taskOutp
 		vals, refold := &Values{}, rt.cfg.Combiner
 		if out.mem != nil {
 			vals.r, refold = &out.mem[p], nil
-		} else if srcs, err = rt.taskSources(out, task, p, node); err == nil {
+		} else if srcs, _, err = openSources(context.TODO(), rt.store, out.spills, task, p, node, nil); err == nil {
 			rt.ctr.MergeStreams += int64(len(srcs))
 			vals.m, err = newMerger(srcs)
 		}
@@ -399,7 +455,7 @@ func drainGroups(vals *Values, red Reducer, emit Emit, wfail func() error) (grou
 				emit(vals.key, v)
 			}
 		} else if rerr := red.Reduce(vals.key, vals, emit); rerr != nil {
-			return groups, fmt.Errorf("mapreduce: reduce key %q: %w", vals.key, rerr)
+			return groups, reduceErr(vals.key, rerr)
 		}
 		vals.drain()
 		if vals.err != nil {
@@ -411,6 +467,10 @@ func drainGroups(vals *Values, red Reducer, emit Emit, wfail func() error) (grou
 		groups++
 	}
 	return groups, nil
+}
+
+func reduceErr(key string, err error) error {
+	return fmt.Errorf("mapreduce: reduce key %q: %w", key, err)
 }
 
 // lineWriter emits "key\tvalue\n" records into an output stream,

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -455,21 +456,12 @@ func (w *Worker) runReduce(a mrpc.Assignment, rt *taskRuntime, td *obs.TraceData
 	var remoteBytes int64
 	fetchSpan := obs.StartSpanOn(td, "mr.shuffle.fetch")
 	for _, mo := range a.MapOutputs {
-		for ri, run := range mo.Runs {
-			if p >= len(run.Segs) {
-				continue
-			}
-			cur, remote, err := openSegment(w.ctx, w.store, run, p, w.cfg.Node)
-			if err != nil {
-				req.LostMaps = append(req.LostMaps, mo.Task)
-				break
-			}
-			if cur == nil {
-				continue // empty segment
-			}
-			remoteBytes += remote
-			srcs = append(srcs, mergeSource{s: cur, task: mo.Task, run: ri})
+		var remote int64
+		var err error
+		if srcs, remote, err = openSources(w.ctx, w.store, mo.Runs, mo.Task, p, w.cfg.Node, srcs); err != nil {
+			req.LostMaps = append(req.LostMaps, mo.Task)
 		}
+		remoteBytes += remote
 	}
 	fetchSpan.Annotate("%d sources, %d remote bytes", len(srcs), remoteBytes)
 	fetchSpan.End()
@@ -521,8 +513,6 @@ func (w *Worker) runReduce(a mrpc.Assignment, rt *taskRuntime, td *obs.TraceData
 // identically.
 func (w *Worker) serveSegment(rw http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
-	off, _ := strconv.ParseInt(q.Get("off"), 10, 64)
-	length, _ := strconv.ParseInt(q.Get("len"), 10, 64)
 	f, err := w.store.Open(q.Get("file"), w.cfg.Node)
 	if err != nil {
 		code := http.StatusInternalServerError
@@ -534,6 +524,19 @@ func (w *Worker) serveSegment(rw http.ResponseWriter, r *http.Request) {
 	}
 	defer f.Close()
 	w.mSegs.Inc()
-	rw.Header().Set("Content-Length", strconv.FormatInt(length, 10))
-	_, _ = io.Copy(rw, io.NewSectionReader(f, off, length))
+	serveRange(rw, q, f)
+}
+
+var copyBufs = sync.Pool{New: func() any { return new([spillReadBuf]byte) }}
+
+// serveRange answers with the q["len"] bytes of f from q["off"] through
+// a pooled buffer, hiding the ResponseWriter's ReadFrom: over TCP that
+// ends in an io.Copy that allocates a buffer per call.
+func serveRange(w http.ResponseWriter, q url.Values, f io.ReaderAt) {
+	off, _ := strconv.ParseInt(q.Get("off"), 10, 64)
+	n, _ := strconv.ParseInt(q.Get("len"), 10, 64)
+	buf := copyBufs.Get().(*[spillReadBuf]byte)
+	defer copyBufs.Put(buf)
+	w.Header().Set("Content-Length", strconv.FormatInt(n, 10))
+	_, _ = io.CopyBuffer(struct{ io.Writer }{w}, io.NewSectionReader(f, off, n), buf[:])
 }

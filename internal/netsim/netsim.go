@@ -250,9 +250,6 @@ func (n *Network) StartFlow(spec FlowSpec) (*Flow, error) {
 	return f, nil
 }
 
-// ActiveFlows returns the number of in-flight flows.
-func (n *Network) ActiveFlows() int { return len(n.flows) }
-
 // advance drains remaining bytes for elapsed time at current rates.
 func (n *Network) advance() {
 	now := n.eng.Now()

@@ -65,18 +65,6 @@ func LargerThan(bytes int64) Condition {
 	return func(ds metadata.Dataset) bool { return int64(ds.Size) > bytes }
 }
 
-// And combines conditions conjunctively.
-func And(cs ...Condition) Condition {
-	return func(ds metadata.Dataset) bool {
-		for _, c := range cs {
-			if c != nil && !c(ds) {
-				return false
-			}
-		}
-		return true
-	}
-}
-
 // Context hands facility services to actions. Meta is the store
 // through CausedBy of the firing's event, so what an action mutates
 // publishes one level deeper in the cascade.

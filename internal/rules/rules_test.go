@@ -135,14 +135,11 @@ func TestChecksumMismatchFlagsCorrupt(t *testing.T) {
 
 func TestConditions(t *testing.T) {
 	ds := metadata.Dataset{Project: "p", Size: 100, Tags: []string{"x"}}
-	if !And(ProjectIs("p"), HasTag("x"), LargerThan(50))(ds) {
-		t.Fatal("conjunction should match")
+	if !ProjectIs("p")(ds) || !HasTag("x")(ds) || !LargerThan(50)(ds) {
+		t.Fatal("conditions should match")
 	}
-	if And(ProjectIs("p"), LargerThan(200))(ds) {
-		t.Fatal("size filter should reject")
-	}
-	if And()(ds) != true {
-		t.Fatal("empty conjunction is true")
+	if ProjectIs("q")(ds) || HasTag("y")(ds) || LargerThan(200)(ds) {
+		t.Fatal("conditions should reject")
 	}
 }
 

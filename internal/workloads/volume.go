@@ -140,21 +140,3 @@ var EnergyBandMapper = mapreduce.MapperFunc(func(_ string, value []byte, emit ma
 	emit.Bytes(padded(append(make([]byte, 0, 16), "band-"...), ev/100*100, 5), one)
 	return nil
 })
-
-// ClimateGrid renders a lat×lon grid of one float per cell as CSV
-// lines "lat,lon,value" — the archival-quality gridded products of
-// the meteorology community (slide 14).
-func ClimateGrid(lat, lon int, seed int64) []byte {
-	var sb strings.Builder
-	s := uint64(seed)
-	for i := 0; i < lat; i++ {
-		for j := 0; j < lon; j++ {
-			s ^= s >> 12
-			s ^= s << 25
-			s ^= s >> 27
-			v := float64(s%40000)/100 - 100 // -100.00 .. +300.00
-			fmt.Fprintf(&sb, "%d,%d,%.2f\n", i, j, v)
-		}
-	}
-	return []byte(sb.String())
-}

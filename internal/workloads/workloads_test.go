@@ -332,17 +332,6 @@ func TestEnergyBands(t *testing.T) {
 	}
 }
 
-func TestClimateGrid(t *testing.T) {
-	grid := ClimateGrid(10, 20, 3)
-	lines := bytes.Count(grid, []byte("\n"))
-	if lines != 200 {
-		t.Fatalf("cells = %d", lines)
-	}
-	if !bytes.Equal(grid, ClimateGrid(10, 20, 3)) {
-		t.Fatal("climate grid not deterministic")
-	}
-}
-
 // TestPaddedMatchesFmt holds the mappers' key formatting to the
 // fmt.Sprintf calls it replaced, so keys — and with them partitions and
 // output bytes — are what they were.
