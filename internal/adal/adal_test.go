@@ -369,21 +369,6 @@ func TestCopyObject(t *testing.T) {
 	}
 }
 
-func TestParseURI(t *testing.T) {
-	host, path, err := ParseURI("lsdf://lsdf.kit.edu/itg/plate1/img.raw")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if host != "lsdf.kit.edu" || path != "/itg/plate1/img.raw" {
-		t.Fatalf("parsed %q %q", host, path)
-	}
-	for _, bad := range []string{"http://x/y", "lsdf://", "lsdf://hostonly"} {
-		if _, _, err := ParseURI(bad); err == nil {
-			t.Errorf("ParseURI(%q) accepted", bad)
-		}
-	}
-}
-
 func TestTokenAuth(t *testing.T) {
 	auth := NewTokenAuth()
 	auth.Register("s3cret", Principal{User: "garcia", Groups: []string{"itg"}})

@@ -52,29 +52,6 @@ func (l *Layer) Mount(prefix string, b Backend) error {
 	return nil
 }
 
-// Unmount detaches the backend at prefix (exact match, after the
-// same normalization Mount applies). In-flight operations that
-// already resolved keep their backend; subsequent resolutions fall
-// through to the next-longest mount.
-func (l *Layer) Unmount(prefix string) error {
-	if !strings.HasPrefix(prefix, "/") {
-		return fmt.Errorf("adal: unmount prefix %q must be absolute", prefix)
-	}
-	prefix = strings.TrimRight(prefix, "/")
-	if prefix == "" {
-		prefix = "/"
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	for i, m := range l.mounts {
-		if m.prefix == prefix {
-			l.mounts = append(l.mounts[:i], l.mounts[i+1:]...)
-			return nil
-		}
-	}
-	return fmt.Errorf("%w: %q", ErrNoMount, prefix)
-}
-
 // Mounts lists mount prefixes, longest first.
 func (l *Layer) Mounts() []string {
 	l.mu.RLock()
@@ -362,20 +339,4 @@ func (l *Layer) CopyObjectChecksummed(src, dst string) (Digest, error) {
 		return Digest{}, fmt.Errorf("adal: copying %s: %w", src, err)
 	}
 	return d, nil
-}
-
-// ParseURI splits "lsdf://host/path" into its host and federated
-// path. The paper exposes LSDF through open protocols; this is the
-// address form used by the DataBrowser and CLI tools.
-func ParseURI(uri string) (host, path string, err error) {
-	const scheme = "lsdf://"
-	if !strings.HasPrefix(uri, scheme) {
-		return "", "", fmt.Errorf("adal: URI %q lacks lsdf:// scheme", uri)
-	}
-	rest := strings.TrimPrefix(uri, scheme)
-	host, path, ok := strings.Cut(rest, "/")
-	if !ok || host == "" {
-		return "", "", fmt.Errorf("adal: URI %q lacks host or path", uri)
-	}
-	return host, "/" + path, nil
 }

@@ -11,46 +11,11 @@ import (
 	"repro/internal/units"
 )
 
-func TestUnmount(t *testing.T) {
-	l := NewLayer()
-	a := NewMemFS("a")
-	b := NewMemFS("b")
-	if err := l.Mount("/a", a); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Mount("/a/b", b); err != nil {
-		t.Fatal(err)
-	}
-	// Longest prefix wins while both are mounted.
-	be, rel, err := l.Resolve("/a/b/x")
-	if err != nil || be.Name() != "b" || rel != "/x" {
-		t.Fatalf("resolve = %v %q %v", be, rel, err)
-	}
-	if err := l.Unmount("/a/b/"); err != nil { // trailing slash normalizes
-		t.Fatal(err)
-	}
-	be, rel, err = l.Resolve("/a/b/x")
-	if err != nil || be.Name() != "a" || rel != "/b/x" {
-		t.Fatalf("resolve after unmount = %v %q %v", be, rel, err)
-	}
-	if err := l.Unmount("/a/b"); !errors.Is(err, ErrNoMount) {
-		t.Fatalf("double unmount err = %v", err)
-	}
-	if err := l.Unmount("relative"); err == nil {
-		t.Fatal("relative unmount accepted")
-	}
-	// Remount after unmount works.
-	if err := l.Mount("/a/b", b); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestMountResolveListRace hammers Mount/Unmount/Resolve/List/Mounts
-// concurrently (run with -race) and checks the longest-prefix
-// invariant: a resolution must always land on a currently-plausible
-// mount with the matching backend-relative path — never on a
-// shorter prefix while a longer one it raced with was the answer the
-// mount table would give for either snapshot.
+// TestMountResolveListRace mounts prefixes while Resolve, List and
+// Mounts run concurrently (run with -race) and checks the
+// longest-prefix invariant: a resolution lands on the longest mount
+// present, with the matching backend-relative path, and once the
+// deeper mount has been seen it is never lost to the shorter one.
 func TestMountResolveListRace(t *testing.T) {
 	l := NewLayer()
 	a := NewMemFS("a")
@@ -76,42 +41,39 @@ func TestMountResolveListRace(t *testing.T) {
 		}
 	}
 
-	const rounds = 500
+	const rounds = 100
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 
-	// Churn: mount and unmount the deepest prefix.
+	// Churn: mount siblings under /a/b, and the deepest prefix midway.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		defer close(stop)
 		for i := 0; i < rounds; i++ {
-			if err := l.Mount("/a/b/c", abc); err != nil {
-				t.Errorf("mount: %v", err)
-				return
+			if i == rounds/2 {
+				if err := l.Mount("/a/b/c", abc); err != nil {
+					t.Errorf("mount: %v", err)
+					return
+				}
 			}
-			if err := l.Unmount("/a/b/c"); err != nil {
-				t.Errorf("unmount: %v", err)
+			if err := l.Mount(fmt.Sprintf("/a/b/n%d", i), NewMemFS("n")); err != nil {
+				t.Errorf("mount sibling: %v", err)
 				return
 			}
 		}
 	}()
 
-	// Churn unrelated prefixes; they must never affect /a resolution.
+	// Mount unrelated prefixes; they must never affect /a resolution.
 	for g := 0; g < 2; g++ {
 		g := g
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			fs := NewMemFS(fmt.Sprintf("side%d", g))
-			prefix := fmt.Sprintf("/side%d", g)
 			for i := 0; i < rounds; i++ {
-				if err := l.Mount(prefix, fs); err != nil {
+				if err := l.Mount(fmt.Sprintf("/side%d/%d", g, i), fs); err != nil {
 					t.Errorf("mount side: %v", err)
-					return
-				}
-				if err := l.Unmount(prefix); err != nil {
-					t.Errorf("unmount side: %v", err)
 					return
 				}
 			}
@@ -119,11 +81,12 @@ func TestMountResolveListRace(t *testing.T) {
 	}
 
 	// Readers: Resolve and List must always see a consistent
-	// (backend, rel) pair for one of the valid mount-table snapshots.
+	// (backend, rel) pair for the mount table at that moment.
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sawDeepest := false
 			for {
 				select {
 				case <-stop:
@@ -137,13 +100,14 @@ func TestMountResolveListRace(t *testing.T) {
 				}
 				switch be.Name() {
 				case "abc":
+					sawDeepest = true
 					if rel != "/x" {
 						t.Errorf("abc rel = %q", rel)
 						return
 					}
 				case "ab":
-					if rel != "/c/x" {
-						t.Errorf("ab rel = %q", rel)
+					if rel != "/c/x" || sawDeepest {
+						t.Errorf("ab rel = %q after /a/b/c seen: %v", rel, sawDeepest)
 						return
 					}
 				default:

@@ -62,16 +62,6 @@ func (dn *DataNode) used() units.Bytes { return units.Bytes(dn.usedByte.Load()) 
 // Used returns the bytes stored on the node.
 func (dn *DataNode) Used() units.Bytes { return dn.used() }
 
-// Alive reports whether the node is serving.
-func (dn *DataNode) Alive() bool { return dn.isAlive() }
-
-// BlockCount returns the number of replicas held.
-func (dn *DataNode) BlockCount() int {
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	return len(dn.blocks)
-}
-
 // hasSpace reports whether the node can accept sz more bytes. It is
 // advisory — placement probes it lock-free; putBlock re-checks
 // authoritatively under mu.
@@ -102,7 +92,7 @@ func (dn *DataNode) putBlock(id BlockID, data []byte, sum uint32) error {
 		return fmt.Errorf("%w: %s", ErrDeadNode, dn.ID)
 	}
 	if old, ok := dn.blocks[id]; ok {
-		// Re-put of an existing replica (balancer retry): replace.
+		// Re-put of an existing replica: replace.
 		dn.usedByte.Add(-int64(len(old.data)))
 		delete(dn.blocks, id)
 		dn.retireLocked(old)
@@ -128,11 +118,11 @@ func (dn *DataNode) getBlock(id BlockID) ([]byte, uint32, error) {
 	return data, sum, err
 }
 
-// getBlockPinned is getBlock for internal transfers (balancer,
-// re-replication) that only copy the bytes: instead of latching lent
-// — which would exile the buffer from the pool — the replica is
-// pinned. Callers must call unpinBlock on the returned replica when
-// done and must not retain the slice past it.
+// getBlockPinned is getBlock for internal transfers (re-replication)
+// that only copy the bytes: instead of latching lent — which would
+// exile the buffer from the pool — the replica is pinned. Callers must
+// call unpinBlock on the returned replica when done and must not
+// retain the slice past it.
 func (dn *DataNode) getBlockPinned(id BlockID) ([]byte, uint32, *replica, error) {
 	return dn.getBlockMode(id, false)
 }

@@ -46,11 +46,6 @@ type Config struct {
 	MaxReplicaStreams int
 }
 
-// DefaultConfig mirrors a 2011 Hadoop deployment.
-func DefaultConfig() Config {
-	return Config{BlockSize: 64 * units.MiB, Replication: 3, Seed: 1}
-}
-
 // BlockID names one block of one file.
 type BlockID struct {
 	File  uint64

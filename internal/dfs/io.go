@@ -204,7 +204,7 @@ func (c *Cluster) Open(name, clientHint string) (*FileReader, error) {
 	// Snapshot every block's geometry and resolve its replica nodes
 	// while holding the namenode lock once — readers then work from
 	// their own copy (blockMeta.replicas keeps mutating under c.mu as
-	// scrub/repair/balancer run) and resolve nodes without re-locking.
+	// scrub and repair run) and resolve nodes without re-locking.
 	refs := make([]blockRef, len(f.blocks))
 	offs := make([]int64, len(f.blocks)+1)
 	for i, b := range f.blocks {
@@ -396,7 +396,7 @@ func (r *FileReader) blockFor(off int64) ([]byte, int64, error) {
 // holds one (a local read), otherwise the first live replica, using
 // the node handles snapshotted at Open — metrics are atomics, so the
 // steady-state read path takes no namenode lock. If every snapshot
-// replica fails (nodes died, the balancer or scrubber moved the block
+// replica fails (nodes died, repair or the scrubber moved the block
 // since Open), the replica set is refreshed from the namenode — the
 // one lock touch — and tried once more, the way an HDFS client
 // re-fetches block locations.

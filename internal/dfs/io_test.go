@@ -137,7 +137,7 @@ func TestDegradedReadThenScrubRepairs(t *testing.T) {
 	if rep.ReReplicated != 1 {
 		t.Fatalf("scrub re-replicated %d blocks, want 1", rep.ReReplicated)
 	}
-	if ur := c.UnderReplicated(); ur != 0 {
+	if ur := c.underReplicated(); ur != 0 {
 		t.Fatalf("under-replicated after scrub = %d", ur)
 	}
 }
@@ -332,7 +332,7 @@ func TestNodeDiesBetweenPutAndList(t *testing.T) {
 					}
 				}
 			}
-			if n := c.UnderReplicated(); n != 0 {
+			if n := c.underReplicated(); n != 0 {
 				t.Errorf("%d blocks under-replicated", n)
 			}
 		})

@@ -130,9 +130,9 @@ func (c *Cluster) reReplicate(b *blockMeta) bool {
 	return true
 }
 
-// UnderReplicated returns the number of blocks below the replication
+// underReplicated returns the number of blocks below the replication
 // factor (counting only live replicas).
-func (c *Cluster) UnderReplicated() int {
+func (c *Cluster) underReplicated() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	n := 0

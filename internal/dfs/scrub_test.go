@@ -48,7 +48,7 @@ func TestScrubRepairsCorruption(t *testing.T) {
 		t.Fatalf("unrecoverable = %d", rep.Unrecoverable)
 	}
 	// Replication factor restored everywhere.
-	if ur := c.UnderReplicated(); ur != 0 {
+	if ur := c.underReplicated(); ur != 0 {
 		t.Fatalf("under-replicated after scrub = %d", ur)
 	}
 	// A clean pass finds nothing.

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -313,15 +314,24 @@ func E18DistributedCompute() (*Table, error) {
 
 	// The kills are silent — the master only learns by lease expiry,
 	// which may land after a short job has already drained. The fleet
-	// count is about that detection, so give the monitor its lease.
+	// row is about that detection, so give the monitor its lease. A
+	// healthy worker whose lease lapsed under load reads as dead until
+	// its next beat re-registers it, so wait for the live set to be
+	// exactly the workers that were not killed, not for a count.
+	var survivors []string
+	for i := range ws {
+		if i != 2 && i != 3 {
+			survivors = append(survivors, fmt.Sprintf("w%d", i))
+		}
+	}
 	live := m.LiveWorkers()
-	for deadline := time.Now().Add(40 * e18Heartbeat); len(live) > e18Workers-2 && time.Now().Before(deadline); {
+	for deadline := time.Now().Add(40 * e18Heartbeat); !slices.Equal(live, survivors) && time.Now().Before(deadline); {
 		time.Sleep(e18Heartbeat)
 		live = m.LiveWorkers()
 	}
 	rows = append(rows, []string{
 		"adversity: worker fleet after kills",
-		fmt.Sprintf("%d live of %d", len(live), e18Workers),
+		fmt.Sprintf("%d live of %d: %s", len(live), e18Workers, strings.Join(live, " ")),
 		fmt.Sprintf("2 killed mid-job, 1 running at %d%% speed; drain took %s",
 			100/e18SlowFactor, drainWall.Round(time.Millisecond)),
 	})

@@ -356,8 +356,9 @@ func TestE18DistributedAcceptance(t *testing.T) {
 			adversityJobs++
 		case strings.HasPrefix(row[0], "adversity: worker fleet"):
 			fleetRows++
-			if !strings.HasPrefix(row[1], "6 live of 8") {
-				t.Errorf("fleet row = %q, want 6 live of 8", row[1])
+			// w2 and w3 were killed; every other worker is live.
+			if want := "6 live of 8: w0 w1 w4 w5 w6 w7"; row[1] != want {
+				t.Errorf("fleet row = %q, want %q", row[1], want)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/ingest"
+	"repro/internal/metadata"
 	"repro/internal/rules"
 )
 
@@ -85,8 +86,8 @@ func TestFacilityMultiSiteReplication(t *testing.T) {
 }
 
 // TestRulesDriveReplication exercises the rules integration both
-// ways: an OnTag rule triggers EnsureReplicas, and an OnReplica rule
-// observes the catalog's event stream.
+// ways: an OnTag rule schedules the tagged dataset's replicas, and an
+// OnReplica rule observes the catalog's event stream.
 func TestRulesDriveReplication(t *testing.T) {
 	f, err := New(Options{
 		Sites:       []string{"a", "b"},
@@ -98,10 +99,16 @@ func TestRulesDriveReplication(t *testing.T) {
 	defer f.Close()
 
 	f.Rules.Add(rules.Rule{
-		Name:    "replicate-on-demand",
-		Event:   rules.OnTag,
-		Tag:     "replicate",
-		Actions: []rules.Action{rules.EnsureReplicas(f.Replicator)},
+		Name:  "replicate-on-demand",
+		Event: rules.OnTag,
+		Tag:   "replicate",
+		Actions: []rules.Action{rules.ActionFunc{
+			Label: "ensure-replicas",
+			Fn: func(_ *rules.Context, ds metadata.Dataset) error {
+				f.Replicator.EnsureFederated(ds.Path)
+				return nil
+			},
+		}},
 	})
 	f.Rules.Add(rules.Rule{
 		Name:    "note-valid-replicas",

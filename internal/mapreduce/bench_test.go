@@ -40,7 +40,9 @@ func BenchmarkWordCount(b *testing.B) {
 // into a collector and orders the run: the intern table, the buffers,
 // the sort of the distinct keys and the scatter. zipf-sum emits the
 // zipf keys with counts to a collector that folds SumReducer: the
-// table and one add per record, one record per key when ordered.
+// table and one add per record, one record per key when ordered. Each
+// collector is released, so the next iteration takes a warm table and
+// buffers from spares, as an attempt does.
 func BenchmarkMapCollect(b *testing.B) {
 	for _, shape := range []string{"uniform", "zipf", "equal", "sorted", "reversed", "zipf-sum"} {
 		keys, rt := sortInputs(10_000, 1)[strings.TrimSuffix(shape, "-sum")], testRuntime(Config{})
@@ -61,6 +63,7 @@ func BenchmarkMapCollect(b *testing.B) {
 				if err := col.orderAndCombine(); err != nil {
 					b.Fatal(err)
 				}
+				col.release()
 			}
 		})
 	}

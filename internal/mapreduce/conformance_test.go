@@ -132,6 +132,12 @@ func complete(t *testing.T, ctl mrpc.Control, req *mrpc.CompleteRequest) *mrpc.C
 	return rep
 }
 
+// sameTask reports whether two attempts run the same task.
+func sameTask(a, b mrpc.AttemptID) bool {
+	a.Attempt, b.Attempt = 0, 0
+	return a == b
+}
+
 // takeAssignment heartbeats until the master hands id one task.
 func takeAssignment(t *testing.T, ctl mrpc.Control, id string) mrpc.Assignment {
 	t.Helper()
@@ -195,8 +201,8 @@ func TestLeaseExpiryRequeuesTask(t *testing.T) {
 		}
 		register(t, ctl, "u2", 1)
 		a2 := takeAssignment(t, ctl, "u2")
-		if a2.ID.TaskKey() != a1.ID.TaskKey() {
-			t.Fatalf("requeued task %v, want %v", a2.ID.TaskKey(), a1.ID.TaskKey())
+		if !sameTask(a2.ID, a1.ID) {
+			t.Fatalf("requeued task %v, want %v's task", a2.ID, a1.ID)
 		}
 		if a2.ID.Attempt <= a1.ID.Attempt {
 			t.Fatalf("reissued lease reuses attempt number %d", a2.ID.Attempt)
@@ -225,7 +231,7 @@ func TestReRegisterInsideLeaseRequeues(t *testing.T) {
 		if len(rep.Assign) != 1 {
 			t.Fatalf("second incarnation was handed %d of 1 tasks", len(rep.Assign))
 		}
-		if a2 := rep.Assign[0]; a2.ID.TaskKey() != a1.ID.TaskKey() || a2.ID.Attempt <= a1.ID.Attempt {
+		if a2 := rep.Assign[0]; !sameTask(a2.ID, a1.ID) || a2.ID.Attempt <= a1.ID.Attempt {
 			t.Fatalf("second incarnation got %v after %v, want the same task as a later attempt", a2.ID, a1.ID)
 		}
 		if r := complete(t, ctl, &mrpc.CompleteRequest{Worker: "w0", ID: a1.ID}); r.Accepted {
@@ -281,8 +287,8 @@ func TestSupersededCompleteRejected(t *testing.T) {
 		time.Sleep(60 * time.Millisecond) // u1's lease lapses mid-task
 		register(t, ctl, "u2", 1)
 		a2 := takeAssignment(t, ctl, "u2")
-		if a2.ID.TaskKey() != a1.ID.TaskKey() {
-			t.Fatalf("successor got %v, want %v", a2.ID.TaskKey(), a1.ID.TaskKey())
+		if !sameTask(a2.ID, a1.ID) {
+			t.Fatalf("successor got %v, want %v's task", a2.ID, a1.ID)
 		}
 		// The dead-then-revived u1 finishes its superseded attempt late.
 		if complete(t, ctl, &mrpc.CompleteRequest{Worker: "u1", ID: a1.ID}).Accepted {

@@ -9,10 +9,10 @@ import (
 )
 
 // Concurrent MapReduce jobs sharing one cluster while scrub and
-// balancer churn run against it — the mapreduce mirror of the DFS
-// 16x4 stress test. Every job spills (tiny ShuffleMemory), so map
-// spill writers, merge readers and reduce output writers all overlap
-// with admin mutation of block placement. Run under -race in CI.
+// node churn run against it — the mapreduce mirror of the DFS 16x4
+// stress test. Every job spills (tiny ShuffleMemory), so map spill
+// writers, merge readers and reduce output writers all overlap with
+// admin mutation of block placement. Run under -race in CI.
 func TestConcurrentJobsWithChurnStress(t *testing.T) {
 	c := testCluster(8, 2048)
 	const jobs = 4
@@ -37,24 +37,26 @@ func TestConcurrentJobsWithChurnStress(t *testing.T) {
 
 	var wg sync.WaitGroup
 	errc := make(chan error, jobs+1)
-	// Admin churn: scrub passes, balancer moves, and a rolling
-	// kill/revive cycle. Replication is 3 and one node is down at a
-	// time, so every block keeps live replicas; spill readers holding
+	// Admin churn: scrub passes and a rolling kill/revive cycle, two
+	// nodes per pass. Each kill drops the victim's replicas and copies
+	// them to other nodes, so placement moves under the jobs' readers
+	// and writers. Replication is 3 and one node is down at a time, so
+	// every block keeps live replicas; spill readers holding
 	// stale location snapshots must refresh and carry on.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 3; i++ {
 			c.Scrub()
-			c.Balance(0.1)
-			victim := fmt.Sprintf("dn%02d", i%8)
-			if _, err := c.KillNode(victim); err != nil {
-				errc <- fmt.Errorf("admin kill: %w", err)
-				return
-			}
-			if err := c.ReviveNode(victim); err != nil {
-				errc <- fmt.Errorf("admin revive: %w", err)
-				return
+			for _, victim := range []string{fmt.Sprintf("dn%02d", i%8), fmt.Sprintf("dn%02d", (i+4)%8)} {
+				if _, err := c.KillNode(victim); err != nil {
+					errc <- fmt.Errorf("admin kill: %w", err)
+					return
+				}
+				if err := c.ReviveNode(victim); err != nil {
+					errc <- fmt.Errorf("admin revive: %w", err)
+					return
+				}
 			}
 		}
 	}()

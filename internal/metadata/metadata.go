@@ -64,7 +64,6 @@ import (
 var (
 	ErrNotFound  = errors.New("metadata: dataset not found")
 	ErrDuplicate = errors.New("metadata: logical path already registered")
-	ErrImmutable = errors.New("metadata: basic metadata is write-once")
 )
 
 // Dataset is one registered data object. Basic metadata is immutable

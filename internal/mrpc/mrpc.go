@@ -65,9 +65,6 @@ func (a AttemptID) String() string {
 	return fmt.Sprintf("%s/%s-%d.a%d", a.Job, a.Phase, a.Task, a.Attempt)
 }
 
-// TaskKey is the attempt's task, for indexing.
-func (a AttemptID) TaskKey() TaskKey { return TaskKey{Job: a.Job, Phase: a.Phase, Task: a.Task} }
-
 // TaskKey names one task independent of attempts.
 type TaskKey struct {
 	Job   string

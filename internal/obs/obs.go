@@ -55,18 +55,6 @@ func (c *Counter) Add(n int64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
 
-// Gauge is a value that can go up and down.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n.
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Metric types, as exposed in Prometheus TYPE comments.
 const (
 	TypeCounter   = "counter"
@@ -100,7 +88,6 @@ type Registry struct {
 	families map[string]*family
 	series   map[string]*series // family + "\x00" + labelValue
 	counters map[string]*Counter
-	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 }
 
@@ -110,7 +97,6 @@ func New() *Registry {
 		families: make(map[string]*family),
 		series:   make(map[string]*series),
 		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
 	}
 }
@@ -148,21 +134,6 @@ func (r *Registry) counterSeries(name, help, label, value string) *Counter {
 	r.counters[key] = c
 	r.series[key] = &series{family: name, labelValue: value, read: c.Value}
 	return c
-}
-
-// Gauge registers (or returns the existing) scalar gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.familyLocked(name, help, TypeGauge, "")
-	key := seriesKey(name, "")
-	if g, ok := r.gauges[key]; ok {
-		return g
-	}
-	g := &Gauge{}
-	r.gauges[key] = g
-	r.series[key] = &series{family: name, read: g.Value}
-	return g
 }
 
 // CounterFunc registers a sampled counter: fn is called at scrape

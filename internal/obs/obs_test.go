@@ -14,8 +14,7 @@ func TestPrometheusGolden(t *testing.T) {
 	r := New()
 	c := r.Counter("lsdf_test_requests_total", "Total requests.")
 	c.Add(7)
-	g := r.Gauge("lsdf_test_inflight", "In-flight requests.")
-	g.Set(3)
+	r.GaugeFunc("lsdf_test_inflight", "In-flight requests.", func() int64 { return 3 })
 	r.GaugeFunc("lsdf_test_sampled", "Sampled value.", func() int64 { return 42 })
 	v := r.CounterVec("lsdf_test_by_tenant_total", "Per-tenant requests.", "tenant")
 	v.With("bio").Add(2)
@@ -208,5 +207,5 @@ func TestIdempotentRegistration(t *testing.T) {
 			t.Error("conflicting re-registration did not panic")
 		}
 	}()
-	r.Gauge("lsdf_x_total", "x") // type conflict must panic
+	r.GaugeFunc("lsdf_x_total", "x", func() int64 { return 0 }) // type conflict must panic
 }

@@ -70,7 +70,7 @@ type job struct {
 }
 
 // Engine converges the catalogue toward MinReplicas valid replicas per
-// path with a pool of transfer workers. Ensure (and the metadata
+// path with a pool of transfer workers. EnsureFederated (and the metadata
 // subscription feeding it) is cheap and non-blocking: it schedules
 // jobs into an unbounded queue guarded by a per-(path, site)
 // singleflight, so repeated triggers for the same replica — a create
@@ -221,8 +221,9 @@ func (e *Engine) onEvent(ev metadata.Event) {
 	e.EnsureFederated(ev.Dataset.Path)
 }
 
-// EnsureFederated is Ensure for a federated (mount-table) path; paths
-// outside the federation mount are ignored.
+// EnsureFederated schedules the transfers a federated (mount-table)
+// path needs (see ensure); paths outside the federation mount are
+// ignored.
 func (e *Engine) EnsureFederated(fed string) {
 	if e.cfg.MountPrefix == "" || strings.HasPrefix(fed, e.cfg.MountPrefix+"/") {
 		e.ensure(fed)
@@ -235,14 +236,12 @@ func (e *Engine) key(path string) string { return e.cfg.MountPrefix + path }
 // rel is the backend-relative path of a federated key.
 func (e *Engine) rel(key string) string { return key[len(e.cfg.MountPrefix):] }
 
-// Ensure schedules whatever transfers the backend-relative path needs
-// to reach the engine's MinReplicas target (capped at the site count).
-// It never blocks on transfer work, and schedules nothing for a path the
+// ensure schedules whatever transfers the federated key needs to reach
+// the engine's MinReplicas target (capped at the site count). It never
+// blocks on transfer work, and schedules nothing for a path the
 // catalogue does not know. Replica selection prefers refreshing an
 // existing stale or lost replica on a reachable site (often a cheap
 // re-verify, never a duplicate copy) over opening a new site.
-func (e *Engine) Ensure(path string) { e.ensure(e.key(path)) }
-
 func (e *Engine) ensure(key string) {
 	reps := e.meta.Replicas(key)
 	if reps == nil {

@@ -130,7 +130,7 @@ func (e *Engine) readCandidates(key string, tried map[string]bool, takeStale boo
 // noteDown records that a read skipped a known-down site: the replica
 // is marked Stale, and re-replication is enqueued only on the actual
 // state transition — a site that stays down through a thousand reads
-// costs one catalogue record and event and one Ensure, not a thousand.
+// costs one catalogue record and event and one ensure, not a thousand.
 func (e *Engine) noteDown(s *Site, key string, tried map[string]bool) error {
 	tried[s.Name] = true
 	if e.meta.SetReplica(key, s.Name, metadata.ReplicaStale) {

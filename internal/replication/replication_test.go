@@ -208,7 +208,7 @@ func TestEnsureSingleflightNoDuplicateTransfers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			eng.Ensure("/exp/one")
+			eng.ensure(eng.key("/exp/one"))
 		}()
 	}
 	wg.Wait()
@@ -518,7 +518,7 @@ func TestTransferResumesAcrossSourceFailure(t *testing.T) {
 	cat.Add("/big", "b", want)
 	resumed.reset()
 
-	eng.Ensure("/big")
+	eng.ensure(eng.key("/big"))
 	eng.Wait()
 	if n := cat.CountValid("/big"); n != 3 {
 		t.Fatalf("valid = %d, want 3 (%+v)", n, cat.Replicas("/big"))
@@ -572,7 +572,7 @@ func TestReplicateFromTieredSiteRecalls(t *testing.T) {
 	}
 	cat.Drop("/arch/x", "plain")
 	recallsBefore := tier.Stats().Recalls
-	eng.Ensure("/arch/x")
+	eng.ensure(eng.key("/arch/x"))
 	eng.Wait()
 	if n := cat.CountValid("/arch/x"); n != 2 {
 		t.Fatalf("valid = %d (%+v)", n, cat.Replicas("/arch/x"))
@@ -635,14 +635,14 @@ func TestFederatedStatListRemove(t *testing.T) {
 
 func TestWANPacing(t *testing.T) {
 	var slept time.Duration
-	w := NewWAN(units.BytesPerSecond(1*units.MiB), 5*time.Millisecond)
+	w := NewWAN(units.Rate(1*units.MiB), 5*time.Millisecond)
 	w.sleep = func(d time.Duration) { slept += d }
 	w.Pace("a", "b", int(512*units.KiB))
 	if slept < 400*time.Millisecond || slept > 600*time.Millisecond {
 		t.Fatalf("paced %v for 512 KiB at 1 MiB/s, want ~500ms", slept)
 	}
 	slept = 0
-	w.SetLink("a", "b", units.BytesPerSecond(2*units.MiB), time.Millisecond)
+	w.SetLink("a", "b", units.Rate(2*units.MiB), time.Millisecond)
 	w.Pace("a", "b", int(512*units.KiB))
 	if slept < 200*time.Millisecond || slept > 300*time.Millisecond {
 		t.Fatalf("degraded-link pacing = %v, want ~250ms", slept)
@@ -666,7 +666,7 @@ func TestWANPacedTransferRespectsPairCap(t *testing.T) {
 		NewSite("src", adal.NewMemFS("src"), 0),
 		NewSite("dst", adal.NewMemFS("dst"), 1),
 	}
-	wan := NewWAN(units.BytesPerSecond(64*units.MiB), 0)
+	wan := NewWAN(units.Rate(64*units.MiB), 0)
 	fb, eng, cat := newFed(t, sites, Config{MinReplicas: 2, Streams: 8, PairStreams: 1, WAN: wan})
 
 	// Track concurrent holders of the src->dst pair by wrapping sleep.

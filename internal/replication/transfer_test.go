@@ -112,7 +112,7 @@ func TestCorruptBlockStopsCopyAndScrub(t *testing.T) {
 	_, eng, cat := newFed(t, []*Site{NewSite("src", src, 0), NewSite("dst", dst, 1)}, Config{MinReplicas: 2, Retries: 1})
 	cat.Add("/big", "src", want)
 
-	eng.Ensure("/big")
+	eng.ensure(eng.key("/big"))
 	eng.Wait()
 	const limit = (bad + 1) * adal.ChainBlock
 	if n, most := dst.writes.opens.Load(), dst.writes.most.Load(); n == 0 || most > limit || most <= bad*adal.ChainBlock {
@@ -189,7 +189,7 @@ func TestLateEnsureAfterRemoveSchedulesNothing(t *testing.T) {
 	if err := fb.Remove("/x"); err != nil {
 		t.Fatal(err)
 	}
-	eng.Ensure("/x")
+	eng.ensure(eng.key("/x"))
 	eng.Wait()
 	if cat.Known("/x") {
 		t.Fatalf("a late Ensure brought the removed path back: %v", cat.Replicas("/x"))
@@ -202,7 +202,7 @@ func TestLateEnsureAfterRemoveSchedulesNothing(t *testing.T) {
 // is refused, the copy removes the bytes it wrote, and the path can be
 // created again.
 func TestRemoveDuringCopyDoesNotResurrect(t *testing.T) {
-	wan := NewWAN(units.BytesPerSecond(64*units.MiB), time.Millisecond)
+	wan := NewWAN(units.Rate(64*units.MiB), time.Millisecond)
 	reached, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	wan.sleep = func(time.Duration) { once.Do(func() { close(reached); <-release }) }
@@ -241,7 +241,7 @@ func TestRemoveDuringCopyDoesNotResurrect(t *testing.T) {
 // copy removes the bytes it wrote, so the far site is never a valid
 // holder of the old bytes, and the next Ensure gives it the new ones.
 func TestRecreateDuringCopyRefusesTheOldValid(t *testing.T) {
-	wan := NewWAN(units.BytesPerSecond(64*units.MiB), time.Millisecond)
+	wan := NewWAN(units.Rate(64*units.MiB), time.Millisecond)
 	reached, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
 	wan.sleep = func(time.Duration) { once.Do(func() { close(reached); <-release }) }
@@ -271,7 +271,7 @@ func TestRecreateDuringCopyRefusesTheOldValid(t *testing.T) {
 		t.Fatalf("a refused copy counted as %d transfers", st.Transfers)
 	}
 
-	eng.Ensure("/y")
+	eng.ensure(eng.key("/y"))
 	eng.Wait()
 	if st, _ := cat.Get("/y", "far"); st != Valid {
 		t.Fatalf("far after a fresh Ensure: %v", cat.Replicas("/y"))

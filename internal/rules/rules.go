@@ -55,16 +55,6 @@ func ProjectIs(project string) Condition {
 	return func(ds metadata.Dataset) bool { return ds.Project == project }
 }
 
-// HasTag matches datasets carrying a tag.
-func HasTag(tag string) Condition {
-	return func(ds metadata.Dataset) bool { return ds.HasTag(tag) }
-}
-
-// LargerThan matches datasets above a size.
-func LargerThan(bytes int64) Condition {
-	return func(ds metadata.Dataset) bool { return int64(ds.Size) > bytes }
-}
-
 // Context hands facility services to actions. Meta is the store
 // through CausedBy of the firing's event, so what an action mutates
 // publishes one level deeper in the cascade.
@@ -126,28 +116,6 @@ func VerifyChecksum() Action {
 				return fmt.Errorf("rules: checksum mismatch for %s", ds.Path)
 			}
 			return ctx.Meta.Tag(ds.ID, "verified")
-		},
-	}
-}
-
-// ReplicaEnsurer is the slice of the replication engine rules need:
-// schedule a federated path toward its MinReplicas target. The
-// interface is structural so rules stays decoupled from
-// internal/replication (replication.Engine implements it).
-type ReplicaEnsurer interface {
-	EnsureFederated(path string)
-}
-
-// EnsureReplicas schedules the dataset's object for multi-site
-// replication. The call is asynchronous — the engine's catalog (and
-// its EventReplica stream) reports progress; paths outside the
-// federation mount are ignored by the engine.
-func EnsureReplicas(r ReplicaEnsurer) Action {
-	return ActionFunc{
-		Label: "ensure-replicas",
-		Fn: func(ctx *Context, ds metadata.Dataset) error {
-			r.EnsureFederated(ds.Path)
-			return nil
 		},
 	}
 }

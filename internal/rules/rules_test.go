@@ -134,12 +134,12 @@ func TestChecksumMismatchFlagsCorrupt(t *testing.T) {
 }
 
 func TestConditions(t *testing.T) {
-	ds := metadata.Dataset{Project: "p", Size: 100, Tags: []string{"x"}}
-	if !ProjectIs("p")(ds) || !HasTag("x")(ds) || !LargerThan(50)(ds) {
-		t.Fatal("conditions should match")
+	ds := metadata.Dataset{Project: "p"}
+	if !ProjectIs("p")(ds) {
+		t.Fatal("condition should match")
 	}
-	if ProjectIs("q")(ds) || HasTag("y")(ds) || LargerThan(200)(ds) {
-		t.Fatal("conditions should reject")
+	if ProjectIs("q")(ds) {
+		t.Fatal("condition should reject")
 	}
 }
 
@@ -326,7 +326,7 @@ func TestManyDatasetsManyRules(t *testing.T) {
 	defer e.Close()
 	e.Add(Rule{
 		Name: "rep", Event: OnCreate,
-		Condition: LargerThan(int64(10)),
+		Condition: func(ds metadata.Dataset) bool { return ds.Size > 10 },
 		Actions:   []Action{Replicate("/replica")},
 	})
 	for i := 0; i < 30; i++ {

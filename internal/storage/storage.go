@@ -263,6 +263,3 @@ func (a *Array) complete() {
 		}
 	}
 }
-
-// ActiveTransfers returns the number of in-flight transfers.
-func (a *Array) ActiveTransfers() int { return len(a.active) }

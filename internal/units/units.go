@@ -119,9 +119,6 @@ func ParseBytes(s string) (Bytes, error) {
 // Rate is a data rate in bytes per second.
 type Rate float64
 
-// BytesPerSecond constructs a Rate from a byte count per second.
-func BytesPerSecond(b Bytes) Rate { return Rate(b) }
-
 // BitsPerSecond constructs a Rate from a bit rate, as network links are
 // quoted (10 Gb/s Ethernet = 1.25e9 B/s).
 func BitsPerSecond(bits float64) Rate { return Rate(bits / 8) }
@@ -155,11 +152,6 @@ func (r Rate) TimeFor(b Bytes) time.Duration {
 	}
 	sec := float64(b) / float64(r)
 	return time.Duration(math.Round(sec * float64(time.Second)))
-}
-
-// BytesIn returns how many bytes flow in d at rate r.
-func (r Rate) BytesIn(d time.Duration) Bytes {
-	return Bytes(float64(r) * d.Seconds())
 }
 
 // Days is a convenience for expressing multi-day simulated horizons.

@@ -141,14 +141,6 @@ func TestTimeForZeroRate(t *testing.T) {
 	}
 }
 
-func TestBytesIn(t *testing.T) {
-	got := PerDay(2 * TB).BytesIn(24 * time.Hour)
-	// Allow float rounding of one part in 1e9.
-	if diff := got - 2*TB; diff < -2000 || diff > 2000 {
-		t.Fatalf("2TB/day over a day = %d, want ~%d", got, 2*TB)
-	}
-}
-
 func TestRateString(t *testing.T) {
 	cases := []struct {
 		in   Rate
@@ -176,14 +168,15 @@ func TestDaysYears(t *testing.T) {
 }
 
 func TestTimeForRoundTripQuick(t *testing.T) {
-	// r.BytesIn(r.TimeFor(b)) ~= b for sane magnitudes: within 1e-6 of
-	// b for a transfer of 1 ms or more; below that, within what a 1-ns
-	// Duration resolves (r·1ns) plus the byte BytesIn truncates.
+	// The bytes that flow in r.TimeFor(b) at rate r are ~= b for sane
+	// magnitudes: within 1e-6 of b for a transfer of 1 ms or more; below
+	// that, within what a 1-ns Duration resolves (r·1ns) plus the byte
+	// the conversion truncates.
 	f := func(megs uint16, mbps uint16) bool {
 		b := Bytes(int64(megs)+1) * MiB
 		r := Rate(float64(mbps)+1) * Rate(MB)
 		d := r.TimeFor(b)
-		back := r.BytesIn(d)
+		back := Bytes(float64(r) * d.Seconds())
 		if d >= time.Millisecond {
 			return math.Abs(float64(back-b)/float64(b)) < 1e-6
 		}

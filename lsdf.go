@@ -125,6 +125,6 @@ func (fc *Facility) RunJob(cfg mapreduce.Config) (*mapreduce.Result, error) {
 // ClusterReport summarizes the analysis cluster's DFS.
 func (fc *Facility) ClusterReport() dfs.Report { return fc.f.DFS.Report() }
 
-// Cluster exposes the analysis cluster for advanced use (balancer,
+// Cluster exposes the analysis cluster for advanced use (repair,
 // failure injection, direct file IO).
 func (fc *Facility) Cluster() *dfs.Cluster { return fc.f.DFS }
